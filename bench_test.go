@@ -439,6 +439,46 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkStuckAtScaling is the line stuck-at scaling sweep: the full
+// line-fault universe of mult5 / mult16 / mult50 (~100 / ~1k / ~10k
+// gates) at one pattern — the shape of ATPG's per-vector fault
+// dropping — and at 256 random patterns, the service's default budget.
+// Stuck-at runs on the packed engine's seed walk whatever the
+// simulator's engine, so there is one row per (circuit, patterns);
+// gate_evals are packed 64-lane evaluations. Dated results live in
+// BENCH_faultsim.json ("stuck_at_scaling" entries). -short keeps only
+// the mult5 rows (the CI bench-smoke budget):
+//
+//	go test -run '^$' -bench BenchmarkStuckAtScaling -benchtime=3x .
+func BenchmarkStuckAtScaling(b *testing.B) {
+	for _, name := range []string{"mult5", "mult16", "mult50"} {
+		if testing.Short() && name != "mult5" {
+			continue
+		}
+		c, err := bench.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		faults := core.Universe(c, core.ClassicalOnly())
+		for _, n := range []int{1, 256} {
+			patterns := randomPatterns(c, n)
+			b.Run(fmt.Sprintf("%s/%dpat", name, n), func(b *testing.B) {
+				sim := faultsim.New(c)
+				sim.EnsureCompiled()
+				var cov faultsim.Coverage
+				b.ResetTimer()
+				evals0 := engineGateEvals(faultsim.EnginePacked)
+				for i := 0; i < b.N; i++ {
+					cov = faultsim.Summarise(sim.RunStuckAt(faults, patterns))
+				}
+				reportGateEvals(b, faultsim.EnginePacked, evals0)
+				b.ReportMetric(float64(len(faults)), "faults")
+				b.ReportMetric(float64(cov.Detected), "detected")
+			})
+		}
+	}
+}
+
 // BenchmarkDictionaryCapture prices the fault-dictionary signature
 // sink on the workload its acceptance budget names: a full packed
 // mult16 campaign (stuck-at + CP transistor universe, IDDQ observed,

@@ -30,7 +30,7 @@ func main() {
 
 	circuitName := flag.String("circuit", "", "built-in benchmark name (empty: read .bench from stdin)")
 	classical := flag.Bool("classical", false, "target only classical line stuck-at faults")
-	engineName := flag.String("engine", "compiled", "fault-dropping simulation engine: auto, compiled, packed or reference")
+	engineName := flag.String("engine", "packed", "fault-dropping simulation engine: auto, compiled, packed or reference")
 	verbose := flag.Bool("v", false, "print every generated vector")
 	flag.Parse()
 

@@ -114,6 +114,13 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 	}
 	res.StuckAtTargeted = len(saFaults)
 	detected := make([]bool, len(saFaults))
+	// undetected lists the faults no generated pattern catches yet, in
+	// list order: fault dropping re-simulates only those.
+	undetected := make([]int, len(saFaults))
+	for i := range undetected {
+		undetected[i] = i
+	}
+	var sub []core.Fault
 	covered := 0
 	report("stuck_at", 0, len(saFaults), 0)
 	for i, f := range saFaults {
@@ -133,13 +140,24 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 		res.Set.Patterns = append(res.Set.Patterns, pat)
 		// Fault dropping: mark everything the new pattern catches.
-		ds := sim.RunStuckAt(saFaults, []faultsim.Pattern{pat})
-		for j, d := range ds {
-			if d.Detected() && !detected[j] {
+		sub = sub[:0]
+		for _, j := range undetected {
+			sub = append(sub, saFaults[j])
+		}
+		ds, err := sim.RunStuckAtContext(ctx, sub, []faultsim.Pattern{pat})
+		if err != nil {
+			return res, err
+		}
+		keep := undetected[:0]
+		for k, j := range undetected {
+			if ds[k].Detected() {
 				detected[j] = true
 				covered++
+			} else {
+				keep = append(keep, j)
 			}
 		}
+		undetected = keep
 		report("stuck_at", i+1, len(saFaults), covered)
 	}
 	for _, d := range detected {
@@ -151,7 +169,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 	// --- Polarity faults, with fault dropping: a polarity fault the
 	// voltage patterns generated so far already catch needs no dedicated
 	// vector. The check runs through the simulator's engine (the
-	// compiled LUT/cone engine by default) and is incremental — one
+	// packed lane-block engine by default) and is incremental — one
 	// batched pass over the stuck-at patterns, then one single-pattern
 	// pass per newly generated vector — so good baselines are never
 	// recomputed per fault.

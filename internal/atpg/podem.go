@@ -17,7 +17,8 @@ import (
 type Options struct {
 	MaxBacktracks int // per PODEM attempt (default 4096)
 	// Engine selects the fault-simulation engine the campaign uses for
-	// fault dropping and verification (default: the compiled engine).
+	// polarity and channel-break fault dropping (default: the packed
+	// engine; line stuck-at dropping always runs packed).
 	Engine faultsim.Engine
 	// Progress, when set, receives a snapshot after every per-fault
 	// generation attempt of GenerateContext. Calls are made from the

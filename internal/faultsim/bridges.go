@@ -92,18 +92,18 @@ func (s *Simulator) RunBridgesContext(ctx context.Context, bridges []core.Bridge
 // nets driven to opposite rails) is checked before the voltage compare,
 // mirroring the transistor-fault ordering. The simulator's Engine
 // selects the implementation — the hooked fixpoint oracle
-// (EngineReference), a compiled dense-net fixpoint (EngineCompiled,
-// default), the 64-way packed fixpoint (EnginePacked), or a
+// (EngineReference), a compiled dense-net fixpoint (EngineCompiled),
+// the 64-way packed fixpoint (EnginePacked, default), or a
 // per-campaign compiled/packed choice (EngineAuto) — all bit-identical,
 // as the bridge differential suite enforces.
 func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
 	switch s.resolveEngine(len(bridges), len(patterns)) {
 	case EngineReference:
 		return s.runBridgesReference(ctx, bridges, patterns, useIDDQ)
-	case EnginePacked:
-		return s.runBridgesPacked(ctx, bridges, patterns, useIDDQ)
+	case EngineCompiled:
+		return s.runBridgesCompiled(ctx, bridges, patterns, useIDDQ)
 	}
-	return s.runBridgesCompiled(ctx, bridges, patterns, useIDDQ)
+	return s.runBridgesPacked(ctx, bridges, patterns, useIDDQ)
 }
 
 // runBridgesReference is the hooked-map oracle driver.
@@ -526,7 +526,7 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.compiled()
-	bases := s.packedBaselines(patterns, 1)
+	bases := s.packedBaselines(patterns, 1, false)
 	vals := make([]logic.PackedVec, cc.NumNets())
 	prev := make([]logic.PackedVec, cc.NumNets())
 	outPO := make([]logic.PackedVec, len(cc.OutputID))

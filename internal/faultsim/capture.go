@@ -80,13 +80,6 @@ func (c *SignatureCapture) setLeak(i, k int) {
 	c.leak[i*c.words+k>>6] |= 1 << uint(k&63)
 }
 
-// orOutWord folds a 64-pattern detection word into fault i's row; base
-// is the chunk's first pattern index and must be 64-aligned (the
-// packed chunk layout guarantees it).
-func (c *SignatureCapture) orOutWord(i, base int, m uint64) {
-	c.out[i*c.words+base>>6] |= m
-}
-
 // orLanes folds a lane-block mask into fault i's row: lane l in words
 // maps to pattern patOff+l. Word-aligned offsets (the ungrouped packed
 // chunks) take the direct OR path; fault-packed groups carry negative

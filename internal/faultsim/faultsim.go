@@ -1,9 +1,9 @@
 // Package faultsim provides the fault simulation engines of the
-// reproduction: 64-way parallel-pattern simulation for classical line
-// stuck-at faults, serial ternary simulation with behaviour-table
-// injection for the CP transistor faults (channel break, stuck-on and the
-// paper's stuck-at n-type / p-type polarity faults), IDDQ observability,
-// and sequence-aware two-pattern simulation for stuck-open testing.
+// reproduction: bit-parallel packed simulation for classical line
+// stuck-at faults, behaviour-table injection for the CP transistor
+// faults (channel break, stuck-on and the paper's stuck-at n-type /
+// p-type polarity faults), IDDQ observability, and sequence-aware
+// two-pattern simulation for stuck-open testing.
 package faultsim
 
 import (
@@ -44,9 +44,11 @@ func (d Detection) Detected() bool { return d.Method != ByNone }
 type Simulator struct {
 	C *logic.Circuit
 
-	// Engine selects the transistor-fault implementation; the zero value
-	// is the compiled LUT/cone engine, EngineReference the serial oracle,
-	// EngineAuto a per-campaign choice between compiled and packed.
+	// Engine selects the transistor-fault, two-pattern and bridge
+	// implementation; the zero value is the packed lane-block engine,
+	// EngineCompiled the scalar LUT/cone engine, EngineReference the
+	// serial oracle, EngineAuto a per-campaign choice between compiled
+	// and packed. Line stuck-at campaigns always run packed.
 	Engine Engine
 
 	// LaneWords, when 1, 2 or 4, pins the packed engine's lane-block
@@ -94,141 +96,64 @@ func New(c *logic.Circuit) *Simulator {
 	return s
 }
 
-// packBinaryChunk packs up to 64 patterns into binary input planes over
-// the compiled input order: missing or X inputs pack as 0 (the
-// historical packed stuck-at semantics), and every lane is fully known,
-// so ternary block evaluation degenerates to plain binary simulation.
-func (s *Simulator) packBinaryChunk(patterns []Pattern) []logic.PackedVec {
-	in := make([]logic.PackedVec, len(s.C.Inputs))
-	for k, p := range patterns {
-		for i, pi := range s.C.Inputs {
-			if v, ok := p[pi]; ok && v == logic.L1 {
-				in[i].Val |= 1 << uint(k)
-			}
-		}
-	}
-	for i := range in {
-		in[i].Known = ^uint64(0)
-	}
-	return in
-}
-
-// evalStuckAtPacked evaluates one 64-pattern chunk with a line stuck-at
-// fault forced over the compiled IR: a stem fault overrides the net's
-// plane wherever the net is produced (primary input or gate output), a
-// pin fault overrides a single gate's fanin read.
-func evalStuckAtPacked(cc *logic.CompiledCircuit, in []logic.PackedVec, f core.Fault, force logic.PackedVec, vals []logic.PackedVec) {
-	stem := -1
-	if f.Pin < 0 {
-		if id, ok := cc.NetID[f.Net]; ok {
-			stem = id
-		}
-	}
-	for i, id := range cc.InputID {
-		v := in[i]
-		if id == stem {
-			v = force
-		}
-		vals[id] = v
-	}
-	var buf [3]logic.PackedVec
-	for _, gi := range cc.Order {
-		fin := cc.Fanin[gi]
-		for k, nid := range fin {
-			v := vals[nid]
-			if gi == f.GateIdx && k == f.Pin {
-				v = force
-			}
-			buf[k] = v
-		}
-		on := cc.GateOut[gi]
-		nv := logic.EvalKindPacked(cc.Kinds[gi], cc.LUT[gi], buf[:len(fin)])
-		if on == stem {
-			nv = force
-		}
-		vals[on] = nv
-	}
-}
-
-// RunStuckAt fault-simulates line stuck-at faults against the pattern set
-// using 64-way parallel-pattern packed simulation. Non-line faults in the
-// list are returned undetected.
+// RunStuckAt fault-simulates line stuck-at faults against the pattern
+// set on the packed engine. Patterns are binary here: missing or X
+// inputs read 0. Non-line faults in the list are returned undetected.
 func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detection {
 	out, _ := s.RunStuckAtContext(context.Background(), faults, patterns)
 	return out
 }
 
 // RunStuckAtContext is RunStuckAt with cooperative cancellation checked
-// once per 64-pattern chunk; on cancellation the detections so far are
-// returned with the context's error. Progress is reported per chunk
-// (the sweep is pattern-outer, so Done counts patterns).
+// between faults; on cancellation the detections so far are returned
+// with the context's error. Each line fault is a seed of the packed
+// engine's event-driven walk: a stem fault forces its net at the
+// driving gate (or the primary input), a pin fault evaluates the
+// reading gate with that pin forced. Short pattern lists pack several
+// faults into one pass, and each fault retires at its earliest
+// detecting lane. Progress reports faults on the "stuck_at" stage
+// (non-line faults count as Dropped); the engine counters charge the
+// work to the packed engine, whatever the simulator's Engine.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
-	out := make([]Detection, len(faults))
-	dropped := 0
-	for i, f := range faults {
-		out[i] = Detection{Fault: f, Pattern: -1}
-		if !f.Kind.IsLineFault() {
-			dropped++
-		}
+	return s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
+}
+
+// stuckAtClass adapts line stuck-at faults to the packed drivers, over
+// binary baselines.
+func (s *Simulator) stuckAtClass() *packedClass {
+	return &packedClass{
+		stage:     "stuck_at",
+		binary:    true,
+		simulable: func(f core.Fault) bool { return f.Kind.IsLineFault() },
+		resolve:   s.stuckAtSite,
 	}
-	sig := s.Signatures
-	if sig != nil {
-		if err := sig.check(len(faults), len(patterns)); err != nil {
-			return nil, err
-		}
+}
+
+// stuckAtSite resolves a line stuck-at fault to its seed site. A stem
+// fault forces its net where it is produced: the driving gate's output,
+// or a primary input (gi -1: no gate ever re-evaluates it). A pin fault
+// forces one fanin read of the reading gate, whose output is the site.
+// ok is false for a fault naming no net or pin of the circuit: it is
+// never excited.
+func (s *Simulator) stuckAtSite(sc *packedScratch, f core.Fault) (packedSite, bool, error) {
+	cc := sc.cc
+	st := packedSite{pin: -1, force: logic.ConstPacked(logic.L0)}
+	if f.Kind == core.FaultSA1 {
+		st.force = logic.ConstPacked(logic.L1)
 	}
-	sink := s.progressSink("stuck_at", len(patterns))
-	cc := s.compiled()
-	nGates := uint64(len(s.C.Gates))
-	good := make([]logic.PackedVec, cc.NumNets())
-	faulty := make([]logic.PackedVec, cc.NumNets())
-	for base := 0; base < len(patterns); base += 64 {
-		if err := ctx.Err(); err != nil {
-			return out, err
+	if f.Pin < 0 {
+		gi, ok := s.C.Driver(f.Net)
+		if !ok {
+			return st, false, nil
 		}
-		chunk := patterns[base:min(base+64, len(patterns))]
-		in := s.packBinaryChunk(chunk)
-		valid := ^uint64(0)
-		if len(chunk) < 64 {
-			valid = (1 << uint(len(chunk))) - 1
-		}
-		cc.EvalPacked(in, good)
-		chunkEvals := nGates // the good-circuit packed evaluation
-		chunkDetected := 0
-		for i := range out {
-			if !out[i].Fault.Kind.IsLineFault() {
-				continue
-			}
-			if out[i].Detected() && sig == nil {
-				continue // fault dropping: off while capturing signatures
-			}
-			f := out[i].Fault
-			force := logic.ConstPacked(logic.L0)
-			if f.Kind == core.FaultSA1 {
-				force = logic.ConstPacked(logic.L1)
-			}
-			evalStuckAtPacked(cc, in, f, force, faulty)
-			chunkEvals += nGates
-			var diff uint64
-			for _, po := range cc.OutputID {
-				diff |= logic.DefiniteDiffMask(good[po], faulty[po]) & valid
-			}
-			if diff != 0 {
-				if sig != nil {
-					sig.orOutWord(i, base, diff)
-				}
-				if !out[i].Detected() {
-					out[i].Method = ByOutput
-					out[i].Pattern = base + logic.FirstLane(diff)
-					chunkDetected++
-				}
-			}
-		}
-		// Dropped (non-line) faults are reported once, with the first chunk.
-		sink.add(len(chunk), chunkDetected, dropped, chunkEvals)
-		dropped = 0
+		st.gi, st.onet = gi, cc.NetID[f.Net]
+		return st, true, nil
 	}
-	return out, nil
+	if f.GateIdx < 0 || f.GateIdx >= len(cc.Fanin) || f.Pin >= len(cc.Fanin[f.GateIdx]) {
+		return st, false, nil
+	}
+	st.gi, st.onet, st.pin = f.GateIdx, cc.GateOut[f.GateIdx], f.Pin
+	return st, true, nil
 }
 
 // transistorHooks builds the ternary gate-override hook for a transistor
@@ -279,8 +204,8 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // Output differences at POs detect by voltage; when useIDDQ is set, a
 // leak signature detects by quiescent-current measurement (the paper's
 // IDDQ observability for pull-up polarity faults). The simulator's
-// Engine selects the implementation: compiled LUT + cone propagation by
-// default, bit-parallel PPSFP lane blocks under EnginePacked, the
+// Engine selects the implementation: bit-parallel PPSFP lane blocks by
+// default, compiled LUT + cone propagation under EngineCompiled, the
 // serial hooked oracle under EngineReference, and a per-campaign
 // compiled/packed choice under EngineAuto; all of them return identical
 // detections. RunTransistorParallel spreads the same work over a
@@ -289,10 +214,10 @@ func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useID
 	switch s.resolveEngine(len(faults), len(patterns)) {
 	case EngineReference:
 		return s.runTransistorSerial(context.Background(), faults, patterns, useIDDQ)
-	case EnginePacked:
-		return s.runTransistorPacked(context.Background(), faults, patterns, useIDDQ)
+	case EngineCompiled:
+		return s.runTransistorCompiled(context.Background(), faults, patterns, useIDDQ)
 	}
-	return s.runTransistorCompiled(context.Background(), faults, patterns, useIDDQ)
+	return s.runPacked(context.Background(), s.transistorClass(useIDDQ), faults, patterns)
 }
 
 // outputsDiffer reports a definite PO mismatch (X never counts).
@@ -311,9 +236,10 @@ func (s *Simulator) outputsDiffer(good, faulty map[string]logic.V) bool {
 // charge retention at the faulty gate: the first pattern initialises the
 // gate output, the second exposes a floating output retaining the stale
 // value. Detection requires a definite PO difference under the second
-// pattern. The simulator's Engine selects the implementation (compiled
-// stuck-open transition LUTs by default; packed block propagation of the
-// same LUTs under EnginePacked; a per-campaign choice under EngineAuto).
+// pattern. The simulator's Engine selects the implementation (packed
+// block propagation of the stuck-open transition LUTs by default; the
+// same LUTs with scalar cone propagation under EngineCompiled; a
+// per-campaign choice under EngineAuto).
 func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	return s.RunTwoPatternContext(context.Background(), faults, pairs)
 }

@@ -8,7 +8,9 @@
 // are packed into the spare lanes and share a single propagation pass.
 // Defined to be bit-identical to the reference and compiled engines
 // (same detection method, same first detecting pattern), which the
-// differential suites enforce.
+// differential suites enforce. Line stuck-at faults ride the same
+// drivers as seeds forcing a constant at their site, over binary
+// baselines.
 package faultsim
 
 import (
@@ -35,12 +37,14 @@ type packedBase struct {
 	vals  []logic.PackedVec // per net id, net-major stride w, canonical planes
 }
 
-// packTernaryBlock packs patterns into width-w input blocks, replicating
-// the whole pattern list `copies` times across consecutive lane groups
+// packBlock packs patterns into width-w input blocks, replicating the
+// whole pattern list `copies` times across consecutive lane groups
 // (copies > 1 builds the shared baseline of a fault-packed batch).
 // Inputs missing from a pattern are X, matching the scalar map-based
-// evaluation; lanes beyond the replicated patterns stay X.
-func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int) []logic.PackedVec {
+// evaluation; binary packing reads missing and X inputs as 0 instead
+// (the line stuck-at semantics). Lanes beyond the replicated patterns
+// stay X.
+func (s *Simulator) packBlock(patterns []Pattern, w, copies int, binary bool) []logic.PackedVec {
 	in := make([]logic.PackedVec, len(s.C.Inputs)*w)
 	for g := 0; g < copies; g++ {
 		off := g * len(patterns)
@@ -48,7 +52,10 @@ func (s *Simulator) packTernaryBlock(patterns []Pattern, w, copies int) []logic.
 			lane := off + k
 			for i, pi := range s.C.Inputs {
 				v, ok := p[pi]
-				if !ok {
+				switch {
+				case binary && v != logic.L1:
+					v = logic.L0
+				case !ok:
 					v = logic.LX
 				}
 				in[i*w+lane>>6] = in[i*w+lane>>6].WithLane(lane&63, v)
@@ -68,9 +75,9 @@ func laneMask(from, n, w int) []uint64 {
 }
 
 // packedBaselines memoizes the good-circuit planes per 64w-pattern
-// chunk. All chunk planes share one backing array (one allocation to
-// scan instead of one per chunk).
-func (s *Simulator) packedBaselines(patterns []Pattern, w int) []packedBase {
+// chunk, packed as packBlock does. All chunk planes share one backing
+// array (one allocation to scan instead of one per chunk).
+func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []packedBase {
 	cc := s.compiled()
 	lanes := 64 * w
 	nChunks := (len(patterns) + lanes - 1) / lanes
@@ -83,7 +90,7 @@ func (s *Simulator) packedBaselines(patterns []Pattern, w int) []packedBase {
 			start: base,
 			w:     w,
 			valid: laneMask(0, len(chunk), w),
-			in:    s.packTernaryBlock(chunk, w, 1),
+			in:    s.packBlock(chunk, w, 1, binary),
 		}
 		pb.vals = cc.EvalBlock(pb.in, w, backing[:stride:stride])
 		backing = backing[stride:]
@@ -106,14 +113,14 @@ type packedGroupBase struct {
 }
 
 // packedGroupedBase evaluates the replicated baseline once.
-func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int) *packedGroupBase {
+func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int, binary bool) *packedGroupBase {
 	cc := s.compiled()
 	gb := &packedGroupBase{
 		w:      w,
 		span:   len(patterns),
 		groups: groups,
 		masks:  make([][]uint64, groups),
-		in:     s.packTernaryBlock(patterns, w, groups),
+		in:     s.packBlock(patterns, w, groups, binary),
 	}
 	for g := 0; g < groups; g++ {
 		gb.masks[g] = laneMask(g*len(patterns), len(patterns), w)
@@ -162,6 +169,30 @@ func (s *Simulator) laneWordsFor(nPatterns, nFaults int) int {
 	return 1
 }
 
+// packedClass adapts one fault class to the packed drivers: the stage
+// its progress reports under, how baselines pack, whether IDDQ leak
+// lanes are observed, which faults it simulates (the rest count as
+// Dropped) and how a simulable fault resolves to its seed site.
+type packedClass struct {
+	stage     string
+	binary    bool
+	iddq      bool
+	simulable func(core.Fault) bool
+	resolve   func(*packedScratch, core.Fault) (packedSite, bool, error)
+}
+
+// packedSite is one fault resolved against the compiled circuit: the
+// gate whose output the fault deviates (gi, -1 for a primary-input
+// stem), that output net, and how the faulty plane is formed — the
+// transistor behaviour table lut, or the stuck-at constant force read
+// at fanin pin (pin -1: forced onto the net itself).
+type packedSite struct {
+	gi, onet int
+	lut      *faultLUT
+	pin      int
+	force    logic.PackedVec
+}
+
 // packedPlan is the per-campaign packing decision plus its baselines.
 type packedPlan struct {
 	w      int
@@ -172,19 +203,19 @@ type packedPlan struct {
 
 // packedPlanFor sizes the lane blocks and fault-packing of a campaign
 // and evaluates the matching baselines.
-func (s *Simulator) packedPlanFor(faults []core.Fault, patterns []Pattern) packedPlan {
+func (s *Simulator) packedPlanFor(cls *packedClass, faults []core.Fault, patterns []Pattern) packedPlan {
 	sim := 0
 	for _, f := range faults {
-		if transistorSimulable(f) {
+		if cls.simulable(f) {
 			sim++
 		}
 	}
 	w := s.laneWordsFor(len(patterns), sim)
 	pl := packedPlan{w: w, groups: packGroups(len(patterns), sim, w)}
 	if pl.groups > 1 {
-		pl.gb = s.packedGroupedBase(patterns, w, pl.groups)
+		pl.gb = s.packedGroupedBase(patterns, w, pl.groups, cls.binary)
 	} else {
-		pl.bases = s.packedBaselines(patterns, w)
+		pl.bases = s.packedBaselines(patterns, w, cls.binary)
 	}
 	return pl
 }
@@ -514,16 +545,52 @@ func (s *Simulator) resolvePackedFault(f core.Fault, sc *packedScratch) (int, *f
 	return gi, lut, err
 }
 
-// seedChunk fills sd with fault f's behaviour over the baseline block,
-// restricted to the lanes of mask: the masked IDDQ leak lanes, the
-// blended site plane and the excitation floor. live is set when at
+// transistorClass adapts the CP transistor faults to the packed
+// drivers, over ternary baselines.
+func (s *Simulator) transistorClass(useIDDQ bool) *packedClass {
+	return &packedClass{
+		stage:     "transistor",
+		iddq:      useIDDQ,
+		simulable: transistorSimulable,
+		resolve: func(sc *packedScratch, f core.Fault) (packedSite, bool, error) {
+			gi, lut, err := s.resolvePackedFault(f, sc)
+			if err != nil {
+				return packedSite{}, false, err
+			}
+			return packedSite{gi: gi, onet: sc.cc.GateOut[gi], lut: lut, pin: -1}, true, nil
+		},
+	}
+}
+
+// siteWord evaluates word j of a site's faulty plane over the baseline
+// block, plus its IDDQ-leak lanes (transistor faults only).
+func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int) (logic.PackedVec, uint64) {
+	if st.lut == nil && st.pin < 0 {
+		return st.force, 0 // a stem: the net itself is stuck
+	}
+	cc, w := sc.cc, sc.w
+	fin := cc.Fanin[st.gi]
+	in := sc.inbuf[:len(fin)]
+	for k, nid := range fin {
+		in[k] = base[nid*w+j]
+	}
+	sc.evals++
+	if st.lut != nil {
+		return evalFaultLUTPacked(st.lut, in)
+	}
+	in[st.pin] = st.force
+	return logic.EvalKindPacked(cc.Kinds[st.gi], cc.LUT[st.gi], in), 0
+}
+
+// seedChunk fills sd with a resolved fault's behaviour over the baseline
+// block, restricted to the lanes of mask: the masked IDDQ leak lanes,
+// the blended site plane and the excitation floor. live is set when at
 // least one masked lane excites the fault (the seed needs propagation
 // to resolve); leak lanes are reported either way.
-func (sc *packedScratch) seedChunk(sd *packedSeed, gi int, lut *faultLUT, mask []uint64, patOff int, base []logic.PackedVec, useIDDQ bool) {
-	cc, w := sc.cc, sc.w
-	on := cc.GateOut[gi]
-	fin := cc.Fanin[gi]
-	sd.gi, sd.onet, sd.patOff = gi, on, patOff
+func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64, patOff int, base []logic.PackedVec, useIDDQ bool) {
+	w := sc.w
+	on := st.onet
+	sd.gi, sd.onet, sd.patOff = st.gi, on, patOff
 	var exc [logic.MaxLaneWords]uint64
 	for j := 0; j < w; j++ {
 		m := mask[j]
@@ -534,12 +601,7 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, gi int, lut *faultLUT, mask [
 			sd.fout[j] = b
 			continue
 		}
-		in := sc.inbuf[:len(fin)]
-		for k, nid := range fin {
-			in[k] = base[nid*w+j]
-		}
-		fo, leak := evalFaultLUTPacked(lut, in)
-		sc.evals++
+		fo, leak := sc.siteWord(st, base, j)
 		if useIDDQ {
 			sd.leak[j] = leak & m
 		}
@@ -770,23 +832,20 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 	}
 }
 
-// simulateTransistorFaultPacked is the packed counterpart of
-// simulateTransistorFaultCompiled: identical Detection results, one
-// packed behaviour-LUT evaluation plus one event-driven block pass per
-// chunk. A non-nil sig disables the chunk early exits and the seed
-// early-retirement, records fault si's full signature from the
-// propagated lane masks and derives the Detection through the same
-// earliest-lane/leak-precedence resolution the uncaptured sweep uses.
-func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []packedBase, sc *packedScratch, useIDDQ bool, sig *SignatureCapture) (Detection, error) {
+// simulateFaultPacked runs one fault of a class chunk by chunk: one
+// seed evaluation plus one event-driven block pass per chunk, with the
+// Detection the scalar engines would report. A non-nil sig disables the
+// chunk early exits and the seed early-retirement, records fault si's
+// full signature from the propagated lane masks and derives the
+// Detection through the same earliest-lane/leak-precedence resolution
+// the uncaptured sweep uses.
+func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (Detection, error) {
 	d := Detection{Fault: f, Pattern: -1}
-	if !transistorSimulable(f) {
+	if !cls.simulable(f) || len(bases) == 0 {
 		return d, nil
 	}
-	if len(bases) == 0 {
-		return d, nil
-	}
-	gi, lut, err := s.resolvePackedFault(f, sc)
-	if err != nil {
+	st, ok, err := cls.resolve(sc, f)
+	if !ok {
 		return d, err
 	}
 	sc.runs++
@@ -795,7 +854,7 @@ func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []
 	sd := &seeds[0]
 	for ci := range bases {
 		pb := &bases[ci]
-		sc.seedChunk(sd, gi, lut, pb.valid, pb.start, pb.vals, useIDDQ)
+		sc.seedChunk(sd, &st, pb.valid, pb.start, pb.vals, cls.iddq)
 		if sig != nil {
 			if sd.live {
 				sc.capture = true
@@ -836,11 +895,12 @@ func (s *Simulator) simulateTransistorFaultPacked(f core.Fault, si int, bases []
 // packing: up to plan.groups simulable faults seed disjoint lane groups
 // of the replicated baseline and resolve in one shared propagation
 // pass. Faults whose leak decides at or before their excitation floor
-// resolve at seed time and never occupy a group slot. A non-nil sig
-// keeps every excited fault in its slot, propagates without seed
-// early-retirement and records each fault's full signature from its
-// group's lane masks before resolving the identical Detection.
-func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, useIDDQ bool, sig *SignatureCapture, sink *progressSink, out []Detection) error {
+// (or that never excite at all) resolve at seed time and never occupy a
+// group slot. A non-nil sig keeps every excited fault in its slot,
+// propagates without seed early-retirement and records each fault's
+// full signature from its group's lane masks before resolving the
+// identical Detection.
+func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out []Detection) error {
 	w := sc.w
 	seeds := sc.seedBuf(gb.groups)[:0]
 	batchDetected := 0
@@ -874,13 +934,17 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, i
 		}
 		f := faults[i]
 		out[i] = Detection{Fault: f, Pattern: -1}
-		if !transistorSimulable(f) {
+		if !cls.simulable(f) {
 			sink.add(1, 0, 1, 0)
 			continue
 		}
-		gi, lut, err := s.resolvePackedFault(f, sc)
+		st, ok, err := cls.resolve(sc, f)
 		if err != nil {
 			return err
+		}
+		if !ok {
+			sink.add(1, 0, 0, 0)
+			continue
 		}
 		sc.runs++
 		g := len(seeds)
@@ -888,7 +952,7 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, i
 		sd := &seeds[g]
 		sd.out = i
 		before := sc.lifetimeEvals()
-		sc.seedChunk(sd, gi, lut, gb.masks[g], -g*gb.span, gb.vals, useIDDQ)
+		sc.seedChunk(sd, &st, gb.masks[g], -g*gb.span, gb.vals, cls.iddq)
 		if sig != nil {
 			if !sd.live {
 				// No excited lane: the signature is leak-only and the
@@ -926,42 +990,42 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, faults []core.Fault, i
 	return nil
 }
 
-// runTransistorPacked is the serial packed campaign driver.
-func (s *Simulator) runTransistorPacked(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	sink := s.progressSink("transistor", len(faults))
+// runPacked is the serial packed campaign driver of one fault class. On
+// an error it returns the detections resolved so far alongside it (the
+// rest stay undetected).
+func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
+	sink := s.progressSink(cls.stage, len(faults))
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
 			return nil, err
 		}
 	}
-	pl := s.packedPlanFor(faults, patterns)
+	pl := s.packedPlanFor(cls, faults, patterns)
 	sc := s.packedScratchOf()
 	sc.ensure(pl.w)
 	defer s.putPackedScratch(sc)
 	sink.add(0, 0, 0, pl.baseEvals(len(s.C.Gates)))
 	out := make([]Detection, len(faults))
+	idxs := make([]int, len(faults))
+	for i, f := range faults {
+		out[i] = Detection{Fault: f, Pattern: -1}
+		idxs[i] = i
+	}
 	if pl.gb != nil {
-		idxs := make([]int, len(faults))
-		for i := range idxs {
-			idxs[i] = i
-		}
-		if err := s.runPackedGrouped(ctx, faults, idxs, pl.gb, sc, useIDDQ, sig, sink, out); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return out, s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, sc, sig, sink, out)
 	}
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return out, err
 		}
 		before := sc.lifetimeEvals()
-		d, err := s.simulateTransistorFaultPacked(f, i, pl.bases, sc, useIDDQ, sig)
+		d, err := s.simulateFaultPacked(cls, f, i, pl.bases, sc, sig)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		out[i] = d
-		sink.add(1, b2i(d.Detected()), b2i(!transistorSimulable(f)), sc.lifetimeEvals()-before)
+		sink.add(1, b2i(d.Detected()), b2i(!cls.simulable(f)), sc.lifetimeEvals()-before)
 	}
 	return out, nil
 }
@@ -1003,8 +1067,8 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 		firsts[k], seconds[k] = pair[0], pair[1]
 	}
 	w := s.laneWordsFor(len(pairs), 1)
-	bases0 := s.packedBaselines(firsts, w)
-	bases1 := s.packedBaselines(seconds, w)
+	bases0 := s.packedBaselines(firsts, w, false)
+	bases1 := s.packedBaselines(seconds, w, false)
 	cc := s.compiled()
 	sc := s.packedScratchOf()
 	sc.ensure(w)

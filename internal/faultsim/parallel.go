@@ -165,12 +165,13 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 	if workers > len(faults) {
 		workers = len(faults)
 	}
+	cls := s.transistorClass(useIDDQ)
 	if workers == 1 || len(faults) < 2 {
 		switch engine {
 		case EngineReference:
 			return s.runTransistorSerial(ctx, faults, patterns, useIDDQ)
 		case EnginePacked:
-			return s.runTransistorPacked(ctx, faults, patterns, useIDDQ)
+			return s.runPacked(ctx, cls, faults, patterns)
 		}
 		return s.runTransistorCompiled(ctx, faults, patterns, useIDDQ)
 	}
@@ -191,7 +192,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 			goods[k] = s.C.Eval(map[string]logic.V(p))
 		}
 	case EnginePacked:
-		pl = s.packedPlanFor(faults, patterns)
+		pl = s.packedPlanFor(cls, faults, patterns)
 		baseEvals = pl.baseEvals(len(s.C.Gates))
 	default:
 		base = s.evalBaselines(patterns)
@@ -233,7 +234,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 				}
 				idxs := ord[r[0]:r[1]]
 				if engine == EnginePacked && pl.gb != nil {
-					if err := s.runPackedGrouped(ctx, faults, idxs, pl.gb, psc, useIDDQ, sig, sink, out); err != nil && ctx.Err() == nil {
+					if err := s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, psc, sig, sink, out); err != nil && ctx.Err() == nil {
 						fail(err)
 					}
 					continue
@@ -251,7 +252,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 						evals = s.referenceFaultEvals(faults[i], d, len(patterns), sig != nil)
 					case EnginePacked:
 						before := psc.lifetimeEvals()
-						d, err = s.simulateTransistorFaultPacked(faults[i], i, pl.bases, psc, useIDDQ, sig)
+						d, err = s.simulateFaultPacked(cls, faults[i], i, pl.bases, psc, sig)
 						evals = psc.lifetimeEvals() - before
 					default:
 						before := sc.lifetimeEvals()

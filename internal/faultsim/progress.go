@@ -7,16 +7,17 @@ import (
 )
 
 // Progress is a monotone snapshot of one running campaign stage. Done
-// counts completed work units (faults for transistor and bridge
-// campaigns, patterns for the chunked stuck-at sweep); Detected the
+// counts completed work units (faults for the stuck-at, transistor and
+// two-pattern campaigns, bridges for bridge campaigns); Detected the
 // units that ended in a detection; Dropped the faults skipped without
 // simulation because their kind is out of scope for the stage (line
-// faults handed to a transistor campaign, analog-only kinds). GateEvals
-// counts engine-native gate evaluations attributable to the stage so
-// far — scalar LUT lookups for the compiled engine, packed evaluations
-// (each covering up to 64 pattern lanes) for the packed engine, full
-// hooked-map gate evaluations for the reference oracle — so rates are
-// comparable within an engine, not across engines.
+// faults handed to a transistor campaign and vice versa, analog-only
+// kinds). GateEvals counts engine-native gate evaluations attributable
+// to the stage so far — scalar LUT lookups for the compiled engine,
+// packed evaluations (each covering up to 64 pattern lanes) for the
+// packed engine and every stuck-at campaign, full hooked-map gate
+// evaluations for the reference oracle — so rates are comparable within
+// an engine, not across engines.
 type Progress struct {
 	Stage     string
 	Done      int

@@ -116,22 +116,13 @@ func (cc *CompiledCircuit) GateInputIndex(gi int, vals []V) int {
 	return idx
 }
 
-// EvalPacked simulates 64 ternary patterns at once: in[i] is the packed
-// plane of primary input i (circuit input order; X lanes model missing
-// assignments), vals the per-net result planes (length NumNets).
-// Lane k of the result is bit-identical to EvalInto on pattern k, which
-// the differential and fuzz suites in internal/faultsim and this
-// package enforce.
-func (cc *CompiledCircuit) EvalPacked(in []PackedVec, vals []PackedVec) []PackedVec {
-	return cc.EvalBlock(in, 1, vals)
-}
-
-// EvalBlock simulates w*64 ternary patterns at once over the same
-// levelized IR: in holds the input blocks (input-major, stride w), vals
-// the per-net result blocks (net-major, stride w, length NumNets()*w).
-// Lane l of the result is bit-identical to EvalInto on pattern l;
-// width 1 is exactly EvalPacked. This is the one dense evaluation every
-// packed fault engine builds its baselines from.
+// EvalBlock simulates w*64 ternary patterns at once over the levelized
+// IR: in holds the input blocks (input-major, stride w; X lanes model
+// missing assignments), vals the per-net result blocks (net-major,
+// stride w, length NumNets()*w). Lane l of the result is bit-identical
+// to EvalInto on pattern l, which the differential and fuzz suites in
+// internal/faultsim and this package enforce. This is the one dense
+// evaluation every packed fault engine builds its baselines from.
 func (cc *CompiledCircuit) EvalBlock(in []PackedVec, w int, vals []PackedVec) []PackedVec {
 	for i, id := range cc.InputID {
 		for j := 0; j < w; j++ {

@@ -303,7 +303,7 @@ func TestEvalPackedAgainstTernary(t *testing.T) {
 			in[i] = in[i].WithLane(p, lane[pi](p))
 		}
 	}
-	vals := cc.EvalPacked(in, make([]PackedVec, cc.NumNets()))
+	vals := cc.EvalBlock(in, 1, make([]PackedVec, cc.NumNets()))
 	for p := 0; p < 8; p++ {
 		serial := c.EvalOutputs(map[string]V{
 			"a": lane["a"](p), "b": lane["b"](p), "cin": lane["cin"](p),

@@ -151,7 +151,7 @@ co = MAJ(a, b, n1)
 		}
 		lanePatterns[k] = p
 	}
-	vals := cc.EvalPacked(in, make([]PackedVec, cc.NumNets()))
+	vals := cc.EvalBlock(in, 1, make([]PackedVec, cc.NumNets()))
 	scratch := make([]V, cc.NumNets())
 	for k, p := range lanePatterns {
 		cc.EvalInto(p, scratch)

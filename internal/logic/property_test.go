@@ -134,7 +134,7 @@ func TestPackedVsTernaryProperty(t *testing.T) {
 		for i, pi := range c.Inputs {
 			in[i] = PackedVec{Val: word[pi], Known: ^uint64(0)}
 		}
-		vals := cc.EvalPacked(in, make([]PackedVec, cc.NumNets()))
+		vals := cc.EvalBlock(in, 1, make([]PackedVec, cc.NumNets()))
 		for p := 0; p < 64; p += 11 {
 			assign := map[string]V{
 				"a":   FromBool(wa>>uint(p)&1 == 1),

@@ -117,9 +117,7 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 	// to: the simulator names its own stages, but the voltage-only and
 	// +IDDQ transistor sweeps both run under its "transistor" stage and
 	// only the campaign can tell them apart. faultCount is the stage's
-	// targeted fault universe, the coverage denominator (the stuck-at
-	// sweep progresses per pattern, so its Done/Total are not fault
-	// counts).
+	// targeted fault universe, the coverage denominator.
 	currentStage := ""
 	faultCount := 0
 	if ro.Progress != nil {

@@ -330,24 +330,27 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		}
 	}
 
-	select {
-	case m.queue <- job:
-	default:
+	// Only Submit sends on the queue, always under m.mu, so a queue
+	// with room now still has room below.
+	if len(m.queue) == cap(m.queue) {
 		m.seq-- // the rejected job never existed
 		m.metrics.RejectedQueueFull.Inc()
 		return nil, ErrQueueFull
 	}
-	m.jobs[job.ID] = job
-	m.metrics.Submitted.Inc()
 	// The pending marker makes the accepted campaign durable: if the
 	// process stops before the report lands, the next start surfaces it
-	// as a resumable job instead of losing it silently.
+	// as a resumable job instead of losing it silently. It is written
+	// before a worker can see the job, so a fast campaign cannot finish
+	// (and consume the marker) before the marker exists.
 	if m.store != nil {
 		pc := pendingCampaign{Request: job.req, Submitted: rfc3339(job.submitted), JobID: job.ID}
 		if _, err := m.store.Put(resultstore.KindPending, key, pc); err != nil {
 			m.log.Warn("pending marker not persisted", "job", job.ID, "key", key, "error", err.Error())
 		}
 	}
+	m.queue <- job
+	m.jobs[job.ID] = job
+	m.metrics.Submitted.Inc()
 	m.log.Debug("campaign queued", "job", job.ID, "engine", job.req.Engine, "key", job.Key)
 	return job, nil
 }
@@ -710,14 +713,14 @@ func (m *Manager) run(job *Job) {
 	root.Record("queued", job.submitted, job.started)
 
 	switch job.req.Engine {
-	case "reference":
-		m.metrics.ReferenceJobs.Inc()
 	case "packed":
 		m.metrics.PackedJobs.Inc()
+	case "compiled":
+		m.metrics.CompiledJobs.Inc()
+	case "reference":
+		m.metrics.ReferenceJobs.Inc()
 	case "auto":
 		m.metrics.AutoJobs.Inc()
-	default:
-		m.metrics.CompiledJobs.Inc()
 	}
 	m.log.Info("campaign started", "job", job.ID, "engine", job.req.Engine)
 
@@ -741,45 +744,21 @@ func (m *Manager) run(job *Job) {
 	}
 	root.End()
 
-	job.mu.Lock()
-	job.finished = time.Now()
-	elapsed := job.finished.Sub(job.started)
+	var state JobState
 	switch {
 	case err == nil:
-		job.state = StateDone
-		job.report = rep
-		m.cache.Put(job.Key, rep)
-		m.metrics.Completed.Inc()
-		if rep.Dictionary != nil {
-			m.metrics.DictBuilt.Inc()
-			m.metrics.DictBytes.Add(uint64(rep.Dictionary.CompressedBytes))
-		}
+		state = StateDone
 	case errors.Is(err, shard.ErrDraining):
 		// In-flight shards finished and persisted; the pending marker
 		// stays, so the campaign resumes cheaply after restart.
-		job.state = StateResumable
-		job.err = err.Error()
+		state = StateResumable
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.state = StateCanceled
-		job.err = err.Error()
-		m.metrics.Canceled.Inc()
+		state = StateCanceled
 	default:
-		job.state = StateFailed
-		job.err = err.Error()
-		m.metrics.Failed.Inc()
+		state = StateFailed
 	}
-	state, errMsg := job.state, job.err
-	// Release the parsed circuit and netlist text: terminal jobs only
-	// serve status and report reads. Subscribers learn the terminal
-	// state from the channel close. Resumable jobs keep the request —
-	// it is the resume payload.
-	job.circuit = nil
-	if job.state != StateResumable {
-		job.req.Netlist = ""
-	}
-	job.closeSubsLocked()
-	job.mu.Unlock()
-
+	// Persist before publishing: a client that sees the terminal state
+	// finds the report in the store and the pending marker gone.
 	if m.store != nil {
 		switch state {
 		case StateDone:
@@ -795,6 +774,40 @@ func (m *Manager) run(job *Job) {
 		// Canceled (deadline) and resumable keep their markers: both
 		// represent work worth finishing after a restart.
 	}
+
+	job.mu.Lock()
+	job.finished = time.Now()
+	elapsed := job.finished.Sub(job.started)
+	job.state = state
+	switch state {
+	case StateDone:
+		job.report = rep
+		m.cache.Put(job.Key, rep)
+		m.metrics.Completed.Inc()
+		if rep.Dictionary != nil {
+			m.metrics.DictBuilt.Inc()
+			m.metrics.DictBytes.Add(uint64(rep.Dictionary.CompressedBytes))
+		}
+	case StateCanceled:
+		m.metrics.Canceled.Inc()
+	case StateFailed:
+		m.metrics.Failed.Inc()
+	}
+	if err != nil {
+		job.err = err.Error()
+	}
+	errMsg := job.err
+	// Release the parsed circuit and netlist text: terminal jobs only
+	// serve status and report reads. Subscribers learn the terminal
+	// state from the channel close. Resumable jobs keep the request —
+	// it is the resume payload.
+	job.circuit = nil
+	if job.state != StateResumable {
+		job.req.Netlist = ""
+	}
+	job.closeSubsLocked()
+	job.mu.Unlock()
+
 	m.metrics.ObserveLatency(elapsed)
 	m.noteTerminal(job.ID)
 	if state == StateDone {

@@ -54,7 +54,9 @@ func TestManagerReportSurvivesRestart(t *testing.T) {
 
 // TestManagerShardMetricsAndProgress checks the executed sharded
 // campaign's observable surface: shard counters and the aggregated
-// per-shard progress fields.
+// per-shard progress fields. The fields are read from the job's final
+// status, which keeps the last progress snapshot: a subscription taken
+// after Submit could attach after a fast campaign already finished.
 func TestManagerShardMetricsAndProgress(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 2, ResultDir: t.TempDir(), ProgressInterval: -1})
 	defer m.Close()
@@ -62,19 +64,12 @@ func TestManagerShardMetricsAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := m.Subscribe(j)
-	defer cancel()
-	sawShards := false
-	for st := range ch {
-		if st.Progress != nil && st.Progress.Shards == 4 && st.Progress.ShardsDone > 0 {
-			sawShards = true
-		}
-	}
-	if st := waitTerminal(t, j); st.State != StateDone {
+	st := waitTerminal(t, j)
+	if st.State != StateDone {
 		t.Fatalf("campaign finished %s: %s", st.State, st.Error)
 	}
-	if !sawShards {
-		t.Fatal("no progress frame carried shard aggregation (shards/shards_done)")
+	if p := st.Progress; p == nil || p.Shards != 4 || p.ShardsDone == 0 {
+		t.Fatalf("final progress %+v carries no shard aggregation (shards/shards_done)", p)
 	}
 	if got := m.Metrics().ShardScheduled.Value(); got != 4 {
 		t.Fatalf("shards scheduled = %d, want 4", got)
@@ -92,6 +87,40 @@ func TestManagerShardMetricsAndProgress(t *testing.T) {
 	}
 	if st := j2.Status(); st.State != StateDone {
 		t.Fatalf("second manager state %s, want done from store", st.State)
+	}
+}
+
+// TestManagerPersistsBeforeDone pins the terminal-state ordering: the
+// moment a campaign reads done (its subscription closes with the
+// terminal transition), its report is in the result store and its
+// pending marker is gone, so a restart right after done neither
+// re-simulates it nor lists it resumable.
+func TestManagerPersistsBeforeDone(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 2, ResultDir: t.TempDir()})
+	defer m.Close()
+	for _, faults := range []FaultConfig{
+		{StuckAt: true},
+		{Polarity: true, IDDQ: true},
+		{StuckOpen: true, StuckOn: true},
+		{StuckAt: true, Bridges: true},
+	} {
+		j, err := m.Submit(CampaignRequest{Benchmark: "c17", Faults: faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, cancel := m.Subscribe(j)
+		for range ch {
+		}
+		cancel()
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("%+v: campaign finished %s: %s", faults, st.State, st.Error)
+		}
+		if !m.store.Has(resultstore.KindReport, j.Key) {
+			t.Fatalf("%+v: done before the report reached the store", faults)
+		}
+		if m.store.Has(resultstore.KindPending, j.Key) {
+			t.Fatalf("%+v: done while the pending marker survives", faults)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ type Metrics struct {
 	RejectedClosed    *obs.Counter
 
 	// Per-engine job accounting: which fault-simulation engine each
-	// executed campaign selected (compiled is the default). Auto jobs
+	// executed campaign selected (packed is the default). Auto jobs
 	// count under "auto"; the per-campaign choices they resolve to are
 	// exposed by the process-wide cpsinw_faultsim_auto_choices_total
 	// counters.
@@ -170,7 +170,8 @@ func registerManagerMetrics(reg *obs.Registry, m *Manager) {
 	// the compiled LUT/cone and packed engines save over full
 	// re-simulation. Gate evaluations are engine-native units: scalar
 	// LUT lookups (compiled), packed evaluations covering up to 64
-	// lanes (packed), full hooked-map evaluations (reference).
+	// lanes (packed, which also carries every line stuck-at campaign),
+	// full hooked-map evaluations (reference).
 	es := func(pick func(faultsim.EngineStats) uint64) func() uint64 {
 		return func() uint64 { return pick(faultsim.ReadEngineStats()) }
 	}

@@ -483,7 +483,7 @@ func TestTraceEndpoint(t *testing.T) {
 			t.Errorf("simulate children = %+v, want stuck_at", sim.Children)
 		}
 	}
-	if tree.Attrs["engine"] != "compiled" {
+	if tree.Attrs["engine"] != "packed" {
 		t.Errorf("root attrs = %v", tree.Attrs)
 	}
 

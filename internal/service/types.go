@@ -46,16 +46,17 @@ type CampaignRequest struct {
 	Patterns int   `json:"patterns,omitempty"`
 	Seed     int64 `json:"seed,omitempty"` // random pattern seed (default 1)
 	ATPG     bool  `json:"atpg,omitempty"` // also run the test-generation campaign
-	// Engine selects the fault-simulation engine: "compiled" (default;
-	// ternary LUTs + cone-restricted propagation), "packed" (bit-parallel
-	// PPSFP: N x 64 ternary lanes per block), "reference" (the serial
-	// switch-level oracle) or "auto" (a per-campaign-stage choice between
-	// compiled and packed from the circuit/fault/pattern sizes; the
-	// resolved choice is surfaced per fault class in the report and on
-	// the stage spans). The engines are differentially tested to return
-	// identical results, so the choice only affects speed — but it is
-	// kept in the cache key so a cross-check of one engine against
-	// another's cached report is always a real re-simulation.
+	// Engine selects the fault-simulation engine: "packed" (default;
+	// bit-parallel PPSFP: N x 64 ternary lanes per block), "compiled"
+	// (ternary LUTs + cone-restricted propagation), "reference" (the
+	// serial switch-level oracle) or "auto" (a per-campaign-stage choice
+	// between compiled and packed from the circuit/fault/pattern sizes;
+	// the resolved choice is surfaced per fault class in the report and
+	// on the stage spans). Line stuck-at always runs packed. The engines
+	// are differentially tested to return identical results, so the
+	// choice only affects speed — but it is kept in the cache key so a
+	// cross-check of one engine against another's cached report is
+	// always a real re-simulation.
 	Engine string `json:"engine,omitempty"`
 	// Workers and TimeoutMS tune execution without affecting results, so
 	// they are excluded from the cache key.
@@ -253,10 +254,10 @@ func (s JobState) Terminal() bool {
 
 // JobProgress is a live snapshot of a running campaign stage, carried
 // in JobStatus and streamed over /v1/campaigns/{id}/events. Done/Total
-// count the stage's work units (faults, or patterns for the chunked
-// stuck-at sweep); Faults is the stage's targeted fault universe (the
-// coverage denominator); GateEvals counts engine-native gate
-// evaluations, so rates compare within an engine, not across engines.
+// count the stage's work units (faults, or bridges for the bridge
+// stage); Faults is the stage's targeted fault universe (the coverage
+// denominator); GateEvals counts engine-native gate evaluations, so
+// rates compare within an engine, not across engines.
 type JobProgress struct {
 	Stage      string  `json:"stage"`
 	Class      string  `json:"class,omitempty"` // ATPG fault class

@@ -73,8 +73,12 @@ grep -q '^cpsinw_jobs_completed_total 1$' "$workdir/metrics.txt" || {
     grep cpsinw_jobs "$workdir/metrics.txt" >&2 || true
     exit 1
 }
-grep -q 'cpsinw_faultsim_gate_evals_total{engine="compiled"}' "$workdir/metrics.txt" || {
-    echo "per-engine gate-eval counter missing" >&2
+# The campaign named no engine, so it ran packed: the packed gate-eval
+# series must have counted its work, not merely be exported.
+packed_evals=$(sed -n 's/^cpsinw_faultsim_gate_evals_total{engine="packed"} \([0-9][0-9]*\)$/\1/p' "$workdir/metrics.txt")
+[[ -n "$packed_evals" && "$packed_evals" -gt 0 ]] || {
+    echo "packed gate-eval counter missing or zero after the campaign" >&2
+    grep cpsinw_faultsim_gate_evals_total "$workdir/metrics.txt" >&2 || true
     exit 1
 }
 
