@@ -237,10 +237,10 @@ func BenchmarkStuckAtFaultSim(b *testing.B) {
 // BenchmarkTransistorCampaign is the perf-regression harness of the
 // fault engines: a full CP transistor-fault campaign (channel break +
 // stuck-on + polarity, with IDDQ) on the largest benchmark circuit
-// (mult3, 39 gates) through the serial oracle, the compiled cone
-// engine and the packed PPSFP engine. All engines return bit-identical
-// detections (enforced by internal/faultsim's differential tests and
-// re-checked here), so the ratios are pure engine speedup;
+// (mult3, 39 gates) through the serial oracle and the packed PPSFP
+// engine. Both engines return bit-identical detections (enforced by
+// internal/faultsim's differential tests and re-checked here), so the
+// ratio is pure engine speedup;
 // BENCH_faultsim.json at the repo root records the trajectory. Run
 // just this comparison with:
 //
@@ -270,7 +270,7 @@ func BenchmarkTransistorCampaign(b *testing.B) {
 	}
 
 	results := map[string][]faultsim.Detection{}
-	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked} {
+	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
 		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
 	}
@@ -314,7 +314,7 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 	}
 
 	results := map[string][]faultsim.BridgeDetection{}
-	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked} {
+	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
 		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
 	}
@@ -335,22 +335,15 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 
 // engineGateEvals reads the engine-native gate-evaluation counter for
 // one engine from the process-wide faultsim stats. The units differ per
-// engine (scalar LUT lookups, packed 64-lane evaluations, full hooked
-// switch-level maps), so the throughput figures below compare an engine
-// only against itself over time.
+// engine (packed 64-lane evaluations, full hooked switch-level maps), so
+// the throughput figures below compare an engine only against itself
+// over time.
 func engineGateEvals(engine faultsim.Engine) uint64 {
 	s := faultsim.ReadEngineStats()
-	switch engine {
-	case faultsim.EngineReference:
+	if engine == faultsim.EngineReference {
 		return s.ReferenceGateEvals
-	case faultsim.EnginePacked:
-		return s.PackedGateEvals
-	case faultsim.EngineAuto:
-		// Auto resolves to compiled or packed per campaign; charge both.
-		return s.ConeGateEvals + s.PackedGateEvals
-	default:
-		return s.ConeGateEvals
 	}
+	return s.PackedGateEvals
 }
 
 // reportGateEvals attaches engine-native gate-evals/sec (and per op) to
@@ -367,16 +360,14 @@ func reportGateEvals(b *testing.B, engine faultsim.Engine, evals0 uint64) {
 // sweep over the generated corpus: array multipliers at ~100, ~1k and
 // ~10k gates (mult5 / mult16 / mult50, sizes pinned by
 // internal/bench's TestCorpusScales), a fixed 64-fault sample of the
-// CP transistor universe and 64 random patterns, per engine (including
-// the auto chooser, which must match or beat the best single engine on
-// every row — that requirement is what calibrates ChooseEngine's
-// constants, see docs/benchmarks.md). The fault
+// CP transistor universe and 64 random patterns, per engine. The fault
 // and pattern budgets are held constant across sizes so the per-op
 // time isolates how each engine's cost grows with gate count;
-// gate_evals/s shows whether the cone restriction and bitplane packing
+// gate_evals/s shows whether the event-driven walk and bitplane packing
 // hold their throughput as circuits grow. Dated results live in
 // BENCH_faultsim.json ("scaling" entries). -short keeps only the
-// ~100-gate row (the CI bench-smoke budget):
+// ~100-gate row (the CI bench-smoke budget, which also requires packed
+// to be the fastest engine of the row):
 //
 //	go test -bench=BenchmarkFaultSimScaling -benchtime=3x
 func BenchmarkFaultSimScaling(b *testing.B) {
@@ -404,7 +395,7 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 		patterns := randomPatterns(c, nPatterns)
 
 		results := map[string][]faultsim.Detection{}
-		for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EngineCompiled, faultsim.EnginePacked, faultsim.EngineAuto} {
+		for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 			engine := engine
 			b.Run(fmt.Sprintf("%s/%s", name, engine), func(b *testing.B) {
 				sim := faultsim.New(c)

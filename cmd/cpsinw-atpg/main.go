@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cpsinw-atpg [-circuit name | < netlist.bench] [-classical] [-engine auto] [-v]
+//	cpsinw-atpg [-circuit name | < netlist.bench] [-classical] [-engine packed|reference] [-v]
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 
 	circuitName := flag.String("circuit", "", "built-in benchmark name (empty: read .bench from stdin)")
 	classical := flag.Bool("classical", false, "target only classical line stuck-at faults")
-	engineName := flag.String("engine", "packed", "fault-dropping simulation engine: auto, compiled, packed or reference")
+	engineName := flag.String("engine", "packed", "fault-dropping simulation engine: packed or reference (the serial oracle)")
 	verbose := flag.Bool("v", false, "print every generated vector")
 	flag.Parse()
 

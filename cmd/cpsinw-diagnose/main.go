@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cpsinw-diagnose build   -dir store [-circuit name | < netlist.bench]
-//	                        [-patterns n] [-seed n] [-engine auto] [-iddq]
+//	                        [-patterns n] [-seed n] [-engine packed|reference] [-iddq]
 //	                        [-stuck-at] [-polarity] [-stuck-open] [-stuck-on]
 //	cpsinw-diagnose inspect (-file art.cpd | -dir store -key hex)
 //	cpsinw-diagnose match   (-file art.cpd | -dir store -key hex)
@@ -60,7 +60,7 @@ func runBuild(args []string) {
 	circuit := fs.String("circuit", "", "built-in benchmark name (empty: read .bench from stdin)")
 	patterns := fs.Int("patterns", 256, "random patterns (exhaustive when inputs <= 12)")
 	seed := fs.Int64("seed", 1, "random pattern seed")
-	engine := fs.String("engine", "", "fault-simulation engine: auto, compiled, packed or reference")
+	engine := fs.String("engine", "", "fault-simulation engine: packed (default) or reference (the serial oracle)")
 	stuckAt := fs.Bool("stuck-at", true, "include classical stuck-at faults")
 	polarity := fs.Bool("polarity", true, "include polarity (SA-n/SA-p) faults")
 	stuckOpen := fs.Bool("stuck-open", true, "include channel-break faults")

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cpsinw-faultsim [-circuit name | < netlist.bench] [-patterns n] [-engine auto]
+//	cpsinw-faultsim [-circuit name | < netlist.bench] [-patterns n] [-engine packed|reference]
 //	cpsinw-faultsim [-shards k] [-result-dir path]   sharded campaign with durable shard reuse
 //	cpsinw-faultsim -tableiii
 package main
@@ -40,7 +40,7 @@ func main() {
 	patterns := flag.Int("patterns", 256, "random patterns (exhaustive when inputs <= 12)")
 	tableIII := flag.Bool("tableiii", false, "run the paper's Table III polarity study on the XOR2 and exit")
 	seed := flag.Int64("seed", 1, "random pattern seed")
-	engineName := flag.String("engine", "packed", "fault-simulation engine: auto, compiled, packed or reference")
+	engineName := flag.String("engine", "packed", "fault-simulation engine: packed or reference (the serial oracle)")
 	list := flag.Bool("list", false, "list built-in benchmarks and exit")
 	shards := flag.Int("shards", 1, "split the campaign into k sub-jobs merged bit-identically (0: auto-size, 1: single-shot)")
 	resultDir := flag.String("result-dir", "", "durable result store; completed shards are reused across runs (empty disables)")

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cpsinw-timing [-circuit name | < netlist.bench] [-clock 500p]
-//	              [-slow gate=factor] [-transition] [-engine auto]
+//	              [-slow gate=factor] [-transition] [-engine packed|reference]
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 	clock := flag.String("clock", "", "clock period for slack report (e.g. 500p)")
 	slow := flag.String("slow", "", "inject delay degradation: gate=factor (e.g. fa0_c=3.5)")
 	transition := flag.Bool("transition", false, "generate transition-fault tests")
-	engineName := flag.String("engine", "packed", "transition-test simulation engine: auto, compiled, packed or reference")
+	engineName := flag.String("engine", "packed", "transition-test simulation engine: packed or reference (the serial oracle)")
 	flag.Parse()
 
 	engine, err := faultsim.ParseEngine(*engineName)

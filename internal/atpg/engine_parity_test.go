@@ -11,10 +11,10 @@ import (
 )
 
 // The generation campaign drops faults through the simulator selected
-// by Options.Engine; since the engines are differentially proven
-// bit-identical, the whole CampaignResult — per-class coverage,
-// generated pattern counts, untestable list — must not depend on the
-// engine choice.
+// by Options.Engine; since the packed engine is differentially proven
+// bit-identical to the reference oracle, the whole CampaignResult —
+// per-class coverage, generated pattern counts, untestable list — must
+// not depend on the engine choice.
 func TestGenerateEngineParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	circuits := []*logic.Circuit{
@@ -28,27 +28,25 @@ func TestGenerateEngineParity(t *testing.T) {
 			LineStuckAt: true, ChannelBreak: true, StuckOn: true, Polarity: true,
 		})
 		ref := Generate(c, universe, Options{Engine: faultsim.EngineReference})
-		for _, eng := range []faultsim.Engine{faultsim.EngineCompiled, faultsim.EnginePacked} {
-			got := Generate(c, universe, Options{Engine: eng})
-			if got.StuckAtCovered != ref.StuckAtCovered ||
-				got.PolarityCovered != ref.PolarityCovered ||
-				got.CBSPCovered != ref.CBSPCovered ||
-				got.CBDPCovered != ref.CBDPCovered ||
-				got.Coverage() != ref.Coverage() {
-				t.Errorf("%s/%v: coverage drift: got %+v, reference %+v", c.Name, eng, got, ref)
-			}
-			if len(got.Set.Patterns) != len(ref.Set.Patterns) ||
-				len(got.Set.IDDQPatterns) != len(ref.Set.IDDQPatterns) ||
-				len(got.Set.TwoPattern) != len(ref.Set.TwoPattern) ||
-				len(got.Set.CBPlans) != len(ref.Set.CBPlans) {
-				t.Errorf("%s/%v: test-set drift: %d/%d/%d/%d vs %d/%d/%d/%d",
-					c.Name, eng,
-					len(got.Set.Patterns), len(got.Set.IDDQPatterns), len(got.Set.TwoPattern), len(got.Set.CBPlans),
-					len(ref.Set.Patterns), len(ref.Set.IDDQPatterns), len(ref.Set.TwoPattern), len(ref.Set.CBPlans))
-			}
-			if len(got.Untestable) != len(ref.Untestable) {
-				t.Errorf("%s/%v: untestable drift: %d vs %d", c.Name, eng, len(got.Untestable), len(ref.Untestable))
-			}
+		got := Generate(c, universe, Options{Engine: faultsim.EnginePacked})
+		if got.StuckAtCovered != ref.StuckAtCovered ||
+			got.PolarityCovered != ref.PolarityCovered ||
+			got.CBSPCovered != ref.CBSPCovered ||
+			got.CBDPCovered != ref.CBDPCovered ||
+			got.Coverage() != ref.Coverage() {
+			t.Errorf("%s: coverage drift: packed %+v, reference %+v", c.Name, got, ref)
+		}
+		if len(got.Set.Patterns) != len(ref.Set.Patterns) ||
+			len(got.Set.IDDQPatterns) != len(ref.Set.IDDQPatterns) ||
+			len(got.Set.TwoPattern) != len(ref.Set.TwoPattern) ||
+			len(got.Set.CBPlans) != len(ref.Set.CBPlans) {
+			t.Errorf("%s: test-set drift: %d/%d/%d/%d vs %d/%d/%d/%d",
+				c.Name,
+				len(got.Set.Patterns), len(got.Set.IDDQPatterns), len(got.Set.TwoPattern), len(got.Set.CBPlans),
+				len(ref.Set.Patterns), len(ref.Set.IDDQPatterns), len(ref.Set.TwoPattern), len(ref.Set.CBPlans))
+		}
+		if len(got.Untestable) != len(ref.Untestable) {
+			t.Errorf("%s: untestable drift: %d vs %d", c.Name, len(got.Untestable), len(ref.Untestable))
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 type Options struct {
 	MaxBacktracks int // per PODEM attempt (default 4096)
 	// Engine selects the fault-simulation engine the campaign uses for
-	// polarity and channel-break fault dropping (default: the packed
-	// engine; line stuck-at dropping always runs packed).
+	// polarity and channel-break fault dropping: the packed engine by
+	// default, or the reference oracle. Line stuck-at dropping always
+	// runs packed.
 	Engine faultsim.Engine
 	// Progress, when set, receives a snapshot after every per-fault
 	// generation attempt of GenerateContext. Calls are made from the

@@ -21,9 +21,9 @@ type BridgeDetection struct {
 // feed a value backwards relative to the topological order, so the
 // evaluation iterates the stem override to a fixpoint (the bridged value
 // of each net is computed from the previous iteration's partner value).
-// This is the reference oracle; the compiled and packed paths below are
-// defined to be bit-identical to it. evals, when non-nil, accumulates
-// the full-circuit gate evaluations performed (one circuit pass per
+// This is the reference oracle; the packed path below is defined to be
+// bit-identical to it. evals, when non-nil, accumulates the
+// full-circuit gate evaluations performed (one circuit pass per
 // fixpoint iteration plus the open-bridge pass).
 func evalBridged(c *logic.Circuit, p Pattern, b core.Bridge, evals *uint64) map[string]logic.V {
 	// Pass 1: plain values (bridge open).
@@ -91,17 +91,12 @@ func (s *Simulator) RunBridgesContext(ctx context.Context, bridges []core.Bridge
 // observation: per pattern, a quiescent-current signature (the bridged
 // nets driven to opposite rails) is checked before the voltage compare,
 // mirroring the transistor-fault ordering. The simulator's Engine
-// selects the implementation — the hooked fixpoint oracle
-// (EngineReference), a compiled dense-net fixpoint (EngineCompiled),
-// the 64-way packed fixpoint (EnginePacked, default), or a
-// per-campaign compiled/packed choice (EngineAuto) — all bit-identical,
-// as the bridge differential suite enforces.
+// selects the implementation — the 64-way packed fixpoint (EnginePacked,
+// default) or the hooked fixpoint oracle (EngineReference) — and both
+// are bit-identical, as the bridge differential suite enforces.
 func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
-	switch s.resolveEngine(len(bridges), len(patterns)) {
-	case EngineReference:
+	if s.Engine == EngineReference {
 		return s.runBridgesReference(ctx, bridges, patterns, useIDDQ)
-	case EngineCompiled:
-		return s.runBridgesCompiled(ctx, bridges, patterns, useIDDQ)
 	}
 	return s.runBridgesPacked(ctx, bridges, patterns, useIDDQ)
 }
@@ -143,7 +138,7 @@ func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Brid
 	return out, nil
 }
 
-// --- compiled dense-net bridge engine ---
+// --- packed bridge engine ---
 
 // bridgeEnds resolves a bridge's nets to dense ids; absent nets carry
 // ok=false and read as constant 0, matching the reference oracle's map
@@ -161,132 +156,6 @@ func (s *Simulator) bridgeEnds(b core.Bridge) bridgeEnds {
 	e.bID, e.bok = cc.NetID[b.B]
 	return e
 }
-
-// stemValue applies the bridge override at the moment net nid is
-// produced, reading the partner from the previous iteration's values.
-// Net A is checked first, mirroring the reference hook's switch.
-func (e *bridgeEnds) stemValue(nid int, v logic.V, prev []logic.V) logic.V {
-	if e.aok && nid == e.aID {
-		pb := logic.L0
-		if e.bok {
-			pb = prev[e.bID]
-		}
-		na, _ := e.b.Kind.Resolve(v, pb)
-		return na
-	}
-	if e.bok && nid == e.bID {
-		pa := logic.L0
-		if e.aok {
-			pa = prev[e.aID]
-		}
-		_, nb := e.b.Kind.Resolve(pa, v)
-		return nb
-	}
-	return v
-}
-
-// evalBridgedCompiled mirrors evalBridged over dense net ids: pass 1 is
-// the memoized plain baseline, then up to 4 stem-override iterations
-// with the same outputs-stable early exit. vals and prev are scratch
-// buffers; the returned slice is whichever holds the final iteration.
-func (s *Simulator) evalBridgedCompiled(p Pattern, e *bridgeEnds, base, vals, prev []logic.V, evals *uint64) []logic.V {
-	cc := s.compiled()
-	copy(vals, base) // pass 1: bridge open
-	for iter := 0; iter < 4; iter++ {
-		vals, prev = prev, vals
-		for i := range cc.C.Inputs {
-			v, ok := p[cc.C.Inputs[i]]
-			if !ok {
-				v = logic.LX
-			}
-			id := cc.InputID[i]
-			vals[id] = e.stemValue(id, v, prev)
-		}
-		for _, gi := range cc.Order {
-			on := cc.GateOut[gi]
-			vals[on] = e.stemValue(on, cc.LUT[gi][cc.GateInputIndex(gi, vals)], prev)
-		}
-		*evals += uint64(len(cc.Order))
-		stable := true
-		for _, po := range cc.OutputID {
-			if vals[po] != prev[po] {
-				stable = false
-				break
-			}
-		}
-		if stable && iter > 0 {
-			break
-		}
-	}
-	return vals
-}
-
-// bridgeLeakDense is bridgeLeak over dense baseline values.
-func bridgeLeakDense(base []logic.V, e *bridgeEnds) bool {
-	va, vb := logic.L0, logic.L0
-	if e.aok {
-		va = base[e.aID]
-	}
-	if e.bok {
-		vb = base[e.bID]
-	}
-	ba, aok := va.Bool()
-	bb, bok := vb.Bool()
-	return aok && bok && ba != bb
-}
-
-// runBridgesCompiled drives the dense fixpoint per bridge per pattern.
-// It is deliberately the straightforward mirror of the oracle — the
-// middle tier of the engine ladder, trivially auditable against
-// evalBridged — while the excitation analysis (skip patterns whose
-// baseline values do not move under the resolution, the counterpart of
-// the transistor engines' one-lookup skip) lives in the packed engine,
-// the performance path.
-func (s *Simulator) runBridgesCompiled(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
-	sink := s.progressSink("bridges", len(bridges))
-	cc := s.compiled()
-	base := s.evalBaselines(patterns)
-	vals := make([]logic.V, cc.NumNets())
-	prev := make([]logic.V, cc.NumNets())
-	sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
-	out := make([]BridgeDetection, len(bridges))
-	for i, b := range bridges {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		out[i] = BridgeDetection{Bridge: b, Pattern: -1}
-		e := s.bridgeEnds(b)
-		engineStats.compiledBridgeRuns.Add(1)
-		var evals uint64
-		for k, p := range patterns {
-			if useIDDQ && bridgeLeakDense(base[k], &e) {
-				out[i].Detected = true
-				out[i].Method = ByIDDQ
-				out[i].Pattern = k
-				break
-			}
-			faulty := s.evalBridgedCompiled(p, &e, base[k], vals, prev, &evals)
-			diff := false
-			for _, po := range cc.OutputID {
-				if definiteDiff(base[k][po], faulty[po]) {
-					diff = true
-					break
-				}
-			}
-			if diff {
-				out[i].Detected = true
-				out[i].Method = ByOutput
-				out[i].Pattern = k
-				break
-			}
-		}
-		engineStats.coneGateEvals.Add(evals)
-		sink.add(1, b2i(out[i].Detected), 0, evals)
-	}
-	return out, nil
-}
-
-// --- packed bridge engine ---
 
 // bridgeLUT is one bridge kind compiled over the 3x3 ternary value
 // space: entry 3*a+b holds the resolved values of both nets.
@@ -342,7 +211,10 @@ func (l *bridgeLUT) packedResolve(a, b logic.PackedVec, side int) logic.PackedVe
 	return out
 }
 
-// stemPlane is the packed counterpart of bridgeEnds.stemValue.
+// stemPlane applies the bridge override across all lanes at the moment
+// net nid is produced, reading the partner from the previous
+// iteration's planes. Net A is checked first, mirroring the reference
+// hook's switch.
 func (e *bridgeEnds) stemPlane(lut *bridgeLUT, nid int, v logic.PackedVec, prev []logic.PackedVec) logic.PackedVec {
 	if e.aok && nid == e.aID {
 		pb := logic.ConstPacked(logic.L0)
@@ -497,10 +369,10 @@ func bridgeLeakMaskPacked(pb *packedBase, e *bridgeEnds) uint64 {
 	return logic.DefiniteDiffMask(va, vb)
 }
 
-// exciteMaskPacked is excitesDense per lane: the lanes where the
-// resolution moves either net's baseline value. A primary-output
-// difference is only possible in an excited lane, so lanes outside the
-// mask (and whole chunks with an empty mask) never need the fixpoint.
+// exciteMaskPacked returns the lanes where the resolution moves either
+// net's baseline value. A primary-output difference is only possible
+// in an excited lane, so lanes outside the mask (and whole chunks with
+// an empty mask) never need the fixpoint.
 func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 	va, vb := logic.ConstPacked(logic.L0), logic.ConstPacked(logic.L0)
 	if e.aok {
@@ -553,7 +425,7 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 			// The fixpoint only matters when a voltage difference could
 			// come before the first leak: any output difference needs an
 			// excited lane, and at equal lanes the leak check wins (the
-			// per-pattern observation order of the scalar engines).
+			// per-pattern observation order of the reference oracle).
 			excite := exciteMaskPacked(pb, &e, lut) & pb.valid[0]
 			var diff uint64
 			if excite != 0 && (leak == 0 || logic.FirstLane(excite) < logic.FirstLane(leak)) {

@@ -10,8 +10,8 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// The compiled dense-net and packed 64-way bridge engines must be
-// bit-identical to the hooked fixpoint oracle: same Detected flag, same
+// The packed 64-way bridge engine must be bit-identical to the hooked
+// fixpoint oracle: same Detected flag, same
 // Method AND same first detecting pattern for every bridge, on
 // arbitrary circuits, bridge lists (all four resolution kinds,
 // including bridges naming nets absent from the circuit) and ternary
@@ -20,7 +20,7 @@ import (
 // randomBridges draws bridge instances over the circuit's nets: every
 // resolution kind, occasional self-bridges and occasional "ghost" ends
 // naming no net at all (which the oracle reads as constant 0 — a
-// semantics the fast engines must reproduce exactly).
+// semantics the packed engine must reproduce exactly).
 func randomBridges(rng *rand.Rand, c *logic.Circuit, n int) []core.Bridge {
 	nets := c.Nets()
 	pick := func() string {
@@ -47,20 +47,20 @@ func diffBridgeDetections(t *testing.T, label string, ref, got []BridgeDetection
 	}
 	for i := range ref {
 		if ref[i].Detected != got[i].Detected || ref[i].Method != got[i].Method || ref[i].Pattern != got[i].Pattern {
-			t.Errorf("%s: bridge %v: reference (%v, %q, %d) vs %s (%v, %q, %d)",
+			t.Errorf("%s: bridge %v: reference (%v, %q, %d) vs packed (%v, %q, %d)",
 				label, ref[i].Bridge,
 				ref[i].Detected, ref[i].Method, ref[i].Pattern,
-				label, got[i].Detected, got[i].Method, got[i].Pattern)
+				got[i].Detected, got[i].Method, got[i].Pattern)
 		}
 	}
 }
 
 // TestDifferentialBridgeEngines runs hundreds of random bridge
-// campaigns through all three engines and requires bit-identical
+// campaigns through both engines and requires bit-identical
 // BridgeDetection results.
 func TestDifferentialBridgeEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
-	cases := 150 // x2 IDDQ modes = 300 campaign comparisons per engine
+	cases := 150 // x2 IDDQ modes = 300 campaign comparisons
 	if testing.Short() {
 		cases = 40
 	}
@@ -70,49 +70,37 @@ func TestDifferentialBridgeEngines(t *testing.T) {
 		patterns := randomTernaryPatterns(rng, c, 1+rng.Intn(24))
 
 		for _, useIDDQ := range []bool{false, true} {
-			ref := New(c)
-			ref.Engine = EngineReference
-			want, err := ref.RunBridgesObserved(context.Background(), bridges, patterns, useIDDQ)
+			want, err := withEngine(c, EngineReference).RunBridgesObserved(context.Background(), bridges, patterns, useIDDQ)
 			if err != nil {
 				t.Fatalf("case %d: reference: %v", ci, err)
 			}
-			for _, eng := range fastEngines {
-				cmp := New(c)
-				cmp.Engine = eng
-				got, err := cmp.RunBridgesObserved(context.Background(), bridges, patterns, useIDDQ)
-				if err != nil {
-					t.Fatalf("case %d: %v: %v", ci, eng, err)
-				}
-				diffBridgeDetections(t, c.Name+"/"+eng.String(), want, got)
+			got, err := New(c).RunBridgesObserved(context.Background(), bridges, patterns, useIDDQ)
+			if err != nil {
+				t.Fatalf("case %d: packed: %v", ci, err)
 			}
+			diffBridgeDetections(t, c.Name, want, got)
 		}
 	}
 }
 
 // TestDifferentialBridgesNeighbor locks the realistic workload: the
 // neighbour-extracted bridge lists the campaigns actually run, against
-// exhaustive patterns, across all three engines.
+// exhaustive patterns, on both engines.
 func TestDifferentialBridgesNeighbor(t *testing.T) {
 	for _, c := range []*logic.Circuit{bench.C17(), bench.FullAdderCP(), bench.TMRVoter()} {
 		bridges := core.NeighborBridges(c, 3)
 		patterns := ExhaustivePatterns(c)
-		ref := New(c)
-		ref.Engine = EngineReference
-		want, err := ref.RunBridgesObserved(context.Background(), bridges, patterns, true)
+		want, err := withEngine(c, EngineReference).RunBridgesObserved(context.Background(), bridges, patterns, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if BridgeCoverage(want).Detected == 0 {
 			t.Fatalf("%s: no bridge detected; the case proves nothing", c.Name)
 		}
-		for _, eng := range fastEngines {
-			cmp := New(c)
-			cmp.Engine = eng
-			got, err := cmp.RunBridgesObserved(context.Background(), bridges, patterns, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffBridgeDetections(t, c.Name+"/"+eng.String(), want, got)
+		got, err := New(c).RunBridgesObserved(context.Background(), bridges, patterns, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		diffBridgeDetections(t, c.Name, want, got)
 	}
 }

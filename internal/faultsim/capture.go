@@ -1,15 +1,15 @@
 // Signature capture: per-fault pattern-detection bitsets harvested
 // while a campaign runs, so building a fault dictionary needs no second
 // simulation pass. A capture hangs off Simulator.Signatures; every
-// engine driver (reference, compiled, packed — serial, grouped and
-// parallel) honours it. With a capture attached the engines keep
-// simulating past the first detection (fault dropping and the packed
-// seed early-retirement are disabled) and the Detection results are
-// re-derived from the full bitsets with the same precedence the scalar
-// sweep applies — per pattern the leak check precedes the output
-// compare, across patterns the earliest wins — so detections stay
-// bit-identical to an uncaptured run, which the differential suites
-// enforce.
+// engine driver (reference and packed — serial, grouped and parallel)
+// honours it. With a capture attached the engines keep simulating past
+// the first detection (fault dropping and the packed seed
+// early-retirement are disabled) and the Detection results are
+// re-derived from the full bitsets with the same precedence the
+// per-pattern reference sweep applies — per pattern the leak check
+// precedes the output compare, across patterns the earliest wins — so
+// detections stay bit-identical to an uncaptured run, which the
+// differential suites enforce.
 package faultsim
 
 import (
@@ -110,7 +110,7 @@ func (c *SignatureCapture) orLanes(i int, patOff int, words []uint64, leak bool)
 }
 
 // firstDetection re-derives a fault's Detection from its captured
-// bitsets with the scalar observation order: per pattern leak (when
+// bitsets with the reference observation order: per pattern leak (when
 // IDDQ is observed) precedes the output compare; across patterns the
 // earliest detecting pattern wins.
 func (c *SignatureCapture) firstDetection(i int) (DetectMethod, int) {

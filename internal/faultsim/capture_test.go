@@ -20,21 +20,18 @@ import (
 // the dictionary models tester responses, and a tester always drives
 // every input.
 
-// captureEngines spans every engine path: the serial oracle, the
-// compiled cone engine, the packed engine at each lane-block width
-// (small pattern counts at w>=1 also exercise the fault-packed grouped
-// path) and the auto chooser.
+// captureEngines spans every engine path: the serial oracle and the
+// packed engine at each lane-block width (small pattern counts at w>=1
+// also exercise the fault-packed grouped path).
 var captureEngines = []struct {
 	name      string
 	engine    faultsim.Engine
 	laneWords int
 }{
 	{"reference", faultsim.EngineReference, 0},
-	{"compiled", faultsim.EngineCompiled, 0},
 	{"packed-w1", faultsim.EnginePacked, 1},
 	{"packed-w2", faultsim.EnginePacked, 2},
 	{"packed-w4", faultsim.EnginePacked, 4},
-	{"auto", faultsim.EngineAuto, 0},
 }
 
 // binaryPatterns draws fully-defined random patterns.

@@ -10,18 +10,18 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// The compiled LUT/cone engine and the bit-parallel packed PPSFP
-// engine must be bit-identical to the serial EvalHooked reference
-// engine: same Detection method AND same first detecting pattern for
-// every fault, on arbitrary circuits, fault lists and pattern sets
-// (including X and missing inputs). The reference engine stays
-// available as the oracle via EngineReference.
+// The bit-parallel packed PPSFP engine must be bit-identical to the
+// serial EvalHooked reference engine: same Detection method AND same
+// first detecting pattern for every fault, on arbitrary circuits, fault
+// lists and pattern sets (including X and missing inputs). The
+// reference engine stays available as the oracle via EngineReference.
 
-// fastEngines are the engines proven against the reference oracle.
-// EngineAuto resolves to compiled or packed per campaign, so running it
-// through the same suites pins the chooser to bit-identical results on
-// both sides of every decision boundary.
-var fastEngines = []Engine{EngineCompiled, EnginePacked, EngineAuto}
+// withEngine returns a fresh simulator on c running engine e.
+func withEngine(c *logic.Circuit, e Engine) *Simulator {
+	s := New(c)
+	s.Engine = e
+	return s
+}
 
 // randomTernaryPatterns draws patterns that exercise the ternary paths:
 // mostly binary values, some explicit X, some inputs left unassigned.
@@ -72,7 +72,7 @@ func diffDetections(t *testing.T, label string, ref, got []Detection) {
 	}
 	for i := range ref {
 		if ref[i].Method != got[i].Method || ref[i].Pattern != got[i].Pattern {
-			t.Errorf("%s: fault %v: reference (%q, %d) vs compiled (%q, %d)",
+			t.Errorf("%s: fault %v: reference (%q, %d) vs packed (%q, %d)",
 				label, ref[i].Fault, ref[i].Method, ref[i].Pattern, got[i].Method, got[i].Pattern)
 		}
 	}
@@ -95,21 +95,15 @@ func TestDifferentialTransistorEngines(t *testing.T) {
 		patterns := randomTernaryPatterns(rng, c, 1+rng.Intn(24))
 
 		for _, useIDDQ := range []bool{false, true} {
-			ref := New(c)
-			ref.Engine = EngineReference
-			want, err := ref.RunTransistor(faults, patterns, useIDDQ)
+			want, err := withEngine(c, EngineReference).RunTransistor(faults, patterns, useIDDQ)
 			if err != nil {
 				t.Fatalf("case %d: reference: %v", ci, err)
 			}
-			for _, eng := range fastEngines {
-				cmp := New(c)
-				cmp.Engine = eng
-				got, err := cmp.RunTransistor(faults, patterns, useIDDQ)
-				if err != nil {
-					t.Fatalf("case %d: %v: %v", ci, eng, err)
-				}
-				diffDetections(t, c.Name+"/"+eng.String(), want, got)
+			got, err := New(c).RunTransistor(faults, patterns, useIDDQ)
+			if err != nil {
+				t.Fatalf("case %d: packed: %v", ci, err)
 			}
+			diffDetections(t, c.Name, want, got)
 		}
 	}
 }
@@ -134,27 +128,21 @@ func TestDifferentialTwoPatternEngines(t *testing.T) {
 			pairs[k] = [2]Pattern{ps[0], ps[1]}
 		}
 
-		ref := New(c)
-		ref.Engine = EngineReference
-		want, err := ref.RunTwoPattern(faults, pairs)
+		want, err := withEngine(c, EngineReference).RunTwoPattern(faults, pairs)
 		if err != nil {
 			t.Fatalf("case %d: reference: %v", ci, err)
 		}
-		for _, eng := range fastEngines {
-			cmp := New(c)
-			cmp.Engine = eng
-			got, err := cmp.RunTwoPattern(faults, pairs)
-			if err != nil {
-				t.Fatalf("case %d: %v: %v", ci, eng, err)
-			}
-			diffDetections(t, c.Name+"/"+eng.String(), want, got)
+		got, err := New(c).RunTwoPattern(faults, pairs)
+		if err != nil {
+			t.Fatalf("case %d: packed: %v", ci, err)
 		}
+		diffDetections(t, c.Name, want, got)
 	}
 }
 
-// TestDifferentialParallelCompiled checks the pooled compiled driver
-// against the serial reference, including cancellation error parity.
-func TestDifferentialParallelCompiled(t *testing.T) {
+// TestDifferentialParallelPacked checks the pooled packed driver
+// against the serial reference.
+func TestDifferentialParallelPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for ci := 0; ci < 10; ci++ {
 		c := bench.Random(rng.Int63(), 4+rng.Intn(5), 5+rng.Intn(25))
@@ -163,28 +151,51 @@ func TestDifferentialParallelCompiled(t *testing.T) {
 		})
 		patterns := randomTernaryPatterns(rng, c, 16)
 
-		ref := New(c)
-		ref.Engine = EngineReference
-		want, err := ref.RunTransistor(faults, patterns, true)
+		want, err := withEngine(c, EngineReference).RunTransistor(faults, patterns, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range fastEngines {
-			cmp := New(c)
-			cmp.Engine = eng
-			got, err := cmp.RunTransistorParallel(context.Background(), faults, patterns, true, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffDetections(t, c.Name+"/"+eng.String(), want, got)
+		got, err := New(c).RunTransistorParallel(context.Background(), faults, patterns, true, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
+		diffDetections(t, c.Name, want, got)
 	}
 }
 
-// TestCompiledEngineErrorParity: both engines reject unknown gates and
-// unknown transistors identically (and stay silent on empty pattern
-// sets, where the reference never builds hooks).
-func TestCompiledEngineErrorParity(t *testing.T) {
+// TestDifferentialFaultPackingShapes runs small and skinny campaigns —
+// few faults, few patterns, and the shapes that move the packed
+// engine's lane width and fault-packing group count — through both
+// engines: every shape must stay bit-identical to the oracle.
+func TestDifferentialFaultPackingShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(8088))
+	sizes := []struct{ faults, patterns int }{
+		{3, 64}, {4, 64}, {16, 8}, {16, 9}, {32, 32}, {31, 32}, {128, 9},
+	}
+	for si, sz := range sizes {
+		c := bench.Random(rng.Int63(), 5, 20)
+		universe := core.Universe(c, core.UniverseOptions{
+			ChannelBreak: true, StuckOn: true, Polarity: true,
+		})
+		faults := subsample(rng, universe, sz.faults)
+		patterns := randomTernaryPatterns(rng, c, sz.patterns)
+
+		want, err := withEngine(c, EngineReference).RunTransistor(faults, patterns, true)
+		if err != nil {
+			t.Fatalf("size %d: reference: %v", si, err)
+		}
+		got, err := New(c).RunTransistor(faults, patterns, true)
+		if err != nil {
+			t.Fatalf("size %d: packed: %v", si, err)
+		}
+		diffDetections(t, c.Name, want, got)
+	}
+}
+
+// TestEngineErrorParity: both engines reject unknown gates and unknown
+// transistors identically (and stay silent on empty pattern sets,
+// where the reference never builds hooks).
+func TestEngineErrorParity(t *testing.T) {
 	c := bench.C17()
 	bad := []core.Fault{
 		{Kind: core.FaultStuckOn, Gate: "nope", Transistor: "t1"},
@@ -192,9 +203,8 @@ func TestCompiledEngineErrorParity(t *testing.T) {
 	}
 	pats := ExhaustivePatterns(c)
 	for _, f := range bad {
-		for _, eng := range []Engine{EngineReference, EngineCompiled, EnginePacked} {
-			s := New(c)
-			s.Engine = eng
+		for _, eng := range []Engine{EngineReference, EnginePacked} {
+			s := withEngine(c, eng)
 			if _, err := s.RunTransistor([]core.Fault{f}, pats, true); err == nil {
 				t.Errorf("%v engine: no error for %v", eng, f)
 			}

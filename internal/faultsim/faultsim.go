@@ -45,10 +45,9 @@ type Simulator struct {
 	C *logic.Circuit
 
 	// Engine selects the transistor-fault, two-pattern and bridge
-	// implementation; the zero value is the packed lane-block engine,
-	// EngineCompiled the scalar LUT/cone engine, EngineReference the
-	// serial oracle, EngineAuto a per-campaign choice between compiled
-	// and packed. Line stuck-at campaigns always run packed.
+	// implementation: the zero value is the packed lane-block engine,
+	// EngineReference the serial switch-level oracle. Line stuck-at
+	// campaigns always run packed.
 	Engine Engine
 
 	// LaneWords, when 1, 2 or 4, pins the packed engine's lane-block
@@ -80,11 +79,6 @@ type Simulator struct {
 	// Packed-engine scratch pool: the buffers and the scratch-local
 	// LUT-resolution caches stay warm across campaigns.
 	scratchPool sync.Pool
-
-	// Compiled-engine cone scratch pool, warm across campaigns for the
-	// same reason (the per-net value and stamp slices dominate small
-	// campaigns).
-	coneScratchPool sync.Pool
 }
 
 // New builds a simulator for the circuit.
@@ -205,17 +199,12 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // leak signature detects by quiescent-current measurement (the paper's
 // IDDQ observability for pull-up polarity faults). The simulator's
 // Engine selects the implementation: bit-parallel PPSFP lane blocks by
-// default, compiled LUT + cone propagation under EngineCompiled, the
-// serial hooked oracle under EngineReference, and a per-campaign
-// compiled/packed choice under EngineAuto; all of them return identical
-// detections. RunTransistorParallel spreads the same work over a
-// goroutine pool.
+// default, the serial hooked oracle under EngineReference; both return
+// identical detections. RunTransistorParallel spreads the same work
+// over a goroutine pool.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	switch s.resolveEngine(len(faults), len(patterns)) {
-	case EngineReference:
+	if s.Engine == EngineReference {
 		return s.runTransistorSerial(context.Background(), faults, patterns, useIDDQ)
-	case EngineCompiled:
-		return s.runTransistorCompiled(context.Background(), faults, patterns, useIDDQ)
 	}
 	return s.runPacked(context.Background(), s.transistorClass(useIDDQ), faults, patterns)
 }
@@ -236,22 +225,19 @@ func (s *Simulator) outputsDiffer(good, faulty map[string]logic.V) bool {
 // charge retention at the faulty gate: the first pattern initialises the
 // gate output, the second exposes a floating output retaining the stale
 // value. Detection requires a definite PO difference under the second
-// pattern. The simulator's Engine selects the implementation (packed
-// block propagation of the stuck-open transition LUTs by default; the
-// same LUTs with scalar cone propagation under EngineCompiled; a
-// per-campaign choice under EngineAuto).
+// pattern. The simulator's Engine selects the implementation: packed
+// block propagation of the stuck-open transition LUTs by default, the
+// stateful switch-level oracle under EngineReference.
 func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	return s.RunTwoPatternContext(context.Background(), faults, pairs)
 }
 
 // RunTwoPatternContext is RunTwoPattern with cooperative cancellation
-// checked between faults on every engine path; all paths report
-// per-fault progress on the "two_pattern" stage.
+// checked between faults on both engines; both report per-fault
+// progress on the "two_pattern" stage and charge one fault run per
+// simulated channel break to the engine counters.
 func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
-	switch s.resolveEngine(len(faults), len(pairs)) {
-	case EngineCompiled:
-		return s.runTwoPatternCompiled(ctx, faults, pairs)
-	case EnginePacked:
+	if s.Engine != EngineReference {
 		return s.runTwoPatternPacked(ctx, faults, pairs)
 	}
 	sink := s.progressSink("two_pattern", len(faults))
@@ -271,17 +257,22 @@ func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Faul
 			return nil, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 		}
 		spec := gates.Get(s.C.Gates[gi].Kind)
-		nGates := uint64(len(s.C.Gates))
-		evals := uint64(0)
+		engineStats.referenceFaultRuns.Add(1)
+		swept := uint64(0)
 		for k, pair := range pairs {
-			evals += 3 * nGates // two faulty passes plus the good baseline
+			swept++
 			if s.twoPatternDetects(spec, gi, f, pair) {
 				out[i].Method = ByTwoPattern
 				out[i].Pattern = k
 				break
 			}
 		}
-		sink.add(1, b2i(out[i].Detected()), 0, evals)
+		// Each swept pair costs two faulty passes plus the good baseline.
+		// Progress counts all three; the engine counter, like the
+		// transistor oracle's, only the faulty ones.
+		passes := swept * uint64(len(s.C.Gates))
+		engineStats.referenceGateEvals.Add(2 * passes)
+		sink.add(1, b2i(out[i].Detected()), 0, 3*passes)
 	}
 	return out, nil
 }

@@ -1,16 +1,16 @@
-// Packed PPSFP engine: N×64 ternary patterns per lane block (two
-// bitplane words per 64 lanes), evaluated through the same compiled
-// gate and per-fault behaviour LUTs as the scalar cone engine.
-// Baselines are packed once per campaign; each fault then needs one
-// packed behaviour-LUT evaluation plus one event-driven packed
-// propagation per block, instead of one scalar cone pass per pattern.
-// When the campaign has fewer patterns than lanes, independent faults
-// are packed into the spare lanes and share a single propagation pass.
-// Defined to be bit-identical to the reference and compiled engines
-// (same detection method, same first detecting pattern), which the
-// differential suites enforce. Line stuck-at faults ride the same
-// drivers as seeds forcing a constant at their site, over binary
-// baselines.
+// Packed PPSFP engine, the one fast engine of the package: N×64
+// ternary patterns per lane block (two bitplane words per 64 lanes),
+// evaluated through the compiled gate LUTs and the per-fault behaviour
+// LUTs of engine.go. Baselines are packed once per campaign; each
+// fault then needs one packed behaviour-LUT evaluation plus one
+// event-driven packed propagation per block, instead of one full
+// circuit pass per pattern. When the campaign has fewer patterns than
+// lanes, independent faults are packed into the spare lanes and share
+// a single propagation pass. Defined to be bit-identical to the
+// reference oracle (same detection method, same first detecting
+// pattern), which the differential suites enforce. Line stuck-at
+// faults ride the same drivers as seeds forcing a constant at their
+// site, over binary baselines.
 package faultsim
 
 import (
@@ -324,7 +324,7 @@ type packedSeed struct {
 
 // resolve finalizes a seed after propagation: the earliest lane of the
 // combined leak/diff mask wins, leak beating output at equal lanes (the
-// per-pattern observation order of the scalar engines).
+// per-pattern observation order of the reference oracle).
 func (sd *packedSeed) resolve(w int) (DetectMethod, int, bool) {
 	var m [logic.MaxLaneWords]uint64
 	for j := 0; j < w; j++ {
@@ -340,12 +340,12 @@ func (sd *packedSeed) resolve(w int) (DetectMethod, int, bool) {
 	return ByOutput, sd.patOff + lane, true
 }
 
-// packedScratch is the packed counterpart of coneScratch: epoch-stamped
-// faulty lane blocks over the chunk baseline, per-net dirty word masks
-// and a topological-position min-heap of pending gates. The event-driven
-// walk evaluates only gates with a dirty fanin word, and only the dirty
-// words of those gates, so sparse campaigns never touch the static
-// all-gates cone tables.
+// packedScratch is the reusable per-worker state of the packed engine:
+// epoch-stamped faulty lane blocks over the chunk baseline, per-net
+// dirty word masks and a topological-position min-heap of pending
+// gates. The event-driven walk evaluates only gates with a dirty fanin
+// word, and only the dirty words of those gates, so sparse campaigns
+// never touch the static all-gates cone tables.
 type packedScratch struct {
 	cc    *logic.CompiledCircuit
 	w     int               // current lane-block width of fval
@@ -834,8 +834,8 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 
 // simulateFaultPacked runs one fault of a class chunk by chunk: one
 // seed evaluation plus one event-driven block pass per chunk, with the
-// Detection the scalar engines would report. A non-nil sig disables the
-// chunk early exits and the seed early-retirement, records fault si's
+// Detection the reference oracle would report. A non-nil sig disables
+// the chunk early exits and the seed early-retirement, records fault si's
 // full signature from the propagated lane masks and derives the
 // Detection through the same earliest-lane/leak-precedence resolution
 // the uncaptured sweep uses.
@@ -871,7 +871,7 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 			continue
 		}
 		// Per pattern, the leak check precedes the output compare
-		// (mirroring the scalar engines); across patterns the earliest
+		// (mirroring the reference oracle); across patterns the earliest
 		// lane wins. A leak at or before the first excited lane therefore
 		// decides without propagation — no output difference can come
 		// earlier.
@@ -1090,6 +1090,7 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 			return nil, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 		}
 		lut := compiledOpenLUT(s.C.Gates[gi].Kind, f.Transistor)
+		sc.runs++
 		before := sc.lifetimeEvals()
 		on := cc.GateOut[gi]
 		seeds := sc.seedBuf(1)

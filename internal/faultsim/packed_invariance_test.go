@@ -168,3 +168,101 @@ func TestPackedLaneInvarianceBridges(t *testing.T) {
 		diffBridgeDetections(t, "split-merge", base, merged)
 	}
 }
+
+// TestPackedLaneWidthInvariance: the lane-block width (1, 2 or 4 words
+// of 64 lanes) is an implementation detail. Every width must return
+// bit-identical detections on the same campaign, serial and parallel.
+func TestPackedLaneWidthInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(256256))
+	cases := 20
+	if testing.Short() {
+		cases = 6
+	}
+	for ci := 0; ci < cases; ci++ {
+		c := bench.Random(rng.Int63(), 4+rng.Intn(6), 5+rng.Intn(30))
+		universe := core.Universe(c, core.UniverseOptions{
+			ChannelBreak: true, StuckOn: true, Polarity: true,
+		})
+		faults := subsample(rng, universe, 50)
+		// 65..200 patterns: at width 1 this spans 2-4 chunks, at width 4
+		// a single block, so chunk iteration and tail masking both move.
+		patterns := randomTernaryPatterns(rng, c, 65+rng.Intn(136))
+		useIDDQ := ci%2 == 0
+
+		var base []Detection
+		for _, w := range []int{1, 2, 4} {
+			sim := New(c)
+			sim.Engine = EnginePacked
+			sim.LaneWords = w
+			got, err := sim.RunTransistor(faults, patterns, useIDDQ)
+			if err != nil {
+				t.Fatalf("case %d: width %d: %v", ci, w, err)
+			}
+			if base == nil {
+				base = got
+				continue
+			}
+			diffDetections(t, c.Name+"/w1-vs-w"+string(rune('0'+w)), base, got)
+
+			par, err := sim.RunTransistorParallel(context.Background(), faults, patterns, useIDDQ, 4)
+			if err != nil {
+				t.Fatalf("case %d: width %d parallel: %v", ci, w, err)
+			}
+			diffDetections(t, c.Name+"/parallel-w"+string(rune('0'+w)), base, par)
+		}
+	}
+}
+
+// TestFaultPackedParity: with few patterns and many faults the packed
+// engine packs several faults into disjoint lane groups of one block;
+// with the same patterns at width 1 above the 32-pattern grouping cutoff
+// it runs one fault per pass. Both shapes must match the oracle exactly
+// — fault packing is a placement optimisation, never a semantic one.
+func TestFaultPackedParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	cases := 20
+	if testing.Short() {
+		cases = 6
+	}
+	for ci := 0; ci < cases; ci++ {
+		c := bench.Random(rng.Int63(), 4+rng.Intn(5), 8+rng.Intn(25))
+		universe := core.Universe(c, core.UniverseOptions{
+			ChannelBreak: true, StuckOn: true, Polarity: true,
+		})
+		faults := subsample(rng, universe, 40)
+		// 33..64 patterns: ungrouped at width 1 (> 32 patterns/group
+		// cutoff), fault-packed at widths 2 and 4.
+		nPats := 33 + rng.Intn(32)
+		patterns := randomTernaryPatterns(rng, c, nPats)
+		useIDDQ := ci%2 == 0
+
+		if g := packGroups(nPats, len(faults), 1); g != 1 {
+			t.Fatalf("case %d: width 1 unexpectedly grouped (%d)", ci, g)
+		}
+		if g := packGroups(nPats, len(faults), 4); g < 2 {
+			t.Fatalf("case %d: width 4 not grouped (%d groups, %d patterns)", ci, g, nPats)
+		}
+
+		ref := New(c)
+		ref.Engine = EngineReference
+		want, err := ref.RunTransistor(faults, patterns, useIDDQ)
+		if err != nil {
+			t.Fatalf("case %d: reference: %v", ci, err)
+		}
+		for _, w := range []int{1, 2, 4} {
+			sim := New(c)
+			sim.Engine = EnginePacked
+			sim.LaneWords = w
+			got, err := sim.RunTransistor(faults, patterns, useIDDQ)
+			if err != nil {
+				t.Fatalf("case %d: width %d: %v", ci, w, err)
+			}
+			diffDetections(t, c.Name+"/serial", want, got)
+			got, err = sim.RunTransistorParallel(context.Background(), faults, patterns, useIDDQ, 4)
+			if err != nil {
+				t.Fatalf("case %d: width %d parallel: %v", ci, w, err)
+			}
+			diffDetections(t, c.Name+"/parallel", want, got)
+		}
+	}
+}

@@ -97,7 +97,7 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 	}
 	// Baseline (good-circuit) evals count toward campaign progress but
 	// not the per-engine faulty-evaluation counters, mirroring the
-	// compiled and packed engines.
+	// packed engine.
 	sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
@@ -119,12 +119,12 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 // and fault-packed batches group physically close faults. The reference
 // engine keeps list order: it has no compiled positions and must not
 // trigger a compile.
-func (s *Simulator) faultOrder(faults []core.Fault, engine Engine) []int {
+func (s *Simulator) faultOrder(faults []core.Fault) []int {
 	ord := make([]int, len(faults))
 	for i := range ord {
 		ord[i] = i
 	}
-	if engine == EngineReference {
+	if s.Engine == EngineReference {
 		return ord
 	}
 	cc := s.compiled()
@@ -152,7 +152,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 	if len(faults) == 0 {
 		return []Detection{}, ctx.Err()
 	}
-	engine := s.resolveEngine(len(faults), len(patterns))
+	reference := s.Engine == EngineReference
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
@@ -167,39 +167,30 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 	}
 	cls := s.transistorClass(useIDDQ)
 	if workers == 1 || len(faults) < 2 {
-		switch engine {
-		case EngineReference:
+		if reference {
 			return s.runTransistorSerial(ctx, faults, patterns, useIDDQ)
-		case EnginePacked:
-			return s.runPacked(ctx, cls, faults, patterns)
 		}
-		return s.runTransistorCompiled(ctx, faults, patterns, useIDDQ)
+		return s.runPacked(ctx, cls, faults, patterns)
 	}
 
 	// Good-circuit responses are computed once and shared read-only:
-	// hooked maps for the reference engine, dense baselines for the
-	// compiled engine, packed lane blocks for the packed one (each
-	// worker carries its own scratch).
+	// hooked maps for the reference engine, packed lane blocks for the
+	// packed one (each worker carries its own scratch).
 	sink := s.progressSink("transistor", len(faults))
 	var goods []map[string]logic.V
-	var base [][]logic.V
 	var pl packedPlan
-	baseEvals := uint64(len(patterns)) * uint64(len(s.C.Gates))
-	switch engine {
-	case EngineReference:
+	if reference {
 		goods = make([]map[string]logic.V, len(patterns))
 		for k, p := range patterns {
 			goods[k] = s.C.Eval(map[string]logic.V(p))
 		}
-	case EnginePacked:
+		sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
+	} else {
 		pl = s.packedPlanFor(cls, faults, patterns)
-		baseEvals = pl.baseEvals(len(s.C.Gates))
-	default:
-		base = s.evalBaselines(patterns)
+		sink.add(0, 0, 0, pl.baseEvals(len(s.C.Gates)))
 	}
-	sink.add(0, 0, 0, baseEvals)
 
-	ord := s.faultOrder(faults, engine)
+	ord := s.faultOrder(faults)
 	out := make([]Detection, len(faults))
 	ranges := make(chan [2]int)
 	var wg sync.WaitGroup
@@ -218,22 +209,18 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sc *coneScratch
 			var psc *packedScratch
-			switch engine {
-			case EngineReference:
-			case EnginePacked:
+			if !reference {
 				psc = s.packedScratchOf()
 				psc.ensure(pl.w)
-			default:
-				sc = s.coneScratchOf()
+				defer s.putPackedScratch(psc)
 			}
 			for r := range ranges {
 				if ctx.Err() != nil || errSet.Load() {
 					continue // drain without working once canceled or failed
 				}
 				idxs := ord[r[0]:r[1]]
-				if engine == EnginePacked && pl.gb != nil {
+				if pl.gb != nil {
 					if err := s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, psc, sig, sink, out); err != nil && ctx.Err() == nil {
 						fail(err)
 					}
@@ -246,18 +233,13 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 					var d Detection
 					var err error
 					var evals uint64
-					switch engine {
-					case EngineReference:
+					if reference {
 						d, err = s.simulateTransistorFault(faults[i], patterns, goods, useIDDQ, sig, i)
 						evals = s.referenceFaultEvals(faults[i], d, len(patterns), sig != nil)
-					case EnginePacked:
+					} else {
 						before := psc.lifetimeEvals()
 						d, err = s.simulateFaultPacked(cls, faults[i], i, pl.bases, psc, sig)
 						evals = psc.lifetimeEvals() - before
-					default:
-						before := sc.lifetimeEvals()
-						d, err = s.simulateTransistorFaultCompiled(faults[i], i, patterns, base, sc, useIDDQ, sig)
-						evals = sc.lifetimeEvals() - before
 					}
 					if err != nil {
 						fail(err)
@@ -266,12 +248,6 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 					out[i] = d
 					sink.add(1, b2i(d.Detected()), b2i(!transistorSimulable(faults[i])), evals)
 				}
-			}
-			if psc != nil {
-				s.putPackedScratch(psc)
-			}
-			if sc != nil {
-				s.putConeScratch(sc)
 			}
 		}()
 	}

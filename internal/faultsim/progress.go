@@ -13,11 +13,11 @@ import (
 // simulation because their kind is out of scope for the stage (line
 // faults handed to a transistor campaign and vice versa, analog-only
 // kinds). GateEvals counts engine-native gate evaluations attributable
-// to the stage so far — scalar LUT lookups for the compiled engine,
-// packed evaluations (each covering up to 64 pattern lanes) for the
-// packed engine and every stuck-at campaign, full hooked-map gate
-// evaluations for the reference oracle — so rates are comparable within
-// an engine, not across engines.
+// to the stage so far — packed evaluations (each covering up to 64
+// pattern lanes) for the packed engine and every stuck-at campaign,
+// full hooked-map gate evaluations for the reference oracle — so rates
+// are comparable within an engine, not across engines. Both engines
+// include their good-circuit baseline passes.
 type Progress struct {
 	Stage     string
 	Done      int

@@ -264,6 +264,58 @@ func TestStuckAtProgressCountsFaults(t *testing.T) {
 	}
 }
 
+// TestTwoPatternCountsEngineWork: both two-pattern engines charge one
+// fault run per simulated channel break to their own counters. The
+// reference oracle charges its two faulty passes per swept pair to
+// ReferenceGateEvals (progress also counts the good baseline pass);
+// packed charges its propagation evals, which are the progress total
+// minus the baseline evals reported before the first fault.
+func TestTwoPatternCountsEngineWork(t *testing.T) {
+	for _, eng := range []Engine{EngineReference, EnginePacked} {
+		sim, faults, pairs := twoPatternCampaign(t)
+		sim.Engine = eng
+		var baseline uint64
+		var last Progress
+		sim.Progress = func(p Progress) {
+			if p.Done == 0 {
+				baseline = p.GateEvals
+			}
+			last = p
+		}
+		before := ReadEngineStats()
+		ds, err := sim.RunTwoPattern(faults, pairs)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		after := ReadEngineStats()
+		runs := uint64(len(faults)) // the universe holds channel breaks only
+		refRuns := after.ReferenceFaultRuns - before.ReferenceFaultRuns
+		refEvals := after.ReferenceGateEvals - before.ReferenceGateEvals
+		packedRuns := after.PackedFaultRuns - before.PackedFaultRuns
+		packedEvals := after.PackedGateEvals - before.PackedGateEvals
+		if eng == EngineReference {
+			swept := uint64(0)
+			for _, d := range ds {
+				if d.Detected() {
+					swept += uint64(d.Pattern + 1)
+				} else {
+					swept += uint64(len(pairs))
+				}
+			}
+			passes := swept * uint64(len(sim.C.Gates))
+			if refRuns != runs || refEvals != 2*passes || last.GateEvals != 3*passes || packedRuns != 0 || packedEvals != 0 {
+				t.Errorf("reference: %d runs / %d evals (progress %d), packed %d / %d; want %d / %d (progress %d), 0 / 0",
+					refRuns, refEvals, last.GateEvals, packedRuns, packedEvals, runs, 2*passes, 3*passes)
+			}
+			continue
+		}
+		if packedRuns != runs || packedEvals == 0 || packedEvals != last.GateEvals-baseline || refRuns != 0 || refEvals != 0 {
+			t.Errorf("packed: %d runs / %d evals (progress %d, baseline %d), reference %d / %d; want %d / progress minus baseline, 0 / 0",
+				packedRuns, packedEvals, last.GateEvals, baseline, refRuns, refEvals, runs)
+		}
+	}
+}
+
 // TestStuckAtCancel: a canceled context stops the sweep with the
 // context's error and every fault slot initialized.
 func TestStuckAtCancel(t *testing.T) {

@@ -26,8 +26,8 @@ func twoPatternCampaign(t *testing.T) (*Simulator, []core.Fault, [][2]Pattern) {
 	return New(c), faults, pairs
 }
 
-// allEngines is every selectable engine, including the auto chooser.
-var allEngines = []Engine{EngineReference, EngineCompiled, EnginePacked, EngineAuto}
+// allEngines is every selectable engine.
+var allEngines = []Engine{EngineReference, EnginePacked}
 
 // TestTwoPatternCanceledContext: a canceled context aborts the campaign
 // on every engine path before any fault is swept.

@@ -151,29 +151,6 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 		Engine:   engine.String(),
 	}
 
-	// resolved mirrors the engine choice the simulator will make for one
-	// fault class, through the same pure heuristic resolveEngine applies
-	// (auto never picks the reference oracle). It annotates the stage
-	// span and, for auto campaigns, the class's coverage report; the
-	// campaign-level Engine field keeps the canonical request value so
-	// the cache key and the report agree.
-	resolved := func(sp *obs.Span, nFaults int) string {
-		e := engine
-		if e == faultsim.EngineAuto {
-			e = faultsim.ChooseEngine(len(c.Gates), nFaults, len(pats))
-		}
-		sp.SetAttr("engine", e.String())
-		return e.String()
-	}
-	// classEngine is the CoverageJSON.Engine value: the resolved choice
-	// for auto campaigns, empty otherwise (the top-level field covers it).
-	classEngine := func(name string) string {
-		if engine == faultsim.EngineAuto {
-			return name
-		}
-		return ""
-	}
-
 	// Signature harvesting: with a dictionary store attached, the
 	// stuck-at sweep and one transistor sweep run with a capture sink so
 	// the dictionary comes out of the simulation the campaign performs
@@ -211,8 +188,7 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 	if uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
 		trFaults := core.Universe(c, uopt)
 		currentStage, faultCount = "transistor", len(trFaults)
-		trSpan, done := ro.stage(simSpan, "transistor")
-		trEngine := resolved(trSpan, len(trFaults))
+		_, done := ro.stage(simSpan, "transistor")
 		if wantDict && !req.Faults.IDDQ {
 			dictTrFaults = trFaults
 			trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
@@ -225,11 +201,9 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 		}
 		done()
 		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
-		rep.Transistor.Engine = classEngine(trEngine)
 		if req.Faults.IDDQ {
 			currentStage = "transistor_iddq"
-			iddqSpan, done := ro.stage(simSpan, "transistor_iddq")
-			iddqEngine := resolved(iddqSpan, len(trFaults))
+			_, done := ro.stage(simSpan, "transistor_iddq")
 			if wantDict {
 				dictTrFaults = trFaults
 				trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
@@ -242,22 +216,19 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 			}
 			done()
 			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
-			rep.TransistorIDDQ.Engine = classEngine(iddqEngine)
 		}
 	}
 
 	if req.Faults.Bridges {
 		bridges := core.NeighborBridges(c, req.Faults.BridgeWindow)
 		currentStage, faultCount = "bridges", len(bridges)
-		brSpan, done := ro.stage(simSpan, "bridges")
-		brEngine := resolved(brSpan, len(bridges))
+		_, done := ro.stage(simSpan, "bridges")
 		ds, err := sim.RunBridgesObserved(ctx, bridges, pats, req.Faults.IDDQ)
 		if err != nil {
 			return nil, err
 		}
 		done()
 		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
-		rep.Bridges.Engine = classEngine(brEngine)
 	}
 
 	if req.ATPG {

@@ -243,19 +243,6 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		Patterns: len(pats),
 		Engine:   engine.String(),
 	}
-	// Same per-class engine annotation as the unsharded run: auto
-	// campaigns record the choice for the class's full fault count, so
-	// the sharded and unsharded reports agree byte for byte (the shards
-	// themselves may resolve smaller fault slices differently — the
-	// engines are differentially proven result-identical, so that is an
-	// execution detail, not a result).
-	classEngine := func(nFaults int) string {
-		if engine != faultsim.EngineAuto {
-			return ""
-		}
-		return faultsim.ChooseEngine(len(c.Gates), nFaults, len(pats)).String()
-	}
-
 	simSpan, simDone := ro.stage(ro.Span, "simulate")
 
 	results := make([]*shard.Result, plan.Total)
@@ -383,7 +370,6 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 			return nil, err
 		}
 		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
-		rep.Transistor.Engine = classEngine(len(env.trFaults))
 		if wantDict && !req.Faults.IDDQ {
 			if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, false); err != nil {
 				return nil, err
@@ -396,7 +382,6 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 				return nil, err
 			}
 			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
-			rep.TransistorIDDQ.Engine = classEngine(len(env.trFaults))
 			if wantDict {
 				if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, true); err != nil {
 					return nil, err
@@ -411,7 +396,6 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 			return nil, err
 		}
 		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
-		rep.Bridges.Engine = classEngine(len(env.bridges))
 	}
 	mergeSpan.SetAttr("shards", strconv.Itoa(plan.Total))
 	mergeDone()

@@ -6,15 +6,15 @@ import (
 )
 
 // TestCampaignEngineSelection runs the same benchmark campaign through
-// all four fault-simulation engine selections over the wire: each must
-// succeed, tag its report with the engine used, produce identical
-// coverage (the engines are differentially proven bit-identical), land
-// in distinct cache entries, and show up in the per-engine job counters.
+// both fault-simulation engines over the wire: each must succeed, tag
+// its report with the engine used, produce identical coverage (the
+// engines are differentially proven bit-identical), land in distinct
+// cache entries, and show up in the per-engine job counters.
 func TestCampaignEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t)
 	reports := map[string]*CampaignReport{}
 	keys := map[string]string{}
-	for _, engine := range []string{"compiled", "reference", "packed", "auto"} {
+	for _, engine := range []string{"reference", "packed"} {
 		st, code := postCampaign(t, ts, CampaignRequest{
 			Benchmark: "fa_cp",
 			Faults:    FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, Bridges: true, IDDQ: true},
@@ -36,71 +36,51 @@ func TestCampaignEngineSelection(t *testing.T) {
 		}
 		reports[engine] = &rep
 	}
-	seen := map[string]string{}
-	for engine, key := range keys {
-		if prev, dup := seen[key]; dup {
-			t.Errorf("engines %s and %s share a cache key: %v", prev, engine, keys)
-		}
-		seen[key] = engine
+	if keys["reference"] == keys["packed"] {
+		t.Errorf("engines share a cache key: %v", keys)
 	}
-	// An auto campaign reports its per-class resolved choices; the
-	// explicit engines leave them empty (the top-level field covers it).
-	for _, cov := range []*CoverageJSON{reports["auto"].Transistor, reports["auto"].TransistorIDDQ, reports["auto"].Bridges} {
-		if cov.Engine != "compiled" && cov.Engine != "packed" {
-			t.Errorf("auto report class engine = %q, want compiled or packed", cov.Engine)
-		}
-	}
-	if e := reports["packed"].Transistor.Engine; e != "" {
-		t.Errorf("explicit-engine report class engine = %q, want empty", e)
-	}
-	c := reports["compiled"]
-	for _, other := range []string{"reference", "packed", "auto"} {
-		r := reports[other]
-		if c.StuckAt.Detected != r.StuckAt.Detected ||
-			c.TransistorIDDQ.Detected != r.TransistorIDDQ.Detected ||
-			c.TransistorIDDQ.Percent != r.TransistorIDDQ.Percent ||
-			c.Bridges.Detected != r.Bridges.Detected ||
-			c.Bridges.ByIDDQ != r.Bridges.ByIDDQ {
-			t.Errorf("engines disagree: compiled %+v/%+v/%+v vs %s %+v/%+v/%+v",
-				c.StuckAt, c.TransistorIDDQ, c.Bridges, other, r.StuckAt, r.TransistorIDDQ, r.Bridges)
-		}
+	r, p := reports["reference"], reports["packed"]
+	if r.StuckAt.Detected != p.StuckAt.Detected ||
+		r.TransistorIDDQ.Detected != p.TransistorIDDQ.Detected ||
+		r.TransistorIDDQ.Percent != p.TransistorIDDQ.Percent ||
+		r.Bridges.Detected != p.Bridges.Detected ||
+		r.Bridges.ByIDDQ != p.Bridges.ByIDDQ {
+		t.Errorf("engines disagree: reference %+v/%+v/%+v vs packed %+v/%+v/%+v",
+			r.StuckAt, r.TransistorIDDQ, r.Bridges, p.StuckAt, p.TransistorIDDQ, p.Bridges)
 	}
 
 	var metrics map[string]float64
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &metrics); code != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", code)
 	}
-	if metrics["jobs_engine_compiled"] < 1 || metrics["jobs_engine_reference"] < 1 ||
-		metrics["jobs_engine_packed"] < 1 || metrics["jobs_engine_auto"] < 1 {
-		t.Errorf("engine job counters = %v compiled / %v reference / %v packed / %v auto, want >= 1 each",
-			metrics["jobs_engine_compiled"], metrics["jobs_engine_reference"],
-			metrics["jobs_engine_packed"], metrics["jobs_engine_auto"])
-	}
-	if metrics["faultsim_auto_chosen_compiled"]+metrics["faultsim_auto_chosen_packed"] < 1 {
-		t.Errorf("auto chooser counters = %v compiled + %v packed, want >= 1 total",
-			metrics["faultsim_auto_chosen_compiled"], metrics["faultsim_auto_chosen_packed"])
-	}
-	if metrics["faultsim_packed_fault_runs"] < 1 || metrics["faultsim_packed_bridge_runs"] < 1 {
-		t.Errorf("packed faultsim counters missing: %v fault runs, %v bridge runs",
-			metrics["faultsim_packed_fault_runs"], metrics["faultsim_packed_bridge_runs"])
+	if metrics["jobs_engine_reference"] < 1 || metrics["jobs_engine_packed"] < 1 {
+		t.Errorf("engine job counters = %v reference / %v packed, want >= 1 each",
+			metrics["jobs_engine_reference"], metrics["jobs_engine_packed"])
 	}
 	// The engine counters are process-wide, so only sanity-check shape:
-	// the compiled engine must have run faults and skipped gate evals.
-	if metrics["faultsim_compiled_fault_runs"] < 1 || metrics["faultsim_gate_evals_skipped"] < 1 {
-		t.Errorf("faultsim counters missing: %v runs, %v skipped",
-			metrics["faultsim_compiled_fault_runs"], metrics["faultsim_gate_evals_skipped"])
+	// each engine must have run faults and bridges.
+	for _, key := range []string{
+		"faultsim_packed_fault_runs", "faultsim_packed_bridge_runs",
+		"faultsim_reference_fault_runs", "faultsim_reference_bridge_runs",
+	} {
+		if metrics[key] < 1 {
+			t.Errorf("faultsim counter %s = %v, want >= 1", key, metrics[key])
+		}
 	}
 }
 
-// TestCampaignEngineValidation rejects unknown engine names up front.
+// TestCampaignEngineValidation rejects unknown engine names up front,
+// including the retired "compiled" and "auto" selections.
 func TestCampaignEngineValidation(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, code := postCampaign(t, ts, CampaignRequest{
-		Benchmark: "c17",
-		Faults:    FaultConfig{StuckAt: true},
-		Engine:    "warp-drive",
-	})
-	if code != http.StatusBadRequest {
-		t.Fatalf("HTTP %d, want 400", code)
+	for _, engine := range []string{"warp-drive", "compiled", "auto"} {
+		_, code := postCampaign(t, ts, CampaignRequest{
+			Benchmark: "c17",
+			Faults:    FaultConfig{StuckAt: true},
+			Engine:    engine,
+		})
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", engine, code)
+		}
 	}
 }

@@ -367,8 +367,9 @@ type pendingCampaign struct {
 
 // recoverPending scans the result store's pending markers at startup:
 // campaigns whose report landed are finished (stale marker, removed),
-// the rest become resumable job records. Runs from NewManager before
-// the workers start, so it needs no locking.
+// markers whose request this build rejects are dropped, and the rest
+// become resumable job records. Runs from NewManager before the
+// workers start, so it needs no locking.
 func (m *Manager) recoverPending() {
 	keys, err := m.store.Keys(resultstore.KindPending)
 	if err != nil {
@@ -383,6 +384,14 @@ func (m *Manager) recoverPending() {
 		var pc pendingCampaign
 		if err := m.store.Get(resultstore.KindPending, key, &pc); err != nil {
 			m.log.Warn("pending marker unreadable", "key", key, "error", err.Error())
+			continue
+		}
+		// A marker an older build wrote may name a request this build
+		// rejects, such as a retired engine. Resume could never submit
+		// it, so it would be listed as resumable on every start.
+		if _, _, err := pc.Request.normalize(); err != nil {
+			m.log.Warn("pending marker no longer valid, deleted", "key", key, "error", err.Error())
+			_ = m.store.Delete(resultstore.KindPending, key)
 			continue
 		}
 		m.seq++
@@ -712,15 +721,10 @@ func (m *Manager) run(job *Job) {
 	root.Record("parse", job.parseStart, job.parseEnd)
 	root.Record("queued", job.submitted, job.started)
 
-	switch job.req.Engine {
-	case "packed":
-		m.metrics.PackedJobs.Inc()
-	case "compiled":
-		m.metrics.CompiledJobs.Inc()
-	case "reference":
+	if job.req.Engine == "reference" {
 		m.metrics.ReferenceJobs.Inc()
-	case "auto":
-		m.metrics.AutoJobs.Inc()
+	} else {
+		m.metrics.PackedJobs.Inc()
 	}
 	m.log.Info("campaign started", "job", job.ID, "engine", job.req.Engine)
 

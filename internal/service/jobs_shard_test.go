@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
+	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
 )
 
@@ -203,5 +206,38 @@ func TestManagerResumeRejectsNonResumable(t *testing.T) {
 	}
 	if _, err := m.Resume("c-999999"); err == nil {
 		t.Fatal("resumed a nonexistent campaign")
+	}
+}
+
+// TestManagerDropsInvalidPendingMarker: a pending marker written by an
+// older build can hold a request this build rejects (here the retired
+// "compiled" engine). Resume could never submit it, so startup deletes
+// the marker with a warning instead of listing it resumable forever.
+func TestManagerDropsInvalidPendingMarker(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("ab", 32)
+	stale := pendingCampaign{
+		Request: CampaignRequest{Benchmark: "c17", Faults: FaultConfig{StuckAt: true}, Engine: "compiled"},
+		JobID:   "c-000001",
+	}
+	if _, err := store.Put(resultstore.KindPending, key, stale); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	m := NewManager(ManagerConfig{Workers: 1, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+	defer m.Close()
+	if got := m.Resumable(); len(got) != 0 {
+		t.Errorf("invalid marker listed resumable: %+v", got)
+	}
+	if store.Has(resultstore.KindPending, key) {
+		t.Error("invalid pending marker survived startup")
+	}
+	if !strings.Contains(logs.String(), "pending marker no longer valid") {
+		t.Errorf("no warning logged for the dropped marker:\n%s", logs.String())
 	}
 }

@@ -45,14 +45,9 @@ type Metrics struct {
 	RejectedClosed    *obs.Counter
 
 	// Per-engine job accounting: which fault-simulation engine each
-	// executed campaign selected (packed is the default). Auto jobs
-	// count under "auto"; the per-campaign choices they resolve to are
-	// exposed by the process-wide cpsinw_faultsim_auto_choices_total
-	// counters.
-	CompiledJobs  *obs.Counter
+	// executed campaign selected (packed is the default).
 	ReferenceJobs *obs.Counter
 	PackedJobs    *obs.Counter
-	AutoJobs      *obs.Counter
 
 	// ProgressEvents counts live progress snapshots delivered by
 	// running campaigns (before SSE throttling).
@@ -103,10 +98,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	engine := func(name string) *obs.Counter {
 		return reg.Counter("cpsinw_jobs_engine_total", "Executed (non-cached) jobs per fault-simulation engine.", obs.L("engine", name))
 	}
-	m.CompiledJobs = engine("compiled")
 	m.ReferenceJobs = engine("reference")
 	m.PackedJobs = engine("packed")
-	m.AutoJobs = engine("auto")
 	m.ProgressEvents = reg.Counter("cpsinw_progress_events_total", "Campaign progress snapshots delivered by running jobs.")
 	m.DictBuilt = reg.Counter("cpsinw_dict_built_total", "Fault-dictionary artifacts persisted by completed campaigns.")
 	m.DictBytes = reg.Counter("cpsinw_dict_bytes_total", "Compressed bytes written to the fault-dictionary store.")
@@ -166,42 +159,28 @@ func registerManagerMetrics(reg *obs.Registry, m *Manager) {
 	reg.GaugeFunc("cpsinw_cache_entries", "Resident result-cache entries.", func() float64 { _, _, n := m.cache.Stats(); return float64(n) })
 
 	// The faultsim engine counters are process-wide (the engines are
-	// shared by every simulator); exposing them here quantifies what
-	// the compiled LUT/cone and packed engines save over full
-	// re-simulation. Gate evaluations are engine-native units: scalar
-	// LUT lookups (compiled), packed evaluations covering up to 64
-	// lanes (packed, which also carries every line stuck-at campaign),
-	// full hooked-map evaluations (reference).
+	// shared by every simulator). Gate evaluations are engine-native
+	// units: packed evaluations covering up to 64 lanes (packed, which
+	// also carries every line stuck-at campaign) and full hooked-map
+	// evaluations (reference).
 	es := func(pick func(faultsim.EngineStats) uint64) func() uint64 {
 		return func() uint64 { return pick(faultsim.ReadEngineStats()) }
 	}
-	reg.CounterFunc("cpsinw_faultsim_fault_runs_total", "Fault x campaign units simulated, per engine.",
-		es(func(s faultsim.EngineStats) uint64 { return s.CompiledFaultRuns }), obs.L("engine", "compiled"))
 	reg.CounterFunc("cpsinw_faultsim_fault_runs_total", "Fault x campaign units simulated, per engine.",
 		es(func(s faultsim.EngineStats) uint64 { return s.ReferenceFaultRuns }), obs.L("engine", "reference"))
 	reg.CounterFunc("cpsinw_faultsim_fault_runs_total", "Fault x campaign units simulated, per engine.",
 		es(func(s faultsim.EngineStats) uint64 { return s.PackedFaultRuns }), obs.L("engine", "packed"))
 	reg.CounterFunc("cpsinw_faultsim_bridge_runs_total", "Bridge x campaign units simulated, per engine.",
-		es(func(s faultsim.EngineStats) uint64 { return s.CompiledBridgeRuns }), obs.L("engine", "compiled"))
-	reg.CounterFunc("cpsinw_faultsim_bridge_runs_total", "Bridge x campaign units simulated, per engine.",
 		es(func(s faultsim.EngineStats) uint64 { return s.ReferenceBridgeRuns }), obs.L("engine", "reference"))
 	reg.CounterFunc("cpsinw_faultsim_bridge_runs_total", "Bridge x campaign units simulated, per engine.",
 		es(func(s faultsim.EngineStats) uint64 { return s.PackedBridgeRuns }), obs.L("engine", "packed"))
 	reg.CounterFunc("cpsinw_faultsim_gate_evals_total", "Engine-native gate evaluations (units differ per engine).",
-		es(func(s faultsim.EngineStats) uint64 { return s.ConeGateEvals }), obs.L("engine", "compiled"))
-	reg.CounterFunc("cpsinw_faultsim_gate_evals_total", "Engine-native gate evaluations (units differ per engine).",
 		es(func(s faultsim.EngineStats) uint64 { return s.ReferenceGateEvals }), obs.L("engine", "reference"))
 	reg.CounterFunc("cpsinw_faultsim_gate_evals_total", "Engine-native gate evaluations (units differ per engine).",
 		es(func(s faultsim.EngineStats) uint64 { return s.PackedGateEvals }), obs.L("engine", "packed"))
-	reg.CounterFunc("cpsinw_faultsim_auto_choices_total", "Campaigns the auto chooser resolved, per chosen engine.",
-		es(func(s faultsim.EngineStats) uint64 { return s.AutoChosenCompiled }), obs.L("engine", "compiled"))
-	reg.CounterFunc("cpsinw_faultsim_auto_choices_total", "Campaigns the auto chooser resolved, per chosen engine.",
-		es(func(s faultsim.EngineStats) uint64 { return s.AutoChosenPacked }), obs.L("engine", "packed"))
-	reg.CounterFunc("cpsinw_faultsim_gate_evals_skipped_total", "Gate evaluations the cone engine avoided vs full re-simulation.",
-		es(func(s faultsim.EngineStats) uint64 { return s.GateEvalsSkipped }))
 	reg.CounterFunc("cpsinw_faultsim_fault_luts_compiled_total", "Distinct per-fault behaviour tables compiled.",
 		es(func(s faultsim.EngineStats) uint64 { return s.FaultLUTsCompiled }))
-	reg.CounterFunc("cpsinw_faultsim_two_pattern_runs_total", "Fault x pattern-pair units through the two-pattern engines.",
+	reg.CounterFunc("cpsinw_faultsim_two_pattern_runs_total", "Fault x pattern-pair units through the packed two-pattern engine.",
 		es(func(s faultsim.EngineStats) uint64 { return s.TwoPatternRuns }))
 }
 
@@ -224,10 +203,8 @@ func (m *Metrics) Snapshot(queueDepth, workers int, cache *Cache) map[string]int
 		"jobs_failed":           m.Failed.Value(),
 		"jobs_canceled":         m.Canceled.Value(),
 		"jobs_rejected":         m.RejectedInvalid.Value() + m.RejectedQueueFull.Value() + m.RejectedClosed.Value(),
-		"jobs_engine_compiled":  m.CompiledJobs.Value(),
 		"jobs_engine_reference": m.ReferenceJobs.Value(),
 		"jobs_engine_packed":    m.PackedJobs.Value(),
-		"jobs_engine_auto":      m.AutoJobs.Value(),
 		"progress_events":       m.ProgressEvents.Value(),
 		"dict_built":            m.DictBuilt.Value(),
 		"dict_bytes":            m.DictBytes.Value(),
@@ -245,19 +222,13 @@ func (m *Metrics) Snapshot(queueDepth, workers int, cache *Cache) map[string]int
 		"latency_ms_p99":        m.JobDuration.Quantile(0.99) * 1000,
 		"latency_samples":       m.JobDuration.Count(),
 
-		"faultsim_compiled_fault_runs":   es.CompiledFaultRuns,
 		"faultsim_reference_fault_runs":  es.ReferenceFaultRuns,
-		"faultsim_cone_gate_evals":       es.ConeGateEvals,
-		"faultsim_gate_evals_skipped":    es.GateEvalsSkipped,
 		"faultsim_fault_luts_compiled":   es.FaultLUTsCompiled,
 		"faultsim_two_pattern_runs":      es.TwoPatternRuns,
 		"faultsim_packed_fault_runs":     es.PackedFaultRuns,
 		"faultsim_packed_gate_evals":     es.PackedGateEvals,
 		"faultsim_packed_bridge_runs":    es.PackedBridgeRuns,
-		"faultsim_compiled_bridge_runs":  es.CompiledBridgeRuns,
 		"faultsim_reference_gate_evals":  es.ReferenceGateEvals,
 		"faultsim_reference_bridge_runs": es.ReferenceBridgeRuns,
-		"faultsim_auto_chosen_compiled":  es.AutoChosenCompiled,
-		"faultsim_auto_chosen_packed":    es.AutoChosenPacked,
 	}
 }

@@ -372,8 +372,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"cpsinw_faultsim_fault_runs_total counter",
 		"cpsinw_faultsim_bridge_runs_total counter",
 		"cpsinw_faultsim_gate_evals_total counter",
-		"cpsinw_faultsim_auto_choices_total counter",
-		"cpsinw_faultsim_gate_evals_skipped_total counter",
 		"cpsinw_faultsim_fault_luts_compiled_total counter",
 		"cpsinw_faultsim_two_pattern_runs_total counter",
 	}
@@ -396,11 +394,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 
 	for _, series := range []string{
-		`cpsinw_jobs_engine_total{engine="compiled"}`,
-		`cpsinw_jobs_engine_total{engine="auto"}`,
-		`cpsinw_faultsim_auto_choices_total{engine="compiled"}`,
-		`cpsinw_faultsim_auto_choices_total{engine="packed"}`,
-		`cpsinw_faultsim_gate_evals_total{engine="compiled"}`,
+		`cpsinw_jobs_engine_total{engine="reference"}`,
+		`cpsinw_jobs_engine_total{engine="packed"}`,
 		`cpsinw_faultsim_gate_evals_total{engine="reference"}`,
 		`cpsinw_faultsim_gate_evals_total{engine="packed"}`,
 		`cpsinw_job_duration_seconds_bucket{le="+Inf"}`,
@@ -410,6 +405,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("series %s missing from the scrape", series)
+		}
+	}
+	for _, gone := range []string{`engine="compiled"`, `engine="auto"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("retired engine label %s still in the scrape", gone)
 		}
 	}
 	if !strings.Contains(body, "cpsinw_jobs_submitted_total 1") {
@@ -428,19 +428,30 @@ func TestMetricsJSONFormat(t *testing.T) {
 	for _, key := range []string{
 		"queue_depth", "workers",
 		"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_canceled", "jobs_rejected",
-		"jobs_engine_compiled", "jobs_engine_reference", "jobs_engine_packed",
+		"jobs_engine_reference", "jobs_engine_packed",
 		"progress_events",
 		"cache_hits", "cache_misses", "cache_size", "cache_hit_rate",
 		"latency_ms_p50", "latency_ms_p99", "latency_samples",
-		"faultsim_compiled_fault_runs", "faultsim_reference_fault_runs",
-		"faultsim_cone_gate_evals", "faultsim_gate_evals_skipped",
+		"faultsim_reference_fault_runs",
 		"faultsim_fault_luts_compiled", "faultsim_two_pattern_runs",
 		"faultsim_packed_fault_runs", "faultsim_packed_gate_evals",
-		"faultsim_packed_bridge_runs", "faultsim_compiled_bridge_runs",
+		"faultsim_packed_bridge_runs",
 		"faultsim_reference_gate_evals", "faultsim_reference_bridge_runs",
 	} {
 		if _, ok := metrics[key]; !ok {
 			t.Errorf("legacy metrics key %q missing", key)
+		}
+	}
+	// The compiled engine and the auto chooser are gone, and so are
+	// their keys.
+	for _, key := range []string{
+		"jobs_engine_compiled", "jobs_engine_auto",
+		"faultsim_compiled_fault_runs", "faultsim_compiled_bridge_runs",
+		"faultsim_cone_gate_evals", "faultsim_gate_evals_skipped",
+		"faultsim_auto_chosen_compiled", "faultsim_auto_chosen_packed",
+	} {
+		if _, ok := metrics[key]; ok {
+			t.Errorf("retired metrics key %q still present", key)
 		}
 	}
 }

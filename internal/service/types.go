@@ -47,16 +47,12 @@ type CampaignRequest struct {
 	Seed     int64 `json:"seed,omitempty"` // random pattern seed (default 1)
 	ATPG     bool  `json:"atpg,omitempty"` // also run the test-generation campaign
 	// Engine selects the fault-simulation engine: "packed" (default;
-	// bit-parallel PPSFP: N x 64 ternary lanes per block), "compiled"
-	// (ternary LUTs + cone-restricted propagation), "reference" (the
-	// serial switch-level oracle) or "auto" (a per-campaign-stage choice
-	// between compiled and packed from the circuit/fault/pattern sizes;
-	// the resolved choice is surfaced per fault class in the report and
-	// on the stage spans). Line stuck-at always runs packed. The engines
-	// are differentially tested to return identical results, so the
-	// choice only affects speed — but it is kept in the cache key so a
-	// cross-check of one engine against another's cached report is
-	// always a real re-simulation.
+	// bit-parallel PPSFP: N x 64 ternary lanes per block) or "reference"
+	// (the serial switch-level oracle); any other name is rejected. Line
+	// stuck-at always runs packed. The engines are differentially tested
+	// to return identical results, so the choice only affects speed —
+	// but it is kept in the cache key so a cross-check of one engine
+	// against another's cached report is always a real re-simulation.
 	Engine string `json:"engine,omitempty"`
 	// Workers and TimeoutMS tune execution without affecting results, so
 	// they are excluded from the cache key.
@@ -142,11 +138,8 @@ type CircuitInfo struct {
 	DPGates int    `json:"dp_gates"`
 }
 
-// CoverageJSON is the wire form of faultsim.Coverage. Engine is only
-// set when the campaign ran with Engine "auto": it names the engine the
-// chooser resolved this fault class to.
+// CoverageJSON is the wire form of faultsim.Coverage.
 type CoverageJSON struct {
-	Engine       string   `json:"engine,omitempty"`
 	Total        int      `json:"total"`
 	Detected     int      `json:"detected"`
 	ByOutput     int      `json:"by_output,omitempty"`

@@ -1,24 +1,22 @@
 #!/usr/bin/env bash
-# bench-smoke.sh — scaling-sweep smoke test with the auto-chooser gate.
+# bench-smoke.sh — scaling-sweep smoke test with the packed-engine gate.
 #
 # Runs the -short BenchmarkFaultSimScaling row (the ~100-gate mult5
-# sweep, all four engines: reference, compiled, packed and auto) and
-# fails if engine=auto loses more than 2x to the best engine of the
-# same row in the same run. The best engine per row is pinned by the
-# dated scaling entries in BENCH_faultsim.json; comparing auto against
-# the best *measured* engine of the same run applies that bar without
-# trusting cross-machine ns/op, so a mis-calibrated ChooseEngine
-# (choosing compiled where packed wins, or vice versa) fails CI even on
-# runners much slower than the recording machine. The benchmark itself
-# re-checks that every engine, auto included, returns bit-identical
-# detections. CI runs this as part of the bench-smoke step.
+# sweep on both engines: reference and packed) and fails unless
+# engine=packed is the fastest engine of every row in the same run.
+# Comparing engines measured in the same run applies the bar without
+# trusting cross-machine ns/op, so a packed-engine regression that
+# loses to the serial oracle fails CI even on runners much slower than
+# the recording machine. The benchmark itself re-checks that both
+# engines return bit-identical detections. CI runs this as part of the
+# bench-smoke step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out=$(go test -short -run '^$' -bench 'BenchmarkFaultSimScaling' -benchtime 3x -timeout 10m .)
 echo "$out"
 
-echo "== auto-chooser gate (auto <= 2x best engine per row) =="
+echo "== packed-engine gate (packed fastest per row) =="
 echo "$out" | awk '
     $4 == "ns/op" && $1 ~ /^BenchmarkFaultSimScaling\// {
         split($1, a, "/")
@@ -35,25 +33,21 @@ echo "$out" | awk '
         }
         fail = 0
         for (row in rows) {
-            if (!((row "," "auto") in ns)) {
-                printf "%s: no engine=auto measurement\n", row > "/dev/stderr"
+            if (!((row "," "packed") in ns)) {
+                printf "%s: no engine=packed measurement\n", row > "/dev/stderr"
                 fail = 1
                 continue
             }
-            best = ""
+            packed = ns[row "," "packed"]
             for (key in ns) {
                 split(key, k, ",")
-                if (k[1] != row || k[2] == "auto") continue
-                if (best == "" || ns[key] < ns[row "," best]) best = k[2]
-            }
-            auto = ns[row "," "auto"]
-            bestNs = ns[row "," best]
-            printf "%s: auto %.0f ns/op vs best (%s) %.0f ns/op (%.2fx)\n", \
-                row, auto, best, bestNs, auto / bestNs
-            if (auto > 2 * bestNs) {
-                printf "%s: engine=auto loses >2x to %s — recalibrate ChooseEngine (docs/benchmarks.md)\n", \
-                    row, best > "/dev/stderr"
-                fail = 1
+                if (k[1] != row || k[2] == "packed") continue
+                printf "%s: packed %.0f ns/op vs %s %.0f ns/op (%.1fx faster)\n", \
+                    row, packed, k[2], ns[key], ns[key] / packed
+                if (ns[key] <= packed) {
+                    printf "%s: engine=packed is not faster than %s\n", row, k[2] > "/dev/stderr"
+                    fail = 1
+                }
             }
         }
         exit fail
