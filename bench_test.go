@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"cpsinw/internal/atpg"
 	"cpsinw/internal/bench"
 	"cpsinw/internal/core"
 	"cpsinw/internal/device"
@@ -467,6 +468,44 @@ func BenchmarkStuckAtScaling(b *testing.B) {
 				b.ReportMetric(float64(cov.Detected), "detected")
 			})
 		}
+	}
+}
+
+// BenchmarkATPGGenerate times one whole ATPG campaign (GenerateContext)
+// per op on the atpg_gen workload's circuits: the line stuck-at,
+// polarity and channel-break universe, PODEM implying on the dense
+// compiled IR, with per-vector fault dropping. implications/op counts
+// PODEM implication steps (one good-circuit pass, plus one faulty pass
+// when the attempt propagates a fault effect) and backtracks/op the
+// decisions undone; both are deterministic per circuit. Dated
+// parent-vs-change results live in BENCH_faultsim.json. -short keeps
+// only parity32 (the CI bench-smoke budget):
+//
+//	go test -run '^$' -bench BenchmarkATPGGenerate -benchtime 10x .
+func BenchmarkATPGGenerate(b *testing.B) {
+	for _, name := range []string{"parity32", "rca32", "c432", "alu6"} {
+		if testing.Short() && name != "parity32" {
+			continue
+		}
+		c, err := bench.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		universe := core.Universe(c, core.UniverseOptions{LineStuckAt: true, Polarity: true, ChannelBreak: true})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *atpg.CampaignResult
+			for i := 0; i < b.N; i++ {
+				r, err := atpg.GenerateContext(context.Background(), c, universe, atpg.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res = r
+			}
+			b.ReportMetric(float64(res.Implications), "implications/op")
+			b.ReportMetric(float64(res.Backtracks), "backtracks/op")
+			b.ReportMetric(float64(res.Set.TotalVectors()), "vectors")
+		})
 	}
 }
 

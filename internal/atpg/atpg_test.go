@@ -1,9 +1,11 @@
 package atpg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cpsinw/internal/bench"
 	"cpsinw/internal/core"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/gates"
@@ -78,6 +80,34 @@ func TestJustify(t *testing.T) {
 	// must fail.
 	if _, ok := Justify(c, map[string]logic.V{"a": logic.L0, "b": logic.L1, "n1": logic.L0}, Options{}); ok {
 		t.Error("impossible justification succeeded")
+	}
+}
+
+// TestJustifyDeterministic pins multi-goal justification to one answer:
+// PODEM chases the first pending goal, so goals taken in map iteration
+// order made some goal sets on c17's last three nets return different
+// patterns from call to call.
+func TestJustifyDeterministic(t *testing.T) {
+	c := bench.C17()
+	nets := c.Nets()
+	last := nets[len(nets)-3:]
+	for m := 0; m < 1<<len(last); m++ {
+		goals := map[string]logic.V{}
+		for i, n := range last {
+			goals[n] = logic.FromBool(m>>uint(i)&1 == 1)
+		}
+		seen := map[string]bool{}
+		for k := 0; k < 200; k++ {
+			pat, ok := Justify(c, goals, Options{})
+			key := fmt.Sprint(ok, " ")
+			for _, pi := range c.Inputs {
+				key += pat[pi].String()
+			}
+			seen[key] = true
+		}
+		if len(seen) != 1 {
+			t.Errorf("goals %v: %d distinct results over 200 calls: %v", goals, len(seen), seen)
+		}
 	}
 }
 

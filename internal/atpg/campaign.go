@@ -37,6 +37,12 @@ type CampaignResult struct {
 	CBSPTargeted, CBSPCovered         int
 	CBDPTargeted, CBDPCovered         int
 	Untestable                        []core.Fault
+
+	// PODEM work over every attempt of the campaign: Implications counts
+	// dense implication steps (one good-circuit pass, plus one faulty
+	// pass when the attempt propagates a fault effect), Backtracks the
+	// decisions undone.
+	Implications, Backtracks int
 }
 
 // Progress is a per-fault-class snapshot of a running generation
@@ -83,11 +89,16 @@ func Generate(c *logic.Circuit, faults []core.Fault, opt Options) *CampaignResul
 // one polarity/channel-break procedure is the unit of work). On
 // cancellation it returns the partial result accumulated so far together
 // with the context's error, so long-running service campaigns can be
-// abandoned at a per-job deadline without losing accounting.
+// abandoned at a per-job deadline without losing accounting. One PODEM
+// generator serves the whole campaign: it implies on the fault-dropping
+// simulator's compiled circuit, resolves gates through its name index
+// and reuses one set of search slices for every attempt.
 func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault, opt Options) (*CampaignResult, error) {
 	res := &CampaignResult{}
 	sim := faultsim.New(c)
 	sim.Engine = opt.Engine
+	gen := newGenerator(sim, opt)
+	defer func() { res.Implications, res.Backtracks = gen.implications, gen.backtracks }()
 
 	// report emits one per-class snapshot after each generation attempt.
 	classUntestable := 0
@@ -131,7 +142,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			report("stuck_at", i+1, len(saFaults), covered)
 			continue
 		}
-		pat, ok := GenerateStuckAt(c, f, opt)
+		pat, ok := gen.stuckAt(f)
 		if !ok {
 			res.Untestable = append(res.Untestable, f)
 			classUntestable++
@@ -197,11 +208,8 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 				continue
 			}
 			f := polFaults[i]
-			gi, err := gateIndexByName(c, f.Gate)
-			if err != nil {
-				continue
-			}
-			if gates.Get(c.Gates[gi].Kind).Transistor(f.Transistor) == nil {
+			gi, ok := sim.GateIndex(f.Gate)
+			if !ok || gates.Get(c.Gates[gi].Kind).Transistor(f.Transistor) == nil {
 				continue
 			}
 			idxs = append(idxs, i)
@@ -232,7 +240,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			report("polarity", i+1, len(polFaults), res.PolarityCovered)
 			continue
 		}
-		t, ok := GeneratePolarity(c, f, opt)
+		t, ok := gen.polarity(f)
 		if !ok {
 			res.Untestable = append(res.Untestable, f)
 			classUntestable++
@@ -271,8 +279,8 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 				continue
 			}
 			f := cbFaults[i]
-			gi, err := gateIndexByName(c, f.Gate)
-			if err != nil || gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity {
+			gi, ok := sim.GateIndex(f.Gate)
+			if !ok || gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity {
 				continue // DP breaks are tested by plans, not pairs
 			}
 			idxs = append(idxs, i)
@@ -298,8 +306,8 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			return res, err
 		}
 		cbCovered := res.CBSPCovered + res.CBDPCovered
-		gi, err := gateIndexByName(c, f.Gate)
-		if err != nil {
+		gi, ok := sim.GateIndex(f.Gate)
+		if !ok {
 			res.Untestable = append(res.Untestable, f)
 			classUntestable++
 			report("channel_break", i+1, len(cbFaults), cbCovered)
@@ -307,7 +315,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 		if gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity {
 			res.CBDPTargeted++
-			plan, ok := GenerateChannelBreakDP(c, f, opt)
+			plan, ok := gen.channelBreakDP(f)
 			if !ok {
 				res.Untestable = append(res.Untestable, f)
 				classUntestable++
@@ -323,7 +331,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 				report("channel_break", i+1, len(cbFaults), cbCovered+1)
 				continue
 			}
-			tp, ok := GenerateTwoPattern(c, f, opt)
+			tp, ok := gen.twoPattern(f)
 			if !ok {
 				res.Untestable = append(res.Untestable, f)
 				classUntestable++

@@ -4,9 +4,19 @@
 // generation, IDDQ justification for the leak-only faults, classical
 // two-pattern stuck-open test generation for SP gates, and the paper's
 // new channel-break detection procedure for DP gates (section V-C).
+//
+// PODEM implies on the dense logic.CompiledCircuit the fault engines
+// share: net ids index reused good/faulty value slices, every gate
+// evaluates through its per-kind ternary LUT, and the fault is data —
+// a forced stem net, a forced gate pin, or a faulty-gate LUT taken from
+// faultsim's cached behaviour tables. The map-based Circuit.Eval /
+// EvalHooked implication it replaced stays in podem_oracle_test.go as
+// the differential oracle.
 package atpg
 
 import (
+	"sort"
+
 	"cpsinw/internal/core"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/gates"
@@ -36,54 +46,164 @@ func (o Options) withDefaults() Options {
 }
 
 // goal is one (net, value) justification requirement evaluated on the
-// good circuit.
+// good circuit; net is a dense net id.
 type goal struct {
-	net string
+	net int
 	val logic.V
 }
 
-// podem is one search instance.
-type podem struct {
-	c         *logic.Circuit
-	opt       Options
-	hooks     logic.TernaryHooks
-	goals     []goal
-	propagate bool // require a PO difference (false: justification only)
-	faultGate int  // gate index whose evaluation embeds the fault (-1: none)
-
-	assign     map[string]logic.V
-	decisions  []decision
-	backtracks int
-}
-
 type decision struct {
-	pi        string
+	pi        int // net id of the primary input
 	value     logic.V
 	triedBoth bool
 }
 
-type implyState struct {
-	good   map[string]logic.V
-	faulty map[string]logic.V
+// faultSpec is the fault of one PODEM attempt, as data.
+type faultSpec struct {
+	propagate bool // require a PO difference (false: justification only)
+	// effectGate carries the fault effect by construction (pin forcing
+	// and behaviour overrides are invisible on the input nets), -1 none.
+	effectGate int
+	// site is the gate the faulty pass evaluates specially, -1 none: it
+	// reads force on fanin pin (pin >= 0), evaluates lut (lut != nil),
+	// or else drives force (a stem fault on its output net).
+	site   int
+	pin    int
+	lut    logic.GateLUT
+	stemPI int // primary-input net forced to force in the faulty circuit, -1 none
+	force  logic.V
 }
 
-func (p *podem) imply() implyState {
-	good := p.c.Eval(p.assign)
-	var faulty map[string]logic.V
-	if p.propagate {
-		faulty = p.c.EvalHooked(p.assign, p.hooks)
-	} else {
-		faulty = good
+// noFault is the justification-only attempt.
+var noFault = faultSpec{effectGate: -1, site: -1, pin: -1, stemPI: -1}
+
+// Net driver markers beyond gate indices.
+const (
+	drivenByInput = -1 // primary input
+	unknownNet    = -2 // the slot standing in for names the circuit lacks
+)
+
+// generator runs PODEM attempts over one circuit's compiled IR. One
+// generator serves a whole campaign: every attempt reuses its value,
+// assignment, goal and decision slices.
+type generator struct {
+	cc  *logic.CompiledCircuit
+	sim *faultsim.Simulator
+	opt Options
+
+	driver []int // net id -> driving gate, drivenByInput or unknownNet
+
+	// good and faulty hold one value per net id plus a last slot that
+	// no gate writes: a goal on a net name the circuit lacks reads its
+	// 0, so it holds for value 0 and conflicts for 1.
+	good, faulty []logic.V
+	assign       []logic.V // net id -> decided primary-input value, X if unassigned
+	decisions    []decision
+	goals        []goal
+	flt          faultSpec
+	stale        logic.GateLUT // scratch: a faulty table with one patched entry
+
+	// Work counters over every attempt: one implication is one good
+	// pass plus, when the attempt propagates, one faulty pass.
+	implications, backtracks int
+}
+
+// newGenerator builds a generator over the simulator's compiled circuit
+// and gate-name index.
+func newGenerator(sim *faultsim.Simulator, opt Options) *generator {
+	cc := sim.Compiled()
+	n := cc.NumNets()
+	g := &generator{
+		cc:     cc,
+		sim:    sim,
+		opt:    opt.withDefaults(),
+		driver: make([]int, n+1),
+		good:   make([]logic.V, n+1),
+		faulty: make([]logic.V, n+1),
+		assign: make([]logic.V, n),
 	}
-	return implyState{good: good, faulty: faulty}
+	for i := range g.driver {
+		g.driver[i] = drivenByInput
+	}
+	for gi, on := range cc.GateOut {
+		g.driver[on] = gi
+	}
+	g.driver[n] = unknownNet
+	return g
+}
+
+// netID maps a net name to its id, or to the unknown-net slot.
+func (g *generator) netID(name string) int {
+	if id, ok := g.cc.NetID[name]; ok {
+		return id
+	}
+	return g.cc.NumNets()
+}
+
+// imply evaluates the good circuit, and the faulty one when the attempt
+// propagates, under the current assignment.
+func (g *generator) imply() {
+	g.implications++
+	g.evalGood()
+	if g.flt.propagate {
+		g.evalFaulty()
+	}
+}
+
+func (g *generator) evalGood() {
+	cc, good := g.cc, g.good
+	for _, id := range cc.InputID {
+		good[id] = g.assign[id]
+	}
+	for _, gi := range cc.Order {
+		good[cc.GateOut[gi]] = cc.LUT[gi][cc.GateInputIndex(gi, good)]
+	}
+}
+
+func (g *generator) evalFaulty() {
+	cc, faulty, f := g.cc, g.faulty, &g.flt
+	for _, id := range cc.InputID {
+		faulty[id] = g.assign[id]
+	}
+	if f.stemPI >= 0 {
+		faulty[f.stemPI] = f.force
+	}
+	for _, gi := range cc.Order {
+		if gi != f.site {
+			faulty[cc.GateOut[gi]] = cc.LUT[gi][cc.GateInputIndex(gi, faulty)]
+			continue
+		}
+		var out logic.V
+		switch {
+		case f.lut != nil:
+			out = f.lut[cc.GateInputIndex(gi, faulty)]
+		case f.pin >= 0:
+			idx := 0
+			for k, nid := range cc.Fanin[gi] {
+				v := faulty[nid]
+				if k == f.pin {
+					v = f.force
+				}
+				idx += int(v) * logic.Pow3(k)
+			}
+			out = cc.LUT[gi][idx]
+		default:
+			out = f.force
+		}
+		faulty[cc.GateOut[gi]] = out
+	}
+}
+
+// differs reports a definite good/faulty difference on a net.
+func (g *generator) differs(net int) bool {
+	a, b := g.good[net], g.faulty[net]
+	return a != logic.LX && b != logic.LX && a != b
 }
 
 // detected reports a definite PO difference.
-func (p *podem) detected(st implyState) bool {
-	for _, po := range p.c.Outputs {
-		g, gok := st.good[po].Bool()
-		f, fok := st.faulty[po].Bool()
-		if gok && fok && g != f {
+func (g *generator) detected() bool {
+	for _, po := range g.cc.OutputID {
+		if g.differs(po) {
 			return true
 		}
 	}
@@ -100,57 +220,48 @@ const (
 	goalsConflict
 )
 
-func (p *podem) goalsStatus(st implyState) (goalsState, *goal) {
-	pendingSeen := false
-	var pending *goal
-	for i := range p.goals {
-		g := &p.goals[i]
-		v := st.good[g.net]
-		switch v {
-		case g.val:
+// goalsStatus classifies the goals and returns the first pending one.
+func (g *generator) goalsStatus() (goalsState, goal) {
+	pending := -1
+	for i, gl := range g.goals {
+		switch g.good[gl.net] {
+		case gl.val:
 			continue
 		case logic.LX:
-			if !pendingSeen {
-				pending = g
-				pendingSeen = true
+			if pending < 0 {
+				pending = i
 			}
 		default:
-			return goalsConflict, nil
+			return goalsConflict, goal{}
 		}
 	}
-	if pendingSeen {
-		return goalsPending, pending
+	if pending >= 0 {
+		return goalsPending, g.goals[pending]
 	}
-	return goalsSatisfied, nil
+	return goalsSatisfied, goal{}
 }
 
 // frontierObjective picks a propagation objective from the D-frontier:
-// a gate with a fault effect on an input whose output is still X, plus an
-// X input of that gate to define.
-func (p *podem) frontierObjective(st implyState) (goal, bool) {
-	for _, gi := range p.c.Levelized() {
-		g := &p.c.Gates[gi]
-		outG, outF := st.good[g.Output], st.faulty[g.Output]
-		if outG != logic.LX && outF != logic.LX {
+// the first gate in levelized order with a fault effect on an input
+// whose output is still X, plus that gate's first X input to define.
+func (g *generator) frontierObjective() (goal, bool) {
+	cc := g.cc
+	for _, gi := range cc.Order {
+		on := cc.GateOut[gi]
+		if g.good[on] != logic.LX && g.faulty[on] != logic.LX {
 			continue // output settled in both circuits: masked or propagated
 		}
-		// The fault-site gate carries the effect by construction: pin
-		// forcing and behaviour overrides are invisible on the input nets.
-		hasEffect := gi == p.faultGate
-		for _, f := range g.Fanin {
-			a, aok := st.good[f].Bool()
-			b, bok := st.faulty[f].Bool()
-			if aok && bok && a != b {
-				hasEffect = true
-				break
-			}
+		fin := cc.Fanin[gi]
+		hasEffect := gi == g.flt.effectGate
+		for k := 0; !hasEffect && k < len(fin); k++ {
+			hasEffect = g.differs(fin[k])
 		}
 		if !hasEffect {
 			continue
 		}
-		for _, f := range g.Fanin {
-			if st.good[f] == logic.LX {
-				return goal{net: f, val: nonControlling(g.Kind)}, true
+		for _, f := range fin {
+			if g.good[f] == logic.LX {
+				return goal{net: f, val: nonControlling(cc.Kinds[gi])}, true
 			}
 		}
 	}
@@ -169,37 +280,37 @@ func nonControlling(k gates.Kind) logic.V {
 	}
 }
 
-// backtrace walks an objective back to an unassigned primary input.
-func (p *podem) backtrace(obj goal, st implyState) (string, logic.V, bool) {
+// backtrace walks an objective back to an unassigned primary input
+// through each gate's first X fanin.
+func (g *generator) backtrace(obj goal) (int, logic.V, bool) {
 	net, val := obj.net, obj.val
-	for depth := 0; depth < len(p.c.Gates)+len(p.c.Inputs)+1; depth++ {
-		d, ok := p.c.Driver(net)
-		if !ok {
-			return "", logic.LX, false
-		}
-		if d < 0 { // primary input
-			if _, assigned := p.assign[net]; assigned {
-				return "", logic.LX, false
+	for depth := 0; depth < len(g.cc.Order)+len(g.cc.InputID)+1; depth++ {
+		d := g.driver[net]
+		switch d {
+		case unknownNet:
+			return 0, logic.LX, false
+		case drivenByInput:
+			if g.assign[net] != logic.LX {
+				return 0, logic.LX, false
 			}
 			return net, val, true
 		}
-		g := &p.c.Gates[d]
-		next := ""
-		for _, f := range g.Fanin {
-			if st.good[f] == logic.LX {
+		next := -1
+		for _, f := range g.cc.Fanin[d] {
+			if g.good[f] == logic.LX {
 				next = f
 				break
 			}
 		}
-		if next == "" {
-			return "", logic.LX, false
+		if next < 0 {
+			return 0, logic.LX, false
 		}
-		if inverting(g.Kind) {
+		if inverting(g.cc.Kinds[d]) {
 			val = val.Not()
 		}
 		net = next
 	}
-	return "", logic.LX, false
+	return 0, logic.LX, false
 }
 
 func inverting(k gates.Kind) bool {
@@ -210,75 +321,73 @@ func inverting(k gates.Kind) bool {
 	return false
 }
 
-// run searches for an assignment meeting the goals (and the propagation
-// requirement when set). Returns the PI pattern or ok=false.
-func (p *podem) run() (faultsim.Pattern, bool) {
-	if p.assign == nil {
-		p.assign = map[string]logic.V{}
+// run searches for an assignment meeting g.goals under fault g.flt (and
+// the propagation requirement when set), starting from no assignment.
+// Returns the PI pattern or ok=false.
+func (g *generator) run() (faultsim.Pattern, bool) {
+	for _, id := range g.cc.InputID {
+		g.assign[id] = logic.LX
 	}
+	g.decisions = g.decisions[:0]
+	backtracks := 0
+	defer func() { g.backtracks += backtracks }()
 	for {
-		st := p.imply()
+		g.imply()
 		// A definite PO difference between the good and faulty ternary
 		// simulations is sound regardless of remaining X nets.
-		if p.propagate && p.detected(st) {
-			return p.extractPattern(), true
+		if g.flt.propagate && g.detected() {
+			return g.extractPattern(), true
 		}
-		gs, pendingGoal := p.goalsStatus(st)
-		if !p.propagate && gs == goalsSatisfied {
-			return p.extractPattern(), true
+		gs, pending := g.goalsStatus()
+		if !g.flt.propagate && gs == goalsSatisfied {
+			return g.extractPattern(), true
 		}
 		dead := gs == goalsConflict
 
 		if !dead {
-			var obj goal
-			var haveObj bool
-			if gs == goalsPending {
-				obj, haveObj = *pendingGoal, true
-			} else if p.propagate {
-				obj, haveObj = p.frontierObjective(st)
+			obj, haveObj := pending, gs == goalsPending
+			if !haveObj && g.flt.propagate {
+				obj, haveObj = g.frontierObjective()
 			}
 			if !haveObj {
 				dead = true
+			} else if pi, val, ok := g.backtrace(obj); !ok {
+				dead = true
 			} else {
-				pi, val, ok := p.backtrace(obj, st)
-				if !ok {
-					dead = true
-				} else {
-					p.decisions = append(p.decisions, decision{pi: pi, value: val})
-					p.assign[pi] = val
-					continue
-				}
+				g.decisions = append(g.decisions, decision{pi: pi, value: val})
+				g.assign[pi] = val
+				continue
 			}
 		}
 
 		// Backtrack.
 		for {
-			if len(p.decisions) == 0 {
+			if len(g.decisions) == 0 {
 				return nil, false
 			}
-			p.backtracks++
-			if p.backtracks > p.opt.MaxBacktracks {
+			backtracks++
+			if backtracks > g.opt.MaxBacktracks {
 				return nil, false
 			}
-			last := &p.decisions[len(p.decisions)-1]
+			last := &g.decisions[len(g.decisions)-1]
 			if !last.triedBoth {
 				last.triedBoth = true
 				last.value = last.value.Not()
-				p.assign[last.pi] = last.value
+				g.assign[last.pi] = last.value
 				break
 			}
-			delete(p.assign, last.pi)
-			p.decisions = p.decisions[:len(p.decisions)-1]
+			g.assign[last.pi] = logic.LX
+			g.decisions = g.decisions[:len(g.decisions)-1]
 		}
 	}
 }
 
 // extractPattern freezes the current assignment into a full pattern
 // (unassigned inputs default to 0 for determinism).
-func (p *podem) extractPattern() faultsim.Pattern {
-	out := faultsim.Pattern{}
-	for _, pi := range p.c.Inputs {
-		if v, ok := p.assign[pi]; ok && v != logic.LX {
+func (g *generator) extractPattern() faultsim.Pattern {
+	out := make(faultsim.Pattern, len(g.cc.InputID))
+	for i, pi := range g.cc.C.Inputs {
+		if v := g.assign[g.cc.InputID[i]]; v != logic.LX {
 			out[pi] = v
 		} else {
 			out[pi] = logic.L0
@@ -287,59 +396,58 @@ func (p *podem) extractPattern() faultsim.Pattern {
 	return out
 }
 
-// lineFaultHooks builds the faulty-circuit hooks for a stuck-at fault.
-func lineFaultHooks(f core.Fault) logic.TernaryHooks {
-	force := logic.L0
+// stuckAt runs PODEM for one line stuck-at fault.
+func (g *generator) stuckAt(f core.Fault) (faultsim.Pattern, bool) {
+	if !f.Kind.IsLineFault() {
+		return nil, false
+	}
+	activation, force := logic.L1, logic.L0
 	if f.Kind == core.FaultSA1 {
-		force = logic.L1
+		activation, force = logic.L0, logic.L1
 	}
+	g.goals = append(g.goals[:0], goal{net: g.netID(f.Net), val: activation})
+	g.flt = noFault
+	g.flt.propagate, g.flt.force = true, force
 	if f.Pin >= 0 {
-		return logic.TernaryHooks{Pin: func(gi, pin int, v logic.V) logic.V {
-			if gi == f.GateIdx && pin == f.Pin {
-				return force
-			}
-			return v
-		}}
-	}
-	return logic.TernaryHooks{Stem: func(net string, v logic.V) logic.V {
-		if net == f.Net {
-			return force
+		g.flt.effectGate = f.GateIdx
+		if f.GateIdx >= 0 && f.GateIdx < len(g.cc.Fanin) {
+			g.flt.site, g.flt.pin = f.GateIdx, f.Pin
 		}
-		return v
-	}}
+	} else if id, ok := g.cc.NetID[f.Net]; ok {
+		if d := g.driver[id]; d == drivenByInput {
+			g.flt.stemPI = id
+		} else {
+			g.flt.site = d
+		}
+	}
+	return g.run()
+}
+
+// justify runs a justification-only attempt on goals, in net-name order.
+func (g *generator) justify(goals map[string]logic.V) (faultsim.Pattern, bool) {
+	nets := make([]string, 0, len(goals))
+	for net := range goals {
+		nets = append(nets, net)
+	}
+	sort.Strings(nets)
+	g.goals = g.goals[:0]
+	for _, net := range nets {
+		g.goals = append(g.goals, goal{net: g.netID(net), val: goals[net]})
+	}
+	g.flt = noFault
+	return g.run()
 }
 
 // GenerateStuckAt runs PODEM for one line stuck-at fault. The returned
 // pattern is guaranteed (by construction) to produce a PO difference.
 func GenerateStuckAt(c *logic.Circuit, f core.Fault, opt Options) (faultsim.Pattern, bool) {
-	if !f.Kind.IsLineFault() {
-		return nil, false
-	}
-	activation := logic.L1
-	if f.Kind == core.FaultSA1 {
-		activation = logic.L0
-	}
-	p := &podem{
-		c:         c,
-		opt:       opt.withDefaults(),
-		hooks:     lineFaultHooks(f),
-		goals:     []goal{{net: f.Net, val: activation}},
-		propagate: true,
-		faultGate: -1,
-	}
-	if f.Pin >= 0 {
-		p.faultGate = f.GateIdx
-	}
-	return p.run()
+	return newGenerator(faultsim.New(c), opt).stuckAt(f)
 }
 
 // Justify finds a PI pattern that sets the given nets to the given values
 // in the fault-free circuit (used for IDDQ test generation, where
 // observation is global and only the excitation needs justification).
+// Goals are pursued in net-name order, so the result is deterministic.
 func Justify(c *logic.Circuit, goals map[string]logic.V, opt Options) (faultsim.Pattern, bool) {
-	p := &podem{c: c, opt: opt.withDefaults(), propagate: false, faultGate: -1}
-	for net, val := range goals {
-		p.goals = append(p.goals, goal{net: net, val: val})
-	}
-	return p.run()
+	return newGenerator(faultsim.New(c), opt).justify(goals)
 }

@@ -9,50 +9,30 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// gateIndexByName resolves a gate instance name.
-func gateIndexByName(c *logic.Circuit, name string) (int, error) {
-	for i, g := range c.Gates {
-		if g.Name == name {
-			return i, nil
-		}
+// setVectorGoals makes a local input vector of gate gi the goals: one
+// per fanin net.
+func (g *generator) setVectorGoals(gi, vec int) {
+	g.goals = g.goals[:0]
+	for i, f := range g.cc.Fanin[gi] {
+		g.goals = append(g.goals, goal{net: f, val: logic.FromBool(vec>>uint(i)&1 == 1)})
 	}
-	return 0, fmt.Errorf("atpg: unknown gate %q", name)
 }
 
-// behaviorHooks builds faulty-circuit hooks from a gate behaviour table.
-// Floating rows evaluate to X.
-func behaviorHooks(gi int, beh *core.Behavior) logic.TernaryHooks {
-	return logic.TernaryHooks{Gate: func(idx int, in []logic.V) (logic.V, bool) {
-		if idx != gi {
-			return logic.LX, false
-		}
-		vec := 0
-		for i, v := range in {
-			b, ok := v.Bool()
-			if !ok {
-				return logic.LX, true
-			}
-			if b {
-				vec |= 1 << uint(i)
-			}
-		}
-		row := beh.Rows[vec]
-		if row.Floating {
-			return logic.LX, true
-		}
-		return row.Out, true
-	}}
+// justifyVector runs a justification-only attempt on a local vector of
+// gate gi.
+func (g *generator) justifyVector(gi, vec int) (faultsim.Pattern, bool) {
+	g.setVectorGoals(gi, vec)
+	g.flt = noFault
+	return g.run()
 }
 
-// vectorGoals converts a local input vector of a gate into justification
-// goals on its fanin nets.
-func vectorGoals(c *logic.Circuit, gi, vec int) []goal {
-	g := &c.Gates[gi]
-	goals := make([]goal, len(g.Fanin))
-	for i, f := range g.Fanin {
-		goals[i] = goal{net: f, val: logic.FromBool(vec>>uint(i)&1 == 1)}
-	}
-	return goals
+// propagateVector justifies a local vector of gate gi and propagates
+// the effect of gi evaluating lut.
+func (g *generator) propagateVector(gi, vec int, lut logic.GateLUT) (faultsim.Pattern, bool) {
+	g.setVectorGoals(gi, vec)
+	g.flt = noFault
+	g.flt.propagate, g.flt.effectGate, g.flt.site, g.flt.lut = true, gi, gi, lut
+	return g.run()
 }
 
 // PolarityTest is a generated test for a stuck-at n/p-type fault.
@@ -67,16 +47,24 @@ type PolarityTest struct {
 // fault only manifests as a rail-to-rail leak (the paper's pull-up case),
 // it generates an IDDQ excitation instead.
 func GeneratePolarity(c *logic.Circuit, f core.Fault, opt Options) (PolarityTest, bool) {
+	return newGenerator(faultsim.New(c), opt).polarity(f)
+}
+
+func (g *generator) polarity(f core.Fault) (PolarityTest, bool) {
 	if !f.Kind.IsPolarityFault() {
 		return PolarityTest{}, false
 	}
 	tf, _ := f.Kind.TFault()
-	gi, err := gateIndexByName(c, f.Gate)
+	gi, ok := g.sim.GateIndex(f.Gate)
+	if !ok {
+		return PolarityTest{}, false
+	}
+	kind := g.cc.Kinds[gi]
+	beh, err := core.GateBehavior(kind, f.Transistor, tf)
 	if err != nil {
 		return PolarityTest{}, false
 	}
-	kind := c.Gates[gi].Kind
-	beh, err := core.GateBehavior(kind, f.Transistor, tf)
+	lut, err := faultsim.FaultLUT(kind, f.Transistor, tf)
 	if err != nil {
 		return PolarityTest{}, false
 	}
@@ -84,28 +72,14 @@ func GeneratePolarity(c *logic.Circuit, f core.Fault, opt Options) (PolarityTest
 	// Voltage-observable attempt: justify a flipping local vector and
 	// propagate the flip.
 	for _, vec := range beh.OutputDetecting() {
-		p := &podem{
-			c:         c,
-			opt:       opt.withDefaults(),
-			hooks:     behaviorHooks(gi, beh),
-			goals:     vectorGoals(c, gi, vec),
-			propagate: true,
-			faultGate: gi,
-		}
-		if pat, ok := p.run(); ok {
+		if pat, ok := g.propagateVector(gi, vec, lut); ok {
 			return PolarityTest{Fault: f, Pattern: pat, Method: faultsim.ByOutput}, true
 		}
 	}
 	// IDDQ attempt: justification is enough, the current measurement is
 	// globally observable.
 	for _, vec := range beh.LeakDetecting() {
-		p := &podem{
-			c:         c,
-			opt:       opt.withDefaults(),
-			goals:     vectorGoals(c, gi, vec),
-			faultGate: -1,
-		}
-		if pat, ok := p.run(); ok {
+		if pat, ok := g.justifyVector(gi, vec); ok {
 			return PolarityTest{Fault: f, Pattern: pat, Method: faultsim.ByIDDQ}, true
 		}
 	}
@@ -126,56 +100,35 @@ type TwoPatternTest struct {
 // the complement), and the initialisation pattern forces that complement
 // beforehand.
 func GenerateTwoPattern(c *logic.Circuit, f core.Fault, opt Options) (TwoPatternTest, bool) {
+	return newGenerator(faultsim.New(c), opt).twoPattern(f)
+}
+
+func (g *generator) twoPattern(f core.Fault) (TwoPatternTest, bool) {
 	if f.Kind != core.FaultChannelBreak {
 		return TwoPatternTest{}, false
 	}
-	gi, err := gateIndexByName(c, f.Gate)
+	gi, ok := g.sim.GateIndex(f.Gate)
+	if !ok {
+		return TwoPatternTest{}, false
+	}
+	kind := g.cc.Kinds[gi]
+	beh, err := core.GateBehavior(kind, f.Transistor, logic.TFaultOpen)
 	if err != nil {
 		return TwoPatternTest{}, false
 	}
-	kind := c.Gates[gi].Kind
-	beh, err := core.GateBehavior(kind, f.Transistor, logic.TFaultOpen)
+	open, err := faultsim.FaultLUT(kind, f.Transistor, logic.TFaultOpen)
 	if err != nil {
 		return TwoPatternTest{}, false
 	}
 
 	for _, v2 := range beh.FloatingVectors() {
-		goodOut := core.GoodOut(kind, v2)
-		stale := goodOut.Not()
-		// Faulty circuit under the test pattern: output holds the stale
-		// value at v2.
-		hooks := logic.TernaryHooks{Gate: func(idx int, in []logic.V) (logic.V, bool) {
-			if idx != gi {
-				return logic.LX, false
-			}
-			vec := 0
-			for i, v := range in {
-				b, ok := v.Bool()
-				if !ok {
-					return logic.LX, true
-				}
-				if b {
-					vec |= 1 << uint(i)
-				}
-			}
-			if vec == v2 {
-				return stale, true
-			}
-			row := beh.Rows[vec]
-			if row.Floating {
-				return logic.LX, true
-			}
-			return row.Out, true
-		}}
-		p2 := &podem{
-			c:         c,
-			opt:       opt.withDefaults(),
-			hooks:     hooks,
-			goals:     vectorGoals(c, gi, v2),
-			propagate: true,
-			faultGate: gi,
-		}
-		testPat, ok := p2.run()
+		stale := core.GoodOut(kind, v2).Not()
+		// Faulty circuit under the test pattern: the output holds the
+		// stale value at v2 (its one fully-defined table entry), and
+		// follows the open-transistor table elsewhere.
+		g.stale = append(g.stale[:0], open...)
+		g.stale[binaryIndex(v2, len(g.cc.Fanin[gi]))] = stale
+		testPat, ok := g.propagateVector(gi, v2, g.stale)
 		if !ok {
 			continue
 		}
@@ -185,13 +138,22 @@ func GenerateTwoPattern(c *logic.Circuit, f core.Fault, opt Options) (TwoPattern
 			if row.Floating || row.Out != stale {
 				continue
 			}
-			p1 := &podem{c: c, opt: opt.withDefaults(), goals: vectorGoals(c, gi, v1), faultGate: -1}
-			if initPat, ok := p1.run(); ok {
+			if initPat, ok := g.justifyVector(gi, v1); ok {
 				return TwoPatternTest{Fault: f, Init: initPat, Test: testPat}, true
 			}
 		}
 	}
 	return TwoPatternTest{}, false
+}
+
+// binaryIndex is the ternary LUT index of an n-input binary vector
+// (input i in bit i).
+func binaryIndex(vec, n int) int {
+	idx := 0
+	for i := 0; i < n; i++ {
+		idx += (vec >> uint(i) & 1) * logic.Pow3(i)
+	}
+	return idx
 }
 
 // ChannelBreakPlan is the paper's new test procedure for channel breaks
@@ -215,14 +177,18 @@ type ChannelBreakPlan struct {
 // transistor inside a DP gate. It tries both polarity injections and both
 // observation styles.
 func GenerateChannelBreakDP(c *logic.Circuit, f core.Fault, opt Options) (ChannelBreakPlan, bool) {
+	return newGenerator(faultsim.New(c), opt).channelBreakDP(f)
+}
+
+func (g *generator) channelBreakDP(f core.Fault) (ChannelBreakPlan, bool) {
 	if f.Kind != core.FaultChannelBreak {
 		return ChannelBreakPlan{}, false
 	}
-	gi, err := gateIndexByName(c, f.Gate)
-	if err != nil {
+	gi, ok := g.sim.GateIndex(f.Gate)
+	if !ok {
 		return ChannelBreakPlan{}, false
 	}
-	kind := c.Gates[gi].Kind
+	kind := g.cc.Kinds[gi]
 	if gates.Get(kind).Class != gates.DynamicPolarity {
 		return ChannelBreakPlan{}, false
 	}
@@ -231,41 +197,27 @@ func GenerateChannelBreakDP(c *logic.Circuit, f core.Fault, opt Options) (Channe
 		if err != nil {
 			continue
 		}
+		lut, err := faultsim.FaultLUT(kind, f.Transistor, inj)
+		if err != nil {
+			continue
+		}
 		// Output observation first: the injected flip must propagate.
 		for _, vec := range beh.OutputDetecting() {
-			p := &podem{
-				c:         c,
-				opt:       opt.withDefaults(),
-				hooks:     behaviorHooks(gi, beh),
-				goals:     vectorGoals(c, gi, vec),
-				propagate: true,
-				faultGate: gi,
-			}
-			pat, ok := p.run()
+			pat, ok := g.propagateVector(gi, vec, lut)
 			if !ok {
 				continue
 			}
-			plan := ChannelBreakPlan{
-				Fault:     f,
-				Injection: inj,
-				Pattern:   pat,
-				Observe:   faultsim.ByOutput,
-			}
-			good := c.Eval(pat)
-			faulty := c.EvalHooked(pat, behaviorHooks(gi, beh))
-			for _, po := range c.Outputs {
-				g, gok := good[po].Bool()
-				fv, fok := faulty[po].Bool()
-				if gok && fok && g != fv {
-					plan.HealthyFlips = append(plan.HealthyFlips, po)
-				}
-			}
-			return plan, true
+			return ChannelBreakPlan{
+				Fault:        f,
+				Injection:    inj,
+				Pattern:      pat,
+				Observe:      faultsim.ByOutput,
+				HealthyFlips: g.flippedOutputs(),
+			}, true
 		}
 		// IDDQ observation: justify a leak vector.
 		for _, vec := range beh.LeakDetecting() {
-			p := &podem{c: c, opt: opt.withDefaults(), goals: vectorGoals(c, gi, vec), faultGate: -1}
-			if pat, ok := p.run(); ok {
+			if pat, ok := g.justifyVector(gi, vec); ok {
 				return ChannelBreakPlan{
 					Fault:     f,
 					Injection: inj,
@@ -278,14 +230,34 @@ func GenerateChannelBreakDP(c *logic.Circuit, f core.Fault, opt Options) (Channe
 	return ChannelBreakPlan{}, false
 }
 
+// flippedOutputs re-simulates the pattern the last successful attempt
+// extracted (its unassigned inputs at 0) and lists the POs where the
+// faulty circuit definitely differs from the good one.
+func (g *generator) flippedOutputs() []string {
+	for _, id := range g.cc.InputID {
+		if g.assign[id] == logic.LX {
+			g.assign[id] = logic.L0
+		}
+	}
+	g.evalGood()
+	g.evalFaulty()
+	var out []string
+	for i, po := range g.cc.OutputID {
+		if g.differs(po) {
+			out = append(out, g.cc.C.Outputs[i])
+		}
+	}
+	return out
+}
+
 // VerifyChannelBreakPlan simulates the plan against both device states
 // and reports whether the verdict separates them: with a healthy device
 // the injected polarity fault manifests (flip or leak); with a broken
 // device the response is fault-free (the break masks the injection).
 func VerifyChannelBreakPlan(c *logic.Circuit, plan ChannelBreakPlan) (healthySignature, brokenSignature bool, err error) {
-	gi, err := gateIndexByName(c, plan.Fault.Gate)
-	if err != nil {
-		return false, false, err
+	gi, ok := faultsim.New(c).GateIndex(plan.Fault.Gate)
+	if !ok {
+		return false, false, fmt.Errorf("atpg: unknown gate %q", plan.Fault.Gate)
 	}
 	kind := c.Gates[gi].Kind
 	spec := gates.Get(kind)

@@ -150,7 +150,7 @@ type bridgeEnds struct {
 }
 
 func (s *Simulator) bridgeEnds(b core.Bridge) bridgeEnds {
-	cc := s.compiled()
+	cc := s.Compiled()
 	e := bridgeEnds{b: b}
 	e.aID, e.aok = cc.NetID[b.A]
 	e.bID, e.bok = cc.NetID[b.B]
@@ -254,7 +254,7 @@ func newBridgeConeScratch(cc *logic.CompiledCircuit) *bridgeConeScratch {
 // primary-input index of a PI-driven bridged net (-1 otherwise), whose
 // override applies at assignment instead.
 func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates []int, piA, piB int) {
-	cc := s.compiled()
+	cc := s.Compiled()
 	bs.epoch++
 	bs.buf = bs.buf[:0]
 	add := func(g int) {
@@ -305,7 +305,7 @@ func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates 
 // gate set is re-evaluated per iteration; both plane buffers start as
 // baseline copies so unaffected nets read correctly from either.
 func (s *Simulator) bridgedDiffPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT, affected []int, piA, piB int, vals, prev, outPO []logic.PackedVec, evals *uint64) uint64 {
-	cc := s.compiled()
+	cc := s.Compiled()
 	copy(vals, pb.vals) // pass 1: bridge open = the good baseline
 	copy(prev, pb.vals)
 	var done uint64
@@ -397,7 +397,7 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 // chunk.
 func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
 	sink := s.progressSink("bridges", len(bridges))
-	cc := s.compiled()
+	cc := s.Compiled()
 	bases := s.packedBaselines(patterns, 1, false)
 	vals := make([]logic.PackedVec, cc.NumNets())
 	prev := make([]logic.PackedVec, cc.NumNets())

@@ -159,6 +159,19 @@ func compiledFaultLUT(kind gates.Kind, transistor string, tf logic.TFault) (*fau
 	return actual.(*faultLUT), nil
 }
 
+// FaultLUT returns the cached ternary output table of one transistor
+// fault inside one gate kind: entry logic.TernaryIndex(in) is the faulty
+// gate's output, X on any undefined input and on floating rows. It
+// fails exactly when core.GateBehavior does. The table is shared and
+// must not be modified.
+func FaultLUT(kind gates.Kind, transistor string, tf logic.TFault) (logic.GateLUT, error) {
+	lut, err := compiledFaultLUT(kind, transistor, tf)
+	if err != nil {
+		return nil, err
+	}
+	return lut.out, nil
+}
+
 // openLUT is a channel-break fault compiled as a Mealy machine over the
 // gate's internal charge state: state s (radix-3 over the solver's node
 // labels, sorted) and ternary input vector t map to the floating-aware
@@ -240,10 +253,18 @@ func compiledOpenLUT(kind gates.Kind, transistor string) *openLUT {
 	return actual.(*openLUT)
 }
 
-// compiled returns the lazily-built compiled form of the circuit.
-func (s *Simulator) compiled() *logic.CompiledCircuit {
+// Compiled returns the lazily-built compiled form of the circuit, the
+// one dense IR the packed engine and ATPG's PODEM both evaluate. The
+// result is shared and must not be modified.
+func (s *Simulator) Compiled() *logic.CompiledCircuit {
 	s.ccOnce.Do(func() { s.cc = s.C.Compile() })
 	return s.cc
+}
+
+// GateIndex resolves a gate instance name to its index in the circuit.
+func (s *Simulator) GateIndex(name string) (int, bool) {
+	gi, ok := s.gateIdx[name]
+	return gi, ok
 }
 
 // EnsureCompiled forces the lazy circuit compilation now, so callers
@@ -253,7 +274,7 @@ func (s *Simulator) compiled() *logic.CompiledCircuit {
 // circuit is already compiled.
 func (s *Simulator) EnsureCompiled() {
 	if s.Engine != EngineReference {
-		s.compiled()
+		s.Compiled()
 	}
 }
 

@@ -78,7 +78,7 @@ func laneMask(from, n, w int) []uint64 {
 // chunk, packed as packBlock does. All chunk planes share one backing
 // array (one allocation to scan instead of one per chunk).
 func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []packedBase {
-	cc := s.compiled()
+	cc := s.Compiled()
 	lanes := 64 * w
 	nChunks := (len(patterns) + lanes - 1) / lanes
 	stride := cc.NumNets() * w
@@ -114,7 +114,7 @@ type packedGroupBase struct {
 
 // packedGroupedBase evaluates the replicated baseline once.
 func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int, binary bool) *packedGroupBase {
-	cc := s.compiled()
+	cc := s.Compiled()
 	gb := &packedGroupBase{
 		w:      w,
 		span:   len(patterns),
@@ -391,7 +391,7 @@ func (s *Simulator) packedScratchOf() *packedScratch {
 	if v := s.scratchPool.Get(); v != nil {
 		return v.(*packedScratch)
 	}
-	cc := s.compiled()
+	cc := s.Compiled()
 	return &packedScratch{
 		cc:     cc,
 		w:      1,
@@ -1069,7 +1069,7 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 	w := s.laneWordsFor(len(pairs), 1)
 	bases0 := s.packedBaselines(firsts, w, false)
 	bases1 := s.packedBaselines(seconds, w, false)
-	cc := s.compiled()
+	cc := s.Compiled()
 	sc := s.packedScratchOf()
 	sc.ensure(w)
 	defer s.putPackedScratch(sc)

@@ -127,7 +127,7 @@ func (s *Simulator) faultOrder(faults []core.Fault) []int {
 	if s.Engine == EngineReference {
 		return ord
 	}
-	cc := s.compiled()
+	cc := s.Compiled()
 	key := make([]int, len(faults))
 	for i, f := range faults {
 		if gi, ok := s.gateIdx[f.Gate]; ok {

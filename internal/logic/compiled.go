@@ -8,7 +8,8 @@ import (
 )
 
 // CompiledCircuit is a Circuit lowered to dense integer net ids with a
-// per-gate ternary LUT: the form the fault-simulation engines evaluate.
+// per-gate ternary LUT: the form the fault-simulation engines and ATPG's
+// PODEM implication evaluate.
 // Net ids follow the sorted net-name order of Nets(), so they are
 // deterministic for a given circuit.
 type CompiledCircuit struct {

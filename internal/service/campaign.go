@@ -82,6 +82,33 @@ func (ro *RunObserver) stage(parent *obs.Span, name string) (*obs.Span, func()) 
 	}
 }
 
+// runATPG runs the generation campaign under an "atpg" stage span that
+// carries its PODEM work (implications and backtracks) as attributes,
+// and returns the report section.
+func runATPG(ctx context.Context, c *logic.Circuit, universe []core.Fault, opt atpg.Options, ro *RunObserver, parent *obs.Span) (*ATPGJSON, error) {
+	sp, done := ro.stage(parent, "atpg")
+	res, err := atpg.GenerateContext(ctx, c, universe, opt)
+	sp.SetAttr("implications", strconv.Itoa(res.Implications))
+	sp.SetAttr("backtracks", strconv.Itoa(res.Backtracks))
+	if err != nil {
+		return nil, err
+	}
+	done()
+	return &ATPGJSON{
+		StuckAtTargeted:  res.StuckAtTargeted,
+		StuckAtCovered:   res.StuckAtCovered,
+		PolarityTargeted: res.PolarityTargeted,
+		PolarityCovered:  res.PolarityCovered,
+		CBSPTargeted:     res.CBSPTargeted,
+		CBSPCovered:      res.CBSPCovered,
+		CBDPTargeted:     res.CBDPTargeted,
+		CBDPCovered:      res.CBDPCovered,
+		Coverage:         res.Coverage(),
+		TotalVectors:     res.Set.TotalVectors(),
+		Untestable:       len(res.Untestable),
+	}, nil
+}
+
 // RunCampaign executes one normalized campaign request against the
 // batch engines, honouring the context between phases and inside the
 // parallel transistor simulation and the ATPG generators.
@@ -250,24 +277,9 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 				})
 			}
 		}
-		_, done := ro.stage(simSpan, "atpg")
-		res, err := atpg.GenerateContext(ctx, c, universe, atpgOpt)
+		rep.ATPG, err = runATPG(ctx, c, universe, atpgOpt, ro, simSpan)
 		if err != nil {
 			return nil, err
-		}
-		done()
-		rep.ATPG = &ATPGJSON{
-			StuckAtTargeted:  res.StuckAtTargeted,
-			StuckAtCovered:   res.StuckAtCovered,
-			PolarityTargeted: res.PolarityTargeted,
-			PolarityCovered:  res.PolarityCovered,
-			CBSPTargeted:     res.CBSPTargeted,
-			CBSPCovered:      res.CBSPCovered,
-			CBDPTargeted:     res.CBDPTargeted,
-			CBDPCovered:      res.CBDPCovered,
-			Coverage:         res.Coverage(),
-			TotalVectors:     res.Set.TotalVectors(),
-			Untestable:       len(res.Untestable),
 		}
 	}
 	simDone()

@@ -317,24 +317,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 				})
 			}
 		}
-		_, done := ro.stage(simSpan, "atpg")
-		res, err := atpg.GenerateContext(ctx, c, universe, atpgOpt)
+		rep.ATPG, err = runATPG(ctx, c, universe, atpgOpt, ro, simSpan)
 		if err != nil {
 			return nil, err
-		}
-		done()
-		rep.ATPG = &ATPGJSON{
-			StuckAtTargeted:  res.StuckAtTargeted,
-			StuckAtCovered:   res.StuckAtCovered,
-			PolarityTargeted: res.PolarityTargeted,
-			PolarityCovered:  res.PolarityCovered,
-			CBSPTargeted:     res.CBSPTargeted,
-			CBSPCovered:      res.CBSPCovered,
-			CBDPTargeted:     res.CBDPTargeted,
-			CBDPCovered:      res.CBDPCovered,
-			Coverage:         res.Coverage(),
-			TotalVectors:     res.Set.TotalVectors(),
-			Untestable:       len(res.Untestable),
 		}
 	}
 	simDone()

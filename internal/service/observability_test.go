@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"cpsinw/internal/atpg"
+	"cpsinw/internal/core"
 	"cpsinw/internal/logic"
 	"cpsinw/internal/obs"
 )
@@ -505,6 +508,61 @@ func TestTraceEndpoint(t *testing.T) {
 	st2, _ := postCampaign(t, ts, req)
 	if code := getJSON(t, ts.URL+"/v1/campaigns/"+st2.ID+"/trace", nil); code != http.StatusNotFound {
 		t.Errorf("cache-hit trace = HTTP %d, want 404", code)
+	}
+}
+
+// TestTraceATPGWork checks that the atpg stage span of both campaign
+// paths (single-shot and sharded) carries the campaign's PODEM work,
+// equal to what the generator itself reports for the same universe.
+func TestTraceATPGWork(t *testing.T) {
+	c, err := logic.ParseBench("c17", strings.NewReader(c17Bench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true}
+	want, err := atpg.GenerateContext(context.Background(), c, core.Universe(c, core.UniverseOptions{
+		LineStuckAt: true, Polarity: true, ChannelBreak: true,
+	}), atpg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Implications == 0 {
+		t.Fatal("generator counted no implications")
+	}
+
+	for _, shards := range []int{0, 2} {
+		// A fresh server per run: shards are not part of the cache key,
+		// so a shared one would answer the second run from its cache.
+		_, ts := newTestServer(t)
+		req := CampaignRequest{Netlist: c17Bench, Faults: faults, ATPG: true, Shards: shards}
+		st, _ := postCampaign(t, ts, req)
+		if final := pollDone(t, ts, st.ID); final.State != StateDone {
+			t.Fatalf("shards=%d: %s (%s)", shards, final.State, final.Error)
+		}
+		var tree obs.SpanTree
+		if code := getJSON(t, ts.URL+"/v1/campaigns/"+st.ID+"/trace", &tree); code != http.StatusOK {
+			t.Fatalf("shards=%d: trace HTTP %d", shards, code)
+		}
+		var span *obs.SpanTree
+		for _, stage := range tree.Children {
+			if stage.Name != "simulate" {
+				continue
+			}
+			for _, child := range stage.Children {
+				if child.Name == "atpg" {
+					span = child
+				}
+			}
+		}
+		if span == nil {
+			t.Fatalf("shards=%d: no simulate/atpg span in %+v", shards, tree.Children)
+		}
+		if got := span.Attrs["implications"]; got != strconv.Itoa(want.Implications) {
+			t.Errorf("shards=%d: implications attr %q, want %d", shards, got, want.Implications)
+		}
+		if got := span.Attrs["backtracks"]; got != strconv.Itoa(want.Backtracks) {
+			t.Errorf("shards=%d: backtracks attr %q, want %d", shards, got, want.Backtracks)
+		}
 	}
 }
 
