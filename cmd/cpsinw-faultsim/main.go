@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cpsinw-faultsim [-circuit name | < netlist.bench] [-patterns n] [-engine packed|reference]
-//	cpsinw-faultsim [-shards k] [-result-dir path]   sharded campaign with durable shard reuse
+//	cpsinw-faultsim [-shards k] [-result-dir path]   k-shard campaign with durable shard reuse
 //	cpsinw-faultsim -tableiii
 package main
 
@@ -22,11 +22,9 @@ import (
 	"sync/atomic"
 
 	"cpsinw/internal/bench"
-	"cpsinw/internal/core"
 	"cpsinw/internal/experiments"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/logic"
-	"cpsinw/internal/report"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/service"
 	"cpsinw/internal/shard"
@@ -39,16 +37,19 @@ func main() {
 	circuitName := flag.String("circuit", "", "built-in benchmark name (empty: read .bench from stdin)")
 	patterns := flag.Int("patterns", 256, "random patterns (exhaustive when inputs <= 12)")
 	tableIII := flag.Bool("tableiii", false, "run the paper's Table III polarity study on the XOR2 and exit")
-	seed := flag.Int64("seed", 1, "random pattern seed")
+	seed := flag.Int64("seed", 1, "random pattern seed (non-zero)")
 	engineName := flag.String("engine", "packed", "fault-simulation engine: packed or reference (the serial oracle)")
 	list := flag.Bool("list", false, "list built-in benchmarks and exit")
-	shards := flag.Int("shards", 1, "split the campaign into k sub-jobs merged bit-identically (0: auto-size, 1: single-shot)")
+	shards := flag.Int("shards", 1, "split the campaign into k fault-range shards merged bit-identically (0: auto-size; 1: one shard with every worker)")
 	resultDir := flag.String("result-dir", "", "durable result store; completed shards are reused across runs (empty disables)")
 	flag.Parse()
 
-	engine, err := faultsim.ParseEngine(*engineName)
-	if err != nil {
+	if _, err := faultsim.ParseEngine(*engineName); err != nil {
 		log.Fatal(err)
+	}
+	if *seed == 0 {
+		// A campaign request reads seed 0 as "unset" and runs seed 1.
+		log.Fatal("-seed must be non-zero")
 	}
 
 	if *list {
@@ -95,68 +96,18 @@ func main() {
 	}
 	fmt.Printf("circuit: %s  %s\n\n", c.Name, c.Statistics())
 
-	if *shards != 1 || *resultDir != "" {
-		runSharded(*circuitName, netlistSrc, *patterns, *seed, *engineName, *shards, *resultDir)
-		return
-	}
-
-	pats := service.BuildPatterns(c, *patterns, *seed)
-	sim := faultsim.New(c)
-	sim.Engine = engine
-
-	saFaults := core.Universe(c, core.ClassicalOnly())
-	saCov := faultsim.Summarise(sim.RunStuckAt(saFaults, pats))
-
-	trUniverse := core.Universe(c, core.UniverseOptions{ChannelBreak: true, Polarity: true, StuckOn: true})
-	noIDDQ, err := sim.RunTransistor(trUniverse, pats, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	withIDDQ, err := sim.RunTransistor(trUniverse, pats, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	covNo := faultsim.Summarise(noIDDQ)
-	covYes := faultsim.Summarise(withIDDQ)
-
-	t := report.Table{
-		Title:   fmt.Sprintf("fault simulation with %d patterns", len(pats)),
-		Headers: []string{"model", "faults", "detected", "coverage"},
-	}
-	t.Add("classical stuck-at", saCov.Total, saCov.Detected, fmt.Sprintf("%.1f%%", saCov.Percent()))
-	t.Add("CP transistor (voltage only)", covNo.Total, covNo.Detected, fmt.Sprintf("%.1f%%", covNo.Percent()))
-	t.Add("CP transistor (+IDDQ)", covYes.Total, covYes.Detected, fmt.Sprintf("%.1f%%", covYes.Percent()))
-	fmt.Print(t.String())
-
-	if len(covYes.Undetected) > 0 {
-		fmt.Printf("\nundetected CP faults (%d):\n", len(covYes.Undetected))
-		for i, f := range covYes.Undetected {
-			if i == 20 {
-				fmt.Printf("  ... and %d more\n", len(covYes.Undetected)-20)
-				break
-			}
-			fmt.Printf("  %v\n", f)
-		}
-	}
-}
-
-// runSharded routes the campaign through the sharded executor: fault
-// lists split into content-addressed sub-jobs whose merged results are
-// bit-identical to the single-shot run, and -result-dir reuses
-// completed shards across invocations of the same campaign.
-func runSharded(benchmark, netlist string, patterns int, seed int64, engine string, shards int, resultDir string) {
 	req := service.CampaignRequest{
-		Benchmark: benchmark,
-		Netlist:   netlist,
+		Benchmark: *circuitName,
+		Netlist:   netlistSrc,
 		Faults: service.FaultConfig{
 			StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true,
 		},
-		Patterns: patterns,
-		Seed:     seed,
-		Engine:   engine,
-		Shards:   shards,
+		Patterns: *patterns,
+		Seed:     *seed,
+		Engine:   *engineName,
+		Shards:   *shards,
 	}
-	norm, c, err := req.Normalize()
+	norm, _, err := req.Normalize()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,8 +115,8 @@ func runSharded(benchmark, netlist string, patterns int, seed int64, engine stri
 	var scheduled, hits atomic.Int64 // callbacks fire on scheduler goroutines
 	opt.Events = shard.Events{Scheduled: func(shard.SubJob) { scheduled.Add(1) }}
 	opt.OnCacheHit = func(shard.SubJob) { hits.Add(1) }
-	if resultDir != "" {
-		store, err := resultstore.Open(resultDir)
+	if *resultDir != "" {
+		store, err := resultstore.Open(*resultDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -175,10 +126,25 @@ func runSharded(benchmark, netlist string, patterns int, seed int64, engine stri
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range rep.Tables {
-		fmt.Print(t.String())
-		fmt.Println()
+
+	if *shards != 1 || *resultDir != "" {
+		for _, t := range rep.Tables {
+			fmt.Print(t.String())
+			fmt.Println()
+		}
+		fmt.Printf("campaign %s: %d shards (%d reused from store), %d ms\n",
+			opt.Key[:12], scheduled.Load(), hits.Load(), rep.ElapsedMS)
+		return
 	}
-	fmt.Printf("campaign %s: %d shards (%d reused from store), %d ms\n",
-		opt.Key[:12], scheduled.Load(), hits.Load(), rep.ElapsedMS)
+	fmt.Print(rep.Tables[0].String())
+	if undetected := rep.TransistorIDDQ.Undetected; len(undetected) > 0 {
+		fmt.Printf("\nundetected CP faults (%d):\n", len(undetected))
+		for i, f := range undetected {
+			if i == 20 {
+				fmt.Printf("  ... and %d more\n", len(undetected)-20)
+				break
+			}
+			fmt.Printf("  %s\n", f)
+		}
+	}
 }

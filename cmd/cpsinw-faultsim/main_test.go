@@ -33,7 +33,7 @@ func run(bin string, args ...string) (string, string, error) {
 
 // TestC17Golden pins the c17 coverage table byte for byte, on the
 // default packed engine and on the reference oracle, and checks that
-// engine names outside packed/reference are refused.
+// engine names outside packed/reference and a zero seed are refused.
 func TestC17Golden(t *testing.T) {
 	bin := buildTool(t)
 	golden := filepath.Join("testdata", "c17.golden")
@@ -71,5 +71,9 @@ func TestC17Golden(t *testing.T) {
 		if !strings.Contains(stderr, "unknown engine") {
 			t.Errorf("-engine %s: stderr %q, want an unknown engine message", engine, stderr)
 		}
+	}
+
+	if _, stderr, err := run(bin, "-circuit", "c432", "-seed", "0"); err == nil || !strings.Contains(stderr, "-seed must be non-zero") {
+		t.Errorf("-seed 0: err %v, stderr %q, want a non-zero seed error", err, stderr)
 	}
 }

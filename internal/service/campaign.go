@@ -52,13 +52,16 @@ func BuildPatterns(c *logic.Circuit, n int, seed int64) []faultsim.Pattern {
 // field is optional; a nil observer (or nil fields) runs the campaign
 // unobserved at full speed.
 type RunObserver struct {
-	// Span is the parent span; each campaign stage becomes a child.
+	// Span is the parent span; each campaign stage becomes a child
+	// (each shard's stages a child of its shard span).
 	Span *obs.Span
 	// Progress receives live snapshots from the simulation and ATPG
 	// stages. Calls are serialized; the callback must not re-enter the
 	// campaign.
 	Progress func(JobProgress)
-	// OnStage receives each finished stage's wall-clock duration.
+	// OnStage receives each completed stage's wall-clock duration, the
+	// per-shard stages once per shard; failed stages are not reported.
+	// Shards running at once call it concurrently.
 	OnStage func(stage string, d time.Duration)
 	// Dict and DictKey, when both set, make the campaign harvest
 	// per-fault detection signatures from the simulation stages it
@@ -69,31 +72,63 @@ type RunObserver struct {
 	DictKey string
 }
 
-// stage opens one observed campaign stage under parent; the returned
-// func closes the span and reports the duration.
-func (ro *RunObserver) stage(parent *obs.Span, name string) (*obs.Span, func()) {
+// stage opens one observed campaign stage under parent. The returned
+// func ends the span on every path: a nil error reports the stage's
+// duration to OnStage, a failed stage carries an "error" attribute and
+// is not observed.
+func (ro *RunObserver) stage(parent *obs.Span, name string) (*obs.Span, func(error)) {
 	sp := parent.Child(name)
 	start := time.Now()
-	return sp, func() {
-		sp.End()
-		if ro.OnStage != nil {
+	return sp, func(err error) {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		} else if ro.OnStage != nil {
 			ro.OnStage(name, time.Since(start))
 		}
+		sp.End()
 	}
+}
+
+// transistorUniverse selects the transistor fault classes a campaign
+// simulates.
+func transistorUniverse(f FaultConfig) core.UniverseOptions {
+	return core.UniverseOptions{ChannelBreak: f.StuckOpen, StuckOn: f.StuckOn, Polarity: f.Polarity}
 }
 
 // runATPG runs the generation campaign under an "atpg" stage span that
 // carries its PODEM work (implications and backtracks) as attributes,
-// and returns the report section.
-func runATPG(ctx context.Context, c *logic.Circuit, universe []core.Fault, opt atpg.Options, ro *RunObserver, parent *obs.Span) (*ATPGJSON, error) {
-	sp, done := ro.stage(parent, "atpg")
+// and returns the report section. ATPG is a sequential generator, not
+// a fault-parallel sweep, so it runs once per campaign, after the
+// shards; its progress frames report every shard done.
+func runATPG(ctx context.Context, c *logic.Circuit, req CampaignRequest, engine faultsim.Engine, shards int, ro *RunObserver, parent *obs.Span) (*ATPGJSON, error) {
+	uopt := transistorUniverse(req.Faults)
+	uopt.LineStuckAt = req.Faults.StuckAt
+	universe := core.Universe(c, uopt)
+	opt := atpg.Options{Engine: engine}
+	if ro.Progress != nil {
+		opt.Progress = func(p atpg.Progress) {
+			ro.Progress(JobProgress{
+				Stage:      "atpg",
+				Class:      p.Class,
+				Done:       p.Done,
+				Total:      p.Total,
+				Detected:   p.Covered,
+				Faults:     p.Total,
+				Untestable: p.Untestable,
+				Vectors:    p.Vectors,
+				Shards:     shards,
+				ShardsDone: shards,
+			})
+		}
+	}
+	sp, end := ro.stage(parent, "atpg")
 	res, err := atpg.GenerateContext(ctx, c, universe, opt)
 	sp.SetAttr("implications", strconv.Itoa(res.Implications))
 	sp.SetAttr("backtracks", strconv.Itoa(res.Backtracks))
+	end(err)
 	if err != nil {
 		return nil, err
 	}
-	done()
 	return &ATPGJSON{
 		StuckAtTargeted:  res.StuckAtTargeted,
 		StuckAtCovered:   res.StuckAtCovered,
@@ -109,235 +144,11 @@ func runATPG(ctx context.Context, c *logic.Circuit, universe []core.Fault, opt a
 	}, nil
 }
 
-// RunCampaign executes one normalized campaign request against the
-// batch engines, honouring the context between phases and inside the
-// parallel transistor simulation and the ATPG generators.
-func RunCampaign(ctx context.Context, c *logic.Circuit, req CampaignRequest) (*CampaignReport, error) {
-	return RunCampaignObserved(ctx, c, req, nil)
-}
-
-// RunCampaignObserved is RunCampaign with per-stage span tracing and
-// live progress reporting. Stages (and their span names) are: patterns,
-// compile, simulate (with per-fault-class children), report; request
-// parsing happens before the campaign and is recorded by the job
-// manager.
+// RunCampaignObserved runs one normalized campaign as the one-shard
+// plan with no result store: RunCampaignSharded with Shards 1, so the
+// lone shard's transistor sweeps get the whole worker budget.
 func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequest, ro *RunObserver) (*CampaignReport, error) {
-	if ro == nil {
-		ro = &RunObserver{}
-	}
-	start := time.Now()
-
-	engine, err := faultsim.ParseEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-
-	patSpan, patDone := ro.stage(ro.Span, "patterns")
-	pats := BuildPatterns(c, req.Patterns, req.Seed)
-	patSpan.SetAttr("count", strconv.Itoa(len(pats)))
-	patDone()
-
-	sim := faultsim.New(c)
-	sim.Engine = engine
-
-	// The stage the simulator progress callback attributes snapshots
-	// to: the simulator names its own stages, but the voltage-only and
-	// +IDDQ transistor sweeps both run under its "transistor" stage and
-	// only the campaign can tell them apart. faultCount is the stage's
-	// targeted fault universe, the coverage denominator.
-	currentStage := ""
-	faultCount := 0
-	if ro.Progress != nil {
-		sim.Progress = func(p faultsim.Progress) {
-			ro.Progress(JobProgress{
-				Stage:     currentStage,
-				Done:      p.Done,
-				Total:     p.Total,
-				Detected:  p.Detected,
-				Dropped:   p.Dropped,
-				Faults:    faultCount,
-				GateEvals: p.GateEvals,
-			})
-		}
-	}
-
-	_, compileDone := ro.stage(ro.Span, "compile")
-	sim.EnsureCompiled()
-	compileDone()
-
-	stats := c.Statistics()
-	rep := &CampaignReport{
-		Circuit: CircuitInfo{
-			Name:    c.Name,
-			Inputs:  stats.Inputs,
-			Outputs: stats.Outputs,
-			Gates:   stats.Gates,
-			DPGates: stats.DPGates,
-		},
-		Patterns: len(pats),
-		Engine:   engine.String(),
-	}
-
-	// Signature harvesting: with a dictionary store attached, the
-	// stuck-at sweep and one transistor sweep run with a capture sink so
-	// the dictionary comes out of the simulation the campaign performs
-	// anyway. The leak plane needs the +IDDQ run; without IDDQ the
-	// voltage run carries the (identical) output plane.
-	wantDict := ro.Dict != nil && ro.DictKey != ""
-	var saFaults, dictTrFaults []core.Fault
-	var saCapture, trCapture *faultsim.SignatureCapture
-
-	simSpan, simDone := ro.stage(ro.Span, "simulate")
-
-	if req.Faults.StuckAt {
-		faults := core.Universe(c, core.ClassicalOnly())
-		currentStage, faultCount = "stuck_at", len(faults)
-		_, done := ro.stage(simSpan, "stuck_at")
-		if wantDict {
-			saFaults = faults
-			saCapture = faultsim.NewSignatureCapture(len(faults), len(pats))
-			sim.Signatures = saCapture
-		}
-		ds, err := sim.RunStuckAtContext(ctx, faults, pats)
-		sim.Signatures = nil
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.StuckAt = coverageJSON(faultsim.Summarise(ds))
-	}
-
-	uopt := core.UniverseOptions{
-		ChannelBreak: req.Faults.StuckOpen,
-		StuckOn:      req.Faults.StuckOn,
-		Polarity:     req.Faults.Polarity,
-	}
-	if uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
-		trFaults := core.Universe(c, uopt)
-		currentStage, faultCount = "transistor", len(trFaults)
-		_, done := ro.stage(simSpan, "transistor")
-		if wantDict && !req.Faults.IDDQ {
-			dictTrFaults = trFaults
-			trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
-			sim.Signatures = trCapture
-		}
-		ds, err := sim.RunTransistorParallel(ctx, trFaults, pats, false, req.Workers)
-		sim.Signatures = nil
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
-		if req.Faults.IDDQ {
-			currentStage = "transistor_iddq"
-			_, done := ro.stage(simSpan, "transistor_iddq")
-			if wantDict {
-				dictTrFaults = trFaults
-				trCapture = faultsim.NewSignatureCapture(len(trFaults), len(pats))
-				sim.Signatures = trCapture
-			}
-			ds, err = sim.RunTransistorParallel(ctx, trFaults, pats, true, req.Workers)
-			sim.Signatures = nil
-			if err != nil {
-				return nil, err
-			}
-			done()
-			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
-		}
-	}
-
-	if req.Faults.Bridges {
-		bridges := core.NeighborBridges(c, req.Faults.BridgeWindow)
-		currentStage, faultCount = "bridges", len(bridges)
-		_, done := ro.stage(simSpan, "bridges")
-		ds, err := sim.RunBridgesObserved(ctx, bridges, pats, req.Faults.IDDQ)
-		if err != nil {
-			return nil, err
-		}
-		done()
-		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
-	}
-
-	if req.ATPG {
-		genOpt := uopt
-		genOpt.LineStuckAt = req.Faults.StuckAt
-		universe := core.Universe(c, genOpt)
-		atpgOpt := atpg.Options{Engine: engine}
-		if ro.Progress != nil {
-			atpgOpt.Progress = func(p atpg.Progress) {
-				ro.Progress(JobProgress{
-					Stage:      "atpg",
-					Class:      p.Class,
-					Done:       p.Done,
-					Total:      p.Total,
-					Detected:   p.Covered,
-					Faults:     p.Total,
-					Untestable: p.Untestable,
-					Vectors:    p.Vectors,
-				})
-			}
-		}
-		rep.ATPG, err = runATPG(ctx, c, universe, atpgOpt, ro, simSpan)
-		if err != nil {
-			return nil, err
-		}
-	}
-	simDone()
-
-	if wantDict && (saCapture != nil || trCapture != nil) {
-		dictSpan, done := ro.stage(ro.Span, "dictionary")
-		d := &dict.Dictionary{Meta: dict.Meta{
-			Key:       ro.DictKey,
-			Circuit:   c.Name,
-			Patterns:  len(pats),
-			Seed:      req.Seed,
-			Engine:    engine.String(),
-			IDDQ:      req.Faults.IDDQ,
-			CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		}}
-		addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
-			for i := range faults {
-				e := dict.Entry{
-					Fault: faults[i].String(),
-					Out:   dict.FromWords(len(pats), capture.Out(i)),
-					Leak:  dict.NewBitset(len(pats)),
-				}
-				if leak {
-					e.Leak = dict.FromWords(len(pats), capture.Leak(i))
-				}
-				d.Entries = append(d.Entries, e)
-			}
-		}
-		if saCapture != nil {
-			addEntries(saFaults, saCapture, false)
-		}
-		if trCapture != nil {
-			addEntries(dictTrFaults, trCapture, req.Faults.IDDQ)
-		}
-		_, size, err := ro.Dict.Put(d)
-		if err != nil {
-			return nil, fmt.Errorf("dictionary: %w", err)
-		}
-		dictSpan.SetAttr("entries", strconv.Itoa(len(d.Entries)))
-		dictSpan.SetAttr("bytes", strconv.FormatInt(size, 10))
-		rep.Dictionary = &DictionaryJSON{
-			Key:                 d.Meta.Key,
-			Entries:             d.Meta.Entries,
-			Patterns:            d.Meta.Patterns,
-			IDDQ:                d.Meta.IDDQ,
-			CompressedBytes:     size,
-			Detected:            d.Meta.Resolution.Detected,
-			Classes:             d.Meta.Resolution.Classes,
-			UniquelyDiagnosable: d.Meta.Resolution.UniquelyDiagnosable,
-		}
-		done()
-	}
-
-	_, reportDone := ro.stage(ro.Span, "report")
-	rep.Tables = buildTables(rep)
-	reportDone()
-	rep.ElapsedMS = time.Since(start).Milliseconds()
-	return rep, nil
+	return RunCampaignSharded(ctx, c, req, ShardedOptions{Shards: 1}, ro)
 }
 
 func coverageJSON(cov faultsim.Coverage) *CoverageJSON {

@@ -3,38 +3,36 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
-	"cpsinw/internal/atpg"
 	"cpsinw/internal/core"
 	"cpsinw/internal/dict"
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/logic"
+	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
 )
 
-// ShardedOptions configures one sharded campaign execution.
+// ShardedOptions configures one campaign execution.
 type ShardedOptions struct {
 	// Key is the campaign's content address (CanonicalKey over the
 	// normalized request); sub-job keys derive from it. Required when
 	// Store is set, so cached shards can never cross campaigns.
 	Key string
 	// Shards is the requested sub-job count; 0 auto-sizes from the
-	// circuit gate count and fault population. Clamped to the fault
-	// population and shard.MaxShards either way.
+	// circuit gate count and fault population, 1 is the single-shot
+	// run. Clamped to the fault population and shard.MaxShards either
+	// way.
 	Shards int
 	// Store, when set, serves already-computed shards without
 	// re-simulation and persists fresh ones for the next run.
 	Store *resultstore.Store
-	// Workers bounds concurrently running shards (default: plan size).
-	Workers int
 	// Retries re-attempts a failed shard before quarantining it.
 	Retries int
-	// Timeout bounds each shard attempt (0: the campaign deadline only).
-	Timeout time.Duration
 	// Draining, when closed, lets in-flight shards finish, abandons the
 	// unstarted remainder and fails the run with shard.ErrDraining (the
 	// campaign is resumable: finished shards persisted to Store).
@@ -58,16 +56,27 @@ type shardEnv struct {
 	trFaults []core.Fault
 	bridges  []core.Bridge
 	iddq     bool
-	agg      *shardAgg
+	// workers is each shard's transistor-sweep worker count.
+	workers int
+	ro      *RunObserver
+	agg     *shardAgg
 }
+
+// shardStages are the per-shard simulation stages in execution order.
+var shardStages = []string{"stuck_at", "transistor", "transistor_iddq", "bridges"}
 
 // shardAgg aggregates per-shard progress into campaign-level snapshots:
 // each class keeps one slot per shard, summed on every emit, so the SSE
 // stream shows the whole campaign advancing rather than one shard's
-// private counters.
+// private counters. Every slot counts faults (bridges on the bridge
+// stage), so a frame's total is the class universe from the first
+// frame on, and a finished slot, simulated or store-served, counts its
+// whole range done. Frames go out under the lock: the observer
+// contract is serialized delivery (and its callback never re-enters
+// the campaign), which also keeps each class monotone.
 type shardAgg struct {
-	ro     *RunObserver
-	shards int
+	progress func(JobProgress)
+	shards   int
 
 	mu      sync.Mutex
 	done    int // finished sub-jobs
@@ -75,103 +84,110 @@ type shardAgg struct {
 }
 
 type classAgg struct {
-	faults                         int // coverage denominator
-	done, total, detected, dropped []int
-	evals                          []uint64
+	stage                   string
+	faults                  int // class universe: the total and coverage denominator
+	done, detected, dropped []int
+	evals                   []uint64
 }
 
-func newShardAgg(ro *RunObserver, shards int) *shardAgg {
-	return &shardAgg{ro: ro, shards: shards, classes: map[string]*classAgg{}}
-}
-
-func (a *shardAgg) class(name string, faults int) {
-	a.classes[name] = &classAgg{
-		faults: faults,
-		done:   make([]int, a.shards), total: make([]int, a.shards),
-		detected: make([]int, a.shards), dropped: make([]int, a.shards),
-		evals: make([]uint64, a.shards),
+func newShardAgg(progress func(JobProgress), shards int, env *shardEnv) *shardAgg {
+	a := &shardAgg{progress: progress, shards: shards, classes: map[string]*classAgg{}}
+	add := func(stage string, faults int) {
+		a.classes[stage] = &classAgg{
+			stage:  stage,
+			faults: faults,
+			done:   make([]int, shards), detected: make([]int, shards), dropped: make([]int, shards),
+			evals: make([]uint64, shards),
+		}
 	}
+	if env.saFaults != nil {
+		add("stuck_at", len(env.saFaults))
+	}
+	if env.trFaults != nil {
+		add("transistor", len(env.trFaults))
+		if env.iddq {
+			add("transistor_iddq", len(env.trFaults))
+		}
+	}
+	if env.bridges != nil {
+		add("bridges", len(env.bridges))
+	}
+	return a
 }
 
-// note records one shard's latest snapshot for a class and emits the
-// aggregate.
-func (a *shardAgg) note(stage string, idx int, p faultsim.Progress) {
-	if a.ro.Progress == nil {
-		return
-	}
+// note records one shard's latest engine snapshot for a class and
+// emits the aggregate.
+func (a *shardAgg) note(ca *classAgg, idx int, p faultsim.Progress) {
 	a.mu.Lock()
-	ca, ok := a.classes[stage]
-	if !ok {
-		a.mu.Unlock()
-		return
-	}
-	ca.done[idx], ca.total[idx] = p.Done, p.Total
-	ca.detected[idx], ca.dropped[idx] = p.Detected, p.Dropped
-	ca.evals[idx] = p.GateEvals
-	snap := a.snapshotLocked(stage, ca)
-	a.mu.Unlock()
-	a.ro.Progress(snap)
+	defer a.mu.Unlock()
+	// A retried shard counts again from zero; its slot holds its best.
+	ca.done[idx] = max(ca.done[idx], p.Done)
+	ca.detected[idx], ca.dropped[idx], ca.evals[idx] = p.Detected, p.Dropped, p.GateEvals
+	a.emitLocked(ca)
 }
 
-// complete folds a finished shard's result in (live or cache-served):
-// every class slot it carries becomes fully done, detections counted
-// from the records.
-func (a *shardAgg) complete(j shard.SubJob, r *shard.Result) {
+// complete folds a finished shard in, simulated or store-served: each
+// of its class slots counts its whole range done, with the detections
+// its records hold, and every class it carries emits a frame.
+func (a *shardAgg) complete(j shard.SubJob, out *shard.Output) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.done++
-	last := ""
-	mark := func(stage string, cr *shard.ClassResult) {
-		ca, ok := a.classes[stage]
-		if cr == nil || !ok {
-			return
+	for i, part := range []*shard.Part{out.StuckAt, out.TransistorV, out.TransistorIQ, out.Bridges} {
+		ca, ok := a.classes[shardStages[i]]
+		if part == nil || !ok {
+			continue
 		}
 		n := 0
-		for _, d := range cr.Dets {
-			if d.Method != "" || d.Detected {
+		for _, d := range part.Dets {
+			if d.Detected() {
 				n++
 			}
 		}
-		// Normalized units: a finished slot contributes equal done and
-		// total, so the aggregate fraction still reaches 1 when every
-		// shard lands, whatever units the live engine reported.
-		ca.done[j.Index], ca.total[j.Index] = 1, 1
-		ca.detected[j.Index] = n
-		last = stage
-	}
-	mark("stuck_at", r.StuckAt)
-	mark("transistor", r.TransistorV)
-	mark("transistor_iddq", r.TransistorIQ)
-	mark("bridges", r.Bridges)
-	var snap JobProgress
-	if ca, ok := a.classes[last]; ok && a.ro.Progress != nil {
-		snap = a.snapshotLocked(last, ca)
-	}
-	a.mu.Unlock()
-	if snap.Stage != "" {
-		a.ro.Progress(snap)
+		for _, d := range part.Bridges {
+			if d.Detected {
+				n++
+			}
+		}
+		ca.done[j.Index], ca.detected[j.Index] = part.Range.Len(), n
+		a.emitLocked(ca)
 	}
 }
 
-func (a *shardAgg) snapshotLocked(stage string, ca *classAgg) JobProgress {
-	p := JobProgress{Stage: stage, Faults: ca.faults, Shards: a.shards, ShardsDone: a.done}
+func (a *shardAgg) emitLocked(ca *classAgg) {
+	if a.progress == nil {
+		return
+	}
+	p := JobProgress{Stage: ca.stage, Total: ca.faults, Faults: ca.faults, Shards: a.shards, ShardsDone: a.done}
 	for i := 0; i < a.shards; i++ {
 		p.Done += ca.done[i]
-		p.Total += ca.total[i]
 		p.Detected += ca.detected[i]
 		p.Dropped += ca.dropped[i]
 		p.GateEvals += ca.evals[i]
 	}
-	return p
+	a.progress(p)
 }
 
-// RunCampaignSharded executes one normalized campaign as a plan of
-// content-addressed sub-jobs over contiguous fault ranges, then merges
-// the shard results into a report that is bit-identical (ElapsedMS and
-// dictionary timestamp aside) to RunCampaignObserved on the same
-// request — the shard differential tests pin this. Shards already in
-// opt.Store are served without simulation; fresh shards persist there
-// for the next run. ATPG and the dictionary build are not fault-
-// parallel and run once, in the merger.
+// shardWorkers divides the campaign's worker budget (the request's
+// Workers, else GOMAXPROCS) among its shards, which all run at once, so
+// a lone shard sweeps with all of it.
+func shardWorkers(budget, shards int) int {
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	return max(1, budget/shards)
+}
+
+// RunCampaignSharded executes one normalized campaign; it is the only
+// campaign implementation. The campaign becomes a plan of
+// content-addressed sub-jobs over contiguous fault ranges (one sub-job
+// is the single-shot run), then the shard results merge in fault
+// order, ATPG runs once, the fault dictionary is built and the report
+// rendered. The report does not depend on the shard count (ElapsedMS
+// and the dictionary timestamp aside): the shard differential tests
+// and the report goldens pin this. Shards already in opt.Store are
+// served without simulation; fresh shards persist there for the next
+// run.
 func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignRequest, opt ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
 	if ro == nil {
 		ro = &RunObserver{}
@@ -186,21 +202,16 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		return nil, fmt.Errorf("sharded campaign with a result store needs a canonical campaign key, got %q", opt.Key)
 	}
 
-	patSpan, patDone := ro.stage(ro.Span, "patterns")
+	patSpan, endPatterns := ro.stage(ro.Span, "patterns")
 	pats := BuildPatterns(c, req.Patterns, req.Seed)
 	patSpan.SetAttr("count", strconv.Itoa(len(pats)))
-	patDone()
+	endPatterns(nil)
 
-	env := &shardEnv{c: c, engine: engine, pats: pats, iddq: req.Faults.IDDQ}
+	env := &shardEnv{c: c, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
 	if req.Faults.StuckAt {
 		env.saFaults = core.Universe(c, core.ClassicalOnly())
 	}
-	uopt := core.UniverseOptions{
-		ChannelBreak: req.Faults.StuckOpen,
-		StuckOn:      req.Faults.StuckOn,
-		Polarity:     req.Faults.Polarity,
-	}
-	if uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
+	if uopt := transistorUniverse(req.Faults); uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
 		env.trFaults = core.Universe(c, uopt)
 	}
 	if req.Faults.Bridges {
@@ -213,23 +224,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		k = shard.AutoShards(len(c.Gates), len(env.saFaults)+len(env.trFaults)+len(env.bridges))
 	}
 	plan := shard.NewPlan(opt.Key, k, len(env.saFaults), len(env.trFaults), len(env.bridges), wantDict)
-	if ro.Span != nil {
-		ro.Span.SetAttr("shards", strconv.Itoa(plan.Total))
-	}
-
-	env.agg = newShardAgg(ro, plan.Total)
-	if env.saFaults != nil {
-		env.agg.class("stuck_at", len(env.saFaults))
-	}
-	if env.trFaults != nil {
-		env.agg.class("transistor", len(env.trFaults))
-		if req.Faults.IDDQ {
-			env.agg.class("transistor_iddq", len(env.trFaults))
-		}
-	}
-	if env.bridges != nil {
-		env.agg.class("bridges", len(env.bridges))
-	}
+	ro.Span.SetAttr("shards", strconv.Itoa(plan.Total))
+	env.agg = newShardAgg(ro.Progress, plan.Total, env)
+	env.workers = shardWorkers(req.Workers, plan.Total)
 
 	stats := c.Statistics()
 	rep := &CampaignReport{
@@ -243,303 +240,267 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 		Patterns: len(pats),
 		Engine:   engine.String(),
 	}
-	simSpan, simDone := ro.stage(ro.Span, "simulate")
 
-	results := make([]*shard.Result, plan.Total)
+	simSpan, endSimulate := ro.stage(ro.Span, "simulate")
+	outs, err := env.runShards(ctx, plan, opt, simSpan)
+	if err == nil && req.ATPG {
+		rep.ATPG, err = runATPG(ctx, c, req, engine, plan.Total, ro, simSpan)
+	}
+	endSimulate(err)
+	if err != nil {
+		return nil, err
+	}
+
+	mergeSpan, endMerge := ro.stage(ro.Span, "merge")
+	mergeSpan.SetAttr("shards", strconv.Itoa(plan.Total))
+	saSig, trSig, err := env.merge(rep, outs, wantDict)
+	endMerge(err)
+	if err != nil {
+		return nil, err
+	}
+
+	if saSig != nil || trSig != nil {
+		dictSpan, endDict := ro.stage(ro.Span, "dictionary")
+		rep.Dictionary, err = env.buildDictionary(dictSpan, req.Seed, saSig, trSig)
+		endDict(err)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	_, endReport := ro.stage(ro.Span, "report")
+	rep.Tables = buildTables(rep)
+	endReport(nil)
+	rep.ElapsedMS = time.Since(start).Milliseconds()
+	return rep, nil
+}
+
+// runShards schedules the plan's sub-jobs, each attempt under its own
+// "shard" span, and returns their results in plan order. A sub-job
+// already in opt.Store is decoded from it instead of simulated; a
+// fresh result is encoded into it.
+func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt ShardedOptions, parent *obs.Span) ([]*shard.Output, error) {
+	outs := make([]*shard.Output, plan.Total)
 	attempt := func(ctx context.Context, j shard.SubJob) error {
-		sp := simSpan.Child("shard")
+		sp := parent.Child("shard")
 		defer sp.End()
 		sp.SetAttr("index", fmt.Sprintf("%d/%d", j.Index, j.Total))
 		sp.SetAttr("key", j.Key)
 		if opt.Store != nil {
-			var cached shard.Result
-			if err := opt.Store.Get(resultstore.KindShard, j.Key, &cached); err == nil {
+			var stored shard.Result
+			if err := opt.Store.Get(resultstore.KindShard, j.Key, &stored); err == nil {
 				// A stored artifact that does not answer this sub-job
 				// (corruption, a key scheme change) is treated as a miss
 				// and overwritten by the fresh run below.
-				if cached.Matches(j) == nil {
+				if out, err := stored.Decode(j, env.saFaults, env.trFaults, env.bridges, env.iddq, len(env.pats)); err == nil {
 					sp.SetAttr("cache", "hit")
-					results[j.Index] = &cached
+					outs[j.Index] = out
 					if opt.OnCacheHit != nil {
 						opt.OnCacheHit(j)
 					}
-					env.agg.complete(j, &cached)
+					env.agg.complete(j, out)
 					return nil
 				}
 				sp.SetAttr("cache", "mismatch")
 			}
 		}
-		res, err := runShardJob(ctx, env, opt.Key, j)
+		out, err := env.runShardJob(ctx, j, sp)
 		if err != nil {
+			sp.SetAttr("error", err.Error())
 			return err
 		}
 		if opt.Store != nil {
-			if _, err := opt.Store.Put(resultstore.KindShard, j.Key, res); err != nil {
+			if _, err := opt.Store.Put(resultstore.KindShard, j.Key, out.Encode(j, opt.Key)); err != nil {
 				// Persistence failure costs the next run a re-simulation;
 				// it must not fail this one.
 				sp.SetAttr("store_error", err.Error())
 			}
 		}
-		results[j.Index] = res
-		env.agg.complete(j, res)
+		outs[j.Index] = out
+		env.agg.complete(j, out)
 		return nil
 	}
-	sched := &shard.Scheduler{
-		Workers:  opt.Workers,
-		Retries:  opt.Retries,
-		Timeout:  opt.Timeout,
-		Draining: opt.Draining,
-	}
-	if err := sched.Run(ctx, plan.Jobs, attempt, opt.Events); err != nil {
-		return nil, err
-	}
-
-	// ATPG is a sequential generator, not a fault-parallel sweep: it
-	// runs once here, exactly as the unsharded campaign runs it.
-	if req.ATPG {
-		genOpt := uopt
-		genOpt.LineStuckAt = req.Faults.StuckAt
-		universe := core.Universe(c, genOpt)
-		atpgOpt := atpg.Options{Engine: engine}
-		if ro.Progress != nil {
-			atpgOpt.Progress = func(p atpg.Progress) {
-				ro.Progress(JobProgress{
-					Stage:      "atpg",
-					Class:      p.Class,
-					Done:       p.Done,
-					Total:      p.Total,
-					Detected:   p.Covered,
-					Faults:     p.Total,
-					Untestable: p.Untestable,
-					Vectors:    p.Vectors,
-					Shards:     plan.Total,
-					ShardsDone: plan.Total,
-				})
-			}
-		}
-		rep.ATPG, err = runATPG(ctx, c, universe, atpgOpt, ro, simSpan)
-		if err != nil {
-			return nil, err
-		}
-	}
-	simDone()
-
-	mergeSpan, mergeDone := ro.stage(ro.Span, "merge")
-	collect := func(pick func(*shard.Result) *shard.ClassResult) []*shard.ClassResult {
-		out := make([]*shard.ClassResult, 0, len(results))
-		for _, r := range results {
-			if r != nil {
-				out = append(out, pick(r))
-			}
-		}
-		return out
-	}
-	var saCapture, trCapture *faultsim.SignatureCapture
-	if env.saFaults != nil {
-		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.StuckAt })
-		ds, err := shard.MergeDetections(env.saFaults, parts)
-		if err != nil {
-			return nil, err
-		}
-		rep.StuckAt = coverageJSON(faultsim.Summarise(ds))
-		if wantDict {
-			if saCapture, err = shard.MergeSignatures(len(env.saFaults), len(pats), parts, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if env.trFaults != nil {
-		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.TransistorV })
-		ds, err := shard.MergeDetections(env.trFaults, parts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Transistor = coverageJSON(faultsim.Summarise(ds))
-		if wantDict && !req.Faults.IDDQ {
-			if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, false); err != nil {
-				return nil, err
-			}
-		}
-		if req.Faults.IDDQ {
-			parts := collect(func(r *shard.Result) *shard.ClassResult { return r.TransistorIQ })
-			ds, err := shard.MergeDetections(env.trFaults, parts)
-			if err != nil {
-				return nil, err
-			}
-			rep.TransistorIDDQ = coverageJSON(faultsim.Summarise(ds))
-			if wantDict {
-				if trCapture, err = shard.MergeSignatures(len(env.trFaults), len(pats), parts, true); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if env.bridges != nil {
-		parts := collect(func(r *shard.Result) *shard.ClassResult { return r.Bridges })
-		ds, err := shard.MergeBridgeDetections(env.bridges, parts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
-	}
-	mergeSpan.SetAttr("shards", strconv.Itoa(plan.Total))
-	mergeDone()
-
-	if wantDict && (saCapture != nil || trCapture != nil) {
-		dictSpan, done := ro.stage(ro.Span, "dictionary")
-		d := &dict.Dictionary{Meta: dict.Meta{
-			Key:       ro.DictKey,
-			Circuit:   c.Name,
-			Patterns:  len(pats),
-			Seed:      req.Seed,
-			Engine:    engine.String(),
-			IDDQ:      req.Faults.IDDQ,
-			CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		}}
-		addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
-			for i := range faults {
-				e := dict.Entry{
-					Fault: faults[i].String(),
-					Out:   dict.FromWords(len(pats), capture.Out(i)),
-					Leak:  dict.NewBitset(len(pats)),
-				}
-				if leak {
-					e.Leak = dict.FromWords(len(pats), capture.Leak(i))
-				}
-				d.Entries = append(d.Entries, e)
-			}
-		}
-		if saCapture != nil {
-			addEntries(env.saFaults, saCapture, false)
-		}
-		if trCapture != nil {
-			addEntries(env.trFaults, trCapture, req.Faults.IDDQ)
-		}
-		_, size, err := ro.Dict.Put(d)
-		if err != nil {
-			return nil, fmt.Errorf("dictionary: %w", err)
-		}
-		dictSpan.SetAttr("entries", strconv.Itoa(len(d.Entries)))
-		dictSpan.SetAttr("bytes", strconv.FormatInt(size, 10))
-		rep.Dictionary = &DictionaryJSON{
-			Key:                 d.Meta.Key,
-			Entries:             d.Meta.Entries,
-			Patterns:            d.Meta.Patterns,
-			IDDQ:                d.Meta.IDDQ,
-			CompressedBytes:     size,
-			Detected:            d.Meta.Resolution.Detected,
-			Classes:             d.Meta.Resolution.Classes,
-			UniquelyDiagnosable: d.Meta.Resolution.UniquelyDiagnosable,
-		}
-		done()
-	}
-
-	_, reportDone := ro.stage(ro.Span, "report")
-	rep.Tables = buildTables(rep)
-	reportDone()
-	rep.ElapsedMS = time.Since(start).Milliseconds()
-	return rep, nil
+	sched := &shard.Scheduler{Retries: opt.Retries, Draining: opt.Draining}
+	return outs, sched.Run(ctx, plan.Jobs, attempt, opt.Events)
 }
 
 // runShardJob simulates one sub-job's fault slices on a private
 // simulator (capture sinks and progress hooks are simulator state, so
-// concurrent shards cannot share one).
-func runShardJob(ctx context.Context, env *shardEnv, campaignKey string, j shard.SubJob) (*shard.Result, error) {
+// concurrent shards cannot share one), each class under its stage span
+// below the shard's.
+func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Span) (*shard.Output, error) {
+	ro := env.ro
 	sim := faultsim.New(env.c)
 	sim.Engine = env.engine
-
-	// Stage bookkeeping for the progress aggregator and the gate-eval
-	// tally: the simulator reports cumulative gate evals per run, so the
-	// shard total is the sum of each run's final snapshot.
-	currentStage := ""
-	var lastEvals, totalEvals uint64
-	sim.Progress = func(p faultsim.Progress) {
-		lastEvals = p.GateEvals
-		env.agg.note(currentStage, j.Index, p)
-	}
-	endRun := func() {
-		totalEvals += lastEvals
-		lastEvals = 0
+	// The simulator names its own stages, but the voltage-only and +IDDQ
+	// sweeps both run under "transistor": only the shard can tell them
+	// apart, so it points the progress hook at the running class.
+	var current *classAgg
+	if ro.Progress != nil {
+		sim.Progress = func(p faultsim.Progress) { env.agg.note(current, j.Index, p) }
 	}
 
-	res := &shard.Result{Key: j.Key, CampaignKey: campaignKey, Index: j.Index, Total: j.Total}
+	_, endCompile := ro.stage(sp, "compile")
+	sim.EnsureCompiled()
+	endCompile(nil)
 
+	// runClass sweeps one fault class's slice under its stage span,
+	// capturing signatures into the part when asked.
+	runClass := func(stage string, universe []core.Fault, r shard.Range, capture bool,
+		sweep func([]core.Fault) ([]faultsim.Detection, error)) (*shard.Part, error) {
+		current = env.agg.classes[stage]
+		_, end := ro.stage(sp, stage)
+		part := &shard.Part{Range: r}
+		if capture {
+			part.Sig = faultsim.NewSignatureCapture(r.Len(), len(env.pats))
+			sim.Signatures = part.Sig
+		}
+		var err error
+		part.Dets, err = sweep(universe[r.Start:r.End])
+		sim.Signatures = nil
+		end(err)
+		return part, err
+	}
+
+	out := &shard.Output{}
+	var err error
 	if env.saFaults != nil {
-		currentStage = "stuck_at"
-		faults := env.saFaults[j.StuckAt.Start:j.StuckAt.End]
-		var capture *faultsim.SignatureCapture
-		if j.Capture {
-			capture = faultsim.NewSignatureCapture(len(faults), len(env.pats))
-			sim.Signatures = capture
-		}
-		ds, err := sim.RunStuckAtContext(ctx, faults, env.pats)
-		sim.Signatures = nil
+		out.StuckAt, err = runClass("stuck_at", env.saFaults, j.StuckAt, j.Capture, func(faults []core.Fault) ([]faultsim.Detection, error) {
+			return sim.RunStuckAtContext(ctx, faults, env.pats)
+		})
 		if err != nil {
 			return nil, err
 		}
-		endRun()
-		cr := &shard.ClassResult{Range: j.StuckAt, Dets: shard.EncodeDetections(ds)}
-		if capture != nil {
-			cr.Out = shard.EncodeSigRows(capture, false)
-		}
-		res.StuckAt = cr
 	}
-
 	if env.trFaults != nil {
-		currentStage = "transistor"
-		faults := env.trFaults[j.Transistor.Start:j.Transistor.End]
-		var capture *faultsim.SignatureCapture
-		if j.Capture && !env.iddq {
-			capture = faultsim.NewSignatureCapture(len(faults), len(env.pats))
-			sim.Signatures = capture
-		}
-		// Parallelism comes from running shards concurrently; inside a
-		// shard the sweep stays single-worker to avoid oversubscription.
-		ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, false, 1)
-		sim.Signatures = nil
+		// The dictionary's leak plane needs the +IDDQ sweep; without IDDQ
+		// the voltage sweep carries the (identical) output plane.
+		out.TransistorV, err = runClass("transistor", env.trFaults, j.Transistor, j.Capture && !env.iddq, func(faults []core.Fault) ([]faultsim.Detection, error) {
+			return sim.RunTransistorParallel(ctx, faults, env.pats, false, env.workers)
+		})
 		if err != nil {
 			return nil, err
 		}
-		endRun()
-		cr := &shard.ClassResult{Range: j.Transistor, Dets: shard.EncodeDetections(ds)}
-		if capture != nil {
-			cr.Out = shard.EncodeSigRows(capture, false)
-		}
-		res.TransistorV = cr
-
 		if env.iddq {
-			currentStage = "transistor_iddq"
-			capture = nil
-			if j.Capture {
-				capture = faultsim.NewSignatureCapture(len(faults), len(env.pats))
-				sim.Signatures = capture
-			}
-			ds, err := sim.RunTransistorParallel(ctx, faults, env.pats, true, 1)
-			sim.Signatures = nil
+			out.TransistorIQ, err = runClass("transistor_iddq", env.trFaults, j.Transistor, j.Capture, func(faults []core.Fault) ([]faultsim.Detection, error) {
+				return sim.RunTransistorParallel(ctx, faults, env.pats, true, env.workers)
+			})
 			if err != nil {
 				return nil, err
 			}
-			endRun()
-			cr := &shard.ClassResult{Range: j.Transistor, Dets: shard.EncodeDetections(ds)}
-			if capture != nil {
-				cr.Out = shard.EncodeSigRows(capture, false)
-				cr.Leak = shard.EncodeSigRows(capture, true)
-			}
-			res.TransistorIQ = cr
 		}
 	}
-
 	if env.bridges != nil {
-		currentStage = "bridges"
-		brs := env.bridges[j.Bridges.Start:j.Bridges.End]
-		ds, err := sim.RunBridgesObserved(ctx, brs, env.pats, env.iddq)
+		current = env.agg.classes["bridges"]
+		_, end := ro.stage(sp, "bridges")
+		ds, err := sim.RunBridgesObserved(ctx, env.bridges[j.Bridges.Start:j.Bridges.End], env.pats, env.iddq)
+		end(err)
 		if err != nil {
 			return nil, err
 		}
-		endRun()
-		res.Bridges = &shard.ClassResult{Range: j.Bridges, Dets: shard.EncodeBridgeDetections(ds)}
+		out.Bridges = &shard.Part{Range: j.Bridges, Bridges: ds}
 	}
+	return out, nil
+}
 
-	res.GateEvals = totalEvals
-	return res, nil
+// merge fills the report's coverage blocks from the shard results and,
+// when the plan captured signatures, returns the stuck-at and
+// transistor captures the fault dictionary is built from.
+func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bool) (saSig, trSig *faultsim.SignatureCapture, err error) {
+	parts := func(pick func(*shard.Output) *shard.Part) []*shard.Part {
+		ps := make([]*shard.Part, len(outs))
+		for i, o := range outs {
+			ps[i] = pick(o)
+		}
+		return ps
+	}
+	faultClass := func(universe []core.Fault, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
+		ps := parts(pick)
+		ds, err := shard.MergeDetections(len(universe), ps)
+		if err != nil {
+			return nil, nil, err
+		}
+		var merged *faultsim.SignatureCapture
+		if sig {
+			if merged, err = shard.MergeSignatures(len(universe), len(env.pats), ps); err != nil {
+				return nil, nil, err
+			}
+		}
+		return coverageJSON(faultsim.Summarise(ds)), merged, nil
+	}
+	if env.saFaults != nil {
+		if rep.StuckAt, saSig, err = faultClass(env.saFaults, func(o *shard.Output) *shard.Part { return o.StuckAt }, capture); err != nil {
+			return nil, nil, err
+		}
+	}
+	if env.trFaults != nil {
+		if rep.Transistor, trSig, err = faultClass(env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorV }, capture && !env.iddq); err != nil {
+			return nil, nil, err
+		}
+		if env.iddq {
+			if rep.TransistorIDDQ, trSig, err = faultClass(env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorIQ }, capture); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if env.bridges != nil {
+		ds, err := shard.MergeBridgeDetections(len(env.bridges), parts(func(o *shard.Output) *shard.Part { return o.Bridges }))
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
+	}
+	return saSig, trSig, nil
+}
+
+// buildDictionary persists the campaign's fault dictionary under
+// ro.DictKey: one entry per stuck-at fault (output plane only) and per
+// transistor fault (with the leak plane when the campaign observes
+// IDDQ), in universe order. It returns the report section.
+func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *faultsim.SignatureCapture) (*DictionaryJSON, error) {
+	n := len(env.pats)
+	d := &dict.Dictionary{Meta: dict.Meta{
+		Key:       env.ro.DictKey,
+		Circuit:   env.c.Name,
+		Patterns:  n,
+		Seed:      seed,
+		Engine:    env.engine.String(),
+		IDDQ:      env.iddq,
+		CreatedAt: time.Now().UTC().Format(time.RFC3339),
+	}}
+	addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
+		for i := range faults {
+			e := dict.Entry{
+				Fault: faults[i].String(),
+				Out:   dict.FromWords(n, capture.Out(i)),
+				Leak:  dict.NewBitset(n),
+			}
+			if leak {
+				e.Leak = dict.FromWords(n, capture.Leak(i))
+			}
+			d.Entries = append(d.Entries, e)
+		}
+	}
+	if saSig != nil {
+		addEntries(env.saFaults, saSig, false)
+	}
+	if trSig != nil {
+		addEntries(env.trFaults, trSig, env.iddq)
+	}
+	_, size, err := env.ro.Dict.Put(d)
+	if err != nil {
+		return nil, fmt.Errorf("dictionary: %w", err)
+	}
+	sp.SetAttr("entries", strconv.Itoa(len(d.Entries)))
+	sp.SetAttr("bytes", strconv.FormatInt(size, 10))
+	return &DictionaryJSON{
+		Key:                 d.Meta.Key,
+		Entries:             d.Meta.Entries,
+		Patterns:            d.Meta.Patterns,
+		IDDQ:                d.Meta.IDDQ,
+		CompressedBytes:     size,
+		Detected:            d.Meta.Resolution.Detected,
+		Classes:             d.Meta.Resolution.Classes,
+		UniquelyDiagnosable: d.Meta.Resolution.UniquelyDiagnosable,
+	}, nil
 }

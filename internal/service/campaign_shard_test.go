@@ -3,11 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
+	"cpsinw/internal/core"
 	"cpsinw/internal/dict"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
@@ -38,8 +40,8 @@ func normalizeReport(t *testing.T, rep *CampaignReport) map[string]interface{} {
 	return m
 }
 
-// runDifferential pins the sharded path bit-identical to the unsharded
-// packed single-shot on one request, for every shard count in ks.
+// runDifferential pins every shard count in ks bit-identical to the
+// one-shard (single-shot) run of the same request.
 func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 	t.Helper()
 	norm, c, err := req.normalize()
@@ -140,59 +142,87 @@ func TestShardedC432Differential(t *testing.T) {
 
 // TestShardedStoreReuse pins the result store's caching contract: a
 // second run of the same campaign serves every shard from the store,
-// and removing one shard artifact re-simulates exactly that shard.
+// and removing one shard artifact re-simulates exactly that shard. The
+// campaign captures a dictionary, so the served shards' signature rows
+// must decode into the same dictionary, row for row. At 40 shards,
+// c17's 34 stuck-at faults leave six shards with an empty stuck-at
+// range, whose captured (empty) planes must be served too; with IDDQ
+// the +IDDQ transistor sweep captures, without it the voltage-only one.
 func TestShardedStoreReuse(t *testing.T) {
-	req := CampaignRequest{
-		Benchmark: "mult3",
-		Faults:    FaultConfig{StuckAt: true, Polarity: true, IDDQ: true},
-		Engine:    "packed",
-	}
-	norm, c, err := req.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := CanonicalKey(c, norm)
-	store, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	transistor := FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true}
+	transistorIDDQ := transistor
+	transistorIDDQ.IDDQ = true
+	for _, tc := range []struct {
+		req    CampaignRequest
+		shards int
+	}{
+		{CampaignRequest{Benchmark: "mult3", Faults: FaultConfig{StuckAt: true, Polarity: true, IDDQ: true}, Engine: "packed"}, 4},
+		{CampaignRequest{Benchmark: "c17", Faults: transistor}, 40},
+		{CampaignRequest{Benchmark: "c17", Faults: transistorIDDQ}, 40},
+	} {
+		t.Run(fmt.Sprintf("%s/iddq=%t/k=%d", tc.req.Benchmark, tc.req.Faults.IDDQ, tc.shards), func(t *testing.T) {
+			norm, c, err := tc.req.normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := CanonicalKey(c, norm)
+			store, err := resultstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	run := func(wantHits int64) *CampaignReport {
-		t.Helper()
-		var hits atomic.Int64 // OnCacheHit fires on scheduler goroutines
-		rep, err := RunCampaignSharded(context.Background(), c, norm, ShardedOptions{
-			Key: key, Shards: 4, Store: store,
-			OnCacheHit: func(shard.SubJob) { hits.Add(1) },
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := hits.Load(); got != wantHits {
-			t.Fatalf("shard cache hits = %d, want %d", got, wantHits)
-		}
-		return rep
-	}
+			var firstDict *dict.Dictionary
+			run := func(wantHits int) *CampaignReport {
+				t.Helper()
+				ds, err := dict.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var hits atomic.Int64 // OnCacheHit fires on scheduler goroutines
+				rep, err := RunCampaignSharded(context.Background(), c, norm, ShardedOptions{
+					Key: key, Shards: tc.shards, Store: store,
+					OnCacheHit: func(shard.SubJob) { hits.Add(1) },
+				}, &RunObserver{Dict: ds, DictKey: key})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := hits.Load(); got != int64(wantHits) {
+					t.Fatalf("shard cache hits = %d, want %d", got, wantHits)
+				}
+				d, err := ds.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if firstDict == nil {
+					firstDict = d
+				} else if !reflect.DeepEqual(d.Entries, firstDict.Entries) {
+					t.Fatalf("dictionary from %d served shards differs from the simulated one", wantHits)
+				}
+				return rep
+			}
 
-	first := run(0)
-	second := run(4) // every shard served from the store
-	if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, second)) {
-		t.Fatal("store-served report differs from the simulated one")
-	}
+			first := run(0)
+			second := run(tc.shards) // every shard served from the store
+			if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, second)) {
+				t.Fatal("store-served report differs from the simulated one")
+			}
 
-	// Partial reuse: drop one shard artifact; only it re-simulates.
-	keys, err := store.Keys(resultstore.KindShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 4 {
-		t.Fatalf("store holds %d shard artifacts, want 4", len(keys))
-	}
-	if err := store.Delete(resultstore.KindShard, keys[2]); err != nil {
-		t.Fatal(err)
-	}
-	third := run(3)
-	if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, third)) {
-		t.Fatal("partially reused report differs from the simulated one")
+			// Partial reuse: drop one shard artifact; only it re-simulates.
+			keys, err := store.Keys(resultstore.KindShard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != tc.shards {
+				t.Fatalf("store holds %d shard artifacts, want %d", len(keys), tc.shards)
+			}
+			if err := store.Delete(resultstore.KindShard, keys[2]); err != nil {
+				t.Fatal(err)
+			}
+			third := run(tc.shards - 1)
+			if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, third)) {
+				t.Fatal("partially reused report differs from the simulated one")
+			}
+		})
 	}
 }
 
@@ -211,5 +241,77 @@ func TestShardedRejectsUnkeyedStore(t *testing.T) {
 	if _, err := RunCampaignSharded(context.Background(), c, norm,
 		ShardedOptions{Key: "not-a-key", Shards: 2, Store: store}, nil); err == nil {
 		t.Fatal("sharded run accepted a store without a canonical key")
+	}
+}
+
+// TestShardProgressCountsFaults pins the aggregated progress stream in
+// fault units, for one shard, four shards and a store-served rerun: per
+// class, done and total never decrease, total is the class universe on
+// every frame, and the last frame has done == total. Frames must reach
+// the observer serialized, so the recorder takes no lock and -race
+// checks that.
+func TestShardProgressCountsFaults(t *testing.T) {
+	req := CampaignRequest{
+		Benchmark: "c432",
+		Faults: FaultConfig{
+			StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true,
+			Bridges: true, IDDQ: true,
+		},
+		Workers: 1,
+	}
+	norm, c, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CanonicalKey(c, norm)
+	tr := len(core.Universe(c, transistorUniverse(norm.Faults)))
+	universe := map[string]int{
+		"stuck_at":        len(core.Universe(c, core.ClassicalOnly())),
+		"transistor":      tr,
+		"transistor_iddq": tr,
+		"bridges":         len(core.NeighborBridges(c, norm.Faults.BridgeWindow)),
+	}
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, run := range []struct {
+		name   string
+		shards int
+		store  *resultstore.Store
+	}{
+		{"K=1", 1, nil},
+		{"K=4", 4, store},
+		{"K=4 store-served", 4, store},
+	} {
+		var frames []JobProgress
+		ro := &RunObserver{Progress: func(p JobProgress) { frames = append(frames, p) }}
+		if _, err := RunCampaignSharded(context.Background(), c, norm,
+			ShardedOptions{Key: key, Shards: run.shards, Store: run.store}, ro); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		last := map[string]JobProgress{}
+		for _, p := range frames {
+			want, ok := universe[p.Stage]
+			if !ok {
+				t.Fatalf("%s: frame for unknown stage %q", run.name, p.Stage)
+			}
+			if p.Total != want || p.Faults != want {
+				t.Fatalf("%s: %s frame total %d faults %d, want the universe %d", run.name, p.Stage, p.Total, p.Faults, want)
+			}
+			if p.Shards != run.shards {
+				t.Fatalf("%s: %s frame carries %d shards, want %d", run.name, p.Stage, p.Shards, run.shards)
+			}
+			if prev, ok := last[p.Stage]; ok && p.Done < prev.Done {
+				t.Fatalf("%s: %s done fell from %d to %d", run.name, p.Stage, prev.Done, p.Done)
+			}
+			last[p.Stage] = p
+		}
+		for stage, n := range universe {
+			if p, ok := last[stage]; !ok || p.Done != n {
+				t.Errorf("%s: %s ended on %+v, want done == total == %d", run.name, stage, p, n)
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ var ErrClosed = errors.New("service: manager closed")
 
 // runCampaign is the worker's execution function, a seam for tests that
 // need deterministic blocking, cancellation or synthetic progress.
-var runCampaign = RunCampaignObserved
+var runCampaign = RunCampaignSharded
 
 // subscriberBuffer is the per-subscriber event channel depth; a slow
 // consumer drops intermediate frames (each frame is a full snapshot)
@@ -51,7 +51,8 @@ type Job struct {
 	progress   *JobProgress
 	subs       []chan JobStatus
 	lastEmit   time.Time
-	stageKey   string
+	stage      string
+	stageClass string
 	stageStart time.Time
 
 	// parse timing from Submit, recorded into the trace by run.
@@ -78,7 +79,10 @@ func (j *Job) statusLocked() JobStatus {
 		Submitted: rfc3339(j.submitted),
 		Started:   rfc3339(j.started),
 		Finished:  rfc3339(j.finished),
-		Progress:  j.progress,
+	}
+	if j.progress != nil {
+		p := *j.progress
+		st.Progress = &p
 	}
 	if j.report != nil {
 		st.Dictionary = j.report.Dictionary
@@ -131,13 +135,14 @@ type ManagerConfig struct {
 	DictDir string
 
 	// ResultDir, when set, enables the durable content-addressed result
-	// store: campaigns run sharded, each sub-job and each merged report
-	// persisting under its content address, so repeat campaigns — and
-	// the already-computed shards of interrupted ones — are answered
-	// without re-simulation across process restarts. Campaigns that
-	// were accepted but unfinished when the process stopped surface as
-	// resumable jobs on the next start. Empty disables persistence (and
-	// sharding, unless a request asks for shards explicitly).
+	// store: campaigns auto-size their shard count, each sub-job and
+	// each merged report persisting under its content address, so
+	// repeat campaigns — and the already-computed shards of interrupted
+	// ones — are answered without re-simulation across process
+	// restarts. Campaigns that were accepted but unfinished when the
+	// process stopped surface as resumable jobs on the next start.
+	// Empty disables persistence; campaigns then run as one shard
+	// unless a request asks for more.
 	ResultDir string
 	// ShardRetries re-attempts a failed shard before quarantining it
 	// (default 1; negative disables retry).
@@ -503,7 +508,10 @@ func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func()) {
 // noteProgress folds one campaign snapshot into the job: it derives
 // coverage and a per-stage ETA, stores the snapshot for Status, and
 // broadcasts to subscribers under the configured throttle (stage
-// starts and completions always broadcast).
+// starts and completions always broadcast). Engines report once per
+// fault, so this runs thousands of times per campaign: it allocates
+// nothing, updating the stored snapshot in place (statusLocked hands
+// out copies).
 func (m *Manager) noteProgress(job *Job, p JobProgress) {
 	m.metrics.ProgressEvents.Inc()
 	now := time.Now()
@@ -512,16 +520,18 @@ func (m *Manager) noteProgress(job *Job, p JobProgress) {
 	}
 
 	job.mu.Lock()
-	key := p.Stage + "\x00" + p.Class
-	if key != job.stageKey {
-		job.stageKey = key
+	if p.Stage != job.stage || p.Class != job.stageClass {
+		job.stage, job.stageClass = p.Stage, p.Class
 		job.stageStart = now
 	}
 	if p.Done > 0 && p.Done < p.Total {
 		perUnit := now.Sub(job.stageStart).Seconds() / float64(p.Done)
 		p.ETASeconds = perUnit * float64(p.Total-p.Done)
 	}
-	job.progress = &p
+	if job.progress == nil {
+		job.progress = new(JobProgress)
+	}
+	*job.progress = p
 	boundary := p.Done == 0 || (p.Total > 0 && p.Done >= p.Total)
 	if m.cfg.ProgressInterval < 0 || boundary || now.Sub(job.lastEmit) >= m.cfg.ProgressInterval {
 		job.lastEmit = now
@@ -589,10 +599,11 @@ func (m *Manager) Close() {
 	m.shutdown(false)
 }
 
-// Drain shuts down gracefully: no new submissions, in-flight shards
-// (and whole unsharded in-flight jobs) run to completion and persist,
-// and still-queued jobs park as resumable state in the result store
-// instead of being canceled. Returns when the workers have exited.
+// Drain shuts down gracefully: no new submissions, in-flight shards run
+// to completion and persist, and still-queued jobs park as resumable
+// state in the result store instead of being canceled (without a store
+// they are canceled: nothing persisted to resume from). Returns when
+// the workers have exited.
 func (m *Manager) Drain() {
 	m.shutdown(true)
 }
@@ -615,12 +626,18 @@ func (m *Manager) shutdown(drain bool) {
 	m.cancel()
 }
 
-// shardedOptions wires one job's sharded execution to the manager's
-// store, drain signal, metrics and logger.
+// shardedOptions wires one job's execution to the manager's store,
+// drain signal, metrics and logger. The shard count is the request's;
+// else auto-sized when shards can persist to a result store; else one
+// shard, the single-shot run.
 func (m *Manager) shardedOptions(job *Job) ShardedOptions {
+	shards := job.req.Shards
+	if shards == 0 && m.store == nil {
+		shards = 1
+	}
 	return ShardedOptions{
 		Key:      job.Key,
-		Shards:   job.req.Shards,
+		Shards:   shards,
 		Store:    m.store,
 		Retries:  m.cfg.ShardRetries,
 		Draining: m.drain,
@@ -735,27 +752,22 @@ func (m *Manager) run(job *Job) {
 		Dict:     m.dict,
 		DictKey:  job.Key,
 	}
-	// Campaigns run sharded when sub-job results can persist (a result
-	// store is configured) or when the request asks for shards
-	// explicitly; otherwise the single-shot path runs unchanged. The
-	// shard differential tests pin the two paths bit-identical.
-	var rep *CampaignReport
-	var err error
-	if m.store != nil || job.req.Shards > 1 {
-		rep, err = RunCampaignSharded(ctx, job.circuit, job.req, m.shardedOptions(job), observer)
-	} else {
-		rep, err = runCampaign(ctx, job.circuit, job.req, observer)
-	}
+	rep, err := runCampaign(ctx, job.circuit, job.req, m.shardedOptions(job), observer)
 	root.End()
 
 	var state JobState
 	switch {
 	case err == nil:
 		state = StateDone
-	case errors.Is(err, shard.ErrDraining):
+	case errors.Is(err, shard.ErrDraining) && m.store != nil:
 		// In-flight shards finished and persisted; the pending marker
 		// stays, so the campaign resumes cheaply after restart.
 		state = StateResumable
+	case errors.Is(err, shard.ErrDraining):
+		// Without a store nothing persisted: there is nothing to
+		// resume, so the drained campaign is canceled, as
+		// parkResumable does.
+		state = StateCanceled
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		state = StateCanceled
 	default:

@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"cpsinw/internal/logic"
 	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
+	"cpsinw/internal/shard"
 )
 
 var storeTestReq = CampaignRequest{
@@ -239,5 +242,44 @@ func TestManagerDropsInvalidPendingMarker(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "pending marker no longer valid") {
 		t.Errorf("no warning logged for the dropped marker:\n%s", logs.String())
+	}
+}
+
+// TestManagerDrainedWithoutStoreIsCanceled: a campaign the drain cuts
+// short is resumable only when its finished shards and pending marker
+// persisted. Without a result store there is nothing to resume from,
+// so it is canceled and never listed resumable.
+func TestManagerDrainedWithoutStoreIsCanceled(t *testing.T) {
+	withFakeRunner(t, func(context.Context, *logic.Circuit, CampaignRequest) (*CampaignReport, error) {
+		return nil, shard.ErrDraining
+	})
+	for _, tc := range []struct {
+		name      string
+		resultDir string
+		want      JobState
+	}{
+		{"no store", "", StateCanceled},
+		{"result store", t.TempDir(), StateResumable},
+	} {
+		m := NewManager(ManagerConfig{Workers: 1, ResultDir: tc.resultDir})
+		j, err := m.Submit(CampaignRequest{Benchmark: "c17", Faults: FaultConfig{StuckAt: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st.State != tc.want {
+			t.Errorf("%s: drained campaign is %s, want %s", tc.name, st.State, tc.want)
+		}
+		listed := len(m.Resumable()) == 1
+		if listed != (tc.want == StateResumable) {
+			t.Errorf("%s: listed resumable = %t, want %t", tc.name, listed, tc.want == StateResumable)
+		}
+		wantCanceled := int64(0)
+		if tc.want == StateCanceled {
+			wantCanceled = 1
+		}
+		if got := m.Metrics().Canceled.Value(); got != wantCanceled {
+			t.Errorf("%s: canceled counter = %d, want %d", tc.name, got, wantCanceled)
+		}
+		m.Close()
 	}
 }

@@ -20,11 +20,14 @@ func withFakeRunner(t *testing.T, fn func(context.Context, *logic.Circuit, Campa
 }
 
 // withObservedRunner swaps the worker execution function, observer
-// included, and restores it afterwards.
+// included, and restores it afterwards; the fake ignores the shard
+// options.
 func withObservedRunner(t *testing.T, fn func(context.Context, *logic.Circuit, CampaignRequest, *RunObserver) (*CampaignReport, error)) {
 	t.Helper()
 	old := runCampaign
-	runCampaign = fn
+	runCampaign = func(ctx context.Context, c *logic.Circuit, req CampaignRequest, _ ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
+		return fn(ctx, c, req, ro)
+	}
 	t.Cleanup(func() { runCampaign = old })
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -460,8 +461,9 @@ func TestMetricsJSONFormat(t *testing.T) {
 }
 
 // TestTraceEndpoint checks the per-campaign span tree: root campaign
-// span with the stage children, and 404s for unknown or cache-answered
-// jobs.
+// span with the stage children, the campaign's one shard under
+// simulate with its compile and stuck-at stages, and 404s for unknown
+// or cache-answered jobs.
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	req := CampaignRequest{Netlist: c17Bench, Faults: FaultConfig{StuckAt: true}}
@@ -477,27 +479,24 @@ func TestTraceEndpoint(t *testing.T) {
 	if tree.Name != "campaign" || tree.End == "" {
 		t.Errorf("trace root = %+v, want finished campaign span", tree)
 	}
-	children := map[string]*obs.SpanTree{}
-	for _, c := range tree.Children {
-		children[c.Name] = c
-	}
-	for _, stage := range []string{"parse", "queued", "patterns", "compile", "simulate", "report"} {
-		if children[stage] == nil {
-			t.Errorf("stage span %q missing (have %v)", stage, tree.Children)
+	names := func(nodes []*obs.SpanTree) []string {
+		var out []string
+		for _, n := range nodes {
+			out = append(out, n.Name)
 		}
+		return out
 	}
-	if sim := children["simulate"]; sim != nil {
-		found := false
-		for _, c := range sim.Children {
-			if c.Name == "stuck_at" {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("simulate children = %+v, want stuck_at", sim.Children)
-		}
+	if got, want := names(tree.Children), []string{"parse", "queued", "patterns", "simulate", "merge", "report"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("campaign children = %v, want %v", got, want)
 	}
-	if tree.Attrs["engine"] != "packed" {
+	sim := tree.Children[3]
+	if got := names(sim.Children); !reflect.DeepEqual(got, []string{"shard"}) {
+		t.Fatalf("simulate children = %v, want one shard", got)
+	}
+	if got, want := names(sim.Children[0].Children), []string{"compile", "stuck_at"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shard children = %v, want %v", got, want)
+	}
+	if tree.Attrs["engine"] != "packed" || tree.Attrs["shards"] != "1" {
 		t.Errorf("root attrs = %v", tree.Attrs)
 	}
 
@@ -511,9 +510,9 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceATPGWork checks that the atpg stage span of both campaign
-// paths (single-shot and sharded) carries the campaign's PODEM work,
-// equal to what the generator itself reports for the same universe.
+// TestTraceATPGWork checks that the atpg stage span of a one-shard and
+// a two-shard campaign carries the campaign's PODEM work, equal to what
+// the generator itself reports for the same universe.
 func TestTraceATPGWork(t *testing.T) {
 	c, err := logic.ParseBench("c17", strings.NewReader(c17Bench))
 	if err != nil {
@@ -562,6 +561,55 @@ func TestTraceATPGWork(t *testing.T) {
 		}
 		if got := span.Attrs["backtracks"]; got != strconv.Itoa(want.Backtracks) {
 			t.Errorf("shards=%d: backtracks attr %q, want %d", shards, got, want.Backtracks)
+		}
+	}
+}
+
+// TestTraceCanceledCampaignEndsEverySpan runs campaigns into their
+// deadline, one shard and two: every span of the trace must have ended,
+// the failed simulate stage must carry an error attribute, and the
+// stage histogram must not observe it.
+func TestTraceCanceledCampaignEndsEverySpan(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		srv, ts := newTestServer(t)
+		st, code := postCampaign(t, ts, CampaignRequest{
+			Benchmark: "mult16",
+			Faults:    FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true},
+			Shards:    shards,
+			TimeoutMS: 30,
+		})
+		if code != http.StatusAccepted {
+			t.Fatalf("shards=%d: submit HTTP %d", shards, code)
+		}
+		if final := pollDone(t, ts, st.ID); final.State != StateCanceled {
+			t.Fatalf("shards=%d: campaign %s, want canceled by its deadline", shards, final.State)
+		}
+		var tree obs.SpanTree
+		if code := getJSON(t, ts.URL+"/v1/campaigns/"+st.ID+"/trace", &tree); code != http.StatusOK {
+			t.Fatalf("shards=%d: trace HTTP %d", shards, code)
+		}
+		var walk func(path string, n *obs.SpanTree)
+		walk = func(path string, n *obs.SpanTree) {
+			path += "/" + n.Name
+			if n.End == "" {
+				t.Errorf("shards=%d: span %s never ended", shards, path)
+			}
+			for _, c := range n.Children {
+				walk(path, c)
+			}
+		}
+		walk("", &tree)
+		var sim *obs.SpanTree
+		for _, c := range tree.Children {
+			if c.Name == "simulate" {
+				sim = c
+			}
+		}
+		if sim == nil || sim.Attrs["error"] == "" {
+			t.Errorf("shards=%d: simulate span %+v carries no error attribute", shards, sim)
+		}
+		if n := srv.Manager().Metrics().stages["simulate"].Count(); n != 0 {
+			t.Errorf("shards=%d: stage histogram observed %d failed simulate stages", shards, n)
 		}
 	}
 }

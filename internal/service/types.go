@@ -59,12 +59,13 @@ type CampaignRequest struct {
 	Workers   int   `json:"workers,omitempty"`
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Shards splits the campaign's fault lists into independently
-	// scheduled, independently cached sub-jobs whose merged results are
-	// bit-identical to the unsharded run: 0 auto-sizes from the circuit
-	// gate count and fault population, 1 forces single-shot. Like
-	// Workers, sharding cannot affect results, so it is excluded from
-	// the cache key — a sharded and an unsharded submission of the same
-	// campaign share one content address (and one stored report).
+	// scheduled, independently cached sub-jobs whose merged results do
+	// not depend on the split. 0 auto-sizes from the circuit gate count
+	// and fault population on a server with a result store, and runs
+	// one shard otherwise; 1 runs one shard, which sweeps with the whole
+	// worker budget. Like Workers, sharding cannot affect results, so it
+	// is excluded from the cache key: submissions of one campaign with
+	// any shard count share one content address (and one stored report).
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -247,8 +248,10 @@ func (s JobState) Terminal() bool {
 
 // JobProgress is a live snapshot of a running campaign stage, carried
 // in JobStatus and streamed over /v1/campaigns/{id}/events. Done/Total
-// count the stage's work units (faults, or bridges for the bridge
-// stage); Faults is the stage's targeted fault universe (the coverage
+// count the stage's faults (bridges on the bridge stage) summed over
+// the campaign's shards: Total is the stage's whole fault universe from
+// the first frame, and a finished shard counts all of its range done.
+// Faults is the stage's targeted fault universe (the coverage
 // denominator); GateEvals counts engine-native gate evaluations, so
 // rates compare within an engine, not across engines.
 type JobProgress struct {
@@ -264,9 +267,9 @@ type JobProgress struct {
 	GateEvals  uint64  `json:"gate_evals,omitempty"`
 	Coverage   float64 `json:"coverage_percent"`
 	ETASeconds float64 `json:"eta_seconds,omitempty"`
-	// Sharded campaigns aggregate per-shard progress: Shards is the
-	// plan size, ShardsDone the sub-jobs finished (cache-served shards
-	// count immediately). Zero on unsharded campaigns.
+	// Shards is the campaign's plan size (1 for a one-shard campaign),
+	// ShardsDone the sub-jobs finished (store-served shards count
+	// immediately); ATPG frames report every shard done.
 	Shards     int `json:"shards,omitempty"`
 	ShardsDone int `json:"shards_done,omitempty"`
 }

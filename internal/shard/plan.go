@@ -3,8 +3,9 @@
 // are embarrassingly parallel over the fault list — every fault's
 // detection outcome is independent of every other fault's — so a
 // campaign splits into contiguous fault-range sub-jobs whose merged
-// results are bit-identical to the unsharded run (the service's
-// differential suite pins this against the packed single-shot engine).
+// results are bit-identical to one sweep over each whole class (the
+// service's differential suite and report goldens pin this). A
+// one-shard plan is the single-shot campaign.
 //
 // The three pieces:
 //
@@ -19,10 +20,12 @@
 //     that exhausts its retries is set aside; the remaining shards still
 //     run to completion so their results persist for partial reuse).
 //
-//   - Result / Merge*: a serializable per-shard result (detection
-//     records and optional signature rows) and the deterministic
-//     merge-on-complete that reassembles full detection lists and
-//     signature captures in fault order.
+//   - Output / Merge*: a sub-job's results in engine form (detections
+//     and optional signature captures per class) and the deterministic
+//     merge that reassembles full detection lists and signature
+//     captures in fault order. Result is the serializable wire form,
+//     used only at the result-store boundary (Encode on put, Decode on
+//     get).
 package shard
 
 import (
@@ -169,7 +172,7 @@ func ClampShards(k int, classSizes ...int) int {
 
 // AutoShards is the default shard count for a campaign that does not
 // pin one: one shard per autoShardWork units of gates x faults, bounded
-// by ClampShards. Small campaigns stay unsharded (the scheduling
+// by ClampShards. Small campaigns stay one shard (the scheduling
 // overhead would exceed the work); the heavy campaigns the ROADMAP
 // targets fan out.
 func AutoShards(gates, faults int) int {
@@ -184,5 +187,5 @@ func AutoShards(gates, faults int) int {
 // autoShardWork is the gates x faults budget one auto-sized shard
 // targets: at ~1k gates x ~4k faults (the mult16 transistor campaign) a
 // campaign splits into a handful of shards, while sub-100-gate circuits
-// stay single-shot.
+// stay one shard.
 const autoShardWork = 1 << 20

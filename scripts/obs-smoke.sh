@@ -3,7 +3,8 @@
 #
 # Builds cpsinw-serve (race detector on), boots it, submits a real
 # campaign, follows the SSE stream to its terminal frame, checks
-# /healthz, the trace endpoint and the legacy JSON metrics form, and
+# /healthz, the trace endpoint (one shard span, a merge span, every
+# span ended) and the legacy JSON metrics form, and
 # pipes the final /metrics scrape through the exposition linter. Any
 # malformed exposition line, missing progress frame or non-terminal
 # stream end fails the script. CI runs this as the obs-smoke job.
@@ -60,8 +61,26 @@ tail -5 "$workdir/events.txt" | grep -q '"state":"done"' || {
 }
 
 echo "== trace =="
-curl -sf "http://$addr/v1/campaigns/$id/trace" | grep -q '"name": *"campaign"' || {
+curl -sf "http://$addr/v1/campaigns/$id/trace" >"$workdir/trace.json"
+grep -q '"name": *"campaign"' "$workdir/trace.json" || {
     echo "trace endpoint missing the campaign root span" >&2
+    exit 1
+}
+# The server has no result store, so the campaign ran as the one-shard
+# plan: the one campaign path shows a shard span and a merge span, and
+# every span that started has ended (an open span has no "end").
+for span in shard merge; do
+    grep -q "\"name\": *\"$span\"" "$workdir/trace.json" || {
+        echo "trace has no $span span: a second campaign path ran" >&2
+        cat "$workdir/trace.json" >&2
+        exit 1
+    }
+done
+starts=$(grep -o '"start":' "$workdir/trace.json" | wc -l)
+ends=$(grep -o '"end":' "$workdir/trace.json" | wc -l)
+[[ "$starts" -eq "$ends" ]] || {
+    echo "trace has $starts spans but only $ends ended" >&2
+    cat "$workdir/trace.json" >&2
     exit 1
 }
 
