@@ -24,6 +24,7 @@ import (
 	"cpsinw/internal/faultsim"
 	"cpsinw/internal/gates"
 	"cpsinw/internal/logic"
+	"cpsinw/internal/resultstore"
 	"cpsinw/internal/service"
 )
 
@@ -582,6 +583,71 @@ func BenchmarkDictionaryCapture(b *testing.B) {
 	if on.Dictionary == nil {
 		b.Fatal("observed campaign produced no dictionary artifact")
 	}
+}
+
+// BenchmarkDurableWrite prices the durable deployment's write path as
+// store_diagnose's write op runs it in the service: a c432 campaign
+// (stuck-at, polarity, stuck-open, stuck-on and IDDQ; 256 random
+// patterns) with an auto-sized result store and a dictionary store
+// attached, then the merged report's put. "bare" runs the same
+// campaigns with no stores. Every iteration takes a fresh seed, so
+// nothing is served from a store. Dated parent-vs-change results live
+// in BENCH_faultsim.json.
+//
+//	go test -run '^$' -bench BenchmarkDurableWrite -benchtime 100x .
+func BenchmarkDurableWrite(b *testing.B) {
+	faults := service.FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true}
+	type campaign struct {
+		c    *logic.Circuit
+		norm service.CampaignRequest
+		key  string
+	}
+	campaigns := func(b *testing.B) []campaign {
+		out := make([]campaign, b.N)
+		for i := range out {
+			req := service.CampaignRequest{Benchmark: "c432", Faults: faults, Patterns: 256, Seed: int64(i + 1)}
+			norm, c, err := req.Normalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			out[i] = campaign{c, norm, service.CanonicalKey(c, norm)}
+		}
+		return out
+	}
+	ctx := context.Background()
+	b.Run("durable", func(b *testing.B) {
+		rs, err := resultstore.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := dict.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs := campaigns(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, cp := range cs {
+			rep, err := service.RunCampaignSharded(ctx, cp.c, cp.norm, service.ShardedOptions{Key: cp.key, Store: rs},
+				&service.RunObserver{Dict: ds, DictKey: cp.key})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rs.Put(resultstore.KindReport, cp.key, rep); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("bare", func(b *testing.B) {
+		cs := campaigns(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, cp := range cs {
+			if _, err := service.RunCampaignObserved(ctx, cp.c, cp.norm, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSwitchLevelXOR2 times one switch-level evaluation of the XOR2

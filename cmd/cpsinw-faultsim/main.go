@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cpsinw-faultsim [-circuit name | < netlist.bench] [-patterns n] [-engine packed|reference]
-//	cpsinw-faultsim [-shards k] [-result-dir path]   k-shard campaign with durable shard reuse
+//	cpsinw-faultsim [-shards k] [-result-dir path]   k-shard campaign with durable report and shard reuse
 //	cpsinw-faultsim -tableiii
 package main
 
@@ -41,7 +41,7 @@ func main() {
 	engineName := flag.String("engine", "packed", "fault-simulation engine: packed or reference (the serial oracle)")
 	list := flag.Bool("list", false, "list built-in benchmarks and exit")
 	shards := flag.Int("shards", 1, "split the campaign into k fault-range shards merged bit-identically (0: auto-size; 1: one shard with every worker)")
-	resultDir := flag.String("result-dir", "", "durable result store; completed shards are reused across runs (empty disables)")
+	resultDir := flag.String("result-dir", "", "durable result store; completed campaigns and shards are reused across runs (empty disables)")
 	flag.Parse()
 
 	if _, err := faultsim.ParseEngine(*engineName); err != nil {
@@ -115,16 +115,28 @@ func main() {
 	var scheduled, hits atomic.Int64 // callbacks fire on scheduler goroutines
 	opt.Events = shard.Events{Scheduled: func(shard.SubJob) { scheduled.Add(1) }}
 	opt.OnCacheHit = func(shard.SubJob) { hits.Add(1) }
+	// A campaign already in the result store is answered from its
+	// report at any shard count, with no simulation.
+	var rep *service.CampaignReport
 	if *resultDir != "" {
-		store, err := resultstore.Open(*resultDir)
-		if err != nil {
+		if opt.Store, err = resultstore.Open(*resultDir); err != nil {
 			log.Fatal(err)
 		}
-		opt.Store = store
+		var stored service.CampaignReport
+		if opt.Store.Get(resultstore.KindReport, opt.Key, &stored) == nil {
+			rep = &stored
+		}
 	}
-	rep, err := service.RunCampaignSharded(context.Background(), c, norm, opt, nil)
-	if err != nil {
-		log.Fatal(err)
+	fromStore := rep != nil
+	if !fromStore {
+		if rep, err = service.RunCampaignSharded(context.Background(), c, norm, opt, nil); err != nil {
+			log.Fatal(err)
+		}
+		if opt.Store != nil {
+			if _, err := opt.Store.Put(resultstore.KindReport, opt.Key, rep); err != nil {
+				log.Printf("report not persisted: %v", err)
+			}
+		}
 	}
 
 	if *shards != 1 || *resultDir != "" {
@@ -132,8 +144,12 @@ func main() {
 			fmt.Print(t.String())
 			fmt.Println()
 		}
-		fmt.Printf("campaign %s: %d shards (%d reused from store), %d ms\n",
-			opt.Key[:12], scheduled.Load(), hits.Load(), rep.ElapsedMS)
+		if fromStore {
+			fmt.Printf("campaign %s: answered from the result store, no simulation\n", opt.Key[:12])
+		} else {
+			fmt.Printf("campaign %s: %d shards (%d reused from store), %d ms\n",
+				opt.Key[:12], scheduled.Load(), hits.Load(), rep.ElapsedMS)
+		}
 		return
 	}
 	fmt.Print(rep.Tables[0].String())

@@ -77,3 +77,48 @@ func TestC17Golden(t *testing.T) {
 		t.Errorf("-seed 0: err %v, stderr %q, want a non-zero seed error", err, stderr)
 	}
 }
+
+// TestResultDirReusesReports runs a c432 campaign once into a result
+// directory, then reruns it at one shard and at four: each rerun must
+// print the same tables and be answered from the stored report. The
+// one-shard run stores the report only, no shard artifact.
+func TestResultDirReusesReports(t *testing.T) {
+	bin := buildTool(t)
+	dir := t.TempDir()
+	// tables is the output up to the closing campaign line.
+	tables := func(out string) (string, string) {
+		i := strings.LastIndex(out, "campaign ")
+		if i < 0 {
+			t.Fatalf("no campaign line in output:\n%s", out)
+		}
+		return out[:i], out[i:]
+	}
+
+	first, stderr, err := run(bin, "-circuit", "c432", "-shards", "1", "-result-dir", dir)
+	if err != nil {
+		t.Fatalf("first run: %v\n%s", err, stderr)
+	}
+	want, line := tables(first)
+	if !strings.Contains(line, "1 shards (0 reused from store)") {
+		t.Fatalf("first run did not simulate one shard: %q", line)
+	}
+	for kind, n := range map[string]int{"reports": 1, "shards": 0} {
+		if ents, err := os.ReadDir(filepath.Join(dir, kind)); err != nil || len(ents) != n {
+			t.Fatalf("result store holds %d %s (err %v), want %d", len(ents), kind, err, n)
+		}
+	}
+
+	for _, k := range []string{"1", "4"} {
+		out, stderr, err := run(bin, "-circuit", "c432", "-shards", k, "-result-dir", dir)
+		if err != nil {
+			t.Fatalf("-shards %s rerun: %v\n%s", k, err, stderr)
+		}
+		got, line := tables(out)
+		if got != want {
+			t.Errorf("-shards %s rerun prints different tables:\n%s\nwant:\n%s", k, got, want)
+		}
+		if !strings.Contains(line, "answered from the result store, no simulation") {
+			t.Errorf("-shards %s rerun was not answered from the store: %q", k, line)
+		}
+	}
+}

@@ -65,7 +65,7 @@ func main() {
 	dictDir := flag.String("dict-dir", "",
 		"fault-dictionary store directory; campaigns persist signature dictionaries there and /v1/diagnose answers from them (empty disables)")
 	resultDir := flag.String("result-dir", "",
-		"durable result store directory: campaigns run sharded, sub-jobs and merged reports persist under content addresses, and unfinished campaigns resume after restarts (empty disables)")
+		"durable result store directory: completed campaigns (merged reports) and, in plans of 2+ shards, completed shards persist under content addresses and are reused; unfinished campaigns resume after restarts (empty disables)")
 	shardRetries := flag.Int("shard-retries", 1, "re-attempts before quarantining a failed campaign shard (negative disables)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log format: text (logfmt) or json")

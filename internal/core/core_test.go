@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cpsinw/internal/bench"
 	"cpsinw/internal/gates"
 	"cpsinw/internal/logic"
 )
@@ -95,6 +97,8 @@ func TestUniverseFanoutBranches(t *testing.T) {
 	}
 }
 
+// TestFaultString checks fault names, and every name of every
+// registered benchmark's full universe against the fmt rendering.
 func TestFaultString(t *testing.T) {
 	f := Fault{Kind: FaultStuckAtN, Gate: "g7", Transistor: "t2"}
 	if got := f.String(); !strings.Contains(got, "g7.t2") || !strings.Contains(got, "stuck-at-n-type") {
@@ -103,6 +107,17 @@ func TestFaultString(t *testing.T) {
 	lf := Fault{Kind: FaultSA0, Net: "n3", Pin: -1}
 	if lf.String() != "n3/SA0" {
 		t.Errorf("line fault string: %q", lf.String())
+	}
+	for _, name := range append(bench.Names(), bench.ISCASNames()...) {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range Universe(c, AllFaults()) {
+			if got, want := f.String(), refFaultName(f); got != want {
+				t.Fatalf("%s: fault name %q, want %q", name, got, want)
+			}
+		}
 	}
 }
 
@@ -233,4 +248,15 @@ func TestFabricationProcessTableI(t *testing.T) {
 			t.Errorf("fault model %v not covered by any process step", k)
 		}
 	}
+}
+
+// refFaultName is the fmt rendering Fault.String must reproduce.
+func refFaultName(f Fault) string {
+	if f.Kind.IsLineFault() {
+		if f.Pin >= 0 {
+			return fmt.Sprintf("%s/%s@pin%d(g%d)", f.Net, f.Kind, f.Pin, f.GateIdx)
+		}
+		return fmt.Sprintf("%s/%s", f.Net, f.Kind)
+	}
+	return fmt.Sprintf("%s.%s/%s", f.Gate, f.Transistor, f.Kind)
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"cpsinw/internal/gates"
 	"cpsinw/internal/logic"
@@ -99,15 +100,18 @@ type Fault struct {
 	Transistor string
 }
 
-// String renders a compact fault identifier.
+// String renders a compact fault identifier: net/kind for a stem,
+// net/kind@pinP(gG) for a fanout branch, gate.transistor/kind inside a
+// gate. It names every dictionary entry and undetected fault, so it
+// concatenates rather than formats.
 func (f Fault) String() string {
 	if f.Kind.IsLineFault() {
 		if f.Pin >= 0 {
-			return fmt.Sprintf("%s/%s@pin%d(g%d)", f.Net, f.Kind, f.Pin, f.GateIdx)
+			return f.Net + "/" + f.Kind.String() + "@pin" + strconv.Itoa(f.Pin) + "(g" + strconv.Itoa(f.GateIdx) + ")"
 		}
-		return fmt.Sprintf("%s/%s", f.Net, f.Kind)
+		return f.Net + "/" + f.Kind.String()
 	}
-	return fmt.Sprintf("%s.%s/%s", f.Gate, f.Transistor, f.Kind)
+	return f.Gate + "." + f.Transistor + "/" + f.Kind.String()
 }
 
 // UniverseOptions selects which fault classes to enumerate.

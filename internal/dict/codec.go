@@ -17,66 +17,135 @@ import (
 //
 // Encoded form: one codec byte, a uvarint payload length, then the
 // payload. The bit width is not repeated — it is fixed per dictionary
-// and comes from the Meta header.
+// and comes from the Meta header. A tie goes to the earlier codec in
+// the list above.
+//
+// The encoder never builds a losing payload: it sizes the sparse and
+// run codecs from whole words (set bits and run boundaries found with
+// bit tricks, one varint length per member), stops sizing a codec as
+// soon as it can no longer win, and appends only the winner.
 const (
 	codecRaw    = 0
 	codecSparse = 1
 	codecRuns   = 2
 )
 
-func encodeRaw(b Bitset) []byte {
-	out := make([]byte, 8*len(b.words))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(out[8*i:], w)
+// uvarintLen is the encoded size of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// sparseLen returns the sparse payload size of b, or limit once the
+// size reaches limit.
+func sparseLen(b Bitset, limit int) int {
+	n, prev := 0, -1
+	for wi, w := range b.words {
+		for w != 0 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if n += uvarintLen(uint64(i - prev)); n >= limit {
+				return limit
+			}
+			prev = i
+		}
 	}
-	return out
+	return n
 }
 
-func encodeSparse(b Bitset) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 16)
+func appendSparse(dst []byte, b Bitset) []byte {
 	prev := -1
 	for wi, w := range b.words {
 		for w != 0 {
 			i := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			out = append(out, buf[:binary.PutUvarint(buf[:], uint64(i-prev))]...)
+			dst = binary.AppendUvarint(dst, uint64(i-prev))
 			prev = i
 		}
 	}
-	return out
+	return dst
 }
 
-func encodeRuns(b Bitset) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, 16)
-	pos, cur := 0, false
-	for pos < b.bits {
-		run := 0
-		for pos+run < b.bits && b.Test(pos+run) == cur {
-			run++
-		}
-		out = append(out, buf[:binary.PutUvarint(buf[:], uint64(run))]...)
-		pos += run
-		cur = !cur
+// boundaries returns word wi's run starts: bit j is set when pattern
+// 64*wi+j differs from the one before it (pattern -1 reads as 0). Bits
+// past the set's width are clear, so the one-to-zero step at the width
+// itself is masked off.
+func (b Bitset) boundaries(wi int) uint64 {
+	w := b.words[wi]
+	var carry uint64
+	if wi > 0 {
+		carry = b.words[wi-1] >> 63
 	}
-	return out
+	t := w ^ (w<<1 | carry)
+	if r := uint(b.bits & 63); r != 0 && wi == len(b.words)-1 {
+		t &= 1<<r - 1
+	}
+	return t
+}
+
+// runsLen returns the run payload size of b, or limit once the size
+// reaches limit. Every run but the last ends at a boundary; the first
+// (zero) run is empty when pattern 0 is marked.
+func runsLen(b Bitset, limit int) int {
+	if b.bits == 0 {
+		return 0
+	}
+	n, start := 0, 0
+	for wi := range b.words {
+		for t := b.boundaries(wi); t != 0; t &= t - 1 {
+			p := wi<<6 + bits.TrailingZeros64(t)
+			if n += uvarintLen(uint64(p - start)); n >= limit {
+				return limit
+			}
+			start = p
+		}
+	}
+	return min(limit, n+uvarintLen(uint64(b.bits-start)))
+}
+
+func appendRuns(dst []byte, b Bitset) []byte {
+	if b.bits == 0 {
+		return dst
+	}
+	start := 0
+	for wi := range b.words {
+		for t := b.boundaries(wi); t != 0; t &= t - 1 {
+			p := wi<<6 + bits.TrailingZeros64(t)
+			dst = binary.AppendUvarint(dst, uint64(p-start))
+			start = p
+		}
+	}
+	return binary.AppendUvarint(dst, uint64(b.bits-start))
 }
 
 // appendBitset appends the smallest encoding of b.
 func appendBitset(dst []byte, b Bitset) []byte {
-	payload := encodeRaw(b)
-	codec := byte(codecRaw)
-	if s := encodeSparse(b); len(s) < len(payload) {
-		payload, codec = s, codecSparse
+	codec, size := byte(codecRaw), 8*len(b.words)
+	// Every set bit costs the sparse codec at least one byte.
+	if b.Count() < size {
+		if n := sparseLen(b, size); n < size {
+			codec, size = codecSparse, n
+		}
 	}
-	if r := encodeRuns(b); len(r) < len(payload) {
-		payload, codec = r, codecRuns
+	if n := runsLen(b, size); n < size {
+		codec, size = codecRuns, n
 	}
-	var buf [binary.MaxVarintLen64]byte
 	dst = append(dst, codec)
-	dst = append(dst, buf[:binary.PutUvarint(buf[:], uint64(len(payload)))]...)
-	return append(dst, payload...)
+	dst = binary.AppendUvarint(dst, uint64(size))
+	switch codec {
+	case codecSparse:
+		return appendSparse(dst, b)
+	case codecRuns:
+		return appendRuns(dst, b)
+	}
+	return b.appendImage(dst)
+}
+
+// setRange marks patterns [lo, hi).
+func (b Bitset) setRange(lo, hi int) {
+	for lo < hi {
+		wi, off := lo>>6, uint(lo&63)
+		n := min(64-int(off), hi-lo)
+		b.words[wi] |= (^uint64(0) >> uint(64-n)) << off
+		lo += n
+	}
 }
 
 // decodeBitset consumes one encoded bitset of width nbits from src and
@@ -129,9 +198,7 @@ func decodeBitset(src []byte, nbits int) (Bitset, []byte, error) {
 				return Bitset{}, nil, fmt.Errorf("dict: run overflows %d-bit signature", nbits)
 			}
 			if cur {
-				for i := pos; i < pos+int(run); i++ {
-					b.Set(i)
-				}
+				b.setRange(pos, pos+int(run))
 			}
 			pos += int(run)
 			cur = !cur

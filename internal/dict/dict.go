@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 )
 
 // Bitset is a fixed-width bitset over pattern indices. The zero value
@@ -131,11 +132,15 @@ func (b Bitset) Members() []int {
 // so equal keys mean equal sets. This replaces decimal string rendering
 // in hot class-partition loops.
 func (b Bitset) Key() string {
-	buf := make([]byte, 8*len(b.words))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
+	return string(b.appendImage(make([]byte, 0, 8*len(b.words))))
+}
+
+// appendImage appends the set's little-endian word image.
+func (b Bitset) appendImage(dst []byte) []byte {
+	for _, w := range b.words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return string(buf)
+	return dst
 }
 
 // AndCount returns the cardinality of the intersection. Widths must
@@ -211,11 +216,6 @@ type Entry struct {
 // Detected reports whether the entry's fault is detected at all.
 func (e Entry) Detected() bool { return e.Out.Any() || e.Leak.Any() }
 
-// sigKey is the binary class identity of the combined signature. Out
-// and Leak have the same fixed width within a dictionary, so plain
-// concatenation is injective.
-func (e Entry) sigKey() string { return e.Out.Key() + e.Leak.Key() }
-
 // Resolution summarises the diagnostic power of a dictionary: how many
 // equivalence classes the pattern set splits the fault universe into.
 type Resolution struct {
@@ -247,15 +247,44 @@ type Dictionary struct {
 	Entries []Entry
 }
 
+// MaxPatterns is the widest signature a dictionary holds: 16x the
+// 4096 patterns of the widest exhaustive campaign. Normalize and
+// Unmarshal refuse wider dictionaries, and campaign requests refuse
+// pattern budgets above it, so every accepted campaign writes an
+// artifact the decoder reads back.
+const MaxPatterns = 1 << 16
+
+// classLabel renders class id as "c" and at least three digits.
+func classLabel(id int) string {
+	s := strconv.Itoa(id)
+	if len(s) < 3 {
+		s = "00"[:3-len(s)] + s
+	}
+	return "c" + s
+}
+
 // Normalize sorts entries by fault key, recomputes class labels and the
 // resolution summary, and validates signature widths. Write calls it
 // before serialising, so artifacts are canonical byte-for-byte given
-// the same content.
+// the same content. Classes are numbered in fault-key order of their
+// first member.
 func (d *Dictionary) Normalize() error {
-	sort.Slice(d.Entries, func(a, b int) bool { return d.Entries[a].Fault < d.Entries[b].Fault })
-	classOf := map[string]int{}
+	if d.Meta.Patterns < 0 || d.Meta.Patterns > MaxPatterns {
+		return fmt.Errorf("dict: %d patterns outside [0,%d]", d.Meta.Patterns, MaxPatterns)
+	}
+	byFault := func(a, b int) bool { return d.Entries[a].Fault < d.Entries[b].Fault }
+	if !sort.SliceIsSorted(d.Entries, byFault) {
+		sort.Slice(d.Entries, byFault)
+	}
+	// Classes are keyed on the combined signature's word image (Out and
+	// Leak share the dictionary's width, so it is injective). The lookup
+	// reads a reused buffer without allocating; only a new class stores
+	// its key and formats its label.
+	classOf := make(map[string]int, len(d.Entries))
+	var labels []string
+	var sizes []int
+	var key []byte
 	res := Resolution{Faults: len(d.Entries)}
-	classSize := map[int]int{}
 	for i := range d.Entries {
 		e := &d.Entries[i]
 		if e.Out.Bits() != d.Meta.Patterns || e.Leak.Bits() != d.Meta.Patterns {
@@ -268,17 +297,19 @@ func (d *Dictionary) Normalize() error {
 		if e.Detected() {
 			res.Detected++
 		}
-		k := e.sigKey()
-		id, ok := classOf[k]
+		key = e.Leak.appendImage(e.Out.appendImage(key[:0]))
+		id, ok := classOf[string(key)]
 		if !ok {
-			id = len(classOf)
-			classOf[k] = id
+			id = len(labels)
+			classOf[string(key)] = id
+			labels = append(labels, classLabel(id))
+			sizes = append(sizes, 0)
 		}
-		e.Class = fmt.Sprintf("c%03d", id)
-		classSize[id]++
+		sizes[id]++
+		e.Class = labels[id]
 	}
-	res.Classes = len(classOf)
-	for _, n := range classSize {
+	res.Classes = len(labels)
+	for _, n := range sizes {
 		if n == 1 {
 			res.UniquelyDiagnosable++
 		}

@@ -2,11 +2,15 @@ package dict
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,23 +24,41 @@ func randomBitset(rng *rand.Rand, nbits int, density float64) Bitset {
 	return b
 }
 
+// TestBitsetCodecRoundTrip pins the word-level encoder to the
+// bit-by-bit reference (same codec, same bytes) and checks the decoder
+// inverts it, at word-boundary widths and every density shape.
 func TestBitsetCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	widths := []int{0, 1, 5, 63, 64, 65, 127, 128, 129, 1000}
-	densities := []float64{0, 0.01, 0.1, 0.5, 0.95, 1}
-	for _, w := range widths {
-		for _, dn := range densities {
-			b := randomBitset(rng, w, dn)
-			enc := appendBitset(nil, b)
-			got, rest, err := decodeBitset(enc, w)
-			if err != nil {
-				t.Fatalf("width %d density %.2f: %v", w, dn, err)
-			}
-			if len(rest) != 0 {
-				t.Fatalf("width %d density %.2f: %d leftover bytes", w, dn, len(rest))
-			}
-			if !got.Equal(b) {
-				t.Fatalf("width %d density %.2f: round trip lost bits", w, dn)
+	type shape struct {
+		name string
+		gen  func(int) Bitset
+	}
+	shapes := []shape{{"clustered", func(w int) Bitset { return clusteredBitset(rng, w) }}}
+	for _, dn := range []float64{0, 0.01, 0.1, 0.5, 0.95, 1} {
+		shapes = append(shapes, shape{fmt.Sprintf("density %.2f", dn), func(w int) Bitset { return randomBitset(rng, w, dn) }})
+	}
+	for _, w := range []int{0, 1, 5, 63, 64, 65, 127, 128, 129, 256, 1000, 4096} {
+		for _, sh := range shapes {
+			name := sh.name
+			for trial := 0; trial < 10; trial++ {
+				b := sh.gen(w)
+				enc, want := appendBitset(nil, b), refAppendBitset(nil, b)
+				if len(enc) > 0 && enc[0] != want[0] {
+					t.Fatalf("width %d %s: codec %d, reference picks %d", w, name, enc[0], want[0])
+				}
+				if !bytes.Equal(enc, want) {
+					t.Fatalf("width %d %s: encoding %x, reference %x", w, name, enc, want)
+				}
+				got, rest, err := decodeBitset(enc, w)
+				if err != nil {
+					t.Fatalf("width %d %s: %v", w, name, err)
+				}
+				if len(rest) != 0 {
+					t.Fatalf("width %d %s: %d leftover bytes", w, name, len(rest))
+				}
+				if !got.Equal(b) {
+					t.Fatalf("width %d %s: round trip lost bits", w, name)
+				}
 			}
 		}
 	}
@@ -58,6 +80,69 @@ func TestBitsetCodecPicksSmallest(t *testing.T) {
 	enc = appendBitset(nil, r)
 	if len(enc) > 10 {
 		t.Fatalf("single-run signature encoded to %d bytes", len(enc))
+	}
+}
+
+// refAppendBitset is the bit-by-bit reference encoder: it builds all
+// three payloads through Test and keeps the smallest, earlier codec on
+// a tie.
+func refAppendBitset(dst []byte, b Bitset) []byte {
+	payload := make([]byte, 0, 8*len(b.words))
+	for _, w := range b.words {
+		payload = binary.LittleEndian.AppendUint64(payload, w)
+	}
+	codec := byte(codecRaw)
+	var sparse []byte
+	prev := -1
+	for i := 0; i < b.bits; i++ {
+		if b.Test(i) {
+			sparse = binary.AppendUvarint(sparse, uint64(i-prev))
+			prev = i
+		}
+	}
+	if len(sparse) < len(payload) {
+		payload, codec = sparse, codecSparse
+	}
+	var runs []byte
+	for pos, cur := 0, false; pos < b.bits; cur = !cur {
+		run := 0
+		for pos+run < b.bits && b.Test(pos+run) == cur {
+			run++
+		}
+		runs = binary.AppendUvarint(runs, uint64(run))
+		pos += run
+	}
+	if len(runs) < len(payload) {
+		payload, codec = runs, codecRuns
+	}
+	dst = append(dst, codec)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...)
+}
+
+// clusteredBitset alternates zero and one runs of random lengths, some
+// long enough to need two-byte varints.
+func clusteredBitset(rng *rand.Rand, nbits int) Bitset {
+	b := NewBitset(nbits)
+	for pos, cur := 0, rng.Intn(2) == 1; pos < nbits; cur = !cur {
+		run := 1 + rng.Intn(40)
+		if rng.Intn(4) == 0 {
+			run += rng.Intn(400)
+		}
+		run = min(run, nbits-pos)
+		if cur {
+			b.setRange(pos, pos+run)
+		}
+		pos += run
+	}
+	return b
+}
+
+func TestClassLabel(t *testing.T) {
+	for id := 0; id <= 12345; id++ {
+		if got, want := classLabel(id), fmt.Sprintf("c%03d", id); got != want {
+			t.Fatalf("classLabel(%d) = %q, want %q", id, got, want)
+		}
 	}
 }
 
@@ -149,23 +234,82 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// seal assembles an artifact from a header and entry bytes, with a
+// valid checksum.
+func seal(header string, entries []byte) []byte {
+	out := []byte(magic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(header)))
+	out = append(out, header...)
+	out = append(out, entries...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// oneEmptyEntry is the smallest entry record: an empty fault key and two
+// empty sparse bitsets.
+var oneEmptyEntry = []byte{0, codecSparse, 0, codecSparse, 0}
+
+// forgedHeaders are checksum-valid artifacts whose headers claim
+// dimensions the decoder must refuse before allocating them.
+var forgedHeaders = map[string][]byte{
+	"entries":  seal(`{"version":1,"patterns":8,"entries":1152921504606846976}`, oneEmptyEntry),
+	"patterns": seal(`{"version":1,"patterns":4611686018427387904,"entries":1}`, oneEmptyEntry),
+}
+
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	d := testDictionary(90)
 	raw, err := d.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Unmarshal(seal(`{"version":1,"patterns":8,"entries":1}`, oneEmptyEntry)); err != nil {
+		t.Fatalf("well-formed one-entry artifact refused: %v", err)
+	}
 	cases := map[string][]byte{
-		"empty":     {},
-		"truncated": raw[:len(raw)-5],
-		"bitflip":   append(append([]byte{}, raw[:50]...), append([]byte{raw[50] ^ 1}, raw[51:]...)...),
-		"badmagic":  append([]byte("NOTADICT"), raw[8:]...),
+		"empty":           {},
+		"truncated":       raw[:len(raw)-5],
+		"bitflip":         append(append([]byte{}, raw[:50]...), append([]byte{raw[50] ^ 1}, raw[51:]...)...),
+		"badmagic":        append([]byte("NOTADICT"), raw[8:]...),
+		"forged entries":  forgedHeaders["entries"],
+		"forged patterns": forgedHeaders["patterns"],
 	}
 	for name, corrupt := range cases {
 		if _, err := Unmarshal(corrupt); err == nil {
 			t.Errorf("%s: corrupt artifact accepted", name)
 		}
 	}
+}
+
+// FuzzDictUnmarshal feeds arbitrary artifact bodies, re-sealed with a
+// valid checksum so the mutator gets past it, to the decoder. It must
+// never panic, and whatever it accepts must re-encode to an artifact
+// that decodes to the same entries.
+func FuzzDictUnmarshal(f *testing.F) {
+	c17, err := os.ReadFile(filepath.Join("testdata", "golden", "c17.cpd"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range [][]byte{c17, forgedHeaders["entries"], forgedHeaders["patterns"]} {
+		f.Add(raw[:len(raw)-sha256.Size])
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sum := sha256.Sum256(body)
+		d, err := Unmarshal(append(body, sum[:]...))
+		if err != nil {
+			return
+		}
+		again, err := d.Marshal()
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		back, err := Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-encoded artifact refused: %v", err)
+		}
+		if !reflect.DeepEqual(back.Entries, d.Entries) || back.Meta != d.Meta {
+			t.Fatal("re-encoded artifact decodes differently")
+		}
+	})
 }
 
 func TestNormalizeResolution(t *testing.T) {
@@ -193,6 +337,9 @@ func TestNormalizeResolution(t *testing.T) {
 	}
 	if got := d.Escapes(); len(got) != 1 || got[0] != "G39/fault" {
 		t.Fatalf("escapes = %v", got)
+	}
+	if err := testDictionary(MaxPatterns + 1).Normalize(); err == nil {
+		t.Fatalf("%d-pattern dictionary normalized past the ceiling", MaxPatterns+1)
 	}
 }
 
@@ -298,5 +445,83 @@ func TestStoreGetMissing(t *testing.T) {
 	}
 	if _, err := st.Get(strings.Repeat("00", 32)); !os.IsNotExist(err) {
 		t.Fatalf("missing artifact: %v", err)
+	}
+}
+
+// TestStoreCacheBounded checks the load cache: puts are not cached,
+// gets keep at most cacheSize dictionaries, and a get after a put
+// returns what was put.
+func TestStoreCacheBounded(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*cacheSize; i++ {
+		d := testDictionary(16)
+		d.Meta.Key = fmt.Sprintf("%064x", i)
+		if _, _, err := st.Put(d); err != nil {
+			t.Fatal(err)
+		}
+		if n := st.lru.Len(); n != min(i, cacheSize) {
+			t.Fatalf("put %d: cache holds %d dictionaries, want %d", i, n, min(i, cacheSize))
+		}
+		got, err := st.Get(d.Meta.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Entries, d.Entries) {
+			t.Fatalf("get after put %d returned different entries", i)
+		}
+		if n := st.lru.Len(); n > cacheSize || n != len(st.cache) {
+			t.Fatalf("get %d: cache holds %d dictionaries (%d keys), bound %d", i, n, len(st.cache), cacheSize)
+		}
+	}
+	// The most recent cacheSize keys are the cached ones.
+	for i := 2 * cacheSize; i < 3*cacheSize; i++ {
+		if _, ok := st.cache[fmt.Sprintf("%064x", i)]; !ok {
+			t.Fatalf("recently loaded key %d evicted", i)
+		}
+	}
+}
+
+// TestStoreConcurrentUse drives Get and Put from several goroutines
+// over more keys than the cache holds, for the race detector.
+func TestStoreConcurrentUse(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dicts := make([]*Dictionary, cacheSize+8)
+	for i := range dicts {
+		dicts[i] = testDictionary(16)
+		dicts[i].Meta.Key = fmt.Sprintf("%064x", i)
+		if _, _, err := st.Put(dicts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*len(dicts); i++ {
+				want := dicts[(7*i+g)%len(dicts)]
+				if g == 0 && i%5 == 0 {
+					if _, _, err := st.Put(want); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if d, err := st.Get(want.Meta.Key); err != nil || d.Meta.Key != want.Meta.Key {
+					t.Errorf("Get(%s) = %v, %v", want.Meta.Key, d, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := st.lru.Len(); n > cacheSize || n != len(st.cache) {
+		t.Fatalf("cache holds %d dictionaries (%d keys), bound %d", n, len(st.cache), cacheSize)
 	}
 }

@@ -29,6 +29,10 @@ const (
 	magic         = "CPSDICT1"
 	formatVersion = 1
 	maxHeaderLen  = 1 << 20
+	// minEntryLen is the smallest entry record: an empty fault key's
+	// length byte and two bitsets of one codec byte and one length
+	// byte each.
+	minEntryLen = 5
 )
 
 // Marshal serialises the dictionary into the versioned artifact form.
@@ -99,7 +103,13 @@ func Unmarshal(raw []byte) (*Dictionary, error) {
 	if d.Meta.Patterns < 0 || d.Meta.Entries < 0 {
 		return nil, fmt.Errorf("dict: negative dimensions in header")
 	}
+	if d.Meta.Patterns > MaxPatterns {
+		return nil, fmt.Errorf("dict: %d patterns exceeds the %d-pattern ceiling", d.Meta.Patterns, MaxPatterns)
+	}
 	rest = rest[hlen:]
+	if d.Meta.Entries > len(rest)/minEntryLen {
+		return nil, fmt.Errorf("dict: header claims %d entries, %d bytes hold at most %d", d.Meta.Entries, len(rest), len(rest)/minEntryLen)
+	}
 	d.Entries = make([]Entry, 0, d.Meta.Entries)
 	for i := 0; i < d.Meta.Entries; i++ {
 		klen, sz := binary.Uvarint(rest)

@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,13 +10,20 @@ import (
 
 // Store is a content-addressed artifact directory: one <key>.cpd file
 // per campaign, where the key is the campaign's canonical SHA-256 hex
-// key. Loads are cached; puts are atomic (tmp + rename) so a crashed
-// writer never leaves a half-written artifact behind.
+// key. The last cacheSize dictionaries Get loaded stay in memory; puts
+// are atomic (tmp + rename) so a crashed writer never leaves a
+// half-written artifact behind, and are not cached: a store-backed
+// server writes one dictionary per campaign, most never read back. A
+// key names its content, so a cached copy stays valid across puts.
 type Store struct {
 	dir   string
 	mu    sync.Mutex
-	cache map[string]*Dictionary
+	lru   *list.List // of *Dictionary, front = most recently used
+	cache map[string]*list.Element
 }
+
+// cacheSize is how many loaded dictionaries a Store keeps.
+const cacheSize = 64
 
 // ArtifactExt is the artifact file suffix.
 const ArtifactExt = ".cpd"
@@ -28,7 +36,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, cache: map[string]*Dictionary{}}, nil
+	return &Store{dir: dir, lru: list.New(), cache: map[string]*list.Element{}}, nil
 }
 
 // Dir reports the backing directory.
@@ -86,22 +94,21 @@ func (s *Store) Put(d *Dictionary) (string, int64, error) {
 		os.Remove(tmp.Name())
 		return "", 0, err
 	}
-	s.mu.Lock()
-	s.cache[d.Meta.Key] = d
-	s.mu.Unlock()
 	return dst, int64(len(raw)), nil
 }
 
 // Get loads the dictionary for key, from cache or disk. os.ErrNotExist
-// surfaces (wrapped) when no artifact is stored under the key.
+// surfaces (wrapped) when no artifact is stored under the key. Callers
+// share cached dictionaries and must not modify them.
 func (s *Store) Get(key string) (*Dictionary, error) {
 	if !validKey(key) {
 		return nil, fmt.Errorf("dict: invalid artifact key %q", key)
 	}
 	s.mu.Lock()
-	if d, ok := s.cache[key]; ok {
+	if el, ok := s.cache[key]; ok {
+		s.lru.MoveToFront(el)
 		s.mu.Unlock()
-		return d, nil
+		return el.Value.(*Dictionary), nil
 	}
 	s.mu.Unlock()
 	raw, err := os.ReadFile(s.path(key))
@@ -116,8 +123,17 @@ func (s *Store) Get(key string) (*Dictionary, error) {
 		return nil, fmt.Errorf("dict: artifact %s carries key %q", key, d.Meta.Key)
 	}
 	s.mu.Lock()
-	s.cache[key] = d
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if el, ok := s.cache[key]; ok {
+		// A concurrent Get loaded it first.
+		s.lru.MoveToFront(el)
+		return el.Value.(*Dictionary), nil
+	}
+	s.cache[key] = s.lru.PushFront(d)
+	for s.lru.Len() > cacheSize {
+		old := s.lru.Remove(s.lru.Back()).(*Dictionary)
+		delete(s.cache, old.Meta.Key)
+	}
 	return d, nil
 }
 

@@ -348,7 +348,7 @@ func ExhaustivePatterns(c *logic.Circuit) []Pattern {
 	n := len(c.Inputs)
 	out := make([]Pattern, 0, 1<<uint(n))
 	for v := 0; v < 1<<uint(n); v++ {
-		p := Pattern{}
+		p := make(Pattern, n)
 		for i, pi := range c.Inputs {
 			p[pi] = logic.FromBool(v>>uint(i)&1 == 1)
 		}

@@ -39,7 +39,7 @@ func BuildPatterns(c *logic.Circuit, n int, seed int64) []faultsim.Pattern {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]faultsim.Pattern, n)
 	for k := range out {
-		p := faultsim.Pattern{}
+		p := make(faultsim.Pattern, len(c.Inputs))
 		for _, pi := range c.Inputs {
 			p[pi] = logic.FromBool(rng.Intn(2) == 1)
 		}

@@ -29,7 +29,8 @@ type ShardedOptions struct {
 	// way.
 	Shards int
 	// Store, when set, serves already-computed shards without
-	// re-simulation and persists fresh ones for the next run.
+	// re-simulation and persists fresh ones for the next run. Plans of
+	// one shard leave it untouched: the caller persists the report.
 	Store *resultstore.Store
 	// Retries re-attempts a failed shard before quarantining it.
 	Retries int
@@ -185,9 +186,9 @@ func shardWorkers(budget, shards int) int {
 // order, ATPG runs once, the fault dictionary is built and the report
 // rendered. The report does not depend on the shard count (ElapsedMS
 // and the dictionary timestamp aside): the shard differential tests
-// and the report goldens pin this. Shards already in opt.Store are
-// served without simulation; fresh shards persist there for the next
-// run.
+// and the report goldens pin this. In plans of two or more shards,
+// shards already in opt.Store are served without simulation and fresh
+// shards persist there for the next run.
 func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignRequest, opt ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
 	if ro == nil {
 		ro = &RunObserver{}
@@ -276,19 +277,25 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 }
 
 // runShards schedules the plan's sub-jobs, each attempt under its own
-// "shard" span, and returns their results in plan order. A sub-job
-// already in opt.Store is decoded from it instead of simulated; a
-// fresh result is encoded into it.
+// "shard" span, and returns their results in plan order. In a plan of
+// two or more shards, a sub-job already in opt.Store is decoded from it
+// instead of simulated, and a fresh result is encoded into it. A
+// one-shard plan skips the store: its lone shard is the whole campaign,
+// whose unit of reuse is the merged report.
 func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt ShardedOptions, parent *obs.Span) ([]*shard.Output, error) {
 	outs := make([]*shard.Output, plan.Total)
+	store := opt.Store
+	if plan.Total <= 1 {
+		store = nil
+	}
 	attempt := func(ctx context.Context, j shard.SubJob) error {
 		sp := parent.Child("shard")
 		defer sp.End()
 		sp.SetAttr("index", fmt.Sprintf("%d/%d", j.Index, j.Total))
 		sp.SetAttr("key", j.Key)
-		if opt.Store != nil {
+		if store != nil {
 			var stored shard.Result
-			if err := opt.Store.Get(resultstore.KindShard, j.Key, &stored); err == nil {
+			if err := store.Get(resultstore.KindShard, j.Key, &stored); err == nil {
 				// A stored artifact that does not answer this sub-job
 				// (corruption, a key scheme change) is treated as a miss
 				// and overwritten by the fresh run below.
@@ -309,8 +316,8 @@ func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt Sharde
 			sp.SetAttr("error", err.Error())
 			return err
 		}
-		if opt.Store != nil {
-			if _, err := opt.Store.Put(resultstore.KindShard, j.Key, out.Encode(j, opt.Key)); err != nil {
+		if store != nil {
+			if _, err := store.Put(resultstore.KindShard, j.Key, out.Encode(j, opt.Key)); err != nil {
 				// Persistence failure costs the next run a re-simulation;
 				// it must not fail this one.
 				sp.SetAttr("store_error", err.Error())
@@ -468,6 +475,7 @@ func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *fau
 		IDDQ:      env.iddq,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}}
+	d.Entries = make([]dict.Entry, 0, len(env.saFaults)+len(env.trFaults))
 	addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
 		for i := range faults {
 			e := dict.Entry{

@@ -226,6 +226,38 @@ func TestShardedStoreReuse(t *testing.T) {
 	}
 }
 
+// TestOneShardPlanSkipsShardStore: a one-shard plan neither reads nor
+// writes shard artifacts, so a store-backed K=1 run leaves the shard
+// namespace empty and a rerun re-simulates (the caller's stored report
+// is what answers repeats).
+func TestOneShardPlanSkipsShardStore(t *testing.T) {
+	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, IDDQ: true}}
+	norm, c, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CanonicalKey(c, norm)
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hits atomic.Int64
+	for run := 0; run < 2; run++ {
+		if _, err := RunCampaignSharded(context.Background(), c, norm, ShardedOptions{
+			Key: key, Shards: 1, Store: store,
+			OnCacheHit: func(shard.SubJob) { hits.Add(1) },
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys, err := store.Keys(resultstore.KindShard); err != nil || len(keys) != 0 {
+		t.Fatalf("one-shard runs stored shard artifacts %v (err %v)", keys, err)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("one-shard rerun served %d shards from the store", n)
+	}
+}
+
 // TestShardedRejectsUnkeyedStore guards the store against cross-
 // campaign collisions: persistence requires a canonical campaign key.
 func TestShardedRejectsUnkeyedStore(t *testing.T) {

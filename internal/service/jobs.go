@@ -135,14 +135,14 @@ type ManagerConfig struct {
 	DictDir string
 
 	// ResultDir, when set, enables the durable content-addressed result
-	// store: campaigns auto-size their shard count, each sub-job and
-	// each merged report persisting under its content address, so
-	// repeat campaigns — and the already-computed shards of interrupted
-	// ones — are answered without re-simulation across process
-	// restarts. Campaigns that were accepted but unfinished when the
-	// process stopped surface as resumable jobs on the next start.
-	// Empty disables persistence; campaigns then run as one shard
-	// unless a request asks for more.
+	// store: campaigns auto-size their shard count, each merged report
+	// (and, in plans of two or more shards, each sub-job) persisting
+	// under its content address, so repeat campaigns — and the
+	// already-computed shards of interrupted ones — are answered
+	// without re-simulation across process restarts. Campaigns that
+	// were accepted but unfinished when the process stopped surface as
+	// resumable jobs on the next start. Empty disables persistence;
+	// campaigns then run as one shard unless a request asks for more.
 	ResultDir string
 	// ShardRetries re-attempts a failed shard before quarantining it
 	// (default 1; negative disables retry).

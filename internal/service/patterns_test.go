@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cpsinw/internal/bench"
+	"cpsinw/internal/dict"
 )
 
 // TestBuildPatternsZeroBudget is the regression test for the silent
@@ -26,6 +27,20 @@ func TestBuildPatternsZeroBudget(t *testing.T) {
 	// Narrow circuits stay exhaustive regardless of the budget.
 	if got := len(BuildPatterns(bench.C17(), 0, 1)); got != 32 {
 		t.Errorf("c17 exhaustive: %d patterns, want 32", got)
+	}
+}
+
+// TestNormalizePatternCeiling: a pattern budget wider than a dictionary
+// signature may be is refused up front, so no accepted campaign writes
+// an artifact the decoder rejects.
+func TestNormalizePatternCeiling(t *testing.T) {
+	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true}, Patterns: dict.MaxPatterns}
+	if _, _, err := req.normalize(); err != nil {
+		t.Fatalf("budget at the ceiling refused: %v", err)
+	}
+	req.Patterns++
+	if _, _, err := req.normalize(); err == nil || !strings.Contains(err.Error(), "ceiling") {
+		t.Fatalf("budget %d above the ceiling: err %v", req.Patterns, err)
 	}
 }
 

@@ -41,8 +41,9 @@ type CampaignRequest struct {
 	Netlist   string      `json:"netlist,omitempty"`
 	Benchmark string      `json:"benchmark,omitempty"`
 	Faults    FaultConfig `json:"faults"`
-	// Patterns is the random-pattern budget; circuits with <= 12 inputs
-	// are always simulated exhaustively (default 256).
+	// Patterns is the random-pattern budget, at most dict.MaxPatterns;
+	// circuits with <= 12 inputs are always simulated exhaustively
+	// (default 256).
 	Patterns int   `json:"patterns,omitempty"`
 	Seed     int64 `json:"seed,omitempty"` // random pattern seed (default 1)
 	ATPG     bool  `json:"atpg,omitempty"` // also run the test-generation campaign
@@ -89,6 +90,9 @@ func (r CampaignRequest) normalize() (CampaignRequest, *logic.Circuit, error) {
 	}
 	if r.Patterns <= 0 {
 		r.Patterns = DefaultPatternBudget
+	}
+	if r.Patterns > dict.MaxPatterns {
+		return r, nil, fmt.Errorf("pattern budget %d exceeds the %d-pattern ceiling", r.Patterns, dict.MaxPatterns)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1

@@ -73,7 +73,10 @@ scheduled=$(printf '%s\n' "$metrics" | awk '/^cpsinw_shard_scheduled_total /{pri
     echo "cpsinw_shard_scheduled_total = '${scheduled:-missing}', want 4" >&2
     exit 1
 }
-curl -sf "http://$addr/v1/campaigns/$id/trace" | grep -q '"shard"' || {
+# Fetch before matching: under pipefail, grep -q exiting on its first
+# match can fail curl's remaining write (exit 23) and so the pipeline.
+trace=$(curl -sf "http://$addr/v1/campaigns/$id/trace")
+grep -q '"shard"' <<<"$trace" || {
     echo "campaign trace has no per-shard spans" >&2
     exit 1
 }
