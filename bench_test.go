@@ -434,8 +434,8 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 
 // BenchmarkStuckAtScaling is the line stuck-at scaling sweep: the full
 // line-fault universe of mult5 / mult16 / mult50 (~100 / ~1k / ~10k
-// gates) at one pattern — the shape of ATPG's per-vector fault
-// dropping — and at 256 random patterns, the service's default budget.
+// gates) at one pattern — the shape of a fault-packed sweep, 8 faults
+// per pass — and at 256 random patterns, the service's default budget.
 // Stuck-at runs on the packed engine's seed walk whatever the
 // simulator's engine, so there is one row per (circuit, patterns);
 // gate_evals are packed 64-lane evaluations. Dated results live in
@@ -475,7 +475,8 @@ func BenchmarkStuckAtScaling(b *testing.B) {
 // BenchmarkATPGGenerate times one whole ATPG campaign (GenerateContext)
 // per op on the atpg_gen workload's circuits: the line stuck-at,
 // polarity and channel-break universe, PODEM implying on the dense
-// compiled IR, with per-vector fault dropping. implications/op counts
+// compiled IR, with lazy fault dropping (each fault checked once,
+// against every vector generated before it). implications/op counts
 // PODEM implication steps (one good-circuit pass, plus one faulty pass
 // when the attempt propagates a fault effect) and backtracks/op the
 // decisions undone; both are deterministic per circuit. Dated

@@ -52,6 +52,14 @@ type CampaignResult struct {
 // given up on, and Vectors the total vector applications the test set
 // requires so far (across all classes). Snapshots are monotone within
 // a class and classes run in order: stuck_at, polarity, channel_break.
+//
+// Faults are dropped lazily: a fault is checked when the loop reaches
+// it, so Covered never counts a fault ahead of Done. On stuck_at
+// frames it counts the reached faults an earlier pattern detects; the
+// faults PODEM generated for or gave up on are re-checked against the
+// class's final pattern set (a later pattern may catch them too) and
+// join Covered in the class's last frame, which then equals
+// CampaignResult.StuckAtCovered.
 type Progress struct {
 	Class      string
 	Done       int
@@ -93,6 +101,14 @@ func Generate(c *logic.Circuit, faults []core.Fault, opt Options) *CampaignResul
 // generator serves the whole campaign: it implies on the fault-dropping
 // simulator's compiled circuit, resolves gates through its name index
 // and reuses one set of search slices for every attempt.
+//
+// Fault dropping is lazy. Each class keeps its generated vectors in a
+// faultsim.DropSet, and when the loop reaches a fault it asks the set
+// once whether any vector generated so far detects it; if so, the
+// fault needs no vector of its own. Whether a fault is dropped depends
+// only on the vectors generated before it, not on when that is
+// checked, so each fault is simulated once, against all those vectors
+// in full lane blocks.
 func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault, opt Options) (*CampaignResult, error) {
 	res := &CampaignResult{}
 	sim := faultsim.New(c)
@@ -115,8 +131,12 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			Vectors:    res.Set.TotalVectors(),
 		})
 	}
+	untestable := func(f core.Fault) {
+		res.Untestable = append(res.Untestable, f)
+		classUntestable++
+	}
 
-	// --- Line stuck-at faults with fault dropping. ---
+	// --- Line stuck-at faults. ---
 	var saFaults []core.Fault
 	for _, f := range faults {
 		if f.Kind.IsLineFault() {
@@ -124,66 +144,45 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 	}
 	res.StuckAtTargeted = len(saFaults)
-	detected := make([]bool, len(saFaults))
-	// undetected lists the faults no generated pattern catches yet, in
-	// list order: fault dropping re-simulates only those.
-	undetected := make([]int, len(saFaults))
-	for i := range undetected {
-		undetected[i] = i
-	}
-	var sub []core.Fault
+	saDrops := sim.StuckAtDrops()
+	defer saDrops.Close()
+	// recheck holds the faults PODEM generated for or gave up on: a
+	// pattern generated after them may detect them too.
+	var recheck []core.Fault
 	covered := 0
 	report("stuck_at", 0, len(saFaults), 0)
 	for i, f := range saFaults {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		if detected[i] {
+		if saDrops.Detects(f) {
+			covered++
+		} else if pat, ok := gen.stuckAt(f); ok {
+			res.Set.Patterns = append(res.Set.Patterns, pat)
+			saDrops.Add(pat)
+			recheck = append(recheck, f)
+		} else {
+			untestable(f)
+			recheck = append(recheck, f)
+		}
+		if i+1 < len(saFaults) {
 			report("stuck_at", i+1, len(saFaults), covered)
-			continue
 		}
-		pat, ok := gen.stuckAt(f)
-		if !ok {
-			res.Untestable = append(res.Untestable, f)
-			classUntestable++
-			report("stuck_at", i+1, len(saFaults), covered)
-			continue
-		}
-		res.Set.Patterns = append(res.Set.Patterns, pat)
-		// Fault dropping: mark everything the new pattern catches.
-		sub = sub[:0]
-		for _, j := range undetected {
-			sub = append(sub, saFaults[j])
-		}
-		ds, err := sim.RunStuckAtContext(ctx, sub, []faultsim.Pattern{pat})
-		if err != nil {
-			return res, err
-		}
-		keep := undetected[:0]
-		for k, j := range undetected {
-			if ds[k].Detected() {
-				detected[j] = true
-				covered++
-			} else {
-				keep = append(keep, j)
-			}
-		}
-		undetected = keep
-		report("stuck_at", i+1, len(saFaults), covered)
 	}
-	for _, d := range detected {
-		if d {
-			res.StuckAtCovered++
+	for _, f := range recheck {
+		if saDrops.Detects(f) {
+			covered++
 		}
+	}
+	res.StuckAtCovered = covered
+	if len(saFaults) > 0 {
+		report("stuck_at", len(saFaults), len(saFaults), covered)
 	}
 
-	// --- Polarity faults, with fault dropping: a polarity fault the
-	// voltage patterns generated so far already catch needs no dedicated
-	// vector. The check runs through the simulator's engine (the
-	// packed lane-block engine by default) and is incremental — one
-	// batched pass over the stuck-at patterns, then one single-pattern
-	// pass per newly generated vector — so good baselines are never
-	// recomputed per fault.
+	// --- Polarity faults: a fault a voltage pattern generated so far
+	// (the stuck-at patterns included) already catches needs no
+	// dedicated vector. IDDQ patterns are not voltage observations and
+	// stay out of the drop set. ---
 	var polFaults []core.Fault
 	for _, f := range faults {
 		if f.Kind.IsPolarityFault() {
@@ -191,156 +190,73 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 	}
 	res.PolarityTargeted = len(polFaults)
-	polDetected := make([]bool, len(polFaults))
-	markDetected := func(from int, patterns []faultsim.Pattern) {
-		// Only still-undetected, well-formed faults are worth
-		// re-simulating: malformed entries (unknown gate/transistor)
-		// would fail the whole batch, so they are filtered here and
-		// simply stay undropped — generation decides their fate. The
-		// single-worker parallel entry point threads the campaign
-		// context through the engine, so per-job deadlines cancel the
-		// drop pass too; its only remaining error is cancellation,
-		// which the caller's ctx check picks up.
-		var idxs []int
-		var sub []core.Fault
-		for i := from; i < len(polFaults); i++ {
-			if polDetected[i] {
-				continue
-			}
-			f := polFaults[i]
-			gi, ok := sim.GateIndex(f.Gate)
-			if !ok || gates.Get(c.Gates[gi].Kind).Transistor(f.Transistor) == nil {
-				continue
-			}
-			idxs = append(idxs, i)
-			sub = append(sub, f)
-		}
-		if len(sub) == 0 || len(patterns) == 0 {
-			return
-		}
-		ds, err := sim.RunTransistorParallel(ctx, sub, patterns, false, 1)
-		if err != nil {
-			return
-		}
-		for j, d := range ds {
-			if d.Detected() {
-				polDetected[idxs[j]] = true
-			}
-		}
+	polDrops := sim.VoltageDrops()
+	defer polDrops.Close()
+	for _, p := range res.Set.Patterns {
+		polDrops.Add(p)
 	}
-	markDetected(0, res.Set.Patterns)
 	classUntestable = 0
 	report("polarity", 0, len(polFaults), 0)
 	for i, f := range polFaults {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		if polDetected[i] {
+		if polDrops.Detects(f) {
 			res.PolarityCovered++
-			report("polarity", i+1, len(polFaults), res.PolarityCovered)
-			continue
-		}
-		t, ok := gen.polarity(f)
-		if !ok {
-			res.Untestable = append(res.Untestable, f)
-			classUntestable++
-			report("polarity", i+1, len(polFaults), res.PolarityCovered)
-			continue
-		}
-		res.PolarityCovered++
-		if t.Method == faultsim.ByIDDQ {
-			res.Set.IDDQPatterns = append(res.Set.IDDQPatterns, t.Pattern)
+		} else if t, ok := gen.polarity(f); !ok {
+			untestable(f)
 		} else {
-			res.Set.Patterns = append(res.Set.Patterns, t.Pattern)
-			markDetected(i+1, res.Set.Patterns[len(res.Set.Patterns)-1:])
+			res.PolarityCovered++
+			if t.Method == faultsim.ByIDDQ {
+				res.Set.IDDQPatterns = append(res.Set.IDDQPatterns, t.Pattern)
+			} else {
+				res.Set.Patterns = append(res.Set.Patterns, t.Pattern)
+				polDrops.Add(t.Pattern)
+			}
 		}
 		report("polarity", i+1, len(polFaults), res.PolarityCovered)
 	}
 
-	// --- Channel breaks. ---
+	// --- Channel breaks: an SP break an earlier generated pair already
+	// exposes needs no dedicated two-pattern test; DP breaks are tested
+	// by plans, not pairs. ---
 	var cbFaults []core.Fault
 	for _, f := range faults {
 		if f.Kind == core.FaultChannelBreak {
 			cbFaults = append(cbFaults, f)
 		}
 	}
-	// Fault dropping for SP channel breaks: a break an earlier generated
-	// pair already exposes needs no dedicated two-pattern test. The check
-	// runs the newly generated pair through the simulator's two-pattern
-	// engine (context-threaded, so per-job deadlines cancel the drop pass
-	// too; its only error is cancellation, which the per-fault ctx check
-	// picks up).
-	cbDropped := make([]bool, len(cbFaults))
-	markCBDetected := func(from int, pair [2]faultsim.Pattern) {
-		var idxs []int
-		var sub []core.Fault
-		for i := from; i < len(cbFaults); i++ {
-			if cbDropped[i] {
-				continue
-			}
-			f := cbFaults[i]
-			gi, ok := sim.GateIndex(f.Gate)
-			if !ok || gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity {
-				continue // DP breaks are tested by plans, not pairs
-			}
-			idxs = append(idxs, i)
-			sub = append(sub, f)
-		}
-		if len(sub) == 0 {
-			return
-		}
-		ds, err := sim.RunTwoPatternContext(ctx, sub, [][2]faultsim.Pattern{pair})
-		if err != nil {
-			return
-		}
-		for j, d := range ds {
-			if d.Detected() {
-				cbDropped[idxs[j]] = true
-			}
-		}
-	}
+	cbDrops := sim.PairDrops()
+	defer cbDrops.Close()
 	classUntestable = 0
 	report("channel_break", 0, len(cbFaults), 0)
 	for i, f := range cbFaults {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
-		cbCovered := res.CBSPCovered + res.CBDPCovered
 		gi, ok := sim.GateIndex(f.Gate)
-		if !ok {
-			res.Untestable = append(res.Untestable, f)
-			classUntestable++
-			report("channel_break", i+1, len(cbFaults), cbCovered)
-			continue
-		}
-		if gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity {
+		switch {
+		case !ok:
+			untestable(f)
+		case gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity:
 			res.CBDPTargeted++
-			plan, ok := gen.channelBreakDP(f)
-			if !ok {
-				res.Untestable = append(res.Untestable, f)
-				classUntestable++
-				report("channel_break", i+1, len(cbFaults), cbCovered)
-				continue
+			if plan, ok := gen.channelBreakDP(f); ok {
+				res.CBDPCovered++
+				res.Set.CBPlans = append(res.Set.CBPlans, plan)
+			} else {
+				untestable(f)
 			}
-			res.CBDPCovered++
-			res.Set.CBPlans = append(res.Set.CBPlans, plan)
-		} else {
+		default:
 			res.CBSPTargeted++
-			if cbDropped[i] {
+			if cbDrops.Detects(f) {
 				res.CBSPCovered++
-				report("channel_break", i+1, len(cbFaults), cbCovered+1)
-				continue
+			} else if tp, ok := gen.twoPattern(f); ok {
+				res.CBSPCovered++
+				res.Set.TwoPattern = append(res.Set.TwoPattern, tp)
+				cbDrops.AddPair(tp.Init, tp.Test)
+			} else {
+				untestable(f)
 			}
-			tp, ok := gen.twoPattern(f)
-			if !ok {
-				res.Untestable = append(res.Untestable, f)
-				classUntestable++
-				report("channel_break", i+1, len(cbFaults), cbCovered)
-				continue
-			}
-			res.CBSPCovered++
-			res.Set.TwoPattern = append(res.Set.TwoPattern, tp)
-			markCBDetected(i+1, [2]faultsim.Pattern{tp.Init, tp.Test})
 		}
 		report("channel_break", i+1, len(cbFaults), res.CBSPCovered+res.CBDPCovered)
 	}

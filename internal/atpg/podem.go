@@ -26,10 +26,12 @@ import (
 // Options bounds the search.
 type Options struct {
 	MaxBacktracks int // per PODEM attempt (default 4096)
-	// Engine selects the fault-simulation engine the campaign uses for
-	// polarity and channel-break fault dropping: the packed engine by
-	// default, or the reference oracle. Line stuck-at dropping always
-	// runs packed.
+	// Engine selects how the campaign's polarity and channel-break drop
+	// sets (faultsim.DropSet) answer: packed lane blocks by default, or
+	// the reference oracle, called with the one fault and the whole
+	// vector list. Either way each fault is checked once, when the
+	// campaign loop reaches it. Line stuck-at dropping always runs
+	// packed.
 	Engine faultsim.Engine
 	// Progress, when set, receives a snapshot after every per-fault
 	// generation attempt of GenerateContext. Calls are made from the

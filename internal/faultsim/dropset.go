@@ -1,0 +1,154 @@
+// Fault dropping for test generation. A generation campaign reaches its
+// faults one at a time and only needs one answer per fault: does any
+// vector generated so far detect it? A DropSet holds those vectors in
+// fixed-width packed lane blocks and answers that question through the
+// per-fault drivers the batch entry points use, so each fault is
+// simulated once, against every vector at once, instead of every new
+// vector being simulated against every still-undetected fault.
+package faultsim
+
+import (
+	"cpsinw/internal/core"
+	"cpsinw/internal/logic"
+)
+
+// DropSet is the growing vector set of a test-generation campaign, kept
+// for fault dropping. There are three kinds: line stuck-at faults over
+// binary patterns (StuckAtDrops), CP transistor faults observed at the
+// primary outputs over ternary patterns (VoltageDrops) and channel
+// breaks over init/test pairs (PairDrops). Detects gives the answer the
+// kind's batch entry point — RunStuckAt, RunTransistorParallel without
+// IDDQ, RunTwoPattern — gives on the same list.
+//
+// Entries are packed into 64×LaneWords lanes per block (64 unless
+// Simulator.LaneWords pins a width). Add packs only the new lane into
+// the tail block and re-evaluates only that block's good circuit; full
+// blocks are never packed or evaluated again. A set is used by one
+// goroutine at a time; Close releases it.
+type DropSet struct {
+	s     *Simulator
+	cls   *packedClass // pattern sets: the class Detects simulates; nil for pairs
+	ref   bool         // answer through the reference oracle entry points
+	w     int
+	n     int             // entries added
+	pats  []Pattern       // the entries of a reference pattern set
+	pairs [][2]Pattern    // the entries of a reference pair set
+	base  [2][]packedBase // packed blocks: the patterns, or a pair's init [0] and test [1]
+	sc    *packedScratch
+}
+
+// StuckAtDrops returns an empty drop set for line stuck-at faults.
+// Patterns are binary, as in RunStuckAt (missing and X inputs read 0),
+// and the set always runs packed.
+func (s *Simulator) StuckAtDrops() *DropSet {
+	return s.newDropSet(s.stuckAtClass(), false)
+}
+
+// VoltageDrops returns an empty drop set for CP transistor faults
+// observed by voltage at the primary outputs, over ternary patterns.
+// Under EngineReference it answers through the serial oracle.
+func (s *Simulator) VoltageDrops() *DropSet {
+	return s.newDropSet(s.transistorClass(false), s.Engine == EngineReference)
+}
+
+// PairDrops returns an empty drop set for channel breaks over init/test
+// pattern pairs. Under EngineReference it answers through the stateful
+// switch-level oracle.
+func (s *Simulator) PairDrops() *DropSet {
+	return s.newDropSet(nil, s.Engine == EngineReference)
+}
+
+func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
+	d := &DropSet{s: s, cls: cls, ref: ref, w: 1}
+	if logic.ValidLaneWords(s.LaneWords) {
+		d.w = s.LaneWords
+	}
+	if !ref {
+		d.sc = s.packedScratchOf()
+		d.sc.ensure(d.w)
+	}
+	return d
+}
+
+// Add appends one pattern to a stuck-at or voltage set.
+func (d *DropSet) Add(p Pattern) {
+	if d.cls == nil {
+		panic("faultsim: Add on a pair drop set")
+	}
+	if d.ref {
+		d.pats = append(d.pats, p)
+	} else {
+		d.pack(0, p, d.cls.binary)
+	}
+	d.n++
+}
+
+// AddPair appends one init/test pair to a pair set.
+func (d *DropSet) AddPair(init, test Pattern) {
+	if d.cls != nil {
+		panic("faultsim: AddPair on a pattern drop set")
+	}
+	if d.ref {
+		d.pairs = append(d.pairs, [2]Pattern{init, test})
+	} else {
+		d.pack(0, init, false)
+		d.pack(1, test, false)
+	}
+	d.n++
+}
+
+// pack writes p into lane n of stream k's tail block, opening a new
+// block at every block boundary, and re-evaluates that block's good
+// circuit.
+func (d *DropSet) pack(k int, p Pattern, binary bool) {
+	cc, w := d.sc.cc, d.w
+	lane := d.n % (64 * w)
+	if lane == 0 {
+		d.base[k] = append(d.base[k], packedBase{
+			start: d.n,
+			w:     w,
+			valid: make([]uint64, w),
+			in:    make([]logic.PackedVec, len(d.s.C.Inputs)*w),
+			vals:  make([]logic.PackedVec, cc.NumNets()*w),
+		})
+	}
+	pb := &d.base[k][len(d.base[k])-1]
+	d.s.packLane(pb.in, w, lane, p, binary)
+	pb.valid[lane>>6] |= 1 << uint(lane&63)
+	cc.EvalBlock(pb.in, w, pb.vals)
+}
+
+// Detects reports whether any entry added so far detects f, stopping at
+// the first detecting block. A fault the set's class cannot resolve (an
+// unknown gate, transistor or net, or a fault of another class) reports
+// undetected.
+func (d *DropSet) Detects(f core.Fault) bool {
+	var det Detection
+	var err error
+	switch {
+	case d.ref:
+		var ds []Detection
+		if d.cls == nil {
+			ds, err = d.s.RunTwoPattern([]core.Fault{f}, d.pairs)
+		} else {
+			ds, err = d.s.RunTransistor([]core.Fault{f}, d.pats, false)
+		}
+		if err == nil {
+			det = ds[0]
+		}
+	case d.cls == nil:
+		det, _, err = d.s.twoPatternFaultPacked(f, d.n, d.base[0], d.base[1], d.sc)
+	default:
+		det, err = d.s.simulateFaultPacked(d.cls, f, 0, d.base[0], d.sc, nil)
+	}
+	return err == nil && det.Detected()
+}
+
+// Close releases the set's packed scratch and publishes its engine
+// counters. The set must not be used afterwards; Close is idempotent.
+func (d *DropSet) Close() {
+	if d.sc != nil {
+		d.s.putPackedScratch(d.sc)
+		d.sc = nil
+	}
+}

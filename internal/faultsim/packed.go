@@ -40,29 +40,33 @@ type packedBase struct {
 // packBlock packs patterns into width-w input blocks, replicating the
 // whole pattern list `copies` times across consecutive lane groups
 // (copies > 1 builds the shared baseline of a fault-packed batch).
-// Inputs missing from a pattern are X, matching the scalar map-based
-// evaluation; binary packing reads missing and X inputs as 0 instead
-// (the line stuck-at semantics). Lanes beyond the replicated patterns
-// stay X.
+// Lanes beyond the replicated patterns stay X.
 func (s *Simulator) packBlock(patterns []Pattern, w, copies int, binary bool) []logic.PackedVec {
 	in := make([]logic.PackedVec, len(s.C.Inputs)*w)
 	for g := 0; g < copies; g++ {
-		off := g * len(patterns)
 		for k, p := range patterns {
-			lane := off + k
-			for i, pi := range s.C.Inputs {
-				v, ok := p[pi]
-				switch {
-				case binary && v != logic.L1:
-					v = logic.L0
-				case !ok:
-					v = logic.LX
-				}
-				in[i*w+lane>>6] = in[i*w+lane>>6].WithLane(lane&63, v)
-			}
+			s.packLane(in, w, g*len(patterns)+k, p, binary)
 		}
 	}
 	return in
+}
+
+// packLane writes one pattern into one lane of a width-w input block.
+// Inputs missing from the pattern are X, matching the scalar map-based
+// evaluation; binary packing reads missing and X inputs as 0 instead
+// (the line stuck-at semantics).
+func (s *Simulator) packLane(in []logic.PackedVec, w, lane int, p Pattern, binary bool) {
+	word, bit := lane>>6, lane&63
+	for i, pi := range s.C.Inputs {
+		v, ok := p[pi]
+		switch {
+		case binary && v != logic.L1:
+			v = logic.L0
+		case !ok:
+			v = logic.LX
+		}
+		in[i*w+word] = in[i*w+word].WithLane(bit, v)
+	}
 }
 
 // laneMask builds a w-word mask of n consecutive lanes starting at from.
@@ -379,6 +383,7 @@ type packedScratch struct {
 	luts      [16]map[string]*[8]*faultLUT // [kind][transistor][tfault]
 
 	evals, runs uint64 // packed word evals / fault runs, flushed per campaign
+	pairLanes   uint64 // two-pattern lanes decoded, flushed with them
 	life        uint64 // flushed evals, so life + evals is monotone for progress
 }
 
@@ -497,6 +502,10 @@ func (sc *packedScratch) flushStats() {
 	if sc.runs > 0 {
 		engineStats.packedFaultRuns.Add(sc.runs)
 		sc.runs = 0
+	}
+	if sc.pairLanes > 0 {
+		engineStats.twoPatternRuns.Add(sc.pairLanes)
+		sc.pairLanes = 0
 	}
 }
 
@@ -1069,68 +1078,74 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 	w := s.laneWordsFor(len(pairs), 1)
 	bases0 := s.packedBaselines(firsts, w, false)
 	bases1 := s.packedBaselines(seconds, w, false)
-	cc := s.Compiled()
 	sc := s.packedScratchOf()
 	sc.ensure(w)
 	defer s.putPackedScratch(sc)
 	sink.add(0, 0, 0, uint64(len(bases0)+len(bases1))*uint64(len(s.C.Gates))*uint64(w))
-	totalRuns := uint64(0)
-	defer func() { engineStats.twoPatternRuns.Add(totalRuns) }()
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tf, ok := f.Kind.TFault()
-		if !ok || tf != logic.TFaultOpen {
-			sink.add(1, 0, 1, 0)
-			continue
-		}
-		gi, ok := s.gateIdx[f.Gate]
-		if !ok {
-			return nil, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
-		}
-		lut := compiledOpenLUT(s.C.Gates[gi].Kind, f.Transistor)
-		sc.runs++
 		before := sc.lifetimeEvals()
-		on := cc.GateOut[gi]
-		seeds := sc.seedBuf(1)
-		sd := &seeds[0]
-		for ci := range bases0 {
-			pb0, pb1 := &bases0[ci], &bases1[ci]
-			n := len(pairs) - pb0.start
-			if n > 64*w {
-				n = 64 * w
-			}
-			sd.gi, sd.onet, sd.patOff = gi, on, pb1.start
-			for j := 0; j < w; j++ {
-				sd.mask[j] = pb1.valid[j]
-				sd.leak[j], sd.diff[j] = 0, 0
-				sd.fout[j] = pb1.vals[on*w+j]
-			}
-			for lane := 0; lane < n; lane++ {
-				totalRuns++
-				st := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb0.vals)]
-				v := lut.out[int(st)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb1.vals)]
-				sd.fout[lane>>6] = sd.fout[lane>>6].WithLane(lane&63, v)
-			}
-			var exc [logic.MaxLaneWords]uint64
-			for j := 0; j < w; j++ {
-				b := pb1.vals[on*w+j]
-				exc[j] = ((sd.fout[j].Val ^ b.Val) | (sd.fout[j].Known ^ b.Known)) & sd.mask[j]
-			}
-			sd.floor = logic.FirstLaneBlock(exc[:w])
-			if sd.floor == w<<6 {
-				continue // no lane excites in this chunk
-			}
-			sd.live = true
-			sc.propagateSeeds(seeds, pb1.vals)
-			if lane := logic.FirstLaneBlock(sd.diff[:w]); lane < w<<6 {
-				out[i].Method = ByTwoPattern
-				out[i].Pattern = pb1.start + lane
-				break
-			}
+		d, simulable, err := s.twoPatternFaultPacked(f, len(pairs), bases0, bases1, sc)
+		if err != nil {
+			return nil, err
 		}
-		sink.add(1, b2i(out[i].Detected()), 0, sc.lifetimeEvals()-before)
+		out[i] = d
+		sink.add(1, b2i(d.Detected()), b2i(!simulable), sc.lifetimeEvals()-before)
 	}
 	return out, nil
+}
+
+// twoPatternFaultPacked runs one channel break through the init (bases0)
+// and test (bases1) baselines of nPairs pairs, chunk by chunk, and stops
+// at the first detecting chunk. simulable is false for a fault that is
+// not a channel break; an unknown gate is an error.
+func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, bases1 []packedBase, sc *packedScratch) (d Detection, simulable bool, err error) {
+	d = Detection{Fault: f, Pattern: -1}
+	if tf, ok := f.Kind.TFault(); !ok || tf != logic.TFaultOpen {
+		return d, false, nil
+	}
+	gi, ok := s.gateIdx[f.Gate]
+	if !ok {
+		return d, true, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
+	}
+	lut := compiledOpenLUT(s.C.Gates[gi].Kind, f.Transistor)
+	sc.runs++
+	cc, w := sc.cc, sc.w
+	on := cc.GateOut[gi]
+	seeds := sc.seedBuf(1)
+	sd := &seeds[0]
+	for ci := range bases0 {
+		pb0, pb1 := &bases0[ci], &bases1[ci]
+		n := min(nPairs-pb0.start, 64*w)
+		sd.gi, sd.onet, sd.patOff = gi, on, pb1.start
+		for j := 0; j < w; j++ {
+			sd.mask[j] = pb1.valid[j]
+			sd.leak[j], sd.diff[j] = 0, 0
+			sd.fout[j] = pb1.vals[on*w+j]
+		}
+		for lane := 0; lane < n; lane++ {
+			st := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb0.vals)]
+			v := lut.out[int(st)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb1.vals)]
+			sd.fout[lane>>6] = sd.fout[lane>>6].WithLane(lane&63, v)
+		}
+		sc.pairLanes += uint64(n)
+		var exc [logic.MaxLaneWords]uint64
+		for j := 0; j < w; j++ {
+			b := pb1.vals[on*w+j]
+			exc[j] = ((sd.fout[j].Val ^ b.Val) | (sd.fout[j].Known ^ b.Known)) & sd.mask[j]
+		}
+		sd.floor = logic.FirstLaneBlock(exc[:w])
+		if sd.floor == w<<6 {
+			continue // no lane excites in this chunk
+		}
+		sd.live = true
+		sc.propagateSeeds(seeds, pb1.vals)
+		if lane := logic.FirstLaneBlock(sd.diff[:w]); lane < w<<6 {
+			d.Method, d.Pattern = ByTwoPattern, pb1.start+lane
+			return d, true, nil
+		}
+	}
+	return d, true, nil
 }

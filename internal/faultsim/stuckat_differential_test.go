@@ -127,7 +127,7 @@ func oracleStuckAt(c *logic.Circuit, faults []core.Fault, patterns []Pattern, si
 var stuckAtCircuits = []string{"c17", "mult3", "c432", "c499", "alu8", "rca16", "parity32"}
 
 // stuckAtPatternCounts straddle every lane-block and fault-packing
-// boundary: one pattern (the ATPG dropping shape, 8 faults per pass),
+// boundary: one pattern (8 faults per pass),
 // short lists that pack faults, one full 64-lane word, and the 128-
 // and 256-lane blocks with their partial tails.
 var stuckAtPatternCounts = []int{1, 3, 17, 64, 100, 256, 300}

@@ -78,10 +78,16 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		switch {
 		case strings.HasPrefix(upper, "INPUT(") && strings.HasSuffix(line, ")"):
 			in := strings.TrimSpace(line[6 : len(line)-1])
+			if err := checkBenchNet(ln, in); err != nil {
+				return nil, err
+			}
 			inputs = append(inputs, in)
 			nets[in] = true
 		case strings.HasPrefix(upper, "OUTPUT(") && strings.HasSuffix(line, ")"):
 			out := strings.TrimSpace(line[7 : len(line)-1])
+			if err := checkBenchNet(ln, out); err != nil {
+				return nil, err
+			}
 			outputs = append(outputs, out)
 			nets[out] = true
 		default:
@@ -90,6 +96,9 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 				return nil, fmt.Errorf("bench line %d: expected assignment: %q", ln, line)
 			}
 			out := strings.TrimSpace(line[:eq])
+			if err := checkBenchNet(ln, out); err != nil {
+				return nil, err
+			}
 			rhs := strings.TrimSpace(line[eq+1:])
 			op := strings.IndexByte(rhs, '(')
 			if op < 0 || !strings.HasSuffix(rhs, ")") {
@@ -122,6 +131,16 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		}
 	}
 	return NewCircuit(name, inputs, outputs, em.insts)
+}
+
+// checkBenchNet rejects a declared net name WriteBench could not
+// reproduce: a comma in it would read back as an argument separator
+// wherever the net is a gate input.
+func checkBenchNet(ln int, name string) error {
+	if strings.Contains(name, ",") {
+		return fmt.Errorf("bench line %d: net name %q contains ','", ln, name)
+	}
+	return nil
 }
 
 // benchEmitter lowers parsed .bench assignments onto the native cell

@@ -222,6 +222,24 @@ func TestParseBenchHelperNetCollision(t *testing.T) {
 	}
 }
 
+// TestParseBenchRejectsCommaNets pins the FuzzBenchRoundTrip crashers:
+// a declared net name with a comma parsed, but WriteBench's output read
+// the comma back as an argument separator and failed to re-parse. Such
+// names are rejected where they are declared, with the line number.
+func TestParseBenchRejectsCommaNets(t *testing.T) {
+	for _, tc := range []struct{ src, line string }{
+		{"INPUT(a) \n,000000000=OR(a,a)", "line 2"},
+		{"INPUT(a)\nOUTPUT(y)\na,_d0 = NOR(a, a)\ny = NOT(a)\n", "line 3"},
+		{"INPUT(a,b)\nOUTPUT(y)\ny = NOT(a)\n", "line 1"},
+		{"INPUT(a)\nOUTPUT(y,z)\ny = NOT(a)\n", "line 2"},
+	} {
+		_, err := ParseBench("comma", strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), "','") {
+			t.Errorf("%q: err = %v, want a %s rejection of the comma", tc.src, err, tc.line)
+		}
+	}
+}
+
 // TestParseBenchLongLine is the regression test for the bufio.Scanner
 // 64KB default token limit: a single machine-generated gate line far
 // past 64KB must parse.

@@ -25,6 +25,9 @@ func FuzzBenchRoundTrip(f *testing.F) {
 	// Helper-net collision: the source already uses the y_d0 name the
 	// decomposer would otherwise pick first.
 	f.Add("INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(y)\ny_d0 = NAND(a, b)\ny = AND(y_d0, c, d)\n")
+	// Comma in a declared net name: it used to parse, then WriteBench's
+	// "x = NOT(x_d0)" read the comma back as a separator.
+	f.Add("INPUT(a) \n,000000000=OR(a,a)")
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ParseBench("fuzz", strings.NewReader(src))
 		if err != nil {

@@ -23,7 +23,8 @@ func sameCoverage(a, b *CoverageJSON) bool {
 //
 //   - per-engine cache identity: every submission of one engine maps to
 //     the same content address, and the two engines never share one;
-//   - cache effectiveness: far fewer executions than submissions;
+//   - cache effectiveness: far fewer executions than submissions, and
+//     a resubmission after every job is terminal is a born-done hit;
 //   - counter integrity: the per-engine job counters account exactly
 //     for the executed (non-cache-hit) jobs, with no interleaving lost
 //     updates, and every job reaches a terminal done state with
@@ -114,6 +115,25 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 		t.Errorf("coverage disagrees: reference %+v vs packed %+v", covs["reference"], covs["packed"])
 	}
 
+	// Every job is terminal, so the cache holds both engines' reports:
+	// one more submission per engine must be born done from it, under
+	// the same content address. This makes the hit check below
+	// deterministic; the flood alone may land every submission before
+	// the first campaign finishes.
+	for _, engine := range engines {
+		job, err := m.Submit(req(engine))
+		if err != nil {
+			t.Fatalf("%s: resubmit: %v", engine, err)
+		}
+		if st := job.Status(); st.State != StateDone || !st.CacheHit {
+			t.Errorf("%s: resubmit after completion: state %s cache_hit %t, want a born-done hit", engine, st.State, st.CacheHit)
+		}
+		if job.Key != keySet[engine] {
+			t.Errorf("%s: resubmit key %s, want %s", engine, job.Key, keySet[engine])
+		}
+	}
+	submitted := len(engines)*perEngine + len(engines)
+
 	met := m.Metrics()
 	executed := met.Completed.Value()
 	perEngineSum := met.ReferenceJobs.Value() + met.PackedJobs.Value()
@@ -124,14 +144,14 @@ func TestConcurrentMixedEngineCampaigns(t *testing.T) {
 	if met.ReferenceJobs.Value() < 1 || met.PackedJobs.Value() < 1 {
 		t.Errorf("an engine never executed: %d/%d", met.ReferenceJobs.Value(), met.PackedJobs.Value())
 	}
-	if met.Submitted.Value() != int64(len(engines)*perEngine) {
-		t.Errorf("submitted %d, want %d", met.Submitted.Value(), len(engines)*perEngine)
+	if met.Submitted.Value() != int64(submitted) {
+		t.Errorf("submitted %d, want %d", met.Submitted.Value(), submitted)
 	}
 	hits, misses, _ := m.Cache().Stats()
-	if hits+misses != uint64(len(engines)*perEngine) {
-		t.Errorf("cache saw %d lookups, want %d", hits+misses, len(engines)*perEngine)
+	if hits+misses != uint64(submitted) {
+		t.Errorf("cache saw %d lookups, want %d", hits+misses, submitted)
 	}
 	if hits == 0 {
-		t.Error("no cache hit across 30 identical submissions per engine")
+		t.Error("no cache hit across 31 identical submissions per engine")
 	}
 }

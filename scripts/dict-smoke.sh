@@ -98,18 +98,23 @@ grep -q '"fault":' "$workdir/diag2.json" || {
     cat "$workdir/diag2.json" >&2
     exit 1
 }
-curl -sf "http://$addr/metrics?format=json" | grep -q '"jobs_completed": *0' || {
+# Fetch before matching: under pipefail, grep -q exiting on its first
+# match can fail the writer's remaining output (curl exit 23, or
+# SIGPIPE) and so the pipeline.
+legacy=$(curl -sf "http://$addr/metrics?format=json" || true)
+grep -q '"jobs_completed": *0' <<<"$legacy" || {
     echo "restarted server ran a campaign to answer a diagnosis" >&2
     exit 1
 }
 
 echo "== offline CLI against the server's artifact =="
-"$workdir/cpsinw-diagnose" inspect -dir "$dictdir" -key "$key" | grep -q 'mult3' || {
+inspect=$("$workdir/cpsinw-diagnose" inspect -dir "$dictdir" -key "$key" || true)
+grep -q 'mult3' <<<"$inspect" || {
     echo "cpsinw-diagnose inspect could not read the server's artifact" >&2
     exit 1
 }
-"$workdir/cpsinw-diagnose" match -dir "$dictdir" -key "$key" -fail "$failing" -top 3 \
-    | grep -q 'diagnosis:' || {
+match=$("$workdir/cpsinw-diagnose" match -dir "$dictdir" -key "$key" -fail "$failing" -top 3 || true)
+grep -q 'diagnosis:' <<<"$match" || {
     echo "cpsinw-diagnose match produced no ranking" >&2
     exit 1
 }

@@ -34,7 +34,11 @@ for _ in $(seq 1 100); do
     curl -sf "http://$addr/healthz" >/dev/null 2>&1 && break
     sleep 0.1
 done
-curl -sf "http://$addr/healthz" | grep -q '"ready": *true' || {
+# Each check fetches before matching: under pipefail, grep -q exiting
+# on its first match can fail curl's remaining write (exit 23) and so
+# the pipeline.
+health=$(curl -sf "http://$addr/healthz" || true)
+grep -q '"ready": *true' <<<"$health" || {
     echo "server never became ready" >&2
     cat "$workdir/serve.log" >&2
     exit 1
@@ -102,14 +106,16 @@ packed_evals=$(sed -n 's/^cpsinw_faultsim_gate_evals_total{engine="packed"} \([0
 }
 
 echo "== metrics (legacy json) =="
-curl -sf "http://$addr/metrics?format=json" | grep -q '"jobs_completed": *1' || {
+legacy=$(curl -sf "http://$addr/metrics?format=json" || true)
+grep -q '"jobs_completed": *1' <<<"$legacy" || {
     echo "legacy JSON metrics missing jobs_completed" >&2
     exit 1
 }
 
 echo "== pprof debug listener =="
 curl -sf "http://$debug/debug/pprof/" >/dev/null
-curl -sf "http://$debug/debug/vars" | grep -q '"cpsinw"' || {
+vars=$(curl -sf "http://$debug/debug/vars" || true)
+grep -q '"cpsinw"' <<<"$vars" || {
     echo "expvar snapshot missing" >&2
     exit 1
 }
