@@ -10,10 +10,17 @@ package cpsinw
 // reproduces the evaluation artifacts and measures the harness.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cpsinw/internal/atpg"
 	"cpsinw/internal/bench"
@@ -649,6 +656,103 @@ func BenchmarkDurableWrite(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkResubmitHit times one resubmit of a finished campaign over
+// HTTP, in process on httptest, for each report shape campaign_cold
+// serves: c432, c880, c499 posted as .bench text, and mult8, each a
+// full-fault campaign with 256 random patterns. An iteration is what
+// perfbench's client does for a hit: POST the identical request and
+// decode the born-done status, GET the report, decode the report.
+// post_ns and get_ns are the server's share, decode_ns the client's;
+// body_bytes is the report body. Dated parent-vs-change results live in
+// BENCH_faultsim.json.
+//
+//	go test -run '^$' -bench BenchmarkResubmitHit -benchtime 200x .
+func BenchmarkResubmitHit(b *testing.B) {
+	srv := service.NewServer(service.ManagerConfig{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	cl := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+
+	exchange := func(req *http.Request) ([]byte, int) {
+		resp, err := cl.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw, resp.StatusCode
+	}
+	submit := func(body []byte) (service.JobStatus, int) {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/campaigns", bytes.NewReader(body))
+		raw, code := exchange(req)
+		var st service.JobStatus
+		if err := json.Unmarshal(raw, &st); err != nil {
+			b.Fatalf("submit: HTTP %d: %s", code, raw)
+		}
+		return st, code
+	}
+	faults := service.FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, Bridges: true, IDDQ: true}
+	for _, label := range []string{"c432", "c880", "c499.bench", "mult8"} {
+		req := service.CampaignRequest{Benchmark: label, Faults: faults, Seed: 1}
+		if name, ok := strings.CutSuffix(label, ".bench"); ok {
+			c, err := bench.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var text strings.Builder
+			if err := logic.WriteBench(&text, c); err != nil {
+				b.Fatal(err)
+			}
+			req.Benchmark, req.Netlist = "", text.String()
+		}
+		body, _ := json.Marshal(req)
+		st, _ := submit(body)
+		for !st.State.Terminal() {
+			time.Sleep(5 * time.Millisecond)
+			get, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID, nil)
+			raw, _ := exchange(get)
+			if err := json.Unmarshal(raw, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if st.State != service.StateDone {
+			b.Fatalf("%s: campaign %s: %s", label, st.State, st.Error)
+		}
+		b.Run(label, func(b *testing.B) {
+			var post, get, decode time.Duration
+			var size int
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				hit, code := submit(body)
+				t1 := time.Now()
+				if code != http.StatusOK || !hit.CacheHit {
+					b.Fatalf("resubmit answered %d cache_hit %t, want a hit", code, hit.CacheHit)
+				}
+				rq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+hit.ID+"/report", nil)
+				raw, code := exchange(rq)
+				t2 := time.Now()
+				if code != http.StatusOK {
+					b.Fatalf("report: HTTP %d", code)
+				}
+				var rep service.CampaignReport
+				if err := json.Unmarshal(raw, &rep); err != nil {
+					b.Fatal(err)
+				}
+				t3 := time.Now()
+				post, get, decode, size = post+t1.Sub(t0), get+t2.Sub(t1), decode+t3.Sub(t2), len(raw)
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(post.Nanoseconds())/n, "post_ns")
+			b.ReportMetric(float64(get.Nanoseconds())/n, "get_ns")
+			b.ReportMetric(float64(decode.Nanoseconds())/n, "decode_ns")
+			b.ReportMetric(float64(size), "body_bytes")
+		})
+	}
 }
 
 // BenchmarkSwitchLevelXOR2 times one switch-level evaluation of the XOR2

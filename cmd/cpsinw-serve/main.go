@@ -16,7 +16,7 @@
 //
 //	POST /v1/campaigns                  submit a campaign (netlist or benchmark + fault config)
 //	GET  /v1/campaigns/{id}             job status (includes live progress)
-//	GET  /v1/campaigns/{id}/report      finished report as JSON
+//	GET  /v1/campaigns/{id}/report      finished report as compact JSON, encoded once and held as bytes
 //	GET  /v1/campaigns/{id}/events      SSE progress stream, ends with the terminal state
 //	GET  /v1/campaigns/{id}/trace       per-campaign span tree (stage timings)
 //	GET  /v1/campaigns/{id}/dictionary  fault-dictionary artifact metadata (needs -dict-dir)

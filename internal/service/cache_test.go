@@ -9,13 +9,16 @@ import (
 	"cpsinw/internal/logic"
 )
 
+// held is a cache entry's report with the given body.
+func held(body string) *encodedReport { return &encodedReport{body: []byte(body)} }
+
 func TestCacheHitMissAccounting(t *testing.T) {
 	c := NewCache(4)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put("a", &CampaignReport{Patterns: 1})
-	if r, ok := c.Get("a"); !ok || r.Patterns != 1 {
+	c.Put("a", held("1"))
+	if r, ok := c.Get("a"); !ok || string(r.body) != "1" {
 		t.Fatalf("lost entry: ok=%v r=%+v", ok, r)
 	}
 	hits, misses, size := c.Stats()
@@ -26,13 +29,13 @@ func TestCacheHitMissAccounting(t *testing.T) {
 
 func TestCacheLRUEvictionOrder(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &CampaignReport{})
-	c.Put("b", &CampaignReport{})
+	c.Put("a", held("a"))
+	c.Put("b", held("b"))
 	// Touch "a": it becomes most recent, so "b" is the eviction victim.
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put("c", &CampaignReport{})
+	c.Put("c", held("c"))
 
 	if got, want := c.Keys(), []string{"c", "a"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("keys = %v, want %v", got, want)
@@ -47,12 +50,12 @@ func TestCacheLRUEvictionOrder(t *testing.T) {
 
 func TestCacheRePutRefreshes(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", &CampaignReport{Patterns: 1})
-	c.Put("b", &CampaignReport{})
-	c.Put("a", &CampaignReport{Patterns: 2}) // refresh, not duplicate
-	c.Put("c", &CampaignReport{})            // evicts b, the true LRU
+	c.Put("a", held("1"))
+	c.Put("b", held("b"))
+	c.Put("a", held("2")) // refresh, not duplicate
+	c.Put("c", held("c")) // evicts b, the true LRU
 
-	if r, ok := c.Get("a"); !ok || r.Patterns != 2 {
+	if r, ok := c.Get("a"); !ok || string(r.body) != "2" {
 		t.Errorf("a = %+v ok=%v, want refreshed entry", r, ok)
 	}
 	if _, ok := c.Get("b"); ok {
@@ -142,7 +145,7 @@ func TestCanonicalKeySharedAcrossSubmissions(t *testing.T) {
 	// second (messy) submission hitting.
 	cache := NewCache(8)
 	req := CampaignRequest{Faults: FaultConfig{StuckAt: true}, Patterns: 256, Seed: 1}
-	cache.Put(CanonicalKey(parseBench(t, c17Bench), req), &CampaignReport{Patterns: 32})
+	cache.Put(CanonicalKey(parseBench(t, c17Bench), req), held("32"))
 	if _, ok := cache.Get(CanonicalKey(parseBench(t, c17BenchMessy), req)); !ok {
 		t.Error("semantically identical submission missed the cache")
 	}

@@ -1,6 +1,16 @@
 package service
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"cpsinw/internal/dict"
+)
 
 // fuzzBenchmarks is the fixed benchmark list FuzzCampaignKey draws
 // from: small circuits only, so the target never builds a large
@@ -75,6 +85,88 @@ func FuzzCampaignKey(f *testing.F) {
 		}
 		if k := CanonicalKey(tc, tnorm); k != key {
 			t.Fatalf("key moved with workers/timeout_ms/shards: %s vs %s", k, key)
+		}
+	})
+}
+
+// FuzzDiagnoseRequest posts arbitrary bodies to /v1/diagnose on a
+// server whose dictionary store holds c17's artifact. No body may
+// panic the handler or draw a 5xx, and a 200 lists at most top_k
+// candidates (default 5) in non-increasing score order.
+func FuzzDiagnoseRequest(f *testing.F) {
+	dir := f.TempDir()
+	ds, err := dict.Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	norm, c, err := CampaignRequest{
+		Benchmark: "c17",
+		Faults:    FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true},
+	}.normalize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := CanonicalKey(c, norm)
+	if _, err := RunCampaignObserved(context.Background(), c, norm, &RunObserver{Dict: ds, DictKey: key}); err != nil {
+		f.Fatal(err)
+	}
+	d, err := ds.Get(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid DiagnoseRequest
+	for _, e := range d.Entries {
+		if e.Detected() {
+			valid = DiagnoseRequest{Key: key, FailingPatterns: e.Out.Members(), LeakingPatterns: e.Leak.Members()}
+			break
+		}
+	}
+	srv := NewServer(ManagerConfig{Workers: 1, DictDir: dir})
+	f.Cleanup(srv.Close)
+	handler := srv.Handler()
+
+	for _, seed := range []DiagnoseRequest{
+		valid,
+		{Key: key, FailingPatterns: []int{d.Meta.Patterns}},
+		{Key: key, CampaignID: "c-000001", FailingPatterns: []int{0}},
+		{Key: strings.ToUpper(key), FailingPatterns: []int{0}},
+		{Key: key, FailingPatterns: []int{0, 1, 2}, TopK: -2},
+	} {
+		raw, err := json.Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("HTTP %d: %s", rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		// The handler decoded this body the same way before answering.
+		var req DiagnoseRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("HTTP 200 for a body that does not decode: %v", err)
+		}
+		topK := req.TopK
+		if topK <= 0 {
+			topK = 5
+		}
+		var resp DiagnoseResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Candidates) > topK {
+			t.Fatalf("%d candidates for top_k %d", len(resp.Candidates), req.TopK)
+		}
+		for i := 1; i < len(resp.Candidates); i++ {
+			if resp.Candidates[i].Score > resp.Candidates[i-1].Score {
+				t.Fatalf("candidate %d scores %v above candidate %d's %v", i, resp.Candidates[i].Score, i-1, resp.Candidates[i-1].Score)
+			}
 		}
 	})
 }

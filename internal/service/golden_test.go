@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -74,12 +75,40 @@ func goldenReportBytes(t *testing.T, rep *CampaignReport) []byte {
 	return append(raw, '\n')
 }
 
+// servedReport reads a job's report body over HTTP, checking the
+// headers the held bytes are written with.
+func servedReport(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report %s: HTTP %d: %s", id, resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("report %s: Content-Type %q", id, ct)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Errorf("report %s: Content-Length %q for a %d-byte body", id, cl, len(body))
+	}
+	return body
+}
+
 // TestReportGoldens is the refactor-safety test: the same request must
 // yield the same report bytes single-shot, sharded at K=3, and through
-// a manager with a result store and a dictionary store (cold run, LRU
-// resubmit, and a restarted manager answering from the store), and a
-// diagnosis of a stored fault's own signature must rank the same before
-// and after the restart.
+// a manager with a result store and a dictionary store, and a diagnosis
+// of a stored fault's own signature must rank the same before and after
+// a restart. Over HTTP, the report body must be byte-identical on every
+// path that serves it: the cold job, an LRU resubmit (same canonical
+// key, different request bytes), a byte-identical resubmit answered by
+// the request memo, resubmits differing only in workers, timeout_ms or
+// shards, and a restarted manager answering from the result store.
 func TestReportGoldens(t *testing.T) {
 	resultDir, dictDir := t.TempDir(), t.TempDir()
 	cfg := ManagerConfig{Workers: 2, JobTimeout: time.Minute, ResultDir: resultDir, DictDir: dictDir}
@@ -99,6 +128,32 @@ func TestReportGoldens(t *testing.T) {
 		if got := goldenReportBytes(t, rep); !bytes.Equal(got, wants[name]) {
 			t.Errorf("%s: %s report differs from testdata/reports/%s.json:\n%s", name, path, name, got)
 		}
+	}
+	bodies := map[string][]byte{} // each campaign's cold-job report body
+	// resubmit posts req, requires a born-done hit whose report body is
+	// the cold job's, and reports how many times the server normalized.
+	resubmit := func(name, path string, srv *Server, ts *httptest.Server, req CampaignRequest) uint64 {
+		t.Helper()
+		parsed := parseCount(srv.Manager())
+		st, code := postCampaign(t, ts, req)
+		if code != http.StatusOK || st.State != StateDone || !st.CacheHit {
+			t.Fatalf("%s: %s: HTTP %d state %s cache_hit %t, want a born-done hit", name, path, code, st.State, st.CacheHit)
+		}
+		body := servedReport(t, ts, st.ID)
+		if !bytes.Equal(body, bodies[name]) {
+			t.Errorf("%s: %s report body differs from the cold job's", name, path)
+		}
+		var rep CampaignReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatalf("%s: %s: %v", name, path, err)
+		}
+		check(name, path, &rep)
+		return parseCount(srv.Manager()) - parsed
+	}
+	tunings := map[string]func(*CampaignRequest){
+		"workers":    func(r *CampaignRequest) { r.Workers = 3 },
+		"timeout_ms": func(r *CampaignRequest) { r.TimeoutMS = 60000 },
+		"shards":     func(r *CampaignRequest) { r.Shards = 2 },
 	}
 
 	for _, tc := range goldenCampaigns {
@@ -137,10 +192,11 @@ func TestReportGoldens(t *testing.T) {
 		}
 		check(tc.name, "RunCampaignSharded K=3", sharded)
 
-		job, err := srv1.Manager().Submit(tc.req)
-		if err != nil {
-			t.Fatal(err)
+		st, code := postCampaign(t, ts1, tc.req)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: cold submit HTTP %d", tc.name, code)
 		}
+		job, _ := srv1.Manager().Get(st.ID)
 		if st := waitTerminal(t, job); st.State != StateDone {
 			t.Fatalf("%s: manager campaign %s: %s", tc.name, st.State, st.Error)
 		}
@@ -149,16 +205,28 @@ func TestReportGoldens(t *testing.T) {
 		if tree, ok := srv1.Manager().Tracer().Tree(job.ID); !ok || tree.Attrs["shards"] != strconv.Itoa(tc.shards) {
 			t.Errorf("%s: manager ran %v shards, want %d", tc.name, tree.Attrs["shards"], tc.shards)
 		}
-
-		hit, err := srv1.Manager().Submit(tc.req)
-		if err != nil {
+		bodies[tc.name] = servedReport(t, ts1, job.ID)
+		var cold CampaignReport
+		if err := json.Unmarshal(bodies[tc.name], &cold); err != nil {
 			t.Fatal(err)
 		}
-		if st := hit.Status(); st.State != StateDone || !st.CacheHit {
-			t.Fatalf("%s: resubmit state %s cache_hit %t, want an LRU hit", tc.name, st.State, st.CacheHit)
+		check(tc.name, "cold job body", &cold)
+
+		// Spelling out the default engine changes the request bytes but
+		// not the canonical key: the memo misses and the LRU answers.
+		lru := tc.req
+		lru.Engine = "packed"
+		if n := resubmit(tc.name, "LRU resubmit", srv1, ts1, lru); n != 1 {
+			t.Errorf("%s: LRU resubmit normalized %d times, want 1", tc.name, n)
 		}
-		rep, _, _ = hit.Report()
-		check(tc.name, "LRU resubmit", rep)
+		if n := resubmit(tc.name, "memo resubmit", srv1, ts1, tc.req); n != 0 {
+			t.Errorf("%s: memo resubmit normalized %d times, want 0", tc.name, n)
+		}
+		for field, tune := range tunings {
+			req := tc.req
+			tune(&req)
+			resubmit(tc.name, field+" resubmit", srv1, ts1, req)
+		}
 
 		ds, err := dict.Open(dictDir)
 		if err != nil {
@@ -183,15 +251,12 @@ func TestReportGoldens(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer func() { ts2.Close(); srv2.Close() }()
 	for _, tc := range goldenCampaigns {
-		job, err := srv2.Manager().Submit(tc.req)
-		if err != nil {
-			t.Fatal(err)
+		if n := resubmit(tc.name, "restarted store hit", srv2, ts2, tc.req); n != 1 {
+			t.Errorf("%s: store hit normalized %d times, want 1", tc.name, n)
 		}
-		if st := job.Status(); st.State != StateDone || !st.CacheHit {
-			t.Fatalf("%s: after restart state %s cache_hit %t, want a store hit", tc.name, st.State, st.CacheHit)
+		if n := resubmit(tc.name, "memo after store hit", srv2, ts2, tc.req); n != 0 {
+			t.Errorf("%s: memo resubmit after the store hit normalized %d times, want 0", tc.name, n)
 		}
-		rep, _, _ := job.Report()
-		check(tc.name, "restarted manager", rep)
 
 		before := diagnoses[tc.name]
 		after, code := postDiagnose(t, ts2, before.req)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -44,7 +45,9 @@ type Job struct {
 	err      string
 	submitted, started,
 	finished time.Time
-	report *CampaignReport
+	// report is set once the job is done: the held, encoded report,
+	// shared with the cache entry and every hit's job record.
+	report *encodedReport
 
 	// Live observability: the latest progress snapshot, the SSE
 	// subscriber channels, and the broadcast throttle state.
@@ -60,6 +63,9 @@ type Job struct {
 
 	circuit *logic.Circuit
 	req     CampaignRequest
+	// digest memoizes the submitted request against the report when
+	// the campaign completes.
+	digest requestDigest
 }
 
 // Status snapshots the job for the API.
@@ -85,13 +91,28 @@ func (j *Job) statusLocked() JobStatus {
 		st.Progress = &p
 	}
 	if j.report != nil {
-		st.Dictionary = j.report.Dictionary
+		st.Dictionary = j.report.dict
 	}
 	return st
 }
 
-// Report returns the result and whether the job finished successfully.
+// Report decodes the held report body; it is nil unless the job is
+// done. The HTTP handlers serve the held bytes and never decode.
 func (j *Job) Report() (*CampaignReport, JobState, string) {
+	held, state, errMsg := j.result()
+	if held == nil {
+		return nil, state, errMsg
+	}
+	var rep CampaignReport
+	if err := json.Unmarshal(held.body, &rep); err != nil {
+		return nil, state, fmt.Sprintf("decoding the held report: %v", err)
+	}
+	return &rep, state, errMsg
+}
+
+// result returns the held report (nil unless done), the state and the
+// error message.
+func (j *Job) result() (*encodedReport, JobState, string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.report, j.state, j.err
@@ -265,12 +286,20 @@ func NewManager(cfg ManagerConfig) *Manager {
 	return m
 }
 
-// Submit validates the request and either answers it from the cache
-// (the job is born terminal, marked as a hit) or enqueues it. Returns
-// ErrQueueFull when the bounded queue is saturated. Only accepted
-// submissions count as submitted; rejections increment the rejected
-// counter with their reason.
+// Submit validates the request and either answers it from a held
+// report (the job is born terminal, marked as a hit) or enqueues it.
+// A byte-identical resubmit is answered from the request memo without
+// normalizing or hashing the circuit; any other request is keyed
+// canonically and looked up in the LRU, then in the result store.
+// Returns ErrQueueFull when the bounded queue is saturated. Only
+// accepted submissions count as submitted; rejections increment the
+// rejected counter with their reason.
 func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
+	digest := digestRequest(req)
+	if key, rep, ok := m.cache.Recall(digest); ok {
+		return m.answer(key, rep, "campaign answered from the request memo")
+	}
+
 	parseStart := time.Now()
 	norm, circuit, err := req.normalize()
 	if err != nil {
@@ -281,11 +310,32 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	parseEnd := time.Now()
 	m.metrics.ObserveStage("parse", parseEnd.Sub(parseStart))
 
+	if rep, ok := m.cache.Get(key); ok {
+		m.cache.Memoize(key, digest)
+		return m.answer(key, rep, "campaign answered from cache")
+	}
+	// The persistent result store outlives the LRU and the process: a
+	// stored merged report answers the campaign with zero simulation,
+	// warming the LRU on the way. The read, decode and encode run
+	// before m.mu, so they stall no other submission.
+	if rep := m.storedReport(key); rep != nil {
+		m.cache.Put(key, rep)
+		m.cache.Memoize(key, digest)
+		m.metrics.StoreReportHits.Inc()
+		return m.answer(key, rep, "campaign answered from result store")
+	}
+
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		m.metrics.RejectedClosed.Inc()
 		return nil, ErrClosed
+	}
+	// Only Submit sends on the queue, always under m.mu, so a queue
+	// with room now still has room below.
+	if len(m.queue) == cap(m.queue) {
+		m.metrics.RejectedQueueFull.Inc()
+		return nil, ErrQueueFull
 	}
 	m.seq++
 	job := &Job{
@@ -297,50 +347,7 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		parseEnd:   parseEnd,
 		circuit:    circuit,
 		req:        norm,
-	}
-
-	if rep, ok := m.cache.Get(key); ok {
-		job.cacheHit = true
-		job.state = StateDone
-		job.started = job.submitted
-		job.finished = time.Now()
-		job.report = rep
-		job.circuit, job.req.Netlist = nil, "" // nothing left to run
-		m.jobs[job.ID] = job
-		m.noteTerminalLocked(job.ID)
-		m.metrics.Submitted.Inc()
-		m.log.Debug("campaign answered from cache", "job", job.ID, "key", job.Key)
-		return job, nil
-	}
-
-	// The persistent result store outlives the LRU and the process: a
-	// stored merged report answers the campaign with zero simulation,
-	// warming the LRU on the way.
-	if m.store != nil {
-		var rep CampaignReport
-		if err := m.store.Get(resultstore.KindReport, key, &rep); err == nil {
-			m.cache.Put(key, &rep)
-			m.metrics.StoreReportHits.Inc()
-			job.cacheHit = true
-			job.state = StateDone
-			job.started = job.submitted
-			job.finished = time.Now()
-			job.report = &rep
-			job.circuit, job.req.Netlist = nil, ""
-			m.jobs[job.ID] = job
-			m.noteTerminalLocked(job.ID)
-			m.metrics.Submitted.Inc()
-			m.log.Debug("campaign answered from result store", "job", job.ID, "key", job.Key)
-			return job, nil
-		}
-	}
-
-	// Only Submit sends on the queue, always under m.mu, so a queue
-	// with room now still has room below.
-	if len(m.queue) == cap(m.queue) {
-		m.seq-- // the rejected job never existed
-		m.metrics.RejectedQueueFull.Inc()
-		return nil, ErrQueueFull
+		digest:     digest,
 	}
 	// The pending marker makes the accepted campaign durable: if the
 	// process stops before the report lands, the next start surfaces it
@@ -358,6 +365,52 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	m.metrics.Submitted.Inc()
 	m.log.Debug("campaign queued", "job", job.ID, "engine", job.req.Engine, "key", job.Key)
 	return job, nil
+}
+
+// answer registers a submission answered from a held report: the job is
+// born done, marked as a cache hit, and shares the report's bytes.
+func (m *Manager) answer(key string, rep *encodedReport, msg string) (*Job, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		m.metrics.RejectedClosed.Inc()
+		return nil, ErrClosed
+	}
+	m.seq++
+	now := time.Now()
+	job := &Job{
+		ID:        fmt.Sprintf("c-%06d", m.seq),
+		Key:       key,
+		state:     StateDone,
+		cacheHit:  true,
+		submitted: now,
+		started:   now,
+		finished:  now,
+		report:    rep,
+	}
+	m.jobs[job.ID] = job
+	m.noteTerminalLocked(job.ID)
+	m.metrics.Submitted.Inc()
+	m.log.Debug(msg, "job", job.ID, "key", key)
+	return job, nil
+}
+
+// storedReport reads the key's merged report from the result store and
+// encodes it once for serving; nil without a store or a readable report.
+func (m *Manager) storedReport(key string) *encodedReport {
+	if m.store == nil {
+		return nil
+	}
+	var rep CampaignReport
+	if err := m.store.Get(resultstore.KindReport, key, &rep); err != nil {
+		return nil
+	}
+	enc, err := encodeReport(&rep)
+	if err != nil {
+		m.log.Warn("stored report not served", "key", key, "error", err.Error())
+		return nil
+	}
+	return enc
 }
 
 // pendingCampaign is the resumable-state artifact in the result store's
@@ -790,6 +843,14 @@ func (m *Manager) run(job *Job) {
 		// Canceled (deadline) and resumable keep their markers: both
 		// represent work worth finishing after a restart.
 	}
+	// Encode once, outside job.mu: the cache, this record and every
+	// later hit's record serve these bytes.
+	var held *encodedReport
+	if state == StateDone {
+		if held, err = encodeReport(rep); err != nil {
+			state = StateFailed
+		}
+	}
 
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -797,12 +858,13 @@ func (m *Manager) run(job *Job) {
 	job.state = state
 	switch state {
 	case StateDone:
-		job.report = rep
-		m.cache.Put(job.Key, rep)
+		job.report = held
+		m.cache.Put(job.Key, held)
+		m.cache.Memoize(job.Key, job.digest)
 		m.metrics.Completed.Inc()
-		if rep.Dictionary != nil {
+		if held.dict != nil {
 			m.metrics.DictBuilt.Inc()
-			m.metrics.DictBytes.Add(uint64(rep.Dictionary.CompressedBytes))
+			m.metrics.DictBytes.Add(uint64(held.dict.CompressedBytes))
 		}
 	case StateCanceled:
 		m.metrics.Canceled.Inc()

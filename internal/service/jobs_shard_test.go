@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cpsinw/internal/logic"
 	"cpsinw/internal/obs"
@@ -281,5 +285,63 @@ func TestManagerDrainedWithoutStoreIsCanceled(t *testing.T) {
 			t.Errorf("%s: canceled counter = %d, want %d", tc.name, got, wantCanceled)
 		}
 		m.Close()
+	}
+}
+
+// TestParkedJobReadsNameResume: a campaign a drain parks as resumable
+// never finishes under its ID, so reading its report or dictionary must
+// not ask the client to retry (no Retry-After); the 409 names the
+// resume call instead.
+func TestParkedJobReadsNameResume(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	withFakeRunner(t, func(context.Context, *logic.Circuit, CampaignRequest) (*CampaignReport, error) {
+		started <- struct{}{}
+		<-release
+		return &CampaignReport{}, nil
+	})
+	srv := NewServer(ManagerConfig{Workers: 1, ResultDir: t.TempDir()})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	running, _ := postCampaign(t, ts, CampaignRequest{Benchmark: "c17", Faults: FaultConfig{StuckAt: true}})
+	<-started
+	queued, code := postCampaign(t, ts, CampaignRequest{Benchmark: "c17", Faults: FaultConfig{Polarity: true}})
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit: HTTP %d", code)
+	}
+	drained := make(chan struct{})
+	go func() { srv.Manager().Drain(); close(drained) }()
+	for !srv.Manager().isDraining() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-drained
+	if st := pollDone(t, ts, running.ID); st.State != StateDone {
+		t.Fatalf("running campaign ended %s", st.State)
+	}
+	if st := pollDone(t, ts, queued.ID); st.State != StateResumable {
+		t.Fatalf("queued campaign ended %s, want resumable", st.State)
+	}
+
+	for _, path := range []string{"/report", "/dictionary"} {
+		resp, err := http.Get(ts.URL + "/v1/campaigns/" + queued.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusConflict || body["state"] != string(StateResumable) {
+			t.Errorf("%s: HTTP %d state %q, want 409 resumable", path, resp.StatusCode, body["state"])
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s: Retry-After %q on a job that will never finish", path, ra)
+		}
+		if want := "POST /v1/campaigns/" + queued.ID + "/resume"; !strings.Contains(body["error"], want) {
+			t.Errorf("%s: error %q does not name %q", path, body["error"], want)
+		}
 	}
 }

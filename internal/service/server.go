@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strconv"
 
 	"cpsinw/internal/dict"
 )
@@ -89,12 +90,25 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
-	rep, state, errMsg := job.Report()
+	rep, state, errMsg := job.result()
+	if state != StateDone {
+		writeNotDone(w, job.ID, state, errMsg)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(rep.body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(rep.body)
+}
+
+// writeNotDone answers a report or dictionary read on a job that has
+// no report: 409 with the machine-readable state, except a failed
+// execution, which is a server error. Only a job still queued or
+// running gets Retry-After; resumable is terminal for this record, so
+// the answer names the resume call instead.
+func writeNotDone(w http.ResponseWriter, id string, state JobState, errMsg string) {
 	switch state {
-	case StateDone:
-		writeJSON(w, http.StatusOK, rep)
 	case StateFailed:
-		// Only an execution failure is a server error.
 		writeStateError(w, http.StatusInternalServerError, state,
 			fmt.Sprintf("campaign %s: %s", state, errMsg))
 	case StateCanceled:
@@ -103,6 +117,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		// machine-readable state instead of pretending a server fault.
 		writeStateError(w, http.StatusConflict, state,
 			fmt.Sprintf("campaign %s: %s", state, errMsg))
+	case StateResumable:
+		writeStateError(w, http.StatusConflict, state,
+			fmt.Sprintf("campaign %s is resumable and will not finish under this id: POST /v1/campaigns/%s/resume runs it", id, id))
 	default:
 		w.Header().Set("Retry-After", "1")
 		writeStateError(w, http.StatusConflict, state, fmt.Sprintf("campaign still %s", state))
@@ -190,23 +207,14 @@ func (s *Server) handleDictionary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown campaign")
 		return
 	}
-	rep, state, errMsg := job.Report()
-	switch state {
-	case StateDone:
-		if rep.Dictionary == nil {
-			writeError(w, http.StatusNotFound, "campaign has no dictionary artifact (store not configured)")
-			return
-		}
-		writeJSON(w, http.StatusOK, rep.Dictionary)
-	case StateFailed:
-		writeStateError(w, http.StatusInternalServerError, state,
-			fmt.Sprintf("campaign %s: %s", state, errMsg))
-	case StateCanceled:
-		writeStateError(w, http.StatusConflict, state,
-			fmt.Sprintf("campaign %s: %s", state, errMsg))
+	rep, state, errMsg := job.result()
+	switch {
+	case state != StateDone:
+		writeNotDone(w, job.ID, state, errMsg)
+	case rep.dict == nil:
+		writeError(w, http.StatusNotFound, "campaign has no dictionary artifact (store not configured)")
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeStateError(w, http.StatusConflict, state, fmt.Sprintf("campaign still %s", state))
+		writeJSON(w, http.StatusOK, rep.dict)
 	}
 }
 

@@ -211,7 +211,9 @@ type DiagnoseResponse struct {
 
 // CampaignReport is the GET /v1/campaigns/{id}/report body: structured
 // coverage per fault class plus the same report.Table set the CLI tools
-// render, marshalled through internal/report's JSON form.
+// render, marshalled through internal/report's JSON form. The service
+// encodes each finished report once, as compact JSON, and holds and
+// serves those bytes; it keeps no decoded copy.
 type CampaignReport struct {
 	Circuit        CircuitInfo     `json:"circuit"`
 	Patterns       int             `json:"patterns"`
