@@ -522,17 +522,17 @@ func BenchmarkATPGGenerate(b *testing.B) {
 // sink on the workload its acceptance budget names: a full packed
 // mult16 campaign (stuck-at + CP transistor universe, IDDQ observed,
 // 64 random patterns) run end to end — pattern build, stuck-at sweep,
-// voltage sweep, +IDDQ sweep, report — with ("on") and without ("off")
-// a dictionary store attached. "on" additionally harvests signatures
-// in the sweeps capture instruments (the stuck-at and +IDDQ passes;
-// the voltage-only sweep runs uncaptured), compresses them and writes
-// the artifact atomically. Capture rows are written straight from the
-// engine's lane words — no second simulation pass — but a full
-// signature must resolve every (fault, pattern) lane where the
+// one transistor sweep answering both the voltage-only and the +IDDQ
+// classes, report — with ("on") and without ("off") a dictionary store
+// attached. "on" additionally harvests signatures in both sweeps (the
+// transistor sweep's output and leak planes), compresses them and
+// writes the artifact atomically. Capture rows are written straight
+// from the engine's lane words — no second simulation pass — but a
+// full signature must resolve every (fault, pattern) lane where the
 // uncaptured engine stops at each fault's first detection, so the
-// captured sweeps evaluate ~1.4x the gates; BENCH_faultsim.json
-// records dated results and the budget discussion. Both runs must
-// agree on coverage exactly.
+// captured sweeps evaluate more gates; BENCH_faultsim.json records
+// dated results and the budget discussion. Both runs must agree on
+// coverage exactly.
 //
 //	go test -bench=BenchmarkDictionaryCapture -benchtime=5x
 func BenchmarkDictionaryCapture(b *testing.B) {

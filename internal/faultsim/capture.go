@@ -4,12 +4,12 @@
 // engine driver (reference and packed — serial, grouped and parallel)
 // honours it. With a capture attached the engines keep simulating past
 // the first detection (fault dropping and the packed seed
-// early-retirement are disabled) and the Detection results are
-// re-derived from the full bitsets with the same precedence the
-// per-pattern reference sweep applies — per pattern the leak check
-// precedes the output compare, across patterns the earliest wins — so
-// detections stay bit-identical to an uncaptured run, which the
-// differential suites enforce.
+// early-retirement are disabled) and read each fault's answers from the
+// same full masks with the precedence the per-pattern reference sweep
+// applies — per pattern the leak check precedes the output compare,
+// across patterns the earliest wins; the voltage answer is the first
+// output bit — so detections stay bit-identical to an uncaptured run,
+// which the differential suites enforce.
 package faultsim
 
 import (
@@ -107,24 +107,4 @@ func (c *SignatureCapture) orLanes(i int, patOff int, words []uint64, leak bool)
 			dst[row+k>>6] |= 1 << uint(k&63)
 		}
 	}
-}
-
-// firstDetection re-derives a fault's Detection from its captured
-// bitsets with the reference observation order: per pattern leak (when
-// IDDQ is observed) precedes the output compare; across patterns the
-// earliest detecting pattern wins.
-func (c *SignatureCapture) firstDetection(i int) (DetectMethod, int) {
-	row := i * c.words
-	for j := 0; j < c.words; j++ {
-		m := c.out[row+j] | c.leak[row+j]
-		if m == 0 {
-			continue
-		}
-		k := j<<6 + bits.TrailingZeros64(m)
-		if c.leak[row+j]>>uint(k&63)&1 == 1 {
-			return ByIDDQ, k
-		}
-		return ByOutput, k
-	}
-	return ByNone, -1
 }

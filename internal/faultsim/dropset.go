@@ -48,7 +48,7 @@ func (s *Simulator) StuckAtDrops() *DropSet {
 // observed by voltage at the primary outputs, over ternary patterns.
 // Under EngineReference it answers through the serial oracle.
 func (s *Simulator) VoltageDrops() *DropSet {
-	return s.newDropSet(s.transistorClass(false), s.Engine == EngineReference)
+	return s.newDropSet(s.transistorClass(voltageOnly), s.Engine == EngineReference)
 }
 
 // PairDrops returns an empty drop set for channel breaks over init/test
@@ -139,7 +139,9 @@ func (d *DropSet) Detects(f core.Fault) bool {
 	case d.cls == nil:
 		det, _, err = d.s.twoPatternFaultPacked(f, d.n, d.base[0], d.base[1], d.sc)
 	default:
-		det, err = d.s.simulateFaultPacked(d.cls, f, 0, d.base[0], d.sc, nil)
+		var a answers
+		a, err = d.s.simulateFaultPacked(d.cls, f, 0, d.base[0], d.sc, nil)
+		return err == nil && a.pattern >= 0
 	}
 	return err == nil && det.Detected()
 }

@@ -109,7 +109,8 @@ func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detect
 // (non-line faults count as Dropped); the engine counters charge the
 // work to the packed engine, whatever the simulator's Engine.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
-	return s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
+	out, _, err := s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
+	return out, err
 }
 
 // stuckAtClass adapts line stuck-at faults to the packed drivers, over
@@ -201,12 +202,11 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // Engine selects the implementation: bit-parallel PPSFP lane blocks by
 // default, the serial hooked oracle under EngineReference; both return
 // identical detections. RunTransistorParallel spreads the same work
-// over a goroutine pool.
+// over a goroutine pool; RunTransistorBoth returns both answers from
+// one sweep.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	if s.Engine == EngineReference {
-		return s.runTransistorSerial(context.Background(), faults, patterns, useIDDQ)
-	}
-	return s.runPacked(context.Background(), s.transistorClass(useIDDQ), faults, patterns)
+	out, _, err := s.runTransistorSerial(context.Background(), faults, patterns, transistorMode(useIDDQ))
+	return out, err
 }
 
 // outputsDiffer reports a definite PO mismatch (X never counts).

@@ -174,15 +174,24 @@ func (s *Simulator) laneWordsFor(nPatterns, nFaults int) int {
 }
 
 // packedClass adapts one fault class to the packed drivers: the stage
-// its progress reports under, how baselines pack, whether IDDQ leak
-// lanes are observed, which faults it simulates (the rest count as
+// its progress reports under, how baselines pack, which answers its
+// sweep produces (mode), which faults it simulates (the rest count as
 // Dropped) and how a simulable fault resolves to its seed site.
 type packedClass struct {
 	stage     string
 	binary    bool
-	iddq      bool
+	mode      sweepMode
 	simulable func(core.Fault) bool
 	resolve   func(*packedScratch, core.Fault) (packedSite, bool, error)
+}
+
+// leakDecides reports whether a seed's sweep may stop before
+// propagation: only an iddqOnly sweep without capture may, once a leak
+// lands at or before the seed's first excited lane (no output
+// difference can come earlier). Every other sweep still needs the
+// voltage answer or the full signature.
+func (cls *packedClass) leakDecides(sd *packedSeed, w int, capturing bool) bool {
+	return cls.mode == iddqOnly && !capturing && logic.FirstLaneBlock(sd.leak[:w]) <= sd.floor
 }
 
 // packedSite is one fault resolved against the compiled circuit: the
@@ -326,22 +335,29 @@ type packedSeed struct {
 	fout   [logic.MaxLaneWords]logic.PackedVec
 }
 
-// resolve finalizes a seed after propagation: the earliest lane of the
-// combined leak/diff mask wins, leak beating output at equal lanes (the
-// per-pattern observation order of the reference oracle).
-func (sd *packedSeed) resolve(w int) (DetectMethod, int, bool) {
-	var m [logic.MaxLaneWords]uint64
-	for j := 0; j < w; j++ {
-		m[j] = sd.leak[j] | sd.diff[j]
+// answer folds a seed's lanes into its fault's answers, each kept once
+// set (an earlier chunk wins): the d answer takes the earliest lane of
+// the combined leak/diff mask, leak beating output at equal lanes (the
+// per-pattern observation order of the reference oracle), and the
+// voltage answer the earliest diff lane.
+func (sd *packedSeed) answer(w int, a *answers) {
+	if a.pattern < 0 {
+		var m [logic.MaxLaneWords]uint64
+		for j := 0; j < w; j++ {
+			m[j] = sd.leak[j] | sd.diff[j]
+		}
+		if lane := logic.FirstLaneBlock(m[:w]); lane < w<<6 {
+			a.method, a.pattern = ByOutput, sd.patOff+lane
+			if sd.leak[lane>>6]>>uint(lane&63)&1 == 1 {
+				a.method = ByIDDQ
+			}
+		}
 	}
-	lane := logic.FirstLaneBlock(m[:w])
-	if lane == w<<6 {
-		return ByNone, -1, false
+	if a.voltage < 0 {
+		if lane := logic.FirstLaneBlock(sd.diff[:w]); lane < w<<6 {
+			a.voltage = sd.patOff + lane
+		}
 	}
-	if sd.leak[lane>>6]>>uint(lane&63)&1 == 1 {
-		return ByIDDQ, sd.patOff + lane, true
-	}
-	return ByOutput, sd.patOff + lane, true
 }
 
 // packedScratch is the reusable per-worker state of the packed engine:
@@ -556,10 +572,10 @@ func (s *Simulator) resolvePackedFault(f core.Fault, sc *packedScratch) (int, *f
 
 // transistorClass adapts the CP transistor faults to the packed
 // drivers, over ternary baselines.
-func (s *Simulator) transistorClass(useIDDQ bool) *packedClass {
+func (s *Simulator) transistorClass(mode sweepMode) *packedClass {
 	return &packedClass{
 		stage:     "transistor",
-		iddq:      useIDDQ,
+		mode:      mode,
 		simulable: transistorSimulable,
 		resolve: func(sc *packedScratch, f core.Fault) (packedSite, bool, error) {
 			gi, lut, err := s.resolvePackedFault(f, sc)
@@ -592,11 +608,12 @@ func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int)
 }
 
 // seedChunk fills sd with a resolved fault's behaviour over the baseline
-// block, restricted to the lanes of mask: the masked IDDQ leak lanes,
-// the blended site plane and the excitation floor. live is set when at
-// least one masked lane excites the fault (the seed needs propagation
-// to resolve); leak lanes are reported either way.
-func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64, patOff int, base []logic.PackedVec, useIDDQ bool) {
+// block, restricted to the lanes of mask: the masked IDDQ leak lanes
+// (when leaks are observed), the blended site plane and the excitation
+// floor. live is set when at least one masked lane excites the fault
+// (the seed needs propagation to resolve); leak lanes are reported
+// either way.
+func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64, patOff int, base []logic.PackedVec, leaks bool) {
 	w := sc.w
 	on := st.onet
 	sd.gi, sd.onet, sd.patOff = st.gi, on, patOff
@@ -611,7 +628,7 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64
 			continue
 		}
 		fo, leak := sc.siteWord(st, base, j)
-		if useIDDQ {
+		if leaks {
 			sd.leak[j] = leak & m
 		}
 		exc[j] = ((fo.Val ^ b.Val) | (fo.Known ^ b.Known)) & m
@@ -842,20 +859,20 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 }
 
 // simulateFaultPacked runs one fault of a class chunk by chunk: one
-// seed evaluation plus one event-driven block pass per chunk, with the
-// Detection the reference oracle would report. A non-nil sig disables
-// the chunk early exits and the seed early-retirement, records fault si's
-// full signature from the propagated lane masks and derives the
-// Detection through the same earliest-lane/leak-precedence resolution
-// the uncaptured sweep uses.
-func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (Detection, error) {
-	d := Detection{Fault: f, Pattern: -1}
+// seed evaluation plus one event-driven block pass per excited chunk.
+// It returns the fault's answers (packedSeed.answer) and stops at the
+// class mode's stop answer; under iddqOnly, the voltage answer is not
+// swept to. A non-nil sig disables the chunk early exits and the seed
+// early-retirement and records fault si's full signature from the
+// propagated lane masks, from which the answers are read.
+func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (answers, error) {
+	a := undetected
 	if !cls.simulable(f) || len(bases) == 0 {
-		return d, nil
+		return a, nil
 	}
 	st, ok, err := cls.resolve(sc, f)
 	if !ok {
-		return d, err
+		return a, err
 	}
 	sc.runs++
 	w := sc.w
@@ -863,57 +880,50 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 	sd := &seeds[0]
 	for ci := range bases {
 		pb := &bases[ci]
-		sc.seedChunk(sd, &st, pb.valid, pb.start, pb.vals, cls.iddq)
+		sc.seedChunk(sd, &st, pb.valid, pb.start, pb.vals, cls.mode.observesLeaks())
+		if sd.live && !cls.leakDecides(sd, w, sig != nil) {
+			sc.capture = sig != nil
+			sc.propagateSeeds(seeds, pb.vals)
+			sc.capture = false
+		}
 		if sig != nil {
-			if sd.live {
-				sc.capture = true
-				sc.propagateSeeds(seeds, pb.vals)
-				sc.capture = false
-			}
 			sig.orLanes(si, pb.start, sd.diff[:w], false)
 			sig.orLanes(si, pb.start, sd.leak[:w], true)
-			if !d.Detected() {
-				if method, pattern, ok := sd.resolve(w); ok {
-					d.Method, d.Pattern = method, pattern
-				}
-			}
-			continue
 		}
-		// Per pattern, the leak check precedes the output compare
-		// (mirroring the reference oracle); across patterns the earliest
-		// lane wins. A leak at or before the first excited lane therefore
-		// decides without propagation — no output difference can come
-		// earlier.
-		if firstLeak := logic.FirstLaneBlock(sd.leak[:w]); firstLeak <= sd.floor {
-			if firstLeak < w<<6 {
-				d.Method, d.Pattern = ByIDDQ, pb.start+firstLeak
-				return d, nil
-			}
-			continue // neither leak nor excitation in this chunk
-		}
-		sc.propagateSeeds(seeds, pb.vals)
-		if method, pattern, ok := sd.resolve(w); ok {
-			d.Method, d.Pattern = method, pattern
-			return d, nil
+		sd.answer(w, &a)
+		if sig == nil && a.stop(cls.mode) >= 0 {
+			break
 		}
 	}
-	return d, nil
+	return a, nil
 }
 
 // runPackedGrouped sweeps the faults selected by idxs with fault
 // packing: up to plan.groups simulable faults seed disjoint lane groups
 // of the replicated baseline and resolve in one shared propagation
-// pass. Faults whose leak decides at or before their excitation floor
-// (or that never excite at all) resolve at seed time and never occupy a
-// group slot. A non-nil sig keeps every excited fault in its slot,
-// propagates without seed early-retirement and records each fault's
-// full signature from its group's lane masks before resolving the
-// identical Detection.
-func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out []Detection) error {
+// pass. Faults that never excite a lane (or, under iddqOnly, whose leak
+// decides) resolve at seed time and never occupy a group slot. Each
+// fault's answers land in out and volt (answers.put). A non-nil sig
+// keeps every excited fault in its slot, propagates without seed
+// early-retirement and records each fault's full signature from its
+// group's lane masks before reading the same answers.
+func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out, volt []Detection) error {
 	w := sc.w
 	seeds := sc.seedBuf(gb.groups)[:0]
 	batchDetected := 0
 	batchStart := sc.lifetimeEvals()
+	// settle records a seed's signature and answers; it reports whether
+	// the fault's stop answer detected.
+	settle := func(sd *packedSeed) int {
+		if sig != nil {
+			sig.orLanes(sd.out, sd.patOff, sd.diff[:w], false)
+			sig.orLanes(sd.out, sd.patOff, sd.leak[:w], true)
+		}
+		a := undetected
+		sd.answer(w, &a)
+		a.put(out, volt, sd.out, faults[sd.out])
+		return b2i(a.stop(cls.mode) >= 0)
+	}
 	flush := func() {
 		if len(seeds) == 0 {
 			return
@@ -922,15 +932,7 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faul
 		sc.propagateSeeds(seeds, gb.vals)
 		sc.capture = false
 		for si := range seeds {
-			sd := &seeds[si]
-			if sig != nil {
-				sig.orLanes(sd.out, sd.patOff, sd.diff[:w], false)
-				sig.orLanes(sd.out, sd.patOff, sd.leak[:w], true)
-			}
-			if method, pattern, ok := sd.resolve(w); ok {
-				out[sd.out].Method, out[sd.out].Pattern = method, pattern
-				batchDetected++
-			}
+			batchDetected += settle(&seeds[si])
 		}
 		sink.add(len(seeds), batchDetected, 0, sc.lifetimeEvals()-batchStart)
 		seeds = seeds[:0]
@@ -942,7 +944,7 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faul
 			return err
 		}
 		f := faults[i]
-		out[i] = Detection{Fault: f, Pattern: -1}
+		undetected.put(out, volt, i, f)
 		if !cls.simulable(f) {
 			sink.add(1, 0, 1, 0)
 			continue
@@ -961,30 +963,10 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faul
 		sd := &seeds[g]
 		sd.out = i
 		before := sc.lifetimeEvals()
-		sc.seedChunk(sd, &st, gb.masks[g], -g*gb.span, gb.vals, cls.iddq)
-		if sig != nil {
-			if !sd.live {
-				// No excited lane: the signature is leak-only and the
-				// slot can serve the next fault.
-				sig.orLanes(i, sd.patOff, sd.leak[:w], true)
-				detected := 0
-				if method, pattern, ok := sd.resolve(w); ok {
-					out[i].Method, out[i].Pattern = method, pattern
-					detected = 1
-				}
-				seeds = seeds[:g]
-				delta := sc.lifetimeEvals() - before
-				batchStart += delta // keep the batch delta clean of this fault
-				sink.add(1, detected, 0, delta)
-				continue
-			}
-		} else if firstLeak := logic.FirstLaneBlock(sd.leak[:w]); firstLeak <= sd.floor {
+		sc.seedChunk(sd, &st, gb.masks[g], -g*gb.span, gb.vals, cls.mode.observesLeaks())
+		if !sd.live || cls.leakDecides(sd, w, sig != nil) {
 			// Resolved at seed time: release the slot for the next fault.
-			detected := 0
-			if firstLeak < w<<6 {
-				out[i].Method, out[i].Pattern = ByIDDQ, sd.patOff+firstLeak
-				detected = 1
-			}
+			detected := settle(sd)
 			seeds = seeds[:g]
 			delta := sc.lifetimeEvals() - before
 			batchStart += delta // keep the batch delta clean of this fault
@@ -999,15 +981,16 @@ func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faul
 	return nil
 }
 
-// runPacked is the serial packed campaign driver of one fault class. On
-// an error it returns the detections resolved so far alongside it (the
-// rest stay undetected).
-func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
+// runPacked is the serial packed campaign driver of one fault class. It
+// returns each fault's d answer and, under bothAnswers, its voltage
+// answer (volt is nil otherwise). On an error it returns the detections
+// resolved so far alongside it (the rest stay undetected).
+func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []core.Fault, patterns []Pattern) (out, volt []Detection, err error) {
 	sink := s.progressSink(cls.stage, len(faults))
 	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	pl := s.packedPlanFor(cls, faults, patterns)
@@ -1015,28 +998,31 @@ func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []co
 	sc.ensure(pl.w)
 	defer s.putPackedScratch(sc)
 	sink.add(0, 0, 0, pl.baseEvals(len(s.C.Gates)))
-	out := make([]Detection, len(faults))
+	out = make([]Detection, len(faults))
+	if cls.mode == bothAnswers {
+		volt = make([]Detection, len(faults))
+	}
 	idxs := make([]int, len(faults))
 	for i, f := range faults {
-		out[i] = Detection{Fault: f, Pattern: -1}
+		undetected.put(out, volt, i, f)
 		idxs[i] = i
 	}
 	if pl.gb != nil {
-		return out, s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, sc, sig, sink, out)
+		return out, volt, s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, sc, sig, sink, out, volt)
 	}
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return out, volt, err
 		}
 		before := sc.lifetimeEvals()
-		d, err := s.simulateFaultPacked(cls, f, i, pl.bases, sc, sig)
+		a, err := s.simulateFaultPacked(cls, f, i, pl.bases, sc, sig)
 		if err != nil {
-			return out, err
+			return out, volt, err
 		}
-		out[i] = d
-		sink.add(1, b2i(d.Detected()), b2i(!cls.simulable(f)), sc.lifetimeEvals()-before)
+		a.put(out, volt, i, f)
+		sink.add(1, b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(f)), sc.lifetimeEvals()-before)
 	}
-	return out, nil
+	return out, volt, nil
 }
 
 // blockGateIndex decodes one gate's ternary LUT index for a single lane

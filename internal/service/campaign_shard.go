@@ -334,14 +334,15 @@ func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt Sharde
 // runShardJob simulates one sub-job's fault slices on a private
 // simulator (capture sinks and progress hooks are simulator state, so
 // concurrent shards cannot share one), each class under its stage span
-// below the shard's.
+// below the shard's. One transistor sweep answers both transistor
+// classes: under IDDQ observation RunTransistorBoth returns the
+// voltage-only and +IDDQ detections together, so transistor_iddq has no
+// stage or span of its own and its progress frame comes when the shard
+// completes.
 func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Span) (*shard.Output, error) {
 	ro := env.ro
 	sim := faultsim.New(env.c)
 	sim.Engine = env.engine
-	// The simulator names its own stages, but the voltage-only and +IDDQ
-	// sweeps both run under "transistor": only the shard can tell them
-	// apart, so it points the progress hook at the running class.
 	var current *classAgg
 	if ro.Progress != nil {
 		sim.Progress = func(p faultsim.Progress) { env.agg.note(current, j.Index, p) }
@@ -351,50 +352,58 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 	sim.EnsureCompiled()
 	endCompile(nil)
 
-	// runClass sweeps one fault class's slice under its stage span,
-	// capturing signatures into the part when asked.
-	runClass := func(stage string, universe []core.Fault, r shard.Range, capture bool,
-		sweep func([]core.Fault) ([]faultsim.Detection, error)) (*shard.Part, error) {
+	// sweep runs one class's call under its stage span, with a signature
+	// capture over the slice r attached when the sub-job captures.
+	sweep := func(stage string, r shard.Range, call func() error) (*faultsim.SignatureCapture, error) {
 		current = env.agg.classes[stage]
 		_, end := ro.stage(sp, stage)
-		part := &shard.Part{Range: r}
-		if capture {
-			part.Sig = faultsim.NewSignatureCapture(r.Len(), len(env.pats))
-			sim.Signatures = part.Sig
+		var sig *faultsim.SignatureCapture
+		if j.Capture {
+			sig = faultsim.NewSignatureCapture(r.Len(), len(env.pats))
+			sim.Signatures = sig
 		}
-		var err error
-		part.Dets, err = sweep(universe[r.Start:r.End])
+		err := call()
 		sim.Signatures = nil
 		end(err)
-		return part, err
+		return sig, err
 	}
 
 	out := &shard.Output{}
-	var err error
 	if env.saFaults != nil {
-		out.StuckAt, err = runClass("stuck_at", env.saFaults, j.StuckAt, j.Capture, func(faults []core.Fault) ([]faultsim.Detection, error) {
-			return sim.RunStuckAtContext(ctx, faults, env.pats)
+		r := j.StuckAt
+		var dets []faultsim.Detection
+		sig, err := sweep("stuck_at", r, func() (err error) {
+			dets, err = sim.RunStuckAtContext(ctx, env.saFaults[r.Start:r.End], env.pats)
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
+		out.StuckAt = &shard.Part{Range: r, Dets: dets, Sig: sig}
 	}
 	if env.trFaults != nil {
-		// The dictionary's leak plane needs the +IDDQ sweep; without IDDQ
-		// the voltage sweep carries the (identical) output plane.
-		out.TransistorV, err = runClass("transistor", env.trFaults, j.Transistor, j.Capture && !env.iddq, func(faults []core.Fault) ([]faultsim.Detection, error) {
-			return sim.RunTransistorParallel(ctx, faults, env.pats, false, env.workers)
+		r := j.Transistor
+		faults := env.trFaults[r.Start:r.End]
+		var v, iq []faultsim.Detection
+		sig, err := sweep("transistor", r, func() (err error) {
+			if env.iddq {
+				v, iq, err = sim.RunTransistorBoth(ctx, faults, env.pats, env.workers)
+			} else {
+				v, err = sim.RunTransistorParallel(ctx, faults, env.pats, false, env.workers)
+			}
+			return err
 		})
 		if err != nil {
 			return nil, err
 		}
+		// The dictionary reads its transistor planes from the +IDDQ part
+		// (output and leak) when the campaign observes IDDQ, else from
+		// the voltage part.
+		out.TransistorV = &shard.Part{Range: r, Dets: v}
 		if env.iddq {
-			out.TransistorIQ, err = runClass("transistor_iddq", env.trFaults, j.Transistor, j.Capture, func(faults []core.Fault) ([]faultsim.Detection, error) {
-				return sim.RunTransistorParallel(ctx, faults, env.pats, true, env.workers)
-			})
-			if err != nil {
-				return nil, err
-			}
+			out.TransistorIQ = &shard.Part{Range: r, Dets: iq, Sig: sig}
+		} else {
+			out.TransistorV.Sig = sig
 		}
 	}
 	if env.bridges != nil {

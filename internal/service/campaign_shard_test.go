@@ -226,6 +226,67 @@ func TestShardedStoreReuse(t *testing.T) {
 	}
 }
 
+// TestShardedDamagedRecordResimulates: a stored shard artifact that
+// parses and answers its sub-job but carries a record its class cannot
+// produce, or a transistor record pair one sweep cannot produce, is a
+// miss: that shard re-simulates (and overwrites the artifact) and the
+// report is the simulated one.
+func TestShardedDamagedRecordResimulates(t *testing.T) {
+	req := CampaignRequest{Benchmark: "c17", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true}}
+	norm, c, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CanonicalKey(c, norm)
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(wantHits int) *CampaignReport {
+		t.Helper()
+		var hits atomic.Int64
+		rep, err := RunCampaignSharded(context.Background(), c, norm, ShardedOptions{
+			Key: key, Shards: 2, Store: store,
+			OnCacheHit: func(shard.SubJob) { hits.Add(1) },
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hits.Load(); got != int64(wantHits) {
+			t.Fatalf("shard cache hits = %d, want %d", got, wantHits)
+		}
+		return rep
+	}
+	want := normalizeReport(t, run(0))
+	keys, err := store.Keys(resultstore.KindShard)
+	if err != nil || len(keys) != 2 {
+		t.Fatalf("store holds shard artifacts %v (%v), want 2", keys, err)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(*shard.Result)
+	}{
+		{"unknown stuck-at method", func(r *shard.Result) { r.StuckAt.Dets[0].Method = "bogus" }},
+		{"+IDDQ record later than voltage", func(r *shard.Result) {
+			r.TransistorV.Dets[0] = shard.Det{Method: "output", Pattern: 0}
+			r.TransistorIQ.Dets[0] = shard.Det{Method: "iddq", Pattern: 1}
+		}},
+	} {
+		var r shard.Result
+		if err := store.Get(resultstore.KindShard, keys[0], &r); err != nil {
+			t.Fatal(err)
+		}
+		tc.damage(&r)
+		if _, err := store.Put(resultstore.KindShard, keys[0], &r); err != nil {
+			t.Fatal(err)
+		}
+		if got := normalizeReport(t, run(1)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: report differs from the simulated one", tc.name)
+		}
+	}
+	run(2) // the re-simulated shard overwrote the damaged artifact
+}
+
 // TestOneShardPlanSkipsShardStore: a one-shard plan neither reads nor
 // writes shard artifacts, so a store-backed K=1 run leaves the shard
 // namespace empty and a rerun re-simulates (the caller's stored report

@@ -25,6 +25,10 @@ var ErrQueueFull = errors.New("service: job queue full")
 // down and clients should retry elsewhere.
 var ErrClosed = errors.New("service: manager closed")
 
+// ErrTooManySubscribers is returned by Subscribe when the manager
+// already serves maxSubscribers event streams; clients should retry.
+var ErrTooManySubscribers = errors.New("service: too many event subscribers")
+
 // runCampaign is the worker's execution function, a seam for tests that
 // need deterministic blocking, cancellation or synthetic progress.
 var runCampaign = RunCampaignSharded
@@ -33,6 +37,11 @@ var runCampaign = RunCampaignSharded
 // consumer drops intermediate frames (each frame is a full snapshot)
 // and always receives the terminal state via channel close.
 const subscriberBuffer = 64
+
+// maxSubscribers bounds the live event subscriptions one manager holds
+// at once, across all jobs: each pins a subscriberBuffer-deep channel
+// and, over HTTP, a streaming connection.
+const maxSubscribers = 256
 
 // Job is one campaign submission moving through the queue.
 type Job struct {
@@ -529,18 +538,23 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // terminal state (read the final status from the job afterwards). On an
 // already-terminal job the returned channel is closed immediately. The
 // cancel func is idempotent and must be called to release the
-// subscription.
-func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func()) {
+// subscription. With maxSubscribers live subscriptions already open,
+// Subscribe refuses with ErrTooManySubscribers.
+func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func(), error) {
 	ch := make(chan JobStatus, subscriberBuffer)
 	j.mu.Lock()
 	if j.state.Terminal() {
 		j.mu.Unlock()
 		close(ch)
-		return ch, func() {}
+		return ch, func() {}, nil
+	}
+	if m.subscribers.Add(1) > maxSubscribers {
+		j.mu.Unlock()
+		m.subscribers.Add(-1)
+		return nil, nil, ErrTooManySubscribers
 	}
 	j.subs = append(j.subs, ch)
 	j.mu.Unlock()
-	m.subscribers.Add(1)
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
@@ -555,7 +569,7 @@ func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func()) {
 			m.subscribers.Add(-1)
 		})
 	}
-	return ch, cancel
+	return ch, cancel, nil
 }
 
 // noteProgress folds one campaign snapshot into the job: it derives

@@ -118,7 +118,10 @@ func TestManagerPersistsBeforeDone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, cancel := m.Subscribe(j)
+		ch, cancel, err := m.Subscribe(j)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for range ch {
 		}
 		cancel()

@@ -20,7 +20,7 @@ const (
 // pin the series set).
 var campaignStages = []string{
 	"parse", "patterns", "compile", "simulate",
-	"stuck_at", "transistor", "transistor_iddq", "bridges", "atpg",
+	"stuck_at", "transistor", "bridges", "atpg",
 	"merge", "dictionary", "report",
 }
 

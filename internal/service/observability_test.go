@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,6 +201,102 @@ func TestSSEDisconnectFreesSubscriber(t *testing.T) {
 			t.Fatalf("subscriber not released: %d", srv.Manager().subscribers.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// eventSubscribers scrapes the cpsinw_event_subscribers gauge.
+func eventSubscribers(t *testing.T, ts *httptest.Server) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "cpsinw_event_subscribers "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no cpsinw_event_subscribers sample in the exposition")
+	return 0
+}
+
+// TestSSESubscriberCeiling: one manager holds at most maxSubscribers
+// live event subscriptions, however many goroutines subscribe at once.
+// Past the ceiling Subscribe refuses and the events endpoint answers
+// 503 with Retry-After; once the subscriptions are cancelled the
+// cpsinw_event_subscribers gauge is back to 0 and a stream opens again.
+func TestSSESubscriberCeiling(t *testing.T) {
+	release := make(chan struct{})
+	withFakeRunner(t, func(ctx context.Context, _ *logic.Circuit, _ CampaignRequest) (*CampaignReport, error) {
+		select {
+		case <-release:
+			return &CampaignReport{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	srv, ts := newTestServer(t)
+	defer close(release)
+	st, _ := postCampaign(t, ts, CampaignRequest{Netlist: c17Bench, Faults: FaultConfig{StuckAt: true}})
+	job, _ := srv.Manager().Get(st.ID)
+	events := ts.URL + "/v1/campaigns/" + st.ID + "/events"
+
+	// Eight goroutines race for the slots, 40 attempts each: exactly
+	// maxSubscribers attempts succeed and every other one is refused.
+	var mu sync.Mutex
+	var cancels []func()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				_, cancel, err := srv.Manager().Subscribe(job)
+				if err != nil {
+					if !errors.Is(err, ErrTooManySubscribers) {
+						t.Errorf("Subscribe: %v", err)
+					}
+					continue
+				}
+				mu.Lock()
+				cancels = append(cancels, cancel)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(cancels) != maxSubscribers {
+		t.Fatalf("%d of 320 subscriptions succeeded, want the ceiling %d", len(cancels), maxSubscribers)
+	}
+	resp, err := http.Get(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("events past the ceiling: HTTP %d, Retry-After %q; want 503, 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := eventSubscribers(t, ts); n != maxSubscribers {
+		t.Fatalf("cpsinw_event_subscribers = %v at the ceiling, want %d", n, maxSubscribers)
+	}
+
+	for _, cancel := range cancels {
+		cancel()
+		cancel() // idempotent: releases its slot once
+	}
+	if n := eventSubscribers(t, ts); n != 0 {
+		t.Fatalf("cpsinw_event_subscribers = %v after every cancel, want 0", n)
+	}
+	next, stop := sseStream(t, events)
+	defer stop()
+	if _, ok := next(); !ok {
+		t.Fatal("no initial frame once the subscriptions were released")
 	}
 }
 

@@ -130,7 +130,8 @@ func writeNotDone(w http.ResponseWriter, id string, state JobState, errMsg strin
 // server-sent events. Frames are named "state" (lifecycle, including
 // the initial snapshot and the guaranteed terminal frame) or
 // "progress"; every data payload is a full JobStatus JSON object. The
-// stream always ends with a terminal-state frame.
+// stream always ends with a terminal-state frame. Past the manager's
+// subscriber ceiling it answers 503 with Retry-After.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.mgr.Get(r.PathValue("id"))
 	if !ok {
@@ -142,7 +143,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch, cancel := s.mgr.Subscribe(job)
+	ch, cancel, err := s.mgr.Subscribe(job)
+	if err != nil {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
 	defer cancel()
 
 	w.Header().Set("Content-Type", "text/event-stream")

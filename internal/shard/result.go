@@ -35,10 +35,10 @@ type ClassResult struct {
 
 // Result is the wire form of one completed sub-job, the unit persisted
 // in internal/resultstore under the sub-job key. TransistorV and
-// TransistorIQ are the voltage-only and +IDDQ sweeps over the same
-// transistor range (the campaign runs both when IDDQ observation is
-// on). Artifacts written by older builds may carry a "gate_evals"
-// field; decoding ignores it.
+// TransistorIQ are the voltage-only and +IDDQ answers over the same
+// transistor range (under IDDQ observation one sweep produces both).
+// Artifacts written by older builds may carry a "gate_evals" field;
+// decoding ignores it.
 type Result struct {
 	Key         string `json:"key"`
 	CampaignKey string `json:"campaign_key"`
@@ -104,7 +104,7 @@ func (r *Result) Matches(j SubJob) error {
 
 // Encode converts a completed sub-job to its wire form for the result
 // store. Signature rows are kept for the classes that captured them:
-// the output plane always, the leak plane for the +IDDQ sweep.
+// the output plane always, the leak plane for the +IDDQ class.
 func (o *Output) Encode(j SubJob, campaignKey string) *Result {
 	return &Result{
 		Key: j.Key, CampaignKey: campaignKey, Index: j.Index, Total: j.Total,
@@ -148,8 +148,10 @@ func encodePart(p *Part, leak bool) *ClassResult {
 // rows wherever the sub-job captured them, even for an empty range: the
 // stuck-at and +IDDQ classes when j.Capture (the latter with its leak
 // plane), the voltage-only transistor class when j.Capture without IDDQ.
-// Any mismatch, missing class or missing or malformed row is an error,
-// so a corrupted artifact is re-simulated, not merged.
+// Every record must be one its class can produce (checkRecord), and
+// each fault's voltage and +IDDQ records must agree (checkPair). Any
+// mismatch, missing class, bad record or missing or malformed row is
+// an error, so a corrupted artifact is re-simulated, not merged.
 func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []core.Bridge, iddq bool, nPatterns int) (*Output, error) {
 	if err := r.Matches(j); err != nil {
 		return nil, err
@@ -169,6 +171,11 @@ func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []co
 			if o.TransistorIQ, err = decodeFaults("transistor_iddq", r.TransistorIQ, transistor, nPatterns, j.Capture, true); err != nil {
 				return nil, err
 			}
+			for k, v := range o.TransistorV.Dets {
+				if err := checkPair(v, o.TransistorIQ.Dets[k]); err != nil {
+					return nil, fmt.Errorf("shard: transistor fault %d: %w", j.Transistor.Start+k, err)
+				}
+			}
 		}
 	}
 	if bridges != nil {
@@ -178,6 +185,12 @@ func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []co
 		}
 		p := &Part{Range: cr.Range, Bridges: make([]faultsim.BridgeDetection, len(cr.Dets))}
 		for k, d := range cr.Dets {
+			if err := checkRecord(d, nPatterns, iddq); err != nil {
+				return nil, fmt.Errorf("shard: bridges record %d: %w", cr.Range.Start+k, err)
+			}
+			if d.Detected != (d.Method != "") {
+				return nil, fmt.Errorf("shard: bridges record %d: detected flag %t with method %q", cr.Range.Start+k, d.Detected, d.Method)
+			}
 			p.Bridges[k] = faultsim.BridgeDetection{
 				Bridge:   bridges[cr.Range.Start+k],
 				Method:   faultsim.DetectMethod(d.Method),
@@ -192,13 +205,16 @@ func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []co
 
 // decodeFaults converts one fault class's stored slice, decoding its
 // output plane when the class captured and its leak plane too when
-// leak is set.
+// leak is set. Only the +IDDQ class (leak) can detect by IDDQ.
 func decodeFaults(name string, cr *ClassResult, universe []core.Fault, nPatterns int, capture, leak bool) (*Part, error) {
 	if cr == nil {
 		return nil, fmt.Errorf("shard: result carries no %s records", name)
 	}
 	p := &Part{Range: cr.Range, Dets: make([]faultsim.Detection, len(cr.Dets))}
 	for k, d := range cr.Dets {
+		if err := checkRecord(d, nPatterns, leak); err != nil {
+			return nil, fmt.Errorf("shard: %s record %d: %w", name, cr.Range.Start+k, err)
+		}
 		p.Dets[k] = faultsim.Detection{
 			Fault:   universe[cr.Range.Start+k],
 			Method:  faultsim.DetectMethod(d.Method),
@@ -218,6 +234,43 @@ func decodeFaults(name string, cr *ClassResult, universe []core.Fault, nPatterns
 		}
 	}
 	return p, nil
+}
+
+// checkRecord validates one stored record of a class that detects by
+// output and, when iddqOK, by IDDQ: an undetected record (no method)
+// carries pattern -1, a detected one a method of the class and a
+// pattern in [0, nPatterns).
+func checkRecord(d Det, nPatterns int, iddqOK bool) error {
+	switch faultsim.DetectMethod(d.Method) {
+	case faultsim.ByNone:
+		if d.Pattern != -1 {
+			return fmt.Errorf("undetected record carries pattern %d", d.Pattern)
+		}
+		return nil
+	case faultsim.ByOutput:
+	case faultsim.ByIDDQ:
+		if !iddqOK {
+			return fmt.Errorf("method %q: the class cannot detect by IDDQ", d.Method)
+		}
+	default:
+		return fmt.Errorf("unknown method %q", d.Method)
+	}
+	if d.Pattern < 0 || d.Pattern >= nPatterns {
+		return fmt.Errorf("%s detection at pattern %d, outside [0, %d)", d.Method, d.Pattern, nPatterns)
+	}
+	return nil
+}
+
+// checkPair validates one fault's voltage answer v against its +IDDQ
+// answer q, which one sweep derives together: q is never later than v
+// (undetected counts as latest), and an output q is v itself, so an
+// undetected v never pairs with an output q.
+func checkPair(v, q faultsim.Detection) error {
+	if v.Detected() && (!q.Detected() || q.Pattern > v.Pattern) ||
+		q.Method == faultsim.ByOutput && (q.Method != v.Method || q.Pattern != v.Pattern) {
+		return fmt.Errorf("+IDDQ record (%q, %d) does not follow from voltage record (%q, %d)", q.Method, q.Pattern, v.Method, v.Pattern)
+	}
+	return nil
 }
 
 // tile orders one class's parts by range and checks that they cover

@@ -35,6 +35,16 @@ func rowsOf(full *faultsim.SignatureCapture, r Range) *faultsim.SignatureCapture
 	return c
 }
 
+// undetected is n undetected records, the form an engine gives a
+// fault no pattern detects.
+func undetected(n int) []faultsim.Detection {
+	ds := make([]faultsim.Detection, n)
+	for i := range ds {
+		ds[i].Pattern = -1
+	}
+	return ds
+}
+
 // faultUniverse is a synthetic n-fault universe.
 func faultUniverse(n int) []core.Fault {
 	u := make([]core.Fault, n)
@@ -47,7 +57,7 @@ func faultUniverse(n int) []core.Fault {
 // TestMergeSignaturesRoundTrip cuts a capture into shard parts, sends
 // each through the store's wire form (JSON) and back, and merges them:
 // the planes must come back bit for bit (the leak plane through the
-// +IDDQ sweep, the only class whose leak rows persist). The 3-fault
+// +IDDQ class, the only one whose leak rows persist). The 3-fault
 // class cut 5 ways leaves two shards with an empty range, which store
 // no rows yet must decode to an empty capture.
 func TestMergeSignaturesRoundTrip(t *testing.T) {
@@ -61,7 +71,7 @@ func TestMergeSignaturesRoundTrip(t *testing.T) {
 			plan := NewPlan("", tc.k, tc.k, tc.nFaults, 0, true)
 			parts := make([]*Part, 0, plan.Total)
 			for _, j := range plan.Jobs {
-				p := &Part{Range: j.Transistor, Dets: make([]faultsim.Detection, j.Transistor.Len()), Sig: rowsOf(full, j.Transistor)}
+				p := &Part{Range: j.Transistor, Dets: undetected(j.Transistor.Len()), Sig: rowsOf(full, j.Transistor)}
 				o := &Output{TransistorV: p}
 				if withLeak {
 					o = &Output{TransistorV: &Part{Range: j.Transistor, Dets: p.Dets}, TransistorIQ: p}
@@ -111,7 +121,7 @@ func TestMergeSignaturesRejectsGapsAndMissingRows(t *testing.T) {
 	const nFaults, nPatterns = 10, 8
 	full := sigFixture(t, nFaults, nPatterns, false)
 	part := func(r Range, sig bool) *Part {
-		p := &Part{Range: r, Dets: make([]faultsim.Detection, r.Len())}
+		p := &Part{Range: r, Dets: undetected(r.Len())}
 		if sig {
 			p.Sig = rowsOf(full, r)
 		}
@@ -128,7 +138,7 @@ func TestMergeSignaturesRejectsGapsAndMissingRows(t *testing.T) {
 	}
 
 	// A malformed or missing stored row fails the decode, before any
-	// merge: the stuck-at output plane, and the +IDDQ sweep's leak plane.
+	// merge: the stuck-at output plane, and the +IDDQ class's leak plane.
 	plan := NewPlan("", 1, nFaults, 0, 0, true)
 	j := plan.Jobs[0]
 	res := (&Output{StuckAt: part(j.StuckAt, true)}).Encode(j, "")
@@ -167,14 +177,14 @@ func TestMergeDetectionsRoundTrip(t *testing.T) {
 	for i := range full {
 		full[i] = faultsim.Detection{Fault: universe[i], Method: faultsim.ByOutput, Pattern: i * 2}
 	}
-	full[4].Method = faultsim.ByNone // undetected fault keeps its zero record
+	full[4].Method, full[4].Pattern = faultsim.ByNone, -1 // an undetected fault
 
 	plan := NewPlan("", 3, len(universe), 0, 0, false)
 	parts := make([]*Part, 0, plan.Total)
 	for _, j := range plan.Jobs {
 		r := j.StuckAt
 		o := &Output{StuckAt: &Part{Range: r, Dets: full[r.Start:r.End]}}
-		back, err := o.Encode(j, "").Decode(j, universe, nil, nil, false, 1)
+		back, err := o.Encode(j, "").Decode(j, universe, nil, nil, false, 2*len(universe))
 		if err != nil {
 			t.Fatal(err)
 		}
