@@ -245,13 +245,14 @@ func BenchmarkStuckAtFaultSim(b *testing.B) {
 
 // BenchmarkTransistorCampaign is the perf-regression harness of the
 // fault engines: a full CP transistor-fault campaign (channel break +
-// stuck-on + polarity, with IDDQ) on the largest benchmark circuit
-// (mult3, 39 gates) through the serial oracle and the packed PPSFP
-// engine. Both engines return bit-identical detections (enforced by
-// internal/faultsim's differential tests and re-checked here), so the
-// ratio is pure engine speedup;
-// BENCH_faultsim.json at the repo root records the trajectory. Run
-// just this comparison with:
+// stuck-on + polarity) on the largest benchmark circuit (mult3, 39
+// gates) through the serial oracle and the packed PPSFP engine, as the
+// service runs it: one RunTransistorBoth sweep answering the
+// voltage-only and the +IDDQ classes. Both engines return
+// bit-identical detections (enforced by internal/faultsim's
+// differential tests and re-checked here for both answer lists), so the
+// ratio is pure engine speedup; BENCH_faultsim.json at the repo root
+// records the trajectory. Run just this comparison with:
 //
 //	go test -bench=BenchmarkTransistorCampaign -benchtime=3x
 func BenchmarkTransistorCampaign(b *testing.B) {
@@ -261,37 +262,50 @@ func BenchmarkTransistorCampaign(b *testing.B) {
 	})
 	patterns := faultsim.ExhaustivePatterns(c)
 
-	run := func(b *testing.B, engine faultsim.Engine) []faultsim.Detection {
-		sim := faultsim.New(c)
-		sim.Engine = engine
-		var last []faultsim.Detection
-		b.ResetTimer()
-		evals0 := engineGateEvals(engine)
-		for i := 0; i < b.N; i++ {
-			ds, err := sim.RunTransistor(faults, patterns, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = ds
-		}
-		reportGateEvals(b, engine, evals0)
-		return last
-	}
-
-	results := map[string][]faultsim.Detection{}
+	results := map[string][2][]faultsim.Detection{}
 	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
-		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
+		b.Run(engine.String(), func(b *testing.B) {
+			results[engine.String()] = runTransistorBoth(b, c, engine, faults, patterns)
+		})
 	}
-	ref := results["reference"]
-	for name, cmp := range results {
-		if len(ref) != len(cmp) {
-			continue // a -bench filter skipped an engine: nothing to compare
+	checkBothAgree(b, "mult3", results)
+}
+
+// runTransistorBoth times one single-worker RunTransistorBoth sweep per
+// op on one engine, reports its gate evaluations and returns the last
+// voltage-only and +IDDQ answer lists.
+func runTransistorBoth(b *testing.B, c *logic.Circuit, engine faultsim.Engine, faults []core.Fault, patterns []faultsim.Pattern) [2][]faultsim.Detection {
+	sim := faultsim.New(c)
+	sim.Engine = engine
+	var last [2][]faultsim.Detection
+	b.ResetTimer()
+	evals0 := engineGateEvals(engine)
+	for i := 0; i < b.N; i++ {
+		v, q, err := sim.RunTransistorBoth(context.Background(), faults, patterns, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		for i := range ref {
-			if ref[i].Method != cmp[i].Method || ref[i].Pattern != cmp[i].Pattern {
-				b.Fatalf("%s disagrees on %v: (%q, %d) vs (%q, %d)",
-					name, ref[i].Fault, ref[i].Method, ref[i].Pattern, cmp[i].Method, cmp[i].Pattern)
+		last = [2][]faultsim.Detection{v, q}
+	}
+	reportGateEvals(b, engine, evals0)
+	return last
+}
+
+// checkBothAgree fails the benchmark unless every engine returned the
+// reference oracle's voltage-only and +IDDQ answers.
+func checkBothAgree(b *testing.B, name string, results map[string][2][]faultsim.Detection) {
+	ref := results["reference"]
+	for ename, cmp := range results {
+		for k, class := range []string{"voltage", "+IDDQ"} {
+			if len(ref[k]) != len(cmp[k]) {
+				continue // a -bench filter skipped an engine: nothing to compare
+			}
+			for i, want := range ref[k] {
+				if got := cmp[k][i]; want.Method != got.Method || want.Pattern != got.Pattern {
+					b.Fatalf("%s: %s %s disagrees on %v: (%q, %d) vs (%q, %d)",
+						name, ename, class, want.Fault, want.Method, want.Pattern, got.Method, got.Pattern)
+				}
 			}
 		}
 	}
@@ -369,14 +383,17 @@ func reportGateEvals(b *testing.B, engine faultsim.Engine, evals0 uint64) {
 // sweep over the generated corpus: array multipliers at ~100, ~1k and
 // ~10k gates (mult5 / mult16 / mult50, sizes pinned by
 // internal/bench's TestCorpusScales), a fixed 64-fault sample of the
-// CP transistor universe and 64 random patterns, per engine. The fault
-// and pattern budgets are held constant across sizes so the per-op
-// time isolates how each engine's cost grows with gate count;
+// CP transistor universe and 64 random patterns, per engine, each op
+// one single-worker RunTransistorBoth sweep (the service's call). The
+// fault and pattern budgets are held constant across sizes so the
+// per-op time isolates how each engine's cost grows with gate count;
 // gate_evals/s shows whether the event-driven walk and bitplane packing
-// hold their throughput as circuits grow. Dated results live in
-// BENCH_faultsim.json ("scaling" entries). -short keeps only the
-// ~100-gate row (the CI bench-smoke budget, which also requires packed
-// to be the fastest engine of the row):
+// hold their throughput as circuits grow, and faults is the sample
+// size. Dated results live in BENCH_faultsim.json ("scaling" entries).
+// -short keeps only the ~100-gate row (the CI bench-smoke budget,
+// which also requires packed to be the fastest engine of the row and
+// to make more packed evaluations per op than one seed per fault, so
+// that the row times the propagation walk):
 //
 //	go test -bench=BenchmarkFaultSimScaling -benchtime=3x
 func BenchmarkFaultSimScaling(b *testing.B) {
@@ -403,39 +420,16 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 		}
 		patterns := randomPatterns(c, nPatterns)
 
-		results := map[string][]faultsim.Detection{}
+		results := map[string][2][]faultsim.Detection{}
 		for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 			engine := engine
 			b.Run(fmt.Sprintf("%s/%s", name, engine), func(b *testing.B) {
-				sim := faultsim.New(c)
-				sim.Engine = engine
-				var last []faultsim.Detection
-				b.ResetTimer()
-				evals0 := engineGateEvals(engine)
-				for i := 0; i < b.N; i++ {
-					ds, err := sim.RunTransistor(faults, patterns, true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = ds
-				}
-				reportGateEvals(b, engine, evals0)
+				results[engine.String()] = runTransistorBoth(b, c, engine, faults, patterns)
 				b.ReportMetric(float64(c.Statistics().Gates), "gates")
-				results[engine.String()] = last
+				b.ReportMetric(float64(len(faults)), "faults")
 			})
 		}
-		ref := results["reference"]
-		for ename, cmp := range results {
-			if len(ref) != len(cmp) {
-				continue // a -bench filter skipped an engine
-			}
-			for i := range ref {
-				if ref[i].Method != cmp[i].Method || ref[i].Pattern != cmp[i].Pattern {
-					b.Fatalf("%s: %s disagrees on %v: (%q, %d) vs (%q, %d)",
-						name, ename, ref[i].Fault, ref[i].Method, ref[i].Pattern, cmp[i].Method, cmp[i].Pattern)
-				}
-			}
-		}
+		checkBothAgree(b, name, results)
 	}
 }
 
@@ -528,9 +522,10 @@ func BenchmarkATPGGenerate(b *testing.B) {
 // transistor sweep's output and leak planes), compresses them and
 // writes the artifact atomically. Capture rows are written straight
 // from the engine's lane words — no second simulation pass — but a
-// full signature must resolve every (fault, pattern) lane where the
-// uncaptured engine stops at each fault's first detection, so the
-// captured sweeps evaluate more gates; BENCH_faultsim.json records
+// full signature must credit every lane where a fault flips its site,
+// while the uncaptured engine stops at each fault's first detection,
+// so a captured sweep may evaluate more gates (a captured seed retires
+// once all its flip lanes have detected); BENCH_faultsim.json records
 // dated results and the budget discussion. Both runs must agree on
 // coverage exactly.
 //

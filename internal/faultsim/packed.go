@@ -2,11 +2,16 @@
 // ternary patterns per lane block (two bitplane words per 64 lanes),
 // evaluated through the compiled gate LUTs and the per-fault behaviour
 // LUTs of engine.go. Baselines are packed once per campaign; each
-// fault then needs one packed behaviour-LUT evaluation plus one
-// event-driven packed propagation per block, instead of one full
-// circuit pass per pattern. When the campaign has fewer patterns than
-// lanes, independent faults are packed into the spare lanes and share
-// a single propagation pass. Defined to be bit-identical to the
+// fault then needs one packed behaviour-LUT evaluation plus, when some
+// lane flips its site, one event-driven packed propagation per block,
+// instead of one full circuit pass per pattern. Only definite flips
+// propagate: every fault-free gate table is monotone (a known entry
+// holds at every binary completion of its X inputs), so a lane whose
+// faulty site value is X, or whose good value is, can only give primary
+// outputs that are X or equal to the good ones, never a definite
+// mismatch. When the campaign has fewer patterns than lanes,
+// independent faults are packed into the spare lanes and share a
+// single propagation pass. Defined to be bit-identical to the
 // reference oracle (same detection method, same first detecting
 // pattern), which the differential suites enforce. Line stuck-at
 // faults ride the same drivers as seeds forcing a constant at their
@@ -187,9 +192,9 @@ type packedClass struct {
 
 // leakDecides reports whether a seed's sweep may stop before
 // propagation: only an iddqOnly sweep without capture may, once a leak
-// lands at or before the seed's first excited lane (no output
-// difference can come earlier). Every other sweep still needs the
-// voltage answer or the full signature.
+// lands at or before the seed's first flip lane (no output difference
+// can come earlier). Every other sweep still needs the voltage answer
+// or the full signature.
 func (cls *packedClass) leakDecides(sd *packedSeed, w int, capturing bool) bool {
 	return cls.mode == iddqOnly && !capturing && logic.FirstLaneBlock(sd.leak[:w]) <= sd.floor
 }
@@ -315,13 +320,15 @@ func evalFaultLUTPacked(lut *faultLUT, in []logic.PackedVec) (logic.PackedVec, u
 	return out, leak
 }
 
-// packedSeed is one fault's state inside a propagation pass. Its lane
-// group is mask; fout is the blended site plane (baseline outside the
-// mask, faulty within), leak the masked IDDQ lanes, diff the masked
-// primary-output deviation lanes accumulated so far. floor is the first
-// excited lane: no detection can land earlier, so the seed resolves the
-// moment diff gains that lane. pattern = patOff + lane maps a lane back
-// to the campaign's pattern index.
+// packedSeed is one fault's state inside a propagation pass. mask holds
+// its flip lanes: the lanes of its group where the faulty site value
+// definitely differs from the good one. Its site plane is the baseline
+// with those lanes inverted, so it needs no plane of its own. leak holds
+// the group's IDDQ lanes, diff the primary-output deviation lanes
+// accumulated so far (always within mask). floor is the first flip
+// lane: no detection can land earlier, so the seed resolves the moment
+// diff gains that lane. pattern = patOff + lane maps a lane back to the
+// campaign's pattern index.
 type packedSeed struct {
 	out    int // index into the campaign's detection slice
 	gi     int // faulted gate
@@ -332,7 +339,6 @@ type packedSeed struct {
 	mask   [logic.MaxLaneWords]uint64
 	leak   [logic.MaxLaneWords]uint64
 	diff   [logic.MaxLaneWords]uint64
-	fout   [logic.MaxLaneWords]logic.PackedVec
 }
 
 // answer folds a seed's lanes into its fault's answers, each kept once
@@ -378,9 +384,10 @@ type packedScratch struct {
 	inbuf [3]logic.PackedVec
 	seeds []packedSeed // reusable batch buffer
 
-	// capture, while set, disables seed early-retirement so the walk
-	// accumulates every seed's full deviation mask (signature capture
-	// needs all detecting lanes, not just the earliest one).
+	// capture, while set, retires a seed only once every flip lane has
+	// detected, so the walk accumulates each seed's full deviation mask
+	// (signature capture needs all detecting lanes, not just the
+	// earliest one).
 	capture bool
 
 	// Scratch-local resolution caches — lock-free because a scratch is
@@ -608,40 +615,31 @@ func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int)
 }
 
 // seedChunk fills sd with a resolved fault's behaviour over the baseline
-// block, restricted to the lanes of mask: the masked IDDQ leak lanes
-// (when leaks are observed), the blended site plane and the excitation
-// floor. live is set when at least one masked lane excites the fault
-// (the seed needs propagation to resolve); leak lanes are reported
-// either way.
-func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64, patOff int, base []logic.PackedVec, leaks bool) {
+// block, restricted to the lanes of group: the IDDQ leak lanes (when
+// leaks are observed), the flip lanes and their floor. live is set when
+// at least one lane flips (the seed needs propagation to resolve); leak
+// lanes are reported either way. A lane where the faulty site is X never
+// flips: it cannot reach a definite output mismatch (see the package
+// doc), so it is neither propagated nor credited.
+func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, group []uint64, patOff int, base []logic.PackedVec, leaks bool) {
 	w := sc.w
-	on := st.onet
-	sd.gi, sd.onet, sd.patOff = st.gi, on, patOff
-	var exc [logic.MaxLaneWords]uint64
+	sd.gi, sd.onet, sd.patOff = st.gi, st.onet, patOff
 	for j := 0; j < w; j++ {
-		m := mask[j]
-		sd.mask[j] = m
-		sd.leak[j], sd.diff[j] = 0, 0
-		b := base[on*w+j]
-		if m == 0 {
-			sd.fout[j] = b
+		sd.mask[j], sd.leak[j], sd.diff[j] = 0, 0, 0
+		if group[j] == 0 {
 			continue
 		}
 		fo, leak := sc.siteWord(st, base, j)
 		if leaks {
-			sd.leak[j] = leak & m
+			sd.leak[j] = leak & group[j]
 		}
-		exc[j] = ((fo.Val ^ b.Val) | (fo.Known ^ b.Known)) & m
-		sd.fout[j] = logic.PackedVec{
-			Val:   b.Val&^m | fo.Val&m,
-			Known: b.Known&^m | fo.Known&m,
-		}
+		sd.mask[j] = logic.DefiniteDiffMask(base[st.onet*w+j], fo) & group[j]
 	}
-	sd.floor = logic.FirstLaneBlock(exc[:w])
+	sd.floor = logic.FirstLaneBlock(sd.mask[:w])
 	sd.live = sd.floor < w<<6
 }
 
-// propagateSeeds pushes the live seeds' blended site planes through the
+// propagateSeeds pushes the live seeds' flip lanes through the
 // event-driven block walk, accumulating each seed's masked
 // primary-output deviations into its diff words. Seeds carry disjoint
 // lane groups, evaluation is lane-wise, and every seed's fanins sit
@@ -649,8 +647,8 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, mask []uint64
 // source is that group's seed: each seed's diff is exactly what a solo
 // propagation over its lanes would produce, and the walk stops as soon
 // as every seed has resolved its floor lane. Faulted gates re-assert
-// their blended plane whenever another seed's effects wash over them,
-// so batches need no structural disjointness — faults may even share a
+// their flips whenever another seed's effects wash over them, so
+// batches need no structural disjointness — faults may even share a
 // gate.
 func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedVec) {
 	cc, w := sc.cc, sc.w
@@ -669,7 +667,7 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 	var done [logic.MaxLaneWords]uint64
 	// credit distributes a changed output net's definite diff lanes to
 	// the live seeds, retiring seeds that gain their floor lane (or,
-	// under capture, whose whole excitation mask has detected).
+	// under capture, whose every flip lane has detected).
 	credit := func(on int) {
 		var dm [logic.MaxLaneWords]uint64
 		any := uint64(0)
@@ -721,9 +719,9 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 		}
 	}
 
-	// Seed phase: merge the blended site planes (groups are disjoint, so
-	// merges never conflict), then stamp, credit and schedule each
-	// distinct site net once.
+	// Seed phase: invert each seed's flip lanes on its site net (groups
+	// are disjoint, so flips never collide), then stamp, credit and
+	// schedule each distinct site net once.
 	var sitebuf [maxPackGroups]int
 	sites := sitebuf[:0]
 	for si := range seeds {
@@ -741,13 +739,7 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 			sites = append(sites, on)
 		}
 		for j := 0; j < w; j++ {
-			m := sd.mask[j]
-			if m == 0 {
-				continue
-			}
-			fv := &sc.fval[on*w+j]
-			fv.Val = fv.Val&^m | sd.fout[j].Val&m
-			fv.Known = fv.Known&^m | sd.fout[j].Known&m
+			sc.fval[on*w+j].Val ^= sd.mask[j]
 		}
 	}
 	for _, on := range sites {
@@ -816,16 +808,15 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 			nv := logic.EvalKindPacked(kind, lut, in)
 			sc.evals++
 			if blend {
-				// A faulted gate's output is forced within its seed's
-				// lanes regardless of what washed over its inputs.
+				// A faulted gate's output is flipped within its seed's
+				// flip lanes regardless of what washed over its inputs.
+				b := base[on*w+j]
 				for si := range seeds {
-					sd := &seeds[si]
-					if sd.gi != g {
-						continue
+					if sd := &seeds[si]; sd.gi == g {
+						m := sd.mask[j]
+						nv.Val = nv.Val&^m | ^b.Val&m
+						nv.Known |= m
 					}
-					m := sd.mask[j]
-					nv.Val = nv.Val&^m | sd.fout[j].Val&m
-					nv.Known = nv.Known&^m | sd.fout[j].Known&m
 				}
 			}
 			if dn := done[j]; dn != 0 {
@@ -859,12 +850,13 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 }
 
 // simulateFaultPacked runs one fault of a class chunk by chunk: one
-// seed evaluation plus one event-driven block pass per excited chunk.
-// It returns the fault's answers (packedSeed.answer) and stops at the
-// class mode's stop answer; under iddqOnly, the voltage answer is not
-// swept to. A non-nil sig disables the chunk early exits and the seed
-// early-retirement and records fault si's full signature from the
-// propagated lane masks, from which the answers are read.
+// seed evaluation plus one event-driven block pass per chunk with a
+// flip lane. It returns the fault's answers (packedSeed.answer) and
+// stops at the class mode's stop answer; under iddqOnly, the voltage
+// answer is not swept to. A non-nil sig disables the chunk early exits,
+// retires the seed only once all its flip lanes have detected, and
+// records fault si's full signature from the propagated lane masks,
+// from which the answers are read.
 func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (answers, error) {
 	a := undetected
 	if !cls.simulable(f) || len(bases) == 0 {
@@ -901,12 +893,12 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 // runPackedGrouped sweeps the faults selected by idxs with fault
 // packing: up to plan.groups simulable faults seed disjoint lane groups
 // of the replicated baseline and resolve in one shared propagation
-// pass. Faults that never excite a lane (or, under iddqOnly, whose leak
+// pass. Faults that never flip a lane (or, under iddqOnly, whose leak
 // decides) resolve at seed time and never occupy a group slot. Each
 // fault's answers land in out and volt (answers.put). A non-nil sig
-// keeps every excited fault in its slot, propagates without seed
-// early-retirement and records each fault's full signature from its
-// group's lane masks before reading the same answers.
+// keeps every flipping fault in its slot until all its flip lanes have
+// detected or the walk ends, and records each fault's full signature
+// from its group's lane masks before reading the same answers.
 func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out, volt []Detection) error {
 	w := sc.w
 	seeds := sc.seedBuf(gb.groups)[:0]
@@ -1106,25 +1098,20 @@ func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, base
 		pb0, pb1 := &bases0[ci], &bases1[ci]
 		n := min(nPairs-pb0.start, 64*w)
 		sd.gi, sd.onet, sd.patOff = gi, on, pb1.start
-		for j := 0; j < w; j++ {
-			sd.mask[j] = pb1.valid[j]
-			sd.leak[j], sd.diff[j] = 0, 0
-			sd.fout[j] = pb1.vals[on*w+j]
-		}
+		var fo [logic.MaxLaneWords]logic.PackedVec // lanes past n stay X: they never flip
 		for lane := 0; lane < n; lane++ {
 			st := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb0.vals)]
 			v := lut.out[int(st)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb1.vals)]
-			sd.fout[lane>>6] = sd.fout[lane>>6].WithLane(lane&63, v)
+			fo[lane>>6] = fo[lane>>6].WithLane(lane&63, v)
 		}
 		sc.pairLanes += uint64(n)
-		var exc [logic.MaxLaneWords]uint64
 		for j := 0; j < w; j++ {
-			b := pb1.vals[on*w+j]
-			exc[j] = ((sd.fout[j].Val ^ b.Val) | (sd.fout[j].Known ^ b.Known)) & sd.mask[j]
+			sd.mask[j] = logic.DefiniteDiffMask(pb1.vals[on*w+j], fo[j])
+			sd.leak[j], sd.diff[j] = 0, 0
 		}
-		sd.floor = logic.FirstLaneBlock(exc[:w])
+		sd.floor = logic.FirstLaneBlock(sd.mask[:w])
 		if sd.floor == w<<6 {
-			continue // no lane excites in this chunk
+			continue // no lane flips in this chunk
 		}
 		sd.live = true
 		sc.propagateSeeds(seeds, pb1.vals)

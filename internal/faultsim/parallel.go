@@ -23,7 +23,8 @@ const (
 	voltageOnly sweepMode = iota
 	// iddqOnly answers the +IDDQ detection alone: the first pattern that
 	// leaks or differs, the leak winning within a pattern. A leak at or
-	// before a fault's first excited pattern ends its sweep.
+	// before the first pattern where the fault definitely flips its
+	// gate's output ends its sweep: no output can differ earlier.
 	iddqOnly
 	// bothAnswers answers both from one sweep: the voltage answer, and
 	// as the +IDDQ answer the earliest leak seen up to it, the leak

@@ -75,6 +75,50 @@ func TestTernaryMonotonicityProperty(t *testing.T) {
 	}
 }
 
+// TestGateLUTMonotone: every known entry of every library gate's
+// compiled ternary table equals the table at each binary completion of
+// its X inputs, so refining an X input never changes a known output.
+// The packed fault simulator's definite-flip seeding rule rests on this
+// (internal/faultsim seedChunk propagates only the lanes where a fault
+// definitely flips its site): by induction over a circuit's
+// topological order, a lane whose faulty site value is X, or whose good
+// value is, reaches every primary output as X or as the good value,
+// never as a definite mismatch.
+func TestGateLUTMonotone(t *testing.T) {
+	refined := 0 // known entries with at least one X input
+	for _, kind := range gates.Kinds() {
+		lut := CompileGateLUT(kind)
+		n := gates.Get(kind).NIn
+		for idx, out := range lut {
+			if out == LX {
+				continue
+			}
+			in := TernaryVector(idx, n)
+			var xs []int
+			for i, v := range in {
+				if v == LX {
+					xs = append(xs, i)
+				}
+			}
+			if len(xs) > 0 {
+				refined++
+			}
+			for bits := 0; bits < 1<<len(xs); bits++ {
+				comp := append([]V(nil), in...)
+				for k, i := range xs {
+					comp[i] = FromBool(bits>>k&1 == 1)
+				}
+				if got := lut[TernaryIndex(comp)]; got != out {
+					t.Errorf("%v: %v gives %v, its completion %v gives %v", kind, in, out, comp, got)
+				}
+			}
+		}
+	}
+	if refined == 0 {
+		t.Fatal("no known entry has an X input: the check is vacuous")
+	}
+}
+
 // TestSwitchMatchesGateFunctionProperty: the switch-level solver agrees
 // with the Boolean function for every library gate under random binary
 // vectors (randomised version of the exhaustive check).
