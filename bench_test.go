@@ -392,8 +392,8 @@ func reportGateEvals(b *testing.B, engine faultsim.Engine, evals0 uint64) {
 // size. Dated results live in BENCH_faultsim.json ("scaling" entries).
 // -short keeps only the ~100-gate row (the CI bench-smoke budget,
 // which also requires packed to be the fastest engine of the row and
-// to make more packed evaluations per op than one seed per fault, so
-// that the row times the propagation walk):
+// to make more packed evaluations per op than one site evaluation per
+// fault, so that the row times the observability walk):
 //
 //	go test -bench=BenchmarkFaultSimScaling -benchtime=3x
 func BenchmarkFaultSimScaling(b *testing.B) {
@@ -435,11 +435,12 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 
 // BenchmarkStuckAtScaling is the line stuck-at scaling sweep: the full
 // line-fault universe of mult5 / mult16 / mult50 (~100 / ~1k / ~10k
-// gates) at one pattern — the shape of a fault-packed sweep, 8 faults
-// per pass — and at 256 random patterns, the service's default budget.
-// Stuck-at runs on the packed engine's seed walk whatever the
-// simulator's engine, so there is one row per (circuit, patterns);
-// gate_evals are packed 64-lane evaluations. Dated results live in
+// gates) at one pattern — one live lane per block, so the per-net
+// observability walks cost as much as they ever do per pattern — and at
+// 256 random patterns, the service's default budget. Stuck-at runs on
+// the packed engine whatever the simulator's engine, so there is one
+// row per (circuit, patterns); gate_evals are packed 64-lane
+// evaluations. Dated results live in
 // BENCH_faultsim.json ("stuck_at_scaling" entries). -short keeps only
 // the mult5 rows (the CI bench-smoke budget):
 //
@@ -521,13 +522,12 @@ func BenchmarkATPGGenerate(b *testing.B) {
 // attached. "on" additionally harvests signatures in both sweeps (the
 // transistor sweep's output and leak planes), compresses them and
 // writes the artifact atomically. Capture rows are written straight
-// from the engine's lane words — no second simulation pass — but a
-// full signature must credit every lane where a fault flips its site,
-// while the uncaptured engine stops at each fault's first detection,
-// so a captured sweep may evaluate more gates (a captured seed retires
-// once all its flip lanes have detected); BENCH_faultsim.json records
-// dated results and the budget discussion. Both runs must agree on
-// coverage exactly.
+// from the engine's lane words — no second simulation pass. A fault's
+// full signature is its flip lanes ANDed with its site net's
+// observability mask, the same lanes its first detection is read from,
+// so on this one-block campaign (64 patterns) a captured sweep makes
+// exactly the uncaptured evaluations; BENCH_faultsim.json records dated
+// results. Both runs must agree on coverage exactly.
 //
 //	go test -bench=BenchmarkDictionaryCapture -benchtime=5x
 func BenchmarkDictionaryCapture(b *testing.B) {

@@ -13,9 +13,9 @@ import (
 
 // bothCampaign is one (circuit, patterns) shape for the one-sweep
 // tests: c17 exhaustive, then random pattern counts on one random
-// circuit chosen to land on both packed plans — fault-packed groups
-// (1–40 patterns) and plain chunks (100 and more, over two chunks at
-// 300). The last list repeats one vector over its whole first chunk, so
+// circuit chosen to cover every lane-block width — one 64-lane word
+// with spare lanes (1–40 patterns), 128 and 256 lanes, and two chunks at
+// 300. The last list repeats one vector over its whole first chunk, so
 // faults that leak there but only differ in the second chunk make the
 // +IDDQ and voltage answers land in different chunks.
 type bothCampaign struct {
@@ -56,8 +56,8 @@ func sameDetections(t *testing.T, label string, want, got []Detection) {
 }
 
 // TestRunTransistorBothMatchesSeparateSweeps is the one-sweep call's
-// differential test: on both engines, both plan shapes, one and three
-// workers, with and without signature capture, RunTransistorBoth must
+// differential test: on both engines, every campaign shape, one and
+// three workers, with and without signature capture, RunTransistorBoth must
 // return exactly what the voltage-only and the +IDDQ RunTransistor
 // sweeps return, and a capture must hold the planes the captured +IDDQ
 // sweep records. The reference oracle sweeps a fault sample.
@@ -129,14 +129,19 @@ func wordsEqual(a, b []uint64) bool {
 // costs no extra evaluation: for the same faults and patterns the
 // one-sweep call makes exactly the packed gate evaluations of the
 // voltage-only sweep, both in the engine counter and in the progress
-// stream, on both plan shapes and with one and three workers. Progress
-// counts the voltage detections.
+// stream, on every campaign shape. Progress counts the voltage
+// detections. Neither count may depend on the worker count: at one, two
+// and three workers each site net's observability masks are computed
+// once, so the one-sweep call makes the same evaluations every time
+// (perfbench's per-layer counts and /metrics read these counters).
 func TestRunTransistorBothCostsVoltageEvals(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	ctx := context.Background()
 	for _, cs := range bothCampaigns(rng) {
 		faults := transistorUniverse(cs.c)
-		for _, workers := range []int{1, 3} {
+		var oneEvals uint64
+		var oneProg Progress
+		for _, workers := range []int{1, 2, 3} {
 			// sweep runs one call on a fresh simulator and returns its
 			// packed gate evaluations (engine counter delta) and its last
 			// progress snapshot.
@@ -166,6 +171,12 @@ func TestRunTransistorBothCostsVoltageEvals(t *testing.T) {
 			if gotProg.Stage != "transistor" || gotProg.Done != len(faults) || gotProg.Detected != Summarise(volt).Detected {
 				t.Errorf("%s workers=%d: last progress %+v, want transistor %d/%d with %d detected",
 					cs.name, workers, gotProg, len(faults), len(faults), Summarise(volt).Detected)
+			}
+			if workers == 1 {
+				oneEvals, oneProg = gotEvals, gotProg
+			} else if gotEvals != oneEvals || gotProg.GateEvals != oneProg.GateEvals {
+				t.Errorf("%s workers=%d: one sweep made %d packed evals (progress %d), %d (%d) at one worker",
+					cs.name, workers, gotEvals, gotProg.GateEvals, oneEvals, oneProg.GateEvals)
 			}
 		}
 	}

@@ -1,21 +1,21 @@
 // Signature capture: per-fault pattern-detection bitsets harvested
 // while a campaign runs, so building a fault dictionary needs no second
 // simulation pass. A capture hangs off Simulator.Signatures; every
-// engine driver (reference and packed — serial, grouped and parallel)
-// honours it. With a capture attached the engines keep simulating past
-// the first detection (fault dropping and the packed seed
-// early-retirement are disabled) and read each fault's answers from the
-// same full masks with the precedence the per-pattern reference sweep
-// applies — per pattern the leak check precedes the output compare,
-// across patterns the earliest wins; the voltage answer is the first
-// output bit — so detections stay bit-identical to an uncaptured run,
-// which the differential suites enforce.
+// engine driver (reference and packed, serial and parallel) honours it.
+// With a capture attached the engines keep simulating past the first
+// detection: fault dropping is disabled, so the packed engine sweeps
+// every chunk, and a one-chunk campaign costs exactly its uncaptured
+// evaluations (a fault's detecting lanes are its flip lanes ANDed with
+// its site's observability mask, so the full signature is at hand).
+// Each fault's answers are read from the same full masks with the
+// precedence the per-pattern reference sweep applies — per pattern the
+// leak check precedes the output compare, across patterns the earliest
+// wins; the voltage answer is the first output bit — so detections stay
+// bit-identical to an uncaptured run, which the differential suites
+// enforce.
 package faultsim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // SignatureCapture accumulates one campaign's per-fault signatures:
 // for fault index i (position in the campaign's fault list) and
@@ -80,31 +80,19 @@ func (c *SignatureCapture) setLeak(i, k int) {
 	c.leak[i*c.words+k>>6] |= 1 << uint(k&63)
 }
 
-// orLanes folds a lane-block mask into fault i's row: lane l in words
-// maps to pattern patOff+l. Word-aligned offsets (the ungrouped packed
-// chunks) take the direct OR path; fault-packed groups carry negative
-// unaligned offsets and fold bit by bit.
-func (c *SignatureCapture) orLanes(i int, patOff int, words []uint64, leak bool) {
+// orLanes folds a chunk's lane mask into fault i's row: lane l in words
+// maps to pattern patOff+l, and patOff, a chunk start, is word-aligned.
+// Empty words are skipped: a chunk's last words may lie past the row
+// (lanes beyond the campaign's patterns never detect).
+func (c *SignatureCapture) orLanes(i, patOff int, words []uint64, leak bool) {
 	dst := c.out
 	if leak {
 		dst = c.leak
 	}
-	row := i * c.words
-	if patOff >= 0 && patOff&63 == 0 {
-		off := patOff >> 6
-		for j, m := range words {
-			if m != 0 {
-				dst[row+off+j] |= m
-			}
-		}
-		return
-	}
+	row := i*c.words + patOff>>6
 	for j, m := range words {
-		for m != 0 {
-			l := j<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			k := patOff + l
-			dst[row+k>>6] |= 1 << uint(k&63)
+		if m != 0 {
+			dst[row+j] |= m
 		}
 	}
 }

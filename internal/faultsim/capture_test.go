@@ -21,8 +21,8 @@ import (
 // every input.
 
 // captureEngines spans every engine path: the serial oracle and the
-// packed engine at each lane-block width (small pattern counts at w>=1
-// also exercise the fault-packed grouped path).
+// packed engine at each lane-block width (small pattern counts leave
+// spare lanes at every width, and counts past one block sweep several).
 var captureEngines = []struct {
 	name      string
 	engine    faultsim.Engine
@@ -159,7 +159,7 @@ func runCaptureCase(t *testing.T, c *logic.Circuit, faults []core.Fault, pattern
 	for _, en := range captureEngines {
 		s := faultsim.New(c)
 		s.Engine = en.engine
-		s.LaneWords = en.laneWords
+		s.SetLaneWords(en.laneWords)
 		sig := faultsim.NewSignatureCapture(len(faults), len(patterns))
 		s.Signatures = sig
 		got, err := s.RunTransistor(faults, patterns, useIDDQ)
@@ -250,7 +250,7 @@ func TestParallelSignatureCapture(t *testing.T) {
 	for _, en := range captureEngines {
 		serial := faultsim.New(c)
 		serial.Engine = en.engine
-		serial.LaneWords = en.laneWords
+		serial.SetLaneWords(en.laneWords)
 		wantSig := faultsim.NewSignatureCapture(len(universe), len(patterns))
 		serial.Signatures = wantSig
 		want, err := serial.RunTransistor(universe, patterns, true)
@@ -260,7 +260,7 @@ func TestParallelSignatureCapture(t *testing.T) {
 
 		par := faultsim.New(c)
 		par.Engine = en.engine
-		par.LaneWords = en.laneWords
+		par.SetLaneWords(en.laneWords)
 		sig := faultsim.NewSignatureCapture(len(universe), len(patterns))
 		par.Signatures = sig
 		got, err := par.RunTransistorParallel(context.Background(), universe, patterns, true, 4)

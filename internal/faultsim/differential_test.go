@@ -164,9 +164,9 @@ func TestDifferentialParallelPacked(t *testing.T) {
 }
 
 // TestDifferentialFaultPackingShapes runs small and skinny campaigns —
-// few faults, few patterns, and the shapes that move the packed
-// engine's lane width and fault-packing group count — through both
-// engines: every shape must stay bit-identical to the oracle.
+// few faults, few patterns: blocks made mostly of spare lanes, and
+// faults that share a gate, and so a site mask — through both engines:
+// every shape must stay bit-identical to the oracle.
 func TestDifferentialFaultPackingShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(8088))
 	sizes := []struct{ faults, patterns int }{

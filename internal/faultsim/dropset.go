@@ -20,11 +20,11 @@ import (
 // kind's batch entry point — RunStuckAt, RunTransistorParallel without
 // IDDQ, RunTwoPattern — gives on the same list.
 //
-// Entries are packed into 64×LaneWords lanes per block (64 unless
-// Simulator.LaneWords pins a width). Add packs only the new lane into
-// the tail block and re-evaluates only that block's good circuit; full
-// blocks are never packed or evaluated again. A set is used by one
-// goroutine at a time; Close releases it.
+// Entries are packed into 64-lane blocks. Add packs only the new lane
+// into the tail block, re-evaluates only that block's good circuit and
+// forgets only that block's observability masks; full blocks are never
+// packed or evaluated again, and their masks serve every later Detects.
+// A set is used by one goroutine at a time; Close releases it.
 type DropSet struct {
 	s     *Simulator
 	cls   *packedClass // pattern sets: the class Detects simulates; nil for pairs
@@ -60,12 +60,12 @@ func (s *Simulator) PairDrops() *DropSet {
 
 func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
 	d := &DropSet{s: s, cls: cls, ref: ref, w: 1}
-	if logic.ValidLaneWords(s.LaneWords) {
-		d.w = s.LaneWords
+	if logic.ValidLaneWords(s.laneWords) {
+		d.w = s.laneWords
 	}
 	if !ref {
 		d.sc = s.packedScratchOf()
-		d.sc.ensure(d.w)
+		d.sc.begin(d.w)
 	}
 	return d
 }
@@ -98,8 +98,8 @@ func (d *DropSet) AddPair(init, test Pattern) {
 }
 
 // pack writes p into lane n of stream k's tail block, opening a new
-// block at every block boundary, and re-evaluates that block's good
-// circuit.
+// block at every block boundary, re-evaluates that block's good circuit
+// and forgets its masks.
 func (d *DropSet) pack(k int, p Pattern, binary bool) {
 	cc, w := d.sc.cc, d.w
 	lane := d.n % (64 * w)
@@ -116,6 +116,7 @@ func (d *DropSet) pack(k int, p Pattern, binary bool) {
 	d.s.packLane(pb.in, w, lane, p, binary)
 	pb.valid[lane>>6] |= 1 << uint(lane&63)
 	cc.EvalBlock(pb.in, w, pb.vals)
+	d.sc.forgetChunk(len(d.base[k]) - 1)
 }
 
 // Detects reports whether any entry added so far detects f, stopping at

@@ -113,7 +113,7 @@ func TestDropSetMatchesBatch(t *testing.T) {
 		for _, kind := range dropKinds {
 			label := fmt.Sprintf("%s/%v/w%d/%s", su.c.Name, su.eng, su.laneWords, kind.name)
 			s := withEngine(su.c, su.eng)
-			s.LaneWords = su.laneWords
+			s.laneWords = su.laneWords
 			faults, broken := kind.faults(su.c), kind.broken(su.c)
 			pats := randomTernaryPatterns(rng, su.c, su.n)
 			pairs := make([][2]Pattern, su.n)

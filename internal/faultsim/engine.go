@@ -23,9 +23,9 @@ type Engine int
 
 const (
 	// EnginePacked is the default: the bit-parallel PPSFP engine, N×64
-	// ternary patterns per lane block, packed gate evaluation and
-	// event-driven packed propagation, with fault packing into spare
-	// lanes.
+	// ternary patterns per lane block, packed gate evaluation, and one
+	// event-driven packed propagation per (site net, chunk) whose
+	// observability mask every fault at that net reads.
 	EnginePacked Engine = iota
 	// EngineReference is the original serial hooked engine, kept as the
 	// oracle the packed engine is differentially tested against.

@@ -50,12 +50,6 @@ type Simulator struct {
 	// campaigns always run packed.
 	Engine Engine
 
-	// LaneWords, when 1, 2 or 4, pins the packed engine's lane-block
-	// width (64, 128 or 256 ternary lanes per propagation pass). Any
-	// other value lets each campaign pick a width from its pattern and
-	// fault counts.
-	LaneWords int
-
 	// Progress, when set, receives monotone per-stage campaign snapshots
 	// from every engine driver (see ProgressFunc for the delivery
 	// contract). Set it before starting a campaign; drivers capture it
@@ -72,6 +66,12 @@ type Simulator struct {
 	Signatures *SignatureCapture
 
 	gateIdx map[string]int // instance name -> index
+
+	// laneWords, when 1, 2 or 4, pins the packed engine's lane-block
+	// width (64, 128 or 256 ternary lanes per block); the lane-width
+	// tests set it. Otherwise each campaign picks the width its pattern
+	// count needs.
+	laneWords int
 
 	ccOnce sync.Once
 	cc     *logic.CompiledCircuit
@@ -100,14 +100,14 @@ func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detect
 
 // RunStuckAtContext is RunStuckAt with cooperative cancellation checked
 // between faults; on cancellation the detections so far are returned
-// with the context's error. Each line fault is a seed of the packed
-// engine's event-driven walk: a stem fault forces its net at the
-// driving gate (or the primary input), a pin fault evaluates the
-// reading gate with that pin forced. Short pattern lists pack several
-// faults into one pass, and each fault retires at its earliest
-// detecting lane. Progress reports faults on the "stuck_at" stage
-// (non-line faults count as Dropped); the engine counters charge the
-// work to the packed engine, whatever the simulator's Engine.
+// with the context's error. Each line fault changes one site net: a
+// stem fault forces its net (a gate output or a primary input), a pin
+// fault evaluates the reading gate with that pin forced, changing the
+// gate's output. Its detecting lanes are the lanes where that definitely
+// flips the site, ANDed with the site's observability mask, which the
+// sweep computes once per net. Progress reports faults on the "stuck_at"
+// stage (non-line faults count as Dropped); the engine counters charge
+// the work to the packed engine, whatever the simulator's Engine.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
 	out, _, err := s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
 	return out, err

@@ -36,15 +36,15 @@ func xOnlyCampaign(rng *rand.Rand, n int) (c *logic.Circuit, faults []core.Fault
 	return c, faults, patterns
 }
 
-// TestXOnlyLanesNeverPropagate pins the definite-flip seeding rule: a
-// fault whose only effect is X resolves at seed time. On both plan
-// shapes (8 patterns pack faults into lane groups, 300 run as two
-// chunks), in every sweep mode and with one and two workers, the
-// campaign makes exactly one seed evaluation per fault per lane word
-// and no propagation, in the engine counter and in the progress stream
-// (which adds the baseline passes). The channel-break pair loop seeds
-// by the same rule, so its campaign makes no packed evaluation at all.
-// Both engines must agree that nothing is detected by voltage.
+// TestXOnlyLanesNeverPropagate pins the definite-flip rule: a fault
+// whose only effect is X never needs its site's observability mask. On
+// one chunk (8 patterns) and two (300), in every sweep mode and with one
+// and two workers, the campaign makes exactly one site evaluation per
+// fault per lane word and no propagation, in the engine counter and in
+// the progress stream (which adds the baseline passes). The
+// channel-break pair loop flips by the same rule, so its campaign makes
+// no packed evaluation at all. Both engines must agree that nothing is
+// detected by voltage.
 func TestXOnlyLanesNeverPropagate(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ctx := context.Background()
@@ -64,14 +64,9 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 	}
 	for _, n := range []int{8, 300} {
 		c, faults, patterns := xOnlyCampaign(rng, n)
-		s := New(c)
-		cls := s.transistorClass(voltageOnly)
-		pl := s.packedPlanFor(cls, faults, patterns)
-		if wantGrouped := n == 8; (pl.gb != nil) != wantGrouped {
-			t.Fatalf("%d patterns: fault-packed plan %t, want %t", n, pl.gb != nil, wantGrouped)
-		}
+		w := New(c).laneWordsFor(n)
 		seeds := uint64(len(faults) * ((n + 63) / 64))
-		base := pl.baseEvals(len(c.Gates))
+		base := uint64((n + 64*w - 1) / (64 * w) * len(c.Gates) * w)
 		ref, err := withEngine(c, EngineReference).RunTransistor(faults, patterns, false)
 		if err != nil {
 			t.Fatal(err)
@@ -122,19 +117,19 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 		return err
 	})
 	sameDetections(t, "pairs", ref, got)
-	w := New(c).laneWordsFor(len(pairs), 1)
+	w := New(c).laneWordsFor(len(pairs))
 	base := uint64(2 * ((len(pairs) + 64*w - 1) / (64 * w)) * len(c.Gates) * w)
 	if evals != 0 || prog.GateEvals != base {
 		t.Errorf("pairs: %d packed evals (progress %d), want none (progress %d, the two baselines)", evals, prog.GateEvals, base)
 	}
 }
 
-// TestCaptureRetiresAtLastFlip pins the capture retirement rule: a
-// captured seed retires once every flip lane has detected. On mult8
-// with 256 random patterns the captured one-sweep call then makes
-// exactly the packed evaluations of the uncaptured one; a seed that
-// waited for its whole lane group instead walked its cone to
-// quiescence and made about 30% more.
+// TestCaptureRetiresAtLastFlip pins that capture costs no propagation
+// on a one-chunk campaign: a fault's full signature is its flip lanes
+// ANDed with its site's observability mask, the same mask its first
+// detection reads. On mult8 with 256 random patterns (one 256-lane
+// chunk) the captured one-sweep call makes exactly the packed
+// evaluations of the uncaptured one.
 func TestCaptureRetiresAtLastFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c := bench.Multiplier(8)

@@ -1,20 +1,24 @@
 // Packed PPSFP engine, the one fast engine of the package: N×64
 // ternary patterns per lane block (two bitplane words per 64 lanes),
 // evaluated through the compiled gate LUTs and the per-fault behaviour
-// LUTs of engine.go. Baselines are packed once per campaign; each
-// fault then needs one packed behaviour-LUT evaluation plus, when some
-// lane flips its site, one event-driven packed propagation per block,
-// instead of one full circuit pass per pattern. Only definite flips
-// propagate: every fault-free gate table is monotone (a known entry
-// holds at every binary completion of its X inputs), so a lane whose
-// faulty site value is X, or whose good value is, can only give primary
-// outputs that are X or equal to the good ones, never a definite
-// mismatch. When the campaign has fewer patterns than lanes,
-// independent faults are packed into the spare lanes and share a
-// single propagation pass. Defined to be bit-identical to the
-// reference oracle (same detection method, same first detecting
-// pattern), which the differential suites enforce. Line stuck-at
-// faults ride the same drivers as seeds forcing a constant at their
+// LUTs of engine.go. Baselines are packed once per campaign. Every fault
+// the drivers simulate changes the value of one net, its site: a gate's
+// output or a primary input. In a lane where the faulty site value
+// definitely differs from the good one, the faulty circuit is the good
+// circuit with the site flipped, so a fault's detecting lanes are its
+// flip lanes ANDed with the site's observability mask: the lanes where
+// flipping the net's known value definitely reaches a primary output
+// (the idea behind critical path tracing). A sweep computes each mask
+// once per (site net, chunk), by one event-driven packed propagation,
+// and every fault at that net reads it; a fault itself costs one packed
+// site evaluation per lane word. Only definite flips count: every
+// fault-free gate table is monotone (a known entry holds at every binary
+// completion of its X inputs), so a lane whose faulty site value is X,
+// or whose good value is, can only give primary outputs that are X or
+// equal to the good ones, never a definite mismatch. Defined to be
+// bit-identical to the reference oracle (same detection method, same
+// first detecting pattern), which the differential suites enforce. Line
+// stuck-at faults ride the same drivers with a constant forced at their
 // site, over binary baselines.
 package faultsim
 
@@ -27,33 +31,14 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// maxPackGroups bounds how many faults share one propagation pass.
-// Beyond a handful of groups the union of the faults' cones approaches
-// the whole circuit and the shared walk stops saving work.
-const maxPackGroups = 8
-
 // packedBase is the fault-free response of one lane-block chunk:
 // vals is net-major with stride w (w words of 64 lanes per net).
 type packedBase struct {
-	start int               // index of the chunk's first pattern
+	start int               // index of the chunk's first pattern, a multiple of 64w
 	w     int               // lane words per net
 	valid []uint64          // lanes backed by a real pattern, one word per lane word
 	in    []logic.PackedVec // per primary input, input-major stride w
 	vals  []logic.PackedVec // per net id, net-major stride w, canonical planes
-}
-
-// packBlock packs patterns into width-w input blocks, replicating the
-// whole pattern list `copies` times across consecutive lane groups
-// (copies > 1 builds the shared baseline of a fault-packed batch).
-// Lanes beyond the replicated patterns stay X.
-func (s *Simulator) packBlock(patterns []Pattern, w, copies int, binary bool) []logic.PackedVec {
-	in := make([]logic.PackedVec, len(s.C.Inputs)*w)
-	for g := 0; g < copies; g++ {
-		for k, p := range patterns {
-			s.packLane(in, w, g*len(patterns)+k, p, binary)
-		}
-	}
-	return in
 }
 
 // packLane writes one pattern into one lane of a width-w input block.
@@ -74,18 +59,19 @@ func (s *Simulator) packLane(in []logic.PackedVec, w, lane int, p Pattern, binar
 	}
 }
 
-// laneMask builds a w-word mask of n consecutive lanes starting at from.
-func laneMask(from, n, w int) []uint64 {
+// laneMask builds a w-word mask of the first n lanes.
+func laneMask(n, w int) []uint64 {
 	m := make([]uint64, w)
-	for l := from; l < from+n; l++ {
+	for l := 0; l < n; l++ {
 		m[l>>6] |= 1 << uint(l&63)
 	}
 	return m
 }
 
-// packedBaselines memoizes the good-circuit planes per 64w-pattern
-// chunk, packed as packBlock does. All chunk planes share one backing
-// array (one allocation to scan instead of one per chunk).
+// packedBaselines packs the patterns into 64w-lane chunks and evaluates
+// each chunk's good circuit; lanes past the last pattern stay X. All
+// chunk planes share one backing array (one allocation to scan instead
+// of one per chunk).
 func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []packedBase {
 	cc := s.Compiled()
 	lanes := 64 * w
@@ -98,8 +84,11 @@ func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []pa
 		pb := packedBase{
 			start: base,
 			w:     w,
-			valid: laneMask(0, len(chunk), w),
-			in:    s.packBlock(chunk, w, 1, binary),
+			valid: laneMask(len(chunk), w),
+			in:    make([]logic.PackedVec, len(s.C.Inputs)*w),
+		}
+		for k, p := range chunk {
+			s.packLane(pb.in, w, k, p, binary)
 		}
 		pb.vals = cc.EvalBlock(pb.in, w, backing[:stride:stride])
 		backing = backing[stride:]
@@ -108,71 +97,26 @@ func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []pa
 	return out
 }
 
-// packedGroupBase is the shared baseline of a fault-packed batch: the
-// whole pattern list replicated across `groups` disjoint lane groups of
-// span lanes each, so every group sees identical fault-free planes and
-// a batch of faults propagates in one pass.
-type packedGroupBase struct {
-	w      int
-	span   int // lanes per group (= the campaign's pattern count)
-	groups int
-	masks  [][]uint64 // per group, its lanes
-	in     []logic.PackedVec
-	vals   []logic.PackedVec
+// baseEvals counts the word evaluations of a sweep's baselines, reported
+// to the progress sink before the fault sweep starts.
+func baseEvals(bases []packedBase, nGates int) uint64 {
+	if len(bases) == 0 {
+		return 0
+	}
+	return uint64(len(bases)) * uint64(nGates) * uint64(bases[0].w)
 }
 
-// packedGroupedBase evaluates the replicated baseline once.
-func (s *Simulator) packedGroupedBase(patterns []Pattern, w, groups int, binary bool) *packedGroupBase {
-	cc := s.Compiled()
-	gb := &packedGroupBase{
-		w:      w,
-		span:   len(patterns),
-		groups: groups,
-		masks:  make([][]uint64, groups),
-		in:     s.packBlock(patterns, w, groups, binary),
-	}
-	for g := 0; g < groups; g++ {
-		gb.masks[g] = laneMask(g*len(patterns), len(patterns), w)
-	}
-	gb.vals = cc.EvalBlock(gb.in, w, make([]logic.PackedVec, cc.NumNets()*w))
-	return gb
-}
-
-// packGroups sizes a fault-packed batch: how many whole pattern-list
-// copies fit in 64w lanes, clamped by the simulable fault count and
-// maxPackGroups. 1 means no packing.
-func packGroups(nPatterns, nSimulable, w int) int {
-	if nSimulable < 2 || nPatterns == 0 || nPatterns > 32*w {
-		return 1
-	}
-	g := 64 * w / nPatterns
-	if g > maxPackGroups {
-		g = maxPackGroups
-	}
-	if g > nSimulable {
-		g = nSimulable
-	}
-	if g < 2 {
-		return 1
-	}
-	return g
-}
-
-// laneWordsFor picks the lane-block width of a campaign: an explicit
-// Simulator.LaneWords wins; otherwise scale with the pattern count, and
-// with the fault count when spare width buys fault packing.
-func (s *Simulator) laneWordsFor(nPatterns, nFaults int) int {
-	if logic.ValidLaneWords(s.LaneWords) {
-		return s.LaneWords
+// laneWordsFor picks the lane-block width of a campaign: a pinned
+// laneWords wins; otherwise the narrowest block that holds the patterns,
+// up to 256 lanes.
+func (s *Simulator) laneWordsFor(nPatterns int) int {
+	if logic.ValidLaneWords(s.laneWords) {
+		return s.laneWords
 	}
 	switch {
 	case nPatterns > 128:
 		return 4
 	case nPatterns > 64:
-		return 2
-	case nFaults >= 2 && nPatterns > 32:
-		return 4
-	case nFaults >= 2 && nPatterns > 16:
 		return 2
 	}
 	return 1
@@ -190,11 +134,11 @@ type packedClass struct {
 	resolve   func(*packedScratch, core.Fault) (packedSite, bool, error)
 }
 
-// leakDecides reports whether a seed's sweep may stop before
-// propagation: only an iddqOnly sweep without capture may, once a leak
-// lands at or before the seed's first flip lane (no output difference
-// can come earlier). Every other sweep still needs the voltage answer
-// or the full signature.
+// leakDecides reports whether a fault's chunk may skip its site's
+// observability mask: only an iddqOnly sweep without capture may, once a
+// leak lands at or before the fault's first flip lane (no output
+// difference can come earlier). Every other sweep still needs the
+// voltage answer or the full signature.
 func (cls *packedClass) leakDecides(sd *packedSeed, w int, capturing bool) bool {
 	return cls.mode == iddqOnly && !capturing && logic.FirstLaneBlock(sd.leak[:w]) <= sd.floor
 }
@@ -209,42 +153,6 @@ type packedSite struct {
 	lut      *faultLUT
 	pin      int
 	force    logic.PackedVec
-}
-
-// packedPlan is the per-campaign packing decision plus its baselines.
-type packedPlan struct {
-	w      int
-	groups int
-	bases  []packedBase     // groups == 1: plain chunked sweep
-	gb     *packedGroupBase // groups > 1: fault-packed batches
-}
-
-// packedPlanFor sizes the lane blocks and fault-packing of a campaign
-// and evaluates the matching baselines.
-func (s *Simulator) packedPlanFor(cls *packedClass, faults []core.Fault, patterns []Pattern) packedPlan {
-	sim := 0
-	for _, f := range faults {
-		if cls.simulable(f) {
-			sim++
-		}
-	}
-	w := s.laneWordsFor(len(patterns), sim)
-	pl := packedPlan{w: w, groups: packGroups(len(patterns), sim, w)}
-	if pl.groups > 1 {
-		pl.gb = s.packedGroupedBase(patterns, w, pl.groups, cls.binary)
-	} else {
-		pl.bases = s.packedBaselines(patterns, w, cls.binary)
-	}
-	return pl
-}
-
-// baseEvals counts the baseline word evaluations of the plan, reported
-// to the progress sink before the fault sweep starts.
-func (pl *packedPlan) baseEvals(nGates int) uint64 {
-	if pl.gb != nil {
-		return uint64(nGates) * uint64(pl.w)
-	}
-	return uint64(len(pl.bases)) * uint64(nGates) * uint64(pl.w)
 }
 
 // evalFaultLUTPacked evaluates one per-fault behaviour table across all
@@ -320,19 +228,14 @@ func evalFaultLUTPacked(lut *faultLUT, in []logic.PackedVec) (logic.PackedVec, u
 	return out, leak
 }
 
-// packedSeed is one fault's state inside a propagation pass. mask holds
-// its flip lanes: the lanes of its group where the faulty site value
-// definitely differs from the good one. Its site plane is the baseline
-// with those lanes inverted, so it needs no plane of its own. leak holds
-// the group's IDDQ lanes, diff the primary-output deviation lanes
-// accumulated so far (always within mask). floor is the first flip
-// lane: no detection can land earlier, so the seed resolves the moment
-// diff gains that lane. pattern = patOff + lane maps a lane back to the
-// campaign's pattern index.
+// packedSeed is one fault's lanes in one chunk. mask holds its flip
+// lanes: the lanes where the faulty site value definitely differs from
+// the good one. leak holds its IDDQ lanes and diff its detecting lanes:
+// mask ANDed with the site's observability mask. floor is the first flip
+// lane (no detection can land earlier), and live is set when there is
+// one. pattern = patOff + lane maps a lane back to the campaign's
+// pattern index.
 type packedSeed struct {
-	out    int // index into the campaign's detection slice
-	gi     int // faulted gate
-	onet   int // its output net
 	floor  int
 	patOff int
 	live   bool
@@ -367,11 +270,11 @@ func (sd *packedSeed) answer(w int, a *answers) {
 }
 
 // packedScratch is the reusable per-worker state of the packed engine:
-// epoch-stamped faulty lane blocks over the chunk baseline, per-net
-// dirty word masks and a topological-position min-heap of pending
-// gates. The event-driven walk evaluates only gates with a dirty fanin
-// word, and only the dirty words of those gates, so sparse campaigns
-// never touch the static all-gates cone tables.
+// the sweep's memoized observability masks, and for the walk that
+// computes one, epoch-stamped faulty lane blocks over the chunk
+// baseline, per-net dirty word masks and a topological-position min-heap
+// of pending gates. The event-driven walk evaluates only gates with a
+// dirty fanin word, and only the dirty words of those gates.
 type packedScratch struct {
 	cc    *logic.CompiledCircuit
 	w     int               // current lane-block width of fval
@@ -382,13 +285,13 @@ type packedScratch struct {
 	epoch int64
 	heap  []int // pending gate indices, min-heap by topological position
 	inbuf [3]logic.PackedVec
-	seeds []packedSeed // reusable batch buffer
 
-	// capture, while set, retires a seed only once every flip lane has
-	// detected, so the walk accumulates each seed's full deviation mask
-	// (signature capture needs all detecting lanes, not just the
-	// earliest one).
-	capture bool
+	// obs memoizes the sweep's observability masks: w words per (chunk
+	// ci, net) at (ci*NumNets+net)*w, valid while obsAt holds obsGen.
+	// begin bumps obsGen, so every sweep starts with none.
+	obs    []uint64
+	obsAt  []int64
+	obsGen int64
 
 	// Scratch-local resolution caches — lock-free because a scratch is
 	// owned by exactly one goroutine at a time, and warm across
@@ -436,9 +339,12 @@ func (s *Simulator) putPackedScratch(sc *packedScratch) {
 	s.scratchPool.Put(sc)
 }
 
-// ensure resizes the faulty-plane buffer to lane width w. Stale stamps
-// from another width are harmless: propagateSeeds bumps the epoch.
-func (sc *packedScratch) ensure(w int) {
+// begin starts a sweep at lane width w: it forgets every memoized mask
+// (they belong to the previous sweep's baselines) and resizes the
+// faulty-plane buffer. Stale stamps from another width are harmless:
+// propagate bumps the epoch.
+func (sc *packedScratch) begin(w int) {
+	sc.obsGen++
 	if sc.w == w {
 		return
 	}
@@ -450,12 +356,35 @@ func (sc *packedScratch) ensure(w int) {
 	}
 }
 
-// seedBuf hands out n reusable seed slots.
-func (sc *packedScratch) seedBuf(n int) []packedSeed {
-	if cap(sc.seeds) < n {
-		sc.seeds = make([]packedSeed, n)
+// forgetChunk drops the memoized masks of chunk ci, whose baseline has
+// changed (a DropSet's tail block after an Add).
+func (sc *packedScratch) forgetChunk(ci int) {
+	n := sc.cc.NumNets()
+	if lo := ci * n; lo < len(sc.obsAt) {
+		clear(sc.obsAt[lo:min(lo+n, len(sc.obsAt))])
 	}
-	return sc.seeds[:n]
+}
+
+// observability returns net's observability mask over chunk ci, whose
+// baseline is pb: the lanes where flipping the net's known value
+// definitely reaches a primary output. The first call of a sweep
+// computes it (propagate); later calls read the memo. The returned words
+// are scratch memory, valid until the next call.
+func (sc *packedScratch) observability(ci int, pb *packedBase, net int) []uint64 {
+	w, nets := sc.w, sc.cc.NumNets()
+	if n := (ci + 1) * nets; len(sc.obsAt) < n {
+		sc.obsAt = append(sc.obsAt, make([]int64, n-len(sc.obsAt))...)
+	}
+	if n := len(sc.obsAt) * w; len(sc.obs) < n {
+		sc.obs = append(sc.obs, make([]uint64, n-len(sc.obs))...)
+	}
+	k := ci*nets + net
+	m := sc.obs[k*w : k*w+w]
+	if sc.obsAt[k] != sc.obsGen {
+		sc.obsAt[k] = sc.obsGen
+		sc.propagate(pb, net, m)
+	}
+	return m
 }
 
 // gateIndex memoizes the instance-name lookup behind the 1-entry cache.
@@ -614,158 +543,89 @@ func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int)
 	return logic.EvalKindPacked(cc.Kinds[st.gi], cc.LUT[st.gi], in), 0
 }
 
-// seedChunk fills sd with a resolved fault's behaviour over the baseline
-// block, restricted to the lanes of group: the IDDQ leak lanes (when
-// leaks are observed), the flip lanes and their floor. live is set when
-// at least one lane flips (the seed needs propagation to resolve); leak
-// lanes are reported either way. A lane where the faulty site is X never
-// flips: it cannot reach a definite output mismatch (see the package
-// doc), so it is neither propagated nor credited.
-func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, group []uint64, patOff int, base []logic.PackedVec, leaks bool) {
-	w := sc.w
-	sd.gi, sd.onet, sd.patOff = st.gi, st.onet, patOff
+// seedChunk fills sd with a resolved fault's behaviour over chunk pb:
+// its IDDQ leak lanes (when leaks are observed), its flip lanes and
+// their floor, with no detecting lane yet. live is set when at least one
+// lane flips (the fault then needs its site's mask); leak lanes are
+// reported either way. A lane where the faulty site is X never flips: it
+// cannot reach a definite output mismatch (see the package doc), so it
+// is never credited.
+func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, pb *packedBase, leaks bool) {
+	w, base := sc.w, pb.vals
+	sd.patOff = pb.start
 	for j := 0; j < w; j++ {
 		sd.mask[j], sd.leak[j], sd.diff[j] = 0, 0, 0
-		if group[j] == 0 {
+		if pb.valid[j] == 0 {
 			continue
 		}
 		fo, leak := sc.siteWord(st, base, j)
 		if leaks {
-			sd.leak[j] = leak & group[j]
+			sd.leak[j] = leak & pb.valid[j]
 		}
-		sd.mask[j] = logic.DefiniteDiffMask(base[st.onet*w+j], fo) & group[j]
+		sd.mask[j] = logic.DefiniteDiffMask(base[st.onet*w+j], fo) & pb.valid[j]
 	}
 	sd.floor = logic.FirstLaneBlock(sd.mask[:w])
 	sd.live = sd.floor < w<<6
 }
 
-// propagateSeeds pushes the live seeds' flip lanes through the
-// event-driven block walk, accumulating each seed's masked
-// primary-output deviations into its diff words. Seeds carry disjoint
-// lane groups, evaluation is lane-wise, and every seed's fanins sit
-// upstream of its own fault, so within one group the only deviation
-// source is that group's seed: each seed's diff is exactly what a solo
-// propagation over its lanes would produce, and the walk stops as soon
-// as every seed has resolved its floor lane. Faulted gates re-assert
-// their flips whenever another seed's effects wash over them, so
-// batches need no structural disjointness — faults may even share a
-// gate.
-func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedVec) {
-	cc, w := sc.cc, sc.w
+// propagate computes net's observability mask over baseline pb into m.
+// It flips every known lane of the net at once and pushes the flips
+// through the event-driven block walk; evaluation is lane-wise, so each
+// lane answers on its own. A lane joins m once some primary output
+// definitely differs in it, and from then on stops deviating (every
+// evaluated gate word is forced back to baseline there), so the walk
+// converges at the rate of the earliest detections. It ends once every
+// flipped lane has been seen. Lanes where the net is X never flip: no
+// fault can flip the net definitely there.
+func (sc *packedScratch) propagate(pb *packedBase, net int, m []uint64) {
+	cc, w, base := sc.cc, sc.w, pb.vals
 	stamp, dirty := sc.stamp, sc.dirty
 	sc.epoch++
 	epoch := sc.epoch
 	sc.heap = sc.heap[:0]
 
-	live := 0
-	// done accumulates, per word, the lanes whose detection is already
-	// recorded under capture. A lane's signature bit is boolean — once a
-	// definite PO diff credited it, further deviation spread on that
-	// lane carries no information — so the walk forces completed lanes
-	// back to baseline below. Lane-wise evaluation keeps this exact:
-	// suppressing one lane cannot perturb any other.
-	var done [logic.MaxLaneWords]uint64
-	// credit distributes a changed output net's definite diff lanes to
-	// the live seeds, retiring seeds that gain their floor lane (or,
-	// under capture, whose every flip lane has detected).
-	credit := func(on int) {
-		var dm [logic.MaxLaneWords]uint64
-		any := uint64(0)
+	// left holds, per word, the flipped lanes no output has seen yet.
+	var left [logic.MaxLaneWords]uint64
+	d := uint8(0)
+	for j := 0; j < w; j++ {
+		m[j] = 0
+		b := base[net*w+j]
+		left[j] = b.Known & pb.valid[j]
+		sc.fval[net*w+j] = logic.PackedVec{Val: b.Val ^ left[j], Known: b.Known}
+		if left[j] != 0 {
+			d |= 1 << uint(j)
+		}
+	}
+	if d == 0 {
+		return
+	}
+	stamp[net], dirty[net] = epoch, d
+	// see records the lanes where output net on definitely differs and
+	// reports whether every flipped lane has now been seen.
+	see := func(on int) bool {
+		all := true
 		for j := 0; j < w; j++ {
 			if dirty[on]>>uint(j)&1 == 1 {
-				dm[j] = logic.DefiniteDiffMask(base[on*w+j], sc.fval[on*w+j])
-				any |= dm[j]
+				nd := logic.DefiniteDiffMask(base[on*w+j], sc.fval[on*w+j])
+				m[j] |= nd
+				left[j] &^= nd
 			}
+			all = all && left[j] == 0
 		}
-		if any == 0 {
-			return
-		}
-		for si := range seeds {
-			sd := &seeds[si]
-			if !sd.live {
-				continue
-			}
-			gained := false
-			for j := 0; j < w; j++ {
-				if nd := dm[j] & sd.mask[j] &^ sd.diff[j]; nd != 0 {
-					sd.diff[j] |= nd
-					if sc.capture {
-						done[j] |= nd
-					}
-					gained = true
-				}
-			}
-			if !gained {
-				continue
-			}
-			if sc.capture {
-				complete := true
-				for j := 0; j < w; j++ {
-					if sd.diff[j] != sd.mask[j] {
-						complete = false
-						break
-					}
-				}
-				if complete {
-					sd.live = false
-					live--
-				}
-				continue
-			}
-			if sd.diff[sd.floor>>6]>>uint(sd.floor&63)&1 == 1 {
-				sd.live = false
-				live--
-			}
-		}
+		return all
+	}
+	if cc.IsOutput[net] && see(net) {
+		return
+	}
+	for _, g := range cc.Fanouts[net] {
+		sc.push(g)
 	}
 
-	// Seed phase: invert each seed's flip lanes on its site net (groups
-	// are disjoint, so flips never collide), then stamp, credit and
-	// schedule each distinct site net once.
-	var sitebuf [maxPackGroups]int
-	sites := sitebuf[:0]
-	for si := range seeds {
-		sd := &seeds[si]
-		if !sd.live {
-			continue
-		}
-		live++
-		on := sd.onet
-		if stamp[on] != epoch {
-			stamp[on], dirty[on] = epoch, 0
-			for j := 0; j < w; j++ {
-				sc.fval[on*w+j] = base[on*w+j]
-			}
-			sites = append(sites, on)
-		}
-		for j := 0; j < w; j++ {
-			sc.fval[on*w+j].Val ^= sd.mask[j]
-		}
-	}
-	for _, on := range sites {
-		d := uint8(0)
-		for j := 0; j < w; j++ {
-			if sc.fval[on*w+j] != base[on*w+j] {
-				d |= 1 << uint(j)
-			}
-		}
-		dirty[on] = d
-		if d == 0 {
-			continue
-		}
-		if cc.IsOutput[on] {
-			credit(on)
-		}
-		for _, g := range cc.Fanouts[on] {
-			sc.push(g)
-		}
-	}
-
-	// Event-driven walk: the min-heap pops gates in topological order,
-	// so each gate's fanins are final when it is evaluated and no gate
-	// runs twice per epoch. Only dirty fanin words are re-evaluated;
-	// words that return to baseline drop their dirty bit.
-	for len(sc.heap) > 0 && live > 0 {
+	// The min-heap pops gates in topological order, so each gate's
+	// fanins are final when it is evaluated and no gate runs twice per
+	// epoch. Only dirty fanin words are re-evaluated; words that return
+	// to baseline drop their dirty bit.
+	for len(sc.heap) > 0 {
 		g := sc.pop()
 		fin := cc.Fanin[g]
 		dw := uint8(0)
@@ -774,24 +634,9 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 				dw |= dirty[nid]
 			}
 		}
-		if dw == 0 {
-			continue
-		}
 		on := cc.GateOut[g]
-		prev := uint8(0)
-		if stamp[on] == epoch { // a seeded site: keep non-evaluated words' deviations
-			prev = dirty[on] &^ dw
-		} else {
-			stamp[on] = epoch
-		}
-		blend := false
-		for si := range seeds {
-			if seeds[si].gi == g {
-				blend = true
-				break
-			}
-		}
-		nd := prev
+		stamp[on] = epoch
+		nd := uint8(0)
 		kind, lut := cc.Kinds[g], cc.LUT[g]
 		for j := 0; j < w; j++ {
 			if dw>>uint(j)&1 == 0 {
@@ -807,28 +652,12 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 			}
 			nv := logic.EvalKindPacked(kind, lut, in)
 			sc.evals++
-			if blend {
-				// A faulted gate's output is flipped within its seed's
-				// flip lanes regardless of what washed over its inputs.
-				b := base[on*w+j]
-				for si := range seeds {
-					if sd := &seeds[si]; sd.gi == g {
-						m := sd.mask[j]
-						nv.Val = nv.Val&^m | ^b.Val&m
-						nv.Known |= m
-					}
-				}
+			b := base[on*w+j]
+			if s := m[j]; s != 0 {
+				nv.Val = nv.Val&^s | b.Val&s
+				nv.Known = nv.Known&^s | b.Known&s
 			}
-			if dn := done[j]; dn != 0 {
-				// Capture mode: lanes whose detection is recorded stop
-				// deviating, so the walk converges at the per-lane rate
-				// of an uncaptured sweep instead of running every
-				// deviation to quiescence.
-				b := base[on*w+j]
-				nv.Val = nv.Val&^dn | b.Val&dn
-				nv.Known = nv.Known&^dn | b.Known&dn
-			}
-			if nv != base[on*w+j] {
+			if nv != b {
 				sc.fval[on*w+j] = nv
 				nd |= 1 << uint(j)
 			}
@@ -837,11 +666,8 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 		if nd == 0 {
 			continue
 		}
-		if cc.IsOutput[on] {
-			credit(on)
-			if live == 0 {
-				return
-			}
+		if cc.IsOutput[on] && see(on) {
+			return
 		}
 		for _, fg := range cc.Fanouts[on] {
 			sc.push(fg)
@@ -849,14 +675,12 @@ func (sc *packedScratch) propagateSeeds(seeds []packedSeed, base []logic.PackedV
 	}
 }
 
-// simulateFaultPacked runs one fault of a class chunk by chunk: one
-// seed evaluation plus one event-driven block pass per chunk with a
-// flip lane. It returns the fault's answers (packedSeed.answer) and
-// stops at the class mode's stop answer; under iddqOnly, the voltage
-// answer is not swept to. A non-nil sig disables the chunk early exits,
-// retires the seed only once all its flip lanes have detected, and
-// records fault si's full signature from the propagated lane masks,
-// from which the answers are read.
+// simulateFaultPacked runs one fault of a class chunk by chunk: one site
+// evaluation per lane word, whose flip lanes are ANDed with the site's
+// observability mask. It returns the fault's answers (packedSeed.answer)
+// and stops at the class mode's stop answer; under iddqOnly, the voltage
+// answer is not swept to. A non-nil sig sweeps every chunk and records
+// fault si's full signature from the lanes the answers are read from.
 func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, bases []packedBase, sc *packedScratch, sig *SignatureCapture) (answers, error) {
 	a := undetected
 	if !cls.simulable(f) || len(bases) == 0 {
@@ -868,15 +692,15 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 	}
 	sc.runs++
 	w := sc.w
-	seeds := sc.seedBuf(1)
-	sd := &seeds[0]
+	var sd packedSeed
 	for ci := range bases {
 		pb := &bases[ci]
-		sc.seedChunk(sd, &st, pb.valid, pb.start, pb.vals, cls.mode.observesLeaks())
-		if sd.live && !cls.leakDecides(sd, w, sig != nil) {
-			sc.capture = sig != nil
-			sc.propagateSeeds(seeds, pb.vals)
-			sc.capture = false
+		sc.seedChunk(&sd, &st, pb, cls.mode.observesLeaks())
+		if sd.live && !cls.leakDecides(&sd, w, sig != nil) {
+			obs := sc.observability(ci, pb, st.onet)
+			for j := 0; j < w; j++ {
+				sd.diff[j] = sd.mask[j] & obs[j]
+			}
 		}
 		if sig != nil {
 			sig.orLanes(si, pb.start, sd.diff[:w], false)
@@ -888,89 +712,6 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 		}
 	}
 	return a, nil
-}
-
-// runPackedGrouped sweeps the faults selected by idxs with fault
-// packing: up to plan.groups simulable faults seed disjoint lane groups
-// of the replicated baseline and resolve in one shared propagation
-// pass. Faults that never flip a lane (or, under iddqOnly, whose leak
-// decides) resolve at seed time and never occupy a group slot. Each
-// fault's answers land in out and volt (answers.put). A non-nil sig
-// keeps every flipping fault in its slot until all its flip lanes have
-// detected or the walk ends, and records each fault's full signature
-// from its group's lane masks before reading the same answers.
-func (s *Simulator) runPackedGrouped(ctx context.Context, cls *packedClass, faults []core.Fault, idxs []int, gb *packedGroupBase, sc *packedScratch, sig *SignatureCapture, sink *progressSink, out, volt []Detection) error {
-	w := sc.w
-	seeds := sc.seedBuf(gb.groups)[:0]
-	batchDetected := 0
-	batchStart := sc.lifetimeEvals()
-	// settle records a seed's signature and answers; it reports whether
-	// the fault's stop answer detected.
-	settle := func(sd *packedSeed) int {
-		if sig != nil {
-			sig.orLanes(sd.out, sd.patOff, sd.diff[:w], false)
-			sig.orLanes(sd.out, sd.patOff, sd.leak[:w], true)
-		}
-		a := undetected
-		sd.answer(w, &a)
-		a.put(out, volt, sd.out, faults[sd.out])
-		return b2i(a.stop(cls.mode) >= 0)
-	}
-	flush := func() {
-		if len(seeds) == 0 {
-			return
-		}
-		sc.capture = sig != nil
-		sc.propagateSeeds(seeds, gb.vals)
-		sc.capture = false
-		for si := range seeds {
-			batchDetected += settle(&seeds[si])
-		}
-		sink.add(len(seeds), batchDetected, 0, sc.lifetimeEvals()-batchStart)
-		seeds = seeds[:0]
-		batchDetected = 0
-		batchStart = sc.lifetimeEvals()
-	}
-	for _, i := range idxs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		f := faults[i]
-		undetected.put(out, volt, i, f)
-		if !cls.simulable(f) {
-			sink.add(1, 0, 1, 0)
-			continue
-		}
-		st, ok, err := cls.resolve(sc, f)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			sink.add(1, 0, 0, 0)
-			continue
-		}
-		sc.runs++
-		g := len(seeds)
-		seeds = seeds[:g+1]
-		sd := &seeds[g]
-		sd.out = i
-		before := sc.lifetimeEvals()
-		sc.seedChunk(sd, &st, gb.masks[g], -g*gb.span, gb.vals, cls.mode.observesLeaks())
-		if !sd.live || cls.leakDecides(sd, w, sig != nil) {
-			// Resolved at seed time: release the slot for the next fault.
-			detected := settle(sd)
-			seeds = seeds[:g]
-			delta := sc.lifetimeEvals() - before
-			batchStart += delta // keep the batch delta clean of this fault
-			sink.add(1, detected, 0, delta)
-			continue
-		}
-		if len(seeds) == gb.groups {
-			flush()
-		}
-	}
-	flush()
-	return nil
 }
 
 // runPacked is the serial packed campaign driver of one fault class. It
@@ -985,29 +726,25 @@ func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []co
 			return nil, nil, err
 		}
 	}
-	pl := s.packedPlanFor(cls, faults, patterns)
+	w := s.laneWordsFor(len(patterns))
+	bases := s.packedBaselines(patterns, w, cls.binary)
 	sc := s.packedScratchOf()
-	sc.ensure(pl.w)
+	sc.begin(w)
 	defer s.putPackedScratch(sc)
-	sink.add(0, 0, 0, pl.baseEvals(len(s.C.Gates)))
+	sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 	out = make([]Detection, len(faults))
 	if cls.mode == bothAnswers {
 		volt = make([]Detection, len(faults))
 	}
-	idxs := make([]int, len(faults))
 	for i, f := range faults {
 		undetected.put(out, volt, i, f)
-		idxs[i] = i
-	}
-	if pl.gb != nil {
-		return out, volt, s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, sc, sig, sink, out, volt)
 	}
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
 			return out, volt, err
 		}
 		before := sc.lifetimeEvals()
-		a, err := s.simulateFaultPacked(cls, f, i, pl.bases, sc, sig)
+		a, err := s.simulateFaultPacked(cls, f, i, bases, sc, sig)
 		if err != nil {
 			return out, volt, err
 		}
@@ -1028,12 +765,13 @@ func blockGateIndex(cc *logic.CompiledCircuit, gi, w, lane int, vals []logic.Pac
 }
 
 // runTwoPatternPacked replays pattern pairs through the stuck-open
-// transition LUTs with packed block propagation: the faulty gate's
-// charge-state trajectory is still decoded per lane (the Mealy state is
-// radix-3 over internal node labels and does not vectorise), but the
-// expensive downstream propagation of the test pattern covers all lanes
-// of a block in one pass. Cancellation is checked between faults;
-// progress is reported per fault on the "two_pattern" stage.
+// transition LUTs: the faulty gate's charge-state trajectory is decoded
+// per lane (the Mealy state is radix-3 over internal node labels and
+// does not vectorise), and the downstream propagation of the test
+// pattern is the site's observability mask over the test baseline,
+// shared by every channel break of the gate. Cancellation is checked
+// between faults; progress is reported per fault on the "two_pattern"
+// stage.
 func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	sink := s.progressSink("two_pattern", len(faults))
 	out := make([]Detection, len(faults))
@@ -1053,13 +791,13 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 	for k, pair := range pairs {
 		firsts[k], seconds[k] = pair[0], pair[1]
 	}
-	w := s.laneWordsFor(len(pairs), 1)
+	w := s.laneWordsFor(len(pairs))
 	bases0 := s.packedBaselines(firsts, w, false)
 	bases1 := s.packedBaselines(seconds, w, false)
 	sc := s.packedScratchOf()
-	sc.ensure(w)
+	sc.begin(w)
 	defer s.putPackedScratch(sc)
-	sink.add(0, 0, 0, uint64(len(bases0)+len(bases1))*uint64(len(s.C.Gates))*uint64(w))
+	sink.add(0, 0, 0, baseEvals(bases0, len(s.C.Gates))+baseEvals(bases1, len(s.C.Gates)))
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -1077,8 +815,10 @@ func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault
 
 // twoPatternFaultPacked runs one channel break through the init (bases0)
 // and test (bases1) baselines of nPairs pairs, chunk by chunk, and stops
-// at the first detecting chunk. simulable is false for a fault that is
-// not a channel break; an unknown gate is an error.
+// at the first detecting chunk: its flip lanes under the test patterns,
+// ANDed with the site's observability mask over the test baseline.
+// simulable is false for a fault that is not a channel break; an unknown
+// gate is an error.
 func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, bases1 []packedBase, sc *packedScratch) (d Detection, simulable bool, err error) {
 	d = Detection{Fault: f, Pattern: -1}
 	if tf, ok := f.Kind.TFault(); !ok || tf != logic.TFaultOpen {
@@ -1092,12 +832,9 @@ func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, base
 	sc.runs++
 	cc, w := sc.cc, sc.w
 	on := cc.GateOut[gi]
-	seeds := sc.seedBuf(1)
-	sd := &seeds[0]
 	for ci := range bases0 {
 		pb0, pb1 := &bases0[ci], &bases1[ci]
 		n := min(nPairs-pb0.start, 64*w)
-		sd.gi, sd.onet, sd.patOff = gi, on, pb1.start
 		var fo [logic.MaxLaneWords]logic.PackedVec // lanes past n stay X: they never flip
 		for lane := 0; lane < n; lane++ {
 			st := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb0.vals)]
@@ -1105,19 +842,19 @@ func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, base
 			fo[lane>>6] = fo[lane>>6].WithLane(lane&63, v)
 		}
 		sc.pairLanes += uint64(n)
+		var obs []uint64 // read on the first flip lane
 		for j := 0; j < w; j++ {
-			sd.mask[j] = logic.DefiniteDiffMask(pb1.vals[on*w+j], fo[j])
-			sd.leak[j], sd.diff[j] = 0, 0
-		}
-		sd.floor = logic.FirstLaneBlock(sd.mask[:w])
-		if sd.floor == w<<6 {
-			continue // no lane flips in this chunk
-		}
-		sd.live = true
-		sc.propagateSeeds(seeds, pb1.vals)
-		if lane := logic.FirstLaneBlock(sd.diff[:w]); lane < w<<6 {
-			d.Method, d.Pattern = ByTwoPattern, pb1.start+lane
-			return d, true, nil
+			m := logic.DefiniteDiffMask(pb1.vals[on*w+j], fo[j])
+			if m == 0 {
+				continue
+			}
+			if obs == nil {
+				obs = sc.observability(ci, pb1, on)
+			}
+			if m &= obs[j]; m != 0 {
+				d.Method, d.Pattern = ByTwoPattern, pb1.start+j<<6+logic.FirstLane(m)
+				return d, true, nil
+			}
 		}
 	}
 	return d, true, nil

@@ -191,10 +191,10 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 
 // faultOrder returns the fault indices sorted by the topological
 // position of each fault's gate, so contiguous worker ranges share cone
-// locality (downstream propagation repeatedly touches the same region)
-// and fault-packed batches group physically close faults. The reference
-// engine keeps list order: it has no compiled positions and must not
-// trigger a compile.
+// locality and each gate's faults sit together: a range cut at gate
+// boundaries hands every site net to one worker, which computes its
+// observability masks once. The reference engine keeps list order: it
+// has no compiled positions and must not trigger a compile.
 func (s *Simulator) faultOrder(faults []core.Fault) []int {
 	ord := make([]int, len(faults))
 	for i := range ord {
@@ -218,12 +218,13 @@ func (s *Simulator) faultOrder(faults []core.Fault) []int {
 
 // RunTransistorParallel is RunTransistor with the per-fault work spread
 // over a goroutine pool. Work is dispatched as contiguous ranges of the
-// cone-locality fault order rather than single striped faults, so each
-// worker's scratch stays warm on one region of the circuit and the
-// packed engine can fault-pack whole batches inside a range. The pool
-// never exceeds len(faults) workers; the context cancels in-flight
-// campaigns between faults, and after the first engine error the
-// remaining work is drained without simulating.
+// cone-locality fault order, cut at gate boundaries, rather than single
+// striped faults: each worker's scratch stays warm on one region of the
+// circuit, and each site net's observability masks are computed by one
+// worker, so the packed evaluations do not depend on the worker count.
+// The pool never exceeds len(faults) workers; the context cancels
+// in-flight campaigns between faults, and after the first engine error
+// the remaining work is drained without simulating.
 func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool, workers int) ([]Detection, error) {
 	out, _, err := s.runTransistorPool(ctx, faults, patterns, transistorMode(useIDDQ), workers)
 	return out, err
@@ -278,7 +279,8 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 	cls := s.transistorClass(mode)
 	sink := s.progressSink("transistor", len(faults))
 	var goods []map[string]logic.V
-	var pl packedPlan
+	var bases []packedBase
+	width := s.laneWordsFor(len(patterns))
 	if reference {
 		goods = make([]map[string]logic.V, len(patterns))
 		for k, p := range patterns {
@@ -286,8 +288,8 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 		}
 		sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
 	} else {
-		pl = s.packedPlanFor(cls, faults, patterns)
-		sink.add(0, 0, 0, pl.baseEvals(len(s.C.Gates)))
+		bases = s.packedBaselines(patterns, width, cls.binary)
+		sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 	}
 
 	ord := s.faultOrder(faults)
@@ -315,21 +317,14 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 			var psc *packedScratch
 			if !reference {
 				psc = s.packedScratchOf()
-				psc.ensure(pl.w)
+				psc.begin(width)
 				defer s.putPackedScratch(psc)
 			}
 			for r := range ranges {
 				if ctx.Err() != nil || errSet.Load() {
 					continue // drain without working once canceled or failed
 				}
-				idxs := ord[r[0]:r[1]]
-				if pl.gb != nil {
-					if err := s.runPackedGrouped(ctx, cls, faults, idxs, pl.gb, psc, sig, sink, out, volt); err != nil && ctx.Err() == nil {
-						fail(err)
-					}
-					continue
-				}
-				for _, i := range idxs {
+				for _, i := range ord[r[0]:r[1]] {
 					if ctx.Err() != nil || errSet.Load() {
 						break
 					}
@@ -341,7 +336,7 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 						evals = s.referenceFaultEvals(faults[i], a.stop(mode), len(patterns), sig != nil)
 					} else {
 						before := psc.lifetimeEvals()
-						a, err = s.simulateFaultPacked(cls, faults[i], i, pl.bases, psc, sig)
+						a, err = s.simulateFaultPacked(cls, faults[i], i, bases, psc, sig)
 						evals = psc.lifetimeEvals() - before
 					}
 					if err != nil {
@@ -359,12 +354,17 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 		chunk = 1
 	}
 dispatch:
-	for lo := 0; lo < len(faults); lo += chunk {
+	for lo := 0; lo < len(ord); {
+		hi := min(lo+chunk, len(ord))
+		for hi < len(ord) && faults[ord[hi]].Gate == faults[ord[hi-1]].Gate {
+			hi++ // keep a gate's faults, and so its site net, in one range
+		}
 		select {
-		case ranges <- [2]int{lo, min(lo+chunk, len(faults))}:
+		case ranges <- [2]int{lo, hi}:
 		case <-ctx.Done():
 			break dispatch
 		}
+		lo = hi
 	}
 	close(ranges)
 	wg.Wait()

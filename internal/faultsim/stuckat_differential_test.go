@@ -13,9 +13,10 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// RunStuckAt runs line stuck-at faults as seeds of the packed engine's
-// event-driven walk. It must be bit-identical to the full-circuit
-// sweep it replaced, kept here as the oracle: per 64-pattern chunk one
+// RunStuckAt reads each line stuck-at fault's detections off its site
+// net's observability mask (the packed engine's event-driven walk). It
+// must be bit-identical to the full-circuit sweep it replaced, kept
+// here as the oracle: per 64-pattern chunk one
 // fault-free evaluation, then one whole-circuit evaluation per line
 // fault with the fault forced, fault dropping on unless a signature
 // capture is attached. Same detection method, same first detecting
@@ -126,16 +127,15 @@ func oracleStuckAt(c *logic.Circuit, faults []core.Fault, patterns []Pattern, si
 // and a wide parity tree.
 var stuckAtCircuits = []string{"c17", "mult3", "c432", "c499", "alu8", "rca16", "parity32"}
 
-// stuckAtPatternCounts straddle every lane-block and fault-packing
-// boundary: one pattern (8 faults per pass),
-// short lists that pack faults, one full 64-lane word, and the 128-
-// and 256-lane blocks with their partial tails.
+// stuckAtPatternCounts straddle every lane-block boundary: one
+// pattern, short lists that leave most lanes spare, one full 64-lane
+// word, and the 128- and 256-lane blocks with their partial tails.
 var stuckAtPatternCounts = []int{1, 3, 17, 64, 100, 256, 300}
 
 // mixedLineFaults is the line stuck-at universe with non-line faults
 // interleaved, which the sweep must leave undetected and skip. It
 // leads with line faults naming no net of the circuit or an
-// out-of-range pin: never excited, and packed beside real faults.
+// out-of-range pin: never excited, and swept beside real faults.
 func mixedLineFaults(rng *rand.Rand, c *logic.Circuit) []core.Fault {
 	line := core.Universe(c, core.ClassicalOnly())
 	other := core.Universe(c, core.UniverseOptions{Polarity: true, GOS: true})
@@ -153,7 +153,7 @@ func mixedLineFaults(rng *rand.Rand, c *logic.Circuit) []core.Fault {
 	return out
 }
 
-// diffStuckAt compares the seed walk against the sweep: detections,
+// diffStuckAt compares the packed engine against the sweep: detections,
 // and signature rows when both captured.
 func diffStuckAt(t *testing.T, label string, faults []core.Fault, want, got []Detection, wantSig, gotSig *SignatureCapture) {
 	t.Helper()
@@ -163,12 +163,12 @@ func diffStuckAt(t *testing.T, label string, faults []core.Fault, want, got []De
 	}
 	for i := range faults {
 		if !slices.Equal(wantSig.Out(i), gotSig.Out(i)) {
-			t.Errorf("%s: fault %v: sweep signature %x vs seed walk %x", label, faults[i], wantSig.Out(i), gotSig.Out(i))
+			t.Errorf("%s: fault %v: sweep signature %x vs packed %x", label, faults[i], wantSig.Out(i), gotSig.Out(i))
 		}
 	}
 }
 
-// TestStuckAtSeedWalkMatchesSweep pins the seed walk to the old sweep
+// TestStuckAtSeedWalkMatchesSweep pins the packed engine to the old sweep
 // on every suite circuit, pattern count and capture mode, with X and
 // missing inputs in the patterns and non-line faults in the list.
 func TestStuckAtSeedWalkMatchesSweep(t *testing.T) {
@@ -199,8 +199,8 @@ func TestStuckAtSeedWalkMatchesSweep(t *testing.T) {
 }
 
 // TestStuckAtSeedWalkLaneWidths repeats the comparison with the lane
-// block pinned to each width, so the ungrouped multi-chunk sweep and
-// the fault-packed batches are both covered at 64, 128 and 256 lanes.
+// block pinned to each width, so multi-chunk sweeps and blocks mostly
+// of spare lanes are both covered at 64, 128 and 256 lanes.
 func TestStuckAtSeedWalkLaneWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(64256))
 	for _, name := range []string{"c17", "mult3", "c432"} {
@@ -214,7 +214,7 @@ func TestStuckAtSeedWalkLaneWidths(t *testing.T) {
 			want := oracleStuckAt(c, faults, patterns, nil)
 			for _, w := range []int{1, 2, 4} {
 				s := New(c)
-				s.LaneWords = w
+				s.laneWords = w
 				diffStuckAt(t, fmt.Sprintf("%s/%dpat/w%d", name, n, w), faults, want, s.RunStuckAt(faults, patterns), nil, nil)
 			}
 		}

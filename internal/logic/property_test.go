@@ -78,9 +78,10 @@ func TestTernaryMonotonicityProperty(t *testing.T) {
 // TestGateLUTMonotone: every known entry of every library gate's
 // compiled ternary table equals the table at each binary completion of
 // its X inputs, so refining an X input never changes a known output.
-// The packed fault simulator's definite-flip seeding rule rests on this
-// (internal/faultsim seedChunk propagates only the lanes where a fault
-// definitely flips its site): by induction over a circuit's
+// The packed fault simulator's definite-flip rule rests on this
+// (internal/faultsim credits a fault only in the lanes where it
+// definitely flips its site, and its observability walk flips only a
+// net's known lanes): by induction over a circuit's
 // topological order, a lane whose faulty site value is X, or whose good
 // value is, reaches every primary output as X or as the good value,
 // never as a definite mismatch.

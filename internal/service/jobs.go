@@ -647,10 +647,6 @@ func (m *Manager) Cache() *Cache { return m.cache }
 // unset (capture and the diagnosis endpoints are disabled).
 func (m *Manager) DictStore() *dict.Store { return m.dict }
 
-// ResultStore exposes the durable campaign result store, nil when
-// ResultDir is unset (campaign persistence and resume are disabled).
-func (m *Manager) ResultStore() *resultstore.Store { return m.store }
-
 // Workers reports the pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
 

@@ -133,18 +133,6 @@ func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// Rejected returns the rejection counter for the reason.
-func (m *Metrics) Rejected(reason string) *obs.Counter {
-	switch reason {
-	case rejectQueueFull:
-		return m.RejectedQueueFull
-	case rejectClosed:
-		return m.RejectedClosed
-	default:
-		return m.RejectedInvalid
-	}
-}
-
 // registerManagerMetrics wires the instruments that need live manager
 // state: queue/worker/cache/subscriber gauges, the cache hit counters
 // and the process-wide faultsim engine counters. Called once from

@@ -16,9 +16,10 @@
 //     the unit of caching in internal/resultstore.
 //
 //   - Scheduler: runs sub-jobs across a bounded worker pool with
-//     per-attempt timeout, bounded retry and failure quarantine (a shard
-//     that exhausts its retries is set aside; the remaining shards still
-//     run to completion so their results persist for partial reuse).
+//     bounded retry and failure quarantine (a shard that exhausts its
+//     retries is set aside; the remaining shards still run to
+//     completion so their results persist for partial reuse). The
+//     parent context, the campaign deadline, bounds every attempt.
 //
 //   - Output / Merge*: a sub-job's results in engine form (detections
 //     and optional signature captures per class) and the deterministic

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // ErrDraining is returned by Scheduler.Run when the drain signal fired
@@ -49,20 +48,17 @@ type Events struct {
 	Retried func(j SubJob, attempt int, err error)
 	// Quarantined fires when a sub-job exhausts its retries.
 	Quarantined func(j SubJob, err error)
-	// Done fires when a sub-job completes successfully.
-	Done func(SubJob)
 }
 
 // Scheduler runs a plan's sub-jobs across a bounded worker pool with
-// per-attempt timeout, bounded retry and failure quarantine.
+// bounded retry and failure quarantine. The parent context bounds every
+// attempt.
 type Scheduler struct {
 	// Workers bounds concurrently running sub-jobs (default: all).
 	Workers int
 	// Retries is the number of re-attempts after a failed first attempt
 	// (default 0: fail fast into quarantine).
 	Retries int
-	// Timeout bounds each attempt (0: only the parent context bounds it).
-	Timeout time.Duration
 	// Draining, when closed, stops new sub-jobs from starting; in-flight
 	// attempts run to completion and Run returns ErrDraining.
 	Draining <-chan struct{}
@@ -106,9 +102,6 @@ func (s *Scheduler) Run(ctx context.Context, jobs []SubJob, attempt func(context
 			for j := range next {
 				err := s.runOne(ctx, j, attempt, ev)
 				if err == nil {
-					if ev.Done != nil {
-						ev.Done(j)
-					}
 					continue
 				}
 				if ctx.Err() != nil {
@@ -164,7 +157,7 @@ func (s *Scheduler) runOne(ctx context.Context, j SubJob, attempt func(context.C
 		if try > 1 && ev.Retried != nil {
 			ev.Retried(j, try, err)
 		}
-		err = s.attemptOnce(ctx, j, attempt)
+		err = attempt(ctx, j)
 		if err == nil {
 			return nil
 		}
@@ -175,13 +168,4 @@ func (s *Scheduler) runOne(ctx context.Context, j SubJob, attempt func(context.C
 		}
 	}
 	return err
-}
-
-func (s *Scheduler) attemptOnce(ctx context.Context, j SubJob, attempt func(context.Context, SubJob) error) error {
-	if s.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.Timeout)
-		defer cancel()
-	}
-	return attempt(ctx, j)
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPartitionTiles(t *testing.T) {
@@ -202,24 +201,6 @@ func TestSchedulerHonoursCancel(t *testing.T) {
 	}
 	if n := started.Load(); n > 3 {
 		t.Fatalf("started %d shards after cancel", n)
-	}
-}
-
-func TestSchedulerAttemptTimeout(t *testing.T) {
-	jobs := testJobs(1)
-	var tries atomic.Int64
-	s := &Scheduler{Workers: 1, Retries: 1, Timeout: 10 * time.Millisecond}
-	err := s.Run(context.Background(), jobs, func(ctx context.Context, j SubJob) error {
-		tries.Add(1)
-		<-ctx.Done() // simulate a hung shard; the attempt deadline frees it
-		return ctx.Err()
-	}, Events{})
-	var qe *QuarantineError
-	if !errors.As(err, &qe) {
-		t.Fatalf("err = %v, want quarantine after timed-out retries", err)
-	}
-	if tries.Load() != 2 {
-		t.Fatalf("attempts = %d, want 2 (timeout is retryable)", tries.Load())
 	}
 }
 
