@@ -479,9 +479,11 @@ func BenchmarkStuckAtScaling(b *testing.B) {
 // polarity and channel-break universe, PODEM implying on the dense
 // compiled IR, with lazy fault dropping (each fault checked once,
 // against every vector generated before it). implications/op counts
-// PODEM implication steps (one good-circuit pass, plus one faulty pass
-// when the attempt propagates a fault effect) and backtracks/op the
-// decisions undone; both are deterministic per circuit. Dated
+// PODEM implication steps (one per decision or backtrack, each
+// re-evaluating only the gates whose inputs changed, in the good
+// circuit and, when the attempt propagates, the faulty one) and
+// backtracks/op the decisions undone; both are deterministic per
+// circuit and read the same as under the earlier full passes. Dated
 // parent-vs-change results live in BENCH_faultsim.json. -short keeps
 // only parity32 (the CI bench-smoke budget):
 //

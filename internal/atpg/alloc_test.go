@@ -10,7 +10,7 @@ import (
 
 // TestGenerateAllocBound guards the dense implication: one c432
 // campaign over the stuck-at, polarity and channel-break universe
-// allocates about 9k times, where the map-based implication it
+// allocates about 5.7k times, where the map-based implication it
 // replaced allocated about 2.1M (two fresh net maps per decision).
 func TestGenerateAllocBound(t *testing.T) {
 	const bound = 100_000

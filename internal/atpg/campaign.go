@@ -39,9 +39,11 @@ type CampaignResult struct {
 	Untestable                        []core.Fault
 
 	// PODEM work over every attempt of the campaign: Implications counts
-	// dense implication steps (one good-circuit pass, plus one faulty
-	// pass when the attempt propagates a fault effect), Backtracks the
-	// decisions undone.
+	// implication steps (one per decision or backtrack, each settling
+	// the gates whose inputs changed in the good circuit and, when the
+	// attempt propagates a fault effect, the faulty one), Backtracks the
+	// decisions undone. Both count the search, not gate evaluations, so
+	// they read the same as under full levelized passes.
 	Implications, Backtracks int
 }
 
@@ -110,11 +112,16 @@ func Generate(c *logic.Circuit, faults []core.Fault, opt Options) *CampaignResul
 // checked, so each fault is simulated once, against all those vectors
 // in full lane blocks.
 func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault, opt Options) (*CampaignResult, error) {
-	res := &CampaignResult{}
 	sim := faultsim.New(c)
 	sim.Engine = opt.Engine
-	gen := newGenerator(sim, opt)
-	defer func() { res.Implications, res.Backtracks = gen.implications, gen.backtracks }()
+	return newGenerator(sim, opt).generate(ctx, faults)
+}
+
+// generate is GenerateContext's campaign loop on one generator.
+func (g *generator) generate(ctx context.Context, faults []core.Fault) (*CampaignResult, error) {
+	res := &CampaignResult{}
+	sim, c, opt := g.sim, g.cc.C, g.opt
+	defer func() { res.Implications, res.Backtracks = g.implications, g.backtracks }()
 
 	// report emits one per-class snapshot after each generation attempt.
 	classUntestable := 0
@@ -157,7 +164,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 		if saDrops.Detects(f) {
 			covered++
-		} else if pat, ok := gen.stuckAt(f); ok {
+		} else if pat, ok := g.stuckAt(f); ok {
 			res.Set.Patterns = append(res.Set.Patterns, pat)
 			saDrops.Add(pat)
 			recheck = append(recheck, f)
@@ -203,7 +210,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 		}
 		if polDrops.Detects(f) {
 			res.PolarityCovered++
-		} else if t, ok := gen.polarity(f); !ok {
+		} else if t, ok := g.polarity(f); !ok {
 			untestable(f)
 		} else {
 			res.PolarityCovered++
@@ -240,7 +247,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			untestable(f)
 		case gates.Get(c.Gates[gi].Kind).Class == gates.DynamicPolarity:
 			res.CBDPTargeted++
-			if plan, ok := gen.channelBreakDP(f); ok {
+			if plan, ok := g.channelBreakDP(f); ok {
 				res.CBDPCovered++
 				res.Set.CBPlans = append(res.Set.CBPlans, plan)
 			} else {
@@ -250,7 +257,7 @@ func GenerateContext(ctx context.Context, c *logic.Circuit, faults []core.Fault,
 			res.CBSPTargeted++
 			if cbDrops.Detects(f) {
 				res.CBSPCovered++
-			} else if tp, ok := gen.twoPattern(f); ok {
+			} else if tp, ok := g.twoPattern(f); ok {
 				res.CBSPCovered++
 				res.Set.TwoPattern = append(res.Set.TwoPattern, tp)
 				cbDrops.AddPair(tp.Init, tp.Test)

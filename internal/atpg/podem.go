@@ -9,12 +9,17 @@
 // share: net ids index reused good/faulty value slices, every gate
 // evaluates through its per-kind ternary LUT, and the fault is data —
 // a forced stem net, a forced gate pin, or a faulty-gate LUT taken from
-// faultsim's cached behaviour tables. The map-based Circuit.Eval /
-// EvalHooked implication it replaced stays in podem_oracle_test.go as
-// the differential oracle.
+// faultsim's cached behaviour tables. Implication is event-driven
+// (selective trace): a decision or backtrack changes one primary input,
+// and settle re-evaluates, in levelized order, only the gates whose
+// inputs changed, in the good and faulty circuits at once. The
+// map-based Circuit.Eval / EvalHooked implication it replaced stays in
+// podem_oracle_test.go as the differential oracle, and the full
+// levelized passes in imply_test.go as the reference state.
 package atpg
 
 import (
+	"math/bits"
 	"sort"
 
 	"cpsinw/internal/core"
@@ -97,17 +102,27 @@ type generator struct {
 
 	// good and faulty hold one value per net id plus a last slot that
 	// no gate writes: a goal on a net name the circuit lacks reads its
-	// 0, so it holds for value 0 and conflicts for 1.
-	good, faulty []logic.V
-	assign       []logic.V // net id -> decided primary-input value, X if unassigned
-	decisions    []decision
-	goals        []goal
-	flt          faultSpec
-	stale        logic.GateLUT // scratch: a faulty table with one patched entry
+	// 0, so it holds for value 0 and conflicts for 1. base is the good
+	// state with every input X, where each attempt starts.
+	good, faulty, base []logic.V
+	assign             []logic.V // net id -> decided primary-input value, X if unassigned
+	decisions          []decision
+	goals              []goal
+	flt                faultSpec
+	stale              logic.GateLUT // scratch: a faulty table with one patched entry
 
-	// Work counters over every attempt: one implication is one good
-	// pass plus, when the attempt propagates, one faulty pass.
-	implications, backtracks int
+	// Event-driven implication: changed lists the inputs set since the
+	// last settle; queue and cone are bitsets over cc.Pos, the gates
+	// settle still has to evaluate and the attempt's fault cone (every
+	// gate a fault effect can reach, the only D-frontier candidates).
+	changed     []int
+	queue, cone []uint64
+	stack       []int // cone DFS scratch
+
+	// Work counters over every attempt: implications counts imply
+	// calls, backtracks the decisions undone, visits the gates settle
+	// evaluated (good and faulty together count once).
+	implications, backtracks, visits int
 }
 
 // newGenerator builds a generator over the simulator's compiled circuit
@@ -115,6 +130,7 @@ type generator struct {
 func newGenerator(sim *faultsim.Simulator, opt Options) *generator {
 	cc := sim.Compiled()
 	n := cc.NumNets()
+	words := (len(cc.Order) + 63) / 64
 	g := &generator{
 		cc:     cc,
 		sim:    sim,
@@ -122,7 +138,10 @@ func newGenerator(sim *faultsim.Simulator, opt Options) *generator {
 		driver: make([]int, n+1),
 		good:   make([]logic.V, n+1),
 		faulty: make([]logic.V, n+1),
+		base:   make([]logic.V, n+1),
 		assign: make([]logic.V, n),
+		queue:  make([]uint64, words),
+		cone:   make([]uint64, words),
 	}
 	for i := range g.driver {
 		g.driver[i] = drivenByInput
@@ -131,6 +150,7 @@ func newGenerator(sim *faultsim.Simulator, opt Options) *generator {
 		g.driver[on] = gi
 	}
 	g.driver[n] = unknownNet
+	cc.EvalInto(nil, g.base)
 	return g
 }
 
@@ -142,57 +162,141 @@ func (g *generator) netID(name string) int {
 	return g.cc.NumNets()
 }
 
-// imply evaluates the good circuit, and the faulty one when the attempt
-// propagates, under the current assignment.
+// begin resets the search state for a new attempt under g.flt: no
+// input assigned, good at base, and for a propagating attempt faulty at
+// base with the fault applied (the stem input forced, or the site gate
+// queued) for the first imply to settle.
+func (g *generator) begin() {
+	for _, id := range g.cc.InputID {
+		g.assign[id] = logic.LX
+	}
+	g.changed = g.changed[:0]
+	copy(g.good, g.base)
+	if !g.flt.propagate {
+		return
+	}
+	f := &g.flt
+	copy(g.faulty, g.base)
+	clear(g.cone)
+	switch {
+	case f.stemPI >= 0:
+		g.faulty[f.stemPI] = f.force
+		g.queueFanouts(f.stemPI)
+		g.markCone(f.stemPI)
+	case f.site >= 0:
+		g.addGate(g.queue, f.site)
+		g.markCone(g.cc.GateOut[f.site])
+	}
+	if f.effectGate >= 0 && f.effectGate < len(g.cc.Pos) {
+		g.addGate(g.cone, f.effectGate)
+	}
+}
+
+// setInput is the one way an input's assignment changes: the next
+// settle propagates it.
+func (g *generator) setInput(pi int, v logic.V) {
+	g.assign[pi] = v
+	g.changed = append(g.changed, pi)
+}
+
+// imply brings the good circuit, and the faulty one when the attempt
+// propagates, up to date with the current assignment.
 func (g *generator) imply() {
 	g.implications++
-	g.evalGood()
-	if g.flt.propagate {
-		g.evalFaulty()
-	}
+	g.settle()
 }
 
-func (g *generator) evalGood() {
-	cc, good := g.cc, g.good
-	for _, id := range cc.InputID {
-		good[id] = g.assign[id]
-	}
-	for _, gi := range cc.Order {
-		good[cc.GateOut[gi]] = cc.LUT[gi][cc.GateInputIndex(gi, good)]
-	}
-}
-
-func (g *generator) evalFaulty() {
-	cc, faulty, f := g.cc, g.faulty, &g.flt
-	for _, id := range cc.InputID {
-		faulty[id] = g.assign[id]
-	}
-	if f.stemPI >= 0 {
-		faulty[f.stemPI] = f.force
-	}
-	for _, gi := range cc.Order {
-		if gi != f.site {
-			faulty[cc.GateOut[gi]] = cc.LUT[gi][cc.GateInputIndex(gi, faulty)]
-			continue
+// settle writes the inputs set since the last call and re-evaluates,
+// in levelized order, every gate with a changed input. A gate's fanouts
+// sit at later positions, so one forward scan of the queue settles the
+// whole circuit; gates never queued keep values a full pass would
+// recompute unchanged.
+func (g *generator) settle() {
+	cc, good, faulty, f := g.cc, g.good, g.faulty, &g.flt
+	for _, pi := range g.changed {
+		v := g.assign[pi]
+		good[pi] = v
+		if f.propagate && pi != f.stemPI {
+			faulty[pi] = v
 		}
-		var out logic.V
-		switch {
-		case f.lut != nil:
-			out = f.lut[cc.GateInputIndex(gi, faulty)]
-		case f.pin >= 0:
-			idx := 0
-			for k, nid := range cc.Fanin[gi] {
-				v := faulty[nid]
-				if k == f.pin {
-					v = f.force
-				}
-				idx += int(v) * logic.Pow3(k)
+		g.queueFanouts(pi)
+	}
+	g.changed = g.changed[:0]
+	for w := range g.queue {
+		for g.queue[w] != 0 {
+			b := bits.TrailingZeros64(g.queue[w])
+			g.queue[w] &^= 1 << uint(b)
+			gi := cc.Order[w<<6|b]
+			g.visits++
+			on := cc.GateOut[gi]
+			v := cc.LUT[gi][cc.GateInputIndex(gi, good)]
+			moved := v != good[on]
+			good[on] = v
+			if f.propagate {
+				v = g.faultyOut(gi)
+				moved = moved || v != faulty[on]
+				faulty[on] = v
 			}
-			out = cc.LUT[gi][idx]
-		default:
-			out = f.force
+			if moved {
+				g.queueFanouts(on)
+			}
 		}
-		faulty[cc.GateOut[gi]] = out
+	}
+}
+
+// faultyOut evaluates gate gi on the faulty values, with the fault
+// applied when gi is the site.
+func (g *generator) faultyOut(gi int) logic.V {
+	cc, faulty, f := g.cc, g.faulty, &g.flt
+	switch {
+	case gi != f.site:
+		return cc.LUT[gi][cc.GateInputIndex(gi, faulty)]
+	case f.lut != nil:
+		return f.lut[cc.GateInputIndex(gi, faulty)]
+	case f.pin >= 0:
+		idx := 0
+		for k, nid := range cc.Fanin[gi] {
+			v := faulty[nid]
+			if k == f.pin {
+				v = f.force
+			}
+			idx += int(v) * logic.Pow3(k)
+		}
+		return cc.LUT[gi][idx]
+	default:
+		return f.force
+	}
+}
+
+// addGate sets gate gi's position in a cc.Pos bitset, reporting
+// whether it was clear.
+func (g *generator) addGate(set []uint64, gi int) bool {
+	p := g.cc.Pos[gi]
+	w, bit := p>>6, uint64(1)<<uint(p&63)
+	if set[w]&bit != 0 {
+		return false
+	}
+	set[w] |= bit
+	return true
+}
+
+// queueFanouts queues every gate reading net.
+func (g *generator) queueFanouts(net int) {
+	for _, gi := range g.cc.Fanouts[net] {
+		g.addGate(g.queue, gi)
+	}
+}
+
+// markCone adds every gate downstream of net to the cone.
+func (g *generator) markCone(net int) {
+	cc := g.cc
+	g.stack = append(g.stack[:0], cc.Fanouts[net]...)
+	for len(g.stack) > 0 {
+		gi := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		if g.addGate(g.cone, gi) {
+			g.stack = append(g.stack, cc.Fanouts[cc.GateOut[gi]]...)
+		}
 	}
 }
 
@@ -246,24 +350,31 @@ func (g *generator) goalsStatus() (goalsState, goal) {
 // frontierObjective picks a propagation objective from the D-frontier:
 // the first gate in levelized order with a fault effect on an input
 // whose output is still X, plus that gate's first X input to define.
+// Only the fault cone can hold a definite difference, so only its gates
+// are scanned.
 func (g *generator) frontierObjective() (goal, bool) {
 	cc := g.cc
-	for _, gi := range cc.Order {
-		on := cc.GateOut[gi]
-		if g.good[on] != logic.LX && g.faulty[on] != logic.LX {
-			continue // output settled in both circuits: masked or propagated
-		}
-		fin := cc.Fanin[gi]
-		hasEffect := gi == g.flt.effectGate
-		for k := 0; !hasEffect && k < len(fin); k++ {
-			hasEffect = g.differs(fin[k])
-		}
-		if !hasEffect {
-			continue
-		}
-		for _, f := range fin {
-			if g.good[f] == logic.LX {
-				return goal{net: f, val: nonControlling(cc.Kinds[gi])}, true
+	for w, word := range g.cone {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			gi := cc.Order[w<<6|b]
+			on := cc.GateOut[gi]
+			if g.good[on] != logic.LX && g.faulty[on] != logic.LX {
+				continue // output settled in both circuits: masked or propagated
+			}
+			fin := cc.Fanin[gi]
+			hasEffect := gi == g.flt.effectGate
+			for k := 0; !hasEffect && k < len(fin); k++ {
+				hasEffect = g.differs(fin[k])
+			}
+			if !hasEffect {
+				continue
+			}
+			for _, f := range fin {
+				if g.good[f] == logic.LX {
+					return goal{net: f, val: nonControlling(cc.Kinds[gi])}, true
+				}
 			}
 		}
 	}
@@ -327,9 +438,7 @@ func inverting(k gates.Kind) bool {
 // the propagation requirement when set), starting from no assignment.
 // Returns the PI pattern or ok=false.
 func (g *generator) run() (faultsim.Pattern, bool) {
-	for _, id := range g.cc.InputID {
-		g.assign[id] = logic.LX
-	}
+	g.begin()
 	g.decisions = g.decisions[:0]
 	backtracks := 0
 	defer func() { g.backtracks += backtracks }()
@@ -357,7 +466,7 @@ func (g *generator) run() (faultsim.Pattern, bool) {
 				dead = true
 			} else {
 				g.decisions = append(g.decisions, decision{pi: pi, value: val})
-				g.assign[pi] = val
+				g.setInput(pi, val)
 				continue
 			}
 		}
@@ -375,10 +484,10 @@ func (g *generator) run() (faultsim.Pattern, bool) {
 			if !last.triedBoth {
 				last.triedBoth = true
 				last.value = last.value.Not()
-				g.assign[last.pi] = last.value
+				g.setInput(last.pi, last.value)
 				break
 			}
-			g.assign[last.pi] = logic.LX
+			g.setInput(last.pi, logic.LX)
 			g.decisions = g.decisions[:len(g.decisions)-1]
 		}
 	}

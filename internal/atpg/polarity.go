@@ -236,11 +236,10 @@ func (g *generator) channelBreakDP(f core.Fault) (ChannelBreakPlan, bool) {
 func (g *generator) flippedOutputs() []string {
 	for _, id := range g.cc.InputID {
 		if g.assign[id] == logic.LX {
-			g.assign[id] = logic.L0
+			g.setInput(id, logic.L0)
 		}
 	}
-	g.evalGood()
-	g.evalFaulty()
+	g.settle()
 	var out []string
 	for i, po := range g.cc.OutputID {
 		if g.differs(po) {
