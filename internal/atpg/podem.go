@@ -233,7 +233,11 @@ func (g *generator) settle() {
 			moved := v != good[on]
 			good[on] = v
 			if f.propagate {
-				v = g.faultyOut(gi)
+				// Off the site and outside the cone, the faulty inputs
+				// are the good ones.
+				if gi == f.site || g.cone[w]>>uint(b)&1 == 1 {
+					v = g.faultyOut(gi)
+				}
 				moved = moved || v != faulty[on]
 				faulty[on] = v
 			}

@@ -15,9 +15,11 @@ import (
 // tests: c17 exhaustive, then random pattern counts on one random
 // circuit chosen to cover every lane-block width — one 64-lane word
 // with spare lanes (1–40 patterns), 128 and 256 lanes, and two chunks at
-// 300. The last list repeats one vector over its whole first chunk, so
+// 300. The skewed list repeats one vector over its whole first chunk, so
 // faults that leak there but only differ in the second chunk make the
-// +IDDQ and voltage answers land in different chunks.
+// +IDDQ and voltage answers land in different chunks. The last shape is
+// parity16, whose one fanout-free region spans the whole circuit, so
+// every worker range cut at region boundaries holds all its faults.
 type bothCampaign struct {
 	name     string
 	c        *logic.Circuit
@@ -35,7 +37,10 @@ func bothCampaigns(rng *rand.Rand) []bothCampaign {
 	for k := 1; k < 256; k++ {
 		skewed[k] = skewed[0]
 	}
-	return append(out, bothCampaign{rc.Name + "/300-skewed", rc, skewed})
+	parity := bench.ParityTree(16)
+	return append(out,
+		bothCampaign{rc.Name + "/300-skewed", rc, skewed},
+		bothCampaign{parity.Name + "/100", parity, randomTernaryPatterns(rng, parity, 100)})
 }
 
 func transistorUniverse(c *logic.Circuit) []core.Fault {
@@ -131,9 +136,10 @@ func wordsEqual(a, b []uint64) bool {
 // voltage-only sweep, both in the engine counter and in the progress
 // stream, on every campaign shape. Progress counts the voltage
 // detections. Neither count may depend on the worker count: at one, two
-// and three workers each site net's observability masks are computed
-// once, so the one-sweep call makes the same evaluations every time
-// (perfbench's per-layer counts and /metrics read these counters).
+// and three workers each fanout-free region's observability masks are
+// computed once, by one worker, so the one-sweep call makes the same
+// evaluations every time (perfbench's per-layer counts and /metrics read
+// these counters).
 func TestRunTransistorBothCostsVoltageEvals(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	ctx := context.Background()

@@ -24,8 +24,10 @@ type Engine int
 const (
 	// EnginePacked is the default: the bit-parallel PPSFP engine, N×64
 	// ternary patterns per lane block, packed gate evaluation, and one
-	// event-driven packed propagation per (site net, chunk) whose
-	// observability mask every fault at that net reads.
+	// observability mask per (site net, chunk) that every fault at that
+	// net reads: an event-driven packed propagation from a stem or a
+	// primary output, derived from the one reader's output mask for any
+	// other net.
 	EnginePacked Engine = iota
 	// EngineReference is the original serial hooked engine, kept as the
 	// oracle the packed engine is differentially tested against.

@@ -3,6 +3,7 @@ package faultsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cpsinw/internal/bench"
@@ -72,6 +73,77 @@ func TestObservabilityMatchesFlippedEval(t *testing.T) {
 							if got := m[lane>>6]>>uint(lane&63)&1 == 1; got != exp {
 								t.Errorf("%s: lane %d in mask %t, flipped evaluation detects %t", label, lane, got, exp)
 							}
+						}
+					}
+				}
+				s.putPackedScratch(sc)
+			}
+		}
+	}
+}
+
+// TestDerivedMasksMatchWalk checks the fanout-free-region derivation
+// against the walk it replaces: for every net of the ISCAS and
+// arithmetic circuits, a parity tree that is one region, a copy of c432
+// whose every fifth gate output is also a primary output (an output read
+// by one gate must still be walked), and random circuits (some read one
+// net on two pins of a gate), over binary and ternary patterns (a
+// partial last block included) at every lane-block width, the memoized
+// mask must equal what propagate computes from that net. Nets are
+// queried in a shuffled order, so climbs stop at memoized nets at every
+// depth. A net that is X in every lane must cost no evaluation.
+func TestDerivedMasksMatchWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1983))
+	var circuits []*logic.Circuit
+	for _, name := range []string{"c432", "c499", "alu8", "parity32"} {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	c432 := circuits[0]
+	outs := append([]string(nil), c432.Outputs...)
+	for gi := 0; gi < len(c432.Gates); gi += 5 {
+		if !slices.Contains(outs, c432.Gates[gi].Output) {
+			outs = append(outs, c432.Gates[gi].Output)
+		}
+	}
+	tapped, err := logic.NewCircuit("c432-tapped", c432.Inputs, outs, c432.Gates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, tapped)
+	for i := 0; i < 4; i++ {
+		circuits = append(circuits, bench.Random(rng.Int63(), 3+rng.Intn(8), 10+rng.Intn(60)))
+	}
+	for _, c := range circuits {
+		s := New(c)
+		cc := s.Compiled()
+		for _, binary := range []bool{true, false} {
+			patterns := randomTernaryPatterns(rng, c, 300)
+			for _, w := range []int{1, 2, 4} {
+				bases := s.packedBaselines(patterns, w, binary)
+				sc := s.packedScratchOf()
+				sc.begin(w)
+				walk := make([]uint64, w)
+				for ci := range bases {
+					pb := &bases[ci]
+					for _, net := range rng.Perm(cc.NumNets()) {
+						label := fmt.Sprintf("%s binary=%t w%d chunk %d net %s", c.Name, binary, w, ci, cc.NetName[net])
+						known := false
+						for j := 0; j < w; j++ {
+							known = known || pb.vals[net*w+j].Known&pb.valid[j] != 0
+						}
+						before := sc.evals
+						m := sc.observability(ci, pb, net)
+						if !known && sc.evals != before {
+							t.Errorf("%s: X in every lane, yet the mask cost %d evaluations", label, sc.evals-before)
+						}
+						got := append([]uint64(nil), m...)
+						sc.propagate(pb, net, walk)
+						if !wordsEqual(got, walk) {
+							t.Errorf("%s: memoized mask %x, walk %x", label, got, walk)
 						}
 					}
 				}

@@ -8,14 +8,19 @@
 // circuit with the site flipped, so a fault's detecting lanes are its
 // flip lanes ANDed with the site's observability mask: the lanes where
 // flipping the net's known value definitely reaches a primary output
-// (the idea behind critical path tracing). A sweep computes each mask
-// once per (site net, chunk), by one event-driven packed propagation,
-// and every fault at that net reads it; a fault itself costs one packed
-// site evaluation per lane word. Only definite flips count: every
-// fault-free gate table is monotone (a known entry holds at every binary
-// completion of its X inputs), so a lane whose faulty site value is X,
-// or whose good value is, can only give primary outputs that are X or
-// equal to the good ones, never a definite mismatch. Defined to be
+// (critical path tracing). A sweep computes each mask once per (site
+// net, chunk) and every fault at that net reads it; a fault itself
+// costs one packed site evaluation per lane word. Only stems (nets read
+// by two or more gates) and primary outputs take an event-driven packed
+// walk. Any other net lies in a fanout-free region: its flips reach the
+// outputs only through its one reader, so its mask is the lanes where
+// they definitely flip the reader's output, ANDed with that output's
+// mask, one reader evaluation per lane word. Only definite flips count:
+// every fault-free gate table is monotone (a known entry holds at every
+// binary completion of its X inputs), so a lane whose faulty site value
+// is X, or whose good value is, can only give primary outputs that are
+// X or equal to the good ones, never a definite mismatch; the same
+// argument makes the derived masks exact. Defined to be
 // bit-identical to the reference oracle (same detection method, same
 // first detecting pattern), which the differential suites enforce. Line
 // stuck-at faults ride the same drivers with a constant forced at their
@@ -288,10 +293,12 @@ type packedScratch struct {
 
 	// obs memoizes the sweep's observability masks: w words per (chunk
 	// ci, net) at (ci*NumNets+net)*w, valid while obsAt holds obsGen.
-	// begin bumps obsGen, so every sweep starts with none.
+	// begin bumps obsGen, so every sweep starts with none. path is the
+	// climb scratch of observability.
 	obs    []uint64
 	obsAt  []int64
 	obsGen int64
+	path   []int
 
 	// Scratch-local resolution caches — lock-free because a scratch is
 	// owned by exactly one goroutine at a time, and warm across
@@ -368,23 +375,77 @@ func (sc *packedScratch) forgetChunk(ci int) {
 // observability returns net's observability mask over chunk ci, whose
 // baseline is pb: the lanes where flipping the net's known value
 // definitely reaches a primary output. The first call of a sweep
-// computes it (propagate); later calls read the memo. The returned words
-// are scratch memory, valid until the next call.
+// computes it; later calls read the memo. A stem, a primary output or an
+// unread net is walked (propagate). Any other net is read by one gate
+// only, so its flips reach the outputs only through that gate's output,
+// and its mask is derived from the reader's output mask (derive): the
+// call climbs the fanout-free region to the first memoized, walked or
+// all-X net, then derives each net on the way back down, memoizing all
+// of them. A net that is X in every lane gets an empty mask at no cost.
+// The returned words are scratch memory, valid until the next call.
 func (sc *packedScratch) observability(ci int, pb *packedBase, net int) []uint64 {
-	w, nets := sc.w, sc.cc.NumNets()
+	cc, w, nets := sc.cc, sc.w, sc.cc.NumNets()
 	if n := (ci + 1) * nets; len(sc.obsAt) < n {
 		sc.obsAt = append(sc.obsAt, make([]int64, n-len(sc.obsAt))...)
 	}
 	if n := len(sc.obsAt) * w; len(sc.obs) < n {
 		sc.obs = append(sc.obs, make([]uint64, n-len(sc.obs))...)
 	}
-	k := ci*nets + net
-	m := sc.obs[k*w : k*w+w]
-	if sc.obsAt[k] != sc.obsGen {
-		sc.obsAt[k] = sc.obsGen
-		sc.propagate(pb, net, m)
+	memo := func(n int) []uint64 {
+		k := ci*nets + n
+		return sc.obs[k*w : k*w+w]
 	}
-	return m
+	sc.path = sc.path[:0]
+	for n := net; sc.obsAt[ci*nets+n] != sc.obsGen; n = cc.GateOut[cc.Reader[n]] {
+		sc.obsAt[ci*nets+n] = sc.obsGen
+		known := uint64(0)
+		for j := 0; j < w; j++ {
+			known |= pb.vals[n*w+j].Known & pb.valid[j]
+		}
+		if known == 0 {
+			clear(memo(n))
+			break
+		}
+		if cc.Reader[n] < 0 {
+			sc.propagate(pb, n, memo(n))
+			break
+		}
+		sc.path = append(sc.path, n)
+	}
+	for i := len(sc.path) - 1; i >= 0; i-- {
+		n := sc.path[i]
+		sc.derive(pb, n, memo(n), memo(cc.GateOut[cc.Reader[n]]))
+	}
+	return memo(net)
+}
+
+// derive computes into m the mask of net n, read by one gate g only,
+// from up, the mask of g's output: the lanes where flipping n's known
+// value definitely flips g's output (on every pin reading n), within up.
+// Where g's output definitely flips, the faulty circuit is the good one
+// with g's output flipped; anywhere else no output can definitely differ
+// (see the package doc). A word costs one evaluation of g, and none
+// where n has no known lane or up is empty.
+func (sc *packedScratch) derive(pb *packedBase, n int, m, up []uint64) {
+	cc, w, base := sc.cc, sc.w, pb.vals
+	g := cc.Reader[n]
+	fin := cc.Fanin[g]
+	in := sc.inbuf[:len(fin)]
+	for j := 0; j < w; j++ {
+		m[j] = 0
+		flip := base[n*w+j].Known & pb.valid[j]
+		if flip == 0 || up[j] == 0 {
+			continue
+		}
+		for k, nid := range fin {
+			in[k] = base[nid*w+j]
+			if nid == n {
+				in[k].Val ^= flip
+			}
+		}
+		sc.evals++
+		m[j] = logic.DefiniteDiffMask(base[cc.GateOut[g]*w+j], logic.EvalKindPacked(cc.Kinds[g], cc.LUT[g], in)) & up[j]
+	}
 }
 
 // gateIndex memoizes the instance-name lookup behind the 1-entry cache.

@@ -190,38 +190,47 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 }
 
 // faultOrder returns the fault indices sorted by the topological
-// position of each fault's gate, so contiguous worker ranges share cone
-// locality and each gate's faults sit together: a range cut at gate
-// boundaries hands every site net to one worker, which computes its
-// observability masks once. The reference engine keeps list order: it
-// has no compiled positions and must not trigger a compile.
-func (s *Simulator) faultOrder(faults []core.Fault) []int {
-	ord := make([]int, len(faults))
+// position of each fault's fanout-free region root, then of its gate, and
+// each fault's region key (its root's position; unknown gates and line
+// faults share the largest key and sort last, in list order). Contiguous
+// worker ranges then share cone locality, each gate's faults sit
+// together, and a range cut where the key changes hands every region to
+// one worker: every observability mask a fault at a gate reads lies in
+// the gate's region (packedScratch.observability), so each mask is
+// computed once. The reference engine memoizes no mask and keeps list
+// order, each fault its own region: it has no compiled positions and
+// must not trigger a compile.
+func (s *Simulator) faultOrder(faults []core.Fault) (ord, region []int) {
+	ord = make([]int, len(faults))
 	for i := range ord {
 		ord[i] = i
 	}
 	if s.Engine == EngineReference {
-		return ord
+		return ord, ord
 	}
 	cc := s.Compiled()
-	key := make([]int, len(faults))
+	region = make([]int, len(faults))
+	pos := make([]int, len(faults))
 	for i, f := range faults {
+		region[i], pos[i] = len(cc.Pos), len(cc.Pos)
 		if gi, ok := s.gateIdx[f.Gate]; ok {
-			key[i] = cc.Pos[gi]
-		} else {
-			key[i] = len(cc.Pos) // unknown gates and line faults sort last, in list order
+			region[i], pos[i] = cc.Pos[cc.Root[gi]], cc.Pos[gi]
 		}
 	}
-	sort.SliceStable(ord, func(a, b int) bool { return key[ord[a]] < key[ord[b]] })
-	return ord
+	sort.SliceStable(ord, func(a, b int) bool {
+		i, j := ord[a], ord[b]
+		return region[i] < region[j] || region[i] == region[j] && pos[i] < pos[j]
+	})
+	return ord, region
 }
 
 // RunTransistorParallel is RunTransistor with the per-fault work spread
 // over a goroutine pool. Work is dispatched as contiguous ranges of the
-// cone-locality fault order, cut at gate boundaries, rather than single
-// striped faults: each worker's scratch stays warm on one region of the
-// circuit, and each site net's observability masks are computed by one
-// worker, so the packed evaluations do not depend on the worker count.
+// cone-locality fault order, cut at fanout-free region boundaries, rather
+// than single striped faults: each worker's scratch stays warm on one
+// part of the circuit, and each region's observability masks are
+// computed by one worker, so the packed evaluations do not depend on the
+// worker count.
 // The pool never exceeds len(faults) workers; the context cancels
 // in-flight campaigns between faults, and after the first engine error
 // the remaining work is drained without simulating.
@@ -292,7 +301,7 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 		sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 	}
 
-	ord := s.faultOrder(faults)
+	ord, region := s.faultOrder(faults)
 	out = make([]Detection, len(faults))
 	if mode == bothAnswers {
 		volt = make([]Detection, len(faults))
@@ -356,8 +365,8 @@ func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, 
 dispatch:
 	for lo := 0; lo < len(ord); {
 		hi := min(lo+chunk, len(ord))
-		for hi < len(ord) && faults[ord[hi]].Gate == faults[ord[hi-1]].Gate {
-			hi++ // keep a gate's faults, and so its site net, in one range
+		for hi < len(ord) && region[ord[hi]] == region[ord[hi-1]] {
+			hi++ // keep a region's faults, and so its masks, in one range
 		}
 		select {
 		case ranges <- [2]int{lo, hi}:

@@ -30,6 +30,16 @@ type CompiledCircuit struct {
 	Pos     []int   // gate -> position in Order (cone scheduling priority)
 	Fanouts [][]int // net id -> gate indices reading the net
 
+	// Fanout-free regions. Reader maps a net read by exactly one gate
+	// (on one or more pins) that is not a primary output to that gate,
+	// and every other net — a stem read by two or more gates, a primary
+	// output, an unread net — to -1. Root maps a gate to the root of its
+	// fanout-free region: the gate reached by following Reader from the
+	// gate's output until a net with none. A change at a net whose
+	// Reader is g can only reach the outputs through g's output.
+	Reader []int
+	Root   []int
+
 	conesOnce sync.Once
 	cones     [][]int // gate -> downstream cone, topologically sorted
 }
@@ -52,6 +62,8 @@ func (c *Circuit) Compile() *CompiledCircuit {
 		Order:    c.Levelized(),
 		Pos:      make([]int, len(c.Gates)),
 		Fanouts:  make([][]int, len(names)),
+		Reader:   make([]int, len(names)),
+		Root:     make([]int, len(c.Gates)),
 	}
 	for id, n := range names {
 		cc.NetID[n] = id
@@ -83,6 +95,19 @@ func (c *Circuit) Compile() *CompiledCircuit {
 		fo := append([]int(nil), c.Fanouts(net)...)
 		sort.Ints(fo)
 		cc.Fanouts[id] = fo
+		cc.Reader[id] = -1
+		if len(fo) > 0 && fo[0] == fo[len(fo)-1] && !cc.IsOutput[id] {
+			cc.Reader[id] = fo[0]
+		}
+	}
+	// A reader sits later in Order than the gates it reads, so a reverse
+	// scan settles its root first (iteratively: chains can be long).
+	for i := len(cc.Order) - 1; i >= 0; i-- {
+		gi := cc.Order[i]
+		cc.Root[gi] = gi
+		if r := cc.Reader[cc.GateOut[gi]]; r >= 0 {
+			cc.Root[gi] = cc.Root[r]
+		}
 	}
 	return cc
 }
