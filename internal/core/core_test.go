@@ -77,6 +77,41 @@ func TestUniverseCounts(t *testing.T) {
 	}
 }
 
+// TestUniverseAllocatesOnce pins that Universe never grows its list:
+// on every registered benchmark, a random circuit and a gateless one,
+// under each single option and all of them, the list's capacity is
+// universeBound, at least its length, and an empty universe is nil.
+func TestUniverseAllocatesOnce(t *testing.T) {
+	circuits := []*logic.Circuit{bench.Random(3, 5, 20)}
+	for _, name := range bench.Names() {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	bare, err := logic.NewCircuit("bare", []string{"a"}, []string{"a"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, bare)
+	opts := []UniverseOptions{
+		{}, ClassicalOnly(), {ChannelBreak: true}, {StuckOn: true}, {Polarity: true},
+		{GOS: true}, {PGOpen: true}, AllFaults(),
+	}
+	for _, c := range circuits {
+		for _, opt := range opts {
+			u := Universe(c, opt)
+			if bound := universeBound(c, opt); cap(u) != bound || len(u) > bound {
+				t.Errorf("%s %+v: %d faults, capacity %d, bound %d", c.Name, opt, len(u), cap(u), bound)
+			}
+			if len(u) == 0 && u != nil {
+				t.Errorf("%s %+v: empty universe is not nil", c.Name, opt)
+			}
+		}
+	}
+}
+
 func TestUniverseFanoutBranches(t *testing.T) {
 	c, err := logic.NewCircuit("fan", []string{"a"}, []string{"y", "z"}, []logic.GateInst{
 		{Name: "g0", Kind: gates.INV, Fanin: []string{"a"}, Output: "y"},

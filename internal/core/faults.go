@@ -138,9 +138,14 @@ func ClassicalOnly() UniverseOptions {
 	return UniverseOptions{LineStuckAt: true}
 }
 
-// Universe enumerates the fault list of a circuit under the options.
+// Universe enumerates the fault list of a circuit under the options. The
+// list is allocated once, at universeBound, and is nil when empty.
 func Universe(c *logic.Circuit, opt UniverseOptions) []Fault {
-	var out []Fault
+	n := universeBound(c, opt)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Fault, 0, n)
 	if opt.LineStuckAt {
 		for _, pi := range c.Inputs {
 			out = append(out, Fault{Kind: FaultSA0, Net: pi, GateIdx: -1, Pin: -1})
@@ -205,6 +210,33 @@ func Universe(c *logic.Circuit, opt UniverseOptions) []Fault {
 		}
 	}
 	return out
+}
+
+// universeBound is an upper bound on the length of Universe's list, read
+// off the gate list: two line faults per primary input, gate output and
+// gate pin (a fanout branch is a pin), and per transistor the most kinds
+// each enabled option adds (polarity adds one or two).
+func universeBound(c *logic.Circuit, opt UniverseOptions) int {
+	perTr := 0
+	for _, k := range []struct {
+		on bool
+		n  int
+	}{{opt.ChannelBreak, 1}, {opt.StuckOn, 1}, {opt.Polarity, 2}, {opt.GOS, 3}, {opt.PGOpen, 2}} {
+		if k.on {
+			perTr += k.n
+		}
+	}
+	n := 0
+	if opt.LineStuckAt {
+		n = 2 * (len(c.Inputs) + len(c.Gates))
+	}
+	for _, g := range c.Gates {
+		if opt.LineStuckAt {
+			n += 2 * len(g.Fanin)
+		}
+		n += perTr * len(gates.Get(g.Kind).Transistors)
+	}
+	return n
 }
 
 // CollapseStuckAt removes stuck-at faults that are equivalent to a

@@ -77,14 +77,8 @@ func bridgeLeak(good map[string]logic.V, b core.Bridge) bool {
 // RunBridges fault-simulates bridging faults over the pattern set,
 // detecting by definite primary-output differences.
 func (s *Simulator) RunBridges(bridges []core.Bridge, patterns []Pattern) []BridgeDetection {
-	out, _ := s.RunBridgesContext(context.Background(), bridges, patterns)
+	out, _ := s.RunBridgesObserved(context.Background(), bridges, patterns, false)
 	return out
-}
-
-// RunBridgesContext is RunBridges with cooperative cancellation checked
-// between bridges (one bridge's pattern sweep is the unit of work).
-func (s *Simulator) RunBridgesContext(ctx context.Context, bridges []core.Bridge, patterns []Pattern) ([]BridgeDetection, error) {
-	return s.RunBridgesObserved(ctx, bridges, patterns, false)
 }
 
 // RunBridgesObserved fault-simulates bridging faults with optional IDDQ
@@ -94,6 +88,9 @@ func (s *Simulator) RunBridgesContext(ctx context.Context, bridges []core.Bridge
 // selects the implementation — the 64-way packed fixpoint (EnginePacked,
 // default) or the hooked fixpoint oracle (EngineReference) — and both
 // are bit-identical, as the bridge differential suite enforces.
+// Cancellation is checked between bridges (one bridge's pattern sweep is
+// the unit of work); with the context's error it returns the list with
+// the bridges swept so far filled in and the rest zero.
 func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
 	if s.Engine == EngineReference {
 		return s.runBridgesReference(ctx, bridges, patterns, useIDDQ)
@@ -252,7 +249,9 @@ func newBridgeConeScratch(cc *logic.CompiledCircuit) *bridgeConeScratch {
 // set the bridged fixpoint provably keeps the baseline planes, so each
 // iteration only re-evaluates the affected gates. piA/piB carry the
 // primary-input index of a PI-driven bridged net (-1 otherwise), whose
-// override applies at assignment instead.
+// override applies at assignment instead. One breadth-first pass over
+// the fanouts from both nets finds the set, the result buffer doubling
+// as the queue and the scratch's epoch marks as the visited set.
 func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates []int, piA, piB int) {
 	cc := s.Compiled()
 	bs.epoch++
@@ -267,9 +266,6 @@ func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates 
 	addNet := func(nid int, pi *int) {
 		if d, ok := cc.C.Driver(cc.NetName[nid]); ok && d >= 0 {
 			add(d)
-			for _, g := range cc.Cone(d) {
-				add(g)
-			}
 			return
 		}
 		for i, id := range cc.InputID {
@@ -280,9 +276,6 @@ func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates 
 		}
 		for _, g := range cc.Fanouts[nid] {
 			add(g)
-			for _, cg := range cc.Cone(g) {
-				add(cg)
-			}
 		}
 	}
 	if e.aok {
@@ -290,6 +283,11 @@ func (s *Simulator) bridgeAffected(e *bridgeEnds, bs *bridgeConeScratch) (gates 
 	}
 	if e.bok {
 		addNet(e.bID, &piB)
+	}
+	for i := 0; i < len(bs.buf); i++ {
+		for _, g := range cc.Fanouts[cc.GateOut[bs.buf[i]]] {
+			add(g)
+		}
 	}
 	gates = bs.buf
 	sort.Slice(gates, func(a, b int) bool { return cc.Pos[gates[a]] < cc.Pos[gates[b]] })

@@ -1,7 +1,8 @@
 // Signature capture: per-fault pattern-detection bitsets harvested
 // while a campaign runs, so building a fault dictionary needs no second
-// simulation pass. A capture hangs off Simulator.Signatures; every
-// engine driver (reference and packed, serial and parallel) honours it.
+// simulation pass. A capture hangs off Simulator.Signatures; the
+// stuck-at and transistor drivers of both engines, at any worker count,
+// honour it.
 // With a capture attached the engines keep simulating past the first
 // detection: fault dropping is disabled, so the packed engine sweeps
 // every chunk, and a one-chunk campaign costs exactly its uncaptured

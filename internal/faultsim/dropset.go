@@ -1,10 +1,11 @@
 // Fault dropping for test generation. A generation campaign reaches its
 // faults one at a time and only needs one answer per fault: does any
 // vector generated so far detect it? A DropSet holds those vectors in
-// fixed-width packed lane blocks and answers that question through the
-// per-fault drivers the batch entry points use, so each fault is
-// simulated once, against every vector at once, instead of every new
-// vector being simulated against every still-undetected fault.
+// fixed-width packed lane blocks and answers that question through
+// simulateFaultPacked, the per-fault routine the batch driver runs, with
+// the kind's packed class (a pair set's blocks are pair chunks), so each
+// fault is simulated once, against every vector at once, instead of
+// every new vector being simulated against every still-undetected fault.
 package faultsim
 
 import (
@@ -27,13 +28,13 @@ import (
 // A set is used by one goroutine at a time; Close releases it.
 type DropSet struct {
 	s     *Simulator
-	cls   *packedClass // pattern sets: the class Detects simulates; nil for pairs
+	cls   *packedClass // the class Detects simulates
 	ref   bool         // answer through the reference oracle entry points
 	w     int
-	n     int             // entries added
-	pats  []Pattern       // the entries of a reference pattern set
-	pairs [][2]Pattern    // the entries of a reference pair set
-	base  [2][]packedBase // packed blocks: the patterns, or a pair's init [0] and test [1]
+	n     int          // entries added
+	pats  []Pattern    // the entries of a reference pattern set
+	pairs [][2]Pattern // the entries of a reference pair set
+	base  []packedBase // packed blocks, pair chunks in a pair set
 	sc    *packedScratch
 }
 
@@ -55,7 +56,7 @@ func (s *Simulator) VoltageDrops() *DropSet {
 // pattern pairs. Under EngineReference it answers through the stateful
 // switch-level oracle.
 func (s *Simulator) PairDrops() *DropSet {
-	return s.newDropSet(nil, s.Engine == EngineReference)
+	return s.newDropSet(s.pairClass(), s.Engine == EngineReference)
 }
 
 func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
@@ -72,51 +73,67 @@ func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
 
 // Add appends one pattern to a stuck-at or voltage set.
 func (d *DropSet) Add(p Pattern) {
-	if d.cls == nil {
+	if d.cls.pairs {
 		panic("faultsim: Add on a pair drop set")
 	}
 	if d.ref {
 		d.pats = append(d.pats, p)
 	} else {
-		d.pack(0, p, d.cls.binary)
+		d.pack(p, nil)
 	}
 	d.n++
 }
 
 // AddPair appends one init/test pair to a pair set.
 func (d *DropSet) AddPair(init, test Pattern) {
-	if d.cls != nil {
+	if !d.cls.pairs {
 		panic("faultsim: AddPair on a pattern drop set")
 	}
 	if d.ref {
 		d.pairs = append(d.pairs, [2]Pattern{init, test})
 	} else {
-		d.pack(0, init, false)
-		d.pack(1, test, false)
+		d.pack(test, init)
 	}
 	d.n++
 }
 
-// pack writes p into lane n of stream k's tail block, opening a new
-// block at every block boundary, re-evaluates that block's good circuit
-// and forgets its masks.
-func (d *DropSet) pack(k int, p Pattern, binary bool) {
-	cc, w := d.sc.cc, d.w
-	lane := d.n % (64 * w)
+// pack writes p, and in a pair set its init pattern, into lane n of the
+// tail block, opening a new block at every block boundary, re-evaluates
+// that block's good circuit and forgets its masks.
+func (d *DropSet) pack(p, init Pattern) {
+	lane := d.n % (64 * d.w)
 	if lane == 0 {
-		d.base[k] = append(d.base[k], packedBase{
-			start: d.n,
-			w:     w,
-			valid: make([]uint64, w),
-			in:    make([]logic.PackedVec, len(d.s.C.Inputs)*w),
-			vals:  make([]logic.PackedVec, cc.NumNets()*w),
-		})
+		d.base = append(d.base, d.block())
+		if d.cls.pairs {
+			ib := d.block()
+			d.base[len(d.base)-1].init = &ib
+		}
 	}
-	pb := &d.base[k][len(d.base[k])-1]
-	d.s.packLane(pb.in, w, lane, p, binary)
-	pb.valid[lane>>6] |= 1 << uint(lane&63)
-	cc.EvalBlock(pb.in, w, pb.vals)
-	d.sc.forgetChunk(len(d.base[k]) - 1)
+	pb := &d.base[len(d.base)-1]
+	d.setLane(pb, lane, p, d.cls.binary)
+	if pb.init != nil {
+		d.setLane(pb.init, lane, init, false)
+	}
+	d.sc.forgetChunk(len(d.base) - 1)
+}
+
+// block opens an empty block starting at entry n.
+func (d *DropSet) block() packedBase {
+	return packedBase{
+		start: d.n,
+		w:     d.w,
+		valid: make([]uint64, d.w),
+		in:    make([]logic.PackedVec, len(d.s.C.Inputs)*d.w),
+		vals:  make([]logic.PackedVec, d.sc.cc.NumNets()*d.w),
+	}
+}
+
+// setLane writes p into lane l of block pb and re-evaluates the block's
+// good circuit.
+func (d *DropSet) setLane(pb *packedBase, l int, p Pattern, binary bool) {
+	d.s.packLane(pb.in, d.w, l, p, binary)
+	pb.valid[l>>6] |= 1 << uint(l&63)
+	d.sc.cc.EvalBlock(pb.in, d.w, pb.vals)
 }
 
 // Detects reports whether any entry added so far detects f, stopping at
@@ -124,27 +141,18 @@ func (d *DropSet) pack(k int, p Pattern, binary bool) {
 // unknown gate, transistor or net, or a fault of another class) reports
 // undetected.
 func (d *DropSet) Detects(f core.Fault) bool {
-	var det Detection
-	var err error
-	switch {
-	case d.ref:
-		var ds []Detection
-		if d.cls == nil {
-			ds, err = d.s.RunTwoPattern([]core.Fault{f}, d.pairs)
-		} else {
-			ds, err = d.s.RunTransistor([]core.Fault{f}, d.pats, false)
-		}
-		if err == nil {
-			det = ds[0]
-		}
-	case d.cls == nil:
-		det, _, err = d.s.twoPatternFaultPacked(f, d.n, d.base[0], d.base[1], d.sc)
-	default:
-		var a answers
-		a, err = d.s.simulateFaultPacked(d.cls, f, 0, d.base[0], d.sc, nil)
+	if !d.ref {
+		a, err := d.s.simulateFaultPacked(d.cls, f, 0, d.base, d.sc, nil)
 		return err == nil && a.pattern >= 0
 	}
-	return err == nil && det.Detected()
+	var ds []Detection
+	var err error
+	if d.cls.pairs {
+		ds, err = d.s.RunTwoPattern([]core.Fault{f}, d.pairs)
+	} else {
+		ds, err = d.s.RunTransistor([]core.Fault{f}, d.pats, false)
+	}
+	return err == nil && ds[0].Detected()
 }
 
 // Close releases the set's packed scratch and publishes its engine

@@ -93,14 +93,16 @@ func New(c *logic.Circuit) *Simulator {
 // RunStuckAt fault-simulates line stuck-at faults against the pattern
 // set on the packed engine. Patterns are binary here: missing or X
 // inputs read 0. Non-line faults in the list are returned undetected.
+// A signature capture sized for another campaign makes it return nil.
 func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detection {
 	out, _ := s.RunStuckAtContext(context.Background(), faults, patterns)
 	return out
 }
 
 // RunStuckAtContext is RunStuckAt with cooperative cancellation checked
-// between faults; on cancellation the detections so far are returned
-// with the context's error. Each line fault changes one site net: a
+// between faults. With the context's error it returns the detections so
+// far, every other fault undetected; with a signature capture sized for
+// another campaign, nil. Each line fault changes one site net: a
 // stem fault forces its net (a gate output or a primary input), a pin
 // fault evaluates the reading gate with that pin forced, changing the
 // gate's output. Its detecting lanes are the lanes where that definitely
@@ -109,11 +111,11 @@ func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detect
 // stage (non-line faults count as Dropped); the engine counters charge
 // the work to the packed engine, whatever the simulator's Engine.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
-	out, _, err := s.runPacked(ctx, s.stuckAtClass(), faults, patterns)
+	out, _, err := s.runPool(ctx, s.stuckAtClass(), faults, patterns, nil, 1)
 	return out, err
 }
 
-// stuckAtClass adapts line stuck-at faults to the packed drivers, over
+// stuckAtClass adapts line stuck-at faults to the packed driver, over
 // binary baselines.
 func (s *Simulator) stuckAtClass() *packedClass {
 	return &packedClass{
@@ -203,9 +205,11 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // default, the serial hooked oracle under EngineReference; both return
 // identical detections. RunTransistorParallel spreads the same work
 // over a goroutine pool; RunTransistorBoth returns both answers from
-// one sweep.
+// one sweep. With an error (an unknown gate, a fault kind the
+// switch-level solver rejects, a mis-sized signature capture) it returns
+// nil detections.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	out, _, err := s.runTransistorSerial(context.Background(), faults, patterns, transistorMode(useIDDQ))
+	out, _, err := s.runTransistor(context.Background(), faults, patterns, transistorMode(useIDDQ), 1)
 	return out, err
 }
 
@@ -225,21 +229,43 @@ func (s *Simulator) outputsDiffer(good, faulty map[string]logic.V) bool {
 // charge retention at the faulty gate: the first pattern initialises the
 // gate output, the second exposes a floating output retaining the stale
 // value. Detection requires a definite PO difference under the second
-// pattern. The simulator's Engine selects the implementation: packed
-// block propagation of the stuck-open transition LUTs by default, the
-// stateful switch-level oracle under EngineReference.
+// pattern. The simulator's Engine selects the implementation: the packed
+// driver over pair chunks, decoding each break's stuck-open transition
+// table lane by lane, by default, the stateful switch-level oracle under
+// EngineReference. With an error (an unknown gate) it returns nil
+// detections.
 func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	return s.RunTwoPatternContext(context.Background(), faults, pairs)
 }
 
 // RunTwoPatternContext is RunTwoPattern with cooperative cancellation
-// checked between faults on both engines; both report per-fault
+// checked between faults on both engines; with an error, the context's
+// included, it returns nil detections. Both engines report per-fault
 // progress on the "two_pattern" stage and charge one fault run per
 // simulated channel break to the engine counters.
 func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
-	if s.Engine != EngineReference {
-		return s.runTwoPatternPacked(ctx, faults, pairs)
+	if s.Engine == EngineReference {
+		return s.runTwoPatternReference(ctx, faults, pairs)
 	}
+	inits, tests := make([]Pattern, len(pairs)), make([]Pattern, len(pairs))
+	for k, pair := range pairs {
+		inits[k], tests[k] = pair[0], pair[1]
+	}
+	out, _, err := s.runPool(ctx, s.pairClass(), faults, tests, inits, 1)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if out[i].Detected() {
+			out[i].Method = ByTwoPattern
+		}
+	}
+	return out, nil
+}
+
+// runTwoPatternReference is the stateful switch-level oracle behind
+// RunTwoPatternContext, one pair at a time in list order.
+func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	sink := s.progressSink("two_pattern", len(faults))
 	out := make([]Detection, len(faults))
 	for i, f := range faults {
@@ -312,21 +338,29 @@ type Coverage struct {
 	Undetected []core.Fault
 }
 
-// Summarise builds coverage statistics.
+// Summarise builds coverage statistics. The undetected list is
+// allocated once, at its final size, and is nil when every fault is
+// detected.
 func Summarise(ds []Detection) Coverage {
-	var c Coverage
+	c := Coverage{Total: len(ds)}
 	for _, d := range ds {
-		c.Total++
 		switch d.Method {
 		case ByOutput:
-			c.Detected++
 			c.ByOutput++
 		case ByIDDQ:
-			c.Detected++
 			c.ByIDDQ++
 		case ByTwoPattern:
-			c.Detected++
 			c.ByTwoPat++
+		}
+	}
+	c.Detected = c.ByOutput + c.ByIDDQ + c.ByTwoPat
+	if c.Detected == c.Total {
+		return c
+	}
+	c.Undetected = make([]core.Fault, 0, c.Total-c.Detected)
+	for _, d := range ds {
+		switch d.Method {
+		case ByOutput, ByIDDQ, ByTwoPattern:
 		default:
 			c.Undetected = append(c.Undetected, d.Fault)
 		}

@@ -252,6 +252,30 @@ func TestCoverageSummary(t *testing.T) {
 	}
 }
 
+// TestSummariseAllocatesOnce pins the undetected list's allocation: one
+// list at its final size, in detection order, and none when every fault
+// is detected.
+func TestSummariseAllocatesOnce(t *testing.T) {
+	ds := make([]Detection, 300)
+	for i := range ds {
+		ds[i] = Detection{Fault: core.Fault{Net: "n", Pin: i}, Pattern: -1}
+		if i%3 == 0 {
+			ds[i].Method, ds[i].Pattern = ByOutput, 0
+		}
+	}
+	var cov Coverage
+	if n := testing.AllocsPerRun(10, func() { cov = Summarise(ds) }); n != 1 {
+		t.Errorf("Summarise made %v allocations, want 1", n)
+	}
+	if len(cov.Undetected) != 200 || cap(cov.Undetected) != 200 || cov.Undetected[0].Pin != 1 || cov.Undetected[199].Pin != 299 {
+		t.Errorf("undetected list: %d faults, capacity %d", len(cov.Undetected), cap(cov.Undetected))
+	}
+	all := []Detection{{Method: ByOutput}, {Method: ByTwoPattern}}
+	if n := testing.AllocsPerRun(10, func() { cov = Summarise(all) }); n != 0 || cov.Undetected != nil {
+		t.Errorf("all detected: %v allocations, undetected %v", n, cov.Undetected)
+	}
+}
+
 func TestExhaustivePatterns(t *testing.T) {
 	c := parse(t, "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
 	ps := ExhaustivePatterns(c)

@@ -18,7 +18,11 @@ import (
 //     without and with IDDQ;
 //   - RunStuckAt equals the full-circuit stuck-at sweep
 //     (oracleStuckAt);
-//   - RunTwoPattern equals the reference on random init/test pairs.
+//   - RunTwoPattern equals the reference on random init/test pairs;
+//   - every DropSet kind, grown one entry at a time over the same
+//     patterns or pairs, detects a fault exactly when the batch answer's
+//     first detection lies among the entries added (checked at 1, 64,
+//     65, 128 and 129 entries and at the end).
 //
 // The reference sweeps a fault sample, so each input stays fast.
 func FuzzPackedMatchesReference(f *testing.F) {
@@ -51,7 +55,8 @@ func FuzzPackedMatchesReference(f *testing.F) {
 		diffDetections(t, "transistor +IDDQ", wantQ, q)
 
 		line := core.Universe(c, core.ClassicalOnly())
-		diffDetections(t, "stuck-at", oracleStuckAt(c, line, patterns, nil), New(c).RunStuckAt(line, patterns))
+		wantSA := oracleStuckAt(c, line, patterns, nil)
+		diffDetections(t, "stuck-at", wantSA, New(c).RunStuckAt(line, patterns))
 
 		breaks := subsample(rng, core.Universe(c, core.UniverseOptions{ChannelBreak: true}), 12)
 		pairs := make([][2]Pattern, n)
@@ -67,5 +72,35 @@ func FuzzPackedMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		diffDetections(t, "two-pattern", wantP, gotP)
+
+		s := New(c)
+		for _, d := range []struct {
+			label  string
+			set    *DropSet
+			faults []core.Fault
+			want   []Detection
+		}{
+			{"stuck-at drops", s.StuckAtDrops(), line, wantSA},
+			{"voltage drops", s.VoltageDrops(), faults, wantV},
+			{"pair drops", s.PairDrops(), breaks, wantP},
+		} {
+			for k := 1; k <= n; k++ {
+				if d.set.cls.pairs {
+					d.set.AddPair(pairs[k-1][0], pairs[k-1][1])
+				} else {
+					d.set.Add(patterns[k-1])
+				}
+				if k < n && k%64 > 1 {
+					continue
+				}
+				for i, f := range d.faults {
+					want := d.want[i].Detected() && d.want[i].Pattern < k
+					if got := d.set.Detects(f); got != want {
+						t.Errorf("%s: %d entries: Detects(%v) = %v, batch first detection %d", d.label, k, f, got, d.want[i].Pattern)
+					}
+				}
+			}
+			d.set.Close()
+		}
 	})
 }

@@ -22,14 +22,21 @@
 // X or equal to the good ones, never a definite mismatch; the same
 // argument makes the derived masks exact. Defined to be
 // bit-identical to the reference oracle (same detection method, same
-// first detecting pattern), which the differential suites enforce. Line
-// stuck-at faults ride the same drivers with a constant forced at their
-// site, over binary baselines.
+// first detecting pattern), which the differential suites enforce.
+//
+// Each fault class is a packedClass, and simulateFaultPacked serves all
+// of them: a line stuck-at fault forces a constant at its site over
+// binary baselines, a CP transistor fault evaluates its behaviour table,
+// and a channel break over init/test pairs decodes its site lane by lane
+// from its stuck-open transition table over pair chunks (the test
+// patterns' chunk carrying the init patterns' good values). One driver,
+// runPool (parallel.go), runs every class's batch entry point, and
+// DropSet (dropset.go) every class's fault dropping.
 package faultsim
 
 import (
-	"context"
 	"fmt"
+	"math/bits"
 
 	"cpsinw/internal/core"
 	"cpsinw/internal/gates"
@@ -37,13 +44,16 @@ import (
 )
 
 // packedBase is the fault-free response of one lane-block chunk:
-// vals is net-major with stride w (w words of 64 lanes per net).
+// vals is net-major with stride w (w words of 64 lanes per net). A pair
+// chunk is its test patterns' chunk carrying, in init, the chunk of the
+// same lanes' init patterns.
 type packedBase struct {
 	start int               // index of the chunk's first pattern, a multiple of 64w
 	w     int               // lane words per net
 	valid []uint64          // lanes backed by a real pattern, one word per lane word
 	in    []logic.PackedVec // per primary input, input-major stride w
 	vals  []logic.PackedVec // per net id, net-major stride w, canonical planes
+	init  *packedBase       // a pair chunk's init patterns, nil otherwise
 }
 
 // packLane writes one pattern into one lane of a width-w input block.
@@ -102,13 +112,18 @@ func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []pa
 	return out
 }
 
-// baseEvals counts the word evaluations of a sweep's baselines, reported
-// to the progress sink before the fault sweep starts.
+// baseEvals counts the word evaluations of a sweep's baselines, a pair
+// chunk's init baseline included, reported to the progress sink before
+// the fault sweep starts.
 func baseEvals(bases []packedBase, nGates int) uint64 {
 	if len(bases) == 0 {
 		return 0
 	}
-	return uint64(len(bases)) * uint64(nGates) * uint64(bases[0].w)
+	n := uint64(len(bases)) * uint64(nGates) * uint64(bases[0].w)
+	if bases[0].init != nil {
+		n *= 2
+	}
+	return n
 }
 
 // laneWordsFor picks the lane-block width of a campaign: a pinned
@@ -127,13 +142,15 @@ func (s *Simulator) laneWordsFor(nPatterns int) int {
 	return 1
 }
 
-// packedClass adapts one fault class to the packed drivers: the stage
-// its progress reports under, how baselines pack, which answers its
-// sweep produces (mode), which faults it simulates (the rest count as
-// Dropped) and how a simulable fault resolves to its seed site.
+// packedClass adapts one fault class to the packed driver: the stage
+// its progress reports under, how baselines pack (binary, and whether
+// its chunks are pair chunks), which answers its sweep produces (mode),
+// which faults it simulates (the rest count as Dropped) and how a
+// simulable fault resolves to its seed site.
 type packedClass struct {
 	stage     string
 	binary    bool
+	pairs     bool
 	mode      sweepMode
 	simulable func(core.Fault) bool
 	resolve   func(*packedScratch, core.Fault) (packedSite, bool, error)
@@ -151,11 +168,13 @@ func (cls *packedClass) leakDecides(sd *packedSeed, w int, capturing bool) bool 
 // packedSite is one fault resolved against the compiled circuit: the
 // gate whose output the fault deviates (gi, -1 for a primary-input
 // stem), that output net, and how the faulty plane is formed — the
-// transistor behaviour table lut, or the stuck-at constant force read
-// at fanin pin (pin -1: forced onto the net itself).
+// transistor behaviour table lut, the channel break's transition table
+// open, or the stuck-at constant force read at fanin pin (pin -1: forced
+// onto the net itself).
 type packedSite struct {
 	gi, onet int
 	lut      *faultLUT
+	open     *openLUT
 	pin      int
 	force    logic.PackedVec
 }
@@ -567,8 +586,8 @@ func (s *Simulator) resolvePackedFault(f core.Fault, sc *packedScratch) (int, *f
 	return gi, lut, err
 }
 
-// transistorClass adapts the CP transistor faults to the packed
-// drivers, over ternary baselines.
+// transistorClass adapts the CP transistor faults to the packed driver,
+// over ternary baselines.
 func (s *Simulator) transistorClass(mode sweepMode) *packedClass {
 	return &packedClass{
 		stage:     "transistor",
@@ -584,13 +603,40 @@ func (s *Simulator) transistorClass(mode sweepMode) *packedClass {
 	}
 }
 
-// siteWord evaluates word j of a site's faulty plane over the baseline
-// block, plus its IDDQ-leak lanes (transistor faults only).
-func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int) (logic.PackedVec, uint64) {
+// pairClass adapts channel breaks over init/test pairs to the packed
+// driver, over ternary pair chunks: a break's site is its gate's output
+// under the test pattern, decoded from the stuck-open transition table
+// (pairWord). Other kinds are not simulable; an unknown gate is an
+// error, an unknown transistor compiles to the fault-free machine.
+func (s *Simulator) pairClass() *packedClass {
+	return &packedClass{
+		stage: "two_pattern",
+		pairs: true,
+		simulable: func(f core.Fault) bool {
+			tf, ok := f.Kind.TFault()
+			return ok && tf == logic.TFaultOpen
+		},
+		resolve: func(sc *packedScratch, f core.Fault) (packedSite, bool, error) {
+			gi, ok := sc.gateIndex(s, f.Gate)
+			if !ok {
+				return packedSite{}, false, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
+			}
+			open := compiledOpenLUT(s.C.Gates[gi].Kind, f.Transistor)
+			return packedSite{gi: gi, onet: sc.cc.GateOut[gi], open: open, pin: -1}, true, nil
+		},
+	}
+}
+
+// siteWord evaluates word j of a site's faulty plane over chunk pb,
+// plus its IDDQ-leak lanes (transistor faults only).
+func (sc *packedScratch) siteWord(st *packedSite, pb *packedBase, j int) (logic.PackedVec, uint64) {
+	if st.open != nil {
+		return sc.pairWord(st, pb, j), 0
+	}
 	if st.lut == nil && st.pin < 0 {
 		return st.force, 0 // a stem: the net itself is stuck
 	}
-	cc, w := sc.cc, sc.w
+	cc, w, base := sc.cc, sc.w, pb.vals
 	fin := cc.Fanin[st.gi]
 	in := sc.inbuf[:len(fin)]
 	for k, nid := range fin {
@@ -602,6 +648,34 @@ func (sc *packedScratch) siteWord(st *packedSite, base []logic.PackedVec, j int)
 	}
 	in[st.pin] = st.force
 	return logic.EvalKindPacked(cc.Kinds[st.gi], cc.LUT[st.gi], in), 0
+}
+
+// pairWord decodes word j of a channel break's faulty gate output over
+// pair chunk pb, lane by lane: the charge state the init pattern leaves
+// from the all-X state, then the output the test pattern gives from it
+// (the Mealy state is radix-3 over internal node labels and does not
+// vectorise). It counts decoded pair lanes, not gate evaluations. Lanes
+// past the chunk's pairs stay X: they never flip.
+func (sc *packedScratch) pairWord(st *packedSite, pb *packedBase, j int) logic.PackedVec {
+	cc, w, lut := sc.cc, sc.w, st.open
+	var fo logic.PackedVec
+	for m := pb.valid[j]; m != 0; m &= m - 1 {
+		lane := j<<6 | bits.TrailingZeros64(m)
+		next := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, st.gi, w, lane, pb.init.vals)]
+		fo = fo.WithLane(lane&63, lut.out[int(next)*lut.nVec+blockGateIndex(cc, st.gi, w, lane, pb.vals)])
+		sc.pairLanes++
+	}
+	return fo
+}
+
+// blockGateIndex decodes one gate's ternary LUT index for a single lane
+// of a width-w block.
+func blockGateIndex(cc *logic.CompiledCircuit, gi, w, lane int, vals []logic.PackedVec) int {
+	idx := 0
+	for k, nid := range cc.Fanin[gi] {
+		idx += int(vals[nid*w+lane>>6].Get(lane&63)) * logic.Pow3(k)
+	}
+	return idx
 }
 
 // seedChunk fills sd with a resolved fault's behaviour over chunk pb:
@@ -619,7 +693,7 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, pb *packedBas
 		if pb.valid[j] == 0 {
 			continue
 		}
-		fo, leak := sc.siteWord(st, base, j)
+		fo, leak := sc.siteWord(st, pb, j)
 		if leaks {
 			sd.leak[j] = leak & pb.valid[j]
 		}
@@ -737,8 +811,10 @@ func (sc *packedScratch) propagate(pb *packedBase, net int, m []uint64) {
 }
 
 // simulateFaultPacked runs one fault of a class chunk by chunk: one site
-// evaluation per lane word, whose flip lanes are ANDed with the site's
-// observability mask. It returns the fault's answers (packedSeed.answer)
+// evaluation per lane word (a channel break decodes its pair lanes
+// instead), whose flip lanes are ANDed with the site's observability
+// mask. It serves every class, in the batch driver and in a DropSet. It
+// returns the fault's answers (packedSeed.answer)
 // and stops at the class mode's stop answer; under iddqOnly, the voltage
 // answer is not swept to. A non-nil sig sweeps every chunk and records
 // fault si's full signature from the lanes the answers are read from.
@@ -773,150 +849,4 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 		}
 	}
 	return a, nil
-}
-
-// runPacked is the serial packed campaign driver of one fault class. It
-// returns each fault's d answer and, under bothAnswers, its voltage
-// answer (volt is nil otherwise). On an error it returns the detections
-// resolved so far alongside it (the rest stay undetected).
-func (s *Simulator) runPacked(ctx context.Context, cls *packedClass, faults []core.Fault, patterns []Pattern) (out, volt []Detection, err error) {
-	sink := s.progressSink(cls.stage, len(faults))
-	sig := s.Signatures
-	if sig != nil {
-		if err := sig.check(len(faults), len(patterns)); err != nil {
-			return nil, nil, err
-		}
-	}
-	w := s.laneWordsFor(len(patterns))
-	bases := s.packedBaselines(patterns, w, cls.binary)
-	sc := s.packedScratchOf()
-	sc.begin(w)
-	defer s.putPackedScratch(sc)
-	sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
-	out = make([]Detection, len(faults))
-	if cls.mode == bothAnswers {
-		volt = make([]Detection, len(faults))
-	}
-	for i, f := range faults {
-		undetected.put(out, volt, i, f)
-	}
-	for i, f := range faults {
-		if err := ctx.Err(); err != nil {
-			return out, volt, err
-		}
-		before := sc.lifetimeEvals()
-		a, err := s.simulateFaultPacked(cls, f, i, bases, sc, sig)
-		if err != nil {
-			return out, volt, err
-		}
-		a.put(out, volt, i, f)
-		sink.add(1, b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(f)), sc.lifetimeEvals()-before)
-	}
-	return out, volt, nil
-}
-
-// blockGateIndex decodes one gate's ternary LUT index for a single lane
-// of a width-w block.
-func blockGateIndex(cc *logic.CompiledCircuit, gi, w, lane int, vals []logic.PackedVec) int {
-	idx := 0
-	for k, nid := range cc.Fanin[gi] {
-		idx += int(vals[nid*w+lane>>6].Get(lane&63)) * logic.Pow3(k)
-	}
-	return idx
-}
-
-// runTwoPatternPacked replays pattern pairs through the stuck-open
-// transition LUTs: the faulty gate's charge-state trajectory is decoded
-// per lane (the Mealy state is radix-3 over internal node labels and
-// does not vectorise), and the downstream propagation of the test
-// pattern is the site's observability mask over the test baseline,
-// shared by every channel break of the gate. Cancellation is checked
-// between faults; progress is reported per fault on the "two_pattern"
-// stage.
-func (s *Simulator) runTwoPatternPacked(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
-	sink := s.progressSink("two_pattern", len(faults))
-	out := make([]Detection, len(faults))
-	hasOpen := false
-	for i, f := range faults {
-		out[i] = Detection{Fault: f, Pattern: -1}
-		if tf, ok := f.Kind.TFault(); ok && tf == logic.TFaultOpen {
-			hasOpen = true
-		}
-	}
-	if !hasOpen {
-		sink.add(len(faults), 0, len(faults), 0)
-		return out, nil // nothing to simulate: skip the baseline evals
-	}
-	firsts := make([]Pattern, len(pairs))
-	seconds := make([]Pattern, len(pairs))
-	for k, pair := range pairs {
-		firsts[k], seconds[k] = pair[0], pair[1]
-	}
-	w := s.laneWordsFor(len(pairs))
-	bases0 := s.packedBaselines(firsts, w, false)
-	bases1 := s.packedBaselines(seconds, w, false)
-	sc := s.packedScratchOf()
-	sc.begin(w)
-	defer s.putPackedScratch(sc)
-	sink.add(0, 0, 0, baseEvals(bases0, len(s.C.Gates))+baseEvals(bases1, len(s.C.Gates)))
-	for i, f := range faults {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		before := sc.lifetimeEvals()
-		d, simulable, err := s.twoPatternFaultPacked(f, len(pairs), bases0, bases1, sc)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = d
-		sink.add(1, b2i(d.Detected()), b2i(!simulable), sc.lifetimeEvals()-before)
-	}
-	return out, nil
-}
-
-// twoPatternFaultPacked runs one channel break through the init (bases0)
-// and test (bases1) baselines of nPairs pairs, chunk by chunk, and stops
-// at the first detecting chunk: its flip lanes under the test patterns,
-// ANDed with the site's observability mask over the test baseline.
-// simulable is false for a fault that is not a channel break; an unknown
-// gate is an error.
-func (s *Simulator) twoPatternFaultPacked(f core.Fault, nPairs int, bases0, bases1 []packedBase, sc *packedScratch) (d Detection, simulable bool, err error) {
-	d = Detection{Fault: f, Pattern: -1}
-	if tf, ok := f.Kind.TFault(); !ok || tf != logic.TFaultOpen {
-		return d, false, nil
-	}
-	gi, ok := s.gateIdx[f.Gate]
-	if !ok {
-		return d, true, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
-	}
-	lut := compiledOpenLUT(s.C.Gates[gi].Kind, f.Transistor)
-	sc.runs++
-	cc, w := sc.cc, sc.w
-	on := cc.GateOut[gi]
-	for ci := range bases0 {
-		pb0, pb1 := &bases0[ci], &bases1[ci]
-		n := min(nPairs-pb0.start, 64*w)
-		var fo [logic.MaxLaneWords]logic.PackedVec // lanes past n stay X: they never flip
-		for lane := 0; lane < n; lane++ {
-			st := lut.next[int(lut.init)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb0.vals)]
-			v := lut.out[int(st)*lut.nVec+blockGateIndex(cc, gi, w, lane, pb1.vals)]
-			fo[lane>>6] = fo[lane>>6].WithLane(lane&63, v)
-		}
-		sc.pairLanes += uint64(n)
-		var obs []uint64 // read on the first flip lane
-		for j := 0; j < w; j++ {
-			m := logic.DefiniteDiffMask(pb1.vals[on*w+j], fo[j])
-			if m == 0 {
-				continue
-			}
-			if obs == nil {
-				obs = sc.observability(ci, pb1, on)
-			}
-			if m &= obs[j]; m != 0 {
-				d.Method, d.Pattern = ByTwoPattern, pb1.start+j<<6+logic.FirstLane(m)
-				return d, true, nil
-			}
-		}
-	}
-	return d, true, nil
 }

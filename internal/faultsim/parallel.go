@@ -1,8 +1,17 @@
+// The one packed driver and the reference transistor driver. runPool
+// runs every packed fault class — line stuck-at, CP transistor, channel
+// breaks over pairs — for its batch entry point: the caller's goroutine
+// with one worker, a pool of region-cut fault ranges with more. The
+// reference oracle runs serially behind each entry point and ignores
+// workers: it is the ground truth the differential suites compare
+// against. The sweep modes say which answers a transistor sweep
+// produces.
 package faultsim
 
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,16 +154,28 @@ func (s *Simulator) referenceFaultEvals(f core.Fault, stop, nPatterns int, captu
 	return uint64(swept) * uint64(len(s.C.Gates))
 }
 
-// runTransistorSerial is the single-goroutine transistor driver behind
-// RunTransistor and the single-worker pool: the packed driver, or the
-// reference oracle under EngineReference. Like the pool it returns the
-// d answers and, under bothAnswers, the v answers (nil otherwise).
-// Cancellation is checked between faults: a fault's pattern sweep is
-// the unit of work.
-func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault, patterns []Pattern, mode sweepMode) (out, volt []Detection, err error) {
-	if s.Engine != EngineReference {
-		return s.runPacked(ctx, s.transistorClass(mode), faults, patterns)
+// runTransistor runs a transistor campaign in one sweep mode and returns
+// the d answers and, under bothAnswers, the v answers (volt is nil
+// otherwise). The packed pool runs it, or under EngineReference the
+// serial oracle, which ignores workers. With an error both lists are
+// nil.
+func (s *Simulator) runTransistor(ctx context.Context, faults []core.Fault, patterns []Pattern, mode sweepMode, workers int) (out, volt []Detection, err error) {
+	if s.Engine == EngineReference {
+		return s.runTransistorReference(ctx, faults, patterns, mode)
 	}
+	out, volt, err = s.runPool(ctx, s.transistorClass(mode), faults, patterns, nil, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, volt, nil
+}
+
+// runTransistorReference is the reference oracle's transistor driver,
+// one goroutine in list order. Like runTransistor it returns the d
+// answers and, under bothAnswers, the v answers, and nil lists with an
+// error. Cancellation is checked between faults: a fault's pattern sweep
+// is the unit of work.
+func (s *Simulator) runTransistorReference(ctx context.Context, faults []core.Fault, patterns []Pattern, mode sweepMode) (out, volt []Detection, err error) {
 	sink := s.progressSink("transistor", len(faults))
 	sig := s.Signatures
 	if sig != nil {
@@ -189,25 +210,16 @@ func (s *Simulator) runTransistorSerial(ctx context.Context, faults []core.Fault
 	return out, volt, nil
 }
 
-// faultOrder returns the fault indices sorted by the topological
-// position of each fault's fanout-free region root, then of its gate, and
+// sortByRegion sorts the fault indices ord by the topological position
+// of each fault's fanout-free region root, then of its gate, and returns
 // each fault's region key (its root's position; unknown gates and line
 // faults share the largest key and sort last, in list order). Contiguous
 // worker ranges then share cone locality, each gate's faults sit
 // together, and a range cut where the key changes hands every region to
 // one worker: every observability mask a fault at a gate reads lies in
 // the gate's region (packedScratch.observability), so each mask is
-// computed once. The reference engine memoizes no mask and keeps list
-// order, each fault its own region: it has no compiled positions and
-// must not trigger a compile.
-func (s *Simulator) faultOrder(faults []core.Fault) (ord, region []int) {
-	ord = make([]int, len(faults))
-	for i := range ord {
-		ord[i] = i
-	}
-	if s.Engine == EngineReference {
-		return ord, ord
-	}
+// computed once.
+func (s *Simulator) sortByRegion(faults []core.Fault, ord []int) (region []int) {
 	cc := s.Compiled()
 	region = make([]int, len(faults))
 	pos := make([]int, len(faults))
@@ -221,26 +233,21 @@ func (s *Simulator) faultOrder(faults []core.Fault) (ord, region []int) {
 		i, j := ord[a], ord[b]
 		return region[i] < region[j] || region[i] == region[j] && pos[i] < pos[j]
 	})
-	return ord, region
+	return region
 }
 
-// RunTransistorParallel is RunTransistor with the per-fault work spread
-// over a goroutine pool. Work is dispatched as contiguous ranges of the
-// cone-locality fault order, cut at fanout-free region boundaries, rather
-// than single striped faults: each worker's scratch stays warm on one
-// part of the circuit, and each region's observability masks are
-// computed by one worker, so the packed evaluations do not depend on the
-// worker count.
-// The pool never exceeds len(faults) workers; the context cancels
-// in-flight campaigns between faults, and after the first engine error
-// the remaining work is drained without simulating.
+// RunTransistorParallel is RunTransistor with the per-fault work of the
+// packed engine spread over a pool of workers (GOMAXPROCS when workers
+// is 0 or less, never more than len(faults)); the reference oracle
+// ignores workers. The context cancels between faults. With an error it
+// returns nil detections.
 func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool, workers int) ([]Detection, error) {
-	out, _, err := s.runTransistorPool(ctx, faults, patterns, transistorMode(useIDDQ), workers)
+	out, _, err := s.runTransistor(ctx, faults, patterns, transistorMode(useIDDQ), workers)
 	return out, err
 }
 
 // RunTransistorBoth answers a transistor campaign with and without IDDQ
-// observation from one sweep, on the same worker pool as
+// observation from one sweep, on the same workers as
 // RunTransistorParallel: voltage equals what RunTransistor(…, false)
 // returns and withIDDQ what RunTransistor(…, true) returns, on either
 // engine, with or without signature capture. The +IDDQ answer costs no
@@ -248,140 +255,135 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 // voltage-only sweep does and reads each fault's leak lanes off the
 // behaviour-table evaluation it already makes. Progress reports on the
 // "transistor" stage and counts voltage detections. A capture records
-// both planes, the leak plane included.
+// both planes, the leak plane included. With an error both lists are
+// nil.
 func (s *Simulator) RunTransistorBoth(ctx context.Context, faults []core.Fault, patterns []Pattern, workers int) (voltage, withIDDQ []Detection, err error) {
-	withIDDQ, voltage, err = s.runTransistorPool(ctx, faults, patterns, bothAnswers, workers)
+	withIDDQ, voltage, err = s.runTransistor(ctx, faults, patterns, bothAnswers, workers)
 	return voltage, withIDDQ, err
 }
 
-// runTransistorPool is the pooled transistor driver of every mode: it
-// returns each fault's d answer and, under bothAnswers, its v answer
-// (volt is nil otherwise; see simulateFaultPacked). A single worker
-// runs runTransistorSerial.
-func (s *Simulator) runTransistorPool(ctx context.Context, faults []core.Fault, patterns []Pattern, mode sweepMode, workers int) (out, volt []Detection, err error) {
-	if len(faults) == 0 {
-		if mode == bothAnswers {
-			volt = []Detection{}
-		}
-		return []Detection{}, volt, ctx.Err()
+// runPool is the one packed driver: every packed batch entry point runs
+// its class through it. It packs the chunks once — for a pair class the
+// test patterns' chunks, carrying the init patterns' — unless no fault
+// of the list is simulable, and returns each fault's d answer and, under
+// bothAnswers, its v answer (volt is nil otherwise; see
+// simulateFaultPacked). Every fault starts undetected, so with an error
+// the lists hold the answers resolved so far.
+//
+// One worker runs the faults in list order on the caller's goroutine.
+// More workers (GOMAXPROCS when workers is 0 or less, never more than
+// len(faults)) take contiguous ranges of the region order
+// (sortByRegion), cut at fanout-free region boundaries: each worker's
+// scratch stays warm on one part of the circuit, and each region's
+// observability masks are computed by one worker, so the packed
+// evaluations do not depend on the worker count. The context cancels
+// between faults; after the first engine error the remaining ranges are
+// drained without simulating. A single-pattern class honours the
+// simulator's signature capture; a pair class ignores it, as the
+// reference two-pattern oracle does.
+func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core.Fault, patterns, inits []Pattern, workers int) (out, volt []Detection, err error) {
+	var sig *SignatureCapture
+	if !cls.pairs {
+		sig = s.Signatures
 	}
-	reference := s.Engine == EngineReference
-	sig := s.Signatures
 	if sig != nil {
 		if err := sig.check(len(faults), len(patterns)); err != nil {
 			return nil, nil, err
 		}
 	}
+	sink := s.progressSink(cls.stage, len(faults))
+	out = make([]Detection, len(faults))
+	if cls.mode == bothAnswers {
+		volt = make([]Detection, len(faults))
+	}
+	for i, f := range faults {
+		undetected.put(out, volt, i, f)
+	}
+	if !slices.ContainsFunc(faults, cls.simulable) {
+		sink.add(len(faults), 0, len(faults), 0)
+		return out, volt, ctx.Err() // nothing to simulate: skip the baselines
+	}
+	w := s.laneWordsFor(len(patterns))
+	bases := s.packedBaselines(patterns, w, cls.binary)
+	if cls.pairs {
+		ib := s.packedBaselines(inits, w, false)
+		for ci := range bases {
+			bases[ci].init = &ib[ci]
+		}
+	}
+	sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
+
+	var failed atomic.Pointer[error] // the first engine error
+	// work simulates the ranges it receives on one scratch; once the
+	// campaign is canceled or has failed it drains them without
+	// simulating.
+	work := func(ranges <-chan []int) {
+		sc := s.packedScratchOf()
+		sc.begin(w)
+		defer s.putPackedScratch(sc)
+		for r := range ranges {
+			for _, i := range r {
+				if ctx.Err() != nil || failed.Load() != nil {
+					break
+				}
+				before := sc.lifetimeEvals()
+				a, err := s.simulateFaultPacked(cls, faults[i], i, bases, sc, sig)
+				if err != nil {
+					first := err // a copy, so only a failing fault allocates
+					failed.CompareAndSwap(nil, &first)
+					break
+				}
+				a.put(out, volt, i, faults[i])
+				sink.add(1, b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(faults[i])), sc.lifetimeEvals()-before)
+			}
+		}
+	}
+
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(faults) {
-		workers = len(faults)
+	workers = min(workers, len(faults))
+	ord := make([]int, len(faults))
+	for i := range ord {
+		ord[i] = i
 	}
-	if workers == 1 || len(faults) < 2 {
-		return s.runTransistorSerial(ctx, faults, patterns, mode)
-	}
-
-	// Good-circuit responses are computed once and shared read-only:
-	// hooked maps for the reference engine, packed lane blocks for the
-	// packed one (each worker carries its own scratch).
-	cls := s.transistorClass(mode)
-	sink := s.progressSink("transistor", len(faults))
-	var goods []map[string]logic.V
-	var bases []packedBase
-	width := s.laneWordsFor(len(patterns))
-	if reference {
-		goods = make([]map[string]logic.V, len(patterns))
-		for k, p := range patterns {
-			goods[k] = s.C.Eval(map[string]logic.V(p))
-		}
-		sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
+	ranges := make(chan []int, 1)
+	if workers == 1 {
+		ranges <- ord // the whole list as one range
+		close(ranges)
+		work(ranges)
 	} else {
-		bases = s.packedBaselines(patterns, width, cls.binary)
-		sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
-	}
-
-	ord, region := s.faultOrder(faults)
-	out = make([]Detection, len(faults))
-	if mode == bothAnswers {
-		volt = make([]Detection, len(faults))
-	}
-	ranges := make(chan [2]int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var errSet atomic.Bool
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			errSet.Store(true)
+		region := s.sortByRegion(faults, ord)
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(ranges)
+			}()
 		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var psc *packedScratch
-			if !reference {
-				psc = s.packedScratchOf()
-				psc.begin(width)
-				defer s.putPackedScratch(psc)
+		chunk := max(1, (len(faults)+workers*4-1)/(workers*4))
+	dispatch:
+		for lo := 0; lo < len(ord); {
+			hi := min(lo+chunk, len(ord))
+			for hi < len(ord) && region[ord[hi]] == region[ord[hi-1]] {
+				hi++ // keep a region's faults, and so its masks, in one range
 			}
-			for r := range ranges {
-				if ctx.Err() != nil || errSet.Load() {
-					continue // drain without working once canceled or failed
-				}
-				for _, i := range ord[r[0]:r[1]] {
-					if ctx.Err() != nil || errSet.Load() {
-						break
-					}
-					var a answers
-					var err error
-					var evals uint64
-					if reference {
-						a, err = s.simulateTransistorFault(faults[i], patterns, goods, mode, sig, i)
-						evals = s.referenceFaultEvals(faults[i], a.stop(mode), len(patterns), sig != nil)
-					} else {
-						before := psc.lifetimeEvals()
-						a, err = s.simulateFaultPacked(cls, faults[i], i, bases, psc, sig)
-						evals = psc.lifetimeEvals() - before
-					}
-					if err != nil {
-						fail(err)
-						continue
-					}
-					a.put(out, volt, i, faults[i])
-					sink.add(1, b2i(a.stop(mode) >= 0), b2i(!transistorSimulable(faults[i])), evals)
-				}
+			select {
+			case ranges <- ord[lo:hi]:
+			case <-ctx.Done():
+				break dispatch
 			}
-		}()
-	}
-	chunk := (len(faults) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-dispatch:
-	for lo := 0; lo < len(ord); {
-		hi := min(lo+chunk, len(ord))
-		for hi < len(ord) && region[ord[hi]] == region[ord[hi-1]] {
-			hi++ // keep a region's faults, and so its masks, in one range
+			lo = hi
 		}
-		select {
-		case ranges <- [2]int{lo, hi}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		lo = hi
+		close(ranges)
+		wg.Wait()
 	}
-	close(ranges)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return out, volt, err
 	}
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err := failed.Load(); err != nil {
+		return out, volt, *err
 	}
 	return out, volt, nil
 }

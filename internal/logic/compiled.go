@@ -2,7 +2,6 @@ package logic
 
 import (
 	"sort"
-	"sync"
 
 	"cpsinw/internal/gates"
 )
@@ -39,9 +38,6 @@ type CompiledCircuit struct {
 	// Reader is g can only reach the outputs through g's output.
 	Reader []int
 	Root   []int
-
-	conesOnce sync.Once
-	cones     [][]int // gate -> downstream cone, topologically sorted
 }
 
 // Compile lowers the circuit. The result is immutable and safe for
@@ -168,41 +164,6 @@ func (cc *CompiledCircuit) EvalBlock(in []PackedVec, w int, vals []PackedVec) []
 		}
 	}
 	return vals
-}
-
-// Cone returns the structural fanout cone of gate gi — every gate a
-// value change at gi's output can reach, excluding gi itself, in
-// topological evaluation order. Built lazily for all gates at once and
-// cached. Only the packed bridge engine still consumes static cones
-// (its union-cone fixpoint needs the full downstream set up front); the
-// transistor engines schedule an event-driven heap instead, so big
-// sparse campaigns never pay the O(gates^2) cone build.
-func (cc *CompiledCircuit) Cone(gi int) []int {
-	cc.conesOnce.Do(func() {
-		n := len(cc.C.Gates)
-		cc.cones = make([][]int, n)
-		mark := make([]int, n)
-		for i := range mark {
-			mark[i] = -1
-		}
-		for seed := 0; seed < n; seed++ {
-			var cone []int
-			stack := append([]int(nil), cc.Fanouts[cc.GateOut[seed]]...)
-			for len(stack) > 0 {
-				g := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if mark[g] == seed || g == seed {
-					continue
-				}
-				mark[g] = seed
-				cone = append(cone, g)
-				stack = append(stack, cc.Fanouts[cc.GateOut[g]]...)
-			}
-			sort.Slice(cone, func(a, b int) bool { return cc.Pos[cone[a]] < cc.Pos[cone[b]] })
-			cc.cones[seed] = cone
-		}
-	})
-	return cc.cones[gi]
 }
 
 // EvalGatePlanes evaluates one gate across all 64 lanes from the net

@@ -160,8 +160,11 @@ func coverageJSON(cov faultsim.Coverage) *CoverageJSON {
 		ByTwoPattern: cov.ByTwoPat,
 		Percent:      cov.Percent(),
 	}
-	for _, f := range cov.Undetected {
-		out.Undetected = append(out.Undetected, f.String())
+	if len(cov.Undetected) > 0 {
+		out.Undetected = make([]string, len(cov.Undetected))
+		for i, f := range cov.Undetected {
+			out.Undetected[i] = f.String()
+		}
 	}
 	return out
 }

@@ -169,12 +169,15 @@ func (a *shardAgg) emitLocked(ca *classAgg) {
 	a.progress(p)
 }
 
-// shardWorkers divides the campaign's worker budget (the request's
-// Workers, else GOMAXPROCS) among its shards, which all run at once, so
-// a lone shard sweeps with all of it.
+// shardWorkers divides the campaign's worker budget among its shards,
+// which all run at once, so a lone shard sweeps with all of it. The
+// budget is the request's Workers clamped to GOMAXPROCS, and GOMAXPROCS
+// when unset: each packed worker allocates a scratch sized by the
+// circuit's nets, and workers past the CPU count add none of the speed.
+// Neither the results nor the cache key depend on it.
 func shardWorkers(budget, shards int) int {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); budget <= 0 || budget > procs {
+		budget = procs
 	}
 	return max(1, budget/shards)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -334,6 +335,29 @@ func TestShardedRejectsUnkeyedStore(t *testing.T) {
 	if _, err := RunCampaignSharded(context.Background(), c, norm,
 		ShardedOptions{Key: "not-a-key", Shards: 2, Store: store}, nil); err == nil {
 		t.Fatal("sharded run accepted a store without a canonical key")
+	}
+}
+
+// TestShardWorkersClamped pins the worker budget a campaign's shards
+// share: the request's Workers, clamped to GOMAXPROCS (and GOMAXPROCS
+// when unset), divided among the shards, at least one each. The
+// function is called directly, so no test starts the workers a huge
+// request names.
+func TestShardWorkersClamped(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ budget, shards, want int }{
+		{0, 1, procs},
+		{-3, 1, procs},
+		{1, 1, 1},
+		{procs, 1, procs},
+		{procs + 1, 1, procs},
+		{1 << 30, 1, procs},
+		{1 << 30, 4, max(1, procs/4)},
+		{1, 8, 1},
+	} {
+		if got := shardWorkers(c.budget, c.shards); got != c.want {
+			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.budget, c.shards, got, c.want)
+		}
 	}
 }
 

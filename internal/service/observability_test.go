@@ -666,12 +666,15 @@ func TestTraceATPGWork(t *testing.T) {
 // TestTraceCanceledCampaignEndsEverySpan runs campaigns into their
 // deadline, one shard and two: every span of the trace must have ended,
 // the failed simulate stage must carry an error attribute, and the
-// stage histogram must not observe it.
+// stage histogram must not observe it. The campaign must outlast its
+// 30 ms deadline on a fast host: a mult16 campaign of this shape takes
+// 15 to 25 ms on a 2-vCPU host with warm tables and often finished
+// first, so it is mult48's (120 to 190 ms there).
 func TestTraceCanceledCampaignEndsEverySpan(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		srv, ts := newTestServer(t)
 		st, code := postCampaign(t, ts, CampaignRequest{
-			Benchmark: "mult16",
+			Benchmark: "mult48",
 			Faults:    FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, IDDQ: true},
 			Shards:    shards,
 			TimeoutMS: 30,
