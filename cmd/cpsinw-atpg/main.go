@@ -88,28 +88,29 @@ func main() {
 	if *verbose {
 		fmt.Println("\ncombinational patterns:")
 		for i, p := range res.Set.Patterns {
-			fmt.Printf("  %3d: %s\n", i, formatPattern(c, p))
+			fmt.Printf("  %3d: %s\n", i, formatPattern(p))
 		}
 		fmt.Println("IDDQ patterns:")
 		for i, p := range res.Set.IDDQPatterns {
-			fmt.Printf("  %3d: %s\n", i, formatPattern(c, p))
+			fmt.Printf("  %3d: %s\n", i, formatPattern(p))
 		}
 		fmt.Println("two-pattern tests:")
 		for i, tp := range res.Set.TwoPattern {
-			fmt.Printf("  %3d: %v: %s -> %s\n", i, tp.Fault, formatPattern(c, tp.Init), formatPattern(c, tp.Test))
+			fmt.Printf("  %3d: %v: %s -> %s\n", i, tp.Fault, formatPattern(tp.Init), formatPattern(tp.Test))
 		}
 		fmt.Println("channel-break plans:")
 		for i, plan := range res.Set.CBPlans {
 			fmt.Printf("  %3d: %v: inject %v, apply %s, observe %s\n",
-				i, plan.Fault, plan.Injection, formatPattern(c, plan.Pattern), plan.Observe)
+				i, plan.Fault, plan.Injection, formatPattern(plan.Pattern), plan.Observe)
 		}
 	}
 }
 
-func formatPattern(c *logic.Circuit, p faultsim.Pattern) string {
+// formatPattern renders a test vector, one character per primary input
+// in input order.
+func formatPattern(vec []logic.V) string {
 	var b strings.Builder
-	for _, pi := range c.Inputs {
-		v := p[pi]
+	for _, v := range vec {
 		b.WriteString(v.String())
 	}
 	return b.String()

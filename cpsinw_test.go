@@ -1,6 +1,7 @@
 package cpsinw
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,10 +54,11 @@ func TestFacadeATPGAndFaultSim(t *testing.T) {
 	if res.Coverage() < 90 {
 		t.Errorf("full-adder coverage %.1f%%", res.Coverage())
 	}
-	var pats []faultsim.Pattern
-	pats = append(pats, res.Set.Patterns...)
-	pats = append(pats, res.Set.IDDQPatterns...)
-	cov := FaultSimulate(c, pats)
+	set := faultsim.NewPatternSet(c, 0)
+	for _, vec := range slices.Concat(res.Set.Patterns, res.Set.IDDQPatterns) {
+		set.Append(vec)
+	}
+	cov := FaultSimulate(c, set.Patterns())
 	if cov.Percent() < 90 {
 		t.Errorf("stuck-at coverage of the generated set: %.1f%%", cov.Percent())
 	}

@@ -41,11 +41,10 @@ func main() {
 	}
 	fmt.Printf("NAND t1 channel break: two-pattern test %s -> %s\n",
 		fmtPat(nand, tp.Init), fmtPat(nand, tp.Test))
-	ds, err := faultsim.New(nand).RunTwoPattern([]core.Fault{cb}, [][2]faultsim.Pattern{{tp.Init, tp.Test}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  detected by simulation: %v\n\n", ds[0].Detected())
+	drops := faultsim.New(nand).PairDrops()
+	drops.AddPair(tp.Init, tp.Test)
+	fmt.Printf("  detected by simulation: %v\n\n", drops.Detects(cb))
+	drops.Close()
 
 	// --- 2. DP gate: the break is masked. ---
 	xor, err := cpsinw.ParseBench("xor", strings.NewReader(
@@ -97,13 +96,13 @@ func main() {
 	}
 }
 
-func fmtPat(c *logic.Circuit, p faultsim.Pattern) string {
+func fmtPat(c *logic.Circuit, vec []logic.V) string {
 	var b strings.Builder
 	for i, pi := range c.Inputs {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%s", pi, p[pi])
+		fmt.Fprintf(&b, "%s=%s", pi, vec[i])
 	}
 	return b.String()
 }

@@ -138,7 +138,7 @@ func TestGeneratePolarityXOR2(t *testing.T) {
 		// The voltage test must really detect it.
 		ds, err := faultsim.New(c).RunTransistor(
 			[]core.Fault{{Kind: core.FaultStuckAtN, Gate: g, Transistor: tr}},
-			[]faultsim.Pattern{pt.Pattern}, false)
+			[]faultsim.Pattern{patternOf(c, pt.Pattern)}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestGeneratePolarityDeepCircuit(t *testing.T) {
 			t.Fatalf("%s: no test generated", tr)
 		}
 		if pt.Method == faultsim.ByOutput {
-			ds, err := faultsim.New(c).RunTransistor([]core.Fault{f}, []faultsim.Pattern{pt.Pattern}, false)
+			ds, err := faultsim.New(c).RunTransistor([]core.Fault{f}, []faultsim.Pattern{patternOf(c, pt.Pattern)}, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestGenerateTwoPatternNAND(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no two-pattern test", tr)
 		}
-		ds, err := sim.RunTwoPattern([]core.Fault{f}, [][2]faultsim.Pattern{{tp.Init, tp.Test}})
+		ds, err := sim.RunTwoPattern([]core.Fault{f}, [][2]faultsim.Pattern{{patternOf(c, tp.Init), patternOf(c, tp.Test)}})
 		if err != nil {
 			t.Fatal(err)
 		}

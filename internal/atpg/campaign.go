@@ -10,13 +10,15 @@ import (
 )
 
 // TestSet is the full output of a generation campaign over the extended
-// CP fault model.
+// CP fault model. Every vector, here and in the per-test structs, holds
+// one value per primary input, in C.Inputs order; the edges render
+// them (BuildProgram, cpsinw-atpg).
 type TestSet struct {
 	// Combinational voltage-observed patterns (stuck-at + output-
 	// detectable polarity faults).
-	Patterns []faultsim.Pattern
+	Patterns [][]logic.V
 	// IDDQ measurement patterns (leak-only polarity faults).
-	IDDQPatterns []faultsim.Pattern
+	IDDQPatterns [][]logic.V
 	// Two-pattern sequences for SP channel breaks.
 	TwoPattern []TwoPatternTest
 	// Channel-break plans for DP gates (the paper's new procedure).

@@ -440,8 +440,8 @@ func inverting(k gates.Kind) bool {
 
 // run searches for an assignment meeting g.goals under fault g.flt (and
 // the propagation requirement when set), starting from no assignment.
-// Returns the PI pattern or ok=false.
-func (g *generator) run() (faultsim.Pattern, bool) {
+// Returns the PI vector or ok=false.
+func (g *generator) run() ([]logic.V, bool) {
 	g.begin()
 	g.decisions = g.decisions[:0]
 	backtracks := 0
@@ -497,22 +497,34 @@ func (g *generator) run() (faultsim.Pattern, bool) {
 	}
 }
 
-// extractPattern freezes the current assignment into a full pattern
-// (unassigned inputs default to 0 for determinism).
-func (g *generator) extractPattern() faultsim.Pattern {
-	out := make(faultsim.Pattern, len(g.cc.InputID))
-	for i, pi := range g.cc.C.Inputs {
-		if v := g.assign[g.cc.InputID[i]]; v != logic.LX {
-			out[pi] = v
-		} else {
-			out[pi] = logic.L0
+// extractPattern freezes the current assignment into a full vector, one
+// value per primary input by input index (unassigned inputs default to
+// 0 for determinism).
+func (g *generator) extractPattern() []logic.V {
+	vec := make([]logic.V, len(g.cc.InputID))
+	for i, id := range g.cc.InputID {
+		if v := g.assign[id]; v != logic.LX {
+			vec[i] = v
 		}
 	}
-	return out
+	return vec
+}
+
+// patternOf renders a vector (one value per primary input, in C.Inputs
+// order) as the Pattern map of the edges; no vector renders as nil.
+func patternOf(c *logic.Circuit, vec []logic.V) faultsim.Pattern {
+	if vec == nil {
+		return nil
+	}
+	p := make(faultsim.Pattern, len(vec))
+	for i, v := range vec {
+		p[c.Inputs[i]] = v
+	}
+	return p
 }
 
 // stuckAt runs PODEM for one line stuck-at fault.
-func (g *generator) stuckAt(f core.Fault) (faultsim.Pattern, bool) {
+func (g *generator) stuckAt(f core.Fault) ([]logic.V, bool) {
 	if !f.Kind.IsLineFault() {
 		return nil, false
 	}
@@ -539,7 +551,7 @@ func (g *generator) stuckAt(f core.Fault) (faultsim.Pattern, bool) {
 }
 
 // justify runs a justification-only attempt on goals, in net-name order.
-func (g *generator) justify(goals map[string]logic.V) (faultsim.Pattern, bool) {
+func (g *generator) justify(goals map[string]logic.V) ([]logic.V, bool) {
 	nets := make([]string, 0, len(goals))
 	for net := range goals {
 		nets = append(nets, net)
@@ -556,7 +568,8 @@ func (g *generator) justify(goals map[string]logic.V) (faultsim.Pattern, bool) {
 // GenerateStuckAt runs PODEM for one line stuck-at fault. The returned
 // pattern is guaranteed (by construction) to produce a PO difference.
 func GenerateStuckAt(c *logic.Circuit, f core.Fault, opt Options) (faultsim.Pattern, bool) {
-	return newGenerator(faultsim.New(c), opt).stuckAt(f)
+	vec, ok := newGenerator(faultsim.New(c), opt).stuckAt(f)
+	return patternOf(c, vec), ok
 }
 
 // Justify finds a PI pattern that sets the given nets to the given values
@@ -564,5 +577,6 @@ func GenerateStuckAt(c *logic.Circuit, f core.Fault, opt Options) (faultsim.Patt
 // observation is global and only the excitation needs justification).
 // Goals are pursued in net-name order, so the result is deterministic.
 func Justify(c *logic.Circuit, goals map[string]logic.V, opt Options) (faultsim.Pattern, bool) {
-	return newGenerator(faultsim.New(c), opt).justify(goals)
+	vec, ok := newGenerator(faultsim.New(c), opt).justify(goals)
+	return patternOf(c, vec), ok
 }

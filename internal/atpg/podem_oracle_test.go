@@ -280,6 +280,19 @@ func oracleBehaviorHooks(gi int, beh *core.Behavior, v2 int, stale logic.V) logi
 	}}
 }
 
+// oracleVector renders an oracle pattern as the dense generator's
+// vector, one value per primary input in input order (nil for none).
+func oracleVector(c *logic.Circuit, p faultsim.Pattern) []logic.V {
+	if p == nil {
+		return nil
+	}
+	vec := make([]logic.V, len(c.Inputs))
+	for i, pi := range c.Inputs {
+		vec[i] = p[pi]
+	}
+	return vec
+}
+
 func oracleVectorGoals(c *logic.Circuit, gi, vec int) []oracleGoal {
 	g := &c.Gates[gi]
 	goals := make([]oracleGoal, len(g.Fanin))
@@ -331,13 +344,13 @@ func oraclePolarity(c *logic.Circuit, f core.Fault, opt Options, w *oracleWork) 
 		p := &oraclePodem{c: c, opt: opt.withDefaults(), hooks: oracleBehaviorHooks(gi, beh, -1, logic.LX),
 			goals: oracleVectorGoals(c, gi, vec), propagate: true, faultGate: gi, work: w}
 		if pat, ok := p.run(); ok {
-			return PolarityTest{Fault: f, Pattern: pat, Method: faultsim.ByOutput}, true
+			return PolarityTest{Fault: f, Pattern: oracleVector(c, pat), Method: faultsim.ByOutput}, true
 		}
 	}
 	for _, vec := range beh.LeakDetecting() {
 		p := &oraclePodem{c: c, opt: opt.withDefaults(), goals: oracleVectorGoals(c, gi, vec), faultGate: -1, work: w}
 		if pat, ok := p.run(); ok {
-			return PolarityTest{Fault: f, Pattern: pat, Method: faultsim.ByIDDQ}, true
+			return PolarityTest{Fault: f, Pattern: oracleVector(c, pat), Method: faultsim.ByIDDQ}, true
 		}
 	}
 	return PolarityTest{}, false
@@ -370,7 +383,7 @@ func oracleTwoPattern(c *logic.Circuit, f core.Fault, opt Options, w *oracleWork
 			}
 			p1 := &oraclePodem{c: c, opt: opt.withDefaults(), goals: oracleVectorGoals(c, gi, v1), faultGate: -1, work: w}
 			if initPat, ok := p1.run(); ok {
-				return TwoPatternTest{Fault: f, Init: initPat, Test: testPat}, true
+				return TwoPatternTest{Fault: f, Init: oracleVector(c, initPat), Test: oracleVector(c, testPat)}, true
 			}
 		}
 	}
@@ -402,7 +415,7 @@ func oracleChannelBreakDP(c *logic.Circuit, f core.Fault, opt Options, w *oracle
 			if !ok {
 				continue
 			}
-			plan := ChannelBreakPlan{Fault: f, Injection: inj, Pattern: pat, Observe: faultsim.ByOutput}
+			plan := ChannelBreakPlan{Fault: f, Injection: inj, Pattern: oracleVector(c, pat), Observe: faultsim.ByOutput}
 			good := c.Eval(pat)
 			faulty := c.EvalHooked(pat, hooks)
 			for _, po := range c.Outputs {
@@ -417,7 +430,7 @@ func oracleChannelBreakDP(c *logic.Circuit, f core.Fault, opt Options, w *oracle
 		for _, vec := range beh.LeakDetecting() {
 			p := &oraclePodem{c: c, opt: opt.withDefaults(), goals: oracleVectorGoals(c, gi, vec), faultGate: -1, work: w}
 			if pat, ok := p.run(); ok {
-				return ChannelBreakPlan{Fault: f, Injection: inj, Pattern: pat, Observe: faultsim.ByIDDQ}, true
+				return ChannelBreakPlan{Fault: f, Injection: inj, Pattern: oracleVector(c, pat), Observe: faultsim.ByIDDQ}, true
 			}
 		}
 	}
@@ -451,7 +464,7 @@ func oracleGenerate(c *logic.Circuit, faults []core.Fault, opt Options) *Campaig
 			res.Untestable = append(res.Untestable, f)
 			continue
 		}
-		res.Set.Patterns = append(res.Set.Patterns, pat)
+		res.Set.Patterns = append(res.Set.Patterns, oracleVector(c, pat))
 		ds := sim.RunStuckAt(saFaults, []faultsim.Pattern{pat})
 		for j, d := range ds {
 			if d.Detected() {
@@ -498,7 +511,11 @@ func oracleGenerate(c *logic.Circuit, faults []core.Fault, opt Options) *Campaig
 			}
 		}
 	}
-	markDetected(0, res.Set.Patterns)
+	var saPatterns []faultsim.Pattern
+	for _, vec := range res.Set.Patterns {
+		saPatterns = append(saPatterns, patternOf(c, vec))
+	}
+	markDetected(0, saPatterns)
 	for i, f := range polFaults {
 		if polDetected[i] {
 			res.PolarityCovered++
@@ -514,7 +531,7 @@ func oracleGenerate(c *logic.Circuit, faults []core.Fault, opt Options) *Campaig
 			res.Set.IDDQPatterns = append(res.Set.IDDQPatterns, t.Pattern)
 		} else {
 			res.Set.Patterns = append(res.Set.Patterns, t.Pattern)
-			markDetected(i+1, res.Set.Patterns[len(res.Set.Patterns)-1:])
+			markDetected(i+1, []faultsim.Pattern{patternOf(c, t.Pattern)})
 		}
 	}
 
@@ -578,7 +595,7 @@ func oracleGenerate(c *logic.Circuit, faults []core.Fault, opt Options) *Campaig
 		}
 		res.CBSPCovered++
 		res.Set.TwoPattern = append(res.Set.TwoPattern, tp)
-		markCBDetected(i+1, [2]faultsim.Pattern{tp.Init, tp.Test})
+		markCBDetected(i+1, [2]faultsim.Pattern{patternOf(c, tp.Init), patternOf(c, tp.Test)})
 	}
 	return res
 }
@@ -631,7 +648,7 @@ func TestDensePODEMMatchesOracle(t *testing.T) {
 				want, wantOK := oracleStuckAt(c, f, opt, &w)
 				got, ok := g.stuckAt(f)
 				pub, pubOK := GenerateStuckAt(c, f, opt)
-				if ok != wantOK || pubOK != wantOK || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(pub, want) {
+				if ok != wantOK || pubOK != wantOK || !reflect.DeepEqual(got, oracleVector(c, want)) || !reflect.DeepEqual(pub, want) {
 					t.Errorf("%s %v: stuck-at (%v, %v), exported (%v, %v), oracle (%v, %v)", c.Name, f, got, ok, pub, pubOK, want, wantOK)
 				}
 				checkWork(t, c.Name+" "+f.String(), g, w)
@@ -691,7 +708,7 @@ func TestDensePODEMMatchesOracle(t *testing.T) {
 			want, wantOK := oracleJustify(c, goals, opt, &w)
 			got, ok := g.justify(goals)
 			pub, pubOK := Justify(c, goals, opt)
-			if ok != wantOK || pubOK != wantOK || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(pub, want) {
+			if ok != wantOK || pubOK != wantOK || !reflect.DeepEqual(got, oracleVector(c, want)) || !reflect.DeepEqual(pub, want) {
 				t.Errorf("%s justify %v: (%v, %v), exported (%v, %v), oracle (%v, %v)", c.Name, goals, got, ok, pub, pubOK, want, wantOK)
 			}
 			checkWork(t, c.Name+" justify", g, w)
@@ -723,7 +740,8 @@ func TestDensePODEMMalformedFaults(t *testing.T) {
 		var ok, wantOK bool
 		switch {
 		case f.Kind.IsLineFault():
-			want, wantOK = oracleStuckAt(c, f, Options{}, &w)
+			pat, patOK := oracleStuckAt(c, f, Options{}, &w)
+			want, wantOK = oracleVector(c, pat), patOK
 			got, ok = g.stuckAt(f)
 		case f.Kind.IsPolarityFault():
 			want, wantOK = oraclePolarity(c, f, Options{}, &w)

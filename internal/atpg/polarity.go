@@ -20,7 +20,7 @@ func (g *generator) setVectorGoals(gi, vec int) {
 
 // justifyVector runs a justification-only attempt on a local vector of
 // gate gi.
-func (g *generator) justifyVector(gi, vec int) (faultsim.Pattern, bool) {
+func (g *generator) justifyVector(gi, vec int) ([]logic.V, bool) {
 	g.setVectorGoals(gi, vec)
 	g.flt = noFault
 	return g.run()
@@ -28,17 +28,19 @@ func (g *generator) justifyVector(gi, vec int) (faultsim.Pattern, bool) {
 
 // propagateVector justifies a local vector of gate gi and propagates
 // the effect of gi evaluating lut.
-func (g *generator) propagateVector(gi, vec int, lut logic.GateLUT) (faultsim.Pattern, bool) {
+func (g *generator) propagateVector(gi, vec int, lut logic.GateLUT) ([]logic.V, bool) {
 	g.setVectorGoals(gi, vec)
 	g.flt = noFault
 	g.flt.propagate, g.flt.effectGate, g.flt.site, g.flt.lut = true, gi, gi, lut
 	return g.run()
 }
 
-// PolarityTest is a generated test for a stuck-at n/p-type fault.
+// PolarityTest is a generated test for a stuck-at n/p-type fault. Its
+// vector, like every vector of a TestSet, holds one value per primary
+// input, in C.Inputs order.
 type PolarityTest struct {
 	Fault   core.Fault
-	Pattern faultsim.Pattern
+	Pattern []logic.V
 	Method  faultsim.DetectMethod // output or iddq
 }
 
@@ -90,8 +92,8 @@ func (g *generator) polarity(f core.Fault) (PolarityTest, bool) {
 // pattern followed by a test pattern.
 type TwoPatternTest struct {
 	Fault core.Fault
-	Init  faultsim.Pattern
-	Test  faultsim.Pattern
+	Init  []logic.V
+	Test  []logic.V
 }
 
 // GenerateTwoPattern generates the classical two-pattern stuck-open test
@@ -166,7 +168,7 @@ func binaryIndex(vec, n int) int {
 type ChannelBreakPlan struct {
 	Fault     core.Fault            // the targeted channel break
 	Injection logic.TFault          // deliberate polarity complement
-	Pattern   faultsim.Pattern      // PI vector to apply
+	Pattern   []logic.V             // PI vector to apply, in C.Inputs order
 	Observe   faultsim.DetectMethod // output or iddq observation
 	// HealthyFlips is set for output observation: the PO set where a
 	// healthy device shows a flipped value.
@@ -260,6 +262,7 @@ func VerifyChannelBreakPlan(c *logic.Circuit, plan ChannelBreakPlan) (healthySig
 	}
 	kind := c.Gates[gi].Kind
 	spec := gates.Get(kind)
+	pat := patternOf(c, plan.Pattern)
 
 	signature := func(faults map[string]logic.TFault) (bool, error) {
 		leak := false
@@ -273,11 +276,11 @@ func VerifyChannelBreakPlan(c *logic.Circuit, plan ChannelBreakPlan) (healthySig
 			}
 			return res.Out, true
 		}}
-		faulty := c.EvalHooked(plan.Pattern, hooks)
+		faulty := c.EvalHooked(pat, hooks)
 		if plan.Observe == faultsim.ByIDDQ {
 			return leak, nil
 		}
-		good := c.Eval(plan.Pattern)
+		good := c.Eval(pat)
 		for _, po := range c.Outputs {
 			g, gok := good[po].Bool()
 			f, fok := faulty[po].Bool()

@@ -56,7 +56,7 @@ func TestPolarityATPGSoundnessProperty(t *testing.T) {
 				continue
 			}
 			useIDDQ := pt.Method == faultsim.ByIDDQ
-			ds, err := sim.RunTransistor([]core.Fault{fault}, []faultsim.Pattern{pt.Pattern}, useIDDQ)
+			ds, err := sim.RunTransistor([]core.Fault{fault}, []faultsim.Pattern{patternOf(c, pt.Pattern)}, useIDDQ)
 			if err != nil {
 				t.Log(err)
 				return false

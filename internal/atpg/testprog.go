@@ -69,7 +69,8 @@ type Program struct {
 }
 
 // BuildProgram assembles a tester program from a generation campaign,
-// computing the expected golden response of every step.
+// rendering each vector as a step Pattern and computing the expected
+// golden response of every step.
 func BuildProgram(c *logic.Circuit, res *CampaignResult) *Program {
 	p := &Program{Circuit: c}
 	expect := func(pat faultsim.Pattern) map[string]logic.V {
@@ -80,26 +81,29 @@ func BuildProgram(c *logic.Circuit, res *CampaignResult) *Program {
 		}
 		return out
 	}
-	for _, pat := range res.Set.Patterns {
+	for _, vec := range res.Set.Patterns {
+		pat := patternOf(c, vec)
 		p.Steps = append(p.Steps, Step{Kind: StepLogic, Pattern: pat, Expect: expect(pat)})
 	}
 	for _, tp := range res.Set.TwoPattern {
+		test := patternOf(c, tp.Test)
 		p.Steps = append(p.Steps, Step{
-			Kind: StepTwoPattern, Init: tp.Init, Pattern: tp.Test, Expect: expect(tp.Test),
+			Kind: StepTwoPattern, Init: patternOf(c, tp.Init), Pattern: test, Expect: expect(test),
 		})
 	}
-	for _, pat := range res.Set.IDDQPatterns {
-		p.Steps = append(p.Steps, Step{Kind: StepIDDQ, Pattern: pat})
+	for _, vec := range res.Set.IDDQPatterns {
+		p.Steps = append(p.Steps, Step{Kind: StepIDDQ, Pattern: patternOf(c, vec)})
 	}
 	for _, plan := range res.Set.CBPlans {
+		pat := patternOf(c, plan.Pattern)
 		p.Steps = append(p.Steps, Step{
 			Kind:         StepCBProcedure,
-			Pattern:      plan.Pattern,
+			Pattern:      pat,
 			CBGate:       plan.Fault.Gate,
 			CBTransistor: plan.Fault.Transistor,
 			CBInjection:  plan.Injection,
 			CBObserve:    plan.Observe,
-			Expect:       expect(plan.Pattern),
+			Expect:       expect(pat),
 		})
 	}
 	return p

@@ -60,10 +60,14 @@ func Compaction(circuits map[string]*logic.Circuit) (*CompactionResult, error) {
 		c := circuits[name]
 		faults := core.Universe(c, core.ClassicalOnly())
 		gen := atpg.Generate(c, faults, atpg.Options{})
-		patterns := gen.Set.Patterns
-		if len(patterns) == 0 {
+		if len(gen.Set.Patterns) == 0 {
 			return nil, fmt.Errorf("compaction: %s generated no patterns", name)
 		}
+		set := faultsim.NewPatternSet(c, len(gen.Set.Patterns))
+		for _, vec := range gen.Set.Patterns {
+			set.Append(vec)
+		}
+		patterns := set.Patterns()
 
 		sim := faultsim.New(c)
 		capture := faultsim.NewSignatureCapture(len(faults), len(patterns))

@@ -81,19 +81,26 @@ func (s *Simulator) RunBridges(bridges []core.Bridge, patterns []Pattern) []Brid
 	return out
 }
 
-// RunBridgesObserved fault-simulates bridging faults with optional IDDQ
-// observation: per pattern, a quiescent-current signature (the bridged
-// nets driven to opposite rails) is checked before the voltage compare,
-// mirroring the transistor-fault ordering. The simulator's Engine
-// selects the implementation — the 64-way packed fixpoint (EnginePacked,
-// default) or the hooked fixpoint oracle (EngineReference) — and both
-// are bit-identical, as the bridge differential suite enforces.
-// Cancellation is checked between bridges (one bridge's pattern sweep is
-// the unit of work); with the context's error it returns the list with
-// the bridges swept so far filled in and the rest zero.
+// RunBridgesObserved is RunBridgesSet over the patterns converted to a
+// PatternSet.
 func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
+	return s.RunBridgesSet(ctx, bridges, PatternSetOf(s.C, patterns), useIDDQ)
+}
+
+// RunBridgesSet fault-simulates bridging faults over a PatternSet with
+// optional IDDQ observation: per pattern, a quiescent-current signature
+// (the bridged nets driven to opposite rails) is checked before the
+// voltage compare, mirroring the transistor-fault ordering. The
+// simulator's Engine selects the implementation — the 64-way packed
+// fixpoint (EnginePacked, default) or the hooked fixpoint oracle
+// (EngineReference) — and both are bit-identical, as the bridge
+// differential suite enforces. Cancellation is checked between bridges
+// (one bridge's pattern sweep is the unit of work); with the context's
+// error it returns the list with the bridges swept so far filled in and
+// the rest zero.
+func (s *Simulator) RunBridgesSet(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]BridgeDetection, error) {
 	if s.Engine == EngineReference {
-		return s.runBridgesReference(ctx, bridges, patterns, useIDDQ)
+		return s.runBridgesReference(ctx, bridges, patterns.Patterns(), useIDDQ)
 	}
 	return s.runBridgesPacked(ctx, bridges, patterns, useIDDQ)
 }
@@ -393,7 +400,7 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 
 // runBridgesPacked drives the 64-way bridged fixpoint per bridge per
 // chunk.
-func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
+func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]BridgeDetection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.Compiled()
 	bases := s.packedBaselines(patterns, 1, false)

@@ -9,6 +9,8 @@
 package faultsim
 
 import (
+	"context"
+
 	"cpsinw/internal/core"
 	"cpsinw/internal/logic"
 )
@@ -21,26 +23,27 @@ import (
 // kind's batch entry point — RunStuckAt, RunTransistorParallel without
 // IDDQ, RunTwoPattern — gives on the same list.
 //
-// Entries are packed into 64-lane blocks. Add packs only the new lane
-// into the tail block, re-evaluates only that block's good circuit and
-// forgets only that block's observability masks; full blocks are never
-// packed or evaluated again, and their masks serve every later Detects.
-// A set is used by one goroutine at a time; Close releases it.
+// Entries are rows (one value per primary input, in C.Inputs order),
+// appended to a PatternSet and packed from it into fixed-width lane
+// blocks. Add re-packs only the tail block, re-evaluates only that
+// block's good circuit and forgets only that block's observability
+// masks; full blocks are never packed or evaluated again, and their
+// masks serve every later Detects. A set is used by one goroutine at a
+// time; Close releases it.
 type DropSet struct {
 	s     *Simulator
 	cls   *packedClass // the class Detects simulates
 	ref   bool         // answer through the reference oracle entry points
 	w     int
-	n     int          // entries added
-	pats  []Pattern    // the entries of a reference pattern set
-	pairs [][2]Pattern // the entries of a reference pair set
+	set   *PatternSet  // the entries; a pair set's test patterns
+	inits *PatternSet  // a pair set's init patterns, aligned with set
 	base  []packedBase // packed blocks, pair chunks in a pair set
 	sc    *packedScratch
 }
 
 // StuckAtDrops returns an empty drop set for line stuck-at faults.
-// Patterns are binary, as in RunStuckAt (missing and X inputs read 0),
-// and the set always runs packed.
+// Patterns are binary, as in RunStuckAt (X inputs read 0), and the set
+// always runs packed.
 func (s *Simulator) StuckAtDrops() *DropSet {
 	return s.newDropSet(s.stuckAtClass(), false)
 }
@@ -60,7 +63,10 @@ func (s *Simulator) PairDrops() *DropSet {
 }
 
 func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
-	d := &DropSet{s: s, cls: cls, ref: ref, w: 1}
+	d := &DropSet{s: s, cls: cls, ref: ref, w: 1, set: NewPatternSet(s.C, 0)}
+	if cls.pairs {
+		d.inits = NewPatternSet(s.C, 0)
+	}
 	if logic.ValidLaneWords(s.laneWords) {
 		d.w = s.laneWords
 	}
@@ -71,56 +77,52 @@ func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
 	return d
 }
 
-// Add appends one pattern to a stuck-at or voltage set.
-func (d *DropSet) Add(p Pattern) {
+// Add appends one pattern row to a stuck-at or voltage set.
+func (d *DropSet) Add(row []logic.V) {
 	if d.cls.pairs {
 		panic("faultsim: Add on a pair drop set")
 	}
-	if d.ref {
-		d.pats = append(d.pats, p)
-	} else {
-		d.pack(p, nil)
-	}
-	d.n++
+	d.set.Append(row)
+	d.pack()
 }
 
-// AddPair appends one init/test pair to a pair set.
-func (d *DropSet) AddPair(init, test Pattern) {
+// AddPair appends one init/test pair of rows to a pair set.
+func (d *DropSet) AddPair(init, test []logic.V) {
 	if !d.cls.pairs {
 		panic("faultsim: AddPair on a pattern drop set")
 	}
-	if d.ref {
-		d.pairs = append(d.pairs, [2]Pattern{init, test})
-	} else {
-		d.pack(test, init)
-	}
-	d.n++
+	d.inits.Append(init)
+	d.set.Append(test)
+	d.pack()
 }
 
-// pack writes p, and in a pair set its init pattern, into lane n of the
-// tail block, opening a new block at every block boundary, re-evaluates
-// that block's good circuit and forgets its masks.
-func (d *DropSet) pack(p, init Pattern) {
-	lane := d.n % (64 * d.w)
-	if lane == 0 {
-		d.base = append(d.base, d.block())
+// pack re-packs the tail block from the entries, opening a new block at
+// every block boundary, re-evaluates that block's good circuit and
+// forgets its masks. A reference set keeps only the entries.
+func (d *DropSet) pack() {
+	if d.ref {
+		return
+	}
+	n := d.set.Len() - 1
+	if n%(64*d.w) == 0 {
+		d.base = append(d.base, d.block(n))
 		if d.cls.pairs {
-			ib := d.block()
+			ib := d.block(n)
 			d.base[len(d.base)-1].init = &ib
 		}
 	}
 	pb := &d.base[len(d.base)-1]
-	d.setLane(pb, lane, p, d.cls.binary)
+	d.setBlock(pb, d.set, d.cls.binary)
 	if pb.init != nil {
-		d.setLane(pb.init, lane, init, false)
+		d.setBlock(pb.init, d.inits, false)
 	}
 	d.sc.forgetChunk(len(d.base) - 1)
 }
 
 // block opens an empty block starting at entry n.
-func (d *DropSet) block() packedBase {
+func (d *DropSet) block(n int) packedBase {
 	return packedBase{
-		start: d.n,
+		start: n,
 		w:     d.w,
 		valid: make([]uint64, d.w),
 		in:    make([]logic.PackedVec, len(d.s.C.Inputs)*d.w),
@@ -128,11 +130,10 @@ func (d *DropSet) block() packedBase {
 	}
 }
 
-// setLane writes p into lane l of block pb and re-evaluates the block's
-// good circuit.
-func (d *DropSet) setLane(pb *packedBase, l int, p Pattern, binary bool) {
-	d.s.packLane(pb.in, d.w, l, p, binary)
-	pb.valid[l>>6] |= 1 << uint(l&63)
+// setBlock gathers block pb's input words from ps and re-evaluates the
+// block's good circuit.
+func (d *DropSet) setBlock(pb *packedBase, ps *PatternSet, binary bool) {
+	ps.gather(pb.in, pb.valid, pb.start>>6, d.w, binary)
 	d.sc.cc.EvalBlock(pb.in, d.w, pb.vals)
 }
 
@@ -148,9 +149,9 @@ func (d *DropSet) Detects(f core.Fault) bool {
 	var ds []Detection
 	var err error
 	if d.cls.pairs {
-		ds, err = d.s.RunTwoPattern([]core.Fault{f}, d.pairs)
+		ds, err = d.s.runTwoPattern(context.Background(), []core.Fault{f}, d.inits, d.set)
 	} else {
-		ds, err = d.s.RunTransistor([]core.Fault{f}, d.pats, false)
+		ds, _, err = d.s.runTransistor(context.Background(), []core.Fault{f}, d.set, voltageOnly, 1)
 	}
 	return err == nil && ds[0].Detected()
 }

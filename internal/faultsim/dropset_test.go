@@ -132,9 +132,9 @@ func TestDropSetMatchesBatch(t *testing.T) {
 			set := kind.open(s)
 			for k := 1; k <= su.n; k++ {
 				if kind.pairs {
-					set.AddPair(pairs[k-1][0], pairs[k-1][1])
+					set.AddPair(rowOf(su.c, pairs[k-1][0]), rowOf(su.c, pairs[k-1][1]))
 				} else {
-					set.Add(pats[k-1])
+					set.Add(rowOf(su.c, pats[k-1]))
 				}
 				want := make([]bool, len(faults))
 				for i, d := range full {

@@ -16,8 +16,10 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// Pattern assigns a logic value to every primary input (missing inputs
-// default to X in ternary simulation, 0 in packed simulation).
+// Pattern assigns logic values to primary inputs by name: the form of
+// the edges (CLIs, JSON, examples, tests). Every sweep runs on a
+// PatternSet; the []Pattern entry points convert once per call, under
+// PatternSet's X rule for missing inputs.
 type Pattern map[string]logic.V
 
 // DetectMethod records how a fault was caught.
@@ -99,18 +101,25 @@ func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detect
 	return out
 }
 
-// RunStuckAtContext is RunStuckAt with cooperative cancellation checked
-// between faults. With the context's error it returns the detections so
-// far, every other fault undetected; with a signature capture sized for
-// another campaign, nil. Each line fault changes one site net: a
-// stem fault forces its net (a gate output or a primary input), a pin
-// fault evaluates the reading gate with that pin forced, changing the
-// gate's output. Its detecting lanes are the lanes where that definitely
-// flips the site, ANDed with the site's observability mask, which the
-// sweep computes once per net. Progress reports faults on the "stuck_at"
-// stage (non-line faults count as Dropped); the engine counters charge
-// the work to the packed engine, whatever the simulator's Engine.
+// RunStuckAtContext is RunStuckAt with cooperative cancellation: it is
+// RunStuckAtSet over the patterns converted to a PatternSet.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
+	return s.RunStuckAtSet(ctx, faults, PatternSetOf(s.C, patterns))
+}
+
+// RunStuckAtSet is RunStuckAt over a PatternSet, with cooperative
+// cancellation checked between faults. With the context's error it
+// returns the detections so far, every other fault undetected; with a
+// signature capture sized for another campaign, nil. Each line fault
+// changes one site net: a stem fault forces its net (a gate output or a
+// primary input), a pin fault evaluates the reading gate with that pin
+// forced, changing the gate's output. Its detecting lanes are the lanes
+// where that definitely flips the site, ANDed with the site's
+// observability mask, which the sweep computes once per net. Progress
+// reports faults on the "stuck_at" stage (non-line faults count as
+// Dropped); the engine counters charge the work to the packed engine,
+// whatever the simulator's Engine.
+func (s *Simulator) RunStuckAtSet(ctx context.Context, faults []core.Fault, patterns *PatternSet) ([]Detection, error) {
 	out, _, err := s.runPool(ctx, s.stuckAtClass(), faults, patterns, nil, 1)
 	return out, err
 }
@@ -209,7 +218,7 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // switch-level solver rejects, a mis-sized signature capture) it returns
 // nil detections.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	out, _, err := s.runTransistor(context.Background(), faults, patterns, transistorMode(useIDDQ), 1)
+	out, _, err := s.runTransistor(context.Background(), faults, PatternSetOf(s.C, patterns), transistorMode(useIDDQ), 1)
 	return out, err
 }
 
@@ -244,12 +253,18 @@ func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]De
 // progress on the "two_pattern" stage and charge one fault run per
 // simulated channel break to the engine counters.
 func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
-	if s.Engine == EngineReference {
-		return s.runTwoPatternReference(ctx, faults, pairs)
-	}
 	inits, tests := make([]Pattern, len(pairs)), make([]Pattern, len(pairs))
 	for k, pair := range pairs {
 		inits[k], tests[k] = pair[0], pair[1]
+	}
+	return s.runTwoPattern(ctx, faults, PatternSetOf(s.C, inits), PatternSetOf(s.C, tests))
+}
+
+// runTwoPattern is RunTwoPatternContext over the pairs' init and test
+// patterns as two aligned sets.
+func (s *Simulator) runTwoPattern(ctx context.Context, faults []core.Fault, inits, tests *PatternSet) ([]Detection, error) {
+	if s.Engine == EngineReference {
+		return s.runTwoPatternReference(ctx, faults, inits.Patterns(), tests.Patterns())
 	}
 	out, _, err := s.runPool(ctx, s.pairClass(), faults, tests, inits, 1)
 	if err != nil {
@@ -265,7 +280,7 @@ func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Faul
 
 // runTwoPatternReference is the stateful switch-level oracle behind
 // RunTwoPatternContext, one pair at a time in list order.
-func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
+func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fault, inits, tests []Pattern) ([]Detection, error) {
 	sink := s.progressSink("two_pattern", len(faults))
 	out := make([]Detection, len(faults))
 	for i, f := range faults {
@@ -285,9 +300,9 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 		spec := gates.Get(s.C.Gates[gi].Kind)
 		engineStats.referenceFaultRuns.Add(1)
 		swept := uint64(0)
-		for k, pair := range pairs {
+		for k := range tests {
 			swept++
-			if s.twoPatternDetects(spec, gi, f, pair) {
+			if s.twoPatternDetects(spec, gi, f, inits[k], tests[k]) {
 				out[i].Method = ByTwoPattern
 				out[i].Pattern = k
 				break
@@ -304,7 +319,7 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 }
 
 // twoPatternDetects runs one init/test pair against one channel break.
-func (s *Simulator) twoPatternDetects(spec *gates.Spec, gi int, f core.Fault, pair [2]Pattern) bool {
+func (s *Simulator) twoPatternDetects(spec *gates.Spec, gi int, f core.Fault, init, test Pattern) bool {
 	faults := map[string]logic.TFault{f.Transistor: logic.TFaultOpen}
 	var prev map[string]logic.V
 
@@ -322,9 +337,9 @@ func (s *Simulator) twoPatternDetects(spec *gates.Spec, gi int, f core.Fault, pa
 		return s.C.EvalHooked(map[string]logic.V(p), hooks)
 	}
 
-	evalFaulty(pair[0]) // initialisation pattern
-	faulty := evalFaulty(pair[1])
-	good := s.C.Eval(map[string]logic.V(pair[1]))
+	evalFaulty(init) // initialisation pattern
+	faulty := evalFaulty(test)
+	good := s.C.Eval(map[string]logic.V(test))
 	return s.outputsDiffer(good, faulty)
 }
 
@@ -377,16 +392,8 @@ func (c Coverage) Percent() float64 {
 }
 
 // ExhaustivePatterns enumerates all 2^n input patterns of a circuit
-// (intended for small circuits; callers should bound n).
+// (intended for small circuits; callers should bound n): the maps of
+// ExhaustivePatternSet.
 func ExhaustivePatterns(c *logic.Circuit) []Pattern {
-	n := len(c.Inputs)
-	out := make([]Pattern, 0, 1<<uint(n))
-	for v := 0; v < 1<<uint(n); v++ {
-		p := make(Pattern, n)
-		for i, pi := range c.Inputs {
-			p[pi] = logic.FromBool(v>>uint(i)&1 == 1)
-		}
-		out = append(out, p)
-	}
-	return out
+	return ExhaustivePatternSet(c).Patterns()
 }

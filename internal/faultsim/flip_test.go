@@ -79,7 +79,7 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 				label := fmt.Sprintf("%d patterns, mode %d, %d workers", n, mode, workers)
 				var volt []Detection
 				evals, prog := measure(c, func(s *Simulator) (err error) {
-					out, v, err := s.runTransistor(ctx, faults, patterns, mode, workers)
+					out, v, err := s.runTransistor(ctx, faults, PatternSetOf(c, patterns), mode, workers)
 					volt = v
 					if mode != bothAnswers {
 						volt = out

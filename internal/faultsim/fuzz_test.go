@@ -86,9 +86,9 @@ func FuzzPackedMatchesReference(f *testing.F) {
 		} {
 			for k := 1; k <= n; k++ {
 				if d.set.cls.pairs {
-					d.set.AddPair(pairs[k-1][0], pairs[k-1][1])
+					d.set.AddPair(rowOf(c, pairs[k-1][0]), rowOf(c, pairs[k-1][1]))
 				} else {
-					d.set.Add(patterns[k-1])
+					d.set.Add(rowOf(c, patterns[k-1]))
 				}
 				if k < n && k%64 > 1 {
 					continue

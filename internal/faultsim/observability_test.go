@@ -51,7 +51,7 @@ func TestObservabilityMatchesFlippedEval(t *testing.T) {
 				}
 			}
 			for _, w := range []int{1, 2, 4} {
-				bases := s.packedBaselines(patterns, w, false)
+				bases := s.packedBaselines(PatternSetOf(c, patterns), w, false)
 				sc := s.packedScratchOf()
 				sc.begin(w)
 				for ci := range bases {
@@ -123,7 +123,7 @@ func TestDerivedMasksMatchWalk(t *testing.T) {
 		for _, binary := range []bool{true, false} {
 			patterns := randomTernaryPatterns(rng, c, 300)
 			for _, w := range []int{1, 2, 4} {
-				bases := s.packedBaselines(patterns, w, binary)
+				bases := s.packedBaselines(PatternSetOf(c, patterns), w, binary)
 				sc := s.packedScratchOf()
 				sc.begin(w)
 				walk := make([]uint64, w)

@@ -56,58 +56,23 @@ type packedBase struct {
 	init  *packedBase       // a pair chunk's init patterns, nil otherwise
 }
 
-// packLane writes one pattern into one lane of a width-w input block.
-// Inputs missing from the pattern are X, matching the scalar map-based
-// evaluation; binary packing reads missing and X inputs as 0 instead
-// (the line stuck-at semantics).
-func (s *Simulator) packLane(in []logic.PackedVec, w, lane int, p Pattern, binary bool) {
-	word, bit := lane>>6, lane&63
-	for i, pi := range s.C.Inputs {
-		v, ok := p[pi]
-		switch {
-		case binary && v != logic.L1:
-			v = logic.L0
-		case !ok:
-			v = logic.LX
-		}
-		in[i*w+word] = in[i*w+word].WithLane(bit, v)
-	}
-}
-
-// laneMask builds a w-word mask of the first n lanes.
-func laneMask(n, w int) []uint64 {
-	m := make([]uint64, w)
-	for l := 0; l < n; l++ {
-		m[l>>6] |= 1 << uint(l&63)
-	}
-	return m
-}
-
-// packedBaselines packs the patterns into 64w-lane chunks and evaluates
-// each chunk's good circuit; lanes past the last pattern stay X. All
-// chunk planes share one backing array (one allocation to scan instead
-// of one per chunk).
-func (s *Simulator) packedBaselines(patterns []Pattern, w int, binary bool) []packedBase {
+// packedBaselines packs the pattern set into 64w-lane chunks, gathering
+// each chunk's input words from the set, and evaluates each chunk's good
+// circuit; lanes past the last pattern stay X. Binary chunks read X
+// inputs as 0 (the line stuck-at semantics). All chunk planes share one
+// backing array (one allocation to scan instead of one per chunk).
+func (s *Simulator) packedBaselines(patterns *PatternSet, w int, binary bool) []packedBase {
 	cc := s.Compiled()
-	lanes := 64 * w
-	nChunks := (len(patterns) + lanes - 1) / lanes
+	nChunks := (patterns.Len() + 64*w - 1) / (64 * w)
 	stride := cc.NumNets() * w
 	backing := make([]logic.PackedVec, nChunks*stride)
-	out := make([]packedBase, 0, nChunks)
-	for base := 0; base < len(patterns); base += lanes {
-		chunk := patterns[base:min(base+lanes, len(patterns))]
-		pb := packedBase{
-			start: base,
-			w:     w,
-			valid: laneMask(len(chunk), w),
-			in:    make([]logic.PackedVec, len(s.C.Inputs)*w),
-		}
-		for k, p := range chunk {
-			s.packLane(pb.in, w, k, p, binary)
-		}
+	out := make([]packedBase, nChunks)
+	for ci := range out {
+		pb := &out[ci]
+		*pb = packedBase{start: ci * 64 * w, w: w, valid: make([]uint64, w), in: make([]logic.PackedVec, len(s.C.Inputs)*w)}
+		patterns.gather(pb.in, pb.valid, ci*w, w, binary)
 		pb.vals = cc.EvalBlock(pb.in, w, backing[:stride:stride])
 		backing = backing[stride:]
-		out = append(out, pb)
 	}
 	return out
 }

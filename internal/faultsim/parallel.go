@@ -159,9 +159,9 @@ func (s *Simulator) referenceFaultEvals(f core.Fault, stop, nPatterns int, captu
 // otherwise). The packed pool runs it, or under EngineReference the
 // serial oracle, which ignores workers. With an error both lists are
 // nil.
-func (s *Simulator) runTransistor(ctx context.Context, faults []core.Fault, patterns []Pattern, mode sweepMode, workers int) (out, volt []Detection, err error) {
+func (s *Simulator) runTransistor(ctx context.Context, faults []core.Fault, patterns *PatternSet, mode sweepMode, workers int) (out, volt []Detection, err error) {
 	if s.Engine == EngineReference {
-		return s.runTransistorReference(ctx, faults, patterns, mode)
+		return s.runTransistorReference(ctx, faults, patterns.Patterns(), mode)
 	}
 	out, volt, err = s.runPool(ctx, s.transistorClass(mode), faults, patterns, nil, workers)
 	if err != nil {
@@ -237,18 +237,31 @@ func (s *Simulator) sortByRegion(faults []core.Fault, ord []int) (region []int) 
 }
 
 // RunTransistorParallel is RunTransistor with the per-fault work of the
-// packed engine spread over a pool of workers (GOMAXPROCS when workers
-// is 0 or less, never more than len(faults)); the reference oracle
-// ignores workers. The context cancels between faults. With an error it
-// returns nil detections.
+// packed engine spread over a pool of workers: RunTransistorSet over the
+// patterns converted to a PatternSet.
 func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool, workers int) ([]Detection, error) {
+	return s.RunTransistorSet(ctx, faults, PatternSetOf(s.C, patterns), useIDDQ, workers)
+}
+
+// RunTransistorSet is RunTransistor over a PatternSet, with the per-fault
+// work of the packed engine spread over a pool of workers (GOMAXPROCS
+// when workers is 0 or less, never more than len(faults)); the reference
+// oracle ignores workers. The context cancels between faults. With an
+// error it returns nil detections.
+func (s *Simulator) RunTransistorSet(ctx context.Context, faults []core.Fault, patterns *PatternSet, useIDDQ bool, workers int) ([]Detection, error) {
 	out, _, err := s.runTransistor(ctx, faults, patterns, transistorMode(useIDDQ), workers)
 	return out, err
 }
 
-// RunTransistorBoth answers a transistor campaign with and without IDDQ
-// observation from one sweep, on the same workers as
-// RunTransistorParallel: voltage equals what RunTransistor(…, false)
+// RunTransistorBoth is RunTransistorBothSet over the patterns converted
+// to a PatternSet.
+func (s *Simulator) RunTransistorBoth(ctx context.Context, faults []core.Fault, patterns []Pattern, workers int) (voltage, withIDDQ []Detection, err error) {
+	return s.RunTransistorBothSet(ctx, faults, PatternSetOf(s.C, patterns), workers)
+}
+
+// RunTransistorBothSet answers a transistor campaign with and without
+// IDDQ observation from one sweep, on the same workers as
+// RunTransistorSet: voltage equals what RunTransistor(…, false)
 // returns and withIDDQ what RunTransistor(…, true) returns, on either
 // engine, with or without signature capture. The +IDDQ answer costs no
 // extra evaluation: the sweep evaluates exactly the gates the
@@ -257,7 +270,7 @@ func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fau
 // "transistor" stage and counts voltage detections. A capture records
 // both planes, the leak plane included. With an error both lists are
 // nil.
-func (s *Simulator) RunTransistorBoth(ctx context.Context, faults []core.Fault, patterns []Pattern, workers int) (voltage, withIDDQ []Detection, err error) {
+func (s *Simulator) RunTransistorBothSet(ctx context.Context, faults []core.Fault, patterns *PatternSet, workers int) (voltage, withIDDQ []Detection, err error) {
 	withIDDQ, voltage, err = s.runTransistor(ctx, faults, patterns, bothAnswers, workers)
 	return voltage, withIDDQ, err
 }
@@ -281,13 +294,13 @@ func (s *Simulator) RunTransistorBoth(ctx context.Context, faults []core.Fault, 
 // drained without simulating. A single-pattern class honours the
 // simulator's signature capture; a pair class ignores it, as the
 // reference two-pattern oracle does.
-func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core.Fault, patterns, inits []Pattern, workers int) (out, volt []Detection, err error) {
+func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core.Fault, patterns, inits *PatternSet, workers int) (out, volt []Detection, err error) {
 	var sig *SignatureCapture
 	if !cls.pairs {
 		sig = s.Signatures
 	}
 	if sig != nil {
-		if err := sig.check(len(faults), len(patterns)); err != nil {
+		if err := sig.check(len(faults), patterns.Len()); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -303,7 +316,7 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 		sink.add(len(faults), 0, len(faults), 0)
 		return out, volt, ctx.Err() // nothing to simulate: skip the baselines
 	}
-	w := s.laneWordsFor(len(patterns))
+	w := s.laneWordsFor(patterns.Len())
 	bases := s.packedBaselines(patterns, w, cls.binary)
 	if cls.pairs {
 		ib := s.packedBaselines(inits, w, false)

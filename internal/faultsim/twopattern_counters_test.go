@@ -64,7 +64,7 @@ func TestTwoPatternCounters(t *testing.T) {
 	drops := measure(func() {
 		set := New(c).PairDrops()
 		for _, p := range pairs {
-			set.AddPair(p[0], p[1])
+			set.AddPair(rowOf(c, p[0]), rowOf(c, p[1]))
 		}
 		for _, f := range faults {
 			if set.Detects(f) {

@@ -26,26 +26,33 @@ const exhaustiveInputLimit = 12
 // as a successful campaign.
 const DefaultPatternBudget = 256
 
-// BuildPatterns mirrors the CLI pattern policy: exhaustive for circuits
-// with at most exhaustiveInputLimit inputs, seeded-random otherwise
-// (DefaultPatternBudget patterns when n <= 0).
+// BuildPatterns is a campaign's pattern set as Pattern maps, for callers
+// outside the service that replay a campaign's layers.
 func BuildPatterns(c *logic.Circuit, n int, seed int64) []faultsim.Pattern {
+	return buildPatternSet(c, n, seed).Patterns()
+}
+
+// buildPatternSet mirrors the CLI pattern policy: exhaustive for
+// circuits with at most exhaustiveInputLimit inputs, seeded-random
+// otherwise (DefaultPatternBudget patterns when n <= 0), drawn pattern
+// by pattern, input by input, straight into the set.
+func buildPatternSet(c *logic.Circuit, n int, seed int64) *faultsim.PatternSet {
 	if len(c.Inputs) <= exhaustiveInputLimit {
-		return faultsim.ExhaustivePatterns(c)
+		return faultsim.ExhaustivePatternSet(c)
 	}
 	if n <= 0 {
 		n = DefaultPatternBudget
 	}
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]faultsim.Pattern, n)
-	for k := range out {
-		p := make(faultsim.Pattern, len(c.Inputs))
-		for _, pi := range c.Inputs {
-			p[pi] = logic.FromBool(rng.Intn(2) == 1)
+	ps := faultsim.NewPatternSet(c, n)
+	row := make([]logic.V, len(c.Inputs))
+	for range n {
+		for i := range row {
+			row[i] = logic.FromBool(rng.Intn(2) == 1)
 		}
-		out[k] = p
+		ps.Append(row)
 	}
-	return out
+	return ps
 }
 
 // RunObserver threads observability into one campaign execution. Every

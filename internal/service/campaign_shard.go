@@ -52,7 +52,7 @@ type ShardedOptions struct {
 type shardEnv struct {
 	c        *logic.Circuit
 	engine   faultsim.Engine
-	pats     []faultsim.Pattern
+	pats     *faultsim.PatternSet
 	saFaults []core.Fault
 	trFaults []core.Fault
 	bridges  []core.Bridge
@@ -207,8 +207,8 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	}
 
 	patSpan, endPatterns := ro.stage(ro.Span, "patterns")
-	pats := BuildPatterns(c, req.Patterns, req.Seed)
-	patSpan.SetAttr("count", strconv.Itoa(len(pats)))
+	pats := buildPatternSet(c, req.Patterns, req.Seed)
+	patSpan.SetAttr("count", strconv.Itoa(pats.Len()))
 	endPatterns(nil)
 
 	env := &shardEnv{c: c, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
@@ -241,7 +241,7 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 			Gates:   stats.Gates,
 			DPGates: stats.DPGates,
 		},
-		Patterns: len(pats),
+		Patterns: pats.Len(),
 		Engine:   engine.String(),
 	}
 
@@ -302,7 +302,7 @@ func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt Sharde
 				// A stored artifact that does not answer this sub-job
 				// (corruption, a key scheme change) is treated as a miss
 				// and overwritten by the fresh run below.
-				if out, err := stored.Decode(j, env.saFaults, env.trFaults, env.bridges, env.iddq, len(env.pats)); err == nil {
+				if out, err := stored.Decode(j, env.saFaults, env.trFaults, env.bridges, env.iddq, env.pats.Len()); err == nil {
 					sp.SetAttr("cache", "hit")
 					outs[j.Index] = out
 					if opt.OnCacheHit != nil {
@@ -362,7 +362,7 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		_, end := ro.stage(sp, stage)
 		var sig *faultsim.SignatureCapture
 		if j.Capture {
-			sig = faultsim.NewSignatureCapture(r.Len(), len(env.pats))
+			sig = faultsim.NewSignatureCapture(r.Len(), env.pats.Len())
 			sim.Signatures = sig
 		}
 		err := call()
@@ -376,7 +376,7 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		r := j.StuckAt
 		var dets []faultsim.Detection
 		sig, err := sweep("stuck_at", r, func() (err error) {
-			dets, err = sim.RunStuckAtContext(ctx, env.saFaults[r.Start:r.End], env.pats)
+			dets, err = sim.RunStuckAtSet(ctx, env.saFaults[r.Start:r.End], env.pats)
 			return err
 		})
 		if err != nil {
@@ -390,9 +390,9 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		var v, iq []faultsim.Detection
 		sig, err := sweep("transistor", r, func() (err error) {
 			if env.iddq {
-				v, iq, err = sim.RunTransistorBoth(ctx, faults, env.pats, env.workers)
+				v, iq, err = sim.RunTransistorBothSet(ctx, faults, env.pats, env.workers)
 			} else {
-				v, err = sim.RunTransistorParallel(ctx, faults, env.pats, false, env.workers)
+				v, err = sim.RunTransistorSet(ctx, faults, env.pats, false, env.workers)
 			}
 			return err
 		})
@@ -412,7 +412,7 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 	if env.bridges != nil {
 		current = env.agg.classes["bridges"]
 		_, end := ro.stage(sp, "bridges")
-		ds, err := sim.RunBridgesObserved(ctx, env.bridges[j.Bridges.Start:j.Bridges.End], env.pats, env.iddq)
+		ds, err := sim.RunBridgesSet(ctx, env.bridges[j.Bridges.Start:j.Bridges.End], env.pats, env.iddq)
 		end(err)
 		if err != nil {
 			return nil, err
@@ -441,7 +441,7 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 		}
 		var merged *faultsim.SignatureCapture
 		if sig {
-			if merged, err = shard.MergeSignatures(len(universe), len(env.pats), ps); err != nil {
+			if merged, err = shard.MergeSignatures(len(universe), env.pats.Len(), ps); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -477,7 +477,7 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 // transistor fault (with the leak plane when the campaign observes
 // IDDQ), in universe order. It returns the report section.
 func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *faultsim.SignatureCapture) (*DictionaryJSON, error) {
-	n := len(env.pats)
+	n := env.pats.Len()
 	d := &dict.Dictionary{Meta: dict.Meta{
 		Key:       env.ro.DictKey,
 		Circuit:   env.c.Name,
