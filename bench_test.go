@@ -269,7 +269,7 @@ func BenchmarkTransistorCampaign(b *testing.B) {
 			results[engine.String()] = runTransistorBoth(b, c, engine, faults, patterns)
 		})
 	}
-	checkBothAgree(b, "mult3", results)
+	checkBothAgree(b, "mult3", faults, results)
 }
 
 // runTransistorBoth times one single-worker RunTransistorBoth sweep per
@@ -293,8 +293,8 @@ func runTransistorBoth(b *testing.B, c *logic.Circuit, engine faultsim.Engine, f
 }
 
 // checkBothAgree fails the benchmark unless every engine returned the
-// reference oracle's voltage-only and +IDDQ answers.
-func checkBothAgree(b *testing.B, name string, results map[string][2][]faultsim.Detection) {
+// reference oracle's voltage-only and +IDDQ answers over faults.
+func checkBothAgree(b *testing.B, name string, faults []core.Fault, results map[string][2][]faultsim.Detection) {
 	ref := results["reference"]
 	for ename, cmp := range results {
 		for k, class := range []string{"voltage", "+IDDQ"} {
@@ -304,7 +304,7 @@ func checkBothAgree(b *testing.B, name string, results map[string][2][]faultsim.
 			for i, want := range ref[k] {
 				if got := cmp[k][i]; want.Method != got.Method || want.Pattern != got.Pattern {
 					b.Fatalf("%s: %s %s disagrees on %v: (%q, %d) vs (%q, %d)",
-						name, ename, class, want.Fault, want.Method, want.Pattern, got.Method, got.Pattern)
+						name, ename, class, faults[i], want.Method, want.Pattern, got.Method, got.Pattern)
 				}
 			}
 		}
@@ -319,10 +319,10 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 	bridges := core.NeighborBridges(c, 4)
 	patterns := faultsim.ExhaustivePatterns(c)
 
-	run := func(b *testing.B, engine faultsim.Engine) []faultsim.BridgeDetection {
+	run := func(b *testing.B, engine faultsim.Engine) []faultsim.Detection {
 		sim := faultsim.New(c)
 		sim.Engine = engine
-		var last []faultsim.BridgeDetection
+		var last []faultsim.Detection
 		b.ResetTimer()
 		evals0 := engineGateEvals(engine)
 		for i := 0; i < b.N; i++ {
@@ -336,7 +336,7 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 		return last
 	}
 
-	results := map[string][]faultsim.BridgeDetection{}
+	results := map[string][]faultsim.Detection{}
 	for _, engine := range []faultsim.Engine{faultsim.EngineReference, faultsim.EnginePacked} {
 		engine := engine
 		b.Run(engine.String(), func(b *testing.B) { results[engine.String()] = run(b, engine) })
@@ -347,10 +347,10 @@ func BenchmarkBridgeCampaign(b *testing.B) {
 			continue // a -bench filter skipped an engine: nothing to compare
 		}
 		for i := range ref {
-			if ref[i].Detected != cmp[i].Detected || ref[i].Method != cmp[i].Method || ref[i].Pattern != cmp[i].Pattern {
+			if ref[i].Detected() != cmp[i].Detected() || ref[i].Method != cmp[i].Method || ref[i].Pattern != cmp[i].Pattern {
 				b.Fatalf("%s disagrees on %v: (%v, %q, %d) vs (%v, %q, %d)",
-					name, ref[i].Bridge, ref[i].Detected, ref[i].Method, ref[i].Pattern,
-					cmp[i].Detected, cmp[i].Method, cmp[i].Pattern)
+					name, bridges[i], ref[i].Detected(), ref[i].Method, ref[i].Pattern,
+					cmp[i].Detected(), cmp[i].Method, cmp[i].Pattern)
 			}
 		}
 	}
@@ -429,7 +429,7 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 				b.ReportMetric(float64(len(faults)), "faults")
 			})
 		}
-		checkBothAgree(b, name, results)
+		checkBothAgree(b, name, faults, results)
 	}
 }
 

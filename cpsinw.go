@@ -81,7 +81,8 @@ func RunATPG(c *logic.Circuit) *atpg.CampaignResult {
 }
 
 // FaultSimulate runs the pattern set against the circuit's stuck-at
-// faults and returns the coverage summary.
+// faults, core.Universe(c, core.ClassicalOnly()), and returns the
+// coverage summary. Its Undetected values are indices into that list.
 func FaultSimulate(c *logic.Circuit, patterns []faultsim.Pattern) faultsim.Coverage {
 	faults := core.Universe(c, core.ClassicalOnly())
 	return faultsim.Summarise(faultsim.New(c).RunStuckAt(faults, patterns))

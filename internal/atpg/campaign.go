@@ -145,13 +145,9 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 		classUntestable++
 	}
 
+	saFaults, polFaults, cbFaults := splitClasses(faults)
+
 	// --- Line stuck-at faults. ---
-	var saFaults []core.Fault
-	for _, f := range faults {
-		if f.Kind.IsLineFault() {
-			saFaults = append(saFaults, f)
-		}
-	}
 	res.StuckAtTargeted = len(saFaults)
 	saDrops := sim.StuckAtDrops()
 	defer saDrops.Close()
@@ -192,12 +188,6 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 	// (the stuck-at patterns included) already catches needs no
 	// dedicated vector. IDDQ patterns are not voltage observations and
 	// stay out of the drop set. ---
-	var polFaults []core.Fault
-	for _, f := range faults {
-		if f.Kind.IsPolarityFault() {
-			polFaults = append(polFaults, f)
-		}
-	}
 	res.PolarityTargeted = len(polFaults)
 	polDrops := sim.VoltageDrops()
 	defer polDrops.Close()
@@ -229,12 +219,6 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 	// --- Channel breaks: an SP break an earlier generated pair already
 	// exposes needs no dedicated two-pattern test; DP breaks are tested
 	// by plans, not pairs. ---
-	var cbFaults []core.Fault
-	for _, f := range faults {
-		if f.Kind == core.FaultChannelBreak {
-			cbFaults = append(cbFaults, f)
-		}
-	}
 	cbDrops := sim.PairDrops()
 	defer cbDrops.Close()
 	classUntestable = 0
@@ -270,4 +254,33 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 		report("channel_break", i+1, len(cbFaults), res.CBSPCovered+res.CBDPCovered)
 	}
 	return res, nil
+}
+
+// splitClasses splits a fault list into the classes generate targets,
+// each in list order: line stuck-at, polarity and channel-break faults.
+// It counts first, so each list is allocated once at its final size.
+func splitClasses(faults []core.Fault) (sa, pol, cb []core.Fault) {
+	nSA, nPol, nCB := 0, 0, 0
+	for _, f := range faults {
+		switch {
+		case f.Kind.IsLineFault():
+			nSA++
+		case f.Kind.IsPolarityFault():
+			nPol++
+		case f.Kind == core.FaultChannelBreak:
+			nCB++
+		}
+	}
+	sa, pol, cb = make([]core.Fault, 0, nSA), make([]core.Fault, 0, nPol), make([]core.Fault, 0, nCB)
+	for _, f := range faults {
+		switch {
+		case f.Kind.IsLineFault():
+			sa = append(sa, f)
+		case f.Kind.IsPolarityFault():
+			pol = append(pol, f)
+		case f.Kind == core.FaultChannelBreak:
+			cb = append(cb, f)
+		}
+	}
+	return sa, pol, cb
 }

@@ -7,49 +7,9 @@ import (
 )
 
 // Signature is the full response of a device to a program: the sorted set
-// of failing step indices. Diagnosis matches observed signatures against
-// a fault dictionary.
+// of failing step indices. A fault dictionary over a program holds one
+// per detected fault (experiments.Diagnosis).
 type Signature []int
-
-// Equal reports whether two signatures are identical.
-func (s Signature) Equal(o Signature) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Jaccard returns the Jaccard similarity of two signatures (1 for equal
-// non-empty sets, 0 for disjoint).
-func (s Signature) Jaccard(o Signature) float64 {
-	if len(s) == 0 && len(o) == 0 {
-		return 1
-	}
-	inter := 0
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			inter++
-			i++
-			j++
-		case s[i] < o[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(s) + len(o) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
 
 // ExecuteAll runs every step of the program against the device (it does
 // not stop at the first failure) and returns the failure signature.

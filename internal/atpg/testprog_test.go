@@ -127,3 +127,28 @@ func TestProgramDetectsUntargetedStuckOn(t *testing.T) {
 		t.Error("failure without a reason")
 	}
 }
+
+// TestExecuteAllGoldenSignatureEmpty: the fault-free device fails no
+// step of the program, so its full failure signature is empty.
+func TestExecuteAllGoldenSignatureEmpty(t *testing.T) {
+	p, _, _ := buildProgramFor(t, bench.FullAdderCP())
+	if sig := ExecuteAll(p, nil); len(sig) != 0 {
+		t.Errorf("golden device has failure signature %v", sig)
+	}
+}
+
+// TestExecuteAllEscapesMatchUntestable: on the full adder, every fault
+// whose full signature is empty (a test escape) must be one the
+// campaign reported untestable.
+func TestExecuteAllEscapesMatchUntestable(t *testing.T) {
+	p, res, universe := buildProgramFor(t, bench.FullAdderCP())
+	untestable := map[string]bool{}
+	for _, f := range res.Untestable {
+		untestable[f.String()] = true
+	}
+	for i := range universe {
+		if len(ExecuteAll(p, &universe[i])) == 0 && !untestable[universe[i].String()] {
+			t.Errorf("covered fault %v escapes the program", universe[i])
+		}
+	}
+}

@@ -192,17 +192,6 @@ func AndAnyClear(a, mask Bitset, i int) bool {
 	return false
 }
 
-// Jaccard returns |a∩b| / |a∪b| over the combined out+leak planes of a
-// signature pair, or 0 when both are empty.
-func Jaccard(aOut, aLeak, bOut, bLeak Bitset) float64 {
-	inter := AndCount(aOut, bOut) + AndCount(aLeak, bLeak)
-	union := aOut.Count() + aLeak.Count() + bOut.Count() + bLeak.Count() - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // Entry is one fault's full detection signature: the patterns whose
 // output response deviates, and the patterns under which the fault
 // leaks (IDDQ). Fault is an opaque stable key (core.Fault.String()).

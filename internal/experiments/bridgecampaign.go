@@ -60,7 +60,7 @@ func BridgeCampaign(circuits map[string]*logic.Circuit) (*BridgeCampaignResult, 
 
 		bridges := core.NeighborBridges(c, 2)
 		ds := faultsim.New(c).RunBridges(bridges, pats)
-		cov := faultsim.BridgeCoverage(ds)
+		cov := faultsim.Summarise(ds)
 		res.Rows = append(res.Rows, BridgeRow{
 			Circuit:  name,
 			Bridges:  cov.Total,

@@ -184,12 +184,12 @@ func NANDTwoPattern() (*NANDTwoPatternResult, error) {
 		return nil, err
 	}
 	res := &NANDTwoPatternResult{Detected: map[string]int{}}
-	for _, d := range ds {
+	for i, d := range ds {
 		idx := -1
 		if d.Detected() {
 			idx = d.Pattern
 		}
-		res.Detected[d.Fault.Transistor] = idx
+		res.Detected[faults[i].Transistor] = idx
 	}
 	return res, nil
 }

@@ -7,7 +7,7 @@ import (
 	"cpsinw/internal/atpg"
 	"cpsinw/internal/bench"
 	"cpsinw/internal/core"
-	"cpsinw/internal/diagnosis"
+	"cpsinw/internal/dict"
 	"cpsinw/internal/logic"
 	"cpsinw/internal/report"
 )
@@ -27,9 +27,10 @@ type DiagnosisResult struct {
 	Rows []DiagnosisRow
 }
 
-// Diagnosis builds a fault dictionary per benchmark (extended-model
-// program, all covered faults) and reports the diagnostic resolution —
-// the closing step of the paper's inductive fault analysis loop.
+// Diagnosis builds a fault dictionary per benchmark over its tester
+// program (extended-model program, all covered faults) and reports the
+// diagnostic resolution — the closing step of the paper's inductive
+// fault analysis loop.
 func Diagnosis(circuits map[string]*logic.Circuit) (*DiagnosisResult, error) {
 	if circuits == nil {
 		circuits = map[string]*logic.Circuit{
@@ -53,22 +54,48 @@ func Diagnosis(circuits map[string]*logic.Circuit) (*DiagnosisResult, error) {
 		})
 		gen := atpg.Generate(c, universe, atpg.Options{})
 		program := atpg.BuildProgram(c, gen)
-		dict := diagnosis.Build(c, program, universe)
-		r := dict.Resolve()
+		d, err := programDictionary(program, universe)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		r := d.Meta.Resolution
 		unique := 0.0
-		if r.Faults > 0 {
-			unique = 100 * float64(r.UniquelyDiagnosable) / float64(r.Faults)
+		if r.Detected > 0 {
+			unique = 100 * float64(r.UniquelyDiagnosable) / float64(r.Detected)
 		}
 		res.Rows = append(res.Rows, DiagnosisRow{
 			Circuit:    name,
-			Faults:     r.Faults,
+			Faults:     r.Detected,
 			Classes:    r.Classes,
 			UniquePct:  unique,
-			Escapes:    len(dict.Escapes()),
+			Escapes:    len(universe) - len(d.Entries),
 			StepsTotal: len(program.Steps),
 		})
 	}
 	return res, nil
+}
+
+// programDictionary builds the fault dictionary of a tester program:
+// one entry per fault the program detects, whose output plane is its
+// failure signature (the failing steps, atpg.ExecuteAll) over the
+// program's steps and whose leak plane is empty. Faults that fail no
+// step are test escapes and get no entry. Normalize labels the classes
+// and fills Meta.Resolution.
+func programDictionary(program *atpg.Program, faults []core.Fault) (*dict.Dictionary, error) {
+	n := len(program.Steps)
+	d := &dict.Dictionary{Meta: dict.Meta{Circuit: program.Circuit.Name, Patterns: n}}
+	for i := range faults {
+		sig := atpg.ExecuteAll(program, &faults[i])
+		if len(sig) == 0 {
+			continue
+		}
+		out := dict.NewBitset(n)
+		for _, step := range sig {
+			out.Set(step)
+		}
+		d.Entries = append(d.Entries, dict.Entry{Fault: faults[i].String(), Out: out, Leak: dict.NewBitset(n)})
+	}
+	return d, d.Normalize()
 }
 
 // Report renders the resolution table.

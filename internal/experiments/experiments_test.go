@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"cpsinw/internal/atpg"
+	"cpsinw/internal/bench"
 	"cpsinw/internal/core"
 	"cpsinw/internal/device"
+	"cpsinw/internal/dict"
 	"cpsinw/internal/gates"
 )
 
@@ -276,5 +279,35 @@ func TestAblationPGD(t *testing.T) {
 	}
 	if !grace {
 		t.Error("soft model never shows a graceful (>=2x) delay rise before cut-off")
+	}
+}
+
+// TestProgramDictionarySelfDiagnosis: diagnosing the signature of each
+// fault of a tester-program dictionary must rank that fault as an exact
+// match (score 1) among the candidates.
+func TestProgramDictionarySelfDiagnosis(t *testing.T) {
+	c := bench.FullAdderCP()
+	universe := core.Universe(c, core.UniverseOptions{LineStuckAt: true, ChannelBreak: true, Polarity: true})
+	program := atpg.BuildProgram(c, atpg.Generate(c, universe, atpg.Options{}))
+	d, err := programDictionary(program, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Entries) == 0 {
+		t.Fatal("empty dictionary")
+	}
+	for _, e := range d.Entries {
+		found := false
+		for _, cand := range d.Diagnose(dict.Observation{Out: e.Out, Leak: e.Leak}, 50) {
+			if cand.Fault == e.Fault {
+				found = true
+				if cand.Score != 1 || !cand.Exact {
+					t.Errorf("%s: self score %.2f, want an exact match", e.Fault, cand.Score)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: not among its own candidates", e.Fault)
+		}
 	}
 }

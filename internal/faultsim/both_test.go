@@ -47,7 +47,7 @@ func transistorUniverse(c *logic.Circuit) []core.Fault {
 	return core.Universe(c, core.UniverseOptions{ChannelBreak: true, StuckOn: true, Polarity: true})
 }
 
-func sameDetections(t *testing.T, label string, want, got []Detection) {
+func sameDetections(t *testing.T, label string, faults []core.Fault, want, got []Detection) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d detections, want %d", label, len(got), len(want))
@@ -55,7 +55,7 @@ func sameDetections(t *testing.T, label string, want, got []Detection) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Errorf("%s: fault %v: got (%q, %d), want (%q, %d)",
-				label, want[i].Fault, got[i].Method, got[i].Pattern, want[i].Method, want[i].Pattern)
+				label, faults[i], got[i].Method, got[i].Pattern, want[i].Method, want[i].Pattern)
 		}
 	}
 }
@@ -101,8 +101,8 @@ func TestRunTransistorBothMatchesSeparateSweeps(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}
-					sameDetections(t, at+" voltage", wantV, v)
-					sameDetections(t, at+" +IDDQ", wantQ, q)
+					sameDetections(t, at+" voltage", faults, wantV, v)
+					sameDetections(t, at+" +IDDQ", faults, wantQ, q)
 					if !capture {
 						continue
 					}

@@ -9,14 +9,6 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// BridgeDetection records the outcome for one bridging fault.
-type BridgeDetection struct {
-	Bridge   core.Bridge
-	Detected bool
-	Method   DetectMethod // ByOutput, ByIDDQ under IDDQ observation, "" undetected
-	Pattern  int
-}
-
 // evalBridged simulates the circuit with a bridge injected. Bridges can
 // feed a value backwards relative to the topological order, so the
 // evaluation iterates the stem override to a fixpoint (the bridged value
@@ -76,29 +68,29 @@ func bridgeLeak(good map[string]logic.V, b core.Bridge) bool {
 
 // RunBridges fault-simulates bridging faults over the pattern set,
 // detecting by definite primary-output differences.
-func (s *Simulator) RunBridges(bridges []core.Bridge, patterns []Pattern) []BridgeDetection {
+func (s *Simulator) RunBridges(bridges []core.Bridge, patterns []Pattern) []Detection {
 	out, _ := s.RunBridgesObserved(context.Background(), bridges, patterns, false)
 	return out
 }
 
 // RunBridgesObserved is RunBridgesSet over the patterns converted to a
 // PatternSet.
-func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
+func (s *Simulator) RunBridgesObserved(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
 	return s.RunBridgesSet(ctx, bridges, PatternSetOf(s.C, patterns), useIDDQ)
 }
 
 // RunBridgesSet fault-simulates bridging faults over a PatternSet with
 // optional IDDQ observation: per pattern, a quiescent-current signature
 // (the bridged nets driven to opposite rails) is checked before the
-// voltage compare, mirroring the transistor-fault ordering. The
-// simulator's Engine selects the implementation — the 64-way packed
-// fixpoint (EnginePacked, default) or the hooked fixpoint oracle
-// (EngineReference) — and both are bit-identical, as the bridge
-// differential suite enforces. Cancellation is checked between bridges
-// (one bridge's pattern sweep is the unit of work); with the context's
-// error it returns the list with the bridges swept so far filled in and
-// the rest zero.
-func (s *Simulator) RunBridgesSet(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]BridgeDetection, error) {
+// voltage compare, mirroring the transistor-fault ordering, so a bridge
+// detects ByIDDQ or ByOutput. The simulator's Engine selects the
+// implementation — the 64-way packed fixpoint (EnginePacked, default)
+// or the hooked fixpoint oracle (EngineReference) — and both are
+// bit-identical, as the bridge differential suite enforces.
+// Cancellation is checked between bridges (one bridge's pattern sweep
+// is the unit of work); with the context's error it returns the list
+// with the bridges swept so far filled in and the rest zero.
+func (s *Simulator) RunBridgesSet(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]Detection, error) {
 	if s.Engine == EngineReference {
 		return s.runBridgesReference(ctx, bridges, patterns.Patterns(), useIDDQ)
 	}
@@ -106,9 +98,9 @@ func (s *Simulator) RunBridgesSet(ctx context.Context, bridges []core.Bridge, pa
 }
 
 // runBridgesReference is the hooked-map oracle driver.
-func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]BridgeDetection, error) {
+func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Bridge, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
 	sink := s.progressSink("bridges", len(bridges))
-	out := make([]BridgeDetection, len(bridges))
+	out := make([]Detection, len(bridges))
 	goods := make([]map[string]logic.V, len(patterns))
 	for k, p := range patterns {
 		goods[k] = s.C.Eval(map[string]logic.V(p))
@@ -118,26 +110,22 @@ func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Brid
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		out[i] = BridgeDetection{Bridge: b, Pattern: -1}
+		out[i] = Detection{Pattern: -1}
 		engineStats.referenceBridgeRuns.Add(1)
 		var evals uint64
 		for k, p := range patterns {
 			if useIDDQ && bridgeLeak(goods[k], b) {
-				out[i].Detected = true
-				out[i].Method = ByIDDQ
-				out[i].Pattern = k
+				out[i] = Detection{Method: ByIDDQ, Pattern: k}
 				break
 			}
 			faulty := evalBridged(s.C, p, b, &evals)
 			if s.outputsDiffer(goods[k], faulty) {
-				out[i].Detected = true
-				out[i].Method = ByOutput
-				out[i].Pattern = k
+				out[i] = Detection{Method: ByOutput, Pattern: k}
 				break
 			}
 		}
 		engineStats.referenceGateEvals.Add(evals)
-		sink.add(1, b2i(out[i].Detected), 0, evals)
+		sink.add(1, b2i(out[i].Detected()), 0, evals)
 	}
 	return out, nil
 }
@@ -400,7 +388,7 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 
 // runBridgesPacked drives the 64-way bridged fixpoint per bridge per
 // chunk.
-func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]BridgeDetection, error) {
+func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]Detection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.Compiled()
 	bases := s.packedBaselines(patterns, 1, false)
@@ -409,12 +397,12 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 	outPO := make([]logic.PackedVec, len(cc.OutputID))
 	bs := newBridgeConeScratch(cc)
 	sink.add(0, 0, 0, uint64(len(bases))*uint64(len(s.C.Gates)))
-	out := make([]BridgeDetection, len(bridges))
+	out := make([]Detection, len(bridges))
 	for i, b := range bridges {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		out[i] = BridgeDetection{Bridge: b, Pattern: -1}
+		out[i] = Detection{Pattern: -1}
 		e := s.bridgeEnds(b)
 		lut := compiledBridgeLUT(b.Kind)
 		var affected []int // computed lazily: leak-decided bridges never need it
@@ -444,35 +432,20 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 				continue
 			}
 			lane := logic.FirstLane(m)
-			out[i].Detected = true
+			out[i] = Detection{Method: ByOutput, Pattern: pb.start + lane}
 			if leak>>uint(lane)&1 == 1 {
 				out[i].Method = ByIDDQ
-			} else {
-				out[i].Method = ByOutput
 			}
-			out[i].Pattern = pb.start + lane
 			break
 		}
 		engineStats.packedGateEvals.Add(evals)
-		sink.add(1, b2i(out[i].Detected), 0, evals)
+		sink.add(1, b2i(out[i].Detected()), 0, evals)
 	}
 	return out, nil
 }
 
-// BridgeCoverage summarises bridge detections.
-func BridgeCoverage(ds []BridgeDetection) Coverage {
-	var c Coverage
-	for _, d := range ds {
-		c.Total++
-		if !d.Detected {
-			continue
-		}
-		c.Detected++
-		if d.Method == ByIDDQ {
-			c.ByIDDQ++
-		} else {
-			c.ByOutput++
-		}
-	}
-	return c
-}
+// BridgeCoverage is Summarise.
+//
+// Deprecated: use Summarise, which serves every class; the name stays
+// for callers written against the bridge engines' former result type.
+func BridgeCoverage(ds []Detection) Coverage { return Summarise(ds) }

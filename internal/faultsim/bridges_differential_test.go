@@ -11,7 +11,7 @@ import (
 )
 
 // The packed 64-way bridge engine must be bit-identical to the hooked
-// fixpoint oracle: same Detected flag, same
+// fixpoint oracle: same Detected answer, same
 // Method AND same first detecting pattern for every bridge, on
 // arbitrary circuits, bridge lists (all four resolution kinds,
 // including bridges naming nets absent from the circuit) and ternary
@@ -40,24 +40,9 @@ func randomBridges(rng *rand.Rand, c *logic.Circuit, n int) []core.Bridge {
 	return out
 }
 
-func diffBridgeDetections(t *testing.T, label string, ref, got []BridgeDetection) {
-	t.Helper()
-	if len(ref) != len(got) {
-		t.Fatalf("%s: %d vs %d detections", label, len(ref), len(got))
-	}
-	for i := range ref {
-		if ref[i].Detected != got[i].Detected || ref[i].Method != got[i].Method || ref[i].Pattern != got[i].Pattern {
-			t.Errorf("%s: bridge %v: reference (%v, %q, %d) vs packed (%v, %q, %d)",
-				label, ref[i].Bridge,
-				ref[i].Detected, ref[i].Method, ref[i].Pattern,
-				got[i].Detected, got[i].Method, got[i].Pattern)
-		}
-	}
-}
-
 // TestDifferentialBridgeEngines runs hundreds of random bridge
 // campaigns through both engines and requires bit-identical
-// BridgeDetection results.
+// detections.
 func TestDifferentialBridgeEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260729))
 	cases := 150 // x2 IDDQ modes = 300 campaign comparisons
@@ -78,7 +63,7 @@ func TestDifferentialBridgeEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d: packed: %v", ci, err)
 			}
-			diffBridgeDetections(t, c.Name, want, got)
+			diffDetections(t, c.Name, bridges, want, got)
 		}
 	}
 }
@@ -94,13 +79,13 @@ func TestDifferentialBridgesNeighbor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if BridgeCoverage(want).Detected == 0 {
+		if Summarise(want).Detected == 0 {
 			t.Fatalf("%s: no bridge detected; the case proves nothing", c.Name)
 		}
 		got, err := New(c).RunBridgesObserved(context.Background(), bridges, patterns, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffBridgeDetections(t, c.Name, want, got)
+		diffDetections(t, c.Name, bridges, want, got)
 	}
 }

@@ -77,22 +77,22 @@ y = NOT(b)
 		{Kind: core.BridgeWiredOR, A: "x", B: "y"},
 	}
 	ds := sim.RunBridges(bridges, ExhaustivePatterns(c))
-	for _, d := range ds {
-		if !d.Detected {
-			t.Errorf("%v not detected by exhaustive patterns", d.Bridge)
+	for i, d := range ds {
+		if !d.Detected() {
+			t.Errorf("%v not detected by exhaustive patterns", bridges[i])
 		}
 	}
-	cov := BridgeCoverage(ds)
+	cov := Summarise(ds)
 	if cov.Percent() != 100 {
 		t.Errorf("coverage %.1f%%", cov.Percent())
 	}
 	// A pattern where both nets agree cannot detect: check soundness of
 	// the reported detecting pattern.
-	for _, d := range ds {
+	for i, d := range ds {
 		p := ExhaustivePatterns(c)[d.Pattern]
 		good := c.Eval(map[string]logic.V(p))
 		if good["x"] == good["y"] {
-			t.Errorf("%v: reported pattern does not excite the bridge", d.Bridge)
+			t.Errorf("%v: reported pattern does not excite the bridge", bridges[i])
 		}
 	}
 }
@@ -102,21 +102,21 @@ func TestBridgeOnC17(t *testing.T) {
 	sim := New(c)
 	bridges := core.NeighborBridges(c, 2)
 	ds := sim.RunBridges(bridges, ExhaustivePatterns(c))
-	cov := BridgeCoverage(ds)
+	cov := Summarise(ds)
 	if cov.Detected == 0 {
 		t.Fatal("no bridge detected on c17-like circuit")
 	}
 	// Every detection must be reproducible.
 	patterns := ExhaustivePatterns(c)
-	for _, d := range ds {
-		if !d.Detected {
+	for i, d := range ds {
+		if !d.Detected() {
 			continue
 		}
 		p := patterns[d.Pattern]
 		good := c.Eval(map[string]logic.V(p))
-		faulty := evalBridged(c, p, d.Bridge, nil)
+		faulty := evalBridged(c, p, bridges[i], nil)
 		if !sim.outputsDiffer(good, faulty) {
-			t.Errorf("%v: detection not reproducible", d.Bridge)
+			t.Errorf("%v: detection not reproducible", bridges[i])
 		}
 	}
 }

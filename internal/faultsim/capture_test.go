@@ -123,7 +123,7 @@ func checkCapture(t *testing.T, label string, faults []core.Fault, sig *faultsim
 	}
 }
 
-func checkDetections(t *testing.T, label string, want, got []faultsim.Detection) {
+func checkDetections(t *testing.T, label string, faults []core.Fault, want, got []faultsim.Detection) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d vs %d detections", label, len(want), len(got))
@@ -131,7 +131,7 @@ func checkDetections(t *testing.T, label string, want, got []faultsim.Detection)
 	for i := range want {
 		if want[i].Method != got[i].Method || want[i].Pattern != got[i].Pattern {
 			t.Errorf("%s: fault %v: uncaptured (%q, %d) vs captured (%q, %d)",
-				label, want[i].Fault, want[i].Method, want[i].Pattern, got[i].Method, got[i].Pattern)
+				label, faults[i], want[i].Method, want[i].Pattern, got[i].Method, got[i].Pattern)
 		}
 	}
 }
@@ -166,7 +166,7 @@ func runCaptureCase(t *testing.T, c *logic.Circuit, faults []core.Fault, pattern
 		if err != nil {
 			t.Fatalf("%s: %v", en.name, err)
 		}
-		checkDetections(t, en.name, want, got)
+		checkDetections(t, en.name, faults, want, got)
 		checkCapture(t, en.name, faults, sig, wantOut, wantLeak)
 	}
 }
@@ -225,7 +225,7 @@ func TestStuckAtSignatureCapture(t *testing.T) {
 		sig := faultsim.NewSignatureCapture(len(faults), len(patterns))
 		s.Signatures = sig
 		got := s.RunStuckAt(faults, patterns)
-		checkDetections(t, "stuck_at", want, got)
+		checkDetections(t, "stuck_at", faults, want, got)
 
 		prog := captureProgram(c, patterns, false)
 		for i := range faults {
@@ -267,7 +267,7 @@ func TestParallelSignatureCapture(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s parallel: %v", en.name, err)
 		}
-		checkDetections(t, en.name, want, got)
+		checkDetections(t, en.name, universe, want, got)
 		for i := range universe {
 			if !wordsEqual(sig.Out(i), wantSig.Out(i)) || !wordsEqual(sig.Leak(i), wantSig.Leak(i)) {
 				t.Errorf("%s: fault %v: parallel capture diverges from serial", en.name, universe[i])

@@ -65,7 +65,9 @@ func subsample(rng *rand.Rand, faults []core.Fault, max int) []core.Fault {
 	return keep
 }
 
-func diffDetections(t *testing.T, label string, ref, got []Detection) {
+// diffDetections requires got to match the reference answers ref, both
+// aligned with faults (line or transistor faults, or bridges).
+func diffDetections[F any](t *testing.T, label string, faults []F, ref, got []Detection) {
 	t.Helper()
 	if len(ref) != len(got) {
 		t.Fatalf("%s: %d vs %d detections", label, len(ref), len(got))
@@ -73,7 +75,7 @@ func diffDetections(t *testing.T, label string, ref, got []Detection) {
 	for i := range ref {
 		if ref[i].Method != got[i].Method || ref[i].Pattern != got[i].Pattern {
 			t.Errorf("%s: fault %v: reference (%q, %d) vs packed (%q, %d)",
-				label, ref[i].Fault, ref[i].Method, ref[i].Pattern, got[i].Method, got[i].Pattern)
+				label, faults[i], ref[i].Method, ref[i].Pattern, got[i].Method, got[i].Pattern)
 		}
 	}
 }
@@ -103,7 +105,7 @@ func TestDifferentialTransistorEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d: packed: %v", ci, err)
 			}
-			diffDetections(t, c.Name, want, got)
+			diffDetections(t, c.Name, faults, want, got)
 		}
 	}
 }
@@ -136,7 +138,7 @@ func TestDifferentialTwoPatternEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: packed: %v", ci, err)
 		}
-		diffDetections(t, c.Name, want, got)
+		diffDetections(t, c.Name, faults, want, got)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestDifferentialParallelPacked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffDetections(t, c.Name, want, got)
+		diffDetections(t, c.Name, faults, want, got)
 	}
 }
 
@@ -188,7 +190,7 @@ func TestDifferentialFaultPackingShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("size %d: packed: %v", si, err)
 		}
-		diffDetections(t, c.Name, want, got)
+		diffDetections(t, c.Name, faults, want, got)
 	}
 }
 

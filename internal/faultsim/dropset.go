@@ -25,11 +25,12 @@ import (
 //
 // Entries are rows (one value per primary input, in C.Inputs order),
 // appended to a PatternSet and packed from it into fixed-width lane
-// blocks. Add re-packs only the tail block, re-evaluates only that
-// block's good circuit and forgets only that block's observability
-// masks; full blocks are never packed or evaluated again, and their
-// masks serve every later Detects. A set is used by one goroutine at a
-// time; Close releases it.
+// blocks. Add and AddPair only append rows, opening a block at each
+// block boundary, and mark the blocks they touch stale. Detects first
+// packs each stale block once, re-evaluates its good circuit and
+// forgets its observability masks; a block that stays unchanged is
+// never packed or evaluated again, and its masks serve every later
+// Detects. A set is used by one goroutine at a time; Close releases it.
 type DropSet struct {
 	s     *Simulator
 	cls   *packedClass // the class Detects simulates
@@ -38,6 +39,7 @@ type DropSet struct {
 	set   *PatternSet  // the entries; a pair set's test patterns
 	inits *PatternSet  // a pair set's init patterns, aligned with set
 	base  []packedBase // packed blocks, pair chunks in a pair set
+	stale int          // first block with rows not yet packed; len(base) when none
 	sc    *packedScratch
 }
 
@@ -83,7 +85,7 @@ func (d *DropSet) Add(row []logic.V) {
 		panic("faultsim: Add on a pair drop set")
 	}
 	d.set.Append(row)
-	d.pack()
+	d.grow()
 }
 
 // AddPair appends one init/test pair of rows to a pair set.
@@ -93,30 +95,37 @@ func (d *DropSet) AddPair(init, test []logic.V) {
 	}
 	d.inits.Append(init)
 	d.set.Append(test)
-	d.pack()
+	d.grow()
 }
 
-// pack re-packs the tail block from the entries, opening a new block at
-// every block boundary, re-evaluates that block's good circuit and
-// forgets its masks. A reference set keeps only the entries.
-func (d *DropSet) pack() {
+// grow opens a block when the entry just appended starts one and marks
+// the tail block stale. A reference set keeps only the entries.
+func (d *DropSet) grow() {
 	if d.ref {
 		return
 	}
-	n := d.set.Len() - 1
-	if n%(64*d.w) == 0 {
+	if n := d.set.Len() - 1; n%(64*d.w) == 0 {
 		d.base = append(d.base, d.block(n))
 		if d.cls.pairs {
 			ib := d.block(n)
 			d.base[len(d.base)-1].init = &ib
 		}
 	}
-	pb := &d.base[len(d.base)-1]
-	d.setBlock(pb, d.set, d.cls.binary)
-	if pb.init != nil {
-		d.setBlock(pb.init, d.inits, false)
+	d.stale = min(d.stale, len(d.base)-1)
+}
+
+// refresh packs every stale block from the entries once, re-evaluates
+// its good circuit and forgets its masks.
+func (d *DropSet) refresh() {
+	for ci := d.stale; ci < len(d.base); ci++ {
+		pb := &d.base[ci]
+		d.setBlock(pb, d.set, d.cls.binary)
+		if pb.init != nil {
+			d.setBlock(pb.init, d.inits, false)
+		}
+		d.sc.forgetChunk(ci)
 	}
-	d.sc.forgetChunk(len(d.base) - 1)
+	d.stale = len(d.base)
 }
 
 // block opens an empty block starting at entry n.
@@ -143,6 +152,7 @@ func (d *DropSet) setBlock(pb *packedBase, ps *PatternSet, binary bool) {
 // undetected.
 func (d *DropSet) Detects(f core.Fault) bool {
 	if !d.ref {
+		d.refresh()
 		a, err := d.s.simulateFaultPacked(d.cls, f, 0, d.base, d.sc, nil)
 		return err == nil && a.pattern >= 0
 	}

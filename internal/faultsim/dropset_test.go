@@ -74,9 +74,11 @@ var dropKinds = []dropKind{
 }
 
 // TestDropSetMatchesBatch grows every drop-set kind one entry at a time
-// across lane-block boundaries and, after every Add, asks it about every
-// fault of its class: the answer must equal Detected() from the kind's
-// batch entry point on the same list. Patterns are ternary and omit
+// across lane-block boundaries and, after every Add (or every run of
+// gap Adds), asks it about every fault of its class: the answer must
+// equal Detected() from the kind's batch entry point on the same list.
+// A gap of 150 fills blocks and opens the next ones between two
+// Detects, which then packs and evaluates each changed block once. Patterns are ternary and omit
 // some inputs. Faults the batch entry point rejects (unknown gate or
 // transistor) must report undetected.
 //
@@ -98,20 +100,23 @@ func TestDropSetMatchesBatch(t *testing.T) {
 		eng       Engine
 		laneWords int
 		n         int
+		gap       int // Adds between two rounds of Detects
 	}{
-		{bench.C17(), EnginePacked, 0, 300},
-		{bench.C17(), EnginePacked, 2, 130},
-		{bench.C17(), EnginePacked, 4, 300},
-		{small, EnginePacked, 0, 300},
-		{bench.Random(rng.Int63(), 7, 30), EnginePacked, 0, 130},
-		{c432, EnginePacked, 0, 65},
-		{bench.C17(), EngineReference, 0, 20},
-		{small, EngineReference, 0, 6},
+		{bench.C17(), EnginePacked, 0, 300, 1},
+		{bench.C17(), EnginePacked, 2, 130, 1},
+		{bench.C17(), EnginePacked, 4, 300, 1},
+		{small, EnginePacked, 0, 300, 1},
+		{bench.Random(rng.Int63(), 7, 30), EnginePacked, 0, 130, 1},
+		{c432, EnginePacked, 0, 65, 1},
+		{bench.C17(), EngineReference, 0, 20, 1},
+		{small, EngineReference, 0, 6, 1},
+		{bench.C17(), EnginePacked, 0, 300, 150},
+		{small, EnginePacked, 2, 300, 150},
 	}
 	checkpoint := map[int]bool{1: true, 63: true, 64: true, 65: true, 130: true, 300: true}
 	for _, su := range setups {
 		for _, kind := range dropKinds {
-			label := fmt.Sprintf("%s/%v/w%d/%s", su.c.Name, su.eng, su.laneWords, kind.name)
+			label := fmt.Sprintf("%s/%v/w%d/gap%d/%s", su.c.Name, su.eng, su.laneWords, su.gap, kind.name)
 			s := withEngine(su.c, su.eng)
 			s.laneWords = su.laneWords
 			faults, broken := kind.faults(su.c), kind.broken(su.c)
@@ -150,6 +155,9 @@ func TestDropSetMatchesBatch(t *testing.T) {
 							t.Fatalf("%s: batch over %d entries detects %v: %v, first detection over the whole list %+v", label, k, faults[i], d.Detected(), full[i])
 						}
 					}
+				}
+				if k%su.gap != 0 {
+					continue
 				}
 				for i, f := range faults {
 					if got := set.Detects(f); got != want[i] {

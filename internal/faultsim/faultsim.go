@@ -32,9 +32,10 @@ const (
 	ByTwoPattern DetectMethod = "two-pattern"
 )
 
-// Detection is the outcome for one fault.
+// Detection is the outcome for one fault or bridge: how it was caught
+// and first at which pattern. Every class answers a list of them
+// aligned by index with the fault or bridge slice the caller passed.
 type Detection struct {
-	Fault   core.Fault
 	Method  DetectMethod
 	Pattern int // index of the (first) detecting pattern or pair
 }
@@ -287,7 +288,7 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = Detection{Fault: f, Pattern: -1}
+		out[i] = Detection{Pattern: -1}
 		tf, ok := f.Kind.TFault()
 		if !ok || tf != logic.TFaultOpen {
 			sink.add(1, 0, 1, 0)
@@ -343,19 +344,21 @@ func (s *Simulator) twoPatternDetects(spec *gates.Spec, gi int, f core.Fault, in
 	return s.outputsDiffer(good, faulty)
 }
 
-// Coverage summarises a detection list.
+// Coverage summarises a detection list. Undetected holds, ascending,
+// the indices of the undetected entries: positions in the fault or
+// bridge slice the list was simulated over.
 type Coverage struct {
 	Total      int
 	Detected   int
 	ByOutput   int
 	ByIDDQ     int
 	ByTwoPat   int
-	Undetected []core.Fault
+	Undetected []int
 }
 
-// Summarise builds coverage statistics. The undetected list is
-// allocated once, at its final size, and is nil when every fault is
-// detected.
+// Summarise builds coverage statistics for a detection list of any
+// class. The undetected list is allocated once, at its final size, and
+// is nil when every entry is detected.
 func Summarise(ds []Detection) Coverage {
 	c := Coverage{Total: len(ds)}
 	for _, d := range ds {
@@ -372,12 +375,12 @@ func Summarise(ds []Detection) Coverage {
 	if c.Detected == c.Total {
 		return c
 	}
-	c.Undetected = make([]core.Fault, 0, c.Total-c.Detected)
-	for _, d := range ds {
+	c.Undetected = make([]int, 0, c.Total-c.Detected)
+	for i, d := range ds {
 		switch d.Method {
 		case ByOutput, ByIDDQ, ByTwoPattern:
 		default:
-			c.Undetected = append(c.Undetected, d.Fault)
+			c.Undetected = append(c.Undetected, i)
 		}
 	}
 	return c

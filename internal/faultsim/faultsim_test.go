@@ -43,9 +43,9 @@ func TestStuckAtExhaustiveFullCoverage(t *testing.T) {
 	if cov.Detected != cov.Total {
 		t.Errorf("coverage %.1f%%: undetected %v", cov.Percent(), cov.Undetected)
 	}
-	for _, d := range ds {
+	for i, d := range ds {
 		if d.Method == ByOutput && (d.Pattern < 0 || d.Pattern >= len(patterns)) {
-			t.Errorf("fault %v has bad pattern index %d", d.Fault, d.Pattern)
+			t.Errorf("fault %v has bad pattern index %d", faults[i], d.Pattern)
 		}
 	}
 }
@@ -58,17 +58,17 @@ func TestStuckAtDetectionIsReal(t *testing.T) {
 	patterns := ExhaustivePatterns(c)
 	sim := New(c)
 	ds := sim.RunStuckAt(faults, patterns)
-	for _, d := range ds {
+	for i, d := range ds {
 		if !d.Detected() {
 			continue
 		}
 		p := patterns[d.Pattern]
 		good := c.Eval(map[string]logic.V(p))
+		f := faults[i]
 		force := logic.L0
-		if d.Fault.Kind == core.FaultSA1 {
+		if f.Kind == core.FaultSA1 {
 			force = logic.L1
 		}
-		f := d.Fault
 		var hooks logic.TernaryHooks
 		if f.Pin >= 0 {
 			hooks.Pin = func(gi, pin int, v logic.V) logic.V {
@@ -149,9 +149,9 @@ func TestPullDownPolarityFaultsByOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range ds {
+	for i, d := range ds {
 		if d.Method != ByOutput {
-			t.Errorf("%v: method %q, want output detection", d.Fault, d.Method)
+			t.Errorf("%v: method %q, want output detection", faults[i], d.Method)
 		}
 	}
 }
@@ -211,9 +211,9 @@ func TestNANDChannelBreakTwoPatternPaperVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range ds {
+	for i, d := range ds {
 		if d.Method != ByTwoPattern {
-			t.Errorf("NAND %s channel break not detected by the paper's two-pattern set", d.Fault.Transistor)
+			t.Errorf("NAND %s channel break not detected by the paper's two-pattern set", cbs[i].Transistor)
 		}
 	}
 }
@@ -253,12 +253,12 @@ func TestCoverageSummary(t *testing.T) {
 }
 
 // TestSummariseAllocatesOnce pins the undetected list's allocation: one
-// list at its final size, in detection order, and none when every fault
-// is detected.
+// list at its final size, the undetected indices ascending, and none
+// when every fault is detected.
 func TestSummariseAllocatesOnce(t *testing.T) {
 	ds := make([]Detection, 300)
 	for i := range ds {
-		ds[i] = Detection{Fault: core.Fault{Net: "n", Pin: i}, Pattern: -1}
+		ds[i] = Detection{Pattern: -1}
 		if i%3 == 0 {
 			ds[i].Method, ds[i].Pattern = ByOutput, 0
 		}
@@ -267,7 +267,7 @@ func TestSummariseAllocatesOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { cov = Summarise(ds) }); n != 1 {
 		t.Errorf("Summarise made %v allocations, want 1", n)
 	}
-	if len(cov.Undetected) != 200 || cap(cov.Undetected) != 200 || cov.Undetected[0].Pin != 1 || cov.Undetected[199].Pin != 299 {
+	if len(cov.Undetected) != 200 || cap(cov.Undetected) != 200 || cov.Undetected[0] != 1 || cov.Undetected[199] != 299 {
 		t.Errorf("undetected list: %d faults, capacity %d", len(cov.Undetected), cap(cov.Undetected))
 	}
 	all := []Detection{{Method: ByOutput}, {Method: ByTwoPattern}}

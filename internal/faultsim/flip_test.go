@@ -86,7 +86,7 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 					}
 					return err
 				})
-				sameDetections(t, label, ref, volt)
+				sameDetections(t, label, faults, ref, volt)
 				if evals != seeds || prog.GateEvals != base+seeds {
 					t.Errorf("%s: %d packed evals (progress %d), want %d seed evals (progress %d with the baseline)",
 						label, evals, prog.GateEvals, seeds, base+seeds)
@@ -116,7 +116,7 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 		got, err = s.RunTwoPattern(faults, pairs)
 		return err
 	})
-	sameDetections(t, "pairs", ref, got)
+	sameDetections(t, "pairs", faults, ref, got)
 	w := New(c).laneWordsFor(len(pairs))
 	base := uint64(2 * ((len(pairs) + 64*w - 1) / (64 * w)) * len(c.Gates) * w)
 	if evals != 0 || prog.GateEvals != base {
@@ -157,7 +157,7 @@ func TestCaptureRetiresAtLastFlip(t *testing.T) {
 	}
 	plain, want := sweep(false)
 	captured, got := sweep(true)
-	sameDetections(t, "captured", want, got)
+	sameDetections(t, "captured", faults, want, got)
 	if captured != plain {
 		t.Errorf("captured sweep made %d packed evals, uncaptured %d", captured, plain)
 	}

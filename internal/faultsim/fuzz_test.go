@@ -51,12 +51,12 @@ func FuzzPackedMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffDetections(t, "transistor voltage", wantV, v)
-		diffDetections(t, "transistor +IDDQ", wantQ, q)
+		diffDetections(t, "transistor voltage", faults, wantV, v)
+		diffDetections(t, "transistor +IDDQ", faults, wantQ, q)
 
 		line := core.Universe(c, core.ClassicalOnly())
 		wantSA := oracleStuckAt(c, line, patterns, nil)
-		diffDetections(t, "stuck-at", wantSA, New(c).RunStuckAt(line, patterns))
+		diffDetections(t, "stuck-at", line, wantSA, New(c).RunStuckAt(line, patterns))
 
 		breaks := subsample(rng, core.Universe(c, core.UniverseOptions{ChannelBreak: true}), 12)
 		pairs := make([][2]Pattern, n)
@@ -71,7 +71,7 @@ func FuzzPackedMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffDetections(t, "two-pattern", wantP, gotP)
+		diffDetections(t, "two-pattern", breaks, wantP, gotP)
 
 		s := New(c)
 		for _, d := range []struct {

@@ -26,11 +26,11 @@ import (
 // The campaigns cycle through every lane-block width (1, 2 and 4 words
 // of 64 lanes), so each reshape is checked at each block geometry.
 
-func detectedSet(ds []Detection) map[string]bool {
+func detectedSet(faults []core.Fault, ds []Detection) map[string]bool {
 	out := map[string]bool{}
-	for _, d := range ds {
+	for i, d := range ds {
 		if d.Detected() {
-			out[d.Fault.String()] = true
+			out[faults[i].String()] = true
 		}
 	}
 	return out
@@ -71,7 +71,7 @@ func TestPackedLaneInvarianceTransistor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: padded: %v", ci, err)
 		}
-		diffDetections(t, "padded", base, got)
+		diffDetections(t, "padded", faults, base, got)
 
 		// Splitting one packed call into two at an off-word boundary.
 		split := 1 + rng.Intn(n-1)
@@ -92,10 +92,10 @@ func TestPackedLaneInvarianceTransistor(t *testing.T) {
 				merged[i] = second[i]
 				merged[i].Pattern += split
 			default:
-				merged[i] = Detection{Fault: faults[i], Pattern: -1}
+				merged[i] = Detection{Pattern: -1}
 			}
 		}
-		diffDetections(t, "split-merge", base, merged)
+		diffDetections(t, "split-merge", faults, base, merged)
 
 		// Permuting the pattern order preserves the detected set.
 		perm := append([]Pattern{}, patterns...)
@@ -104,7 +104,7 @@ func TestPackedLaneInvarianceTransistor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: permuted: %v", ci, err)
 		}
-		want, have := detectedSet(base), detectedSet(got)
+		want, have := detectedSet(faults, base), detectedSet(faults, got)
 		if len(want) != len(have) {
 			t.Fatalf("case %d: permutation changed detections: %d vs %d", ci, len(want), len(have))
 		}
@@ -142,7 +142,7 @@ func TestPackedLaneInvarianceBridges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: padded: %v", ci, err)
 		}
-		diffBridgeDetections(t, "padded", base, got)
+		diffDetections(t, "padded", bridges, base, got)
 
 		split := 1 + rng.Intn(n-1)
 		first, err := sim.RunBridgesObserved(context.Background(), bridges, patterns[:split], useIDDQ)
@@ -153,19 +153,19 @@ func TestPackedLaneInvarianceBridges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: split tail: %v", ci, err)
 		}
-		merged := make([]BridgeDetection, len(bridges))
+		merged := make([]Detection, len(bridges))
 		for i := range merged {
 			switch {
-			case first[i].Detected:
+			case first[i].Detected():
 				merged[i] = first[i]
-			case second[i].Detected:
+			case second[i].Detected():
 				merged[i] = second[i]
 				merged[i].Pattern += split
 			default:
-				merged[i] = BridgeDetection{Bridge: bridges[i], Pattern: -1}
+				merged[i] = Detection{Pattern: -1}
 			}
 		}
-		diffBridgeDetections(t, "split-merge", base, merged)
+		diffDetections(t, "split-merge", bridges, base, merged)
 	}
 }
 
@@ -202,13 +202,13 @@ func TestPackedLaneWidthInvariance(t *testing.T) {
 				base = got
 				continue
 			}
-			diffDetections(t, c.Name+"/w1-vs-w"+string(rune('0'+w)), base, got)
+			diffDetections(t, c.Name+"/w1-vs-w"+string(rune('0'+w)), faults, base, got)
 
 			par, err := sim.RunTransistorParallel(context.Background(), faults, patterns, useIDDQ, 4)
 			if err != nil {
 				t.Fatalf("case %d: width %d parallel: %v", ci, w, err)
 			}
-			diffDetections(t, c.Name+"/parallel-w"+string(rune('0'+w)), base, par)
+			diffDetections(t, c.Name+"/parallel-w"+string(rune('0'+w)), faults, base, par)
 		}
 	}
 }
@@ -249,12 +249,12 @@ func TestFaultPackedParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d: width %d: %v", ci, w, err)
 			}
-			diffDetections(t, c.Name+"/serial", want, got)
+			diffDetections(t, c.Name+"/serial", faults, want, got)
 			got, err = sim.RunTransistorParallel(context.Background(), faults, patterns, useIDDQ, 4)
 			if err != nil {
 				t.Fatalf("case %d: width %d parallel: %v", ci, w, err)
 			}
-			diffDetections(t, c.Name+"/parallel", want, got)
+			diffDetections(t, c.Name+"/parallel", faults, want, got)
 		}
 	}
 }

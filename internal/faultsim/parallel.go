@@ -80,10 +80,10 @@ func (a *answers) stop(m sweepMode) int {
 
 // put stores fault i's answers: d in out and, when volt is non-nil, v
 // in volt.
-func (a *answers) put(out, volt []Detection, i int, f core.Fault) {
-	out[i] = Detection{Fault: f, Method: a.method, Pattern: a.pattern}
+func (a *answers) put(out, volt []Detection, i int) {
+	out[i] = Detection{Method: a.method, Pattern: a.pattern}
 	if volt != nil {
-		volt[i] = Detection{Fault: f, Pattern: a.voltage}
+		volt[i] = Detection{Pattern: a.voltage}
 		if a.voltage >= 0 {
 			volt[i].Method = ByOutput
 		}
@@ -203,7 +203,7 @@ func (s *Simulator) runTransistorReference(ctx context.Context, faults []core.Fa
 		if err != nil {
 			return nil, nil, err
 		}
-		a.put(out, volt, i, f)
+		a.put(out, volt, i)
 		stop := a.stop(mode)
 		sink.add(1, b2i(stop >= 0), b2i(!transistorSimulable(f)), s.referenceFaultEvals(f, stop, len(patterns), sig != nil))
 	}
@@ -309,8 +309,8 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 	if cls.mode == bothAnswers {
 		volt = make([]Detection, len(faults))
 	}
-	for i, f := range faults {
-		undetected.put(out, volt, i, f)
+	for i := range faults {
+		undetected.put(out, volt, i)
 	}
 	if !slices.ContainsFunc(faults, cls.simulable) {
 		sink.add(len(faults), 0, len(faults), 0)
@@ -346,7 +346,7 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 					failed.CompareAndSwap(nil, &first)
 					break
 				}
-				a.put(out, volt, i, faults[i])
+				a.put(out, volt, i)
 				sink.add(1, b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(faults[i])), sc.lifetimeEvals()-before)
 			}
 		}

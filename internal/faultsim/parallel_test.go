@@ -31,7 +31,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if serial[i].Method != parallel[i].Method || serial[i].Pattern != parallel[i].Pattern {
 			t.Errorf("fault %v: serial %v@%d vs parallel %v@%d",
-				serial[i].Fault, serial[i].Method, serial[i].Pattern,
+				faults[i], serial[i].Method, serial[i].Pattern,
 				parallel[i].Method, parallel[i].Pattern)
 		}
 	}
@@ -72,7 +72,7 @@ func TestParallelMoreWorkersThanFaults(t *testing.T) {
 	for i := range serial {
 		if serial[i].Method != parallel[i].Method || serial[i].Pattern != parallel[i].Pattern {
 			t.Errorf("fault %v: serial %v@%d vs parallel %v@%d",
-				serial[i].Fault, serial[i].Method, serial[i].Pattern,
+				faults[i], serial[i].Method, serial[i].Pattern,
 				parallel[i].Method, parallel[i].Pattern)
 		}
 	}

@@ -80,8 +80,8 @@ func oracleEvalChunk(cc *logic.CompiledCircuit, in []logic.PackedVec, f core.Fau
 // records every detecting pattern and disables fault dropping.
 func oracleStuckAt(c *logic.Circuit, faults []core.Fault, patterns []Pattern, sig *SignatureCapture) []Detection {
 	out := make([]Detection, len(faults))
-	for i, f := range faults {
-		out[i] = Detection{Fault: f, Pattern: -1}
+	for i := range out {
+		out[i] = Detection{Pattern: -1}
 	}
 	cc := c.Compile()
 	good := make([]logic.PackedVec, cc.NumNets())
@@ -94,8 +94,7 @@ func oracleStuckAt(c *logic.Circuit, faults []core.Fault, patterns []Pattern, si
 			valid = (1 << uint(len(chunk))) - 1
 		}
 		cc.EvalBlock(in, 1, good)
-		for i := range out {
-			f := out[i].Fault
+		for i, f := range faults {
 			if !f.Kind.IsLineFault() || (out[i].Detected() && sig == nil) {
 				continue
 			}
@@ -157,7 +156,7 @@ func mixedLineFaults(rng *rand.Rand, c *logic.Circuit) []core.Fault {
 // and signature rows when both captured.
 func diffStuckAt(t *testing.T, label string, faults []core.Fault, want, got []Detection, wantSig, gotSig *SignatureCapture) {
 	t.Helper()
-	diffDetections(t, label, want, got)
+	diffDetections(t, label, faults, want, got)
 	if wantSig == nil {
 		return
 	}
@@ -331,7 +330,7 @@ func TestStuckAtCancel(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d patterns: err = %v, want context.Canceled", n, err)
 		}
-		if len(ds) != len(faults) || ds[0].Fault != faults[0] || ds[0].Pattern != -1 {
+		if len(ds) != len(faults) || ds[0] != (Detection{Pattern: -1}) {
 			t.Errorf("%d patterns: partial detections not initialized: %+v", n, ds[:1])
 		}
 	}

@@ -1,24 +1,18 @@
 package logic
 
-import "cpsinw/internal/gates"
-
 // N×64-lane blocks: the packed engines widen the 64-lane PackedVec to
 // blocks of 1, 2 or 4 bitplane words (64/128/256 ternary lanes per
 // net), stored word-major. Every Kleene bitplane kernel in
 // EvalKindPacked is lane-wise — pure bitwise ops, no cross-lane carries
-// — so a width-w block evaluates as w independent PackedVec
-// evaluations; the block kernels reuse the per-word kernels and lane
-// invariance at any width follows from the 64-lane property suites.
+// — so EvalBlock and the packed engines evaluate a width-w block as w
+// independent per-word EvalKindPacked calls, and lane invariance at any
+// width follows from the 64-lane property suites.
 
 // MaxLaneWords is the widest supported lane block (256 lanes).
 const MaxLaneWords = 4
 
 // ValidLaneWords reports whether w is a supported block width.
 func ValidLaneWords(w int) bool { return w == 1 || w == 2 || w == 4 }
-
-// PackedBlock is a view of w consecutive PackedVecs holding w*64
-// ternary lanes of one net: lane l lives in word l>>6, bit l&63.
-type PackedBlock []PackedVec
 
 // FirstLaneBlock returns the lowest set lane across the words of a
 // block mask, or 64*len(m) when the mask is empty.
@@ -29,32 +23,4 @@ func FirstLaneBlock(m []uint64) int {
 		}
 	}
 	return len(m) << 6
-}
-
-// EvalKindBlock evaluates one gate kind across a lane block: ins[k] is
-// the block of fanin pin k, out receives the len(out) output words. The
-// width switch unrolls the supported block shapes so the w=1 fast path
-// stays exactly one kernel call.
-func EvalKindBlock(kind gates.Kind, lut GateLUT, ins []PackedBlock, out PackedBlock) {
-	var buf [3]PackedVec
-	n := len(ins)
-	word := func(j int) PackedVec {
-		for k := 0; k < n; k++ {
-			buf[k] = ins[k][j]
-		}
-		return EvalKindPacked(kind, lut, buf[:n])
-	}
-	switch len(out) {
-	case 1:
-		out[0] = word(0)
-	case 2:
-		out[0], out[1] = word(0), word(1)
-	case 4:
-		out[0], out[1] = word(0), word(1)
-		out[2], out[3] = word(2), word(3)
-	default:
-		for j := range out {
-			out[j] = word(j)
-		}
-	}
 }

@@ -317,34 +317,25 @@ func TestEvalPackedAgainstTernary(t *testing.T) {
 }
 
 func TestEvalPackedPropertyAllKinds(t *testing.T) {
-	// EvalKindBlock must agree with the scalar Eval on random binary
-	// words for every library gate, at every supported block width.
+	// EvalKindPacked must agree with the scalar Eval on random binary
+	// words for every library gate, in every lane.
 	f := func(a, b, c uint64, kidx uint8) bool {
 		kinds := gates.Kinds()
 		k := kinds[int(kidx)%len(kinds)]
 		spec := gates.Get(k)
-		lut := CompileGateLUT(k)
 		words := []uint64{a, b, c}[:spec.NIn]
-		for _, w := range []int{1, 2, 4} {
-			ins := make([]PackedBlock, spec.NIn)
-			for i, word := range words {
-				ins[i] = make(PackedBlock, w)
-				for j := range ins[i] {
-					ins[i][j] = PackedVec{Val: word, Known: ^uint64(0)}
-				}
+		ins := make([]PackedVec, spec.NIn)
+		for i, word := range words {
+			ins[i] = PackedVec{Val: word, Known: ^uint64(0)}
+		}
+		out := EvalKindPacked(k, CompileGateLUT(k), ins)
+		for p := 0; p < 64; p++ {
+			in := make([]bool, spec.NIn)
+			for i := range words {
+				in[i] = words[i]>>uint(p)&1 == 1
 			}
-			out := make(PackedBlock, w)
-			EvalKindBlock(k, lut, ins, out)
-			for j := 0; j < w; j++ {
-				for p := 0; p < 64; p += 7 {
-					in := make([]bool, spec.NIn)
-					for i := range words {
-						in[i] = words[i]>>uint(p)&1 == 1
-					}
-					if (out[j].Val>>uint(p)&1 == 1) != spec.Eval(in) || out[j].Known>>uint(p)&1 != 1 {
-						return false
-					}
-				}
+			if (out.Val>>uint(p)&1 == 1) != spec.Eval(in) || out.Known>>uint(p)&1 != 1 {
+				return false
 			}
 		}
 		return true

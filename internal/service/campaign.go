@@ -158,7 +158,10 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 	return RunCampaignSharded(ctx, c, req, ShardedOptions{Shards: 1}, ro)
 }
 
-func coverageJSON(cov faultsim.Coverage) *CoverageJSON {
+// coverageJSON renders one class's coverage. Its undetected list names
+// the universe's faults at cov.Undetected's indices, so fault strings
+// are built only here; bridges pass no universe and list none.
+func coverageJSON(cov faultsim.Coverage, universe []core.Fault) *CoverageJSON {
 	out := &CoverageJSON{
 		Total:        cov.Total,
 		Detected:     cov.Detected,
@@ -167,10 +170,10 @@ func coverageJSON(cov faultsim.Coverage) *CoverageJSON {
 		ByTwoPattern: cov.ByTwoPat,
 		Percent:      cov.Percent(),
 	}
-	if len(cov.Undetected) > 0 {
+	if universe != nil && len(cov.Undetected) > 0 {
 		out.Undetected = make([]string, len(cov.Undetected))
-		for i, f := range cov.Undetected {
-			out.Undetected[i] = f.String()
+		for i, fi := range cov.Undetected {
+			out.Undetected[i] = universe[fi].String()
 		}
 	}
 	return out

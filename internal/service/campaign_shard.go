@@ -145,11 +145,6 @@ func (a *shardAgg) complete(j shard.SubJob, out *shard.Output) {
 				n++
 			}
 		}
-		for _, d := range part.Bridges {
-			if d.Detected {
-				n++
-			}
-		}
 		ca.done[j.Index], ca.detected[j.Index] = part.Range.Len(), n
 		a.emitLocked(ca)
 	}
@@ -417,7 +412,7 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		if err != nil {
 			return nil, err
 		}
-		out.Bridges = &shard.Part{Range: j.Bridges, Bridges: ds}
+		out.Bridges = &shard.Part{Range: j.Bridges, Dets: ds}
 	}
 	return out, nil
 }
@@ -433,41 +428,42 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 		}
 		return ps
 	}
-	faultClass := func(universe []core.Fault, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
+	// class merges one class of n faults (or bridges) and renders its
+	// coverage, naming undetected faults from universe (nil for
+	// bridges); with sig it also merges the class's signature capture.
+	class := func(n int, universe []core.Fault, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
 		ps := parts(pick)
-		ds, err := shard.MergeDetections(len(universe), ps)
+		ds, err := shard.MergeDetections(n, ps)
 		if err != nil {
 			return nil, nil, err
 		}
 		var merged *faultsim.SignatureCapture
 		if sig {
-			if merged, err = shard.MergeSignatures(len(universe), env.pats.Len(), ps); err != nil {
+			if merged, err = shard.MergeSignatures(n, env.pats.Len(), ps); err != nil {
 				return nil, nil, err
 			}
 		}
-		return coverageJSON(faultsim.Summarise(ds)), merged, nil
+		return coverageJSON(faultsim.Summarise(ds), universe), merged, nil
 	}
 	if env.saFaults != nil {
-		if rep.StuckAt, saSig, err = faultClass(env.saFaults, func(o *shard.Output) *shard.Part { return o.StuckAt }, capture); err != nil {
+		if rep.StuckAt, saSig, err = class(len(env.saFaults), env.saFaults, func(o *shard.Output) *shard.Part { return o.StuckAt }, capture); err != nil {
 			return nil, nil, err
 		}
 	}
 	if env.trFaults != nil {
-		if rep.Transistor, trSig, err = faultClass(env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorV }, capture && !env.iddq); err != nil {
+		if rep.Transistor, trSig, err = class(len(env.trFaults), env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorV }, capture && !env.iddq); err != nil {
 			return nil, nil, err
 		}
 		if env.iddq {
-			if rep.TransistorIDDQ, trSig, err = faultClass(env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorIQ }, capture); err != nil {
+			if rep.TransistorIDDQ, trSig, err = class(len(env.trFaults), env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorIQ }, capture); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	if env.bridges != nil {
-		ds, err := shard.MergeBridgeDetections(len(env.bridges), parts(func(o *shard.Output) *shard.Part { return o.Bridges }))
-		if err != nil {
+		if rep.Bridges, _, err = class(len(env.bridges), nil, func(o *shard.Output) *shard.Part { return o.Bridges }, false); err != nil {
 			return nil, nil, err
 		}
-		rep.Bridges = coverageJSON(faultsim.BridgeCoverage(ds))
 	}
 	return saSig, trSig, nil
 }

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +64,7 @@ func (fx *c17Fixture) result(tb testing.TB, j SubJob) *Result {
 		tb.Fatal(err)
 	}
 	sim.Signatures = nil
-	if o.Bridges.Bridges, err = sim.RunBridgesObserved(ctx, fx.br[j.Bridges.Start:j.Bridges.End], fx.pats, true); err != nil {
+	if o.Bridges.Dets, err = sim.RunBridgesObserved(ctx, fx.br[j.Bridges.Start:j.Bridges.End], fx.pats, true); err != nil {
 		tb.Fatal(err)
 	}
 	return o.Encode(j, strings.Repeat("c", 64))
@@ -83,6 +86,65 @@ func cloneResult(tb testing.TB, r *Result) *Result {
 		tb.Fatal(err)
 	}
 	return &out
+}
+
+// parentFormat renders r's wire form as builds before the one-record
+// form stored it: every detected bridge record also carried "d":true,
+// which only repeated its method.
+func parentFormat(tb testing.TB, r *Result) []byte {
+	tb.Helper()
+	recs := make([][]byte, len(r.Bridges.Dets))
+	for k, d := range r.Bridges.Dets {
+		recs[k] = fmt.Appendf(nil, `{"p":%d}`, d.Pattern)
+		if d.Method != "" {
+			recs[k] = fmt.Appendf(nil, `{"m":%q,"p":%d,"d":true}`, d.Method, d.Pattern)
+		}
+	}
+	bare := *r
+	bare.Bridges = &ClassResult{Range: r.Bridges.Range}
+	raw, err := json.Marshal(&bare)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Only the bare bridge class has no records array.
+	if bytes.Count(raw, []byte(`"dets":null`)) != 1 {
+		tb.Fatalf("cannot place the bridge records in %s", raw)
+	}
+	dets := append(append([]byte(`"dets":[`), bytes.Join(recs, []byte(","))...), ']')
+	return bytes.Replace(raw, []byte(`"dets":null`), dets, 1)
+}
+
+// TestDecodeParentBridgeRecords decodes a c17 artifact whose bridge
+// records carry the "d" flag older builds wrote: stored artifacts must
+// decode to the same detections as the records of this build.
+func TestDecodeParentBridgeRecords(t *testing.T) {
+	fx := newC17Fixture()
+	j := fx.plan(1, false).Jobs[0]
+	good := fx.result(t, j)
+	good.Bridges.Dets[0] = Det{Method: "iddq", Pattern: 3}
+	good.Bridges.Dets[1] = Det{Pattern: -1}
+	want, err := fx.decode(good, j, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := parentFormat(t, good)
+	if !bytes.Contains(raw, []byte(`"dets":[{"m":"iddq","p":3,"d":true},{"p":-1}`)) {
+		t.Fatalf("artifact is not in the parent's bridge record form: %s", raw)
+	}
+	var parent Result
+	if err := json.Unmarshal(raw, &parent); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fx.decode(&parent, j, true)
+	if err != nil {
+		t.Fatalf("decode rejected a stored artifact: %v", err)
+	}
+	if !slices.Equal(got.Bridges.Dets, want.Bridges.Dets) {
+		t.Errorf("bridges decode to %v, want %v", got.Bridges.Dets, want.Bridges.Dets)
+	}
+	if got.Bridges.Dets[0] != (faultsim.Detection{Method: faultsim.ByIDDQ, Pattern: 3}) || got.Bridges.Dets[1] != (faultsim.Detection{Pattern: -1}) {
+		t.Errorf("records decode to %v and %v", got.Bridges.Dets[0], got.Bridges.Dets[1])
+	}
 }
 
 // TestDecodeRejectsBadRecords damages one record (or one fault's record
@@ -122,14 +184,12 @@ func TestDecodeRejectsBadRecords(t *testing.T) {
 		{"stuck-at unknown method", true, func(r *Result) { r.StuckAt.Dets[0] = Det{Method: "bogus", Pattern: 0} }, false},
 		{"voltage iddq method", true, func(r *Result) { r.TransistorV.Dets[0] = Det{Method: "iddq", Pattern: 0} }, false},
 		{"+IDDQ two-pattern method", true, func(r *Result) { r.TransistorIQ.Dets[0] = Det{Method: "two-pattern", Pattern: 0} }, false},
-		{"bridge unknown method", true, func(r *Result) { r.Bridges.Dets[0] = Det{Method: "x", Pattern: 0, Detected: true} }, false},
-		{"bridge iddq without IDDQ", false, withoutIDDQ(func(r *Result) { r.Bridges.Dets[0] = Det{Method: "iddq", Pattern: 0, Detected: true} }), false},
+		{"bridge unknown method", true, func(r *Result) { r.Bridges.Dets[0] = Det{Method: "x", Pattern: 0} }, false},
+		{"bridge iddq without IDDQ", false, withoutIDDQ(func(r *Result) { r.Bridges.Dets[0] = Det{Method: "iddq", Pattern: 0} }), false},
 		{"detection past the patterns", true, func(r *Result) { r.StuckAt.Dets[0] = Det{Method: "output", Pattern: n} }, false},
 		{"detection at pattern -1", true, func(r *Result) { r.StuckAt.Dets[0] = Det{Method: "output", Pattern: -1} }, false},
 		{"undetected with a pattern", true, func(r *Result) { r.StuckAt.Dets[0] = Det{Pattern: 0} }, false},
 		{"undetected bridge with a pattern", true, func(r *Result) { r.Bridges.Dets[0] = Det{Pattern: 3} }, false},
-		{"bridge detected flag without method", true, func(r *Result) { r.Bridges.Dets[0] = Det{Pattern: -1, Detected: true} }, false},
-		{"bridge method without detected flag", true, func(r *Result) { r.Bridges.Dets[0] = Det{Method: "output", Pattern: 2} }, false},
 		{"+IDDQ later than voltage", true, pair(Det{Method: "output", Pattern: 2}, Det{Method: "iddq", Pattern: 3}), false},
 		{"+IDDQ undetected, voltage detected", true, pair(Det{Method: "output", Pattern: 2}, Det{Pattern: -1}), false},
 		{"output +IDDQ before voltage", true, pair(Det{Method: "output", Pattern: 2}, Det{Method: "output", Pattern: 1}), false},
@@ -141,7 +201,7 @@ func TestDecodeRejectsBadRecords(t *testing.T) {
 		{"undetected pair", true, pair(Det{Pattern: -1}, Det{Pattern: -1}), true},
 		{"campaign without IDDQ", false, withoutIDDQ(func(*Result) {}), true},
 		{"campaign without IDDQ ignores the +IDDQ class", false, withoutIDDQ(pair(Det{Method: "output", Pattern: 2}, Det{Method: "bogus", Pattern: 99})), true},
-		{"bridge iddq under IDDQ", true, func(r *Result) { r.Bridges.Dets[0] = Det{Method: "iddq", Pattern: 0, Detected: true} }, true},
+		{"bridge iddq under IDDQ", true, func(r *Result) { r.Bridges.Dets[0] = Det{Method: "iddq", Pattern: 0} }, true},
 	} {
 		r := cloneResult(t, good)
 		tc.damage(r)
@@ -180,11 +240,8 @@ func checkDecoded(t *testing.T, o *Output, nPatterns int) {
 			t.Fatalf("fault %d: voltage (%q, %d) and +IDDQ (%q, %d) decoded without error", k, v.Method, v.Pattern, q.Method, q.Pattern)
 		}
 	}
-	for _, d := range o.Bridges.Bridges {
+	for _, d := range o.Bridges.Dets {
 		record("bridges", d.Method, d.Pattern, true)
-		if d.Detected != (d.Method != faultsim.ByNone) {
-			t.Fatalf("bridge record detected=%t with method %q decoded without error", d.Detected, d.Method)
-		}
 	}
 }
 
@@ -192,7 +249,8 @@ func checkDecoded(t *testing.T, o *Output, nPatterns int) {
 // it against one sub-job of a small c17 plan (two shards, IDDQ
 // observed, with or without capture). Decoding must never panic, and a
 // nil error must mean every record passes checkDecoded. Seeds are the
-// encoded artifacts of every sub-job, with and without capture.
+// encoded artifacts of every sub-job, with and without capture, and
+// one artifact in the parent's bridge record form.
 func FuzzShardResultDecode(f *testing.F) {
 	fx := newC17Fixture()
 	plans := map[bool]*Plan{false: fx.plan(2, false), true: fx.plan(2, true)}
@@ -205,6 +263,7 @@ func FuzzShardResultDecode(f *testing.F) {
 			f.Add(raw, capture, uint8(j.Index))
 		}
 	}
+	f.Add(parentFormat(f, fx.result(f, plans[false].Jobs[0])), false, uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, capture bool, index uint8) {
 		jobs := plans[capture].Jobs
 		j := jobs[int(index)%len(jobs)]

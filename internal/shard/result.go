@@ -10,16 +10,16 @@ import (
 	"cpsinw/internal/faultsim"
 )
 
-// Det is one serializable detection record. The fault it belongs to is
-// implied by its position: class universes are enumerated
-// deterministically (core.Universe / core.NeighborBridges), so a
-// shard's records line up with its Range without carrying fault names.
+// Det is one serializable detection record, the wire form of a
+// faultsim.Detection. The fault it belongs to is implied by its
+// position: class universes are enumerated deterministically
+// (core.Universe / core.NeighborBridges), so a shard's records line up
+// with its Range without carrying fault names. Bridge records written
+// by older builds also carry a "d" flag, which only repeated m;
+// decoding ignores it.
 type Det struct {
 	Method  string `json:"m,omitempty"`
 	Pattern int    `json:"p"`
-	// Detected carries the bridge engines' explicit flag; for
-	// transistor/stuck-at records it is implied by Method.
-	Detected bool `json:"d,omitempty"`
 }
 
 // ClassResult is one fault class's slice of a shard result: the
@@ -51,16 +51,15 @@ type Result struct {
 	Bridges      *ClassResult `json:"bridges,omitempty"`
 }
 
-// Part is one fault class's slice of a completed sub-job in engine
-// form: the detections for Range in universe order (Bridges for the
-// bridge class) and, when the sub-job captured signatures, their rows
-// (row k is fault Range.Start+k). Sub-job results stay in this form in
-// memory; ClassResult is its wire form in the result store.
+// Part is one class's slice of a completed sub-job in engine form: the
+// detections for Range in universe order (Dets[k] answers fault or
+// bridge Range.Start+k) and, when the sub-job captured signatures, their
+// rows (row k is fault Range.Start+k). Sub-job results stay in this
+// form in memory; ClassResult is its wire form in the result store.
 type Part struct {
-	Range   Range
-	Dets    []faultsim.Detection
-	Bridges []faultsim.BridgeDetection
-	Sig     *faultsim.SignatureCapture
+	Range Range
+	Dets  []faultsim.Detection
+	Sig   *faultsim.SignatureCapture
 }
 
 // Output is one completed sub-job in engine form. Classes the campaign
@@ -119,17 +118,9 @@ func encodePart(p *Part, leak bool) *ClassResult {
 	if p == nil {
 		return nil
 	}
-	cr := &ClassResult{Range: p.Range}
-	if p.Bridges != nil {
-		cr.Dets = make([]Det, len(p.Bridges))
-		for i, d := range p.Bridges {
-			cr.Dets[i] = Det{Method: string(d.Method), Pattern: d.Pattern, Detected: d.Detected}
-		}
-	} else {
-		cr.Dets = make([]Det, len(p.Dets))
-		for i, d := range p.Dets {
-			cr.Dets[i] = Det{Method: string(d.Method), Pattern: d.Pattern}
-		}
+	cr := &ClassResult{Range: p.Range, Dets: make([]Det, len(p.Dets))}
+	for i, d := range p.Dets {
+		cr.Dets[i] = Det{Method: string(d.Method), Pattern: d.Pattern}
 	}
 	if p.Sig != nil {
 		cr.Out = encodeSigRows(p.Sig, false)
@@ -141,17 +132,18 @@ func encodePart(p *Part, leak bool) *ClassResult {
 }
 
 // Decode checks a stored result against the sub-job it should answer
-// (Matches) and converts it to engine form over the campaign's class
-// universes, whose sizes the sub-job's ranges were cut from (nil for a
-// class the campaign does not simulate), its IDDQ observation and its
-// pattern count. Every simulated class must be present, with signature
-// rows wherever the sub-job captured them, even for an empty range: the
-// stuck-at and +IDDQ classes when j.Capture (the latter with its leak
-// plane), the voltage-only transistor class when j.Capture without IDDQ.
-// Every record must be one its class can produce (checkRecord), and
-// each fault's voltage and +IDDQ records must agree (checkPair). Any
-// mismatch, missing class, bad record or missing or malformed row is
-// an error, so a corrupted artifact is re-simulated, not merged.
+// (Matches) and converts it to engine form. The class universes, whose
+// sizes the sub-job's ranges were cut from, say which classes the
+// campaign simulates (nil for one it does not); iddq is its IDDQ
+// observation and nPatterns its pattern count. Every simulated class
+// must be present, with signature rows wherever the sub-job captured
+// them, even for an empty range: the stuck-at and +IDDQ classes when
+// j.Capture (the latter with its leak plane), the voltage-only
+// transistor class when j.Capture without IDDQ. Every record must be
+// one its class can produce (checkRecord), and each fault's voltage and
+// +IDDQ records must agree (checkPair). Any mismatch, missing class,
+// bad record or missing or malformed row is an error, so a corrupted
+// artifact is re-simulated, not merged.
 func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []core.Bridge, iddq bool, nPatterns int) (*Output, error) {
 	if err := r.Matches(j); err != nil {
 		return nil, err
@@ -159,16 +151,16 @@ func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []co
 	o := &Output{}
 	var err error
 	if stuckAt != nil {
-		if o.StuckAt, err = decodeFaults("stuck_at", r.StuckAt, stuckAt, nPatterns, j.Capture, false); err != nil {
+		if o.StuckAt, err = decodePart("stuck_at", r.StuckAt, nPatterns, j.Capture, false); err != nil {
 			return nil, err
 		}
 	}
 	if transistor != nil {
-		if o.TransistorV, err = decodeFaults("transistor", r.TransistorV, transistor, nPatterns, j.Capture && !iddq, false); err != nil {
+		if o.TransistorV, err = decodePart("transistor", r.TransistorV, nPatterns, j.Capture && !iddq, false); err != nil {
 			return nil, err
 		}
 		if iddq {
-			if o.TransistorIQ, err = decodeFaults("transistor_iddq", r.TransistorIQ, transistor, nPatterns, j.Capture, true); err != nil {
+			if o.TransistorIQ, err = decodePart("transistor_iddq", r.TransistorIQ, nPatterns, j.Capture, true); err != nil {
 				return nil, err
 			}
 			for k, v := range o.TransistorV.Dets {
@@ -179,34 +171,18 @@ func (r *Result) Decode(j SubJob, stuckAt, transistor []core.Fault, bridges []co
 		}
 	}
 	if bridges != nil {
-		cr := r.Bridges
-		if cr == nil {
-			return nil, fmt.Errorf("shard: result %d/%d carries no bridges records", r.Index, r.Total)
+		if o.Bridges, err = decodePart("bridges", r.Bridges, nPatterns, false, iddq); err != nil {
+			return nil, err
 		}
-		p := &Part{Range: cr.Range, Bridges: make([]faultsim.BridgeDetection, len(cr.Dets))}
-		for k, d := range cr.Dets {
-			if err := checkRecord(d, nPatterns, iddq); err != nil {
-				return nil, fmt.Errorf("shard: bridges record %d: %w", cr.Range.Start+k, err)
-			}
-			if d.Detected != (d.Method != "") {
-				return nil, fmt.Errorf("shard: bridges record %d: detected flag %t with method %q", cr.Range.Start+k, d.Detected, d.Method)
-			}
-			p.Bridges[k] = faultsim.BridgeDetection{
-				Bridge:   bridges[cr.Range.Start+k],
-				Method:   faultsim.DetectMethod(d.Method),
-				Pattern:  d.Pattern,
-				Detected: d.Detected,
-			}
-		}
-		o.Bridges = p
 	}
 	return o, nil
 }
 
-// decodeFaults converts one fault class's stored slice, decoding its
-// output plane when the class captured and its leak plane too when
-// leak is set. Only the +IDDQ class (leak) can detect by IDDQ.
-func decodeFaults(name string, cr *ClassResult, universe []core.Fault, nPatterns int, capture, leak bool) (*Part, error) {
+// decodePart converts one class's stored slice, decoding its output
+// plane when the class captured and its leak plane too when capturing
+// with leak set. Only a class that observes IDDQ (leak: the +IDDQ
+// transistor class, bridges under IDDQ) can detect by IDDQ.
+func decodePart(name string, cr *ClassResult, nPatterns int, capture, leak bool) (*Part, error) {
 	if cr == nil {
 		return nil, fmt.Errorf("shard: result carries no %s records", name)
 	}
@@ -215,11 +191,7 @@ func decodeFaults(name string, cr *ClassResult, universe []core.Fault, nPatterns
 		if err := checkRecord(d, nPatterns, leak); err != nil {
 			return nil, fmt.Errorf("shard: %s record %d: %w", name, cr.Range.Start+k, err)
 		}
-		p.Dets[k] = faultsim.Detection{
-			Fault:   universe[cr.Range.Start+k],
-			Method:  faultsim.DetectMethod(d.Method),
-			Pattern: d.Pattern,
-		}
+		p.Dets[k] = faultsim.Detection{Method: faultsim.DetectMethod(d.Method), Pattern: d.Pattern}
 	}
 	if !capture {
 		return p, nil
@@ -299,34 +271,24 @@ func tile(n int, parts []*Part, records func(*Part) int) ([]*Part, error) {
 	return got, nil
 }
 
-// merge concatenates the tiled parts' records in universe order. A
-// lone part already is the whole class and is returned as is.
-func merge[D any](n int, parts []*Part, records func(*Part) []D) ([]D, error) {
-	got, err := tile(n, parts, func(p *Part) int { return len(records(p)) })
+// MergeDetections reassembles the full detection list of one class of
+// n faults (or bridges) from its parts, in universe order: bit-identical
+// to one sweep over the whole class because each fault's outcome is
+// independent of its neighbours. A lone part already is the whole class
+// and is returned as is.
+func MergeDetections(n int, parts []*Part) ([]faultsim.Detection, error) {
+	got, err := tile(n, parts, func(p *Part) int { return len(p.Dets) })
 	if err != nil {
 		return nil, err
 	}
 	if len(got) == 1 {
-		return records(got[0]), nil
+		return got[0].Dets, nil
 	}
-	out := make([]D, 0, n)
+	out := make([]faultsim.Detection, 0, n)
 	for _, p := range got {
-		out = append(out, records(p)...)
+		out = append(out, p.Dets...)
 	}
 	return out, nil
-}
-
-// MergeDetections reassembles the full detection list of one class of
-// n faults from its parts, in universe order: bit-identical to one
-// sweep over the whole class because each fault's outcome is
-// independent of its neighbours.
-func MergeDetections(n int, parts []*Part) ([]faultsim.Detection, error) {
-	return merge(n, parts, func(p *Part) []faultsim.Detection { return p.Dets })
-}
-
-// MergeBridgeDetections is MergeDetections for the bridge universe.
-func MergeBridgeDetections(n int, parts []*Part) ([]faultsim.BridgeDetection, error) {
-	return merge(n, parts, func(p *Part) []faultsim.BridgeDetection { return p.Bridges })
 }
 
 // MergeSignatures reassembles one class's full signature capture, both

@@ -175,7 +175,7 @@ func TestMergeDetectionsRoundTrip(t *testing.T) {
 	universe := faultUniverse(9)
 	full := make([]faultsim.Detection, len(universe))
 	for i := range full {
-		full[i] = faultsim.Detection{Fault: universe[i], Method: faultsim.ByOutput, Pattern: i * 2}
+		full[i] = faultsim.Detection{Method: faultsim.ByOutput, Pattern: i * 2}
 	}
 	full[4].Method, full[4].Pattern = faultsim.ByNone, -1 // an undetected fault
 

@@ -3,7 +3,8 @@
 # smoke test.
 #
 # Builds cpsinw-serve (race detector on), boots it with a result store,
-# runs a sharded campaign and checks the shard scheduler showed up in
+# runs a sharded campaign (every shard stores stuck-at, transistor and
+# bridge records) and checks the shard scheduler showed up in
 # /metrics and the per-shard aggregation in the job's progress. Then it
 # kills the server outright and boots a second life over the same
 # store: resubmitting the identical campaign must be answered from the
@@ -16,7 +17,7 @@ cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
 addr="127.0.0.1:18082"
 resultdir="$workdir/results"
-body='{"benchmark":"mult3","faults":{"stuck_at":true,"polarity":true,"iddq":true},"engine":"packed","shards":4}'
+body='{"benchmark":"mult3","faults":{"stuck_at":true,"polarity":true,"iddq":true,"bridges":true},"engine":"packed","shards":4}'
 
 cleanup() {
     [[ -n "${server_pid:-}" ]] && kill "$server_pid" 2>/dev/null || true
