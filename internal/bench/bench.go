@@ -299,18 +299,27 @@ func Random(seed int64, nIn, nGates int) *logic.Circuit {
 	return c
 }
 
-// Suite returns the named benchmark set used across the experiments.
+// suite maps each fixed benchmark name to its constructor, so a lookup
+// builds only the circuit it names.
+var suite = map[string]func() *logic.Circuit{
+	"c17":      C17,
+	"fa_cp":    FullAdderCP,
+	"rca4":     func() *logic.Circuit { return RippleCarryAdder(4) },
+	"rca8":     func() *logic.Circuit { return RippleCarryAdder(8) },
+	"parity8":  func() *logic.Circuit { return ParityTree(8) },
+	"parity16": func() *logic.Circuit { return ParityTree(16) },
+	"tmr":      TMRVoter,
+	"mult2":    func() *logic.Circuit { return Multiplier(2) },
+	"mult3":    func() *logic.Circuit { return Multiplier(3) },
+	"rand42":   func() *logic.Circuit { return Random(42, 8, 30) },
+}
+
+// Suite returns the named benchmark set used across the experiments,
+// freshly built.
 func Suite() map[string]*logic.Circuit {
-	return map[string]*logic.Circuit{
-		"c17":      C17(),
-		"fa_cp":    FullAdderCP(),
-		"rca4":     RippleCarryAdder(4),
-		"rca8":     RippleCarryAdder(8),
-		"parity8":  ParityTree(8),
-		"parity16": ParityTree(16),
-		"tmr":      TMRVoter(),
-		"mult2":    Multiplier(2),
-		"mult3":    Multiplier(3),
-		"rand42":   Random(42, 8, 30),
+	out := make(map[string]*logic.Circuit, len(suite))
+	for name, build := range suite {
+		out[name] = build()
 	}
+	return out
 }

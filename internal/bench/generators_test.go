@@ -277,6 +277,40 @@ func TestRegistryGet(t *testing.T) {
 	}
 }
 
+// TestGetBuildsOneCircuit: Get builds only the circuit it names. An
+// ISCAS lookup builds nothing (the corpus is parsed once), and every
+// fixed name resolves to the circuit Suite holds under it, byte for
+// byte in .bench form.
+func TestGetBuildsOneCircuit(t *testing.T) {
+	if _, err := Get("c432"); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = Get("c432") }); allocs != 0 {
+		t.Errorf("Get(c432) made %v allocations, want 0", allocs)
+	}
+	writeBench := func(c *logic.Circuit) string {
+		var b strings.Builder
+		if err := logic.WriteBench(&b, c); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	s := Suite()
+	names := Names()
+	if len(names) != len(s) {
+		t.Fatalf("Names lists %d circuits, Suite holds %d", len(names), len(s))
+	}
+	for _, name := range names {
+		c, err := Get(name)
+		if err != nil {
+			t.Fatalf("Get(%q): %v", name, err)
+		}
+		if want, ok := s[name]; !ok || writeBench(c) != writeBench(want) {
+			t.Errorf("Get(%q) differs from Suite()[%q]", name, name)
+		}
+	}
+}
+
 // TestCorpusScales pins the approximate scaling-sweep sizes so the
 // BENCH_faultsim.json curve's labels stay honest.
 func TestCorpusScales(t *testing.T) {

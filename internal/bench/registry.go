@@ -61,21 +61,21 @@ func Families() []string {
 
 // Names returns the fixed benchmark names, sorted.
 func Names() []string {
-	s := Suite()
-	names := make([]string, 0, len(s))
-	for n := range s {
+	names := make([]string, 0, len(suite))
+	for n := range suite {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Get resolves a benchmark name: fixed Suite entries first, then the
+// Get resolves a benchmark name: fixed Suite entries first (only the
+// named one is built), then the embedded ISCAS corpus, then the
 // parameterized families. Unknown names (and family parameters that
 // would exceed maxGeneratedGates) return a descriptive error.
 func Get(name string) (*logic.Circuit, error) {
-	if c, ok := Suite()[name]; ok {
-		return c, nil
+	if build, ok := suite[name]; ok {
+		return build(), nil
 	}
 	if m, err := iscas(); err == nil {
 		if c, ok := m[name]; ok {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,6 +108,31 @@ func TestUniverseAllocatesOnce(t *testing.T) {
 			}
 			if len(u) == 0 && u != nil {
 				t.Errorf("%s %+v: empty universe is not nil", c.Name, opt)
+			}
+		}
+	}
+}
+
+// TestUniverseSplitsAtLineFaults: a universe with line stuck-at is the
+// line-fault list followed by the transistor list, so a campaign that
+// already built both halves hands their concatenation to ATPG instead
+// of enumerating the joint universe again. It holds on every fixed
+// benchmark and c432, under every mix of the transistor classes.
+func TestUniverseSplitsAtLineFaults(t *testing.T) {
+	names := append(bench.Names(), "c432")
+	for _, name := range names {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := Universe(c, ClassicalOnly())
+		for mix := 0; mix < 8; mix++ {
+			opt := UniverseOptions{ChannelBreak: mix&1 != 0, StuckOn: mix&2 != 0, Polarity: mix&4 != 0}
+			split := slices.Concat(lines, Universe(c, opt))
+			opt.LineStuckAt = true
+			if joint := Universe(c, opt); !slices.Equal(split, joint) {
+				t.Errorf("%s %+v: line faults then transistor faults (%d) differ from the joint universe (%d)",
+					name, opt, len(split), len(joint))
 			}
 		}
 	}

@@ -106,6 +106,8 @@ func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Brid
 		goods[k] = s.C.Eval(map[string]logic.V(p))
 	}
 	sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
+	batch := progressBatch{sink: sink}
+	defer batch.flush()
 	for i, b := range bridges {
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -125,7 +127,7 @@ func (s *Simulator) runBridgesReference(ctx context.Context, bridges []core.Brid
 			}
 		}
 		engineStats.referenceGateEvals.Add(evals)
-		sink.add(1, b2i(out[i].Detected()), 0, evals)
+		batch.add(b2i(out[i].Detected()), 0, evals)
 	}
 	return out, nil
 }
@@ -387,7 +389,8 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 }
 
 // runBridgesPacked drives the 64-way bridged fixpoint per bridge per
-// chunk.
+// chunk. Like the packed pool's scratch, it publishes its engine
+// counters once per sweep, on every return path, not per bridge.
 func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]Detection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.Compiled()
@@ -397,6 +400,13 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 	outPO := make([]logic.PackedVec, len(cc.OutputID))
 	bs := newBridgeConeScratch(cc)
 	sink.add(0, 0, 0, uint64(len(bases))*uint64(len(s.C.Gates)))
+	batch := progressBatch{sink: sink}
+	defer batch.flush()
+	var runs, evals uint64
+	defer func() {
+		engineStats.packedBridgeRuns.Add(runs)
+		engineStats.packedGateEvals.Add(evals)
+	}()
 	out := make([]Detection, len(bridges))
 	for i, b := range bridges {
 		if err := ctx.Err(); err != nil {
@@ -407,8 +417,8 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 		lut := compiledBridgeLUT(b.Kind)
 		var affected []int // computed lazily: leak-decided bridges never need it
 		piA, piB := -1, -1
-		engineStats.packedBridgeRuns.Add(1)
-		var evals uint64
+		runs++
+		before := evals
 		for ci := range bases {
 			pb := &bases[ci]
 			var leak uint64
@@ -438,8 +448,7 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 			}
 			break
 		}
-		engineStats.packedGateEvals.Add(evals)
-		sink.add(1, b2i(out[i].Detected()), 0, evals)
+		batch.add(b2i(out[i].Detected()), 0, evals-before)
 	}
 	return out, nil
 }

@@ -54,7 +54,8 @@ type Simulator struct {
 	Engine Engine
 
 	// Progress, when set, receives monotone per-stage campaign snapshots
-	// from every engine driver (see ProgressFunc for the delivery
+	// from every engine driver, a bounded number per stage: drivers
+	// batch their per-unit deltas (see ProgressFunc for the delivery
 	// contract). Set it before starting a campaign; drivers capture it
 	// once at entry.
 	Progress ProgressFunc
@@ -250,8 +251,8 @@ func (s *Simulator) RunTwoPattern(faults []core.Fault, pairs [][2]Pattern) ([]De
 
 // RunTwoPatternContext is RunTwoPattern with cooperative cancellation
 // checked between faults on both engines; with an error, the context's
-// included, it returns nil detections. Both engines report per-fault
-// progress on the "two_pattern" stage and charge one fault run per
+// included, it returns nil detections. Both engines report progress in
+// faults on the "two_pattern" stage and charge one fault run per
 // simulated channel break to the engine counters.
 func (s *Simulator) RunTwoPatternContext(ctx context.Context, faults []core.Fault, pairs [][2]Pattern) ([]Detection, error) {
 	inits, tests := make([]Pattern, len(pairs)), make([]Pattern, len(pairs))
@@ -283,6 +284,8 @@ func (s *Simulator) runTwoPattern(ctx context.Context, faults []core.Fault, init
 // RunTwoPatternContext, one pair at a time in list order.
 func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fault, inits, tests []Pattern) ([]Detection, error) {
 	sink := s.progressSink("two_pattern", len(faults))
+	batch := progressBatch{sink: sink}
+	defer batch.flush()
 	out := make([]Detection, len(faults))
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
@@ -291,7 +294,7 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 		out[i] = Detection{Pattern: -1}
 		tf, ok := f.Kind.TFault()
 		if !ok || tf != logic.TFaultOpen {
-			sink.add(1, 0, 1, 0)
+			batch.add(0, 1, 0)
 			continue
 		}
 		gi, ok := s.gateIdx[f.Gate]
@@ -314,7 +317,7 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 		// transistor oracle's, only the faulty ones.
 		passes := swept * uint64(len(s.C.Gates))
 		engineStats.referenceGateEvals.Add(2 * passes)
-		sink.add(1, b2i(out[i].Detected()), 0, 3*passes)
+		batch.add(b2i(out[i].Detected()), 0, 3*passes)
 	}
 	return out, nil
 }

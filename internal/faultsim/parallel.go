@@ -195,6 +195,8 @@ func (s *Simulator) runTransistorReference(ctx context.Context, faults []core.Fa
 	// not the per-engine faulty-evaluation counters, mirroring the
 	// packed engine.
 	sink.add(0, 0, 0, uint64(len(patterns))*uint64(len(s.C.Gates)))
+	batch := progressBatch{sink: sink}
+	defer batch.flush()
 	for i, f := range faults {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -205,7 +207,7 @@ func (s *Simulator) runTransistorReference(ctx context.Context, faults []core.Fa
 		}
 		a.put(out, volt, i)
 		stop := a.stop(mode)
-		sink.add(1, b2i(stop >= 0), b2i(!transistorSimulable(f)), s.referenceFaultEvals(f, stop, len(patterns), sig != nil))
+		batch.add(b2i(stop >= 0), b2i(!transistorSimulable(f)), s.referenceFaultEvals(f, stop, len(patterns), sig != nil))
 	}
 	return out, volt, nil
 }
@@ -327,13 +329,15 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 	sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 
 	var failed atomic.Pointer[error] // the first engine error
-	// work simulates the ranges it receives on one scratch; once the
-	// campaign is canceled or has failed it drains them without
-	// simulating.
+	// work simulates the ranges it receives on one scratch and one
+	// progress batch; once the campaign is canceled or has failed it
+	// drains them without simulating.
 	work := func(ranges <-chan []int) {
 		sc := s.packedScratchOf()
 		sc.begin(w)
 		defer s.putPackedScratch(sc)
+		batch := progressBatch{sink: sink}
+		defer batch.flush()
 		for r := range ranges {
 			for _, i := range r {
 				if ctx.Err() != nil || failed.Load() != nil {
@@ -347,7 +351,7 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 					break
 				}
 				a.put(out, volt, i)
-				sink.add(1, b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(faults[i])), sc.lifetimeEvals()-before)
+				batch.add(b2i(a.stop(cls.mode) >= 0), b2i(!cls.simulable(faults[i])), sc.lifetimeEvals()-before)
 			}
 		}
 	}

@@ -102,15 +102,13 @@ func transistorUniverse(f FaultConfig) core.UniverseOptions {
 	return core.UniverseOptions{ChannelBreak: f.StuckOpen, StuckOn: f.StuckOn, Polarity: f.Polarity}
 }
 
-// runATPG runs the generation campaign under an "atpg" stage span that
-// carries its PODEM work (implications and backtracks) as attributes,
-// and returns the report section. ATPG is a sequential generator, not
-// a fault-parallel sweep, so it runs once per campaign, after the
-// shards; its progress frames report every shard done.
-func runATPG(ctx context.Context, c *logic.Circuit, req CampaignRequest, engine faultsim.Engine, shards int, ro *RunObserver, parent *obs.Span) (*ATPGJSON, error) {
-	uopt := transistorUniverse(req.Faults)
-	uopt.LineStuckAt = req.Faults.StuckAt
-	universe := core.Universe(c, uopt)
+// runATPG runs the generation campaign over the universe under an
+// "atpg" stage span that carries its PODEM work (implications and
+// backtracks) as attributes, and returns the report section. ATPG is a
+// sequential generator, not a fault-parallel sweep, so it runs once per
+// campaign, after the shards; its progress frames report every shard
+// done.
+func runATPG(ctx context.Context, c *logic.Circuit, universe []core.Fault, engine faultsim.Engine, shards int, ro *RunObserver, parent *obs.Span) (*ATPGJSON, error) {
 	opt := atpg.Options{Engine: engine}
 	if ro.Progress != nil {
 		opt.Progress = func(p atpg.Progress) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -243,7 +244,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	simSpan, endSimulate := ro.stage(ro.Span, "simulate")
 	outs, err := env.runShards(ctx, plan, opt, simSpan)
 	if err == nil && req.ATPG {
-		rep.ATPG, err = runATPG(ctx, c, req, engine, plan.Total, ro, simSpan)
+		// The joint universe with line stuck-at is the line faults
+		// followed by the transistor faults: both halves are built.
+		rep.ATPG, err = runATPG(ctx, c, slices.Concat(env.saFaults, env.trFaults), engine, plan.Total, ro, simSpan)
 	}
 	endSimulate(err)
 	if err != nil {

@@ -575,10 +575,11 @@ func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func(), error) {
 // noteProgress folds one campaign snapshot into the job: it derives
 // coverage and a per-stage ETA, stores the snapshot for Status, and
 // broadcasts to subscribers under the configured throttle (stage
-// starts and completions always broadcast). Engines report once per
-// fault, so this runs thousands of times per campaign: it allocates
-// nothing, updating the stored snapshot in place (statusLocked hands
-// out copies).
+// starts and completions always broadcast). The engines batch their
+// progress, a few dozen frames per stage and shard, and ATPG reports
+// every generation attempt, so this runs hundreds to thousands of
+// times per campaign: it allocates nothing, updating the stored
+// snapshot in place (statusLocked hands out copies).
 func (m *Manager) noteProgress(job *Job, p JobProgress) {
 	m.metrics.ProgressEvents.Inc()
 	now := time.Now()

@@ -149,6 +149,31 @@ func TestSSEProgressStream(t *testing.T) {
 	}
 }
 
+// TestCampaignProgressEventsBounded: the engines batch their progress,
+// so a full-fault c499 campaign (one shard: stuck-at, transistor and
+// bridge sweeps of thousands of units) delivers a few hundred frames,
+// not one per fault, and still ends each stage on done == total.
+func TestCampaignProgressEventsBounded(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1, ProgressInterval: -1})
+	defer m.Close()
+	j, err := m.Submit(CampaignRequest{Benchmark: "c499", Workers: 2, Faults: FaultConfig{
+		StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, Bridges: true, IDDQ: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, j)
+	if st.State != StateDone {
+		t.Fatalf("campaign finished %s: %s", st.State, st.Error)
+	}
+	if p := st.Progress; p == nil || p.Done != p.Total {
+		t.Errorf("final progress %+v, want done == total", p)
+	}
+	if got := m.Metrics().ProgressEvents.Value(); got == 0 || got > 400 {
+		t.Errorf("campaign delivered %d progress frames, want 1..400", got)
+	}
+}
+
 // TestSSETerminalJobStreamsOneFrame subscribes after completion: the
 // stream must immediately deliver the terminal state and end.
 func TestSSETerminalJobStreamsOneFrame(t *testing.T) {
