@@ -437,7 +437,9 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 // line-fault universe of mult5 / mult16 / mult50 (~100 / ~1k / ~10k
 // gates) at one pattern — one live lane per block, so the per-net
 // observability walks cost as much as they ever do per pattern — and at
-// 256 random patterns, the service's default budget. Stuck-at runs on
+// 256 random patterns, the service's default budget; c499 (433 gates,
+// XOR trees with wide reconvergence) is campaign_cold's stuck-at
+// sweep. Stuck-at runs on
 // the packed engine whatever the simulator's engine, so there is one
 // row per (circuit, patterns); gate_evals are packed 64-lane
 // evaluations. Dated results live in
@@ -446,7 +448,7 @@ func BenchmarkFaultSimScaling(b *testing.B) {
 //
 //	go test -run '^$' -bench BenchmarkStuckAtScaling -benchtime=3x .
 func BenchmarkStuckAtScaling(b *testing.B) {
-	for _, name := range []string{"mult5", "mult16", "mult50"} {
+	for _, name := range []string{"mult5", "mult16", "mult50", "c499"} {
 		if testing.Short() && name != "mult5" {
 			continue
 		}

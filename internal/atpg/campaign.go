@@ -56,6 +56,9 @@ type CampaignResult struct {
 // given up on, and Vectors the total vector applications the test set
 // requires so far (across all classes). Snapshots are monotone within
 // a class and classes run in order: stuck_at, polarity, channel_break.
+// A class delivers a bounded number of them, whatever its size: its
+// Done == 0 frame, one every ⌈total/progressFrames⌉ attempts, and,
+// when it runs to the end, its closing frame with Done == Total.
 //
 // Faults are dropped lazily: a fault is checked when the loop reaches
 // it, so Covered never counts a fault ahead of Done. On stuck_at
@@ -75,6 +78,11 @@ type Progress struct {
 
 // ProgressFunc receives campaign snapshots; see Options.Progress.
 type ProgressFunc func(Progress)
+
+// progressFrames bounds a class's batch frames: the campaign loop
+// reports once per ⌈total/progressFrames⌉ attempts, so the consumer
+// runs per batch, not per attempt (the faultsim sweeps' rule).
+const progressFrames = 64
 
 // Coverage returns the overall covered/targeted ratio in percent.
 func (r *CampaignResult) Coverage() float64 {
@@ -125,8 +133,13 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 	sim, c, opt := g.sim, g.cc.C, g.opt
 	defer func() { res.Implications, res.Backtracks = g.implications, g.backtracks }()
 
-	// report emits one per-class snapshot after each generation attempt.
+	// report emits one per-class snapshot; due says whether attempt
+	// count done gets a batch frame (the closing frame, done == total,
+	// is reported once the class has finished).
 	classUntestable := 0
+	due := func(done, total int) bool {
+		return opt.Progress != nil && done < total && done%max(1, (total+progressFrames-1)/progressFrames) == 0
+	}
 	report := func(class string, done, total, covered int) {
 		if opt.Progress == nil {
 			return
@@ -170,7 +183,7 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 			untestable(f)
 			recheck = append(recheck, f)
 		}
-		if i+1 < len(saFaults) {
+		if due(i+1, len(saFaults)) {
 			report("stuck_at", i+1, len(saFaults), covered)
 		}
 	}
@@ -213,7 +226,12 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 				polDrops.Add(t.Pattern)
 			}
 		}
-		report("polarity", i+1, len(polFaults), res.PolarityCovered)
+		if due(i+1, len(polFaults)) {
+			report("polarity", i+1, len(polFaults), res.PolarityCovered)
+		}
+	}
+	if len(polFaults) > 0 {
+		report("polarity", len(polFaults), len(polFaults), res.PolarityCovered)
 	}
 
 	// --- Channel breaks: an SP break an earlier generated pair already
@@ -251,7 +269,12 @@ func (g *generator) generate(ctx context.Context, faults []core.Fault) (*Campaig
 				untestable(f)
 			}
 		}
-		report("channel_break", i+1, len(cbFaults), res.CBSPCovered+res.CBDPCovered)
+		if due(i+1, len(cbFaults)) {
+			report("channel_break", i+1, len(cbFaults), res.CBSPCovered+res.CBDPCovered)
+		}
+	}
+	if len(cbFaults) > 0 {
+		report("channel_break", len(cbFaults), len(cbFaults), res.CBSPCovered+res.CBDPCovered)
 	}
 	return res, nil
 }

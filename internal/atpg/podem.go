@@ -38,10 +38,11 @@ type Options struct {
 	// campaign loop reaches it. Line stuck-at dropping always runs
 	// packed.
 	Engine faultsim.Engine
-	// Progress, when set, receives a snapshot after every per-fault
-	// generation attempt of GenerateContext. Calls are made from the
-	// generating goroutine; the callback must not call back into the
-	// campaign.
+	// Progress, when set, receives a bounded number of snapshots per
+	// fault class of GenerateContext: the class's Done == 0 frame, one
+	// every ⌈total/64⌉ generation attempts, and its closing frame
+	// (Done == Total). Calls are made from the generating goroutine;
+	// the callback must not call back into the campaign.
 	Progress ProgressFunc
 }
 

@@ -39,7 +39,7 @@ const (
 	FaultPGOpenD      // floating PGD (open interconnect)
 )
 
-var faultKindNames = map[FaultKind]string{
+var faultKindNames = [...]string{
 	FaultSA0: "SA0", FaultSA1: "SA1",
 	FaultChannelBreak: "channel-break", FaultStuckOn: "stuck-on",
 	FaultStuckAtN: "stuck-at-n-type", FaultStuckAtP: "stuck-at-p-type",
@@ -49,8 +49,8 @@ var faultKindNames = map[FaultKind]string{
 
 // String names the fault kind as used in the paper and our reports.
 func (k FaultKind) String() string {
-	if s, ok := faultKindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -102,16 +102,22 @@ type Fault struct {
 
 // String renders a compact fault identifier: net/kind for a stem,
 // net/kind@pinP(gG) for a fanout branch, gate.transistor/kind inside a
-// gate. It names every dictionary entry and undetected fault, so it
-// concatenates rather than formats.
+// gate. It names every fault of a prepared universe, so it appends into
+// a stack buffer and allocates once.
 func (f Fault) String() string {
-	if f.Kind.IsLineFault() {
-		if f.Pin >= 0 {
-			return f.Net + "/" + f.Kind.String() + "@pin" + strconv.Itoa(f.Pin) + "(g" + strconv.Itoa(f.GateIdx) + ")"
-		}
-		return f.Net + "/" + f.Kind.String()
+	var buf [64]byte
+	b := buf[:0]
+	if !f.Kind.IsLineFault() {
+		b = append(append(append(b, f.Gate...), '.'), f.Transistor...)
+		return string(append(append(b, '/'), f.Kind.String()...))
 	}
-	return f.Gate + "." + f.Transistor + "/" + f.Kind.String()
+	b = append(append(append(b, f.Net...), '/'), f.Kind.String()...)
+	if f.Pin >= 0 {
+		b = strconv.AppendInt(append(b, "@pin"...), int64(f.Pin), 10)
+		b = strconv.AppendInt(append(b, "(g"...), int64(f.GateIdx), 10)
+		b = append(b, ')')
+	}
+	return string(b)
 }
 
 // UniverseOptions selects which fault classes to enumerate.

@@ -255,25 +255,25 @@ func compiledOpenLUT(kind gates.Kind, transistor string) *openLUT {
 	return actual.(*openLUT)
 }
 
-// Compiled returns the lazily-built compiled form of the circuit, the
-// one dense IR the packed engine and ATPG's PODEM both evaluate. The
-// result is shared and must not be modified.
-func (s *Simulator) Compiled() *logic.CompiledCircuit {
-	s.ccOnce.Do(func() { s.cc = s.C.Compile() })
-	return s.cc
-}
+// Compiled returns the circuit's compiled form (logic.Circuit.Compiled),
+// the one dense IR the packed engine and ATPG's PODEM both evaluate,
+// shared by every simulator on the circuit. The result must not be
+// modified.
+func (s *Simulator) Compiled() *logic.CompiledCircuit { return s.C.Compiled() }
 
-// GateIndex resolves a gate instance name to its index in the circuit.
+// GateIndex resolves a gate instance name to its index in the circuit,
+// through the compiled circuit's name index.
 func (s *Simulator) GateIndex(name string) (int, bool) {
-	gi, ok := s.gateIdx[name]
+	gi, ok := s.Compiled().GateID[name]
 	return gi, ok
 }
 
-// EnsureCompiled forces the lazy circuit compilation now, so callers
-// that trace campaign stages can time it as its own step instead of
-// folding it into the first simulation call. It is a no-op for work
-// the reference engine will run (which never compiles) and when the
-// circuit is already compiled.
+// EnsureCompiled forces the circuit's compilation now, so callers that
+// trace campaign stages can time it as its own step instead of folding
+// it into the first simulation call. It is a no-op for work the
+// reference engine will run (which evaluates the circuit itself and
+// compiles only for the gate-name index, inside its first sweep) and
+// when the circuit is already compiled, by this simulator or any other.
 func (s *Simulator) EnsureCompiled() {
 	if s.Engine != EngineReference {
 		s.Compiled()

@@ -69,29 +69,22 @@ type Simulator struct {
 	// campaign and clear it afterwards; drivers capture it once at entry.
 	Signatures *SignatureCapture
 
-	gateIdx map[string]int // instance name -> index
-
 	// laneWords, when 1, 2 or 4, pins the packed engine's lane-block
 	// width (64, 128 or 256 ternary lanes per block); the lane-width
 	// tests set it. Otherwise each campaign picks the width its pattern
 	// count needs.
 	laneWords int
 
-	ccOnce sync.Once
-	cc     *logic.CompiledCircuit
-
 	// Packed-engine scratch pool: the buffers and the scratch-local
-	// LUT-resolution caches stay warm across campaigns.
+	// LUT-resolution caches stay warm across the campaigns run on this
+	// simulator (the service keeps a pool of simulators per circuit).
 	scratchPool sync.Pool
 }
 
-// New builds a simulator for the circuit.
+// New returns a simulator for the circuit. It builds nothing: every
+// simulator on the circuit shares the circuit's compiled form.
 func New(c *logic.Circuit) *Simulator {
-	s := &Simulator{C: c, gateIdx: map[string]int{}}
-	for i, g := range c.Gates {
-		s.gateIdx[g.Name] = i
-	}
-	return s
+	return &Simulator{C: c}
 }
 
 // RunStuckAt fault-simulates line stuck-at faults against the pattern
@@ -172,7 +165,7 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 	if !ok {
 		return logic.TernaryHooks{}, fmt.Errorf("faultsim: %v has no switch-level model", f.Kind)
 	}
-	gi, ok := s.gateIdx[f.Gate]
+	gi, ok := s.GateIndex(f.Gate)
 	if !ok {
 		return logic.TernaryHooks{}, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 	}
@@ -297,7 +290,7 @@ func (s *Simulator) runTwoPatternReference(ctx context.Context, faults []core.Fa
 			batch.add(0, 1, 0)
 			continue
 		}
-		gi, ok := s.gateIdx[f.Gate]
+		gi, ok := s.GateIndex(f.Gate)
 		if !ok {
 			return nil, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 		}

@@ -261,18 +261,21 @@ func (sd *packedSeed) answer(w int, a *answers) {
 // packedScratch is the reusable per-worker state of the packed engine:
 // the sweep's memoized observability masks, and for the walk that
 // computes one, epoch-stamped faulty lane blocks over the chunk
-// baseline, per-net dirty word masks and a topological-position min-heap
-// of pending gates. The event-driven walk evaluates only gates with a
-// dirty fanin word, and only the dirty words of those gates.
+// baseline, per-net dirty word masks and a queue of pending gates. The
+// event-driven walk evaluates only gates with a dirty fanin word, and
+// only the dirty words of those gates.
 type packedScratch struct {
 	cc    *logic.CompiledCircuit
 	w     int               // current lane-block width of fval
 	fval  []logic.PackedVec // net-major stride w, valid where stamp/dirty say so
 	stamp []int64           // net touched-epoch
 	dirty []uint8           // net -> word mask of deviations vs baseline
-	gq    []int64           // gate queued-marker epoch
 	epoch int64
-	heap  []int // pending gate indices, min-heap by topological position
+	// queue holds the walk's pending gates, a bitset over topological
+	// positions (cc.Pos), empty between walks; qhi is the last word a
+	// push has touched in the current walk.
+	queue []uint64
+	qhi   int
 	inbuf [3]logic.PackedVec
 
 	// obs memoizes the sweep's observability masks: w words per (chunk
@@ -286,7 +289,8 @@ type packedScratch struct {
 
 	// Scratch-local resolution caches — lock-free because a scratch is
 	// owned by exactly one goroutine at a time, and warm across
-	// campaigns because scratches are pooled on the Simulator. The
+	// campaigns because scratches are pooled on the Simulator and the
+	// service pools its simulators per prepared circuit. The
 	// 1-entry memos exploit fault-list locality (faults group by gate
 	// and iterate the fault kinds of one transistor consecutively; the
 	// name strings share backing, so equality is a pointer comparison);
@@ -320,7 +324,7 @@ func (s *Simulator) packedScratchOf() *packedScratch {
 		fval:   make([]logic.PackedVec, cc.NumNets()),
 		stamp:  make([]int64, cc.NumNets()),
 		dirty:  make([]uint8, cc.NumNets()),
-		gq:     make([]int64, len(cc.C.Gates)),
+		queue:  make([]uint64, (len(cc.Order)+63)/64),
 		lastGI: -1,
 	}
 }
@@ -433,58 +437,24 @@ func (sc *packedScratch) derive(pb *packedBase, n int, m, up []uint64) {
 }
 
 // gateIndex memoizes the instance-name lookup behind the 1-entry cache.
-func (sc *packedScratch) gateIndex(s *Simulator, name string) (int, bool) {
+func (sc *packedScratch) gateIndex(name string) (int, bool) {
 	if sc.lastGI >= 0 && name == sc.lastGate {
 		return sc.lastGI, true
 	}
-	gi, ok := s.gateIdx[name]
+	gi, ok := sc.cc.GateID[name]
 	if ok {
 		sc.lastGate, sc.lastGI = name, gi
 	}
 	return gi, ok
 }
 
-func (sc *packedScratch) push(gi int) {
-	if sc.gq[gi] == sc.epoch {
-		return
+// queueFanouts queues every gate reading net.
+func (sc *packedScratch) queueFanouts(net int) {
+	for _, gi := range sc.cc.Fanouts[net] {
+		p := sc.cc.Pos[gi]
+		sc.queue[p>>6] |= 1 << uint(p&63)
+		sc.qhi = max(sc.qhi, p>>6)
 	}
-	sc.gq[gi] = sc.epoch
-	sc.heap = append(sc.heap, gi)
-	pos := sc.cc.Pos
-	i := len(sc.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if pos[sc.heap[parent]] <= pos[sc.heap[i]] {
-			break
-		}
-		sc.heap[parent], sc.heap[i] = sc.heap[i], sc.heap[parent]
-		i = parent
-	}
-}
-
-func (sc *packedScratch) pop() int {
-	top := sc.heap[0]
-	last := len(sc.heap) - 1
-	sc.heap[0] = sc.heap[last]
-	sc.heap = sc.heap[:last]
-	pos := sc.cc.Pos
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(sc.heap) && pos[sc.heap[l]] < pos[sc.heap[smallest]] {
-			smallest = l
-		}
-		if r < len(sc.heap) && pos[sc.heap[r]] < pos[sc.heap[smallest]] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		sc.heap[i], sc.heap[smallest] = sc.heap[smallest], sc.heap[i]
-		i = smallest
-	}
-	return top
 }
 
 // flushStats publishes the accumulated packed counters (once per
@@ -537,7 +507,7 @@ func (sc *packedScratch) resolveFaultLUT(key faultLUTKey) (*faultLUT, error) {
 // LUT through the scratch memos.
 func (s *Simulator) resolvePackedFault(f core.Fault, sc *packedScratch) (int, *faultLUT, error) {
 	tf, _ := f.Kind.TFault()
-	gi, ok := sc.gateIndex(s, f.Gate)
+	gi, ok := sc.gateIndex(f.Gate)
 	if !ok {
 		return 0, nil, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 	}
@@ -582,7 +552,7 @@ func (s *Simulator) pairClass() *packedClass {
 			return ok && tf == logic.TFaultOpen
 		},
 		resolve: func(sc *packedScratch, f core.Fault) (packedSite, bool, error) {
-			gi, ok := sc.gateIndex(s, f.Gate)
+			gi, ok := sc.gateIndex(f.Gate)
 			if !ok {
 				return packedSite{}, false, fmt.Errorf("faultsim: unknown gate %q", f.Gate)
 			}
@@ -682,7 +652,6 @@ func (sc *packedScratch) propagate(pb *packedBase, net int, m []uint64) {
 	stamp, dirty := sc.stamp, sc.dirty
 	sc.epoch++
 	epoch := sc.epoch
-	sc.heap = sc.heap[:0]
 
 	// left holds, per word, the flipped lanes no output has seen yet.
 	var left [logic.MaxLaneWords]uint64
@@ -717,60 +686,69 @@ func (sc *packedScratch) propagate(pb *packedBase, net int, m []uint64) {
 	if cc.IsOutput[net] && see(net) {
 		return
 	}
-	for _, g := range cc.Fanouts[net] {
-		sc.push(g)
-	}
+	sc.qhi = -1
+	sc.queueFanouts(net)
 
-	// The min-heap pops gates in topological order, so each gate's
-	// fanins are final when it is evaluated and no gate runs twice per
-	// epoch. Only dirty fanin words are re-evaluated; words that return
-	// to baseline drop their dirty bit.
-	for len(sc.heap) > 0 {
-		g := sc.pop()
-		fin := cc.Fanin[g]
-		dw := uint8(0)
-		for _, nid := range fin {
-			if stamp[nid] == epoch {
-				dw |= dirty[nid]
-			}
-		}
-		on := cc.GateOut[g]
-		stamp[on] = epoch
-		nd := uint8(0)
-		kind, lut := cc.Kinds[g], cc.LUT[g]
-		for j := 0; j < w; j++ {
-			if dw>>uint(j)&1 == 0 {
-				continue
-			}
-			in := sc.inbuf[:len(fin)]
-			for k, nid := range fin {
-				if stamp[nid] == epoch && dirty[nid]>>uint(j)&1 == 1 {
-					in[k] = sc.fval[nid*w+j]
-				} else {
-					in[k] = base[nid*w+j]
+	// The queue pops gates in topological order, and every gate a pop
+	// queues reads the popped gate's output, so it sits later in Order:
+	// a forward cursor over the bitset sees each push, each gate's
+	// fanins are final when it is evaluated, and no gate runs twice per
+	// walk. The first queued word is a fanout of net. Only dirty fanin
+	// words are re-evaluated; words that return to baseline drop their
+	// dirty bit.
+	qw := len(sc.queue)
+	for _, g := range cc.Fanouts[net] {
+		qw = min(qw, cc.Pos[g]>>6)
+	}
+	for ; qw <= sc.qhi; qw++ {
+		for sc.queue[qw] != 0 {
+			b := bits.TrailingZeros64(sc.queue[qw])
+			sc.queue[qw] &^= 1 << uint(b)
+			g := cc.Order[qw<<6|b]
+			fin := cc.Fanin[g]
+			dw := uint8(0)
+			for _, nid := range fin {
+				if stamp[nid] == epoch {
+					dw |= dirty[nid]
 				}
 			}
-			nv := logic.EvalKindPacked(kind, lut, in)
-			sc.evals++
-			b := base[on*w+j]
-			if s := m[j]; s != 0 {
-				nv.Val = nv.Val&^s | b.Val&s
-				nv.Known = nv.Known&^s | b.Known&s
+			on := cc.GateOut[g]
+			stamp[on] = epoch
+			nd := uint8(0)
+			kind, lut := cc.Kinds[g], cc.LUT[g]
+			for j := 0; j < w; j++ {
+				if dw>>uint(j)&1 == 0 {
+					continue
+				}
+				in := sc.inbuf[:len(fin)]
+				for k, nid := range fin {
+					if stamp[nid] == epoch && dirty[nid]>>uint(j)&1 == 1 {
+						in[k] = sc.fval[nid*w+j]
+					} else {
+						in[k] = base[nid*w+j]
+					}
+				}
+				nv := logic.EvalKindPacked(kind, lut, in)
+				sc.evals++
+				b := base[on*w+j]
+				if s := m[j]; s != 0 {
+					nv.Val = nv.Val&^s | b.Val&s
+					nv.Known = nv.Known&^s | b.Known&s
+				}
+				if nv != b {
+					sc.fval[on*w+j] = nv
+					nd |= 1 << uint(j)
+				}
 			}
-			if nv != b {
-				sc.fval[on*w+j] = nv
-				nd |= 1 << uint(j)
+			dirty[on] = nd
+			if nd == 0 {
+				continue
 			}
-		}
-		dirty[on] = nd
-		if nd == 0 {
-			continue
-		}
-		if cc.IsOutput[on] && see(on) {
-			return
-		}
-		for _, fg := range cc.Fanouts[on] {
-			sc.push(fg)
+			if cc.IsOutput[on] && see(on) {
+				clear(sc.queue[qw : sc.qhi+1]) // leave the queue empty
+				return
+			}
+			sc.queueFanouts(on)
 		}
 	}
 }

@@ -227,7 +227,7 @@ func (s *Simulator) sortByRegion(faults []core.Fault, ord []int) (region []int) 
 	pos := make([]int, len(faults))
 	for i, f := range faults {
 		region[i], pos[i] = len(cc.Pos), len(cc.Pos)
-		if gi, ok := s.gateIdx[f.Gate]; ok {
+		if gi, ok := cc.GateID[f.Gate]; ok {
 			region[i], pos[i] = cc.Pos[cc.Root[gi]], cc.Pos[gi]
 		}
 	}

@@ -83,7 +83,7 @@ func oracleStuckAt(c *logic.Circuit, faults []core.Fault, patterns []Pattern, si
 	for i := range out {
 		out[i] = Detection{Pattern: -1}
 	}
-	cc := c.Compile()
+	cc := c.Compiled()
 	good := make([]logic.PackedVec, cc.NumNets())
 	faulty := make([]logic.PackedVec, cc.NumNets())
 	for base := 0; base < len(patterns); base += 64 {

@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"cpsinw/internal/gates"
 )
@@ -25,13 +26,22 @@ type Circuit struct {
 	levelized []int          // gate evaluation order
 	driver    map[string]int // net -> gate index (-1 for PI)
 	fanouts   map[string][]int
+
+	// compiled is the circuit's one compiled form, built on first use.
+	// It sits behind a pointer so that copying a Circuit copies no lock.
+	compiled *compiledOnce
+}
+
+type compiledOnce struct {
+	once sync.Once
+	cc   *CompiledCircuit
 }
 
 // NewCircuit builds a circuit and checks its structure: every net has
 // exactly one driver, fanin arities match the gate kinds, and the gate
 // graph is acyclic.
 func NewCircuit(name string, inputs, outputs []string, insts []GateInst) (*Circuit, error) {
-	c := &Circuit{Name: name, Inputs: inputs, Outputs: outputs, Gates: insts}
+	c := &Circuit{Name: name, Inputs: inputs, Outputs: outputs, Gates: insts, compiled: new(compiledOnce)}
 	if err := c.check(); err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ type CompiledCircuit struct {
 
 	NetName  []string       // net id -> name
 	NetID    map[string]int // name -> net id
+	GateID   map[string]int // gate instance name -> gate index
 	InputID  []int          // per primary input, in circuit input order
 	OutputID []int          // per primary output, in circuit output order
 	IsOutput []bool         // net id -> drives a primary output
@@ -40,14 +41,25 @@ type CompiledCircuit struct {
 	Root   []int
 }
 
-// Compile lowers the circuit. The result is immutable and safe for
-// concurrent use; callers cache it (compilation is O(nets + gates)).
-func (c *Circuit) Compile() *CompiledCircuit {
+// Compiled returns the circuit's compiled form, lowering the circuit on
+// the first call (O(nets + gates)); every later call, from any
+// goroutine, returns the same pointer. Every simulator and PODEM
+// generator on the circuit shares it. The result is immutable and
+// safe for concurrent use, and must not be modified; the circuit must
+// not change once it has been compiled.
+func (c *Circuit) Compiled() *CompiledCircuit {
+	c.compiled.once.Do(func() { c.compiled.cc = c.compile() })
+	return c.compiled.cc
+}
+
+// compile lowers the circuit.
+func (c *Circuit) compile() *CompiledCircuit {
 	names := c.Nets()
 	cc := &CompiledCircuit{
 		C:        c,
 		NetName:  names,
 		NetID:    make(map[string]int, len(names)),
+		GateID:   make(map[string]int, len(c.Gates)),
 		InputID:  make([]int, len(c.Inputs)),
 		OutputID: make([]int, len(c.Outputs)),
 		IsOutput: make([]bool, len(names)),
@@ -74,6 +86,7 @@ func (c *Circuit) Compile() *CompiledCircuit {
 	}
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
+		cc.GateID[g.Name] = gi
 		fin := make([]int, len(g.Fanin))
 		for k, f := range g.Fanin {
 			fin[k] = cc.NetID[f]

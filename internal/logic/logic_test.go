@@ -2,6 +2,7 @@ package logic
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -288,9 +289,45 @@ func TestEvalTernaryXPropagation(t *testing.T) {
 	}
 }
 
+// TestCompiledOnce: a circuit compiles once. Compiled returns one
+// pointer across calls and concurrent goroutines; a copy of the
+// circuit (CanonicalKey's rename) shares it, copying no lock; and the
+// gate-name index resolves every instance.
+func TestCompiledOnce(t *testing.T) {
+	c := mustParse(t, fullAdderBench)
+	got := make([]*CompiledCircuit, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.Compiled()
+		}()
+	}
+	wg.Wait()
+	for i, cc := range got {
+		if cc == nil || cc != got[0] {
+			t.Fatalf("goroutine %d got compiled form %p, want %p", i, cc, got[0])
+		}
+	}
+	if c.Compiled() != got[0] {
+		t.Error("a later call compiled again")
+	}
+	cp := *c
+	cp.Name = "copy"
+	if cp.Compiled() != got[0] {
+		t.Error("a copy of the circuit compiled again")
+	}
+	for gi, g := range c.Gates {
+		if id, ok := got[0].GateID[g.Name]; !ok || id != gi {
+			t.Errorf("GateID[%q] = %d, %t; want %d", g.Name, id, ok, gi)
+		}
+	}
+}
+
 func TestEvalPackedAgainstTernary(t *testing.T) {
 	c := mustParse(t, fullAdderBench)
-	cc := c.Compile()
+	cc := c.Compiled()
 	// 8 exhaustive patterns packed in one word.
 	in := make([]PackedVec, len(c.Inputs))
 	lane := map[string]func(p int) V{

@@ -138,7 +138,7 @@ s = NOT(x1)
 co = MAJ(a, b, n1)
 `
 	c := mustParse(t, src)
-	cc := c.Compile()
+	cc := c.Compiled()
 	rng := rand.New(rand.NewSource(4))
 	in := make([]PackedVec, len(c.Inputs))
 	lanePatterns := make([]map[string]V, 64)

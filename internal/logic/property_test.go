@@ -172,7 +172,7 @@ func TestChargeRetentionProperty(t *testing.T) {
 // the full adder.
 func TestPackedVsTernaryProperty(t *testing.T) {
 	c := mustParse(t, fullAdderBench)
-	cc := c.Compile()
+	cc := c.Compiled()
 	f := func(wa, wb, wc uint64) bool {
 		word := map[string]uint64{"a": wa, "b": wb, "cin": wc}
 		in := make([]PackedVec, len(c.Inputs))

@@ -18,16 +18,26 @@ import (
 // normalized result-affecting config. Two semantically identical
 // submissions therefore share one cache entry.
 func CanonicalKey(c *logic.Circuit, req CampaignRequest) string {
+	return contentKey(canonicalBench(c), req)
+}
+
+// canonicalBench writes the circuit as .bench text under a fixed name:
+// the netlist half of its content address.
+func canonicalBench(c *logic.Circuit) string {
 	canon := *c
 	canon.Name = "canonical"
 	var b strings.Builder
 	// WriteBench on a strings.Builder cannot fail.
 	_ = logic.WriteBench(&b, &canon)
-	b.WriteByte(0)
+	return b.String()
+}
 
+// contentKey is CanonicalKey over the circuit's canonical text: the
+// SHA-256 of the text, a zero byte and the config's JSON.
+func contentKey(canon string, req CampaignRequest) string {
 	// Only fields that change the result participate; Workers and
 	// TimeoutMS tune execution, and the netlist text is replaced by its
-	// canonical form above.
+	// canonical form.
 	cfg, _ := json.Marshal(struct {
 		Faults   FaultConfig `json:"faults"`
 		Patterns int         `json:"patterns"`
@@ -38,10 +48,11 @@ func CanonicalKey(c *logic.Circuit, req CampaignRequest) string {
 		// the other's cached report a real re-simulation.
 		Engine string `json:"engine"`
 	}{req.Faults, req.Patterns, req.Seed, req.ATPG, req.Engine})
-	b.Write(cfg)
-
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	h.Write([]byte(canon))
+	h.Write([]byte{0})
+	h.Write(cfg)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // maxEntryDigests bounds the request digests one cache entry

@@ -96,12 +96,6 @@ func (ro *RunObserver) stage(parent *obs.Span, name string) (*obs.Span, func(err
 	}
 }
 
-// transistorUniverse selects the transistor fault classes a campaign
-// simulates.
-func transistorUniverse(f FaultConfig) core.UniverseOptions {
-	return core.UniverseOptions{ChannelBreak: f.StuckOpen, StuckOn: f.StuckOn, Polarity: f.Polarity}
-}
-
 // runATPG runs the generation campaign over the universe under an
 // "atpg" stage span that carries its PODEM work (implications and
 // backtracks) as attributes, and returns the report section. ATPG is a
@@ -156,10 +150,10 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 	return RunCampaignSharded(ctx, c, req, ShardedOptions{Shards: 1}, ro)
 }
 
-// coverageJSON renders one class's coverage. Its undetected list names
-// the universe's faults at cov.Undetected's indices, so fault strings
-// are built only here; bridges pass no universe and list none.
-func coverageJSON(cov faultsim.Coverage, universe []core.Fault) *CoverageJSON {
+// coverageJSON renders one class's coverage. Its undetected list holds
+// the names at cov.Undetected's indices (the class universe's fault
+// names, built once per circuit); bridges pass no names and list none.
+func coverageJSON(cov faultsim.Coverage, names []string) *CoverageJSON {
 	out := &CoverageJSON{
 		Total:        cov.Total,
 		Detected:     cov.Detected,
@@ -168,10 +162,10 @@ func coverageJSON(cov faultsim.Coverage, universe []core.Fault) *CoverageJSON {
 		ByTwoPattern: cov.ByTwoPat,
 		Percent:      cov.Percent(),
 	}
-	if universe != nil && len(cov.Undetected) > 0 {
+	if names != nil && len(cov.Undetected) > 0 {
 		out.Undetected = make([]string, len(cov.Undetected))
 		for i, fi := range cov.Undetected {
-			out.Undetected[i] = universe[fi].String()
+			out.Undetected[i] = names[fi]
 		}
 	}
 	return out

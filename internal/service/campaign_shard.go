@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -48,14 +47,16 @@ type ShardedOptions struct {
 }
 
 // shardEnv is the immutable per-campaign state every shard attempt
-// shares: the circuit, pattern set and full fault universes the sub-job
-// ranges index into.
+// shares: the prepared circuit, the pattern set, and the full fault
+// universes the sub-job ranges index into, with their fault names.
 type shardEnv struct {
-	c        *logic.Circuit
+	p        *preparedCircuit
 	engine   faultsim.Engine
 	pats     *faultsim.PatternSet
 	saFaults []core.Fault
 	trFaults []core.Fault
+	saNames  []string
+	trNames  []string
 	bridges  []core.Bridge
 	iddq     bool
 	// workers is each shard's transistor-sweep worker count.
@@ -187,8 +188,18 @@ func shardWorkers(budget, shards int) int {
 // and the dictionary timestamp aside): the shard differential tests
 // and the report goldens pin this. In plans of two or more shards,
 // shards already in opt.Store are served without simulation and fresh
-// shards persist there for the next run.
+// shards persist there for the next run. The circuit is prepared
+// privately (runPrepared); the service's manager runs its memoized
+// entries through the same code.
 func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignRequest, opt ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
+	return runPrepared(ctx, newPrepared(c), req, opt, ro)
+}
+
+// runPrepared is RunCampaignSharded on a prepared circuit: the campaign
+// reads the entry's fault universes, names and bridges, built once per
+// circuit, and runs its shards on the entry's pooled simulators.
+func runPrepared(ctx context.Context, p *preparedCircuit, req CampaignRequest, opt ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
+	c := p.c
 	if ro == nil {
 		ro = &RunObserver{}
 	}
@@ -207,15 +218,19 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	patSpan.SetAttr("count", strconv.Itoa(pats.Len()))
 	endPatterns(nil)
 
-	env := &shardEnv{c: c, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
-	if req.Faults.StuckAt {
-		env.saFaults = core.Universe(c, core.ClassicalOnly())
+	env := &shardEnv{p: p, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
+	// One universe holds the line faults, then the transistor faults;
+	// each enabled class reads its half (nil when empty, as
+	// core.Universe returns an empty class).
+	u := p.universe(req.Faults)
+	if f := req.Faults; f.StuckAt && u.lines > 0 {
+		env.saFaults, env.saNames = u.faults[:u.lines], u.names[:u.lines]
 	}
-	if uopt := transistorUniverse(req.Faults); uopt.ChannelBreak || uopt.StuckOn || uopt.Polarity {
-		env.trFaults = core.Universe(c, uopt)
+	if f := req.Faults; (f.StuckOpen || f.StuckOn || f.Polarity) && len(u.faults) > u.lines {
+		env.trFaults, env.trNames = u.faults[u.lines:], u.names[u.lines:]
 	}
 	if req.Faults.Bridges {
-		env.bridges = core.NeighborBridges(c, req.Faults.BridgeWindow)
+		env.bridges = p.neighborBridges(req.Faults.BridgeWindow)
 	}
 
 	wantDict := ro.Dict != nil && ro.DictKey != ""
@@ -244,9 +259,9 @@ func RunCampaignSharded(ctx context.Context, c *logic.Circuit, req CampaignReque
 	simSpan, endSimulate := ro.stage(ro.Span, "simulate")
 	outs, err := env.runShards(ctx, plan, opt, simSpan)
 	if err == nil && req.ATPG {
-		// The joint universe with line stuck-at is the line faults
-		// followed by the transistor faults: both halves are built.
-		rep.ATPG, err = runATPG(ctx, c, slices.Concat(env.saFaults, env.trFaults), engine, plan.Total, ro, simSpan)
+		// The joint universe is the line faults followed by the
+		// transistor faults: the universe both halves slice.
+		rep.ATPG, err = runATPG(ctx, c, u.faults, engine, plan.Total, ro, simSpan)
 	}
 	endSimulate(err)
 	if err != nil {
@@ -332,18 +347,19 @@ func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt Sharde
 	return outs, sched.Run(ctx, plan.Jobs, attempt, opt.Events)
 }
 
-// runShardJob simulates one sub-job's fault slices on a private
-// simulator (capture sinks and progress hooks are simulator state, so
-// concurrent shards cannot share one), each class under its stage span
-// below the shard's. One transistor sweep answers both transistor
-// classes: under IDDQ observation RunTransistorBoth returns the
-// voltage-only and +IDDQ detections together, so transistor_iddq has no
-// stage or span of its own and its progress frame comes when the shard
-// completes.
+// runShardJob simulates one sub-job's fault slices on a simulator of
+// its own from the circuit's pool (capture sinks and progress hooks are
+// simulator state, so concurrent shards cannot share one; pooled, its
+// packed scratches stay warm across campaigns), each class under its
+// stage span below the shard's. One transistor sweep answers both
+// transistor classes: under IDDQ observation RunTransistorBoth returns
+// the voltage-only and +IDDQ detections together, so transistor_iddq
+// has no stage or span of its own and its progress frame comes when the
+// shard completes.
 func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Span) (*shard.Output, error) {
 	ro := env.ro
-	sim := faultsim.New(env.c)
-	sim.Engine = env.engine
+	sim := env.p.simulator(env.engine)
+	defer env.p.release(sim)
 	var current *classAgg
 	if ro.Progress != nil {
 		sim.Progress = func(p faultsim.Progress) { env.agg.note(current, j.Index, p) }
@@ -432,9 +448,9 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 		return ps
 	}
 	// class merges one class of n faults (or bridges) and renders its
-	// coverage, naming undetected faults from universe (nil for
-	// bridges); with sig it also merges the class's signature capture.
-	class := func(n int, universe []core.Fault, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
+	// coverage, naming undetected faults from names (nil for bridges);
+	// with sig it also merges the class's signature capture.
+	class := func(n int, names []string, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
 		ps := parts(pick)
 		ds, err := shard.MergeDetections(n, ps)
 		if err != nil {
@@ -446,19 +462,19 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 				return nil, nil, err
 			}
 		}
-		return coverageJSON(faultsim.Summarise(ds), universe), merged, nil
+		return coverageJSON(faultsim.Summarise(ds), names), merged, nil
 	}
 	if env.saFaults != nil {
-		if rep.StuckAt, saSig, err = class(len(env.saFaults), env.saFaults, func(o *shard.Output) *shard.Part { return o.StuckAt }, capture); err != nil {
+		if rep.StuckAt, saSig, err = class(len(env.saFaults), env.saNames, func(o *shard.Output) *shard.Part { return o.StuckAt }, capture); err != nil {
 			return nil, nil, err
 		}
 	}
 	if env.trFaults != nil {
-		if rep.Transistor, trSig, err = class(len(env.trFaults), env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorV }, capture && !env.iddq); err != nil {
+		if rep.Transistor, trSig, err = class(len(env.trFaults), env.trNames, func(o *shard.Output) *shard.Part { return o.TransistorV }, capture && !env.iddq); err != nil {
 			return nil, nil, err
 		}
 		if env.iddq {
-			if rep.TransistorIDDQ, trSig, err = class(len(env.trFaults), env.trFaults, func(o *shard.Output) *shard.Part { return o.TransistorIQ }, capture); err != nil {
+			if rep.TransistorIDDQ, trSig, err = class(len(env.trFaults), env.trNames, func(o *shard.Output) *shard.Part { return o.TransistorIQ }, capture); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -479,7 +495,7 @@ func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *fau
 	n := env.pats.Len()
 	d := &dict.Dictionary{Meta: dict.Meta{
 		Key:       env.ro.DictKey,
-		Circuit:   env.c.Name,
+		Circuit:   env.p.c.Name,
 		Patterns:  n,
 		Seed:      seed,
 		Engine:    env.engine.String(),
@@ -487,10 +503,10 @@ func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *fau
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}}
 	d.Entries = make([]dict.Entry, 0, len(env.saFaults)+len(env.trFaults))
-	addEntries := func(faults []core.Fault, capture *faultsim.SignatureCapture, leak bool) {
-		for i := range faults {
+	addEntries := func(names []string, capture *faultsim.SignatureCapture, leak bool) {
+		for i := range names {
 			e := dict.Entry{
-				Fault: faults[i].String(),
+				Fault: names[i],
 				Out:   dict.FromWords(n, capture.Out(i)),
 				Leak:  dict.NewBitset(n),
 			}
@@ -501,10 +517,10 @@ func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *fau
 		}
 	}
 	if saSig != nil {
-		addEntries(env.saFaults, saSig, false)
+		addEntries(env.saNames, saSig, false)
 	}
 	if trSig != nil {
-		addEntries(env.trFaults, trSig, env.iddq)
+		addEntries(env.trNames, trSig, env.iddq)
 	}
 	_, size, err := env.ro.Dict.Put(d)
 	if err != nil {

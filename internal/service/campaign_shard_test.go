@@ -381,7 +381,8 @@ func TestShardProgressCountsFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := CanonicalKey(c, norm)
-	tr := len(core.Universe(c, transistorUniverse(norm.Faults)))
+	f := norm.Faults
+	tr := len(core.Universe(c, core.UniverseOptions{ChannelBreak: f.StuckOpen, StuckOn: f.StuckOn, Polarity: f.Polarity}))
 	universe := map[string]int{
 		"stuck_at":        len(core.Universe(c, core.ClassicalOnly())),
 		"transistor":      tr,

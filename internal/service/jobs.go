@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cpsinw/internal/dict"
-	"cpsinw/internal/logic"
 	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
@@ -31,7 +30,7 @@ var ErrTooManySubscribers = errors.New("service: too many event subscribers")
 
 // runCampaign is the worker's execution function, a seam for tests that
 // need deterministic blocking, cancellation or synthetic progress.
-var runCampaign = RunCampaignSharded
+var runCampaign = runPrepared
 
 // subscriberBuffer is the per-subscriber event channel depth; a slow
 // consumer drops intermediate frames (each frame is a full snapshot)
@@ -67,10 +66,12 @@ type Job struct {
 	stageClass string
 	stageStart time.Time
 
-	// parse timing from Submit, recorded into the trace by run.
+	// parse timing from Submit, recorded into the trace by run, and
+	// whether the circuit memo already held the circuit.
 	parseStart, parseEnd time.Time
+	circuitHit           bool
 
-	circuit *logic.Circuit
+	circuit *preparedCircuit
 	req     CampaignRequest
 	// digest memoizes the submitted request against the report when
 	// the campaign completes.
@@ -219,17 +220,19 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
-// Manager owns the queue, the worker pool, the result cache and the
-// observability surfaces (metrics registry, span tracer, logger).
+// Manager owns the queue, the worker pool, the result cache, the memo
+// of prepared circuits and the observability surfaces (metrics
+// registry, span tracer, logger).
 type Manager struct {
-	cfg     ManagerConfig
-	cache   *Cache
-	metrics *Metrics
-	reg     *obs.Registry
-	tracer  *obs.Tracer
-	log     *obs.Logger
-	dict    *dict.Store        // nil unless DictDir is configured
-	store   *resultstore.Store // nil unless ResultDir is configured
+	cfg      ManagerConfig
+	cache    *Cache
+	circuits *circuitMemo
+	metrics  *Metrics
+	reg      *obs.Registry
+	tracer   *obs.Tracer
+	log      *obs.Logger
+	dict     *dict.Store        // nil unless DictDir is configured
+	store    *resultstore.Store // nil unless ResultDir is configured
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -253,18 +256,20 @@ func NewManager(cfg ManagerConfig) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := obs.NewRegistry()
+	metrics := NewMetrics(reg)
 	m := &Manager{
-		cfg:     cfg,
-		cache:   NewCache(cfg.CacheSize),
-		metrics: NewMetrics(reg),
-		reg:     reg,
-		tracer:  obs.NewTracer(cfg.MaxTraces),
-		log:     cfg.Logger,
-		ctx:     ctx,
-		cancel:  cancel,
-		queue:   make(chan *Job, cfg.QueueDepth),
-		drain:   make(chan struct{}),
-		jobs:    map[string]*Job{},
+		cfg:      cfg,
+		cache:    NewCache(cfg.CacheSize),
+		circuits: newCircuitMemo(metrics.CircuitMemoHits, metrics.CircuitMemoMisses),
+		metrics:  metrics,
+		reg:      reg,
+		tracer:   obs.NewTracer(cfg.MaxTraces),
+		log:      cfg.Logger,
+		ctx:      ctx,
+		cancel:   cancel,
+		queue:    make(chan *Job, cfg.QueueDepth),
+		drain:    make(chan struct{}),
+		jobs:     map[string]*Job{},
 	}
 	if cfg.DictDir != "" {
 		store, err := dict.Open(cfg.DictDir)
@@ -298,7 +303,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 // Submit validates the request and either answers it from a held
 // report (the job is born terminal, marked as a hit) or enqueues it.
 // A byte-identical resubmit is answered from the request memo without
-// normalizing or hashing the circuit; any other request is keyed
+// normalizing or hashing the circuit; any other request resolves its
+// circuit through the memo of prepared circuits (parsed, canonicalized
+// and, once run, compiled and enumerated once per circuit), is keyed
 // canonically and looked up in the LRU, then in the result store.
 // Returns ErrQueueFull when the bounded queue is saturated. Only
 // accepted submissions count as submitted; rejections increment the
@@ -310,12 +317,12 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	}
 
 	parseStart := time.Now()
-	norm, circuit, err := req.normalize()
+	norm, circuit, circuitHit, err := req.normalizeIn(m.circuits)
 	if err != nil {
 		m.metrics.RejectedInvalid.Inc()
 		return nil, err
 	}
-	key := CanonicalKey(circuit, norm)
+	key := contentKey(circuit.canon, norm)
 	parseEnd := time.Now()
 	m.metrics.ObserveStage("parse", parseEnd.Sub(parseStart))
 
@@ -354,6 +361,7 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		submitted:  time.Now(),
 		parseStart: parseStart,
 		parseEnd:   parseEnd,
+		circuitHit: circuitHit,
 		circuit:    circuit,
 		req:        norm,
 		digest:     digest,
@@ -576,10 +584,10 @@ func (m *Manager) Subscribe(j *Job) (<-chan JobStatus, func(), error) {
 // coverage and a per-stage ETA, stores the snapshot for Status, and
 // broadcasts to subscribers under the configured throttle (stage
 // starts and completions always broadcast). The engines batch their
-// progress, a few dozen frames per stage and shard, and ATPG reports
-// every generation attempt, so this runs hundreds to thousands of
-// times per campaign: it allocates nothing, updating the stored
-// snapshot in place (statusLocked hands out copies).
+// progress, a few dozen frames per stage and shard, and so does ATPG,
+// at most 66 frames per class, so this runs a few hundred times per
+// campaign: it allocates nothing, updating the stored snapshot in
+// place (statusLocked hands out copies).
 func (m *Manager) noteProgress(job *Job, p JobProgress) {
 	m.metrics.ProgressEvents.Inc()
 	now := time.Now()
@@ -799,7 +807,11 @@ func (m *Manager) run(job *Job) {
 	root := m.tracer.StartAt(job.ID, "campaign", job.submitted)
 	root.SetAttr("engine", job.req.Engine)
 	root.SetAttr("key", job.Key)
-	root.Record("parse", job.parseStart, job.parseEnd)
+	circuitFrom := "built"
+	if job.circuitHit {
+		circuitFrom = "memo"
+	}
+	root.Record("parse", job.parseStart, job.parseEnd, obs.L("circuit", circuitFrom))
 	root.Record("queued", job.submitted, job.started)
 
 	if job.req.Engine == "reference" {

@@ -25,8 +25,8 @@ func withFakeRunner(t *testing.T, fn func(context.Context, *logic.Circuit, Campa
 func withObservedRunner(t *testing.T, fn func(context.Context, *logic.Circuit, CampaignRequest, *RunObserver) (*CampaignReport, error)) {
 	t.Helper()
 	old := runCampaign
-	runCampaign = func(ctx context.Context, c *logic.Circuit, req CampaignRequest, _ ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
-		return fn(ctx, c, req, ro)
+	runCampaign = func(ctx context.Context, p *preparedCircuit, req CampaignRequest, _ ShardedOptions, ro *RunObserver) (*CampaignReport, error) {
+		return fn(ctx, p.c, req, ro)
 	}
 	t.Cleanup(func() { runCampaign = old })
 }

@@ -73,6 +73,11 @@ type Metrics struct {
 	// in-memory LRU's hits are cpsinw_cache_hits_total.
 	StoreReportHits *obs.Counter
 
+	// Memo of prepared circuits: submissions whose circuit the memo
+	// already held, and submissions that resolved and prepared theirs.
+	CircuitMemoHits   *obs.Counter
+	CircuitMemoMisses *obs.Counter
+
 	// JobDuration observes end-to-end execution time of non-cached
 	// jobs, in seconds.
 	JobDuration *obs.Histogram
@@ -109,6 +114,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.ShardCacheHits = reg.Counter("cpsinw_shard_cache_hits_total", "Campaign sub-jobs answered from the persistent result store.")
 	m.ShardQuarantined = reg.Counter("cpsinw_shard_quarantined_total", "Campaign sub-jobs that exhausted their retry budget.")
 	m.StoreReportHits = reg.Counter("cpsinw_resultstore_report_hits_total", "Campaigns answered whole from the persistent result store.")
+	m.CircuitMemoHits = reg.Counter("cpsinw_circuit_memo_hits_total", "Campaign submissions whose circuit was already prepared.")
+	m.CircuitMemoMisses = reg.Counter("cpsinw_circuit_memo_misses_total", "Campaign submissions that resolved and prepared their circuit.")
 	m.JobDuration = reg.Histogram("cpsinw_job_duration_seconds", "End-to-end execution time of non-cached jobs.", nil)
 	m.stages = make(map[string]*obs.Histogram, len(campaignStages))
 	for _, stage := range campaignStages {

@@ -149,28 +149,35 @@ func TestSSEProgressStream(t *testing.T) {
 	}
 }
 
-// TestCampaignProgressEventsBounded: the engines batch their progress,
-// so a full-fault c499 campaign (one shard: stuck-at, transistor and
-// bridge sweeps of thousands of units) delivers a few hundred frames,
-// not one per fault, and still ends each stage on done == total.
+// TestCampaignProgressEventsBounded: the engines and ATPG batch their
+// progress, so a full-fault c499 campaign (one shard: stuck-at,
+// transistor and bridge sweeps of thousands of units) and a c432 ATPG
+// campaign (two sweeps, then three generation classes of hundreds of
+// attempts) each deliver a few hundred frames, not one per fault or
+// attempt, and still end on done == total.
 func TestCampaignProgressEventsBounded(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, ProgressInterval: -1})
-	defer m.Close()
-	j, err := m.Submit(CampaignRequest{Benchmark: "c499", Workers: 2, Faults: FaultConfig{
-		StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, Bridges: true, IDDQ: true,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, j)
-	if st.State != StateDone {
-		t.Fatalf("campaign finished %s: %s", st.State, st.Error)
-	}
-	if p := st.Progress; p == nil || p.Done != p.Total {
-		t.Errorf("final progress %+v, want done == total", p)
-	}
-	if got := m.Metrics().ProgressEvents.Value(); got == 0 || got > 400 {
-		t.Errorf("campaign delivered %d progress frames, want 1..400", got)
+	for _, req := range []CampaignRequest{
+		{Benchmark: "c499", Workers: 2, Faults: FaultConfig{
+			StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, Bridges: true, IDDQ: true,
+		}},
+		{Benchmark: "c432", Workers: 2, ATPG: true, Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true}},
+	} {
+		m := NewManager(ManagerConfig{Workers: 1, ProgressInterval: -1})
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitTerminal(t, j)
+		m.Close()
+		if st.State != StateDone {
+			t.Fatalf("%s campaign finished %s: %s", req.Benchmark, st.State, st.Error)
+		}
+		if p := st.Progress; p == nil || p.Done != p.Total {
+			t.Errorf("%s: final progress %+v, want done == total", req.Benchmark, p)
+		}
+		if got := m.Metrics().ProgressEvents.Value(); got == 0 || got > 400 {
+			t.Errorf("%s campaign delivered %d progress frames, want 1..400", req.Benchmark, got)
+		}
 	}
 }
 
@@ -487,6 +494,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"cpsinw_shard_cache_hits_total counter",
 		"cpsinw_shard_quarantined_total counter",
 		"cpsinw_resultstore_report_hits_total counter",
+		"cpsinw_circuit_memo_hits_total counter",
+		"cpsinw_circuit_memo_misses_total counter",
 		"cpsinw_job_duration_seconds histogram",
 		"cpsinw_stage_duration_seconds histogram",
 		"cpsinw_queue_depth gauge",
@@ -552,11 +561,16 @@ func TestMetricsJSONFormat(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/metrics?format=json", &metrics); code != http.StatusOK {
 		t.Fatalf("metrics json: HTTP %d", code)
 	}
-	for _, key := range []string{
+	// The legacy key set is frozen: new counters (the circuit memo's,
+	// for one) go to the Prometheus exposition only.
+	legacy := []string{
 		"queue_depth", "workers",
 		"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_canceled", "jobs_rejected",
 		"jobs_engine_reference", "jobs_engine_packed",
 		"progress_events",
+		"dict_built", "dict_bytes", "dict_diagnoses",
+		"shard_scheduled", "shard_retried", "shard_cache_hits", "shard_quarantined",
+		"resultstore_hits",
 		"cache_hits", "cache_misses", "cache_size", "cache_hit_rate",
 		"latency_ms_p50", "latency_ms_p99", "latency_samples",
 		"faultsim_reference_fault_runs",
@@ -564,10 +578,14 @@ func TestMetricsJSONFormat(t *testing.T) {
 		"faultsim_packed_fault_runs", "faultsim_packed_gate_evals",
 		"faultsim_packed_bridge_runs",
 		"faultsim_reference_gate_evals", "faultsim_reference_bridge_runs",
-	} {
+	}
+	for _, key := range legacy {
 		if _, ok := metrics[key]; !ok {
 			t.Errorf("legacy metrics key %q missing", key)
 		}
+	}
+	if len(metrics) != len(legacy) {
+		t.Errorf("metrics JSON has %d keys, want exactly the %d legacy keys: %v", len(metrics), len(legacy), metrics)
 	}
 	// The compiled engine and the auto chooser are gone, and so are
 	// their keys.

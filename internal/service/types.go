@@ -82,17 +82,28 @@ func (r CampaignRequest) Normalize() (CampaignRequest, *logic.Circuit, error) {
 // circuit. The returned request is the canonical form used for cache
 // keying.
 func (r CampaignRequest) normalize() (CampaignRequest, *logic.Circuit, error) {
+	norm, p, _, err := r.normalizeIn(nil)
+	if err != nil {
+		return norm, nil, err
+	}
+	return norm, p.c, nil
+}
+
+// normalizeIn is normalize resolving the circuit to its prepared entry
+// through the memo; a nil memo prepares a private entry. hit reports
+// that the memo already held the circuit.
+func (r CampaignRequest) normalizeIn(memo *circuitMemo) (norm CampaignRequest, p *preparedCircuit, hit bool, err error) {
 	if (r.Netlist == "") == (r.Benchmark == "") {
-		return r, nil, errors.New("exactly one of netlist or benchmark is required")
+		return r, nil, false, errors.New("exactly one of netlist or benchmark is required")
 	}
 	if !r.Faults.Any() {
-		return r, nil, errors.New("at least one fault class must be enabled")
+		return r, nil, false, errors.New("at least one fault class must be enabled")
 	}
 	if r.Patterns <= 0 {
 		r.Patterns = DefaultPatternBudget
 	}
 	if r.Patterns > dict.MaxPatterns {
-		return r, nil, fmt.Errorf("pattern budget %d exceeds the %d-pattern ceiling", r.Patterns, dict.MaxPatterns)
+		return r, nil, false, fmt.Errorf("pattern budget %d exceeds the %d-pattern ceiling", r.Patterns, dict.MaxPatterns)
 	}
 	if r.Seed == 0 {
 		r.Seed = 1
@@ -108,30 +119,32 @@ func (r CampaignRequest) normalize() (CampaignRequest, *logic.Circuit, error) {
 	}
 	eng, err := faultsim.ParseEngine(r.Engine)
 	if err != nil {
-		return r, nil, err
+		return r, nil, false, err
 	}
 	r.Engine = eng.String() // canonical name for the cache key
-	var c *logic.Circuit
-	if r.Benchmark != "" {
-		var err error
-		c, err = bench.Get(r.Benchmark)
-		if err != nil {
-			return r, nil, err
-		}
-	} else {
-		var err error
-		c, err = logic.ParseBench("campaign", strings.NewReader(r.Netlist))
-		if err != nil {
-			return r, nil, fmt.Errorf("bad netlist: %w", err)
-		}
+	if p, hit, err = memo.resolve(r); err != nil {
+		return r, nil, false, err
 	}
-	if len(c.Inputs) <= exhaustiveInputLimit {
+	if len(p.c.Inputs) <= exhaustiveInputLimit {
 		// The circuit is simulated exhaustively: the random-pattern
 		// budget and seed cannot affect the result, so zero them for a
 		// stable content address.
 		r.Patterns, r.Seed = 0, 0
 	}
-	return r, c, nil
+	return r, p, hit, nil
+}
+
+// circuit resolves the request's circuit: the named benchmark, or the
+// netlist parsed.
+func (r CampaignRequest) circuit() (*logic.Circuit, error) {
+	if r.Benchmark != "" {
+		return bench.Get(r.Benchmark)
+	}
+	c, err := logic.ParseBench("campaign", strings.NewReader(r.Netlist))
+	if err != nil {
+		return nil, fmt.Errorf("bad netlist: %w", err)
+	}
+	return c, nil
 }
 
 // CircuitInfo summarises the campaign's circuit in the report.
