@@ -1,29 +1,21 @@
 package dict
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Store is a content-addressed artifact directory: one <key>.cpd file
 // per campaign, where the key is the campaign's canonical SHA-256 hex
-// key. The last cacheSize dictionaries Get loaded stay in memory; puts
-// are atomic (tmp + rename) so a crashed writer never leaves a
-// half-written artifact behind, and are not cached: a store-backed
-// server writes one dictionary per campaign, most never read back. A
-// key names its content, so a cached copy stays valid across puts.
+// key. Puts are atomic (tmp + rename) so a crashed writer never leaves
+// a half-written artifact behind, and every Get reads and parses the
+// artifact: the store holds nothing in memory. A key names its content,
+// so a caller's cached copy stays valid across puts. All methods are
+// safe for concurrent use; concurrency control is the filesystem's.
 type Store struct {
-	dir   string
-	mu    sync.Mutex
-	lru   *list.List // of *Dictionary, front = most recently used
-	cache map[string]*list.Element
+	dir string
 }
-
-// cacheSize is how many loaded dictionaries a Store keeps.
-const cacheSize = 64
 
 // ArtifactExt is the artifact file suffix.
 const ArtifactExt = ".cpd"
@@ -36,7 +28,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, lru: list.New(), cache: map[string]*list.Element{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir reports the backing directory.
@@ -97,20 +89,12 @@ func (s *Store) Put(d *Dictionary) (string, int64, error) {
 	return dst, int64(len(raw)), nil
 }
 
-// Get loads the dictionary for key, from cache or disk. os.ErrNotExist
-// surfaces (wrapped) when no artifact is stored under the key. Callers
-// share cached dictionaries and must not modify them.
+// Get loads the dictionary for key from disk. os.ErrNotExist surfaces
+// (wrapped) when no artifact is stored under the key.
 func (s *Store) Get(key string) (*Dictionary, error) {
 	if !validKey(key) {
 		return nil, fmt.Errorf("dict: invalid artifact key %q", key)
 	}
-	s.mu.Lock()
-	if el, ok := s.cache[key]; ok {
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return el.Value.(*Dictionary), nil
-	}
-	s.mu.Unlock()
 	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return nil, err
@@ -121,18 +105,6 @@ func (s *Store) Get(key string) (*Dictionary, error) {
 	}
 	if d.Meta.Key != key {
 		return nil, fmt.Errorf("dict: artifact %s carries key %q", key, d.Meta.Key)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.cache[key]; ok {
-		// A concurrent Get loaded it first.
-		s.lru.MoveToFront(el)
-		return el.Value.(*Dictionary), nil
-	}
-	s.cache[key] = s.lru.PushFront(d)
-	for s.lru.Len() > cacheSize {
-		old := s.lru.Remove(s.lru.Back()).(*Dictionary)
-		delete(s.cache, old.Meta.Key)
 	}
 	return d, nil
 }

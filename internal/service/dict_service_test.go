@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -244,6 +246,43 @@ func TestDiagnoseServedAcrossRestart(t *testing.T) {
 	}
 	if resp.Circuit != d.Meta.Circuit || resp.Patterns != d.Meta.Patterns {
 		t.Errorf("restart diagnosis header = %+v, want %+v", resp, d.Meta)
+	}
+}
+
+// TestManagerDictCacheBounded checks the manager's cache of loaded
+// dictionaries: a stored dictionary is not cached, a load returns what
+// was stored, and the maxLoadedDictionaries most recently loaded stay.
+func TestManagerDictCacheBounded(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 1, DictDir: t.TempDir()})
+	defer m.Close()
+	key := func(i int) string { return fmt.Sprintf("%064x", i) }
+	for i := range 3 * maxLoadedDictionaries {
+		out := dict.NewBitset(16)
+		out.Set(i % 16)
+		d := &dict.Dictionary{
+			Meta:    dict.Meta{Key: key(i), Circuit: "t", Patterns: 16},
+			Entries: []dict.Entry{{Fault: "g/f", Out: out, Leak: dict.NewBitset(16)}},
+		}
+		if _, _, err := m.dict.Put(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, n := m.dicts.Stats(); n != min(i, maxLoadedDictionaries) {
+			t.Fatalf("store %d: cache holds %d dictionaries, want %d", i, n, min(i, maxLoadedDictionaries))
+		}
+		got, err := m.dictionary(key(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Entries, d.Entries) {
+			t.Fatalf("load after store %d returned different entries", i)
+		}
+	}
+	var want []string
+	for i := 3*maxLoadedDictionaries - 1; i >= 2*maxLoadedDictionaries; i-- {
+		want = append(want, key(i))
+	}
+	if got := m.dicts.Keys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("cached keys %v, want the %d most recently loaded", got, maxLoadedDictionaries)
 	}
 }
 

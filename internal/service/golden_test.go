@@ -105,10 +105,11 @@ func servedReport(t *testing.T, ts *httptest.Server, id string) []byte {
 // a manager with a result store and a dictionary store, and a diagnosis
 // of a stored fault's own signature must rank the same before and after
 // a restart. Over HTTP, the report body must be byte-identical on every
-// path that serves it: the cold job, an LRU resubmit (same canonical
-// key, different request bytes), a byte-identical resubmit answered by
-// the request memo, resubmits differing only in workers, timeout_ms or
-// shards, and a restarted manager answering from the result store.
+// path that serves it: the cold job, an LRU resubmit with different
+// request bytes (same canonical key), a byte-identical resubmit,
+// resubmits differing only in workers, timeout_ms or shards, and a
+// restarted manager answering from the result store. Every resubmit is
+// normalized and keyed once.
 func TestReportGoldens(t *testing.T) {
 	resultDir, dictDir := t.TempDir(), t.TempDir()
 	cfg := ManagerConfig{Workers: 2, JobTimeout: time.Minute, ResultDir: resultDir, DictDir: dictDir}
@@ -130,9 +131,9 @@ func TestReportGoldens(t *testing.T) {
 		}
 	}
 	bodies := map[string][]byte{} // each campaign's cold-job report body
-	// resubmit posts req, requires a born-done hit whose report body is
-	// the cold job's, and reports how many times the server normalized.
-	resubmit := func(name, path string, srv *Server, ts *httptest.Server, req CampaignRequest) uint64 {
+	// resubmit posts req and requires a born-done hit, normalized once,
+	// whose report body is the cold job's.
+	resubmit := func(name, path string, srv *Server, ts *httptest.Server, req CampaignRequest) {
 		t.Helper()
 		parsed := parseCount(srv.Manager())
 		st, code := postCampaign(t, ts, req)
@@ -148,7 +149,9 @@ func TestReportGoldens(t *testing.T) {
 			t.Fatalf("%s: %s: %v", name, path, err)
 		}
 		check(name, path, &rep)
-		return parseCount(srv.Manager()) - parsed
+		if n := parseCount(srv.Manager()) - parsed; n != 1 {
+			t.Errorf("%s: %s normalized %d times, want 1", name, path, n)
+		}
 	}
 	tunings := map[string]func(*CampaignRequest){
 		"workers":    func(r *CampaignRequest) { r.Workers = 3 },
@@ -213,15 +216,11 @@ func TestReportGoldens(t *testing.T) {
 		check(tc.name, "cold job body", &cold)
 
 		// Spelling out the default engine changes the request bytes but
-		// not the canonical key: the memo misses and the LRU answers.
+		// not the canonical key.
 		lru := tc.req
 		lru.Engine = "packed"
-		if n := resubmit(tc.name, "LRU resubmit", srv1, ts1, lru); n != 1 {
-			t.Errorf("%s: LRU resubmit normalized %d times, want 1", tc.name, n)
-		}
-		if n := resubmit(tc.name, "memo resubmit", srv1, ts1, tc.req); n != 0 {
-			t.Errorf("%s: memo resubmit normalized %d times, want 0", tc.name, n)
-		}
+		resubmit(tc.name, "LRU resubmit", srv1, ts1, lru)
+		resubmit(tc.name, "byte-identical resubmit", srv1, ts1, tc.req)
 		for field, tune := range tunings {
 			req := tc.req
 			tune(&req)
@@ -251,12 +250,8 @@ func TestReportGoldens(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer func() { ts2.Close(); srv2.Close() }()
 	for _, tc := range goldenCampaigns {
-		if n := resubmit(tc.name, "restarted store hit", srv2, ts2, tc.req); n != 1 {
-			t.Errorf("%s: store hit normalized %d times, want 1", tc.name, n)
-		}
-		if n := resubmit(tc.name, "memo after store hit", srv2, ts2, tc.req); n != 0 {
-			t.Errorf("%s: memo resubmit after the store hit normalized %d times, want 0", tc.name, n)
-		}
+		resubmit(tc.name, "restarted store hit", srv2, ts2, tc.req)
+		resubmit(tc.name, "LRU resubmit after the store hit", srv2, ts2, tc.req)
 
 		before := diagnoses[tc.name]
 		after, code := postDiagnose(t, ts2, before.req)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,6 @@ type Job struct {
 
 	circuit *preparedCircuit
 	req     CampaignRequest
-	// digest memoizes the submitted request against the report when
-	// the campaign completes.
-	digest requestDigest
 }
 
 // Status snapshots the job for the API.
@@ -220,13 +218,15 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	return c
 }
 
-// Manager owns the queue, the worker pool, the result cache, the memo
-// of prepared circuits and the observability surfaces (metrics
+// Manager owns the queue, the worker pool, the in-memory caches (the
+// result cache, the memo of prepared circuits and the loaded
+// dictionaries, each an lru) and the observability surfaces (metrics
 // registry, span tracer, logger).
 type Manager struct {
 	cfg      ManagerConfig
 	cache    *Cache
 	circuits *circuitMemo
+	dicts    *lru[string, *dict.Dictionary] // loaded by /v1/diagnose
 	metrics  *Metrics
 	reg      *obs.Registry
 	tracer   *obs.Tracer
@@ -261,6 +261,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg:      cfg,
 		cache:    NewCache(cfg.CacheSize),
 		circuits: newCircuitMemo(metrics.CircuitMemoHits, metrics.CircuitMemoMisses),
+		dicts:    newLRU[string, *dict.Dictionary](maxLoadedDictionaries, 0, nil, nil),
 		metrics:  metrics,
 		reg:      reg,
 		tracer:   obs.NewTracer(cfg.MaxTraces),
@@ -302,20 +303,14 @@ func NewManager(cfg ManagerConfig) *Manager {
 
 // Submit validates the request and either answers it from a held
 // report (the job is born terminal, marked as a hit) or enqueues it.
-// A byte-identical resubmit is answered from the request memo without
-// normalizing or hashing the circuit; any other request resolves its
-// circuit through the memo of prepared circuits (parsed, canonicalized
-// and, once run, compiled and enumerated once per circuit), is keyed
-// canonically and looked up in the LRU, then in the result store.
-// Returns ErrQueueFull when the bounded queue is saturated. Only
-// accepted submissions count as submitted; rejections increment the
-// rejected counter with their reason.
+// Every request takes one path: it resolves its circuit through the
+// memo of prepared circuits (parsed, canonicalized and, once run,
+// compiled and enumerated once per circuit), is keyed canonically and
+// looked up in the LRU, then in the result store. Returns ErrQueueFull
+// when the bounded queue is saturated. Only accepted submissions count
+// as submitted; rejections increment the rejected counter with their
+// reason.
 func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
-	digest := digestRequest(req)
-	if key, rep, ok := m.cache.Recall(digest); ok {
-		return m.answer(key, rep, "campaign answered from the request memo")
-	}
-
 	parseStart := time.Now()
 	norm, circuit, circuitHit, err := req.normalizeIn(m.circuits)
 	if err != nil {
@@ -327,7 +322,6 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	m.metrics.ObserveStage("parse", parseEnd.Sub(parseStart))
 
 	if rep, ok := m.cache.Get(key); ok {
-		m.cache.Memoize(key, digest)
 		return m.answer(key, rep, "campaign answered from cache")
 	}
 	// The persistent result store outlives the LRU and the process: a
@@ -336,7 +330,6 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	// before m.mu, so they stall no other submission.
 	if rep := m.storedReport(key); rep != nil {
 		m.cache.Put(key, rep)
-		m.cache.Memoize(key, digest)
 		m.metrics.StoreReportHits.Inc()
 		return m.answer(key, rep, "campaign answered from result store")
 	}
@@ -364,7 +357,6 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 		circuitHit: circuitHit,
 		circuit:    circuit,
 		req:        norm,
-		digest:     digest,
 	}
 	// The pending marker makes the accepted campaign durable: if the
 	// process stops before the report lands, the next start surfaces it
@@ -414,12 +406,16 @@ func (m *Manager) answer(key string, rep *encodedReport, msg string) (*Job, erro
 
 // storedReport reads the key's merged report from the result store and
 // encodes it once for serving; nil without a store or a readable report.
+// A stored report that does not decode is logged; a missing one is not.
 func (m *Manager) storedReport(key string) *encodedReport {
 	if m.store == nil {
 		return nil
 	}
 	var rep CampaignReport
 	if err := m.store.Get(resultstore.KindReport, key, &rep); err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			m.log.Warn("stored report unreadable", "key", key, "error", err.Error())
+		}
 		return nil
 	}
 	enc, err := encodeReport(&rep)
@@ -441,8 +437,9 @@ type pendingCampaign struct {
 }
 
 // recoverPending scans the result store's pending markers at startup:
-// campaigns whose report landed are finished (stale marker, removed),
-// markers whose request this build rejects are dropped, and the rest
+// campaigns whose stored report decodes are finished (stale marker,
+// removed), markers whose request this build rejects are dropped, and
+// the rest, a campaign whose stored report does not decode included,
 // become resumable job records. Runs from NewManager before the
 // workers start, so it needs no locking.
 func (m *Manager) recoverPending() {
@@ -452,7 +449,7 @@ func (m *Manager) recoverPending() {
 		return
 	}
 	for _, key := range keys {
-		if m.store.Has(resultstore.KindReport, key) {
+		if m.storedReport(key) != nil {
 			_ = m.store.Delete(resultstore.KindPending, key)
 			continue
 		}
@@ -652,9 +649,26 @@ func (m *Manager) Tracer() *obs.Tracer { return m.tracer }
 // Cache exposes the result cache (read-mostly: stats and keys).
 func (m *Manager) Cache() *Cache { return m.cache }
 
-// DictStore exposes the fault-dictionary store, nil when DictDir is
-// unset (capture and the diagnosis endpoints are disabled).
-func (m *Manager) DictStore() *dict.Store { return m.dict }
+// maxLoadedDictionaries bounds the manager's cache of dictionaries
+// loaded from the store. Stored dictionaries are not cached: a
+// store-backed server writes one per campaign, most never read back.
+const maxLoadedDictionaries = 64
+
+// dictionary returns the stored dictionary under key, loading it on a
+// miss of the cache of loaded dictionaries; os.ErrNotExist surfaces
+// (wrapped) when none is stored. Callers share cached dictionaries and
+// must not modify them. The manager must have a dictionary store.
+func (m *Manager) dictionary(key string) (*dict.Dictionary, error) {
+	if d, ok := m.dicts.Get(key); ok {
+		return d, nil
+	}
+	d, err := m.dict.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	// A key names its content, so a concurrent load's copy serves too.
+	return m.dicts.publish(key, d, 0), nil
+}
 
 // Workers reports the pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
@@ -849,12 +863,20 @@ func (m *Manager) run(job *Job) {
 	default:
 		state = StateFailed
 	}
+	// Encode once, outside job.mu: the store, the cache, this record and
+	// every later hit's record hold these bytes.
+	var held *encodedReport
+	if state == StateDone {
+		if held, err = encodeReport(rep); err != nil {
+			state = StateFailed
+		}
+	}
 	// Persist before publishing: a client that sees the terminal state
 	// finds the report in the store and the pending marker gone.
 	if m.store != nil {
 		switch state {
 		case StateDone:
-			if _, perr := m.store.Put(resultstore.KindReport, job.Key, rep); perr != nil {
+			if _, perr := m.store.Put(resultstore.KindReport, job.Key, json.RawMessage(held.body)); perr != nil {
 				m.log.Warn("report not persisted", "job", job.ID, "key", job.Key, "error", perr.Error())
 			}
 			_ = m.store.Delete(resultstore.KindPending, job.Key)
@@ -866,14 +888,6 @@ func (m *Manager) run(job *Job) {
 		// Canceled (deadline) and resumable keep their markers: both
 		// represent work worth finishing after a restart.
 	}
-	// Encode once, outside job.mu: the cache, this record and every
-	// later hit's record serve these bytes.
-	var held *encodedReport
-	if state == StateDone {
-		if held, err = encodeReport(rep); err != nil {
-			state = StateFailed
-		}
-	}
 
 	job.mu.Lock()
 	job.finished = time.Now()
@@ -883,7 +897,6 @@ func (m *Manager) run(job *Job) {
 	case StateDone:
 		job.report = held
 		m.cache.Put(job.Key, held)
-		m.cache.Memoize(job.Key, job.digest)
 		m.metrics.Completed.Inc()
 		if held.dict != nil {
 			m.metrics.DictBuilt.Inc()

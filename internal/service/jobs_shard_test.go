@@ -2,10 +2,14 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -59,6 +63,89 @@ func TestManagerReportSurvivesRestart(t *testing.T) {
 	rep2, _, _ := j2.Report()
 	if rep1.StuckAt.Detected != rep2.StuckAt.Detected || rep1.Transistor.Detected != rep2.Transistor.Detected {
 		t.Fatal("store-served report disagrees with the computed one")
+	}
+}
+
+// TestManagerKeepsMarkerBesideUnreadableReport: a stored report that
+// no longer decodes answers nothing, so the pending marker beside it
+// stays. The restarted manager warns with the key, lists the campaign
+// as resumable, and resuming it re-simulates to the cold run's report.
+func TestManagerKeepsMarkerBesideUnreadableReport(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{Benchmark: "mult3", Faults: FaultConfig{StuckAt: true, Polarity: true, IDDQ: true}, Shards: 1}
+	m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+	cold := submitDone(t, m1, req)
+	m1.Close()
+
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Put(resultstore.KindPending, cold.Key, pendingCampaign{Request: req, JobID: cold.ID}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, string(resultstore.KindReport), cold.Key+resultstore.Ext)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+	defer m2.Close()
+	recovered := m2.Resumable()
+	if len(recovered) != 1 || recovered[0].Key != cold.Key {
+		t.Fatalf("recovered %+v, want the campaign %s resumable", recovered, cold.Key)
+	}
+	if out := logs.String(); !strings.Contains(out, "stored report unreadable") || !strings.Contains(out, cold.Key) {
+		t.Errorf("no warning with the key for the unreadable report:\n%s", out)
+	}
+	job, err := m2.Resume(recovered[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st.State != StateDone || st.CacheHit {
+		t.Fatalf("resumed campaign: %s cache_hit %t (%s), want a re-simulation", st.State, st.CacheHit, st.Error)
+	}
+	if got, want := reportBytes(t, job), reportBytes(t, cold); !bytes.Equal(got, want) {
+		t.Errorf("resumed report differs from the cold run's:\n got %s\nwant %s", got, want)
+	}
+	if store.Has(resultstore.KindPending, cold.Key) {
+		t.Error("pending marker survived the resumed campaign")
+	}
+}
+
+// TestStoredReportIsServedBody: a stored report is encoded once, so
+// its artifact holds the bytes the service serves, plus the encoder's
+// newline.
+func TestStoredReportIsServedBody(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	st, _ := postCampaign(t, ts, storeTestReq)
+	if st = pollDone(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("campaign: %s (%s)", st.State, st.Error)
+	}
+	body := servedReport(t, ts, st.ID)
+	f, err := os.Open(filepath.Join(dir, string(resultstore.KindReport), st.Key+resultstore.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stored) != string(body)+"\n" {
+		t.Errorf("stored report is not the served body plus a newline:\nstored %s\nserved %s", stored, body)
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"unsafe"
@@ -14,12 +13,12 @@ import (
 
 // The manager's memo of prepared circuits is bounded by both of these:
 // at most maxPreparedCircuits entries and at most maxPreparedBytes
-// counted bytes (preparedCircuit.held). Least recently used entries go
-// first, and an entry over the byte bound on its own is not kept. The
-// counted bytes are what an entry holds for its whole life: the
-// circuit, its compiled form, its canonical text, its fault universes
-// and names and its bridge lists. Its pooled simulators are not
-// counted: a sync.Pool hands them to the collector.
+// counted bytes. Least recently used entries go first, and an entry
+// over the byte bound on its own is not kept. The counted bytes are
+// what an entry holds for its whole life: the circuit, its compiled
+// form, its canonical text, its fault universes and names and its
+// bridge lists. Its pooled simulators are not counted: a sync.Pool
+// hands them to the collector.
 const (
 	maxPreparedCircuits = 16
 	maxPreparedBytes    = 64 << 20
@@ -37,20 +36,17 @@ const (
 // campaigns share an entry.
 type preparedCircuit struct {
 	c     *logic.Circuit
-	canon string // canonical .bench text; empty on a private entry
-	memo  *circuitMemo
+	canon []byte // canonical .bench text; nil on a private entry
+
+	// The memo holding the entry under key; nil on a private entry.
+	memo *circuitMemo
+	key  circuitKey
 
 	mu        sync.Mutex
 	universes map[core.UniverseOptions]*faultUniverse
 	bridges   map[int][]core.Bridge
 
 	sims sync.Pool // idle *faultsim.Simulator on c
-
-	// Memo bookkeeping, guarded by memo.mu: the entry's counted bytes
-	// and its place in the LRU list (nil once evicted).
-	held int64
-	key  circuitKey
-	el   *list.Element
 }
 
 // faultUniverse is one fault configuration's universe: the line
@@ -94,7 +90,7 @@ func (p *preparedCircuit) universe(f FaultConfig) *faultUniverse {
 		u.lines++
 	}
 	p.universes[opt] = u
-	p.memo.charge(p, size)
+	p.grow(size)
 	return u
 }
 
@@ -108,8 +104,17 @@ func (p *preparedCircuit) neighborBridges(window int) []core.Bridge {
 	}
 	b := core.NeighborBridges(p.c, window)
 	p.bridges[window] = b
-	p.memo.charge(p, int64(cap(b))*int64(unsafe.Sizeof(core.Bridge{})))
+	p.grow(int64(cap(b)) * int64(unsafe.Sizeof(core.Bridge{})))
 	return b
+}
+
+// grow charges n bytes the entry has grown by (a universe or bridge
+// list built on first use) to the memo, which counts them while the
+// entry is resident.
+func (p *preparedCircuit) grow(n int64) {
+	if p.memo != nil {
+		p.memo.charge(p.key, p, n)
+	}
 }
 
 // simulator hands out an idle simulator on the circuit running engine,
@@ -150,27 +155,24 @@ func circuitKeyOf(r CampaignRequest) circuitKey {
 	return circuitKey{netlist: sha256.Sum256([]byte(r.Netlist))}
 }
 
-// circuitMemo is the manager's bounded LRU memo of prepared circuits.
-// A nil memo memoizes nothing: resolve then prepares a private entry
-// through the same code. All methods are safe for concurrent use.
+// circuitMemo is the manager's bounded LRU memo of prepared circuits,
+// counted in the bytes preparedCircuit.grow charges. A nil memo
+// memoizes nothing: resolve then prepares a private entry through the
+// same code.
 type circuitMemo struct {
-	hits, misses *obs.Counter
-
-	mu    sync.Mutex
-	ll    list.List // *preparedCircuit, front = most recently used
-	items map[circuitKey]*list.Element
-	bytes int64 // counted bytes of the resident entries
+	*lru[circuitKey, *preparedCircuit]
 }
 
 func newCircuitMemo(hits, misses *obs.Counter) *circuitMemo {
-	return &circuitMemo{hits: hits, misses: misses, items: map[circuitKey]*list.Element{}}
+	return &circuitMemo{newLRU[circuitKey, *preparedCircuit](maxPreparedCircuits, maxPreparedBytes, hits, misses)}
 }
 
 // resolve returns the prepared entry of the request's circuit and
 // whether the memo already held it. On a miss it resolves the circuit
 // (bench.Get or ParseBench), writes its canonical text and publishes
 // the entry, unless a concurrent miss published one first, which it
-// then returns. A circuit that fails to resolve is not memoized.
+// then returns. A circuit that fails to resolve is not memoized. An
+// evicted entry stays valid for the campaigns still using it.
 func (cm *circuitMemo) resolve(r CampaignRequest) (*preparedCircuit, bool, error) {
 	if cm == nil {
 		c, err := r.circuit()
@@ -180,75 +182,15 @@ func (cm *circuitMemo) resolve(r CampaignRequest) (*preparedCircuit, bool, error
 		return newPrepared(c), false, nil
 	}
 	k := circuitKeyOf(r)
-	if p := cm.get(k); p != nil {
-		cm.hits.Inc()
+	if p, ok := cm.Get(k); ok {
 		return p, true, nil
 	}
-	cm.misses.Inc()
 	c, err := r.circuit()
 	if err != nil {
 		return nil, false, err
 	}
 	p := newPrepared(c)
 	p.canon = canonicalBench(c)
-	p.memo = cm
-	p.held = circuitBytes(c) + int64(len(p.canon))
-	return cm.put(k, p), false, nil
-}
-
-func (cm *circuitMemo) get(k circuitKey) *preparedCircuit {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	el, ok := cm.items[k]
-	if !ok {
-		return nil
-	}
-	cm.ll.MoveToFront(el)
-	return el.Value.(*preparedCircuit)
-}
-
-// put publishes p under k and returns the entry now memoized there: p,
-// or the entry a concurrent miss published first.
-func (cm *circuitMemo) put(k circuitKey, p *preparedCircuit) *preparedCircuit {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	if el, ok := cm.items[k]; ok {
-		cm.ll.MoveToFront(el)
-		return el.Value.(*preparedCircuit)
-	}
-	p.key = k
-	p.el = cm.ll.PushFront(p)
-	cm.items[k] = p.el
-	cm.bytes += p.held
-	cm.evictLocked()
-	return p
-}
-
-// charge adds n bytes an entry has grown by (a universe or bridge list
-// built on first use) to its count, and to the memo's while it is
-// resident, evicting as the bounds require. It does nothing on a nil
-// memo (a private entry).
-func (cm *circuitMemo) charge(p *preparedCircuit, n int64) {
-	if cm == nil {
-		return
-	}
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	p.held += n
-	if p.el != nil {
-		cm.bytes += n
-		cm.evictLocked()
-	}
-}
-
-// evictLocked drops least recently used entries until both bounds
-// hold. An evicted entry stays valid for the campaigns still using it.
-// Callers hold cm.mu.
-func (cm *circuitMemo) evictLocked() {
-	for cm.ll.Len() > maxPreparedCircuits || cm.bytes > maxPreparedBytes && cm.ll.Len() > 0 {
-		p := cm.ll.Remove(cm.ll.Back()).(*preparedCircuit)
-		delete(cm.items, p.key)
-		cm.bytes -= p.held
-		p.el = nil
-	}
+	p.memo, p.key = cm, k
+	return cm.publish(k, p, circuitBytes(c)+int64(cap(p.canon))), false, nil
 }

@@ -215,36 +215,6 @@ func TestCircuitMemoBounded(t *testing.T) {
 	}
 }
 
-// TestCircuitMemoByteBound: the memo also evicts by counted bytes, and
-// an entry over the byte bound on its own is not kept; an entry's
-// growth counts while it is resident.
-func TestCircuitMemoByteBound(t *testing.T) {
-	reg := obs.NewRegistry()
-	cm := newCircuitMemo(reg.Counter("hits", ""), reg.Counter("misses", ""))
-	entry := func(held int64) *preparedCircuit {
-		p := newPrepared(nil)
-		p.memo, p.held = cm, held
-		return p
-	}
-	a := cm.put(circuitKey{benchmark: "a"}, entry(maxPreparedBytes/2))
-	cm.put(circuitKey{benchmark: "b"}, entry(maxPreparedBytes/4))
-	if n, b := memoStats(cm); n != 2 || b != maxPreparedBytes*3/4 {
-		t.Fatalf("memo = %d entries, %d bytes; want 2, %d", n, b, maxPreparedBytes*3/4)
-	}
-	cm.charge(a, maxPreparedBytes/2) // a grows past the bound with b: a, the older, goes
-	if n, b := memoStats(cm); n != 1 || b != maxPreparedBytes/4 || cm.get(circuitKey{benchmark: "a"}) != nil {
-		t.Fatalf("after growth: %d entries, %d bytes; want b alone", n, b)
-	}
-	cm.charge(a, 1) // an evicted entry's growth is not counted
-	if _, b := memoStats(cm); b != maxPreparedBytes/4 {
-		t.Errorf("evicted entry's growth counted: %d bytes", b)
-	}
-	cm.put(circuitKey{benchmark: "huge"}, entry(maxPreparedBytes+1))
-	if n, b := memoStats(cm); n != 0 || b != 0 {
-		t.Errorf("an entry over the byte bound was kept: %d entries, %d bytes", n, b)
-	}
-}
-
 // TestCircuitMemoSeparatesNetlists: netlist texts key the memo by
 // their bytes, so two texts of one circuit are two entries (sharing
 // one content key), a different circuit is a third, and a netlist that

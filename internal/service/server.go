@@ -274,8 +274,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 // dictionary is addressed by content key (stable across restarts) or,
 // as a convenience, by a live campaign ID.
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	store := s.mgr.DictStore()
-	if store == nil {
+	if s.mgr.dict == nil {
 		writeError(w, http.StatusServiceUnavailable, "dictionary store not configured (start the server with -dict-dir)")
 		return
 	}
@@ -310,7 +309,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "at least one failing or leaking pattern index is required")
 		return
 	}
-	d, err := store.Get(key)
+	d, err := s.mgr.dictionary(key)
 	if err != nil {
 		if os.IsNotExist(err) {
 			writeError(w, http.StatusNotFound, "no dictionary artifact for key "+key)
