@@ -389,12 +389,15 @@ func exciteMaskPacked(pb *packedBase, e *bridgeEnds, lut *bridgeLUT) uint64 {
 }
 
 // runBridgesPacked drives the 64-way bridged fixpoint per bridge per
-// chunk. Like the packed pool's scratch, it publishes its engine
-// counters once per sweep, on every return path, not per bridge.
+// chunk, over a one-word pack of its own. Like the packed pool's
+// scratch, it publishes its engine counters once per sweep, on every
+// return path, not per bridge.
 func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge, patterns *PatternSet, useIDDQ bool) ([]Detection, error) {
 	sink := s.progressSink("bridges", len(bridges))
 	cc := s.Compiled()
-	bases := s.packedBaselines(patterns, 1, false)
+	pack := s.packChunks(patterns, 1, false, false)
+	defer s.putPack(pack)
+	bases := pack.bases
 	vals := make([]logic.PackedVec, cc.NumNets())
 	prev := make([]logic.PackedVec, cc.NumNets())
 	outPO := make([]logic.PackedVec, len(cc.OutputID))
@@ -408,9 +411,10 @@ func (s *Simulator) runBridgesPacked(ctx context.Context, bridges []core.Bridge,
 		engineStats.packedGateEvals.Add(evals)
 	}()
 	out := make([]Detection, len(bridges))
+	done := ctx.Done()
 	for i, b := range bridges {
-		if err := ctx.Err(); err != nil {
-			return out, err
+		if canceled(done) {
+			return out, ctx.Err()
 		}
 		out[i] = Detection{Pattern: -1}
 		e := s.bridgeEnds(b)

@@ -5,9 +5,11 @@
 // honour it.
 // With a capture attached the engines keep simulating past the first
 // detection: fault dropping is disabled, so the packed engine sweeps
-// every chunk, and a one-chunk campaign costs exactly its uncaptured
-// evaluations (a fault's detecting lanes are its flip lanes ANDed with
-// its site's observability mask, so the full signature is at hand).
+// every chunk, of one uniform width (a pack built under capture opens
+// with no head chunk), and over one chunk a campaign costs exactly the
+// evaluations of an uncaptured one over the same chunk (a fault's
+// detecting lanes are its flip lanes ANDed with its site's
+// observability mask, so the full signature is at hand).
 // Each fault's answers are read from the same full masks with the
 // precedence the per-pattern reference sweep applies — per pattern the
 // leak check precedes the output compare, across patterns the earliest

@@ -25,12 +25,13 @@ import (
 //
 // Entries are rows (one value per primary input, in C.Inputs order),
 // appended to a PatternSet and packed from it into fixed-width lane
-// blocks. Add and AddPair only append rows, opening a block at each
-// block boundary, and mark the blocks they touch stale. Detects first
-// packs each stale block once, re-evaluates its good circuit and
-// forgets its observability masks; a block that stays unchanged is
-// never packed or evaluated again, and its masks serve every later
-// Detects. A set is used by one goroutine at a time; Close releases it.
+// blocks, each with its own observability-mask memo. Add and AddPair
+// only append rows, opening a block at each block boundary, and mark
+// the blocks they touch stale. Detects first packs each stale block
+// once, re-evaluates its good circuit and forgets its observability
+// masks; a block that stays unchanged is never packed or evaluated
+// again, and its masks serve every later Detects. A set is used by one
+// goroutine at a time; Close releases it.
 type DropSet struct {
 	s     *Simulator
 	cls   *packedClass // the class Detects simulates
@@ -74,7 +75,6 @@ func (s *Simulator) newDropSet(cls *packedClass, ref bool) *DropSet {
 	}
 	if !ref {
 		d.sc = s.packedScratchOf()
-		d.sc.begin(d.w)
 	}
 	return d
 }
@@ -123,19 +123,22 @@ func (d *DropSet) refresh() {
 		if pb.init != nil {
 			d.setBlock(pb.init, d.inits, false)
 		}
-		d.sc.forgetChunk(ci)
+		clear(pb.seen)
 	}
 	d.stale = len(d.base)
 }
 
 // block opens an empty block starting at entry n.
 func (d *DropSet) block(n int) packedBase {
+	nets := d.sc.cc.NumNets()
 	return packedBase{
 		start: n,
 		w:     d.w,
 		valid: make([]uint64, d.w),
 		in:    make([]logic.PackedVec, len(d.s.C.Inputs)*d.w),
-		vals:  make([]logic.PackedVec, d.sc.cc.NumNets()*d.w),
+		vals:  make([]logic.PackedVec, nets*d.w),
+		obs:   make([]uint64, nets*d.w),
+		seen:  make([]bool, nets),
 	}
 }
 
@@ -161,7 +164,7 @@ func (d *DropSet) Detects(f core.Fault) bool {
 	if d.cls.pairs {
 		ds, err = d.s.runTwoPattern(context.Background(), []core.Fault{f}, d.inits, d.set)
 	} else {
-		ds, _, err = d.s.runTransistor(context.Background(), []core.Fault{f}, d.set, voltageOnly, 1)
+		ds, err = d.s.NewSweep(d.set).RunTransistor(context.Background(), []core.Fault{f}, false, 1)
 	}
 	return err == nil && ds[0].Detected()
 }

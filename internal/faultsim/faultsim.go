@@ -70,15 +70,18 @@ type Simulator struct {
 	Signatures *SignatureCapture
 
 	// laneWords, when 1, 2 or 4, pins the packed engine's lane-block
-	// width (64, 128 or 256 ternary lanes per block); the lane-width
-	// tests set it. Otherwise each campaign picks the width its pattern
-	// count needs.
+	// width (64, 128 or 256 ternary lanes per block) for every chunk;
+	// the lane-width tests set it. Otherwise each campaign picks the
+	// width its pattern count needs (laneWordsFor), and a pack without
+	// signature capture opens with a one-word head chunk.
 	laneWords int
 
-	// Packed-engine scratch pool: the buffers and the scratch-local
-	// LUT-resolution caches stay warm across the campaigns run on this
-	// simulator (the service keeps a pool of simulators per circuit).
+	// Packed-engine pools: the scratch buffers and the scratch-local
+	// LUT-resolution caches, and the packs' chunk and mask-memo arrays,
+	// stay warm across the campaigns run on this simulator (the service
+	// keeps a pool of simulators per circuit).
 	scratchPool sync.Pool
+	packPool    sync.Pool
 }
 
 // New returns a simulator for the circuit. It builds nothing: every
@@ -96,27 +99,13 @@ func (s *Simulator) RunStuckAt(faults []core.Fault, patterns []Pattern) []Detect
 	return out
 }
 
-// RunStuckAtContext is RunStuckAt with cooperative cancellation: it is
-// RunStuckAtSet over the patterns converted to a PatternSet.
+// RunStuckAtContext is RunStuckAt with cooperative cancellation:
+// Sweep.RunStuckAt on a fresh sweep over the patterns converted to a
+// PatternSet.
 func (s *Simulator) RunStuckAtContext(ctx context.Context, faults []core.Fault, patterns []Pattern) ([]Detection, error) {
-	return s.RunStuckAtSet(ctx, faults, PatternSetOf(s.C, patterns))
-}
-
-// RunStuckAtSet is RunStuckAt over a PatternSet, with cooperative
-// cancellation checked between faults. With the context's error it
-// returns the detections so far, every other fault undetected; with a
-// signature capture sized for another campaign, nil. Each line fault
-// changes one site net: a stem fault forces its net (a gate output or a
-// primary input), a pin fault evaluates the reading gate with that pin
-// forced, changing the gate's output. Its detecting lanes are the lanes
-// where that definitely flips the site, ANDed with the site's
-// observability mask, which the sweep computes once per net. Progress
-// reports faults on the "stuck_at" stage (non-line faults count as
-// Dropped); the engine counters charge the work to the packed engine,
-// whatever the simulator's Engine.
-func (s *Simulator) RunStuckAtSet(ctx context.Context, faults []core.Fault, patterns *PatternSet) ([]Detection, error) {
-	out, _, err := s.runPool(ctx, s.stuckAtClass(), faults, patterns, nil, 1)
-	return out, err
+	sw := s.NewSweep(PatternSetOf(s.C, patterns))
+	defer sw.Close()
+	return sw.RunStuckAt(ctx, faults)
 }
 
 // stuckAtClass adapts line stuck-at faults to the packed driver, over
@@ -213,8 +202,7 @@ func (s *Simulator) transistorHooks(f core.Fault, leak *bool) (logic.TernaryHook
 // switch-level solver rejects, a mis-sized signature capture) it returns
 // nil detections.
 func (s *Simulator) RunTransistor(faults []core.Fault, patterns []Pattern, useIDDQ bool) ([]Detection, error) {
-	out, _, err := s.runTransistor(context.Background(), faults, PatternSetOf(s.C, patterns), transistorMode(useIDDQ), 1)
-	return out, err
+	return s.RunTransistorParallel(context.Background(), faults, patterns, useIDDQ, 1)
 }
 
 // outputsDiffer reports a definite PO mismatch (X never counts).
@@ -261,7 +249,9 @@ func (s *Simulator) runTwoPattern(ctx context.Context, faults []core.Fault, init
 	if s.Engine == EngineReference {
 		return s.runTwoPatternReference(ctx, faults, inits.Patterns(), tests.Patterns())
 	}
-	out, _, err := s.runPool(ctx, s.pairClass(), faults, tests, inits, 1)
+	sw := s.pairSweep(inits, tests)
+	defer sw.Close()
+	out, _, err := s.runPool(ctx, s.pairClass(), faults, sw, 1)
 	if err != nil {
 		return nil, err
 	}

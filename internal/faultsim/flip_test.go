@@ -41,7 +41,8 @@ func xOnlyCampaign(rng *rand.Rand, n int) (c *logic.Circuit, faults []core.Fault
 // one chunk (8 patterns) and two (300), in every sweep mode and with one
 // and two workers, the campaign makes exactly one site evaluation per
 // fault per lane word and no propagation, in the engine counter and in
-// the progress stream (which adds the baseline passes). The
+// the progress stream (which adds the baseline passes, one per gate per
+// lane word of each of the pack's chunks). The
 // channel-break pair loop flips by the same rule, so its campaign makes
 // no packed evaluation at all. Both engines must agree that nothing is
 // detected by voltage.
@@ -64,9 +65,7 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 	}
 	for _, n := range []int{8, 300} {
 		c, faults, patterns := xOnlyCampaign(rng, n)
-		w := New(c).laneWordsFor(n)
 		seeds := uint64(len(faults) * ((n + 63) / 64))
-		base := uint64((n + 64*w - 1) / (64 * w) * len(c.Gates) * w)
 		ref, err := withEngine(c, EngineReference).RunTransistor(faults, patterns, false)
 		if err != nil {
 			t.Fatal(err)
@@ -78,8 +77,14 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 			for _, mode := range []sweepMode{voltageOnly, iddqOnly, bothAnswers} {
 				label := fmt.Sprintf("%d patterns, mode %d, %d workers", n, mode, workers)
 				var volt []Detection
+				var base uint64
 				evals, prog := measure(c, func(s *Simulator) (err error) {
-					out, v, err := s.runTransistor(ctx, faults, PatternSetOf(c, patterns), mode, workers)
+					sw := s.NewSweep(PatternSetOf(c, patterns))
+					defer sw.Close()
+					out, v, err := sw.runTransistor(ctx, faults, mode, workers)
+					for _, pb := range sw.packs[0].bases {
+						base += uint64(len(c.Gates) * pb.w)
+					}
 					volt = v
 					if mode != bothAnswers {
 						volt = out
@@ -128,8 +133,9 @@ func TestXOnlyLanesNeverPropagate(t *testing.T) {
 // on a one-chunk campaign: a fault's full signature is its flip lanes
 // ANDed with its site's observability mask, the same mask its first
 // detection reads. On mult8 with 256 random patterns (one 256-lane
-// chunk) the captured one-sweep call makes exactly the packed
-// evaluations of the uncaptured one.
+// chunk: both sweeps pin the width, or the uncaptured one would open
+// with a head chunk) the captured one-sweep call makes exactly the
+// packed evaluations of the uncaptured one.
 func TestCaptureRetiresAtLastFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	c := bench.Multiplier(8)
@@ -145,6 +151,7 @@ func TestCaptureRetiresAtLastFlip(t *testing.T) {
 	sweep := func(capture bool) (uint64, []Detection) {
 		s := New(c)
 		s.EnsureCompiled()
+		s.laneWords = 4
 		if capture {
 			s.Signatures = NewSignatureCapture(len(faults), len(patterns))
 		}

@@ -53,7 +53,6 @@ func TestObservabilityMatchesFlippedEval(t *testing.T) {
 			for _, w := range []int{1, 2, 4} {
 				bases := s.packedBaselines(PatternSetOf(c, patterns), w, false)
 				sc := s.packedScratchOf()
-				sc.begin(w)
 				for ci := range bases {
 					pb := &bases[ci]
 					for net := range want {
@@ -63,7 +62,7 @@ func TestObservabilityMatchesFlippedEval(t *testing.T) {
 							known = known || pb.vals[net*w+j].Known&pb.valid[j] != 0
 						}
 						before := sc.evals
-						m := sc.observability(ci, pb, net)
+						m := sc.observability(pb, net)
 						if !known && sc.evals != before {
 							t.Errorf("%s: X in every lane, yet the mask cost %d evaluations", label, sc.evals-before)
 						}
@@ -88,10 +87,12 @@ func TestObservabilityMatchesFlippedEval(t *testing.T) {
 // whose every fifth gate output is also a primary output (an output read
 // by one gate must still be walked), and random circuits (some read one
 // net on two pins of a gate), over binary and ternary patterns (a
-// partial last block included) at every lane-block width, the memoized
-// mask must equal what propagate computes from that net. Nets are
-// queried in a shuffled order, so climbs stop at memoized nets at every
-// depth. A net that is X in every lane must cost no evaluation.
+// partial last block included) at every uniform lane-block width and in
+// packs that open with a one-word head chunk (300 patterns: chunks of 1
+// and 4 words; 250: 1 and 3, the last one trimmed to the words left),
+// the memoized mask must equal what propagate computes from that net. Nets are queried in a shuffled
+// order, so climbs stop at memoized nets at every depth. A net that is
+// X in every lane must cost no evaluation.
 func TestDerivedMasksMatchWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1983))
 	var circuits []*logic.Circuit
@@ -122,21 +123,25 @@ func TestDerivedMasksMatchWalk(t *testing.T) {
 		cc := s.Compiled()
 		for _, binary := range []bool{true, false} {
 			patterns := randomTernaryPatterns(rng, c, 300)
-			for _, w := range []int{1, 2, 4} {
-				bases := s.packedBaselines(PatternSetOf(c, patterns), w, binary)
+			for _, l := range []struct {
+				w    int
+				head bool
+				n    int
+			}{{1, false, 300}, {2, false, 300}, {4, false, 300}, {4, true, 300}, {4, true, 250}} {
+				bases := s.packChunks(PatternSetOf(c, patterns[:l.n]), l.w, l.head, binary).bases
 				sc := s.packedScratchOf()
-				sc.begin(w)
-				walk := make([]uint64, w)
 				for ci := range bases {
 					pb := &bases[ci]
+					w := pb.w
+					walk := make([]uint64, w)
 					for _, net := range rng.Perm(cc.NumNets()) {
-						label := fmt.Sprintf("%s binary=%t w%d chunk %d net %s", c.Name, binary, w, ci, cc.NetName[net])
+						label := fmt.Sprintf("%s/%dpat binary=%t w%d head=%t chunk %d net %s", c.Name, l.n, binary, l.w, l.head, ci, cc.NetName[net])
 						known := false
 						for j := 0; j < w; j++ {
 							known = known || pb.vals[net*w+j].Known&pb.valid[j] != 0
 						}
 						before := sc.evals
-						m := sc.observability(ci, pb, net)
+						m := sc.observability(pb, net)
 						if !known && sc.evals != before {
 							t.Errorf("%s: X in every lane, yet the mask cost %d evaluations", label, sc.evals-before)
 						}

@@ -1,28 +1,31 @@
 // Packed PPSFP engine, the one fast engine of the package: N×64
 // ternary patterns per lane block (two bitplane words per 64 lanes),
 // evaluated through the compiled gate LUTs and the per-fault behaviour
-// LUTs of engine.go. Baselines are packed once per campaign. Every fault
-// the drivers simulate changes the value of one net, its site: a gate's
-// output or a primary input. In a lane where the faulty site value
-// definitely differs from the good one, the faulty circuit is the good
-// circuit with the site flipped, so a fault's detecting lanes are its
-// flip lanes ANDed with the site's observability mask: the lanes where
-// flipping the net's known value definitely reaches a primary output
-// (critical path tracing). A sweep computes each mask once per (site
-// net, chunk) and every fault at that net reads it; a fault itself
-// costs one packed site evaluation per lane word. Only stems (nets read
-// by two or more gates) and primary outputs take an event-driven packed
-// walk. Any other net lies in a fanout-free region: its flips reach the
-// outputs only through its one reader, so its mask is the lanes where
-// they definitely flip the reader's output, ANDed with that output's
-// mask, one reader evaluation per lane word. Only definite flips count:
-// every fault-free gate table is monotone (a known entry holds at every
-// binary completion of its X inputs), so a lane whose faulty site value
-// is X, or whose good value is, can only give primary outputs that are
-// X or equal to the good ones, never a definite mismatch; the same
-// argument makes the derived masks exact. Defined to be
-// bit-identical to the reference oracle (same detection method, same
-// first detecting pattern), which the differential suites enforce.
+// LUTs of engine.go. Every fault the drivers simulate changes the value
+// of one net, its site: a gate's output or a primary input. In a lane
+// where the faulty site value definitely differs from the good one, the
+// faulty circuit is the good circuit with the site flipped, so a fault's
+// detecting lanes are its flip lanes ANDed with the site's observability
+// mask: the lanes where flipping the net's known value definitely
+// reaches a primary output (critical path tracing). Baselines are packed
+// once per Sweep (sweep.go), one pack per kind (binary, ternary; a fully
+// specified set has one), and each chunk of a pack memoizes its masks,
+// one per site net, so every fault at that net reads it, in every
+// campaign run over the pack: the stuck-at sweep's masks serve the
+// transistor sweep. A fault itself costs one packed site evaluation per
+// lane word. Only stems (nets read by two or more gates) and primary
+// outputs take an event-driven packed walk. Any other net lies in a
+// fanout-free region: its flips reach the outputs only through its one
+// reader, so its mask is the lanes where they definitely flip the
+// reader's output, ANDed with that output's mask, one reader evaluation
+// per lane word. Only definite flips count: every fault-free gate table
+// is monotone (a known entry holds at every binary completion of its X
+// inputs), so a lane whose faulty site value is X, or whose good value
+// is, can only give primary outputs that are X or equal to the good
+// ones, never a definite mismatch; the same argument makes the derived
+// masks exact. Defined to be bit-identical to the reference oracle (same
+// detection method, same first detecting pattern), which the
+// differential suites enforce.
 //
 // Each fault class is a packedClass, and simulateFaultPacked serves all
 // of them: a line stuck-at fault forces a constant at its site over
@@ -43,57 +46,116 @@ import (
 	"cpsinw/internal/logic"
 )
 
-// packedBase is the fault-free response of one lane-block chunk:
-// vals is net-major with stride w (w words of 64 lanes per net). A pair
-// chunk is its test patterns' chunk carrying, in init, the chunk of the
-// same lanes' init patterns.
+// packedBase is the fault-free response of one lane-block chunk, and
+// the chunk's observability masks: vals is net-major with stride w (w
+// words of 64 lanes per net). A pair chunk is its test patterns' chunk
+// carrying, in init, the chunk of the same lanes' init patterns.
 type packedBase struct {
-	start int               // index of the chunk's first pattern, a multiple of 64w
+	start int               // index of the chunk's first pattern, a multiple of 64
 	w     int               // lane words per net
 	valid []uint64          // lanes backed by a real pattern, one word per lane word
 	in    []logic.PackedVec // per primary input, input-major stride w
 	vals  []logic.PackedVec // per net id, net-major stride w, canonical planes
 	init  *packedBase       // a pair chunk's init patterns, nil otherwise
+
+	// obs memoizes the chunk's observability masks, w words per net at
+	// net*w, valid where seen is set. The memo belongs to the chunk's
+	// owner, a Sweep or a DropSet, so every campaign over the chunk
+	// reads it; it is sized when the chunk is, before any worker starts.
+	obs  []uint64
+	seen []bool
 }
 
-// packedBaselines packs the pattern set into 64w-lane chunks, gathering
-// each chunk's input words from the set, and evaluates each chunk's good
-// circuit; lanes past the last pattern stay X. Binary chunks read X
-// inputs as 0 (the line stuck-at semantics). All chunk planes share one
-// backing array (one allocation to scan instead of one per chunk).
-func (s *Simulator) packedBaselines(patterns *PatternSet, w int, binary bool) []packedBase {
+// chunkPack is a pattern set packed into chunks, over arrays that come
+// from and go back to the simulator's pool: each chunk's fields slice
+// them.
+type chunkPack struct {
+	bases      []packedBase
+	vals, in   []logic.PackedVec
+	valid, obs []uint64
+	seen       []bool
+}
+
+// resize returns buf with length n, reusing its array when it is big
+// enough. The contents are stale: every caller overwrites or clears them.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// packChunks packs the pattern set into chunks of w lane words over a
+// pack from the simulator's pool, gathering each chunk's input words
+// from the set, and evaluates each chunk's good circuit; lanes past the
+// last pattern stay X, and every chunk starts with an empty mask memo.
+// Binary chunks read X inputs as 0 (the line stuck-at semantics). With
+// head the pack opens with a one-word head chunk and its last chunk
+// holds only the words left, so no chunk is wider than the patterns
+// need; without it every chunk is w words wide. putPack returns it.
+func (s *Simulator) packChunks(patterns *PatternSet, w int, head, binary bool) *chunkPack {
+	p, _ := s.packPool.Get().(*chunkPack)
+	if p == nil {
+		p = &chunkPack{}
+	}
 	cc := s.Compiled()
-	nChunks := (patterns.Len() + 64*w - 1) / (64 * w)
-	stride := cc.NumNets() * w
-	backing := make([]logic.PackedVec, nChunks*stride)
-	out := make([]packedBase, nChunks)
-	for ci := range out {
-		pb := &out[ci]
-		*pb = packedBase{start: ci * 64 * w, w: w, valid: make([]uint64, w), in: make([]logic.PackedVec, len(s.C.Inputs)*w)}
-		patterns.gather(pb.in, pb.valid, ci*w, w, binary)
-		pb.vals = cc.EvalBlock(pb.in, w, backing[:stride:stride])
-		backing = backing[stride:]
+	nets, nIn := cc.NumNets(), len(s.C.Inputs)
+	used := (patterns.Len() + 63) / 64
+	p.bases = p.bases[:0]
+	words := 0
+	for words < used {
+		cw := w
+		if head {
+			cw = min(w, used-words)
+			if words == 0 {
+				cw = 1
+			}
+		}
+		p.bases = append(p.bases, packedBase{start: words << 6, w: cw})
+		words += cw
 	}
-	return out
+	p.vals = resize(p.vals, words*nets)
+	p.in = resize(p.in, words*nIn)
+	p.valid = resize(p.valid, words)
+	p.obs = resize(p.obs, words*nets)
+	p.seen = resize(p.seen, len(p.bases)*nets)
+	clear(p.seen)
+	off := 0
+	for ci := range p.bases {
+		pb := &p.bases[ci]
+		end := off + pb.w
+		pb.valid = p.valid[off:end:end]
+		pb.in = p.in[off*nIn : end*nIn : end*nIn]
+		pb.obs = p.obs[off*nets : end*nets : end*nets]
+		pb.seen = p.seen[ci*nets : (ci+1)*nets : (ci+1)*nets]
+		patterns.gather(pb.in, pb.valid, off, pb.w, binary)
+		pb.vals = cc.EvalBlock(pb.in, pb.w, p.vals[off*nets:end*nets:end*nets])
+		off = end
+	}
+	return p
 }
 
-// baseEvals counts the word evaluations of a sweep's baselines, a pair
-// chunk's init baseline included, reported to the progress sink before
-// the fault sweep starts.
+// putPack hands a pack back to the simulator's pool.
+func (s *Simulator) putPack(p *chunkPack) { s.packPool.Put(p) }
+
+// baseEvals counts the word evaluations of a pack's baselines, a pair
+// chunk's init baseline included, reported to the progress sink of the
+// campaign that packs them before its fault sweep starts.
 func baseEvals(bases []packedBase, nGates int) uint64 {
-	if len(bases) == 0 {
-		return 0
+	var words uint64
+	for i := range bases {
+		words += uint64(bases[i].w)
+		if bases[i].init != nil {
+			words += uint64(bases[i].w)
+		}
 	}
-	n := uint64(len(bases)) * uint64(nGates) * uint64(bases[0].w)
-	if bases[0].init != nil {
-		n *= 2
-	}
-	return n
+	return words * uint64(nGates)
 }
 
-// laneWordsFor picks the lane-block width of a campaign: a pinned
-// laneWords wins; otherwise the narrowest block that holds the patterns,
-// up to 256 lanes.
+// laneWordsFor picks the chunk width of a campaign: a pinned laneWords
+// wins; otherwise the narrowest block that holds the patterns, up to
+// 256 lanes. A pack that opens with a head chunk (packChunks) continues
+// at this width after its first 64 lanes.
 func (s *Simulator) laneWordsFor(nPatterns int) int {
 	if logic.ValidLaneWords(s.laneWords) {
 		return s.laneWords
@@ -259,15 +321,14 @@ func (sd *packedSeed) answer(w int, a *answers) {
 }
 
 // packedScratch is the reusable per-worker state of the packed engine:
-// the sweep's memoized observability masks, and for the walk that
-// computes one, epoch-stamped faulty lane blocks over the chunk
-// baseline, per-net dirty word masks and a queue of pending gates. The
-// event-driven walk evaluates only gates with a dirty fanin word, and
-// only the dirty words of those gates.
+// for the walk that computes an observability mask, epoch-stamped
+// faulty lane blocks over the chunk baseline, per-net dirty word masks
+// and a queue of pending gates. The event-driven walk evaluates only
+// gates with a dirty fanin word, and only the dirty words of those
+// gates. The masks themselves live on the chunks.
 type packedScratch struct {
 	cc    *logic.CompiledCircuit
-	w     int               // current lane-block width of fval
-	fval  []logic.PackedVec // net-major stride w, valid where stamp/dirty say so
+	fval  []logic.PackedVec // net-major stride w of the walked chunk, valid where stamp/dirty say so
 	stamp []int64           // net touched-epoch
 	dirty []uint8           // net -> word mask of deviations vs baseline
 	epoch int64
@@ -277,15 +338,7 @@ type packedScratch struct {
 	queue []uint64
 	qhi   int
 	inbuf [3]logic.PackedVec
-
-	// obs memoizes the sweep's observability masks: w words per (chunk
-	// ci, net) at (ci*NumNets+net)*w, valid while obsAt holds obsGen.
-	// begin bumps obsGen, so every sweep starts with none. path is the
-	// climb scratch of observability.
-	obs    []uint64
-	obsAt  []int64
-	obsGen int64
-	path   []int
+	path  []int // the climb scratch of observability
 
 	// Scratch-local resolution caches — lock-free because a scratch is
 	// owned by exactly one goroutine at a time, and warm across
@@ -320,7 +373,6 @@ func (s *Simulator) packedScratchOf() *packedScratch {
 	cc := s.Compiled()
 	return &packedScratch{
 		cc:     cc,
-		w:      1,
 		fval:   make([]logic.PackedVec, cc.NumNets()),
 		stamp:  make([]int64, cc.NumNets()),
 		dirty:  make([]uint8, cc.NumNets()),
@@ -334,58 +386,26 @@ func (s *Simulator) putPackedScratch(sc *packedScratch) {
 	s.scratchPool.Put(sc)
 }
 
-// begin starts a sweep at lane width w: it forgets every memoized mask
-// (they belong to the previous sweep's baselines) and resizes the
-// faulty-plane buffer. Stale stamps from another width are harmless:
-// propagate bumps the epoch.
-func (sc *packedScratch) begin(w int) {
-	sc.obsGen++
-	if sc.w == w {
-		return
-	}
-	sc.w = w
-	if n := sc.cc.NumNets() * w; cap(sc.fval) < n {
-		sc.fval = make([]logic.PackedVec, n)
-	} else {
-		sc.fval = sc.fval[:n]
-	}
-}
-
-// forgetChunk drops the memoized masks of chunk ci, whose baseline has
-// changed (a DropSet's tail block after an Add).
-func (sc *packedScratch) forgetChunk(ci int) {
-	n := sc.cc.NumNets()
-	if lo := ci * n; lo < len(sc.obsAt) {
-		clear(sc.obsAt[lo:min(lo+n, len(sc.obsAt))])
-	}
-}
-
-// observability returns net's observability mask over chunk ci, whose
-// baseline is pb: the lanes where flipping the net's known value
-// definitely reaches a primary output. The first call of a sweep
-// computes it; later calls read the memo. A stem, a primary output or an
+// observability returns net's observability mask over chunk pb: the
+// lanes where flipping the net's known value definitely reaches a
+// primary output. The first call on the chunk computes it; later calls,
+// from any campaign over the chunk, read the chunk's memo. A stem, a
+// primary output or an
 // unread net is walked (propagate). Any other net is read by one gate
 // only, so its flips reach the outputs only through that gate's output,
 // and its mask is derived from the reader's output mask (derive): the
 // call climbs the fanout-free region to the first memoized, walked or
 // all-X net, then derives each net on the way back down, memoizing all
 // of them. A net that is X in every lane gets an empty mask at no cost.
-// The returned words are scratch memory, valid until the next call.
-func (sc *packedScratch) observability(ci int, pb *packedBase, net int) []uint64 {
-	cc, w, nets := sc.cc, sc.w, sc.cc.NumNets()
-	if n := (ci + 1) * nets; len(sc.obsAt) < n {
-		sc.obsAt = append(sc.obsAt, make([]int64, n-len(sc.obsAt))...)
-	}
-	if n := len(sc.obsAt) * w; len(sc.obs) < n {
-		sc.obs = append(sc.obs, make([]uint64, n-len(sc.obs))...)
-	}
-	memo := func(n int) []uint64 {
-		k := ci*nets + n
-		return sc.obs[k*w : k*w+w]
-	}
+// Every net the call memoizes lies in the fanout-free region of net, so
+// workers whose faults lie in different regions never write the same
+// memo entry.
+func (sc *packedScratch) observability(pb *packedBase, net int) []uint64 {
+	cc, w := sc.cc, pb.w
+	memo := func(n int) []uint64 { return pb.obs[n*w : n*w+w] }
 	sc.path = sc.path[:0]
-	for n := net; sc.obsAt[ci*nets+n] != sc.obsGen; n = cc.GateOut[cc.Reader[n]] {
-		sc.obsAt[ci*nets+n] = sc.obsGen
+	for n := net; !pb.seen[n]; n = cc.GateOut[cc.Reader[n]] {
+		pb.seen[n] = true
 		known := uint64(0)
 		for j := 0; j < w; j++ {
 			known |= pb.vals[n*w+j].Known & pb.valid[j]
@@ -415,7 +435,7 @@ func (sc *packedScratch) observability(ci int, pb *packedBase, net int) []uint64
 // (see the package doc). A word costs one evaluation of g, and none
 // where n has no known lane or up is empty.
 func (sc *packedScratch) derive(pb *packedBase, n int, m, up []uint64) {
-	cc, w, base := sc.cc, sc.w, pb.vals
+	cc, w, base := sc.cc, pb.w, pb.vals
 	g := cc.Reader[n]
 	fin := cc.Fanin[g]
 	in := sc.inbuf[:len(fin)]
@@ -571,7 +591,7 @@ func (sc *packedScratch) siteWord(st *packedSite, pb *packedBase, j int) (logic.
 	if st.lut == nil && st.pin < 0 {
 		return st.force, 0 // a stem: the net itself is stuck
 	}
-	cc, w, base := sc.cc, sc.w, pb.vals
+	cc, w, base := sc.cc, pb.w, pb.vals
 	fin := cc.Fanin[st.gi]
 	in := sc.inbuf[:len(fin)]
 	for k, nid := range fin {
@@ -592,7 +612,7 @@ func (sc *packedScratch) siteWord(st *packedSite, pb *packedBase, j int) (logic.
 // vectorise). It counts decoded pair lanes, not gate evaluations. Lanes
 // past the chunk's pairs stay X: they never flip.
 func (sc *packedScratch) pairWord(st *packedSite, pb *packedBase, j int) logic.PackedVec {
-	cc, w, lut := sc.cc, sc.w, st.open
+	cc, w, lut := sc.cc, pb.w, st.open
 	var fo logic.PackedVec
 	for m := pb.valid[j]; m != 0; m &= m - 1 {
 		lane := j<<6 | bits.TrailingZeros64(m)
@@ -621,7 +641,7 @@ func blockGateIndex(cc *logic.CompiledCircuit, gi, w, lane int, vals []logic.Pac
 // cannot reach a definite output mismatch (see the package doc), so it
 // is never credited.
 func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, pb *packedBase, leaks bool) {
-	w, base := sc.w, pb.vals
+	w, base := pb.w, pb.vals
 	sd.patOff = pb.start
 	for j := 0; j < w; j++ {
 		sd.mask[j], sd.leak[j], sd.diff[j] = 0, 0, 0
@@ -646,9 +666,11 @@ func (sc *packedScratch) seedChunk(sd *packedSeed, st *packedSite, pb *packedBas
 // evaluated gate word is forced back to baseline there), so the walk
 // converges at the rate of the earliest detections. It ends once every
 // flipped lane has been seen. Lanes where the net is X never flip: no
-// fault can flip the net definitely there.
+// fault can flip the net definitely there. Stale stamps from a walk of
+// another width are harmless: the walk bumps the epoch.
 func (sc *packedScratch) propagate(pb *packedBase, net int, m []uint64) {
-	cc, w, base := sc.cc, sc.w, pb.vals
+	cc, w, base := sc.cc, pb.w, pb.vals
+	sc.fval = resize(sc.fval, cc.NumNets()*w)
 	stamp, dirty := sc.stamp, sc.dirty
 	sc.epoch++
 	epoch := sc.epoch
@@ -771,13 +793,13 @@ func (s *Simulator) simulateFaultPacked(cls *packedClass, f core.Fault, si int, 
 		return a, err
 	}
 	sc.runs++
-	w := sc.w
 	var sd packedSeed
 	for ci := range bases {
 		pb := &bases[ci]
+		w := pb.w
 		sc.seedChunk(&sd, &st, pb, cls.mode.observesLeaks())
 		if sd.live && !cls.leakDecides(&sd, w, sig != nil) {
-			obs := sc.observability(ci, pb, st.onet)
+			obs := sc.observability(pb, st.onet)
 			for j := 0; j < w; j++ {
 				sd.diff[j] = sd.mask[j] & obs[j]
 			}

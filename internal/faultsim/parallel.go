@@ -154,24 +154,8 @@ func (s *Simulator) referenceFaultEvals(f core.Fault, stop, nPatterns int, captu
 	return uint64(swept) * uint64(len(s.C.Gates))
 }
 
-// runTransistor runs a transistor campaign in one sweep mode and returns
-// the d answers and, under bothAnswers, the v answers (volt is nil
-// otherwise). The packed pool runs it, or under EngineReference the
-// serial oracle, which ignores workers. With an error both lists are
-// nil.
-func (s *Simulator) runTransistor(ctx context.Context, faults []core.Fault, patterns *PatternSet, mode sweepMode, workers int) (out, volt []Detection, err error) {
-	if s.Engine == EngineReference {
-		return s.runTransistorReference(ctx, faults, patterns.Patterns(), mode)
-	}
-	out, volt, err = s.runPool(ctx, s.transistorClass(mode), faults, patterns, nil, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, volt, nil
-}
-
 // runTransistorReference is the reference oracle's transistor driver,
-// one goroutine in list order. Like runTransistor it returns the d
+// one goroutine in list order. Like Sweep.runTransistor it returns the d
 // answers and, under bothAnswers, the v answers, and nil lists with an
 // error. Cancellation is checked between faults: a fault's pattern sweep
 // is the unit of work.
@@ -239,70 +223,61 @@ func (s *Simulator) sortByRegion(faults []core.Fault, ord []int) (region []int) 
 }
 
 // RunTransistorParallel is RunTransistor with the per-fault work of the
-// packed engine spread over a pool of workers: RunTransistorSet over the
-// patterns converted to a PatternSet.
+// packed engine spread over a pool of workers: Sweep.RunTransistor on a
+// fresh sweep over the patterns converted to a PatternSet.
 func (s *Simulator) RunTransistorParallel(ctx context.Context, faults []core.Fault, patterns []Pattern, useIDDQ bool, workers int) ([]Detection, error) {
-	return s.RunTransistorSet(ctx, faults, PatternSetOf(s.C, patterns), useIDDQ, workers)
+	sw := s.NewSweep(PatternSetOf(s.C, patterns))
+	defer sw.Close()
+	return sw.RunTransistor(ctx, faults, useIDDQ, workers)
 }
 
-// RunTransistorSet is RunTransistor over a PatternSet, with the per-fault
-// work of the packed engine spread over a pool of workers (GOMAXPROCS
-// when workers is 0 or less, never more than len(faults)); the reference
-// oracle ignores workers. The context cancels between faults. With an
-// error it returns nil detections.
-func (s *Simulator) RunTransistorSet(ctx context.Context, faults []core.Fault, patterns *PatternSet, useIDDQ bool, workers int) ([]Detection, error) {
-	out, _, err := s.runTransistor(ctx, faults, patterns, transistorMode(useIDDQ), workers)
-	return out, err
-}
-
-// RunTransistorBoth is RunTransistorBothSet over the patterns converted
-// to a PatternSet.
+// RunTransistorBoth is Sweep.RunTransistorBoth on a fresh sweep over
+// the patterns converted to a PatternSet.
 func (s *Simulator) RunTransistorBoth(ctx context.Context, faults []core.Fault, patterns []Pattern, workers int) (voltage, withIDDQ []Detection, err error) {
-	return s.RunTransistorBothSet(ctx, faults, PatternSetOf(s.C, patterns), workers)
+	sw := s.NewSweep(PatternSetOf(s.C, patterns))
+	defer sw.Close()
+	return sw.RunTransistorBoth(ctx, faults, workers)
 }
 
-// RunTransistorBothSet answers a transistor campaign with and without
-// IDDQ observation from one sweep, on the same workers as
-// RunTransistorSet: voltage equals what RunTransistor(…, false)
-// returns and withIDDQ what RunTransistor(…, true) returns, on either
-// engine, with or without signature capture. The +IDDQ answer costs no
-// extra evaluation: the sweep evaluates exactly the gates the
-// voltage-only sweep does and reads each fault's leak lanes off the
-// behaviour-table evaluation it already makes. Progress reports on the
-// "transistor" stage and counts voltage detections. A capture records
-// both planes, the leak plane included. With an error both lists are
-// nil.
-func (s *Simulator) RunTransistorBothSet(ctx context.Context, faults []core.Fault, patterns *PatternSet, workers int) (voltage, withIDDQ []Detection, err error) {
-	withIDDQ, voltage, err = s.runTransistor(ctx, faults, patterns, bothAnswers, workers)
-	return voltage, withIDDQ, err
+// canceled polls a context's done channel without blocking. Drivers
+// take the channel once and poll it per fault: ctx.Err() locks the
+// context on every call, and a campaign's workers share one context.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // runPool is the one packed driver: every packed batch entry point runs
-// its class through it. It packs the chunks once — for a pair class the
-// test patterns' chunks, carrying the init patterns' — unless no fault
-// of the list is simulable, and returns each fault's d answer and, under
-// bothAnswers, its v answer (volt is nil otherwise; see
-// simulateFaultPacked). Every fault starts undetected, so with an error
-// the lists hold the answers resolved so far.
+// its class through it, over the sweep's chunks for the class (a pair
+// class's carry the init patterns' chunks), which the sweep packs on
+// first use unless no fault of the list is simulable. It returns each
+// fault's d answer and, under bothAnswers, its v answer (volt is nil
+// otherwise; see simulateFaultPacked). Every fault starts undetected, so
+// with an error the lists hold the answers resolved so far.
 //
 // One worker runs the faults in list order on the caller's goroutine.
 // More workers (GOMAXPROCS when workers is 0 or less, never more than
 // len(faults)) take contiguous ranges of the region order
 // (sortByRegion), cut at fanout-free region boundaries: each worker's
 // scratch stays warm on one part of the circuit, and each region's
-// observability masks are computed by one worker, so the packed
+// observability masks are computed by one worker, which also keeps the
+// workers' writes to the chunks' shared mask memo apart, so the packed
 // evaluations do not depend on the worker count. The context cancels
 // between faults; after the first engine error the remaining ranges are
 // drained without simulating. A single-pattern class honours the
 // simulator's signature capture; a pair class ignores it, as the
 // reference two-pattern oracle does.
-func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core.Fault, patterns, inits *PatternSet, workers int) (out, volt []Detection, err error) {
+func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core.Fault, sw *Sweep, workers int) (out, volt []Detection, err error) {
 	var sig *SignatureCapture
 	if !cls.pairs {
 		sig = s.Signatures
 	}
 	if sig != nil {
-		if err := sig.check(len(faults), patterns.Len()); err != nil {
+		if err := sig.check(len(faults), sw.set.Len()); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -318,15 +293,10 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 		sink.add(len(faults), 0, len(faults), 0)
 		return out, volt, ctx.Err() // nothing to simulate: skip the baselines
 	}
-	w := s.laneWordsFor(patterns.Len())
-	bases := s.packedBaselines(patterns, w, cls.binary)
-	if cls.pairs {
-		ib := s.packedBaselines(inits, w, false)
-		for ci := range bases {
-			bases[ci].init = &ib[ci]
-		}
+	bases, packed := sw.chunks(cls, sig != nil)
+	if packed {
+		sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 	}
-	sink.add(0, 0, 0, baseEvals(bases, len(s.C.Gates)))
 
 	var failed atomic.Pointer[error] // the first engine error
 	// work simulates the ranges it receives on one scratch and one
@@ -334,13 +304,13 @@ func (s *Simulator) runPool(ctx context.Context, cls *packedClass, faults []core
 	// drains them without simulating.
 	work := func(ranges <-chan []int) {
 		sc := s.packedScratchOf()
-		sc.begin(w)
 		defer s.putPackedScratch(sc)
 		batch := progressBatch{sink: sink}
 		defer batch.flush()
+		done := ctx.Done()
 		for r := range ranges {
 			for _, i := range r {
-				if ctx.Err() != nil || failed.Load() != nil {
+				if canceled(done) || failed.Load() != nil {
 					break
 				}
 				before := sc.lifetimeEvals()

@@ -105,6 +105,18 @@ func (ps *PatternSet) Patterns() []Pattern {
 	return out
 }
 
+// specified reports whether no pattern of the set has an X input, so
+// its binary chunks equal its ternary ones.
+func (ps *PatternSet) specified() bool {
+	nIn := len(ps.inputs)
+	for k, v := range ps.words {
+		if v.Known != ps.validWord(k/nIn) {
+			return false
+		}
+	}
+	return true
+}
+
 // validWord returns the lanes of block b that hold a pattern.
 func (ps *PatternSet) validWord(b int) uint64 {
 	switch left := ps.n - b<<6; {

@@ -24,6 +24,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -130,25 +131,41 @@ func (s *Store) Put(kind Kind, key string, v interface{}) (int64, error) {
 
 // Get loads the artifact under (kind, key) into out. A missing artifact
 // surfaces as a wrapped os.ErrNotExist; a torn or corrupted artifact as
-// a decode error.
+// a read or decode error.
 func (s *Store) Get(kind Kind, key string, out interface{}) error {
+	b, err := s.Read(kind, key)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, out); err != nil {
+		return fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
+	}
+	return nil
+}
+
+// Read returns the JSON stored under (kind, key), decompressed and not
+// decoded. It reads the artifact to its end, so gzip's length and CRC
+// checks always run: a torn or corrupted artifact surfaces as an error,
+// a missing one as a wrapped os.ErrNotExist.
+func (s *Store) Read(kind Kind, key string) ([]byte, error) {
 	if !ValidKey(key) {
-		return fmt.Errorf("resultstore: invalid artifact key %q", key)
+		return nil, fmt.Errorf("resultstore: invalid artifact key %q", key)
 	}
 	f, err := os.Open(s.path(kind, key))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
 	zr, err := gzip.NewReader(f)
 	if err != nil {
-		return fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
+		return nil, fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
 	}
 	defer zr.Close()
-	if err := json.NewDecoder(zr).Decode(out); err != nil {
-		return fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
+	b, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
 	}
-	return nil
+	return b, nil
 }
 
 // Has reports whether an artifact exists under (kind, key), without

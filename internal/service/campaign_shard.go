@@ -350,12 +350,16 @@ func (env *shardEnv) runShards(ctx context.Context, plan *shard.Plan, opt Sharde
 // runShardJob simulates one sub-job's fault slices on a simulator of
 // its own from the circuit's pool (capture sinks and progress hooks are
 // simulator state, so concurrent shards cannot share one; pooled, its
-// packed scratches stay warm across campaigns), each class under its
-// stage span below the shard's. One transistor sweep answers both
-// transistor classes: under IDDQ observation RunTransistorBoth returns
-// the voltage-only and +IDDQ detections together, so transistor_iddq
-// has no stage or span of its own and its progress frame comes when the
-// shard completes.
+// packed scratches and packs stay warm across campaigns), each class
+// under its stage span below the shard's. The stuck-at and transistor
+// sweeps run on one faultsim.Sweep over the campaign's patterns: the
+// patterns are fully specified, so both read one baseline pack, which
+// the first of them packs (its stage reports the baseline evaluations),
+// and the transistor sweep reads the observability masks the stuck-at
+// sweep computed. One transistor sweep answers both transistor classes:
+// under IDDQ observation RunTransistorBoth returns the voltage-only and
+// +IDDQ detections together, so transistor_iddq has no stage or span of
+// its own and its progress frame comes when the shard completes.
 func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Span) (*shard.Output, error) {
 	ro := env.ro
 	sim := env.p.simulator(env.engine)
@@ -368,6 +372,8 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 	_, endCompile := ro.stage(sp, "compile")
 	sim.EnsureCompiled()
 	endCompile(nil)
+	sw := sim.NewSweep(env.pats)
+	defer sw.Close()
 
 	// sweep runs one class's call under its stage span, with a signature
 	// capture over the slice r attached when the sub-job captures.
@@ -390,7 +396,7 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		r := j.StuckAt
 		var dets []faultsim.Detection
 		sig, err := sweep("stuck_at", r, func() (err error) {
-			dets, err = sim.RunStuckAtSet(ctx, env.saFaults[r.Start:r.End], env.pats)
+			dets, err = sw.RunStuckAt(ctx, env.saFaults[r.Start:r.End])
 			return err
 		})
 		if err != nil {
@@ -404,9 +410,9 @@ func (env *shardEnv) runShardJob(ctx context.Context, j shard.SubJob, sp *obs.Sp
 		var v, iq []faultsim.Detection
 		sig, err := sweep("transistor", r, func() (err error) {
 			if env.iddq {
-				v, iq, err = sim.RunTransistorBothSet(ctx, faults, env.pats, env.workers)
+				v, iq, err = sw.RunTransistorBoth(ctx, faults, env.workers)
 			} else {
-				v, err = sim.RunTransistorSet(ctx, faults, env.pats, false, env.workers)
+				v, err = sw.RunTransistor(ctx, faults, false, env.workers)
 			}
 			return err
 		})

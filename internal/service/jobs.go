@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -326,8 +327,8 @@ func (m *Manager) Submit(req CampaignRequest) (*Job, error) {
 	}
 	// The persistent result store outlives the LRU and the process: a
 	// stored merged report answers the campaign with zero simulation,
-	// warming the LRU on the way. The read, decode and encode run
-	// before m.mu, so they stall no other submission.
+	// warming the LRU on the way. The read runs before m.mu, so it
+	// stalls no other submission.
 	if rep := m.storedReport(key); rep != nil {
 		m.cache.Put(key, rep)
 		m.metrics.StoreReportHits.Inc()
@@ -404,26 +405,31 @@ func (m *Manager) answer(key string, rep *encodedReport, msg string) (*Job, erro
 	return job, nil
 }
 
-// storedReport reads the key's merged report from the result store and
-// encodes it once for serving; nil without a store or a readable report.
-// A stored report that does not decode is logged; a missing one is not.
+// storedReport reads the key's merged report from the result store for
+// serving; nil without a store or a readable report. The artifact holds
+// the served body plus the encoder's newline, so the body is served as
+// stored and only its dictionary field is decoded. A stored report that
+// is torn or not JSON is logged; a missing one is not.
 func (m *Manager) storedReport(key string) *encodedReport {
 	if m.store == nil {
 		return nil
 	}
-	var rep CampaignReport
-	if err := m.store.Get(resultstore.KindReport, key, &rep); err != nil {
+	body, err := m.store.Read(resultstore.KindReport, key)
+	var head struct {
+		Dictionary *DictionaryJSON `json:"dictionary"`
+	}
+	if err == nil {
+		err = json.Unmarshal(body, &head)
+	}
+	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			m.log.Warn("stored report unreadable", "key", key, "error", err.Error())
 		}
 		return nil
 	}
-	enc, err := encodeReport(&rep)
-	if err != nil {
-		m.log.Warn("stored report not served", "key", key, "error", err.Error())
-		return nil
-	}
-	return enc
+	// A copy at its exact size: the read buffer's spare capacity would
+	// stay resident in the LRU with the body.
+	return &encodedReport{body: bytes.Clone(bytes.TrimSpace(body)), dict: head.Dictionary}
 }
 
 // pendingCampaign is the resumable-state artifact in the result store's

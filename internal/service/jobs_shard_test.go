@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,35 @@ func TestStoredReportIsServedBody(t *testing.T) {
 	}
 	if string(stored) != string(body)+"\n" {
 		t.Errorf("stored report is not the served body plus a newline:\nstored %s\nserved %s", stored, body)
+	}
+}
+
+// TestStoreHitServesColdBody: a restarted manager answers a stored
+// campaign with the cold run's report body byte for byte, elapsed time
+// included (the stored bytes are served as read, not decoded and
+// re-encoded), and its status carries the stored dictionary metadata.
+func TestStoreHitServesColdBody(t *testing.T) {
+	cfg := ManagerConfig{Workers: 2, ResultDir: t.TempDir(), DictDir: t.TempDir()}
+	m1 := NewManager(cfg)
+	cold := submitDone(t, m1, storeTestReq)
+	m1.Close()
+	coldRep, _, _ := cold.result()
+	if coldRep.dict == nil {
+		t.Fatal("the cold campaign built no dictionary")
+	}
+
+	m2 := NewManager(cfg)
+	defer m2.Close()
+	hit := submitDone(t, m2, storeTestReq)
+	if st := hit.Status(); !st.CacheHit || m2.Metrics().StoreReportHits.Value() != 1 {
+		t.Fatalf("restarted manager: cache_hit %t, %d store report hits; want one store hit", st.CacheHit, m2.Metrics().StoreReportHits.Value())
+	}
+	hitRep, _, _ := hit.result()
+	if !bytes.Equal(hitRep.body, coldRep.body) {
+		t.Errorf("store hit body differs from the cold body:\n got %s\nwant %s", hitRep.body, coldRep.body)
+	}
+	if got, want := hit.Status().Dictionary, cold.Status().Dictionary; !reflect.DeepEqual(got, want) {
+		t.Errorf("store hit dictionary %+v, cold %+v", got, want)
 	}
 }
 
