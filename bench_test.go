@@ -596,9 +596,10 @@ func BenchmarkDictionaryCapture(b *testing.B) {
 // store_diagnose's write op runs it in the service: a c432 campaign
 // (stuck-at, polarity, stuck-open, stuck-on and IDDQ; 256 random
 // patterns) with an auto-sized result store and a dictionary store
-// attached, then the merged report's put. "bare" runs the same
-// campaigns with no stores. Every iteration takes a fresh seed, so
-// nothing is served from a store. Dated parent-vs-change results live
+// attached, then the merged report's two artifacts written as the
+// service writes them (its undetected lists, then the report). "bare"
+// runs the same campaigns with no stores. Every iteration takes a fresh
+// seed, so nothing is served from a store. Dated parent-vs-change results live
 // in BENCH_faultsim.json.
 //
 //	go test -run '^$' -bench BenchmarkDurableWrite -benchtime 100x .
@@ -640,7 +641,7 @@ func BenchmarkDurableWrite(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := rs.Put(resultstore.KindReport, cp.key, rep); err != nil {
+			if err := service.PersistReport(rs, cp.key, rep); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,16 +116,15 @@ func main() {
 	opt.Events = shard.Events{Scheduled: func(shard.SubJob) { scheduled.Add(1) }}
 	opt.OnCacheHit = func(shard.SubJob) { hits.Add(1) }
 	// A campaign already in the result store is answered from its
-	// report at any shard count, with no simulation.
+	// report at any shard count, with no simulation, under the rule the
+	// service serves stored reports by; the report and its undetected
+	// lists persist as the service writes them.
 	var rep *service.CampaignReport
 	if *resultDir != "" {
 		if opt.Store, err = resultstore.Open(*resultDir); err != nil {
 			log.Fatal(err)
 		}
-		var stored service.CampaignReport
-		if opt.Store.Get(resultstore.KindReport, opt.Key, &stored) == nil {
-			rep = &stored
-		}
+		rep, _ = service.LoadReport(opt.Store, opt.Key)
 	}
 	fromStore := rep != nil
 	if !fromStore {
@@ -133,7 +132,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if opt.Store != nil {
-			if _, err := opt.Store.Put(resultstore.KindReport, opt.Key, rep); err != nil {
+			if err := service.PersistReport(opt.Store, opt.Key, rep); err != nil {
 				log.Printf("report not persisted: %v", err)
 			}
 		}

@@ -1,7 +1,5 @@
 package dict
 
-import "sort"
-
 // Observation is a failing device's tester response: the patterns whose
 // outputs mismatched and (when the campaign observed IDDQ) the patterns
 // under which the device leaked. Widths must match the dictionary's
@@ -40,12 +38,16 @@ type Candidate struct {
 // bitset-AND pass over the entries — no simulation. Ranking is fully
 // deterministic: score descending, then fault key ascending, so equal-
 // score candidates always come back in the same order. topK <= 0 means
-// 5, matching the interactive default.
+// 5, matching the interactive default. The pass keeps only the topK
+// best candidates seen so far, in a heap whose root is the worst of
+// them, so a dictionary of n entries costs O(n log topK), not a sort of
+// every overlapping entry.
 func (d *Dictionary) Diagnose(obs Observation, topK int) []Candidate {
 	if topK <= 0 {
 		topK = 5
 	}
-	cands := []Candidate{}
+	obsLen := obs.Out.Count() + obs.Leak.Count()
+	top := make(rankHeap, 0, min(topK, len(d.Entries)))
 	for i := range d.Entries {
 		e := &d.Entries[i]
 		inter := AndCount(e.Out, obs.Out) + AndCount(e.Leak, obs.Leak)
@@ -53,7 +55,6 @@ func (d *Dictionary) Diagnose(obs Observation, topK int) []Candidate {
 			continue
 		}
 		sigLen := e.Out.Count() + e.Leak.Count()
-		obsLen := obs.Out.Count() + obs.Leak.Count()
 		union := sigLen + obsLen - inter
 		c := Candidate{
 			Fault:        e.Fault,
@@ -63,18 +64,73 @@ func (d *Dictionary) Diagnose(obs Observation, topK int) []Candidate {
 			SignatureLen: sigLen,
 			Exact:        inter == union,
 		}
-		cands = append(cands, c)
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].Score != cands[b].Score {
-			return cands[a].Score > cands[b].Score
+		switch {
+		case len(top) < topK:
+			top.push(c)
+		case ranksBefore(&c, &top[0]):
+			top[0] = c
+			top.down(0)
 		}
-		return cands[a].Fault < cands[b].Fault
-	})
-	if len(cands) > topK {
-		cands = cands[:topK]
+	}
+	// Popping the worst first fills the answer from its end.
+	cands := make([]Candidate, len(top))
+	for i := len(cands) - 1; i >= 0; i-- {
+		cands[i] = top.pop()
 	}
 	return cands
+}
+
+// ranksBefore is the diagnosis order: score descending, then fault key
+// ascending.
+func ranksBefore(a, b *Candidate) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Fault < b.Fault
+}
+
+// rankHeap is a binary heap of candidates whose root ranks last.
+type rankHeap []Candidate
+
+func (h *rankHeap) push(c Candidate) {
+	*h = append(*h, c)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !ranksBefore(&s[parent], &s[i]) {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+// pop removes and returns the root, the candidate ranked last.
+func (h *rankHeap) pop() Candidate {
+	s := *h
+	root := s[0]
+	s[0] = s[len(s)-1]
+	*h = s[:len(s)-1]
+	h.down(0)
+	return root
+}
+
+// down sifts h[i] down to its place, restoring the heap after h[i] was
+// replaced.
+func (h rankHeap) down(i int) {
+	for {
+		worst := i
+		for _, child := range [2]int{2*i + 1, 2*i + 2} {
+			if child < len(h) && ranksBefore(&h[worst], &h[child]) {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // Escapes lists fault keys with empty signatures — faults this pattern

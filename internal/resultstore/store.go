@@ -1,26 +1,37 @@
 // Package resultstore is the campaign service's durable,
-// content-addressed result store: finished campaign reports, per-shard
-// sub-job results and pending-campaign markers persist as compressed
-// JSON artifacts under their content address, so a restarted service
-// answers repeat campaigns without re-simulation and resumes interrupted
-// ones from the shards that already completed.
+// content-addressed result store: finished campaign reports with their
+// undetected-fault lists, per-shard sub-job results and pending-campaign
+// markers persist as compressed JSON artifacts under their content
+// address, so a restarted service answers repeat campaigns without
+// re-simulation and resumes interrupted ones from the shards that
+// already completed.
 //
 // Layout (one directory per artifact kind under the store root):
 //
-//	<dir>/reports/<key>.json.gz  merged campaign reports, keyed by the
-//	                             campaign's canonical content address
-//	<dir>/shards/<key>.json.gz   sub-job results, keyed by the shard's
-//	                             derived content address (see internal/shard)
-//	<dir>/pending/<key>.json.gz  normalized requests of accepted-but-
-//	                             unfinished campaigns (resumable state)
+//	<dir>/reports/<key>.json.gz     merged campaign reports (report v2,
+//	                                without the undetected lists), keyed
+//	                                by the campaign's canonical content
+//	                                address
+//	<dir>/undetected/<key>.json.gz  the same campaign's undetected-fault
+//	                                lists, written before its report
+//	<dir>/shards/<key>.json.gz      sub-job results, keyed by the shard's
+//	                                derived content address (see internal/shard)
+//	<dir>/pending/<key>.json.gz     normalized requests of accepted-but-
+//	                                unfinished campaigns (resumable state)
+//
+// A store an older build wrote holds v1 reports, which carried the
+// lists inline, and no undetected/ tree: the service serves none of
+// them and re-simulates each such key once, rewriting both artifacts.
 //
 // Writes are atomic (tmp + rename) so a crashed writer never leaves a
 // half-written artifact, and gzip's CRC catches torn or corrupted files
-// at read time. Keys are exactly 64 lowercase hex digits (a SHA-256),
-// which also guards the store against path traversal.
+// at read time. Every write compresses through one pool of gzip writers
+// at the default level. Keys are exactly 64 lowercase hex digits (a
+// SHA-256), which also guards the store against path traversal.
 package resultstore
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -28,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // Kind names an artifact namespace inside the store.
@@ -41,10 +53,13 @@ const (
 	// KindPending holds normalized requests of campaigns that were
 	// accepted but have not completed (the resumable state).
 	KindPending Kind = "pending"
+	// KindUndetected holds each merged report's undetected-fault lists,
+	// keyed by campaign key.
+	KindUndetected Kind = "undetected"
 )
 
 // kinds is every valid namespace, for Open to pre-create.
-var kinds = []Kind{KindReport, KindShard, KindPending}
+var kinds = []Kind{KindReport, KindShard, KindPending, KindUndetected}
 
 // Ext is the artifact file suffix.
 const Ext = ".json.gz"
@@ -91,9 +106,36 @@ func (s *Store) path(kind Kind, key string) string {
 	return filepath.Join(s.dir, string(kind), key+Ext)
 }
 
+// gzipWriters pools the writers every store write compresses through:
+// a fresh gzip.Writer allocates its whole compressor (about 800 KB),
+// and Reset keeps it and its level, so a pooled writer writes the bytes
+// a fresh one would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // Put persists v as compressed JSON under (kind, key), atomically, and
-// returns the artifact's on-disk size.
+// returns the artifact's on-disk size. The artifact holds v's JSON and
+// a newline.
 func (s *Store) Put(kind Kind, key string, v interface{}) (int64, error) {
+	return s.write(kind, key, func(w io.Writer) error { return json.NewEncoder(w).Encode(v) })
+}
+
+// Write is Read's mirror: it persists body, JSON already encoded, under
+// (kind, key) as Put would persist the value it encodes, without
+// scanning or copying it again, and returns the artifact's on-disk
+// size.
+func (s *Store) Write(kind Kind, key string, body []byte) (int64, error) {
+	return s.write(kind, key, func(w io.Writer) error {
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
+		_, err := w.Write([]byte{'\n'})
+		return err
+	})
+}
+
+// write compresses what fill writes into a temporary file beside the
+// artifact and renames it into place.
+func (s *Store) write(kind Kind, key string, fill func(io.Writer) error) (int64, error) {
 	if !ValidKey(key) {
 		return 0, fmt.Errorf("resultstore: invalid artifact key %q", key)
 	}
@@ -106,11 +148,14 @@ func (s *Store) Put(kind Kind, key string, v interface{}) (int64, error) {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	zw := gzip.NewWriter(tmp)
-	if err := json.NewEncoder(zw).Encode(v); err != nil {
-		return discard(err)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(tmp)
+	err = fill(zw)
+	if err == nil {
+		err = zw.Close()
 	}
-	if err := zw.Close(); err != nil {
+	gzipWriters.Put(zw)
+	if err != nil {
 		return discard(err)
 	}
 	if err := tmp.Close(); err != nil {
@@ -144,7 +189,8 @@ func (s *Store) Get(kind Kind, key string, out interface{}) error {
 }
 
 // Read returns the JSON stored under (kind, key), decompressed and not
-// decoded. It reads the artifact to its end, so gzip's length and CRC
+// decoded, without the newline Put and Write end it with: what Write
+// was given. It reads the artifact to its end, so gzip's length and CRC
 // checks always run: a torn or corrupted artifact surfaces as an error,
 // a missing one as a wrapped os.ErrNotExist.
 func (s *Store) Read(kind Kind, key string) ([]byte, error) {
@@ -165,7 +211,7 @@ func (s *Store) Read(kind Kind, key string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: artifact %s/%s: %w", kind, key, err)
 	}
-	return b, nil
+	return bytes.TrimSuffix(b, []byte{'\n'}), nil
 }
 
 // Has reports whether an artifact exists under (kind, key), without

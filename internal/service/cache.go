@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"cpsinw/internal/logic"
+	"cpsinw/internal/resultstore"
 )
 
 // CanonicalKey content-addresses a campaign: SHA-256 over the
@@ -54,21 +56,112 @@ func contentKey(canon []byte, req CampaignRequest) string {
 }
 
 // encodedReport is a finished campaign's report as it is held and
-// served: the compact JSON body, encoded once, plus the dictionary
-// metadata JobStatus and /dictionary carry. The decoded CampaignReport
-// is not kept: it takes more heap than its JSON and the collector must
-// scan it, while a []byte is never scanned.
+// served: the compact report body and its undetected-lists body, each
+// encoded once, plus the dictionary metadata JobStatus and /dictionary
+// carry. A report the result store served holds no lists: the manager
+// reads its lists artifact when /undetected asks (Manager.undetected).
+// The decoded CampaignReport is not kept: it takes more heap than its
+// JSON and the collector must scan it, while a []byte is never scanned.
 type encodedReport struct {
-	body []byte
-	dict *DictionaryJSON
+	body       []byte
+	undetected []byte // nil when the store served body
+	dict       *DictionaryJSON
 }
 
+// encodeReport encodes a finished report's body, without its
+// undetected lists, and its lists body.
 func encodeReport(rep *CampaignReport) (*encodedReport, error) {
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return nil, fmt.Errorf("encoding report: %w", err)
 	}
-	return &encodedReport{body: body, dict: rep.Dictionary}, nil
+	names := func(c *CoverageJSON) []string {
+		if c == nil {
+			return nil
+		}
+		return c.Undetected
+	}
+	lists, err := json.Marshal(UndetectedJSON{
+		StuckAt:        names(rep.StuckAt),
+		Transistor:     names(rep.Transistor),
+		TransistorIDDQ: names(rep.TransistorIDDQ),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("encoding undetected lists: %w", err)
+	}
+	return &encodedReport{body: body, undetected: lists, dict: rep.Dictionary}, nil
+}
+
+// persistReport writes a finished report's two artifacts under key:
+// the undetected lists first, then the report, so a stored report
+// always has its lists beside it.
+func persistReport(st *resultstore.Store, key string, held *encodedReport) error {
+	if _, err := st.Write(resultstore.KindUndetected, key, held.undetected); err != nil {
+		return err
+	}
+	_, err := st.Write(resultstore.KindReport, key, held.body)
+	return err
+}
+
+// PersistReport encodes a finished campaign's report and writes it to
+// the result store under the campaign's key as the service does, for
+// CLI front-ends that share a store with it.
+func PersistReport(st *resultstore.Store, key string, rep *CampaignReport) error {
+	held, err := encodeReport(rep)
+	if err != nil {
+		return err
+	}
+	return persistReport(st, key, held)
+}
+
+// errStaleReport marks a stored report the service does not serve: it
+// is not a version ReportVersion body, or its lists artifact is
+// missing. A store an older build wrote holds only such reports.
+var errStaleReport = errors.New("stored report is not served")
+
+// readStored reads the key's stored report for serving, with no lists
+// held. A report is served only when its body reads version
+// ReportVersion and its undetected-lists artifact exists; any other
+// stored report is an errStaleReport miss, which the caller
+// re-simulates, rewriting both artifacts. A missing report is a wrapped
+// fs.ErrNotExist, and a torn one or one that is not JSON a read or
+// decode error.
+func readStored(st *resultstore.Store, key string) (*encodedReport, error) {
+	body, err := st.Read(resultstore.KindReport, key)
+	if err != nil {
+		return nil, err
+	}
+	var head struct {
+		Version    int             `json:"version"`
+		Dictionary *DictionaryJSON `json:"dictionary"`
+	}
+	if err := json.Unmarshal(body, &head); err != nil {
+		return nil, err
+	}
+	if head.Version != ReportVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", errStaleReport, head.Version, ReportVersion)
+	}
+	if !st.Has(resultstore.KindUndetected, key) {
+		return nil, fmt.Errorf("%w: no undetected-lists artifact", errStaleReport)
+	}
+	// A copy at its exact size: the read buffer's spare capacity would
+	// stay resident in the LRU with the body.
+	return &encodedReport{body: bytes.Clone(body), dict: head.Dictionary}, nil
+}
+
+// LoadReport decodes the key's stored report under the rule the
+// service serves it by (see readStored), for CLI front-ends that share
+// a store with it. Its coverage carries no undetected names.
+func LoadReport(st *resultstore.Store, key string) (*CampaignReport, error) {
+	held, err := readStored(st, key)
+	if err != nil {
+		return nil, err
+	}
+	var rep CampaignReport
+	if err := json.Unmarshal(held.body, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
 }
 
 // Cache is the content-addressed LRU of finished reports: Get, Put,

@@ -51,6 +51,7 @@ type ShardedOptions struct {
 // universes the sub-job ranges index into, with their fault names.
 type shardEnv struct {
 	p        *preparedCircuit
+	u        *faultUniverse
 	engine   faultsim.Engine
 	pats     *faultsim.PatternSet
 	saFaults []core.Fault
@@ -218,11 +219,11 @@ func runPrepared(ctx context.Context, p *preparedCircuit, req CampaignRequest, o
 	patSpan.SetAttr("count", strconv.Itoa(pats.Len()))
 	endPatterns(nil)
 
-	env := &shardEnv{p: p, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
 	// One universe holds the line faults, then the transistor faults;
 	// each enabled class reads its half (nil when empty, as
 	// core.Universe returns an empty class).
 	u := p.universe(req.Faults)
+	env := &shardEnv{p: p, u: u, engine: engine, pats: pats, iddq: req.Faults.IDDQ, ro: ro}
 	if f := req.Faults; f.StuckAt && u.lines > 0 {
 		env.saFaults, env.saNames = u.faults[:u.lines], u.names[:u.lines]
 	}
@@ -245,6 +246,7 @@ func runPrepared(ctx context.Context, p *preparedCircuit, req CampaignRequest, o
 
 	stats := c.Statistics()
 	rep := &CampaignReport{
+		Version: ReportVersion,
 		Circuit: CircuitInfo{
 			Name:    c.Name,
 			Inputs:  stats.Inputs,
@@ -496,7 +498,9 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 // buildDictionary persists the campaign's fault dictionary under
 // ro.DictKey: one entry per stuck-at fault (output plane only) and per
 // transistor fault (with the leak plane when the campaign observes
-// IDDQ), in universe order. It returns the report section.
+// IDDQ). The entries go in in fault-name order, the universe's order
+// memoized on the prepared circuit, so the artifact's encoder finds
+// them sorted. It returns the report section.
 func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *faultsim.SignatureCapture) (*DictionaryJSON, error) {
 	n := env.pats.Len()
 	d := &dict.Dictionary{Meta: dict.Meta{
@@ -509,24 +513,26 @@ func (env *shardEnv) buildDictionary(sp *obs.Span, seed int64, saSig, trSig *fau
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}}
 	d.Entries = make([]dict.Entry, 0, len(env.saFaults)+len(env.trFaults))
-	addEntries := func(names []string, capture *faultsim.SignatureCapture, leak bool) {
-		for i := range names {
-			e := dict.Entry{
-				Fault: names[i],
-				Out:   dict.FromWords(n, capture.Out(i)),
-				Leak:  dict.NewBitset(n),
-			}
-			if leak {
-				e.Leak = dict.FromWords(n, capture.Leak(i))
-			}
-			d.Entries = append(d.Entries, e)
+	lines := env.u.lines
+	for _, ui := range env.p.nameOrder(env.u) {
+		// A universe index reads its class's capture at its offset in
+		// the class half.
+		i, capture, leak := int(ui), saSig, false
+		if i >= lines {
+			i, capture, leak = i-lines, trSig, env.iddq
 		}
-	}
-	if saSig != nil {
-		addEntries(env.saNames, saSig, false)
-	}
-	if trSig != nil {
-		addEntries(env.trNames, trSig, env.iddq)
+		if capture == nil {
+			continue
+		}
+		e := dict.Entry{
+			Fault: env.u.names[ui],
+			Out:   dict.FromWords(n, capture.Out(i)),
+			Leak:  dict.NewBitset(n),
+		}
+		if leak {
+			e.Leak = dict.FromWords(n, capture.Leak(i))
+		}
+		d.Entries = append(d.Entries, e)
 	}
 	_, size, err := env.ro.Dict.Put(d)
 	if err != nil {

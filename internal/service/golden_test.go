@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cpsinw/internal/dict"
+	"cpsinw/internal/report"
 )
 
 var updateReports = flag.Bool("update", false, "rewrite the report goldens under testdata/reports/")
@@ -55,31 +56,117 @@ var goldenCampaigns = []struct {
 	}, 2},
 }
 
-// goldenReportBytes is a report's golden form: indented JSON with the
-// two fields that vary from run to run zeroed, wall-clock time and the
-// dictionary artifact's compressed size (its payload embeds a creation
-// timestamp).
+// goldenCoverage is a coverage block in the golden form: CoverageJSON
+// with its undetected list on the wire, where a version 1 report
+// carried it.
+type goldenCoverage struct {
+	*CoverageJSON
+	Undetected []string `json:"undetected,omitempty"`
+}
+
+// goldenReport is the golden form, the version 1 report shape: every
+// report v2 field but the version, with each coverage block's list
+// back in it.
+type goldenReport struct {
+	Circuit        CircuitInfo     `json:"circuit"`
+	Patterns       int             `json:"patterns"`
+	Engine         string          `json:"engine,omitempty"`
+	StuckAt        *goldenCoverage `json:"stuck_at,omitempty"`
+	Transistor     *goldenCoverage `json:"transistor,omitempty"`
+	TransistorIDDQ *goldenCoverage `json:"transistor_iddq,omitempty"`
+	Bridges        *goldenCoverage `json:"bridges,omitempty"`
+	ATPG           *ATPGJSON       `json:"atpg,omitempty"`
+	Dictionary     *DictionaryJSON `json:"dictionary,omitempty"`
+	Tables         []*report.Table `json:"tables"`
+	ElapsedMS      int64           `json:"elapsed_ms"`
+}
+
+// goldenReportBytes is a report's golden form: indented JSON of the
+// report with its coverage blocks' undetected lists (the in-process
+// names, or those attachLists put back), without its version, and with
+// the two fields that vary from run to run zeroed, wall-clock time and
+// the dictionary artifact's compressed size (its payload embeds a
+// creation timestamp).
 func goldenReportBytes(t *testing.T, rep *CampaignReport) []byte {
 	t.Helper()
-	cp := *rep
-	cp.ElapsedMS = 0
-	if cp.Dictionary != nil {
-		d := *cp.Dictionary
-		d.CompressedBytes = 0
-		cp.Dictionary = &d
+	if rep.Version != ReportVersion {
+		t.Errorf("report reads version %d, want %d", rep.Version, ReportVersion)
 	}
-	raw, err := json.MarshalIndent(&cp, "", "  ")
+	cov := func(c *CoverageJSON) *goldenCoverage {
+		if c == nil {
+			return nil
+		}
+		return &goldenCoverage{c, c.Undetected}
+	}
+	g := goldenReport{
+		Circuit:        rep.Circuit,
+		Patterns:       rep.Patterns,
+		Engine:         rep.Engine,
+		StuckAt:        cov(rep.StuckAt),
+		Transistor:     cov(rep.Transistor),
+		TransistorIDDQ: cov(rep.TransistorIDDQ),
+		Bridges:        cov(rep.Bridges),
+		ATPG:           rep.ATPG,
+		Dictionary:     rep.Dictionary,
+		Tables:         rep.Tables,
+	}
+	if g.Dictionary != nil {
+		d := *g.Dictionary
+		d.CompressedBytes = 0
+		g.Dictionary = &d
+	}
+	raw, err := json.MarshalIndent(&g, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return append(raw, '\n')
 }
 
-// servedReport reads a job's report body over HTTP, checking the
-// headers the held bytes are written with.
-func servedReport(t *testing.T, ts *httptest.Server, id string) []byte {
+// TestGoldenFormCoversReport: the golden form holds every report field
+// but the version, so a field added to the report cannot escape the
+// goldens.
+func TestGoldenFormCoversReport(t *testing.T) {
+	rt, gt := reflect.TypeOf(CampaignReport{}), reflect.TypeOf(goldenReport{})
+	var want, got []string
+	for i := 0; i < rt.NumField(); i++ {
+		if f := rt.Field(i); f.Name != "Version" {
+			want = append(want, f.Tag.Get("json"))
+		}
+	}
+	for i := 0; i < gt.NumField(); i++ {
+		got = append(got, gt.Field(i).Tag.Get("json"))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("golden form fields %q, report fields %q", got, want)
+	}
+}
+
+// attachLists puts an undetected-lists body's names back into the
+// report's coverage blocks, as a version 1 report carried them.
+func attachLists(t *testing.T, rep *CampaignReport, lists []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/report")
+	var u UndetectedJSON
+	if err := json.Unmarshal(lists, &u); err != nil {
+		t.Fatalf("undetected lists %s: %v", lists, err)
+	}
+	for _, c := range []struct {
+		cov   *CoverageJSON
+		names []string
+	}{{rep.StuckAt, u.StuckAt}, {rep.Transistor, u.Transistor}, {rep.TransistorIDDQ, u.TransistorIDDQ}} {
+		switch {
+		case c.cov != nil:
+			c.cov.Undetected = c.names
+		case c.names != nil:
+			t.Errorf("undetected lists name faults of a class the report does not cover: %s", lists)
+		}
+	}
+}
+
+// servedBody reads a job's report or undetected-lists body over HTTP,
+// checking the headers the held bytes are written with.
+func servedBody(t *testing.T, ts *httptest.Server, id, resource string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/" + resource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,27 +176,56 @@ func servedReport(t *testing.T, ts *httptest.Server, id string) []byte {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report %s: HTTP %d: %s", id, resp.StatusCode, body)
+		t.Fatalf("%s %s: HTTP %d: %s", resource, id, resp.StatusCode, body)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("report %s: Content-Type %q", id, ct)
+		t.Errorf("%s %s: Content-Type %q", resource, id, ct)
 	}
 	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
-		t.Errorf("report %s: Content-Length %q for a %d-byte body", id, cl, len(body))
+		t.Errorf("%s %s: Content-Length %q for a %d-byte body", resource, id, cl, len(body))
 	}
 	return body
+}
+
+// servedReport reads a job's report body over HTTP.
+func servedReport(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	return servedBody(t, ts, id, "report")
+}
+
+// servedLists reads a job's undetected-lists body over HTTP.
+func servedLists(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	return servedBody(t, ts, id, "undetected")
+}
+
+// heldLists is a done job's undetected-lists body as the manager serves
+// it.
+func heldLists(t *testing.T, m *Manager, job *Job) []byte {
+	t.Helper()
+	held, state, msg := job.result()
+	if held == nil {
+		t.Fatalf("job %s: %s (%s), no report", job.ID, state, msg)
+	}
+	lists, err := m.undetected(job.Key, held)
+	if err != nil {
+		t.Fatalf("job %s: %v", job.ID, err)
+	}
+	return lists
 }
 
 // TestReportGoldens is the refactor-safety test: the same request must
 // yield the same report bytes single-shot, sharded at K=3, and through
 // a manager with a result store and a dictionary store, and a diagnosis
 // of a stored fault's own signature must rank the same before and after
-// a restart. Over HTTP, the report body must be byte-identical on every
-// path that serves it: the cold job, an LRU resubmit with different
-// request bytes (same canonical key), a byte-identical resubmit,
-// resubmits differing only in workers, timeout_ms or shards, and a
-// restarted manager answering from the result store. Every resubmit is
-// normalized and keyed once.
+// a restart. The goldens hold the version 1 form: a report v2 body
+// with the /undetected body's lists put back and its version dropped.
+// Over HTTP, the report and undetected-lists bodies must each be
+// byte-identical on every path that serves them: the cold job, an LRU
+// resubmit with different request bytes (same canonical key), a
+// byte-identical resubmit, resubmits differing only in workers,
+// timeout_ms or shards, and a restarted manager answering from the
+// result store. Every resubmit is normalized and keyed once.
 func TestReportGoldens(t *testing.T) {
 	resultDir, dictDir := t.TempDir(), t.TempDir()
 	cfg := ManagerConfig{Workers: 2, JobTimeout: time.Minute, ResultDir: resultDir, DictDir: dictDir}
@@ -130,9 +246,23 @@ func TestReportGoldens(t *testing.T) {
 			t.Errorf("%s: %s report differs from testdata/reports/%s.json:\n%s", name, path, name, got)
 		}
 	}
-	bodies := map[string][]byte{} // each campaign's cold-job report body
+	// Each campaign's cold-job report and undetected-lists bodies.
+	bodies, lists := map[string][]byte{}, map[string][]byte{}
+	// served reads a job's two bodies over HTTP and checks their golden
+	// form.
+	served := func(name, path string, ts *httptest.Server, id string) (body, names []byte) {
+		t.Helper()
+		body, names = servedReport(t, ts, id), servedLists(t, ts, id)
+		var rep CampaignReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatalf("%s: %s: %v", name, path, err)
+		}
+		attachLists(t, &rep, names)
+		check(name, path, &rep)
+		return body, names
+	}
 	// resubmit posts req and requires a born-done hit, normalized once,
-	// whose report body is the cold job's.
+	// whose report and lists bodies are the cold job's.
 	resubmit := func(name, path string, srv *Server, ts *httptest.Server, req CampaignRequest) {
 		t.Helper()
 		parsed := parseCount(srv.Manager())
@@ -140,15 +270,13 @@ func TestReportGoldens(t *testing.T) {
 		if code != http.StatusOK || st.State != StateDone || !st.CacheHit {
 			t.Fatalf("%s: %s: HTTP %d state %s cache_hit %t, want a born-done hit", name, path, code, st.State, st.CacheHit)
 		}
-		body := servedReport(t, ts, st.ID)
+		body, names := served(name, path, ts, st.ID)
 		if !bytes.Equal(body, bodies[name]) {
 			t.Errorf("%s: %s report body differs from the cold job's", name, path)
 		}
-		var rep CampaignReport
-		if err := json.Unmarshal(body, &rep); err != nil {
-			t.Fatalf("%s: %s: %v", name, path, err)
+		if !bytes.Equal(names, lists[name]) {
+			t.Errorf("%s: %s undetected lists differ from the cold job's", name, path)
 		}
-		check(name, path, &rep)
 		if n := parseCount(srv.Manager()) - parsed; n != 1 {
 			t.Errorf("%s: %s normalized %d times, want 1", name, path, n)
 		}
@@ -204,16 +332,12 @@ func TestReportGoldens(t *testing.T) {
 			t.Fatalf("%s: manager campaign %s: %s", tc.name, st.State, st.Error)
 		}
 		rep, _, _ := job.Report()
+		attachLists(t, rep, heldLists(t, srv1.Manager(), job))
 		check(tc.name, "manager", rep)
 		if tree, ok := srv1.Manager().Tracer().Tree(job.ID); !ok || tree.Attrs["shards"] != strconv.Itoa(tc.shards) {
 			t.Errorf("%s: manager ran %v shards, want %d", tc.name, tree.Attrs["shards"], tc.shards)
 		}
-		bodies[tc.name] = servedReport(t, ts1, job.ID)
-		var cold CampaignReport
-		if err := json.Unmarshal(bodies[tc.name], &cold); err != nil {
-			t.Fatal(err)
-		}
-		check(tc.name, "cold job body", &cold)
+		bodies[tc.name], lists[tc.name] = served(tc.name, "cold job body", ts1, job.ID)
 
 		// Spelling out the default engine changes the request bytes but
 		// not the canonical key.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -106,7 +105,9 @@ func (j *Job) statusLocked() JobStatus {
 }
 
 // Report decodes the held report body; it is nil unless the job is
-// done. The HTTP handlers serve the held bytes and never decode.
+// done. Its coverage carries no undetected names: the lists are a body
+// of their own. The HTTP handlers serve the held bytes and never
+// decode.
 func (j *Job) Report() (*CampaignReport, JobState, string) {
 	held, state, errMsg := j.result()
 	if held == nil {
@@ -406,30 +407,44 @@ func (m *Manager) answer(key string, rep *encodedReport, msg string) (*Job, erro
 }
 
 // storedReport reads the key's merged report from the result store for
-// serving; nil without a store or a readable report. The artifact holds
-// the served body plus the encoder's newline, so the body is served as
-// stored and only its dictionary field is decoded. A stored report that
-// is torn or not JSON is logged; a missing one is not.
+// serving; nil without a store or a report readStored serves. The body
+// is served as stored and only its version and dictionary fields are
+// decoded; its lists stay in the store until /undetected asks. A stored
+// report that is torn, not JSON, of another version or without its
+// lists is logged; a missing one is not.
 func (m *Manager) storedReport(key string) *encodedReport {
 	if m.store == nil {
 		return nil
 	}
-	body, err := m.store.Read(resultstore.KindReport, key)
-	var head struct {
-		Dictionary *DictionaryJSON `json:"dictionary"`
+	held, err := readStored(m.store, key)
+	switch {
+	case err == nil:
+		return held
+	case errors.Is(err, errStaleReport):
+		m.log.Warn("stored report not served, campaign re-simulates", "key", key, "error", err.Error())
+	case !errors.Is(err, fs.ErrNotExist):
+		m.log.Warn("stored report unreadable", "key", key, "error", err.Error())
 	}
-	if err == nil {
-		err = json.Unmarshal(body, &head)
+	return nil
+}
+
+// undetected returns a done job's undetected-lists body: the bytes its
+// campaign encoded, or, for a report the result store served, the
+// stored lists artifact, read on each call. A lists artifact that does
+// not read back whole is an error, never a partial list.
+func (m *Manager) undetected(key string, held *encodedReport) ([]byte, error) {
+	if held.undetected != nil {
+		return held.undetected, nil
 	}
+	if m.store == nil {
+		return nil, errors.New("no undetected lists held")
+	}
+	body, err := m.store.Read(resultstore.KindUndetected, key)
 	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			m.log.Warn("stored report unreadable", "key", key, "error", err.Error())
-		}
-		return nil
+		m.log.Warn("stored undetected lists unreadable", "key", key, "error", err.Error())
+		return nil, err
 	}
-	// A copy at its exact size: the read buffer's spare capacity would
-	// stay resident in the LRU with the body.
-	return &encodedReport{body: bytes.Clone(bytes.TrimSpace(body)), dict: head.Dictionary}
+	return body, nil
 }
 
 // pendingCampaign is the resumable-state artifact in the result store's
@@ -443,10 +458,11 @@ type pendingCampaign struct {
 }
 
 // recoverPending scans the result store's pending markers at startup:
-// campaigns whose stored report decodes are finished (stale marker,
-// removed), markers whose request this build rejects are dropped, and
-// the rest, a campaign whose stored report does not decode included,
-// become resumable job records. Runs from NewManager before the
+// campaigns whose stored report would be served (storedReport) are
+// finished (stale marker, removed), markers whose request this build
+// rejects are dropped, and the rest become resumable job records: so
+// does a campaign whose stored report does not decode, predates report
+// v2 or lacks its lists artifact. Runs from NewManager before the
 // workers start, so it needs no locking.
 func (m *Manager) recoverPending() {
 	keys, err := m.store.Keys(resultstore.KindPending)
@@ -869,8 +885,9 @@ func (m *Manager) run(job *Job) {
 	default:
 		state = StateFailed
 	}
-	// Encode once, outside job.mu: the store, the cache, this record and
-	// every later hit's record hold these bytes.
+	// Encode the report and its lists once, outside job.mu: the store,
+	// the cache, this record and every later hit's record hold these
+	// bytes.
 	var held *encodedReport
 	if state == StateDone {
 		if held, err = encodeReport(rep); err != nil {
@@ -878,11 +895,12 @@ func (m *Manager) run(job *Job) {
 		}
 	}
 	// Persist before publishing: a client that sees the terminal state
-	// finds the report in the store and the pending marker gone.
+	// finds the report and its lists in the store and the pending
+	// marker gone.
 	if m.store != nil {
 		switch state {
 		case StateDone:
-			if _, perr := m.store.Put(resultstore.KindReport, job.Key, json.RawMessage(held.body)); perr != nil {
+			if perr := persistReport(m.store, job.Key, held); perr != nil {
 				m.log.Warn("report not persisted", "job", job.ID, "key", job.Key, "error", perr.Error())
 			}
 			_ = m.store.Delete(resultstore.KindPending, job.Key)

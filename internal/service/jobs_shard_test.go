@@ -30,7 +30,8 @@ var storeTestReq = CampaignRequest{
 
 // TestManagerReportSurvivesRestart pins the durable half of the result
 // store: a campaign computed by one manager is answered whole — no
-// simulation, born done — by a fresh manager on the same directory.
+// simulation, born done, its undetected lists included — by a fresh
+// manager on the same directory.
 func TestManagerReportSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
@@ -64,6 +65,9 @@ func TestManagerReportSurvivesRestart(t *testing.T) {
 	rep2, _, _ := j2.Report()
 	if rep1.StuckAt.Detected != rep2.StuckAt.Detected || rep1.Transistor.Detected != rep2.Transistor.Detected {
 		t.Fatal("store-served report disagrees with the computed one")
+	}
+	if got, want := heldLists(t, m2, j2), heldLists(t, m1, j1); !bytes.Equal(got, want) {
+		t.Fatalf("store-served undetected lists %s, computed %s", got, want)
 	}
 }
 
@@ -119,9 +123,9 @@ func TestManagerKeepsMarkerBesideUnreadableReport(t *testing.T) {
 	}
 }
 
-// TestStoredReportIsServedBody: a stored report is encoded once, so
-// its artifact holds the bytes the service serves, plus the encoder's
-// newline.
+// TestStoredReportIsServedBody: a stored report and its undetected
+// lists are each encoded once, so their artifacts hold the bytes the
+// service serves, plus the encoder's newline.
 func TestStoredReportIsServedBody(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
@@ -131,22 +135,24 @@ func TestStoredReportIsServedBody(t *testing.T) {
 	if st = pollDone(t, ts, st.ID); st.State != StateDone {
 		t.Fatalf("campaign: %s (%s)", st.State, st.Error)
 	}
-	body := servedReport(t, ts, st.ID)
-	f, err := os.Open(filepath.Join(dir, string(resultstore.KindReport), st.Key+resultstore.Ext))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(stored) != string(body)+"\n" {
-		t.Errorf("stored report is not the served body plus a newline:\nstored %s\nserved %s", stored, body)
+	for kind, resource := range map[resultstore.Kind]string{resultstore.KindReport: "report", resultstore.KindUndetected: "undetected"} {
+		body := servedBody(t, ts, st.ID, resource)
+		f, err := os.Open(filepath.Join(dir, string(kind), st.Key+resultstore.Ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stored) != string(body)+"\n" {
+			t.Errorf("stored %s is not the served body plus a newline:\nstored %s\nserved %s", kind, stored, body)
+		}
 	}
 }
 
@@ -154,6 +160,8 @@ func TestStoredReportIsServedBody(t *testing.T) {
 // campaign with the cold run's report body byte for byte, elapsed time
 // included (the stored bytes are served as read, not decoded and
 // re-encoded), and its status carries the stored dictionary metadata.
+// The store hit holds no lists: it reads the lists artifact when they
+// are asked for, and serves the cold run's lists byte for byte.
 func TestStoreHitServesColdBody(t *testing.T) {
 	cfg := ManagerConfig{Workers: 2, ResultDir: t.TempDir(), DictDir: t.TempDir()}
 	m1 := NewManager(cfg)
@@ -176,6 +184,161 @@ func TestStoreHitServesColdBody(t *testing.T) {
 	}
 	if got, want := hit.Status().Dictionary, cold.Status().Dictionary; !reflect.DeepEqual(got, want) {
 		t.Errorf("store hit dictionary %+v, cold %+v", got, want)
+	}
+	if hitRep.undetected != nil {
+		t.Error("the store hit read its undetected lists before they were asked for")
+	}
+	if got := heldLists(t, m2, hit); !bytes.Equal(got, coldRep.undetected) {
+		t.Errorf("store hit lists differ from the cold lists:\n got %s\nwant %s", got, coldRep.undetected)
+	}
+}
+
+// v1Body is the report a build before report v2 stored for a campaign:
+// no version field, and each coverage block with its undetected list.
+func v1Body(t *testing.T, body, lists []byte) []byte {
+	t.Helper()
+	var rep CampaignReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	attachLists(t, &rep, lists)
+	golden := bytes.TrimSpace(goldenReportBytes(t, &rep))
+	var out bytes.Buffer
+	if err := json.Compact(&out, golden); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestStaleStoredReportResimulates: a stored report is served only
+// when it reads version 2 and its undetected-lists artifact exists. A
+// parent build's v1 report (with or without a lists artifact beside
+// it) and a v2 report whose lists are missing are logged misses: their
+// pending markers come back resumable, and a submission re-simulates,
+// rewrites both artifacts and serves the cold run's v2 bodies, which a
+// third manager then answers from the store.
+func TestStaleStoredReportResimulates(t *testing.T) {
+	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, IDDQ: true}, Shards: 1}
+	for _, tc := range []struct {
+		name    string
+		v1      bool // store the parent's v1 body
+		noLists bool // remove the lists artifact
+	}{
+		{"v1 report, no lists", true, true},
+		{"v1 report beside lists", true, false},
+		{"v2 report, no lists", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+			cold := submitDone(t, m1, req)
+			m1.Close()
+			coldRep, _, _ := cold.result()
+
+			store, err := resultstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.v1 {
+				if _, err := store.Write(resultstore.KindReport, cold.Key, v1Body(t, coldRep.body, coldRep.undetected)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.noLists {
+				if err := store.Delete(resultstore.KindUndetected, cold.Key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := store.Put(resultstore.KindPending, cold.Key, pendingCampaign{Request: req, JobID: cold.ID}); err != nil {
+				t.Fatal(err)
+			}
+
+			var logs bytes.Buffer
+			m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+			recovered := m2.Resumable()
+			if len(recovered) != 1 || recovered[0].Key != cold.Key {
+				t.Fatalf("recovered %+v, want the campaign %s resumable", recovered, cold.Key)
+			}
+			if out := logs.String(); !strings.Contains(out, "stored report not served") || !strings.Contains(out, cold.Key) {
+				t.Errorf("no warning with the key for the stale report:\n%s", out)
+			}
+			job, err := m2.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := waitTerminal(t, job); st.State != StateDone || st.CacheHit {
+				t.Fatalf("submission over the stale report: %s cache_hit %t (%s), want a re-simulation", st.State, st.CacheHit, st.Error)
+			}
+			if got, want := reportBytes(t, job), reportBytes(t, cold); !bytes.Equal(got, want) {
+				t.Errorf("re-simulated report differs from the cold run's:\n got %s\nwant %s", got, want)
+			}
+			m2.Close()
+			if body, err := store.Read(resultstore.KindUndetected, cold.Key); err != nil || !bytes.Equal(body, coldRep.undetected) {
+				t.Errorf("rewritten lists artifact %s (%v), want the cold lists", body, err)
+			}
+
+			m3 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+			defer m3.Close()
+			hit := submitDone(t, m3, req)
+			if st := hit.Status(); !st.CacheHit || m3.Metrics().StoreReportHits.Value() != 1 {
+				t.Fatalf("third manager: cache_hit %t, %d store hits; want the rewritten report served", st.CacheHit, m3.Metrics().StoreReportHits.Value())
+			}
+			hitRep, _, _ := hit.result()
+			var rep CampaignReport
+			if err := json.Unmarshal(hitRep.body, &rep); err != nil || rep.Version != ReportVersion {
+				t.Fatalf("served report version %d (%v), want %d", rep.Version, err, ReportVersion)
+			}
+			if got := heldLists(t, m3, hit); !bytes.Equal(got, coldRep.undetected) {
+				t.Errorf("served lists %s, want the cold lists", got)
+			}
+		})
+	}
+}
+
+// TestTornListsAreAFailedRead: a lists artifact that does not read back
+// whole answers /undetected with a server error, never a partial list,
+// while the report itself is still served from the store.
+func TestTornListsAreAFailedRead(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true}, Shards: 1}
+	m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+	cold := submitDone(t, m1, req)
+	m1.Close()
+	coldRep, _, _ := cold.result()
+	if len(coldRep.undetected) < 1000 {
+		t.Fatalf("lists body of %d bytes is too short to tear", len(coldRep.undetected))
+	}
+
+	srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+	st, code := postCampaign(t, ts, req)
+	if code != http.StatusOK || !st.CacheHit {
+		t.Fatalf("restarted server: HTTP %d cache_hit %t, want a store hit", code, st.CacheHit)
+	}
+	path := filepath.Join(dir, string(resultstore.KindUndetected), cold.Key+resultstore.Ext)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if body := servedReport(t, ts, st.ID); !bytes.Equal(body, coldRep.body) {
+		t.Errorf("report body differs from the cold run's")
+	}
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/undetected")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body["error"] == "" {
+		t.Errorf("torn lists: HTTP %d %v, want 500 with an error", resp.StatusCode, body)
 	}
 }
 
@@ -409,9 +572,9 @@ func TestManagerDrainedWithoutStoreIsCanceled(t *testing.T) {
 }
 
 // TestParkedJobReadsNameResume: a campaign a drain parks as resumable
-// never finishes under its ID, so reading its report or dictionary must
-// not ask the client to retry (no Retry-After); the 409 names the
-// resume call instead.
+// never finishes under its ID, so reading its report, undetected lists
+// or dictionary must not ask the client to retry (no Retry-After); the
+// 409 names the resume call instead.
 func TestParkedJobReadsNameResume(t *testing.T) {
 	started, release := make(chan struct{}, 1), make(chan struct{})
 	withFakeRunner(t, func(context.Context, *logic.Circuit, CampaignRequest) (*CampaignReport, error) {
@@ -443,7 +606,7 @@ func TestParkedJobReadsNameResume(t *testing.T) {
 		t.Fatalf("queued campaign ended %s, want resumable", st.State)
 	}
 
-	for _, path := range []string{"/report", "/dictionary"} {
+	for _, path := range []string{"/report", "/undetected", "/dictionary"} {
 		resp, err := http.Get(ts.URL + "/v1/campaigns/" + queued.ID + path)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,8 @@ package service
 
 import (
 	"crypto/sha256"
+	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -16,8 +18,8 @@ import (
 // counted bytes. Least recently used entries go first, and an entry
 // over the byte bound on its own is not kept. The counted bytes are
 // what an entry holds for its whole life: the circuit, its compiled
-// form, its canonical text, its fault universes and names and its
-// bridge lists. Its pooled simulators are not counted: a sync.Pool
+// form, its canonical text, its fault universes, names and name orders
+// and its bridge lists. Its pooled simulators are not counted: a sync.Pool
 // hands them to the collector.
 const (
 	maxPreparedCircuits = 16
@@ -53,11 +55,15 @@ type preparedCircuit struct {
 // stuck-at faults, then the transistor faults, as core.Universe lists
 // them, with each fault's name at the same index. The line half is
 // faults[:lines] and the transistor half faults[lines:], so the ATPG
-// campaign's joint universe is faults itself.
+// campaign's joint universe is faults itself. byName, built on the
+// first dictionary campaign (preparedCircuit.nameOrder), lists the
+// universe's indices in ascending name order, the order a dictionary
+// stores its entries in.
 type faultUniverse struct {
 	faults []core.Fault
 	names  []string
 	lines  int
+	byName []int32
 }
 
 // newPrepared prepares a resolved circuit.
@@ -92,6 +98,23 @@ func (p *preparedCircuit) universe(f FaultConfig) *faultUniverse {
 	p.universes[opt] = u
 	p.grow(size)
 	return u
+}
+
+// nameOrder returns u's indices in ascending fault-name order, sorting
+// them on first use.
+func (p *preparedCircuit) nameOrder(u *faultUniverse) []int32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if u.byName == nil {
+		order := make([]int32, len(u.names))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return strings.Compare(u.names[a], u.names[b]) })
+		u.byName = order
+		p.grow(int64(cap(order)) * int64(unsafe.Sizeof(int32(0))))
+	}
+	return u.byName
 }
 
 // neighborBridges returns core.NeighborBridges for the window, built on

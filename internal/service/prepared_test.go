@@ -32,12 +32,17 @@ func benchText(t *testing.T, name string) string {
 }
 
 // reportBytes is a done job's held report re-encoded with ElapsedMS
-// zeroed, the one field that differs between runs.
+// zeroed, the one field that differs between runs, then a newline and
+// the undetected-lists body the job's campaign encoded, so comparing
+// two jobs' bytes compares their names too.
 func reportBytes(t *testing.T, job *Job) []byte {
 	t.Helper()
 	held, state, msg := job.result()
 	if held == nil {
 		t.Fatalf("job %s: %s (%s), no report", job.ID, state, msg)
+	}
+	if held.undetected == nil {
+		t.Fatalf("job %s holds no undetected lists", job.ID)
 	}
 	var rep CampaignReport
 	if err := json.Unmarshal(held.body, &rep); err != nil {
@@ -48,7 +53,7 @@ func reportBytes(t *testing.T, job *Job) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return enc.body
+	return append(append(enc.body, '\n'), held.undetected...)
 }
 
 // memoStats reports the memo's resident entries and counted bytes.
@@ -119,9 +124,10 @@ func TestCircuitMemoHitReportsMatchFresh(t *testing.T) {
 
 // TestCircuitMemoConcurrentCampaigns runs 8 campaigns on one prepared
 // circuit at once, mixing fault configurations, ATPG and signature
-// capture, so they share the entry's universes, names and bridges
-// while its simulator pool hands each shard its own simulator. Every
-// report must equal a private run's; -race checks the sharing.
+// capture, so they share the entry's universes, names, name orders and
+// bridges while its simulator pool hands each shard its own simulator.
+// Every report and undetected-lists body must equal a private run's;
+// -race checks the sharing.
 func TestCircuitMemoConcurrentCampaigns(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 4, DictDir: t.TempDir()})
 	defer m.Close()
@@ -158,7 +164,7 @@ func TestCircuitMemoConcurrentCampaigns(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.ElapsedMS = 0
-		wantBody, err := json.Marshal(want)
+		wantEnc, err := encodeReport(want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +173,11 @@ func TestCircuitMemoConcurrentCampaigns(t *testing.T) {
 			t.Errorf("campaign %d captured no dictionary", i)
 		}
 		got.ElapsedMS, got.Dictionary = 0, nil
-		if gotBody, _ := json.Marshal(got); !bytes.Equal(gotBody, wantBody) {
+		if gotBody, _ := json.Marshal(got); !bytes.Equal(gotBody, wantEnc.body) {
 			t.Errorf("campaign %d report differs from a private run's", i)
+		}
+		if lists := heldLists(t, m, job); !bytes.Equal(lists, wantEnc.undetected) {
+			t.Errorf("campaign %d undetected lists differ from a private run's:\n got %s\nwant %s", i, lists, wantEnc.undetected)
 		}
 	}
 	if hits, misses := m.metrics.CircuitMemoHits.Value(), m.metrics.CircuitMemoMisses.Value(); hits != 7 || misses != 1 {
@@ -320,5 +329,42 @@ func TestPreparedUniverseShared(t *testing.T) {
 	}
 	if p.universe(FaultConfig{StuckAt: true}) == u {
 		t.Error("two fault configurations share a universe")
+	}
+}
+
+// TestNameOrderMemoized: a universe's name order is its indices sorted
+// by fault name, built once, shared by every caller and charged to the
+// memo's byte count.
+func TestNameOrderMemoized(t *testing.T) {
+	memo := newCircuitMemo(nil, nil)
+	p, _, err := memo.resolve(CampaignRequest{Benchmark: "c432"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := p.universe(fullFaults)
+	_, before := memoStats(memo)
+	order := p.nameOrder(u)
+	_, after := memoStats(memo)
+	if got, want := after-before, int64(4*len(u.names)); got != want {
+		t.Errorf("name order charged %d bytes, want %d", got, want)
+	}
+	seen := make([]bool, len(u.names))
+	for k, i := range order {
+		if seen[i] {
+			t.Fatalf("index %d listed twice", i)
+		}
+		seen[i] = true
+		if k > 0 && u.names[order[k-1]] >= u.names[i] {
+			t.Fatalf("names %q, %q out of order", u.names[order[k-1]], u.names[i])
+		}
+	}
+	if len(order) != len(u.names) {
+		t.Fatalf("order lists %d of %d faults", len(order), len(u.names))
+	}
+	if again := p.nameOrder(u); &again[0] != &order[0] {
+		t.Error("the name order was built twice")
+	}
+	if _, now := memoStats(memo); now != after {
+		t.Errorf("a second read charged %d more bytes", now-after)
 	}
 }

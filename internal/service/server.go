@@ -27,6 +27,7 @@ func NewServer(cfg ManagerConfig) *Server {
 	s.mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}/report", s.handleReport)
+	s.mux.HandleFunc("GET /v1/campaigns/{id}/undetected", s.handleUndetected)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}/dictionary", s.handleDictionary)
@@ -95,17 +96,46 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeNotDone(w, job.ID, state, errMsg)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(rep.body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(rep.body)
+	writeBody(w, rep.body)
 }
 
-// writeNotDone answers a report or dictionary read on a job that has
-// no report: 409 with the machine-readable state, except a failed
-// execution, which is a server error. Only a job still queued or
-// running gets Retry-After; resumable is terminal for this record, so
-// the answer names the resume call instead.
+// handleUndetected serves a finished campaign's undetected-fault lists
+// (UndetectedJSON), which report v2 leaves out. A job with no report
+// answers as /report does; lists that do not read back whole from the
+// result store are a server error, never a partial list.
+func (s *Server) handleUndetected(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.mgr.Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown campaign")
+		return
+	}
+	rep, state, errMsg := job.result()
+	if state != StateDone {
+		writeNotDone(w, job.ID, state, errMsg)
+		return
+	}
+	body, err := s.mgr.undetected(job.Key, rep)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("reading the undetected lists: %v", err))
+		return
+	}
+	writeBody(w, body)
+}
+
+// writeBody writes an encoded JSON body as held: compact, with no
+// trailing newline.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// writeNotDone answers a report, lists or dictionary read on a job
+// that has no report: 409 with the machine-readable state, except a
+// failed execution, which is a server error. Only a job still queued
+// or running gets Retry-After; resumable is terminal for this record,
+// so the answer names the resume call instead.
 func writeNotDone(w http.ResponseWriter, id string, state JobState, errMsg string) {
 	switch state {
 	case StateFailed:

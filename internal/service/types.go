@@ -158,13 +158,28 @@ type CircuitInfo struct {
 
 // CoverageJSON is the wire form of faultsim.Coverage.
 type CoverageJSON struct {
-	Total        int      `json:"total"`
-	Detected     int      `json:"detected"`
-	ByOutput     int      `json:"by_output,omitempty"`
-	ByIDDQ       int      `json:"by_iddq,omitempty"`
-	ByTwoPattern int      `json:"by_two_pattern,omitempty"`
-	Percent      float64  `json:"percent"`
-	Undetected   []string `json:"undetected,omitempty"`
+	Total        int     `json:"total"`
+	Detected     int     `json:"detected"`
+	ByOutput     int     `json:"by_output,omitempty"`
+	ByIDDQ       int     `json:"by_iddq,omitempty"`
+	ByTwoPattern int     `json:"by_two_pattern,omitempty"`
+	Percent      float64 `json:"percent"`
+	// Undetected names the class's undetected faults in universe order
+	// (none for bridges). A campaign run in process carries them; the
+	// report body does not: the service serves them apart, as
+	// UndetectedJSON.
+	Undetected []string `json:"-"`
+}
+
+// UndetectedJSON is the GET /v1/campaigns/{id}/undetected body: each
+// fault class's undetected faults by name, in universe order, the lists
+// a version 1 report carried inline. A class the campaign did not
+// simulate, or that left no fault undetected, has no list. Bridges are
+// not listed.
+type UndetectedJSON struct {
+	StuckAt        []string `json:"stuck_at,omitempty"`
+	Transistor     []string `json:"transistor,omitempty"`
+	TransistorIDDQ []string `json:"transistor_iddq,omitempty"`
 }
 
 // ATPGJSON is the wire form of atpg.CampaignResult.
@@ -222,12 +237,20 @@ type DiagnoseResponse struct {
 	Candidates []dict.Candidate `json:"candidates"`
 }
 
+// ReportVersion is the version of the report body the service serves
+// and stores. Version 2 carries per-class coverage counts without the
+// undetected-fault lists, which GET /v1/campaigns/{id}/undetected
+// serves; version 1 (no version field) carried them inline.
+const ReportVersion = 2
+
 // CampaignReport is the GET /v1/campaigns/{id}/report body: structured
 // coverage per fault class plus the same report.Table set the CLI tools
 // render, marshalled through internal/report's JSON form. The service
 // encodes each finished report once, as compact JSON, and holds and
-// serves those bytes; it keeps no decoded copy.
+// serves those bytes, with its undetected lists encoded beside them; it
+// keeps no decoded copy.
 type CampaignReport struct {
+	Version        int             `json:"version"` // ReportVersion
 	Circuit        CircuitInfo     `json:"circuit"`
 	Patterns       int             `json:"patterns"`
 	Engine         string          `json:"engine,omitempty"` // fault-simulation engine used

@@ -10,7 +10,10 @@
 # store: resubmitting the identical campaign must be answered from the
 # persisted report — born done, cache_hit true — with every
 # cpsinw_faultsim_gate_evals_total sample still exactly 0, proving the
-# second life simulated nothing. CI runs this as the shard-smoke job.
+# second life simulated nothing. Both lives serve the campaign's
+# /report (a version 2 body) and /undetected lists, and each must be
+# byte-identical across the kill -9 restart. CI runs this as the
+# shard-smoke job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,6 +47,15 @@ boot() {
 submit() {
     curl -sf -X POST "http://$addr/v1/campaigns" -d "$body" \
         | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1
+}
+
+# fetch <id> <resource> <file>: save a campaign's report or undetected
+# lists body.
+fetch() {
+    curl -sf "http://$addr/v1/campaigns/$1/$2" -o "$3" || {
+        echo "GET /v1/campaigns/$1/$2 failed" >&2
+        exit 1
+    }
 }
 
 wait_done() {
@@ -84,6 +96,18 @@ grep -q '"shard"' <<<"$trace" || {
 shardfiles=$(ls "$resultdir/shards" | wc -l)
 [[ "$shardfiles" -eq 4 ]] || { echo "store holds $shardfiles shard artifacts, want 4" >&2; exit 1; }
 
+echo "== report v2 and undetected lists (first life) =="
+fetch "$id" report "$workdir/report1.json"
+fetch "$id" undetected "$workdir/undetected1.json"
+grep -q '^{"version":2,' "$workdir/report1.json" || {
+    echo "report is not a version 2 body: $(head -c 200 "$workdir/report1.json")" >&2
+    exit 1
+}
+if grep -q '"undetected"' "$workdir/report1.json"; then
+    echo "report v2 body still carries undetected lists" >&2
+    exit 1
+fi
+
 echo "== kill (no graceful shutdown) =="
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
@@ -112,4 +136,15 @@ done
 hits=$(printf '%s\n' "$metrics2" | awk '/^cpsinw_resultstore_report_hits_total /{print $2}')
 [[ "${hits:-0}" == "1" ]] || { echo "cpsinw_resultstore_report_hits_total = '${hits:-missing}', want 1" >&2; exit 1; }
 
-echo "shard smoke passed: 4 shards scheduled and persisted; restart answered from the store with 0 gate evaluations"
+echo "== report and undetected lists byte-identical across the restart =="
+fetch "$id2" report "$workdir/report2.json"
+fetch "$id2" undetected "$workdir/undetected2.json"
+for r in report undetected; do
+    cmp -s "$workdir/${r}1.json" "$workdir/${r}2.json" || {
+        echo "/$r differs across the restart:" >&2
+        diff <(head -c 400 "$workdir/${r}1.json") <(head -c 400 "$workdir/${r}2.json") >&2 || true
+        exit 1
+    }
+done
+
+echo "shard smoke passed: 4 shards scheduled and persisted; restart answered from the store with 0 gate evaluations and byte-identical /report and /undetected"
