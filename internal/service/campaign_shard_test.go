@@ -1,8 +1,8 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -16,33 +16,11 @@ import (
 	"cpsinw/internal/shard"
 )
 
-// normalizeReport strips the only fields allowed to differ between a
-// sharded and an unsharded run of the same campaign: wall-clock time
-// and the dictionary artifact's compressed size (its payload embeds a
-// creation timestamp; the signature rows themselves are compared
-// separately, bit for bit).
-func normalizeReport(t *testing.T, rep *CampaignReport) map[string]interface{} {
-	t.Helper()
-	cp := *rep
-	cp.ElapsedMS = 0
-	if cp.Dictionary != nil {
-		d := *cp.Dictionary
-		d.CompressedBytes = 0
-		cp.Dictionary = &d
-	}
-	raw, err := json.Marshal(&cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // runDifferential pins every shard count in ks bit-identical to the
-// one-shard (single-shot) run of the same request.
+// one-shard (single-shot) run of the same request: the reports' golden
+// forms (every field, each class's undetected names included, with
+// wall-clock time and the dictionary's compressed size zeroed) and the
+// dictionaries' signature rows.
 func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 	t.Helper()
 	norm, c, err := req.normalize()
@@ -59,7 +37,7 @@ func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 	if err != nil {
 		t.Fatalf("unsharded: %v", err)
 	}
-	baseJSON := normalizeReport(t, base)
+	baseJSON := goldenReportBytes(t, base)
 	baseD, err := baseDict.Get(key)
 	if err != nil {
 		t.Fatalf("unsharded dictionary: %v", err)
@@ -75,10 +53,8 @@ func runDifferential(t *testing.T, req CampaignRequest, ks []int) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if gotJSON := normalizeReport(t, got); !reflect.DeepEqual(gotJSON, baseJSON) {
-			b1, _ := json.MarshalIndent(baseJSON, "", " ")
-			b2, _ := json.MarshalIndent(gotJSON, "", " ")
-			t.Fatalf("k=%d: sharded report differs from unsharded\nunsharded: %s\nsharded:   %s", k, b1, b2)
+		if gotJSON := goldenReportBytes(t, got); !bytes.Equal(gotJSON, baseJSON) {
+			t.Fatalf("k=%d: sharded report differs from unsharded\nunsharded: %s\nsharded:   %s", k, baseJSON, gotJSON)
 		}
 		shD, err := shDict.Get(key)
 		if err != nil {
@@ -204,7 +180,7 @@ func TestShardedStoreReuse(t *testing.T) {
 
 			first := run(0)
 			second := run(tc.shards) // every shard served from the store
-			if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, second)) {
+			if !bytes.Equal(goldenReportBytes(t, first), goldenReportBytes(t, second)) {
 				t.Fatal("store-served report differs from the simulated one")
 			}
 
@@ -220,7 +196,7 @@ func TestShardedStoreReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			third := run(tc.shards - 1)
-			if !reflect.DeepEqual(normalizeReport(t, first), normalizeReport(t, third)) {
+			if !bytes.Equal(goldenReportBytes(t, first), goldenReportBytes(t, third)) {
 				t.Fatal("partially reused report differs from the simulated one")
 			}
 		})
@@ -258,7 +234,7 @@ func TestShardedDamagedRecordResimulates(t *testing.T) {
 		}
 		return rep
 	}
-	want := normalizeReport(t, run(0))
+	want := goldenReportBytes(t, run(0))
 	keys, err := store.Keys(resultstore.KindShard)
 	if err != nil || len(keys) != 2 {
 		t.Fatalf("store holds shard artifacts %v (%v), want 2", keys, err)
@@ -281,7 +257,7 @@ func TestShardedDamagedRecordResimulates(t *testing.T) {
 		if _, err := store.Put(resultstore.KindShard, keys[0], &r); err != nil {
 			t.Fatal(err)
 		}
-		if got := normalizeReport(t, run(1)); !reflect.DeepEqual(got, want) {
+		if got := goldenReportBytes(t, run(1)); !bytes.Equal(got, want) {
 			t.Fatalf("%s: report differs from the simulated one", tc.name)
 		}
 	}
