@@ -15,8 +15,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -596,11 +598,13 @@ func BenchmarkDictionaryCapture(b *testing.B) {
 // store_diagnose's write op runs it in the service: a c432 campaign
 // (stuck-at, polarity, stuck-open, stuck-on and IDDQ; 256 random
 // patterns) with an auto-sized result store and a dictionary store
-// attached, then the merged report's two artifacts written as the
-// service writes them (its undetected lists, then the report). "bare"
+// attached, then the merged report's artifacts written as the service
+// writes them: the universe's fault names (the first campaign only; the
+// others share them), the campaign's undetected index, then the report.
+// store_B/op is the result store's size on disk per campaign. "bare"
 // runs the same campaigns with no stores. Every iteration takes a fresh
-// seed, so nothing is served from a store. Dated parent-vs-change results live
-// in BENCH_faultsim.json.
+// seed, so nothing is served from a store. Dated parent-vs-change
+// results live in BENCH_faultsim.json.
 //
 //	go test -run '^$' -bench BenchmarkDurableWrite -benchtime 100x .
 func BenchmarkDurableWrite(b *testing.B) {
@@ -645,6 +649,8 @@ func BenchmarkDurableWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(treeBytes(b, rs.Dir()))/float64(b.N), "store_B/op")
 	})
 	b.Run("bare", func(b *testing.B) {
 		cs := campaigns(b)
@@ -656,6 +662,107 @@ func BenchmarkDurableWrite(b *testing.B) {
 			}
 		}
 	})
+}
+
+// treeBytes is the size of the files under dir.
+func treeBytes(b *testing.B, dir string) int64 {
+	var n int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		fi, err := d.Info()
+		n += fi.Size()
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkUndetectedRead prices a client that needs the names, over
+// HTTP in process on httptest: an op resubmits a full-fault campaign
+// (256 random patterns; a hit), GETs its report, then GETs and decodes
+// its /undetected lists. "mem" answers from the LRU of the server that
+// ran the campaigns; "store" from a server restarted on their result
+// directory. A "first" op reads a campaign's lists for the first time
+// (b.N campaigns, one seed each, run before the timer); an "again" op
+// reads the lists of one campaign whose lists were read before. Dated
+// parent-vs-change results live in BENCH_faultsim.json.
+//
+//	go test -run '^$' -bench BenchmarkUndetectedRead -benchtime 200x .
+func BenchmarkUndetectedRead(b *testing.B) {
+	faults := service.FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, StuckOn: true, Bridges: true, IDDQ: true}
+	cl := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	exchange := func(b *testing.B, req *http.Request) []byte {
+		resp, err := cl.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode/100 != 2 {
+			b.Fatalf("%s %s: HTTP %d (%v): %s", req.Method, req.URL.Path, resp.StatusCode, err, raw)
+		}
+		return raw
+	}
+	for _, circuit := range []string{"c432", "c880"} {
+		for _, path := range []string{"mem", "store"} {
+			for _, read := range []string{"first", "again"} {
+				b.Run(circuit+"/"+path+"/"+read, func(b *testing.B) {
+					n := b.N
+					if read == "again" {
+						n = 1
+					}
+					cfg := service.ManagerConfig{Workers: 2, CacheSize: n + 1, ResultDir: b.TempDir()}
+					srv := service.NewServer(cfg)
+					bodies := make([][]byte, n)
+					for i := range bodies {
+						req := service.CampaignRequest{Benchmark: circuit, Faults: faults, Seed: int64(i + 1)}
+						bodies[i], _ = json.Marshal(req)
+						job, err := srv.Manager().Submit(req)
+						if err != nil {
+							b.Fatal(err)
+						}
+						for !job.Status().State.Terminal() {
+							time.Sleep(time.Millisecond)
+						}
+						if st := job.Status(); st.State != service.StateDone {
+							b.Fatalf("campaign %s: %s", st.State, st.Error)
+						}
+					}
+					if path == "store" {
+						srv.Close()
+						srv = service.NewServer(cfg)
+					}
+					ts := httptest.NewServer(srv.Handler())
+					defer func() { ts.Close(); srv.Close() }()
+					op := func(body []byte) {
+						rq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/campaigns", bytes.NewReader(body))
+						var st service.JobStatus
+						if err := json.Unmarshal(exchange(b, rq), &st); err != nil || !st.CacheHit {
+							b.Fatalf("resubmit: cache_hit %t (%v), want a hit", st.CacheHit, err)
+						}
+						rq, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/report", nil)
+						exchange(b, rq)
+						rq, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/campaigns/"+st.ID+"/undetected", nil)
+						var lists service.UndetectedJSON
+						if err := json.Unmarshal(exchange(b, rq), &lists); err != nil || len(lists.TransistorIDDQ) == 0 {
+							b.Fatalf("undetected lists: %d +IDDQ names (%v)", len(lists.TransistorIDDQ), err)
+						}
+					}
+					if read == "again" {
+						op(bodies[0])
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						op(bodies[i%n])
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkResubmitHit times one resubmit of a finished campaign over

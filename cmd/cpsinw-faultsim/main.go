@@ -117,8 +117,8 @@ func main() {
 	opt.OnCacheHit = func(shard.SubJob) { hits.Add(1) }
 	// A campaign already in the result store is answered from its
 	// report at any shard count, with no simulation, under the rule the
-	// service serves stored reports by; the report and its undetected
-	// lists persist as the service writes them.
+	// service serves stored reports by; the report, its undetected
+	// index and its universe's names persist as the service writes them.
 	var rep *service.CampaignReport
 	if *resultDir != "" {
 		if opt.Store, err = resultstore.Open(*resultDir); err != nil {
@@ -152,7 +152,7 @@ func main() {
 		return
 	}
 	fmt.Print(rep.Tables[0].String())
-	if undetected := rep.TransistorIDDQ.Undetected; len(undetected) > 0 {
+	if undetected := rep.TransistorIDDQ.UndetectedNames(); len(undetected) > 0 {
 		fmt.Printf("\nundetected CP faults (%d):\n", len(undetected))
 		for i, f := range undetected {
 			if i == 20 {

@@ -170,7 +170,14 @@ func decodeBitset(src []byte, nbits int) (Bitset, []byte, error) {
 		for i := range b.words {
 			b.words[i] = binary.LittleEndian.Uint64(payload[8*i:])
 		}
-		b.maskTail()
+		// The encoder writes a clear tail, so set bits past the width
+		// are damage, not padding.
+		if last := len(b.words) - 1; last >= 0 {
+			w := b.words[last]
+			if b.maskTail(); b.words[last] != w {
+				return Bitset{}, nil, fmt.Errorf("dict: raw bitset sets bits past its width %d", nbits)
+			}
+		}
 	case codecSparse:
 		prev := -1
 		for len(payload) > 0 {
@@ -210,4 +217,33 @@ func decodeBitset(src []byte, nbits int) (Bitset, []byte, error) {
 		return Bitset{}, nil, fmt.Errorf("dict: unknown bitset codec %d", codec)
 	}
 	return b, rest, nil
+}
+
+// AppendBinary appends b's self-describing encoding: its width as a
+// uvarint, then the smallest of the codecs above, as a dictionary
+// stores each signature.
+func (b Bitset) AppendBinary(dst []byte) []byte {
+	return appendBitset(binary.AppendUvarint(dst, uint64(b.bits)), b)
+}
+
+// DecodeBitset decodes one AppendBinary encoding, which must be all of
+// src, of a bitset that must be nbits wide: a bitset of another width,
+// a set bit past the width, a truncated payload or trailing bytes are
+// errors. Nothing is allocated for a width other than nbits.
+func DecodeBitset(src []byte, nbits int) (Bitset, error) {
+	w, sz := binary.Uvarint(src)
+	if sz <= 0 {
+		return Bitset{}, fmt.Errorf("dict: truncated bitset width")
+	}
+	if nbits < 0 || w != uint64(nbits) {
+		return Bitset{}, fmt.Errorf("dict: %d-bit bitset, want %d bits", w, nbits)
+	}
+	b, rest, err := decodeBitset(src[sz:], nbits)
+	if err != nil {
+		return Bitset{}, err
+	}
+	if len(rest) != 0 {
+		return Bitset{}, fmt.Errorf("dict: %d bytes after the bitset", len(rest))
+	}
+	return b, nil
 }

@@ -83,6 +83,47 @@ func TestBitsetCodecPicksSmallest(t *testing.T) {
 	}
 }
 
+// TestBitsetBinaryRoundTrip: AppendBinary carries the width, and
+// DecodeBitset gives back the set at that width only, refusing every
+// damaged form: another width, a set bit past the width (raw and
+// sparse codecs), a truncated payload and trailing bytes.
+func TestBitsetBinaryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, w := range []int{0, 1, 63, 64, 65, 570, 1428} {
+		for _, dn := range []float64{0, 0.05, 0.5, 1} {
+			b := randomBitset(rng, w, dn)
+			enc := b.AppendBinary(nil)
+			got, err := DecodeBitset(enc, w)
+			if err != nil || !got.Equal(b) {
+				t.Fatalf("width %d density %.2f: round trip %v", w, dn, err)
+			}
+			for _, other := range []int{w - 1, w + 1} {
+				if _, err := DecodeBitset(enc, other); err == nil {
+					t.Errorf("width %d decoded as %d bits", w, other)
+				}
+			}
+			if _, err := DecodeBitset(append(enc, 0), w); err == nil {
+				t.Errorf("width %d: trailing byte accepted", w)
+			}
+			if _, err := DecodeBitset(enc[:len(enc)-1], w); err == nil && w > 0 {
+				t.Errorf("width %d density %.2f: truncated encoding accepted", w, dn)
+			}
+		}
+	}
+	// A raw image of a 60-bit set with bit 61 set, and a sparse list of
+	// a 60-bit set naming bit 60.
+	raw := binary.AppendUvarint(nil, 60)
+	raw = append(raw, codecRaw, 8)
+	raw = binary.LittleEndian.AppendUint64(raw, 1<<61)
+	sparse := binary.AppendUvarint(nil, 60)
+	sparse = append(sparse, codecSparse, 1, 61)
+	for name, enc := range map[string][]byte{"raw": raw, "sparse": sparse} {
+		if _, err := DecodeBitset(enc, 60); err == nil {
+			t.Errorf("%s: a bit past the width decoded", name)
+		}
+	}
+}
+
 // refAppendBitset is the bit-by-bit reference encoder: it builds all
 // three payloads through Test and keeps the smallest, earlier codec on
 // a tie.

@@ -1,27 +1,42 @@
 // Package resultstore is the campaign service's durable,
 // content-addressed result store: finished campaign reports with their
-// undetected-fault lists, per-shard sub-job results and pending-campaign
-// markers persist as compressed JSON artifacts under their content
-// address, so a restarted service answers repeat campaigns without
-// re-simulation and resumes interrupted ones from the shards that
-// already completed.
+// undetected faults, the fault names those refer to, per-shard sub-job
+// results and pending-campaign markers persist as compressed JSON
+// artifacts under their content address, so a restarted service
+// answers repeat campaigns without re-simulation and resumes
+// interrupted ones from the shards that already completed.
 //
 // Layout (one directory per artifact kind under the store root):
 //
-//	<dir>/reports/<key>.json.gz     merged campaign reports (report v2,
-//	                                without the undetected lists), keyed
-//	                                by the campaign's canonical content
-//	                                address
-//	<dir>/undetected/<key>.json.gz  the same campaign's undetected-fault
-//	                                lists, written before its report
-//	<dir>/shards/<key>.json.gz      sub-job results, keyed by the shard's
-//	                                derived content address (see internal/shard)
-//	<dir>/pending/<key>.json.gz     normalized requests of accepted-but-
-//	                                unfinished campaigns (resumable state)
+//	<dir>/reports/<key>.json.gz           merged campaign reports (report v2,
+//	                                      without the undetected lists), keyed
+//	                                      by the campaign's canonical content
+//	                                      address
+//	<dir>/undetected-index/<key>.json.gz  the same campaign's undetected
+//	                                      faults: one bitset per class over
+//	                                      the class's slice of the fault
+//	                                      universe, and the key of the
+//	                                      universe's names
+//	<dir>/fault-names/<key>.json.gz       a fault universe's names in
+//	                                      universe order, keyed by the
+//	                                      circuit's canonical text and the
+//	                                      fault configuration, so every
+//	                                      campaign on one circuit and fault
+//	                                      configuration shares one
+//	<dir>/shards/<key>.json.gz            sub-job results, keyed by the shard's
+//	                                      derived content address (see internal/shard)
+//	<dir>/pending/<key>.json.gz           normalized requests of accepted-but-
+//	                                      unfinished campaigns (resumable state)
 //
+// The service writes a campaign's names (only when absent), then its
+// index, then its report, and serves a stored report only when it reads
+// version 2 and its index exists; it names the faults when
+// /v1/campaigns/{id}/undetected asks, from the index and the names.
 // A store an older build wrote holds v1 reports, which carried the
-// lists inline, and no undetected/ tree: the service serves none of
-// them and re-simulates each such key once, rewriting both artifacts.
+// lists inline, or v2 reports beside an undetected/ tree of name lists,
+// and no index: the service serves none of them, never reads
+// undetected/, and re-simulates each such key once, writing the new
+// artifacts.
 //
 // Writes are atomic (tmp + rename) so a crashed writer never leaves a
 // half-written artifact, and gzip's CRC catches torn or corrupted files
@@ -53,13 +68,16 @@ const (
 	// KindPending holds normalized requests of campaigns that were
 	// accepted but have not completed (the resumable state).
 	KindPending Kind = "pending"
-	// KindUndetected holds each merged report's undetected-fault lists,
-	// keyed by campaign key.
-	KindUndetected Kind = "undetected"
+	// KindUndetectedIndex holds each merged report's undetected faults
+	// as universe indices, keyed by campaign key.
+	KindUndetectedIndex Kind = "undetected-index"
+	// KindFaultNames holds fault universes' names, keyed by the
+	// circuit's canonical text and the fault configuration.
+	KindFaultNames Kind = "fault-names"
 )
 
 // kinds is every valid namespace, for Open to pre-create.
-var kinds = []Kind{KindReport, KindShard, KindPending, KindUndetected}
+var kinds = []Kind{KindReport, KindShard, KindPending, KindUndetectedIndex, KindFaultNames}
 
 // Ext is the artifact file suffix.
 const Ext = ".json.gz"

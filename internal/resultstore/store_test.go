@@ -184,21 +184,21 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write(KindUndetected, keyA, body); err != nil {
+	if _, err := s.Write(KindFaultNames, keyA, body); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(KindUndetected, keyA)
+	got, err := s.Read(KindFaultNames, keyA)
 	if err != nil || !bytes.Equal(got, body) {
 		t.Fatalf("Read = %q, %v; want %q", got, err, body)
 	}
 	var decoded payload
-	if err := s.Get(KindUndetected, keyA, &decoded); err != nil || decoded != want {
+	if err := s.Get(KindFaultNames, keyA, &decoded); err != nil || decoded != want {
 		t.Fatalf("Get = %+v, %v; want %+v", decoded, err, want)
 	}
 	if _, err := s.Put(KindReport, keyA, want); err != nil {
 		t.Fatal(err)
 	}
-	written, _ := os.ReadFile(filepath.Join(dir, string(KindUndetected), keyA+Ext))
+	written, _ := os.ReadFile(filepath.Join(dir, string(KindFaultNames), keyA+Ext))
 	put, _ := os.ReadFile(filepath.Join(dir, string(KindReport), keyA+Ext))
 	if !bytes.Equal(written, put) {
 		t.Error("Write and Put of one value left different artifacts")

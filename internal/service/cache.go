@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 
 	"cpsinw/internal/logic"
 	"cpsinw/internal/resultstore"
@@ -32,13 +33,12 @@ func canonicalBench(c *logic.Circuit) []byte {
 	return b.Bytes()
 }
 
-// contentKey is CanonicalKey over the circuit's canonical text: the
-// SHA-256 of the text, a zero byte and the config's JSON.
+// contentKey is CanonicalKey over the circuit's canonical text.
 func contentKey(canon []byte, req CampaignRequest) string {
 	// Only fields that change the result participate; Workers and
 	// TimeoutMS tune execution, and the netlist text is replaced by its
 	// canonical form.
-	cfg, _ := json.Marshal(struct {
+	return textKey(canon, struct {
 		Faults   FaultConfig `json:"faults"`
 		Patterns int         `json:"patterns"`
 		Seed     int64       `json:"seed"`
@@ -48,55 +48,55 @@ func contentKey(canon []byte, req CampaignRequest) string {
 		// the other's cached report a real re-simulation.
 		Engine string `json:"engine"`
 	}{req.Faults, req.Patterns, req.Seed, req.ATPG, req.Engine})
+}
+
+// textKey is a content address the service derives from a circuit: the
+// SHA-256, in hex, of its canonical text, a zero byte and cfg's JSON.
+func textKey(canon []byte, cfg any) string {
+	b, _ := json.Marshal(cfg)
 	h := sha256.New()
 	h.Write(canon)
 	h.Write([]byte{0})
-	h.Write(cfg)
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // encodedReport is a finished campaign's report as it is held and
-// served: the compact report body and its undetected-lists body, each
-// encoded once, plus the dictionary metadata JobStatus and /dictionary
-// carry. A report the result store served holds no lists: the manager
-// reads its lists artifact when /undetected asks (Manager.undetected).
-// The decoded CampaignReport is not kept: it takes more heap than its
-// JSON and the collector must scan it, while a []byte is never scanned.
+// served: the compact report body, encoded once, the dictionary
+// metadata JobStatus and /dictionary carry, and the undetected-lists
+// body, rendered when /undetected first asks (undetectedBody) from the
+// campaign's undetected faults by index or, for a report the result
+// store served, from its stored index and names, and then held. The
+// decoded CampaignReport is not kept: it takes more heap than its JSON
+// and the collector must scan it, while a []byte is never scanned.
 type encodedReport struct {
-	body       []byte
-	undetected []byte // nil when the store served body
-	dict       *DictionaryJSON
+	body []byte
+	dict *DictionaryJSON
+
+	mu         sync.Mutex
+	missed     *missedFaults // until rendered; nil when the store served body
+	undetected []byte        // the rendered /undetected body
 }
 
-// encodeReport encodes a finished report's body, without its
-// undetected lists, and its lists body.
+// encodeReport encodes a finished report's body, which carries no
+// undetected lists, and keeps its undetected faults by index.
 func encodeReport(rep *CampaignReport) (*encodedReport, error) {
 	body, err := json.Marshal(rep)
 	if err != nil {
 		return nil, fmt.Errorf("encoding report: %w", err)
 	}
-	names := func(c *CoverageJSON) []string {
-		if c == nil {
-			return nil
-		}
-		return c.Undetected
-	}
-	lists, err := json.Marshal(UndetectedJSON{
-		StuckAt:        names(rep.StuckAt),
-		Transistor:     names(rep.Transistor),
-		TransistorIDDQ: names(rep.TransistorIDDQ),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("encoding undetected lists: %w", err)
-	}
-	return &encodedReport{body: body, undetected: lists, dict: rep.Dictionary}, nil
+	return &encodedReport{body: body, dict: rep.Dictionary, missed: rep.missed()}, nil
 }
 
-// persistReport writes a finished report's two artifacts under key:
-// the undetected lists first, then the report, so a stored report
-// always has its lists beside it.
+// persistReport writes a finished report's artifacts under key: its
+// universe's names when absent, its undetected index, then the report,
+// so a stored report always has its index and names beside it. It runs
+// before the report is published, while held still has its indices.
 func persistReport(st *resultstore.Store, key string, held *encodedReport) error {
-	if _, err := st.Write(resultstore.KindUndetected, key, held.undetected); err != nil {
+	if held.missed == nil {
+		return errors.New("report holds no undetected faults to persist")
+	}
+	if err := persistMissed(st, key, held.missed); err != nil {
 		return err
 	}
 	_, err := st.Write(resultstore.KindReport, key, held.body)
@@ -115,17 +115,17 @@ func PersistReport(st *resultstore.Store, key string, rep *CampaignReport) error
 }
 
 // errStaleReport marks a stored report the service does not serve: it
-// is not a version ReportVersion body, or its lists artifact is
+// is not a version ReportVersion body, or its undetected index is
 // missing. A store an older build wrote holds only such reports.
 var errStaleReport = errors.New("stored report is not served")
 
-// readStored reads the key's stored report for serving, with no lists
-// held. A report is served only when its body reads version
-// ReportVersion and its undetected-lists artifact exists; any other
-// stored report is an errStaleReport miss, which the caller
-// re-simulates, rewriting both artifacts. A missing report is a wrapped
-// fs.ErrNotExist, and a torn one or one that is not JSON a read or
-// decode error.
+// readStored reads the key's stored report for serving, with its
+// undetected faults left in the store. A report is served only when its
+// body reads version ReportVersion and its undetected-index artifact
+// exists; any other stored report is an errStaleReport miss, which the
+// caller re-simulates, rewriting its artifacts. A missing report is a
+// wrapped fs.ErrNotExist, and a torn one or one that is not JSON a
+// read or decode error.
 func readStored(st *resultstore.Store, key string) (*encodedReport, error) {
 	body, err := st.Read(resultstore.KindReport, key)
 	if err != nil {
@@ -141,8 +141,8 @@ func readStored(st *resultstore.Store, key string) (*encodedReport, error) {
 	if head.Version != ReportVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", errStaleReport, head.Version, ReportVersion)
 	}
-	if !st.Has(resultstore.KindUndetected, key) {
-		return nil, fmt.Errorf("%w: no undetected-lists artifact", errStaleReport)
+	if !st.Has(resultstore.KindUndetectedIndex, key) {
+		return nil, fmt.Errorf("%w: no undetected-index artifact", errStaleReport)
 	}
 	// A copy at its exact size: the read buffer's spare capacity would
 	// stay resident in the LRU with the body.
@@ -151,7 +151,7 @@ func readStored(st *resultstore.Store, key string) (*encodedReport, error) {
 
 // LoadReport decodes the key's stored report under the rule the
 // service serves it by (see readStored), for CLI front-ends that share
-// a store with it. Its coverage carries no undetected names.
+// a store with it. Its coverage carries no undetected faults.
 func LoadReport(st *resultstore.Store, key string) (*CampaignReport, error) {
 	held, err := readStored(st, key)
 	if err != nil {

@@ -150,9 +150,10 @@ func RunCampaignObserved(ctx context.Context, c *logic.Circuit, req CampaignRequ
 	return RunCampaignSharded(ctx, c, req, ShardedOptions{Shards: 1}, ro)
 }
 
-// coverageJSON renders one class's coverage. Its undetected list holds
-// the names at cov.Undetected's indices (the class universe's fault
-// names, built once per circuit); bridges pass no names and list none.
+// coverageJSON renders one class's coverage. It keeps cov.Undetected's
+// indices into names, the class universe's fault names (built once per
+// circuit), which name them only when asked; bridges pass no names and
+// keep none.
 func coverageJSON(cov faultsim.Coverage, names []string) *CoverageJSON {
 	out := &CoverageJSON{
 		Total:        cov.Total,
@@ -162,11 +163,8 @@ func coverageJSON(cov faultsim.Coverage, names []string) *CoverageJSON {
 		ByTwoPattern: cov.ByTwoPat,
 		Percent:      cov.Percent(),
 	}
-	if names != nil && len(cov.Undetected) > 0 {
-		out.Undetected = make([]string, len(cov.Undetected))
-		for i, fi := range cov.Undetected {
-			out.Undetected[i] = names[fi]
-		}
+	if names != nil {
+		out.undetected, out.names = cov.Undetected, names
 	}
 	return out
 }

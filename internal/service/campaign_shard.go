@@ -256,6 +256,7 @@ func runPrepared(ctx context.Context, p *preparedCircuit, req CampaignRequest, o
 		},
 		Patterns: pats.Len(),
 		Engine:   engine.String(),
+		names:    u.faultNames,
 	}
 
 	simSpan, endSimulate := ro.stage(ro.Span, "simulate")
@@ -456,7 +457,7 @@ func (env *shardEnv) merge(rep *CampaignReport, outs []*shard.Output, capture bo
 		return ps
 	}
 	// class merges one class of n faults (or bridges) and renders its
-	// coverage, naming undetected faults from names (nil for bridges);
+	// coverage, its undetected faults indexing names (nil for bridges);
 	// with sig it also merges the class's signature capture.
 	class := func(n int, names []string, pick func(*shard.Output) *shard.Part, sig bool) (*CoverageJSON, *faultsim.SignatureCapture, error) {
 		ps := parts(pick)

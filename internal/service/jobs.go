@@ -409,9 +409,9 @@ func (m *Manager) answer(key string, rep *encodedReport, msg string) (*Job, erro
 // storedReport reads the key's merged report from the result store for
 // serving; nil without a store or a report readStored serves. The body
 // is served as stored and only its version and dictionary fields are
-// decoded; its lists stay in the store until /undetected asks. A stored
-// report that is torn, not JSON, of another version or without its
-// lists is logged; a missing one is not.
+// decoded; its undetected index and names stay in the store until
+// /undetected asks. A stored report that is torn, not JSON, of another
+// version or without its index is logged; a missing one is not.
 func (m *Manager) storedReport(key string) *encodedReport {
 	if m.store == nil {
 		return nil
@@ -428,23 +428,17 @@ func (m *Manager) storedReport(key string) *encodedReport {
 	return nil
 }
 
-// undetected returns a done job's undetected-lists body: the bytes its
-// campaign encoded, or, for a report the result store served, the
-// stored lists artifact, read on each call. A lists artifact that does
-// not read back whole is an error, never a partial list.
+// undetected returns a done job's undetected-lists body, rendered once
+// per held report (encodedReport.undetectedBody): from its campaign's
+// indices, or, for a report the result store served, from the stored
+// index and names. An index or names artifact that is missing, torn or
+// inconsistent is a logged error, never a partial list.
 func (m *Manager) undetected(key string, held *encodedReport) ([]byte, error) {
-	if held.undetected != nil {
-		return held.undetected, nil
-	}
-	if m.store == nil {
-		return nil, errors.New("no undetected lists held")
-	}
-	body, err := m.store.Read(resultstore.KindUndetected, key)
+	body, err := held.undetectedBody(m.store, key)
 	if err != nil {
-		m.log.Warn("stored undetected lists unreadable", "key", key, "error", err.Error())
-		return nil, err
+		m.log.Warn("stored undetected faults unreadable", "key", key, "error", err.Error())
 	}
-	return body, nil
+	return body, err
 }
 
 // pendingCampaign is the resumable-state artifact in the result store's
@@ -462,7 +456,7 @@ type pendingCampaign struct {
 // finished (stale marker, removed), markers whose request this build
 // rejects are dropped, and the rest become resumable job records: so
 // does a campaign whose stored report does not decode, predates report
-// v2 or lacks its lists artifact. Runs from NewManager before the
+// v2 or lacks its undetected index. Runs from NewManager before the
 // workers start, so it needs no locking.
 func (m *Manager) recoverPending() {
 	keys, err := m.store.Keys(resultstore.KindPending)
@@ -885,9 +879,9 @@ func (m *Manager) run(job *Job) {
 	default:
 		state = StateFailed
 	}
-	// Encode the report and its lists once, outside job.mu: the store,
-	// the cache, this record and every later hit's record hold these
-	// bytes.
+	// Encode the report once, outside job.mu: the store, the cache, this
+	// record and every later hit's record hold these bytes, and its
+	// undetected faults by index until /undetected names them.
 	var held *encodedReport
 	if state == StateDone {
 		if held, err = encodeReport(rep); err != nil {
@@ -895,15 +889,17 @@ func (m *Manager) run(job *Job) {
 		}
 	}
 	// Persist before publishing: a client that sees the terminal state
-	// finds the report and its lists in the store and the pending
-	// marker gone.
+	// finds the report, its index and its names in the store and the
+	// pending marker gone. A report that did not land keeps its marker,
+	// so the next start lists the campaign as resumable.
 	if m.store != nil {
 		switch state {
 		case StateDone:
 			if perr := persistReport(m.store, job.Key, held); perr != nil {
 				m.log.Warn("report not persisted", "job", job.ID, "key", job.Key, "error", perr.Error())
+			} else {
+				_ = m.store.Delete(resultstore.KindPending, job.Key)
 			}
-			_ = m.store.Delete(resultstore.KindPending, job.Key)
 		case StateFailed:
 			// A deterministic failure would fail again on resume; drop
 			// the marker so it does not resurrect forever.

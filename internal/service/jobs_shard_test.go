@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,9 +124,10 @@ func TestManagerKeepsMarkerBesideUnreadableReport(t *testing.T) {
 	}
 }
 
-// TestStoredReportIsServedBody: a stored report and its undetected
-// lists are each encoded once, so their artifacts hold the bytes the
-// service serves, plus the encoder's newline.
+// TestStoredReportIsServedBody: a stored report is encoded once, so
+// its artifact holds the bytes the service serves, plus the encoder's
+// newline. Its undetected faults are stored apart, as the campaign's
+// index and the universe's names; no name lists are written.
 func TestStoredReportIsServedBody(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
@@ -135,24 +137,32 @@ func TestStoredReportIsServedBody(t *testing.T) {
 	if st = pollDone(t, ts, st.ID); st.State != StateDone {
 		t.Fatalf("campaign: %s (%s)", st.State, st.Error)
 	}
-	for kind, resource := range map[resultstore.Kind]string{resultstore.KindReport: "report", resultstore.KindUndetected: "undetected"} {
-		body := servedBody(t, ts, st.ID, resource)
-		f, err := os.Open(filepath.Join(dir, string(kind), st.Key+resultstore.Ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored, err := io.ReadAll(zr)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(stored) != string(body)+"\n" {
-			t.Errorf("stored %s is not the served body plus a newline:\nstored %s\nserved %s", kind, stored, body)
-		}
+	body := servedReport(t, ts, st.ID)
+	f, err := os.Open(filepath.Join(dir, string(resultstore.KindReport), st.Key+resultstore.Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := io.ReadAll(zr)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stored) != string(body)+"\n" {
+		t.Errorf("stored report is not the served body plus a newline:\nstored %s\nserved %s", stored, body)
+	}
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := store.Keys(resultstore.KindFaultNames); err != nil || len(names) != 1 || !store.Has(resultstore.KindUndetectedIndex, st.Key) {
+		t.Errorf("store holds %d names artifacts (%v) and index %t, want one of each", len(names), err, store.Has(resultstore.KindUndetectedIndex, st.Key))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "undetected")); !os.IsNotExist(err) {
+		t.Errorf("the store has an undetected/ tree of name lists (%v)", err)
 	}
 }
 
@@ -160,12 +170,14 @@ func TestStoredReportIsServedBody(t *testing.T) {
 // campaign with the cold run's report body byte for byte, elapsed time
 // included (the stored bytes are served as read, not decoded and
 // re-encoded), and its status carries the stored dictionary metadata.
-// The store hit holds no lists: it reads the lists artifact when they
-// are asked for, and serves the cold run's lists byte for byte.
+// The store hit holds no undetected faults: it reads its index and
+// names when they are asked for, and serves the cold run's lists byte
+// for byte.
 func TestStoreHitServesColdBody(t *testing.T) {
 	cfg := ManagerConfig{Workers: 2, ResultDir: t.TempDir(), DictDir: t.TempDir()}
 	m1 := NewManager(cfg)
 	cold := submitDone(t, m1, storeTestReq)
+	coldLists := heldLists(t, m1, cold)
 	m1.Close()
 	coldRep, _, _ := cold.result()
 	if coldRep.dict == nil {
@@ -185,11 +197,11 @@ func TestStoreHitServesColdBody(t *testing.T) {
 	if got, want := hit.Status().Dictionary, cold.Status().Dictionary; !reflect.DeepEqual(got, want) {
 		t.Errorf("store hit dictionary %+v, cold %+v", got, want)
 	}
-	if hitRep.undetected != nil {
-		t.Error("the store hit read its undetected lists before they were asked for")
+	if hitRep.undetected != nil || hitRep.missed != nil {
+		t.Error("the store hit read its undetected faults before they were asked for")
 	}
-	if got := heldLists(t, m2, hit); !bytes.Equal(got, coldRep.undetected) {
-		t.Errorf("store hit lists differ from the cold lists:\n got %s\nwant %s", got, coldRep.undetected)
+	if got := heldLists(t, m2, hit); !bytes.Equal(got, coldLists) {
+		t.Errorf("store hit lists differ from the cold lists:\n got %s\nwant %s", got, coldLists)
 	}
 }
 
@@ -211,27 +223,34 @@ func v1Body(t *testing.T, body, lists []byte) []byte {
 }
 
 // TestStaleStoredReportResimulates: a stored report is served only
-// when it reads version 2 and its undetected-lists artifact exists. A
-// parent build's v1 report (with or without a lists artifact beside
-// it) and a v2 report whose lists are missing are logged misses: their
-// pending markers come back resumable, and a submission re-simulates,
-// rewrites both artifacts and serves the cold run's v2 bodies, which a
-// third manager then answers from the store.
+// when it reads version 2 and its undetected index exists. A v1 report
+// (with or without an index beside it), a v2 report whose index is
+// missing and the layout the build before the index wrote (a v2 report
+// beside an undetected/ artifact of name lists, with no index and no
+// names artifact) are logged misses: their pending markers come back
+// resumable, and a submission re-simulates once, writes the index and
+// the names and serves the cold run's v2 bodies, which a third manager
+// then answers from the store. The undetected/ lists are never read.
 func TestStaleStoredReportResimulates(t *testing.T) {
 	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, IDDQ: true}, Shards: 1}
+	// "lists" in a case name is the campaign's stored lists in their
+	// current form: its undetected index.
 	for _, tc := range []struct {
 		name    string
-		v1      bool // store the parent's v1 body
-		noLists bool // remove the lists artifact
+		v1      bool // store a v1 body
+		noIndex bool // remove the undetected index
+		lists   bool // the earlier layout: name lists in undetected/, no names artifact
 	}{
-		{"v1 report, no lists", true, true},
-		{"v1 report beside lists", true, false},
-		{"v2 report, no lists", false, true},
+		{"v1 report, no lists", true, true, false},
+		{"v1 report beside lists", true, false, false},
+		{"v2 report, no lists", false, true, false},
+		{"v2 report beside name lists, no index", false, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
 			cold := submitDone(t, m1, req)
+			coldLists := heldLists(t, m1, cold)
 			m1.Close()
 			coldRep, _, _ := cold.result()
 
@@ -240,12 +259,31 @@ func TestStaleStoredReportResimulates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.v1 {
-				if _, err := store.Write(resultstore.KindReport, cold.Key, v1Body(t, coldRep.body, coldRep.undetected)); err != nil {
+				if _, err := store.Write(resultstore.KindReport, cold.Key, v1Body(t, coldRep.body, coldLists)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if tc.noLists {
-				if err := store.Delete(resultstore.KindUndetected, cold.Key); err != nil {
+			if tc.noIndex {
+				if err := store.Delete(resultstore.KindUndetectedIndex, cold.Key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.lists {
+				names, err := store.Keys(resultstore.KindFaultNames)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range names {
+					if err := store.Delete(resultstore.KindFaultNames, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// A names list the index could not describe: reading it
+				// as the new form would serve the wrong names.
+				if err := os.Mkdir(filepath.Join(dir, "undetected"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := store.Write(resultstore.Kind("undetected"), cold.Key, []byte(`{"stuck_at":["x"]}`)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -273,8 +311,12 @@ func TestStaleStoredReportResimulates(t *testing.T) {
 				t.Errorf("re-simulated report differs from the cold run's:\n got %s\nwant %s", got, want)
 			}
 			m2.Close()
-			if body, err := store.Read(resultstore.KindUndetected, cold.Key); err != nil || !bytes.Equal(body, coldRep.undetected) {
-				t.Errorf("rewritten lists artifact %s (%v), want the cold lists", body, err)
+			names, err := store.Keys(resultstore.KindFaultNames)
+			if err != nil || len(names) != 1 || !store.Has(resultstore.KindUndetectedIndex, cold.Key) {
+				t.Errorf("re-simulation left %d names artifacts (%v) and index %t, want one of each", len(names), err, store.Has(resultstore.KindUndetectedIndex, cold.Key))
+			}
+			if store.Has(resultstore.KindPending, cold.Key) {
+				t.Error("pending marker survived the re-simulation")
 			}
 
 			m3 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
@@ -288,25 +330,119 @@ func TestStaleStoredReportResimulates(t *testing.T) {
 			if err := json.Unmarshal(hitRep.body, &rep); err != nil || rep.Version != ReportVersion {
 				t.Fatalf("served report version %d (%v), want %d", rep.Version, err, ReportVersion)
 			}
-			if got := heldLists(t, m3, hit); !bytes.Equal(got, coldRep.undetected) {
+			if got := heldLists(t, m3, hit); !bytes.Equal(got, coldLists) {
 				t.Errorf("served lists %s, want the cold lists", got)
 			}
 		})
 	}
 }
 
-// TestTornListsAreAFailedRead: a lists artifact that does not read back
-// whole answers /undetected with a server error, never a partial list,
-// while the report itself is still served from the store.
+// getUndetected answers GET /v1/campaigns/{id}/undetected: the status
+// and the body.
+func getUndetected(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/undetected")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestTornListsAreAFailedRead: an undetected index or names artifact
+// that does not read back whole answers /undetected with a server
+// error, never a partial list, while the report itself is still served
+// from the store. The failed read is not held: once the artifact is
+// whole again, /undetected serves the cold run's lists.
 func TestTornListsAreAFailedRead(t *testing.T) {
-	dir := t.TempDir()
 	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true}, Shards: 1}
+	for _, kind := range []resultstore.Kind{resultstore.KindUndetectedIndex, resultstore.KindFaultNames} {
+		t.Run(string(kind), func(t *testing.T) {
+			dir := t.TempDir()
+			m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+			cold := submitDone(t, m1, req)
+			coldLists := heldLists(t, m1, cold)
+			m1.Close()
+			coldRep, _, _ := cold.result()
+
+			srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
+			ts := httptest.NewServer(srv.Handler())
+			defer func() { ts.Close(); srv.Close() }()
+			st, code := postCampaign(t, ts, req)
+			if code != http.StatusOK || !st.CacheHit {
+				t.Fatalf("restarted server: HTTP %d cache_hit %t, want a store hit", code, st.CacheHit)
+			}
+			ents, err := os.ReadDir(filepath.Join(dir, string(kind)))
+			if err != nil || len(ents) != 1 {
+				t.Fatalf("%d %s artifacts (%v), want 1", len(ents), kind, err)
+			}
+			path := filepath.Join(dir, string(kind), ents[0].Name())
+			whole, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, whole[:len(whole)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if body := servedReport(t, ts, st.ID); !bytes.Equal(body, coldRep.body) {
+				t.Errorf("report body differs from the cold run's")
+			}
+			code, raw := getUndetected(t, ts, st.ID)
+			var body map[string]string
+			if err := json.Unmarshal(raw, &body); err != nil || code != http.StatusInternalServerError || body["error"] == "" {
+				t.Errorf("torn %s: HTTP %d %s, want 500 with an error", kind, code, raw)
+			}
+			if err := os.WriteFile(path, whole, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got := servedLists(t, ts, st.ID); !bytes.Equal(got, coldLists) {
+				t.Errorf("lists after the artifact was mended differ from the cold lists")
+			}
+		})
+	}
+}
+
+// TestUndetectedRenderedOnce: the /undetected body is rendered once per
+// held report. A cold job renders it from its campaign's indices, with
+// no artifact read. A store hit reads its index and names on the first
+// GET only: with both artifacts deleted after it, the job and an LRU
+// resubmit, which shares the held report, serve the same bytes.
+func TestUndetectedRenderedOnce(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{Benchmark: "c432", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOpen: true, IDDQ: true}, Shards: 1}
 	m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
 	cold := submitDone(t, m1, req)
 	m1.Close()
-	coldRep, _, _ := cold.result()
-	if len(coldRep.undetected) < 1000 {
-		t.Fatalf("lists body of %d bytes is too short to tear", len(coldRep.undetected))
+
+	// artifacts lists the campaign's index and names artifacts.
+	artifacts := func() []string {
+		paths := []string{filepath.Join(dir, string(resultstore.KindUndetectedIndex), cold.Key+resultstore.Ext)}
+		names, err := filepath.Glob(filepath.Join(dir, string(resultstore.KindFaultNames), "*"+resultstore.Ext))
+		if err != nil || len(names) != 1 {
+			t.Fatalf("%d names artifacts (%v), want 1", len(names), err)
+		}
+		return append(paths, names...)
+	}
+	saved := map[string][]byte{}
+	for _, path := range artifacts() {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[path] = b
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coldLists := heldLists(t, m1, cold)
+	for path, b := range saved {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	srv := NewServer(ManagerConfig{Workers: 2, ResultDir: dir})
@@ -316,29 +452,144 @@ func TestTornListsAreAFailedRead(t *testing.T) {
 	if code != http.StatusOK || !st.CacheHit {
 		t.Fatalf("restarted server: HTTP %d cache_hit %t, want a store hit", code, st.CacheHit)
 	}
-	path := filepath.Join(dir, string(resultstore.KindUndetected), cold.Key+resultstore.Ext)
-	fi, err := os.Stat(path)
+	if first := servedLists(t, ts, st.ID); !bytes.Equal(first, coldLists) {
+		t.Fatalf("store hit lists differ from the cold lists:\n got %s\nwant %s", first, coldLists)
+	}
+	for _, path := range artifacts() {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again := servedLists(t, ts, st.ID); !bytes.Equal(again, coldLists) {
+		t.Errorf("second GET differs from the first:\n got %s", again)
+	}
+	re, code := postCampaign(t, ts, req)
+	if code != http.StatusOK || !re.CacheHit {
+		t.Fatalf("resubmit: HTTP %d cache_hit %t, want an LRU hit", code, re.CacheHit)
+	}
+	if got := servedLists(t, ts, re.ID); !bytes.Equal(got, coldLists) {
+		t.Errorf("LRU resubmit lists differ from the first GET's:\n got %s", got)
+	}
+}
+
+// TestUndetectedConcurrent: campaigns on one circuit and fault
+// configuration persist at once and share one names artifact, and
+// concurrent readers of one held report, cold or store-served, all get
+// the body a private run renders. Run under -race.
+func TestUndetectedConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ManagerConfig{Workers: 4, ResultDir: dir}
+	reqs := make([]CampaignRequest, 6)
+	for i := range reqs {
+		reqs[i] = CampaignRequest{Benchmark: "rca8", Faults: FaultConfig{StuckAt: true, Polarity: true, StuckOn: true, IDDQ: true}, Seed: int64(i + 1), Shards: 1}
+	}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		norm, c, err := req.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunCampaignObserved(context.Background(), c, norm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep.missed().body()
+	}
+	// readAll reads every job's lists from four goroutines at once.
+	readAll := func(m *Manager, jobs []*Job) {
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, job := range jobs {
+					held, _, _ := job.result()
+					got, err := m.undetected(job.Key, held)
+					if err != nil || !bytes.Equal(got, want[i]) {
+						t.Errorf("campaign %d: lists differ from a private run's (%v)", i, err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	m1 := NewManager(cfg)
+	jobs := make([]*Job, len(reqs))
+	for i, req := range reqs {
+		job, err := m1.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = job
+	}
+	for i, job := range jobs {
+		if st := waitTerminal(t, job); st.State != StateDone {
+			t.Fatalf("campaign %d: %s (%s)", i, st.State, st.Error)
+		}
+	}
+	readAll(m1, jobs)
+	m1.Close()
+	if ents, err := os.ReadDir(filepath.Join(dir, string(resultstore.KindFaultNames))); err != nil || len(ents) != 1 {
+		t.Fatalf("%d names artifacts (%v), want 1", len(ents), err)
+	}
+
+	m2 := NewManager(cfg)
+	defer m2.Close()
+	for i, req := range reqs {
+		jobs[i] = submitDone(t, m2, req)
+		if !jobs[i].Status().CacheHit {
+			t.Fatalf("campaign %d: not a store hit", i)
+		}
+	}
+	readAll(m2, jobs)
+}
+
+// TestFailedPersistKeepsPendingMarker: a campaign whose report does not
+// reach the result store keeps its pending marker, so the next start
+// lists it as resumable, and resuming it stores the report and consumes
+// the marker. The report write fails on a plain file where the
+// reports directory was.
+func TestFailedPersistKeepsPendingMarker(t *testing.T) {
+	dir := t.TempDir()
+	req := CampaignRequest{Benchmark: "mult3", Faults: FaultConfig{StuckAt: true, Polarity: true, IDDQ: true}, Shards: 1}
+	m1 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+	reports := filepath.Join(dir, string(resultstore.KindReport))
+	if err := os.Remove(reports); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(reports, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	job := submitDone(t, m1, req)
+	m1.Close()
+	if _, err := os.Stat(filepath.Join(dir, string(resultstore.KindPending), job.Key+resultstore.Ext)); err != nil {
+		t.Fatalf("pending marker gone after a failed persist: %v", err)
+	}
+
+	if err := os.Remove(reports); err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir})
+	defer m2.Close()
+	recovered := m2.Resumable()
+	if len(recovered) != 1 || recovered[0].Key != job.Key {
+		t.Fatalf("recovered %+v, want the campaign %s resumable", recovered, job.Key)
+	}
+	resumed, err := m2.Resume(recovered[0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, fi.Size()/2); err != nil {
-		t.Fatal(err)
+	if st := waitTerminal(t, resumed); st.State != StateDone || st.CacheHit {
+		t.Fatalf("resumed campaign: %s cache_hit %t (%s), want a re-simulation", st.State, st.CacheHit, st.Error)
 	}
-	if body := servedReport(t, ts, st.ID); !bytes.Equal(body, coldRep.body) {
-		t.Errorf("report body differs from the cold run's")
-	}
-	resp, err := http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/undetected")
+	rs, err := resultstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body map[string]string
-	err = json.NewDecoder(resp.Body).Decode(&body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusInternalServerError || body["error"] == "" {
-		t.Errorf("torn lists: HTTP %d %v, want 500 with an error", resp.StatusCode, body)
+	if !rs.Has(resultstore.KindReport, job.Key) || rs.Has(resultstore.KindPending, job.Key) {
+		t.Errorf("after the resume: report stored %t, marker kept %t; want stored, consumed",
+			rs.Has(resultstore.KindReport, job.Key), rs.Has(resultstore.KindPending, job.Key))
 	}
 }
 

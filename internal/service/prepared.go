@@ -53,16 +53,15 @@ type preparedCircuit struct {
 
 // faultUniverse is one fault configuration's universe: the line
 // stuck-at faults, then the transistor faults, as core.Universe lists
-// them, with each fault's name at the same index. The line half is
-// faults[:lines] and the transistor half faults[lines:], so the ATPG
-// campaign's joint universe is faults itself. byName, built on the
-// first dictionary campaign (preparedCircuit.nameOrder), lists the
-// universe's indices in ascending name order, the order a dictionary
-// stores its entries in.
+// them, with each fault's name at the same index (faultNames, which
+// finished campaigns keep). The line half is faults[:lines] and the
+// transistor half faults[lines:], so the ATPG campaign's joint universe
+// is faults itself. byName, built on the first dictionary campaign
+// (preparedCircuit.nameOrder), lists the universe's indices in
+// ascending name order, the order a dictionary stores its entries in.
 type faultUniverse struct {
 	faults []core.Fault
-	names  []string
-	lines  int
+	*faultNames
 	byName []int32
 }
 
@@ -85,7 +84,7 @@ func (p *preparedCircuit) universe(f FaultConfig) *faultUniverse {
 	if u, ok := p.universes[opt]; ok {
 		return u
 	}
-	u := &faultUniverse{faults: core.Universe(p.c, opt)}
+	u := &faultUniverse{faults: core.Universe(p.c, opt), faultNames: &faultNames{key: p.namesKeyFunc(opt)}}
 	u.names = make([]string, len(u.faults))
 	size := int64(cap(u.faults))*int64(unsafe.Sizeof(core.Fault{})) + int64(len(u.names))*int64(unsafe.Sizeof(""))
 	for i := range u.faults {

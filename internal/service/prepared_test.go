@@ -33,16 +33,17 @@ func benchText(t *testing.T, name string) string {
 
 // reportBytes is a done job's held report re-encoded with ElapsedMS
 // zeroed, the one field that differs between runs, then a newline and
-// the undetected-lists body the job's campaign encoded, so comparing
-// two jobs' bytes compares their names too.
+// the undetected-lists body rendered from the job's campaign, so
+// comparing two jobs' bytes compares their names too.
 func reportBytes(t *testing.T, job *Job) []byte {
 	t.Helper()
 	held, state, msg := job.result()
 	if held == nil {
 		t.Fatalf("job %s: %s (%s), no report", job.ID, state, msg)
 	}
-	if held.undetected == nil {
-		t.Fatalf("job %s holds no undetected lists", job.ID)
+	lists, err := held.undetectedBody(nil, job.Key)
+	if err != nil {
+		t.Fatalf("job %s: %v", job.ID, err)
 	}
 	var rep CampaignReport
 	if err := json.Unmarshal(held.body, &rep); err != nil {
@@ -53,7 +54,7 @@ func reportBytes(t *testing.T, job *Job) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(append(enc.body, '\n'), held.undetected...)
+	return append(append(enc.body, '\n'), lists...)
 }
 
 // memoStats reports the memo's resident entries and counted bytes.
@@ -176,8 +177,12 @@ func TestCircuitMemoConcurrentCampaigns(t *testing.T) {
 		if gotBody, _ := json.Marshal(got); !bytes.Equal(gotBody, wantEnc.body) {
 			t.Errorf("campaign %d report differs from a private run's", i)
 		}
-		if lists := heldLists(t, m, job); !bytes.Equal(lists, wantEnc.undetected) {
-			t.Errorf("campaign %d undetected lists differ from a private run's:\n got %s\nwant %s", i, lists, wantEnc.undetected)
+		wantLists, err := wantEnc.undetectedBody(nil, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lists := heldLists(t, m, job); !bytes.Equal(lists, wantLists) {
+			t.Errorf("campaign %d undetected lists differ from a private run's:\n got %s\nwant %s", i, lists, wantLists)
 		}
 	}
 	if hits, misses := m.metrics.CircuitMemoHits.Value(), m.metrics.CircuitMemoMisses.Value(); hits != 7 || misses != 1 {

@@ -164,11 +164,24 @@ type CoverageJSON struct {
 	ByIDDQ       int     `json:"by_iddq,omitempty"`
 	ByTwoPattern int     `json:"by_two_pattern,omitempty"`
 	Percent      float64 `json:"percent"`
-	// Undetected names the class's undetected faults in universe order
-	// (none for bridges). A campaign run in process carries them; the
-	// report body does not: the service serves them apart, as
+
+	// undetected holds the class's undetected faults as ascending
+	// indices into names, the class's slice of the universe's fault
+	// names (none for bridges). A report run in process carries them;
+	// the report body does not: the service names them apart, as
 	// UndetectedJSON.
-	Undetected []string `json:"-"`
+	undetected []int
+	names      []string
+}
+
+// UndetectedNames names the class's undetected faults in universe
+// order, the list GET /v1/campaigns/{id}/undetected serves for it. It
+// is nil for bridges and for a report decoded from its body.
+func (c *CoverageJSON) UndetectedNames() []string {
+	if c == nil {
+		return nil
+	}
+	return namesAt(c.names, c.undetected)
 }
 
 // UndetectedJSON is the GET /v1/campaigns/{id}/undetected body: each
@@ -246,9 +259,9 @@ const ReportVersion = 2
 // CampaignReport is the GET /v1/campaigns/{id}/report body: structured
 // coverage per fault class plus the same report.Table set the CLI tools
 // render, marshalled through internal/report's JSON form. The service
-// encodes each finished report once, as compact JSON, and holds and
-// serves those bytes, with its undetected lists encoded beside them; it
-// keeps no decoded copy.
+// encodes each finished report's body once, as compact JSON, and holds
+// and serves those bytes, with its undetected faults by universe index
+// beside them, named when /undetected asks; it keeps no decoded copy.
 type CampaignReport struct {
 	Version        int             `json:"version"` // ReportVersion
 	Circuit        CircuitInfo     `json:"circuit"`
@@ -262,6 +275,11 @@ type CampaignReport struct {
 	Dictionary     *DictionaryJSON `json:"dictionary,omitempty"`
 	Tables         []*report.Table `json:"tables"`
 	ElapsedMS      int64           `json:"elapsed_ms"`
+
+	// names is the campaign's fault universe's names, which the
+	// coverage blocks' undetected indices refer to; nil on a report
+	// decoded from its body.
+	names *faultNames
 }
 
 // JobState is the lifecycle of one campaign job.

@@ -12,15 +12,20 @@
 # cpsinw_faultsim_gate_evals_total sample still exactly 0, proving the
 # second life simulated nothing. Both lives serve the campaign's
 # /report (a version 2 body) and /undetected lists, and each must be
-# byte-identical across the kill -9 restart. CI runs this as the
-# shard-smoke job.
+# byte-identical across the kill -9 restart. A second campaign on the
+# same circuit with another seed then leaves the store with two
+# undetected indexes, one fault-names artifact shared by both, and no
+# undetected/ name lists. CI runs this as the shard-smoke job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 workdir=$(mktemp -d)
 addr="127.0.0.1:18082"
 resultdir="$workdir/results"
-body='{"benchmark":"mult3","faults":{"stuck_at":true,"polarity":true,"iddq":true,"bridges":true},"engine":"packed","shards":4}'
+body='{"benchmark":"rca8","faults":{"stuck_at":true,"polarity":true,"iddq":true,"bridges":true},"engine":"packed","shards":4,"seed":1}'
+# The same circuit and fault classes with another seed: rca8 has 17
+# inputs, so its random patterns, and its key, follow the seed.
+body2=${body/'"seed":1'/'"seed":2'}
 
 cleanup() {
     [[ -n "${server_pid:-}" ]] && kill "$server_pid" 2>/dev/null || true
@@ -44,8 +49,9 @@ boot() {
     exit 1
 }
 
+# submit [body]: post a campaign (default $body) and print its id.
 submit() {
-    curl -sf -X POST "http://$addr/v1/campaigns" -d "$body" \
+    curl -sf -X POST "http://$addr/v1/campaigns" -d "${1:-$body}" \
         | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1
 }
 
@@ -147,4 +153,14 @@ for r in report undetected; do
     }
 done
 
-echo "shard smoke passed: 4 shards scheduled and persisted; restart answered from the store with 0 gate evaluations and byte-identical /report and /undetected"
+echo "== second campaign: same circuit, another seed =="
+id3=$(submit "$body2")
+[[ -n "$id3" ]] || { echo "no campaign id in the second campaign's submit" >&2; exit 1; }
+wait_done "$id3"
+fetch "$id3" undetected "$workdir/undetected3.json"
+count() { find "$resultdir/$1" -name '*.json.gz' 2>/dev/null | wc -l; }
+[[ $(count undetected-index) -eq 2 ]] || { echo "store holds $(count undetected-index) undetected indexes, want 2" >&2; exit 1; }
+[[ $(count fault-names) -eq 1 ]] || { echo "store holds $(count fault-names) fault-names artifacts, want 1" >&2; exit 1; }
+[[ ! -e "$resultdir/undetected" ]] || { echo "store holds undetected/ name lists" >&2; exit 1; }
+
+echo "shard smoke passed: 4 shards scheduled and persisted; restart answered from the store with 0 gate evaluations and byte-identical /report and /undetected; two campaigns share one fault-names artifact"
