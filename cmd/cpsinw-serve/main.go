@@ -38,12 +38,15 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -73,15 +76,10 @@ func main() {
 		"debug listener (pprof, expvar); loopback only; empty disables")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
+	logger, err := newLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		log.Fatal(err)
 	}
-	format, err := obs.ParseFormat(*logFormat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	logger := obs.New(os.Stderr, level, format).With("service", "cpsinw-serve")
 
 	srv := service.NewServer(service.ManagerConfig{
 		Workers:          *workers,
@@ -153,6 +151,36 @@ func main() {
 	if debugSrv != nil {
 		debugSrv.Shutdown(shutCtx)
 	}
+}
+
+// newLogger builds the service's logger from the -log-level and
+// -log-format values: slog's text (logfmt) or JSON handler on w, every
+// line tagged service=cpsinw-serve.
+func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lv slog.Level
+	switch strings.ToLower(level) {
+	case "debug":
+		lv = slog.LevelDebug
+	case "info", "":
+		lv = slog.LevelInfo
+	case "warn", "warning":
+		lv = slog.LevelWarn
+	case "error":
+		lv = slog.LevelError
+	default:
+		return nil, fmt.Errorf("unknown log level %q (have: debug, info, warn, error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	var h slog.Handler
+	switch strings.ToLower(format) {
+	case "text", "logfmt", "":
+		h = slog.NewTextHandler(w, opts)
+	case "json":
+		h = slog.NewJSONHandler(w, opts)
+	default:
+		return nil, fmt.Errorf("unknown log format %q (have: text, json)", format)
+	}
+	return slog.New(h).With("service", "cpsinw-serve"), nil
 }
 
 // debugMux serves the pprof profile handlers and expvar. It lives on

@@ -231,46 +231,55 @@ func (d *dutState) eval(p faultsim.Pattern, extraGate int, extraTr string, extra
 // fault (nil for a golden device) and returns the tester verdict.
 func Execute(p *Program, fault *core.Fault) Verdict {
 	dut := &dutState{c: p.Circuit, fault: fault}
-	for i, step := range p.Steps {
-		switch step.Kind {
-		case StepLogic:
-			got, _ := dut.eval(step.Pattern, -1, "", logic.TFaultNone, false)
-			if po, bad := mismatch(p.Circuit, got, step.Expect); bad {
-				return Verdict{FailStep: i, StepKind: step.Kind,
-					FailReason: fmt.Sprintf("output %s = %v, expected %v", po, got[po], step.Expect[po])}
-			}
-		case StepTwoPattern:
-			dut.prev = map[int]map[string]logic.V{}
-			dut.eval(step.Init, -1, "", logic.TFaultNone, true)
-			got, _ := dut.eval(step.Pattern, -1, "", logic.TFaultNone, true)
-			if po, bad := mismatch(p.Circuit, got, step.Expect); bad {
-				return Verdict{FailStep: i, StepKind: step.Kind,
-					FailReason: fmt.Sprintf("two-pattern output %s = %v, expected %v", po, got[po], step.Expect[po])}
-			}
-		case StepIDDQ:
-			_, leak := dut.eval(step.Pattern, -1, "", logic.TFaultNone, false)
-			if leak {
-				return Verdict{FailStep: i, StepKind: step.Kind,
-					FailReason: "elevated IDDQ"}
-			}
-		case StepCBProcedure:
-			gi := gateIndexOf(p.Circuit, step.CBGate)
-			got, leak := dut.eval(step.Pattern, gi, step.CBTransistor, step.CBInjection, false)
-			// The injected polarity complement must manifest on a healthy
-			// device; a clean response reveals the channel break.
-			var manifest bool
-			if step.CBObserve == faultsim.ByIDDQ {
-				manifest = leak
-			} else {
-				_, manifest = mismatch(p.Circuit, got, step.Expect)
-			}
-			if !manifest {
-				return Verdict{FailStep: i, StepKind: step.Kind,
-					FailReason: fmt.Sprintf("%s.%s: injected polarity fault masked (channel break)", step.CBGate, step.CBTransistor)}
-			}
+	for i := range p.Steps {
+		step := &p.Steps[i]
+		if fail, po, got := dut.run(step); fail {
+			return Verdict{FailStep: i, StepKind: step.Kind, FailReason: failReason(step, po, got)}
 		}
 	}
 	return Verdict{Pass: true, FailStep: -1}
+}
+
+// run applies one step to the device and reports whether it fails.
+// A logic or two-pattern step that fails also names the first
+// mismatching output and returns the device's response.
+func (d *dutState) run(step *Step) (fail bool, po string, got map[string]logic.V) {
+	switch step.Kind {
+	case StepLogic:
+		got, _ = d.eval(step.Pattern, -1, "", logic.TFaultNone, false)
+		po, fail = mismatch(d.c, got, step.Expect)
+	case StepTwoPattern:
+		d.prev = map[int]map[string]logic.V{}
+		d.eval(step.Init, -1, "", logic.TFaultNone, true)
+		got, _ = d.eval(step.Pattern, -1, "", logic.TFaultNone, true)
+		po, fail = mismatch(d.c, got, step.Expect)
+	case StepIDDQ:
+		_, fail = d.eval(step.Pattern, -1, "", logic.TFaultNone, false)
+	case StepCBProcedure:
+		gi := gateIndexOf(d.c, step.CBGate)
+		out, leak := d.eval(step.Pattern, gi, step.CBTransistor, step.CBInjection, false)
+		// The injected polarity complement must manifest on a healthy
+		// device; a clean response reveals the channel break.
+		manifest := leak
+		if step.CBObserve != faultsim.ByIDDQ {
+			_, manifest = mismatch(d.c, out, step.Expect)
+		}
+		fail = !manifest
+	}
+	return fail, po, got
+}
+
+// failReason says why a step failed, from what run returned.
+func failReason(step *Step, po string, got map[string]logic.V) string {
+	switch step.Kind {
+	case StepTwoPattern:
+		return fmt.Sprintf("two-pattern output %s = %v, expected %v", po, got[po], step.Expect[po])
+	case StepIDDQ:
+		return "elevated IDDQ"
+	case StepCBProcedure:
+		return fmt.Sprintf("%s.%s: injected polarity fault masked (channel break)", step.CBGate, step.CBTransistor)
+	}
+	return fmt.Sprintf("output %s = %v, expected %v", po, got[po], step.Expect[po])
 }
 
 // mismatch reports the first primary output whose definite value differs

@@ -7,7 +7,9 @@
 // The package is deliberately self-contained — faults are opaque string
 // keys and signatures are plain bitsets — so the simulator, the ATPG
 // compactor, the HTTP service and the CLI can all share one artifact
-// format without import cycles.
+// format without import cycles. Its one dependency inside the module
+// is the result store's key check and atomic writer, which Store
+// persists artifacts through.
 package dict
 
 import (

@@ -450,13 +450,6 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	if got.Meta.Resolution != d.Meta.Resolution || len(got.Entries) != len(d.Entries) {
 		t.Fatalf("reloaded dictionary differs: %+v", got.Meta)
 	}
-	if sz, ok := st2.Stat(d.Meta.Key); !ok || sz != size {
-		t.Fatalf("Stat = (%d, %v)", sz, ok)
-	}
-	keys, err := st2.Keys()
-	if err != nil || len(keys) != 1 || keys[0] != d.Meta.Key {
-		t.Fatalf("Keys = %v, %v", keys, err)
-	}
 }
 
 func TestStoreRejectsBadKeys(t *testing.T) {

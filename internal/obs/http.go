@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -38,7 +39,7 @@ func (w *statusWriter) Flush() {
 // AccessLog wraps next with structured request logging: one line per
 // request with method, path, status, response bytes, duration and the
 // remote address.
-func AccessLog(l *Logger, next http.Handler) http.Handler {
+func AccessLog(l *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}

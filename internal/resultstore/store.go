@@ -38,11 +38,13 @@
 // undetected/, and re-simulates each such key once, writing the new
 // artifacts.
 //
-// Writes are atomic (tmp + rename) so a crashed writer never leaves a
-// half-written artifact, and gzip's CRC catches torn or corrupted files
-// at read time. Every write compresses through one pool of gzip writers
-// at the default level. Keys are exactly 64 lowercase hex digits (a
-// SHA-256), which also guards the store against path traversal.
+// Writes are atomic (tmp + rename, WriteAtomic) so a crashed writer
+// never leaves a half-written artifact, and gzip's CRC catches torn or
+// corrupted files at read time. Every write compresses through one pool
+// of gzip writers at the default level. Keys are exactly 64 lowercase
+// hex digits (a SHA-256, ValidKey), which also guards the store against
+// path traversal. The fault-dictionary store (internal/dict) keys and
+// writes its .cpd artifacts through the same ValidKey and WriteAtomic.
 package resultstore
 
 import (
@@ -151,45 +153,59 @@ func (s *Store) Write(kind Kind, key string, body []byte) (int64, error) {
 	})
 }
 
-// write compresses what fill writes into a temporary file beside the
-// artifact and renames it into place.
+// write compresses what fill writes into the artifact under (kind, key)
+// through WriteAtomic.
 func (s *Store) write(kind Kind, key string, fill func(io.Writer) error) (int64, error) {
 	if !ValidKey(key) {
 		return 0, fmt.Errorf("resultstore: invalid artifact key %q", key)
 	}
-	tmp, err := os.CreateTemp(filepath.Join(s.dir, string(kind)), "put-*.tmp")
+	return WriteAtomic(s.path(kind, key), func(w io.Writer) error {
+		zw := gzipWriters.Get().(*gzip.Writer)
+		zw.Reset(w)
+		err := fill(zw)
+		if err == nil {
+			err = zw.Close()
+		}
+		gzipWriters.Put(zw)
+		return err
+	})
+}
+
+// WriteAtomic writes what fill writes to path through a temporary file
+// beside it (put-*.tmp), renamed into place once fill and the file's
+// close succeed, so a crashed writer never leaves a half-written file
+// under path. On failure it removes the temporary file and leaves path
+// as it was. It returns the number of bytes written, the file's size.
+func WriteAtomic(path string, fill func(io.Writer) error) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return 0, err
 	}
-	discard := func(err error) (int64, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, err
+	cw := &countingWriter{w: tmp}
+	err = fill(cw)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	zw := gzipWriters.Get().(*gzip.Writer)
-	zw.Reset(tmp)
-	err = fill(zw)
 	if err == nil {
-		err = zw.Close()
+		err = os.Rename(tmp.Name(), path)
 	}
-	gzipWriters.Put(zw)
-	if err != nil {
-		return discard(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	fi, err := os.Stat(tmp.Name())
 	if err != nil {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	if err := os.Rename(tmp.Name(), s.path(kind, key)); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	return fi.Size(), nil
+	return cw.n, nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Get loads the artifact under (kind, key) into out. A missing artifact

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,8 +22,19 @@ type payload struct {
 	Count int    `json:"count"`
 }
 
+// onDisk is the size of the artifact file under (kind, key).
+func onDisk(t *testing.T, dir string, kind Kind, key string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, string(kind), key+Ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +43,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size <= 0 {
-		t.Fatalf("size = %d, want > 0", size)
+	if disk := onDisk(t, dir, KindReport, keyA); size != disk {
+		t.Fatalf("Put returned size %d, the file holds %d bytes", size, disk)
 	}
 	var got payload
 	if err := s.Get(KindReport, keyA, &got); err != nil {
@@ -184,8 +197,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Write(KindFaultNames, keyA, body); err != nil {
+	size, err := s.Write(KindFaultNames, keyA, body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if disk := onDisk(t, dir, KindFaultNames, keyA); size != disk {
+		t.Fatalf("Write returned size %d, the file holds %d bytes", size, disk)
 	}
 	got, err := s.Read(KindFaultNames, keyA)
 	if err != nil || !bytes.Equal(got, body) {
@@ -202,6 +219,44 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	put, _ := os.ReadFile(filepath.Join(dir, string(KindReport), keyA+Ext))
 	if !bytes.Equal(written, put) {
 		t.Error("Write and Put of one value left different artifacts")
+	}
+}
+
+// TestWriteAtomicFailedFill: a fill that fails, after writing part of
+// its bytes, leaves neither the file nor its temporary behind, and an
+// earlier file under the path survives unchanged.
+func TestWriteAtomicFailedFill(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "artifact")
+	boom := errors.New("fill failed")
+	fail := func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial")); err != nil {
+			return err
+		}
+		return boom
+	}
+	if n, err := WriteAtomic(path, fail); !errors.Is(err, boom) || n != 0 {
+		t.Fatalf("WriteAtomic = %d, %v; want 0, %v", n, err, boom)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("failed write left %s behind", ents[0].Name())
+	}
+
+	n, err := WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write([]byte("whole"))
+		return err
+	})
+	if err != nil || n != int64(len("whole")) {
+		t.Fatalf("WriteAtomic = %d, %v; want %d, nil", n, err, len("whole"))
+	}
+	if _, err := WriteAtomic(path, fail); !errors.Is(err, boom) {
+		t.Fatalf("WriteAtomic = %v, want %v", err, boom)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "whole" {
+		t.Fatalf("after a failed rewrite the file reads %q, %v; want \"whole\"", got, err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("failed rewrite left %d files, want only the artifact", len(ents))
 	}
 }
 

@@ -1,12 +1,18 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"log/slog"
+	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,7 +186,7 @@ type ManagerConfig struct {
 	ShardRetries int
 
 	// Logger receives structured job lifecycle lines (default: discard).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// ProgressInterval throttles progress broadcasts per job: at most
 	// one frame per interval, plus every stage-completing frame
 	// (default 100ms; negative disables throttling).
@@ -206,7 +212,9 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 		c.JobTimeout = 60 * time.Second
 	}
 	if c.Logger == nil {
-		c.Logger = obs.Nop()
+		// No record reaches this level. Not slog.Default(): that writes
+		// to stderr.
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if c.ProgressInterval == 0 {
 		c.ProgressInterval = 100 * time.Millisecond
@@ -232,7 +240,7 @@ type Manager struct {
 	metrics  *Metrics
 	reg      *obs.Registry
 	tracer   *obs.Tracer
-	log      *obs.Logger
+	log      *slog.Logger
 	dict     *dict.Store        // nil unless DictDir is configured
 	store    *resultstore.Store // nil unless ResultDir is configured
 
@@ -538,12 +546,16 @@ func (m *Manager) Resume(id string) (*Job, error) {
 	return m.Submit(req)
 }
 
+// sortStatusesByID orders statuses by job number. An ID is "c-" and a
+// sequence number padded to at least six digits, so a longer ID is a
+// larger number and IDs of one length order as text.
 func sortStatusesByID(sts []JobStatus) {
-	for i := 1; i < len(sts); i++ {
-		for k := i; k > 0 && sts[k].ID < sts[k-1].ID; k-- {
-			sts[k], sts[k-1] = sts[k-1], sts[k]
+	slices.SortFunc(sts, func(a, b JobStatus) int {
+		if c := cmp.Compare(len(a.ID), len(b.ID)); c != 0 {
+			return c
 		}
-	}
+		return strings.Compare(a.ID, b.ID)
+	})
 }
 
 // Get looks a job up by ID.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"cpsinw/internal/logic"
-	"cpsinw/internal/obs"
 	"cpsinw/internal/resultstore"
 	"cpsinw/internal/shard"
 )
@@ -100,7 +100,7 @@ func TestManagerKeepsMarkerBesideUnreadableReport(t *testing.T) {
 	}
 
 	var logs bytes.Buffer
-	m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+	m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 	defer m2.Close()
 	recovered := m2.Resumable()
 	if len(recovered) != 1 || recovered[0].Key != cold.Key {
@@ -292,7 +292,7 @@ func TestStaleStoredReportResimulates(t *testing.T) {
 			}
 
 			var logs bytes.Buffer
-			m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+			m2 := NewManager(ManagerConfig{Workers: 2, ResultDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 			recovered := m2.Resumable()
 			if len(recovered) != 1 || recovered[0].Key != cold.Key {
 				t.Fatalf("recovered %+v, want the campaign %s resumable", recovered, cold.Key)
@@ -732,6 +732,25 @@ func TestManagerDrainParksQueuedAsResumable(t *testing.T) {
 	}
 }
 
+// TestResumableOrderPastAMillion: job IDs are zero-padded to six
+// digits and grow a seventh at c-1000000, which sorts after c-999999:
+// the resumable listing stays oldest first.
+func TestResumableOrderPastAMillion(t *testing.T) {
+	var sts []JobStatus
+	for _, id := range []string{"c-1000000", "c-000002", "c-999999", "c-10000000", "c-1000001", "c-000010"} {
+		sts = append(sts, JobStatus{ID: id})
+	}
+	sortStatusesByID(sts)
+	var got []string
+	for _, st := range sts {
+		got = append(got, st.ID)
+	}
+	want := []string{"c-000002", "c-000010", "c-999999", "c-1000000", "c-1000001", "c-10000000"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sorted %v, want %v", got, want)
+	}
+}
+
 // TestManagerResumeRejectsNonResumable guards the resume endpoint's
 // state machine.
 func TestManagerResumeRejectsNonResumable(t *testing.T) {
@@ -770,7 +789,7 @@ func TestManagerDropsInvalidPendingMarker(t *testing.T) {
 	}
 
 	var logs bytes.Buffer
-	m := NewManager(ManagerConfig{Workers: 1, ResultDir: dir, Logger: obs.New(&logs, obs.LevelWarn, obs.FormatText)})
+	m := NewManager(ManagerConfig{Workers: 1, ResultDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 	defer m.Close()
 	if got := m.Resumable(); len(got) != 0 {
 		t.Errorf("invalid marker listed resumable: %+v", got)

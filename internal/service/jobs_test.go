@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -43,6 +45,28 @@ func waitTerminal(t *testing.T, job *Job) JobStatus {
 	}
 	t.Fatalf("job %s never reached a terminal state (last: %s)", job.ID, job.Status().State)
 	return JobStatus{}
+}
+
+// TestNilLoggerDiscards: a manager configured without a logger writes
+// its lifecycle lines nowhere, not to slog's default logger (stderr).
+func TestNilLoggerDiscards(t *testing.T) {
+	var buf bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	defer slog.SetDefault(prev)
+
+	m := NewManager(ManagerConfig{Workers: 1})
+	j, err := m.Submit(CampaignRequest{Benchmark: "c17", Faults: FaultConfig{StuckAt: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st.State != StateDone {
+		t.Fatalf("campaign %s: %s", st.State, st.Error)
+	}
+	m.Close()
+	if buf.Len() != 0 {
+		t.Fatalf("a manager without a logger wrote:\n%s", buf.String())
+	}
 }
 
 func TestManagerQueueFull(t *testing.T) {

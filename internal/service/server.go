@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"cpsinw/internal/dict"
+	"cpsinw/internal/resultstore"
 )
 
 // maxBodyBytes bounds a campaign submission (netlists are small; this
@@ -316,7 +317,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := req.Key
-	if key != "" && !dict.ValidKey(key) {
+	if key != "" && !resultstore.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, "malformed dictionary key (want 64 lowercase hex digits)")
 		return
 	}

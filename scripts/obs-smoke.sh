@@ -4,10 +4,12 @@
 # Builds cpsinw-serve (race detector on), boots it, submits a real
 # campaign, follows the SSE stream to its terminal frame, checks
 # /healthz, the trace endpoint (one shard span, a merge span, every
-# span ended) and the legacy JSON metrics form, and
-# pipes the final /metrics scrape through the exposition linter. Any
-# malformed exposition line, missing progress frame or non-terminal
-# stream end fails the script. CI runs this as the obs-smoke job.
+# span ended) and the legacy JSON metrics form,
+# pipes the final /metrics scrape through the exposition linter, and
+# checks the JSON log for the access-log and campaign-finished lines.
+# Any malformed exposition line, missing progress frame or log line, or
+# non-terminal stream end fails the script. CI runs this as the
+# obs-smoke job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -123,6 +125,21 @@ grep -q '"cpsinw"' <<<"$vars" || {
 echo "== access log =="
 grep -q '"msg":"http request"' "$workdir/serve.log" || {
     echo "no structured access-log lines" >&2
+    cat "$workdir/serve.log" >&2
+    exit 1
+}
+
+echo "== lifecycle log =="
+# The worker logs "campaign finished" just after the stream's terminal
+# frame, so allow it a moment. A service logger wired to discard fails
+# here.
+finished='"level":"INFO","msg":"campaign finished",.*"job":"'"$id"'"'
+for _ in $(seq 1 50); do
+    grep -q "$finished" "$workdir/serve.log" && break
+    sleep 0.1
+done
+grep -q "$finished" "$workdir/serve.log" || {
+    echo "no INFO campaign finished line for $id" >&2
     cat "$workdir/serve.log" >&2
     exit 1
 }
